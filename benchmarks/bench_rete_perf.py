@@ -2,11 +2,14 @@
 
 Replays the recorded rubik/tourney/weaver delta scripts (see
 :mod:`repro.workloads.match`) into the preserved object-dispatch engine
-and the flattened kernel (numpy on and off), and times the CORGI-style
-adversarial cross-product at two sizes to confirm cost stays quadratic
-in token count.  Every timed pair also cross-checks final conflict
-sets, so a kernel that got fast by getting wrong fails here before it
-fails anywhere else.
+and the flattened kernel (numpy on and off), twice: untraced, and
+*recorded* — a :class:`~repro.trace.recorder.TraceRecorder` attached and
+its section built, the path every program in the trace pipeline takes.
+It also times the CORGI-style adversarial cross-product at two sizes to
+confirm cost stays quadratic in token count.  Every timed pair also
+cross-checks final conflict sets (and recorded sections), so a kernel
+that got fast by getting wrong fails here before it fails anywhere
+else.
 
 Results are written machine-readably to ``BENCH_rete.json`` at the repo
 root so the match-throughput trajectory is tracked across PRs.  Run::
@@ -24,6 +27,7 @@ import time
 
 from conftest import once
 from repro.rete import ReferenceReteNetwork, ReteNetwork, resolve_numpy
+from repro.trace.recorder import TraceRecorder
 from repro.workloads import (adversarial_cross_product,
                              record_match_deltas, replay_deltas,
                              rubik_match_program, tourney_match_program,
@@ -81,24 +85,29 @@ def _signature(conflict_set):
                   for inst in conflict_set)
 
 
-def _time_replays(factories, script, repeats: int = 5):
-    """Best replay seconds and final conflict signature per factory.
+def _time_replays(factories, script, repeats: int = 5,
+                  recorded: bool = False):
+    """Best replay seconds and final signature per factory.
 
     The engines are timed round-robin (ref, fast, ... ref, fast, ...)
     rather than back to back, so drifting machine load lands on every
     engine about equally and the *ratios* stay stable even when the
-    absolute timings wobble.
+    absolute timings wobble.  With *recorded*, a trace recorder
+    observes every activation and its section is built inside the
+    timed region; the signature then includes the section.
     """
     best = [float("inf")] * len(factories)
     signatures = [None] * len(factories)
     for _ in range(repeats):
         for i, factory in enumerate(factories):
             matcher = factory()
+            recorder = TraceRecorder(matcher) if recorded else None
             start = time.perf_counter()
             conflict_set = replay_deltas(matcher, script.program,
                                          script.deltas)
+            section = recorder.section("replay") if recorded else None
             best[i] = min(best[i], time.perf_counter() - start)
-            signatures[i] = _signature(conflict_set)
+            signatures[i] = (_signature(conflict_set), section)
     return best, signatures
 
 
@@ -117,7 +126,8 @@ def test_match_throughput(benchmark, report):
     }
     lines = ["Rete match throughput: flattened kernel vs reference",
              f"{'workload':<9} {'waves':>6} {'ref':>9} {'fast':>9} "
-             f"{'speedup':>8} {'no-numpy':>9} {'speedup':>8}"]
+             f"{'speedup':>8} {'no-numpy':>9} {'speedup':>8} "
+             f"{'rec ref':>9} {'rec fast':>9} {'speedup':>8}"]
 
     def _measure():
         throughput = {}
@@ -131,6 +141,11 @@ def test_match_throughput(benchmark, report):
                               script)
             assert fast_sig == ref_sig, f"{name}: fast diverged"
             assert plain_sig == ref_sig, f"{name}: no-numpy diverged"
+            (rec_ref_s, rec_fast_s), (rec_ref_sig, rec_fast_sig) = \
+                _time_replays((ReferenceReteNetwork, ReteNetwork), script,
+                              recorded=True)
+            assert rec_fast_sig == rec_ref_sig, \
+                f"{name}: recorded fast section diverged"
             probe = ReteNetwork()
             replay_deltas(probe, script.program, script.deltas)
             throughput[name] = {
@@ -143,6 +158,11 @@ def test_match_throughput(benchmark, report):
                 "speedup_no_numpy": round(ref_s / plain_s, 2),
                 "fast_waves_per_s": round(waves / fast_s),
                 "reference_waves_per_s": round(waves / ref_s),
+                "recorded_reference_s": round(rec_ref_s, 5),
+                "recorded_fast_s": round(rec_fast_s, 5),
+                "recorded_speedup": round(rec_ref_s / rec_fast_s, 2),
+                "recorded_fast_waves_per_s": round(waves / rec_fast_s),
+                "activations": rec_fast_sig[1].total_activations(),
                 "numpy_engaged": probe.kernel.numpy_engaged,
             }
             row = throughput[name]
@@ -150,7 +170,9 @@ def test_match_throughput(benchmark, report):
                 f"{name:<9} {waves:>6} {ref_s * 1e3:>7.1f}ms "
                 f"{fast_s * 1e3:>7.1f}ms {row['speedup']:>7.2f}x "
                 f"{plain_s * 1e3:>7.1f}ms "
-                f"{row['speedup_no_numpy']:>7.2f}x")
+                f"{row['speedup_no_numpy']:>7.2f}x "
+                f"{rec_ref_s * 1e3:>7.1f}ms {rec_fast_s * 1e3:>7.1f}ms "
+                f"{row['recorded_speedup']:>7.2f}x")
         return throughput
 
     throughput = once(benchmark, _measure)

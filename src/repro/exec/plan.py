@@ -293,6 +293,14 @@ class MatchActorCore:
     surcharge, per-successor cost, send overhead per emitted message),
     so at any overhead setting the accumulated ``busy_us`` equals the
     simulator's ``proc_busy_us`` for the same partition.
+
+    A peer's token can overtake this actor's own cycle broadcast — on
+    the multiprocessing transport the control actor and the peer are
+    two producers writing one inbox queue — so a token for an act not
+    yet in the plan is held and processed right after :meth:`on_cycle`.
+    Tokens never cross a barrier (every token of a cycle is processed
+    before its ``sync`` is sent), so a held token always belongs to the
+    next plan.
     """
 
     def __init__(self, actor_id: int, config: RunConfig) -> None:
@@ -305,6 +313,8 @@ class MatchActorCore:
         self._send_us = config.overheads.send_us
         self._recv_us = config.overheads.recv_us
         self._acts: Dict[int, ActSpec] = {}
+        #: tokens that arrived before this cycle's plan
+        self._early: List[int] = []
         self._reset_counters()
 
     def _reset_counters(self) -> None:
@@ -328,11 +338,17 @@ class MatchActorCore:
         processed = 0
         for act_id in plan.roots:
             processed += self._process(act_id, False, out)
+        early, self._early = self._early, []
+        for act_id in early:
+            processed += self._process(act_id, True, out)
         return out, processed
 
     def on_token(self, act_id: int):
         """Handle a cross-partition successor token message."""
         out: List[Tuple[int, Tuple]] = []
+        if act_id not in self._acts:
+            self._early.append(act_id)  # overtook the cycle broadcast
+            return out, 0
         processed = self._process(act_id, True, out)
         return out, processed
 

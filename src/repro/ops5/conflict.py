@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional, Tuple
 
 from .ast import Production
@@ -45,9 +46,37 @@ class Instantiation:
     wmes: Tuple[WME, ...]
     bindings: Mapping[str, Value]
 
-    def key(self) -> Tuple[str, Tuple[int, ...]]:
+    # An instantiation is immutable and stays in the conflict set for
+    # many cycles, so its refraction and LEX keys are computed once and
+    # cached in the instance dict (outside the dataclass fields).
+
+    @cached_property
+    def refraction_key(self) -> Tuple[str, Tuple[int, ...]]:
         """Identity for refraction: production name + matched wme ids."""
         return (self.production.name, tuple(w.wme_id for w in self.wmes))
+
+    @cached_property
+    def lex_key(self) -> Tuple:
+        """Sort key such that max() picks the LEX winner deterministically.
+
+        Later elements break ties: recency sequence, then (sequence
+        length — OPS5 prefers the instantiation with *more* time tags when
+        one sequence is a prefix of the other), then specificity, then a
+        stable arbitrary order (production name / wme ids, inverted so
+        that max() still yields a deterministic result).
+        """
+        stamps = self.timestamps_desc()
+        return (
+            stamps,
+            len(stamps),
+            self.production.specificity(),
+            self.production.name,
+            tuple(-w.wme_id for w in self.wmes),
+        )
+
+    def key(self) -> Tuple[str, Tuple[int, ...]]:
+        """Identity for refraction: production name + matched wme ids."""
+        return self.refraction_key
 
     def timestamps_desc(self) -> Tuple[int, ...]:
         """Matched wme time tags, most recent first (the LEX sort key)."""
@@ -78,33 +107,15 @@ class Strategy(enum.Enum):
 
 
 def _lex_sort_key(inst: Instantiation) -> Tuple:
-    """Sort key such that max() picks the LEX winner deterministically.
-
-    Later elements break ties: recency sequence, then (sequence length —
-    OPS5 prefers the instantiation with *more* time tags when one
-    sequence is a prefix of the other), then specificity, then a stable
-    arbitrary order (production name / wme ids, inverted so that max()
-    still yields a deterministic result).
-    """
-    stamps = inst.timestamps_desc()
-    return (
-        stamps,
-        len(stamps),
-        inst.production.specificity(),
-        # Deterministic final tie-break; negate nothing — names sort fine.
-        inst.production.name,
-        tuple(-w.wme_id for w in inst.wmes),
-    )
+    """LEX ordering: the instantiation's cached :attr:`~Instantiation
+    .lex_key`."""
+    return inst.lex_key
 
 
 def _mea_sort_key(inst: Instantiation) -> Tuple:
     """MEA: recency of the first-CE wme dominates, then LEX ordering."""
     first = inst.wmes[0].timestamp if inst.wmes else -1
-    return (first,) + _lex_sort_key(inst)
-
-
-def _padded_compare_key(stamps: Tuple[int, ...]) -> Tuple[int, ...]:
-    return stamps
+    return (first,) + inst.lex_key
 
 
 def select(conflict_set, strategy: Strategy = Strategy.LEX,
@@ -126,8 +137,6 @@ def select(conflict_set, strategy: Strategy = Strategy.LEX,
     (i.e. the program has quiesced).
     """
     fired = fired or set()
-    candidates = [inst for inst in conflict_set if inst.key() not in fired]
-    if not candidates:
-        return None
     key = _lex_sort_key if strategy is Strategy.LEX else _mea_sort_key
-    return max(candidates, key=key)
+    return max((inst for inst in conflict_set
+                if inst.refraction_key not in fired), key=key, default=None)

@@ -64,6 +64,22 @@ class BucketKey:
         return f"n{self.node_id}[{vals}]"
 
 
+_new_key = object.__new__
+_set_field = object.__setattr__
+
+
+def interned_key(node_id: int, values: Tuple[Value, ...]) -> BucketKey:
+    """A :class:`BucketKey` over *values* whose strings the caller has
+    already interned — the match kernel's case, which interns every
+    value once when it enters a token or a key.  Skips the re-interning
+    pass of ``__post_init__``; equal to ``BucketKey(node_id, values)``.
+    """
+    key = _new_key(BucketKey)
+    _set_field(key, "node_id", node_id)
+    _set_field(key, "values", values)
+    return key
+
+
 def _canonical(value: Value) -> str:
     """Type-tagged canonical text for a value (1 and '1' must differ)."""
     if isinstance(value, bool):  # defensive; OPS5 has no booleans

@@ -40,10 +40,12 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..ops5.ast import Constant, Predicate
 from ..ops5.conflict import Instantiation
+from ..ops5.values import NIL
 from ..ops5.wme import WME
-from .hashing import BucketKey, intern_value
+from .hashing import BucketKey, interned_key, intern_value
 from .memory import FlatMemories
 from .nodes import JoinNode, NegativeNode, ProductionNode
+from .predicates import compile_constant_test, compile_predicate
 from .stats import ActivationEvent
 from .tokens import MINUS, PLUS, TokenPool
 
@@ -85,10 +87,15 @@ class _AlphaSlot:
 
     __slots__ = ("np_row", "const_tests", "intra_tests", "subs")
 
-    def __init__(self, const_tests, intra_tests) -> None:
+    def __init__(self, pattern) -> None:
         self.np_row = -1          # row in the class's vectorized block
-        self.const_tests = const_tests
-        self.intra_tests = intra_tests
+        #: (attr, fn, operand): passes when fn(wme value, operand)
+        self.const_tests = tuple(compile_constant_test(test)
+                                 for test in pattern.const_tests)
+        #: (first_attr, fn, attr): passes when fn(value, first value)
+        self.intra_tests = tuple(
+            (first_attr, compile_predicate(predicate), attr)
+            for first_attr, predicate, attr in pattern.intra_tests)
         #: (compact node index, unit_attrs or None) — None means the
         #: subscription feeds the node's *right* input with the raw wme;
         #: a tuple of attributes means unit tokens on the left input.
@@ -164,7 +171,8 @@ class ReteKernel:
         self.children: List[Tuple[int, ...]] = [()] * n
         self.left_key_pos: List[Tuple[int, ...]] = [()] * n
         self.right_key_attrs: List[Tuple[str, ...]] = [()] * n
-        #: residual tests as (value index, predicate, wme attr)
+        #: residual tests as (value index, compiled predicate, wme
+        #: attr): pass when ``fn(wme value, token value)``
         self.residuals: List[Tuple] = [()] * n
         #: join output plans: (from_wme, index-or-attr) per output slot
         self.merge_plan: List[Tuple] = [()] * n
@@ -205,7 +213,7 @@ class ReteKernel:
             self.right_key_attrs[ci] = tuple(
                 attr for _, attr in node.eq_tests)
             self.residuals[ci] = tuple(
-                (layout.index(var), pred, attr)
+                (layout.index(var), compile_predicate(pred), attr)
                 for var, pred, attr in node.residual_tests)
             if isinstance(node, NegativeNode):
                 self.kind[ci] = KIND_NEGATIVE
@@ -239,6 +247,11 @@ class ReteKernel:
                   if self.kind[c] != KIND_TERMINAL) for ci in range(n)]
 
         self.memories = FlatMemories(n)
+        #: each node's key-less bucket (every terminal activation and
+        #: every activation of a join without equality tests), shared
+        #: by all events that report it
+        self.empty_key: List[BucketKey] = [
+            BucketKey(node_id, ()) for node_id in self.node_id]
 
         # -- alpha network: class-indexed pattern groups --------------------
         self._alpha: Dict[str, _AlphaGroup] = {}
@@ -247,7 +260,7 @@ class ReteKernel:
             if pattern.always_false:
                 continue  # can never match; no observable effect
             group = self._alpha.setdefault(pattern.cls, _AlphaGroup())
-            slot = _AlphaSlot(pattern.const_tests, pattern.intra_tests)
+            slot = _AlphaSlot(pattern)
             group.slots.append(slot)
             slot_of[pattern.pattern_id] = slot
             if self.np is not None and _numpy_eligible(pattern):
@@ -282,14 +295,13 @@ class ReteKernel:
         val_ids = group.val_ids
         for row, slot in enumerate(eligible):
             slot.np_row = row
-            for test in slot.const_tests:
-                if test.attr not in attr_idx:
-                    attr_idx[test.attr] = len(attrs)
-                    attrs.append(test.attr)
-                value = test.operand.value
+            for attr, _, value in slot.const_tests:
+                if attr not in attr_idx:
+                    attr_idx[attr] = len(attrs)
+                    attrs.append(attr)
                 vid = val_ids.setdefault(value, len(val_ids))
                 pat_rows.append(row)
-                test_attr.append(attr_idx[test.attr])
+                test_attr.append(attr_idx[attr])
                 test_val.append(vid)
         group.np_rows = len(eligible)
         group.np_attrs = tuple(attrs)
@@ -326,8 +338,9 @@ class ReteKernel:
             if traced:
                 # Event order must match the reference engine exactly,
                 # so walk every slot in registration order.
+                row_ok = ok.tolist()
                 matched = [s for s in group.slots
-                           if (ok[s.np_row] if s.np_row >= 0
+                           if (row_ok[s.np_row] if s.np_row >= 0
                                else alpha_match(s, wme))]
             else:
                 # Untraced final state is wave-order independent, so
@@ -361,18 +374,22 @@ class ReteKernel:
 
     @staticmethod
     def _alpha_match(slot: _AlphaSlot, wme: WME) -> bool:
-        get = wme.get
-        for test in slot.const_tests:
-            if not test.evaluate_constant(get(test.attr)):
+        get = wme.attrs.get
+        for attr, test, operand in slot.const_tests:
+            if not test(get(attr, NIL), operand):
                 return False
-        for first_attr, predicate, attr in slot.intra_tests:
-            if not predicate.apply(get(attr), get(first_attr)):
+        for first_attr, test, attr in slot.intra_tests:
+            if not test(get(attr, NIL), get(first_attr, NIL)):
                 return False
         return True
 
     def _run_left(self, ci: int, tok: int, tag: str,
                   allocs: List[int]) -> None:
-        self._drain(self._enter_left(ci, tok, tag, None, allocs), allocs)
+        if self.kind[ci] == KIND_TERMINAL:
+            self._finish(self._enter_terminal(ci, tok, tag, None), 0)
+        else:
+            self._drain(self._enter_left(ci, tok, tag, None, allocs),
+                        allocs)
 
     def _run_right(self, ci: int, wme: WME, tag: str,
                    allocs: List[int]) -> None:
@@ -385,13 +402,17 @@ class ReteKernel:
         emitted) event and its precomputed successor list.  Pushing a
         child frame performs the child's entry actions — memory update
         plus event-id assignment, the reference engine's pre-order — and
-        popping delivers the event to observers, its post-order.
+        popping delivers the event to observers, its post-order.  A
+        terminal child has no successors, so it is entered and finished
+        in place, without a frame.
         Precomputing ``items`` at entry is safe because the network is a
         DAG: a node's buckets are only mutated by its *own* activations,
         and the descent below an item only reaches strict descendants.
         """
         enter = self._enter_left
+        enter_terminal = self._enter_terminal
         finish = self._finish
+        kinds = self.kind
         stack = [root_frame]
         push = stack.append
         pop = stack.pop
@@ -402,35 +423,108 @@ class ReteKernel:
             if pos < len(items):
                 frame[2] = pos + 1
                 cci, ctok, ctag = items[pos]
-                push(enter(cci, ctok, ctag, frame[0], allocs))
+                if kinds[cci] == KIND_TERMINAL:
+                    finish(enter_terminal(cci, ctok, ctag, frame[0]), 0)
+                else:
+                    push(enter(cci, ctok, ctag, frame[0], allocs))
             else:
                 finish(frame[0], len(items))
                 pop()
 
+    def _enter_terminal(self, ci: int, tok, tag: str, parent_ev):
+        """A terminal activation: add/remove one instantiation.
+
+        *tok* is a pool index, or — for join outputs that feed only
+        terminals and so never need a slot — the ``(ids, wmes, values)``
+        triple itself.
+        """
+        ev = self._emit(ci, "left", tag, (), parent_ev)
+        if type(tok) is tuple:
+            ids, wmes, values = tok
+        else:
+            pool = self.pool
+            ids = pool.ids[tok]
+            wmes = pool.wmes[tok]
+            values = pool.values[tok]
+        if tag == PLUS:
+            self.term_insts[ci][ids] = Instantiation(
+                self.term_prod[ci], wmes,
+                dict(zip(self.term_names[ci], values)))
+        else:
+            self.term_insts[ci].pop(ids, None)
+        return ev
+
+    def _join_items(self, ci: int, tok: int, tag: str,
+                    matches, allocs: List[int]) -> list:
+        """Successor items of join *ci* extending token *tok* by each
+        wme of *matches*, in child order per match.
+
+        Terminal children receive the output as an inline triple; a pool
+        slot is allocated only when some child is a beta node.
+        """
+        pool = self.pool
+        values = pool.values[tok]
+        ids_tok = pool.ids[tok]
+        wmes_tok = pool.wmes[tok]
+        copy_vals = self.copy_values[ci]
+        plan = self.merge_plan[ci]
+        children = self.children[ci]
+        terminal_only = not self.beta_children[ci]
+        kinds = self.kind
+        items: List[Tuple[int, Any, str]] = []
+        append = items.append
+        for wme in matches:
+            if copy_vals:
+                nvalues = values  # no new bindings: share the parent's
+            else:
+                get = wme.attrs.get
+                nvalues = tuple([
+                    intern_value(get(src, NIL)) if from_wme
+                    else values[src] for from_wme, src in plan])
+            nids = ids_tok + (wme.wme_id,)
+            nwmes = wmes_tok + (wme,)
+            inline = (nids, nwmes, nvalues)
+            if terminal_only:
+                for cci in children:
+                    append((cci, inline, tag))
+                continue
+            ntok = pool.alloc(nids, nwmes, nvalues)
+            allocs.append(ntok)
+            for cci in children:
+                append((cci, inline if kinds[cci] == KIND_TERMINAL
+                        else ntok, tag))
+        return items
+
+    def _right_matches(self, ci: int, right, values) -> list:
+        """The wmes of *right* passing node *ci*'s residual tests
+        against token *values*."""
+        residuals = self.residuals[ci]
+        if not residuals:
+            return right
+        if len(residuals) == 1:
+            (pos, pred, attr), = residuals
+            value = values[pos]
+            return [wme for wme in right
+                    if pred(wme.attrs.get(attr, NIL), value)]
+        out = []
+        for wme in right:
+            get = wme.attrs.get
+            for pos, pred, attr in residuals:
+                if not pred(get(attr, NIL), values[pos]):
+                    break
+            else:
+                out.append(wme)
+        return out
+
     def _enter_left(self, ci: int, tok: int, tag: str,
                     parent_ev, allocs: List[int]):
-        """Entry actions of one left activation; returns its frame."""
+        """Entry actions of one join/negative left activation; returns
+        its frame."""
         pool = self.pool
-        kind = self.kind[ci]
-        if kind == KIND_TERMINAL:
-            ev = self._emit(ci, "left", tag, (), parent_ev)
-            insts = self.term_insts[ci]
-            ids = pool.ids[tok]
-            if tag == PLUS:
-                insts[ids] = Instantiation(
-                    production=self.term_prod[ci], wmes=pool.wmes[tok],
-                    bindings=dict(zip(self.term_names[ci],
-                                      pool.values[tok])))
-            else:
-                insts.pop(ids, None)
-            return [ev, (), 0]
-
         values = pool.values[tok]
-        key = tuple(values[p] for p in self.left_key_pos[ci])
+        key = tuple([values[p] for p in self.left_key_pos[ci]])
         buckets = self.memories.left[ci]
-        items: List[Tuple[int, int, str]] = []
-        children = self.children[ci]
-        if kind == KIND_JOIN:
+        if self.kind[ci] == KIND_JOIN:
             if tag == PLUS:
                 buckets.setdefault(key, []).append(tok)
                 pool.retain(tok)
@@ -438,49 +532,41 @@ class ReteKernel:
                 self._remove_left(ci, key, pool.ids[tok])
             ev = self._emit(ci, "left", tag, key, parent_ev)
             right = self.memories.right[ci].get(key)
-            if right and children:
-                residuals = self.residuals[ci]
-                for wme in right:
-                    for pos, pred, attr in residuals:
-                        if not pred.apply(wme.get(attr), values[pos]):
-                            break
-                    else:
-                        ntok = self._extend(ci, tok, wme, allocs)
-                        for cci in children:
-                            items.append((cci, ntok, tag))
-            return [ev, items, 0]
+            if right and self.children[ci]:
+                return [ev, self._join_items(
+                    ci, tok, tag, self._right_matches(ci, right, values),
+                    allocs), 0]
+            return [ev, (), 0]
 
         # negative node
         ev = self._emit(ci, "left", tag, key, parent_ev)
         counts = self.neg_counts[ci]
         ids = pool.ids[tok]
+        items: List[Tuple[int, int, str]] = []
         if tag == PLUS:
             buckets.setdefault(key, []).append(tok)
             pool.retain(tok)
-            count = 0
             right = self.memories.right[ci].get(key)
-            if right:
-                residuals = self.residuals[ci]
-                for wme in right:
-                    for pos, pred, attr in residuals:
-                        if not pred.apply(wme.get(attr), values[pos]):
-                            break
-                    else:
-                        count += 1
+            count = len(self._right_matches(ci, right, values)) \
+                if right else 0
             counts[ids] = count
             if count == 0:
-                items = [(cci, tok, PLUS) for cci in children]
+                items = [(cci, tok, PLUS) for cci in self.children[ci]]
         else:
             self._remove_left(ci, key, ids)
             if counts.pop(ids, 0) == 0:
-                items = [(cci, tok, MINUS) for cci in children]
+                items = [(cci, tok, MINUS) for cci in self.children[ci]]
         return [ev, items, 0]
 
     def _enter_right(self, ci: int, wme: WME, tag: str,
                      allocs: List[int]):
         """Entry actions of one right (wme) activation at its node."""
-        get = wme.get
-        key = tuple(get(a) for a in self.right_key_attrs[ci])
+        get = wme.attrs.get
+        # Interned here, once, so the event's bucket key can skip the
+        # BucketKey re-interning pass (left keys come from token values,
+        # which are interned when they enter the pool).
+        key = tuple([intern_value(get(a, NIL))
+                     for a in self.right_key_attrs[ci]])
         rbuckets = self.memories.right[ci]
         if tag == PLUS:
             rbuckets.setdefault(key, []).append(wme)
@@ -495,47 +581,47 @@ class ReteKernel:
                     if not bucket:
                         del rbuckets[key]
         ev = self._emit(ci, "right", tag, key, None)
-        pool = self.pool
-        items: List[Tuple[int, int, str]] = []
+        items: list = []
         children = self.children[ci]
         left = self.memories.left[ci].get(key)
-        if left:
-            residuals = self.residuals[ci]
-            values_arr = pool.values
-            if self.kind[ci] == KIND_JOIN:
-                for tok in left:
-                    values = values_arr[tok]
-                    for pos, pred, attr in residuals:
-                        if not pred.apply(get(attr), values[pos]):
-                            break
-                    else:
-                        if children:
-                            ntok = self._extend(ci, tok, wme, allocs)
-                            for cci in children:
-                                items.append((cci, ntok, tag))
+        if not left:
+            return [ev, items, 0]
+        residuals = self.residuals[ci]
+        values_arr = self.pool.values
+        if self.kind[ci] == KIND_JOIN:
+            if not children:
+                return [ev, items, 0]
+            join_items = self._join_items
+            for tok in left:
+                values = values_arr[tok]
+                for pos, pred, attr in residuals:
+                    if not pred(get(attr, NIL), values[pos]):
+                        break
+                else:
+                    items += join_items(ci, tok, tag, (wme,), allocs)
+            return [ev, items, 0]
+        counts = self.neg_counts[ci]
+        ids_arr = self.pool.ids
+        for tok in left:
+            values = values_arr[tok]
+            for pos, pred, attr in residuals:
+                if not pred(get(attr, NIL), values[pos]):
+                    break
             else:
-                counts = self.neg_counts[ci]
-                ids_arr = pool.ids
-                for tok in left:
-                    values = values_arr[tok]
-                    for pos, pred, attr in residuals:
-                        if not pred.apply(get(attr), values[pos]):
-                            break
-                    else:
-                        ids = ids_arr[tok]
-                        if tag == PLUS:
-                            count = counts.get(ids, 0) + 1
-                            counts[ids] = count
-                            if count == 1:
-                                # Was propagated; retract downstream.
-                                for cci in children:
-                                    items.append((cci, tok, MINUS))
-                        else:
-                            count = counts.get(ids, 1) - 1
-                            counts[ids] = count
-                            if count == 0:
-                                for cci in children:
-                                    items.append((cci, tok, PLUS))
+                ids = ids_arr[tok]
+                if tag == PLUS:
+                    count = counts.get(ids, 0) + 1
+                    counts[ids] = count
+                    if count == 1:
+                        # Was propagated; retract downstream.
+                        for cci in children:
+                            items.append((cci, tok, MINUS))
+                else:
+                    count = counts.get(ids, 1) - 1
+                    counts[ids] = count
+                    if count == 0:
+                        for cci in children:
+                            items.append((cci, tok, PLUS))
         return [ev, items, 0]
 
     # -- untraced fast path ---------------------------------------------------
@@ -588,7 +674,7 @@ class ReteKernel:
                 for tok in left:
                     values = values_arr[tok]
                     for pos, pred, attr in residuals:
-                        if not pred.apply(get(attr), values[pos]):
+                        if not pred(get(attr), values[pos]):
                             break
                     else:
                         nvalues = values if copy_vals else tuple(
@@ -616,7 +702,7 @@ class ReteKernel:
             for tok in left:
                 values = values_arr[tok]
                 for pos, pred, attr in residuals:
-                    if not pred.apply(get(attr), values[pos]):
+                    if not pred(get(attr), values[pos]):
                         break
                 else:
                     ids = ids_arr[tok]
@@ -713,7 +799,7 @@ class ReteKernel:
                         if residuals:
                             matched = True
                             for pos, pred, attr in residuals:
-                                if not pred.apply(get(attr), values[pos]):
+                                if not pred(get(attr), values[pos]):
                                     matched = False
                                     break
                             if not matched:
@@ -757,7 +843,7 @@ class ReteKernel:
                         for wme in right:
                             get = wme.get
                             for pos, pred, attr in residuals:
-                                if not pred.apply(get(attr), values[pos]):
+                                if not pred(get(attr), values[pos]):
                                     break
                             else:
                                 count += 1
@@ -772,22 +858,6 @@ class ReteKernel:
                 if counts.pop(ids, 0) == 0:
                     for cci in children:
                         push((cci, tok, MINUS))
-
-    def _extend(self, ci: int, tok: int, wme: WME,
-                allocs: List[int]) -> int:
-        """Allocate the join-output token per the node's merge plan."""
-        pool = self.pool
-        parent = pool.values[tok]
-        if self.copy_values[ci]:
-            values = parent  # no new bindings: share the parent tuple
-        else:
-            values = tuple(
-                intern_value(wme.get(src)) if from_wme else parent[src]
-                for from_wme, src in self.merge_plan[ci])
-        ntok = pool.alloc(pool.ids[tok] + (wme.wme_id,),
-                          pool.wmes[tok] + (wme,), values)
-        allocs.append(ntok)
-        return ntok
 
     def _remove_left(self, ci: int, key: tuple,
                      ids: Tuple[int, ...]) -> None:
@@ -813,18 +883,17 @@ class ReteKernel:
 
     def _emit(self, ci: int, side: str, tag: str, key: tuple,
               parent_ev) -> Optional[ActivationEvent]:
+        """Open an activation event; *key*'s strings are interned."""
         net = self.net
         if not net.observers:
             return None
         node_id = self.node_id[ci]
-        ev = ActivationEvent(
-            act_id=net._next_act_id,
-            parent_id=parent_ev.act_id if parent_ev is not None else None,
-            node_id=node_id, node_label=self.label[ci],
-            node_kind=self.kind_str[ci], side=side, tag=tag,
-            key=BucketKey(node_id, key))
-        net._next_act_id += 1
-        return ev
+        act_id = net._next_act_id
+        net._next_act_id = act_id + 1
+        return ActivationEvent(
+            act_id, parent_ev.act_id if parent_ev is not None else None,
+            node_id, self.label[ci], self.kind_str[ci], side, tag,
+            interned_key(node_id, key) if key else self.empty_key[ci])
 
     def _finish(self, ev: Optional[ActivationEvent],
                 n_successors: int) -> None:

@@ -16,7 +16,7 @@ from typing import Dict, Optional
 from .hashing import BucketKey
 
 
-@dataclass
+@dataclass(slots=True)
 class ActivationEvent:
     """One token/wme arrival at a two-input or terminal node.
 

@@ -9,12 +9,15 @@ real OPS5 program into simulator input, end to end.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, List
 
 from ..ops5.interpreter import Interpreter
 from ..rete.network import ReteNetwork
 from ..rete.stats import ActivationEvent
 from .events import CycleTrace, SectionTrace, TraceActivation
+
+_act_id = attrgetter("act_id")
 
 
 class TraceRecorder:
@@ -36,8 +39,10 @@ class TraceRecorder:
 
     def __init__(self, network: ReteNetwork) -> None:
         self.network = network
-        self._cycles: Dict[int, CycleTrace] = {}
-        self._current_cycle = 0
+        #: cycle index -> that cycle's events, in delivery order
+        self._cycles: Dict[int, List[ActivationEvent]] = {}
+        #: the current cycle's list (cycle 0 until told otherwise)
+        self._events = self._cycles.setdefault(0, [])
         network.observers.append(self._on_event)
 
     # -- wiring ------------------------------------------------------------
@@ -54,23 +59,14 @@ class TraceRecorder:
     def set_cycle(self, cycle: int) -> None:
         """Manual cycle control for driving the network without an
         interpreter (tests, custom drivers)."""
-        self._current_cycle = cycle
+        self._events = self._cycles.setdefault(cycle, [])
 
     # -- event collection -----------------------------------------------------
 
     def _on_event(self, event: ActivationEvent) -> None:
-        cycle = self._cycles.setdefault(self._current_cycle,
-                                        CycleTrace(self._current_cycle))
-        cycle.add(TraceActivation(
-            act_id=event.act_id,
-            parent_id=event.parent_id,
-            node_id=event.node_id,
-            kind=event.node_kind,
-            side=event.side,
-            tag=event.tag,
-            key=event.key,
-            successors=(),   # filled below from children's parent links
-        ))
+        # The event itself is the record: a slotted object the network
+        # allocated anyway and never touches after delivery.
+        self._events.append(event)
 
     # -- extraction --------------------------------------------------------------
 
@@ -78,28 +74,32 @@ class TraceRecorder:
                 drop_setup_cycle: bool = False) -> SectionTrace:
         """Build the finished section trace.
 
-        Successor lists are reconstructed from parent links here (events
-        arrive in post-order, so children are only known at the end).
+        Each :class:`TraceActivation` is built once, here, with its
+        successors already known: events arrive in post-order, so a
+        cycle's parent links are complete only once it is recorded.
+        Activations are inserted in ascending act_id order and cycles
+        without events are omitted; calling this again builds an equal,
+        independent trace.
         """
         cycles: List[CycleTrace] = []
         for index in sorted(self._cycles):
-            if drop_setup_cycle and index == 0:
+            events = self._cycles[index]
+            if not events or (drop_setup_cycle and index == 0):
                 continue
-            source = self._cycles[index]
-            rebuilt = CycleTrace(index=index)
             children: Dict[int, List[int]] = {}
-            for act in source:
-                if act.parent_id is not None:
-                    children.setdefault(act.parent_id, []).append(
-                        act.act_id)
-            for act in source:
-                rebuilt.add(TraceActivation(
-                    act_id=act.act_id, parent_id=act.parent_id,
-                    node_id=act.node_id, kind=act.kind, side=act.side,
-                    tag=act.tag, key=act.key,
-                    successors=tuple(sorted(children.get(act.act_id, ()))),
-                ))
-            cycles.append(rebuilt)
+            for ev in events:
+                if ev.parent_id is not None:
+                    children.setdefault(ev.parent_id, []).append(ev.act_id)
+            acts: Dict[int, TraceActivation] = {}
+            for ev in sorted(events, key=_act_id):
+                kids = children.get(ev.act_id)
+                acts[ev.act_id] = TraceActivation(
+                    ev.act_id, ev.parent_id, ev.node_id, ev.node_kind,
+                    ev.side, ev.tag, ev.key,
+                    tuple(sorted(kids)) if kids else ())
+            if len(acts) != len(events):
+                raise ValueError(f"duplicate act_id in cycle {index}")
+            cycles.append(CycleTrace(index=index, activations=acts))
         return SectionTrace(name=name, cycles=cycles)
 
 

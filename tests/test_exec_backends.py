@@ -12,12 +12,15 @@ The contracts under test:
 
 import pytest
 
-from repro.exec import (ActorExecutor, BACKENDS, Executor, RunHandle,
-                        SimExecutor, expected_fires, get_executor,
+from repro.exec import (CONTROL, ActorCyclePlan, ActorExecutor, BACKENDS,
+                        Executor, MatchActorCore, RunHandle, SimExecutor,
+                        SupervisePolicy, expected_fires, get_executor,
                         match_signature, run)
 from repro.mpc import (TABLE_5_1, FaultModel, RunConfig,
                        TimelineRecorder, simulate_config)
-from repro.workloads import rubik_section, weaver_section
+from repro.ops5 import parse_program
+from repro.trace.recorder import record_program
+from repro.workloads import rubik_match_program, rubik_section, weaver_section
 
 OV8 = next(o for o in TABLE_5_1 if o.total_us == 8)
 
@@ -30,6 +33,14 @@ def rubik():
 @pytest.fixture(scope="module")
 def weaver():
     return weaver_section()
+
+
+@pytest.fixture(scope="module")
+def rubik_recorded():
+    """A section recorded from the rubik match program: busy enough
+    that peers' tokens race the cycle broadcast on a shared queue."""
+    return record_program(
+        parse_program(rubik_match_program(0, n_moves=100)), "rubik")
 
 
 class TestRegistry:
@@ -108,6 +119,28 @@ class TestActorsBackend:
         assert match_signature(live) == \
             match_signature(run(rubik, config))
 
+    def test_process_transport_recorded_program(self, rubik_recorded):
+        """The control actor and a peer both write a worker's inbox, so
+        a token can arrive before that worker's own cycle plan; the
+        core holds it instead of crashing with ``KeyError``."""
+        config = RunConfig(n_procs=4)
+        expected = match_signature(run(rubik_recorded, config))
+        for _ in range(5):
+            live = run(rubik_recorded, config, backend="actors",
+                       transport="process")
+            assert match_signature(live) == expected
+
+    @pytest.mark.parametrize("variant", ["traced", "supervised"])
+    def test_process_transport_recorded_variants(self, rubik_recorded,
+                                                 variant):
+        config = RunConfig(n_procs=4, live_trace=variant == "traced",
+                           supervise=(SupervisePolicy()
+                                      if variant == "supervised" else None))
+        live = run(rubik_recorded, config, backend="actors",
+                   transport="process")
+        assert match_signature(live) == \
+            match_signature(run(rubik_recorded, RunConfig(n_procs=4)))
+
     def test_rejects_fault_injection(self, rubik):
         executor = ActorExecutor()
         with pytest.raises(ValueError,
@@ -125,6 +158,31 @@ class TestActorsBackend:
         config = RunConfig(n_procs=2, faults=FaultModel())
         live = run(rubik, config, backend="actors")
         assert match_signature(live) == match_signature(run(rubik, config))
+
+
+class TestMatchActorCore:
+    PLAN = ActorCyclePlan(
+        acts={5: (True, 0.0, ((6, CONTROL, True), (7, 0, False)))},
+        roots=(), root_fires=())
+
+    def test_token_before_its_cycle_is_held(self):
+        config = RunConfig(n_procs=2, overheads=OV8)
+        early = MatchActorCore(1, config)
+        assert early.on_token(5) == ([], 0)
+        out, processed = early.on_cycle(self.PLAN)
+        assert processed == 1
+        assert out == [(CONTROL, ("fire", 6)), (0, ("token", 7))]
+
+        in_order = MatchActorCore(1, config)
+        assert in_order.on_cycle(self.PLAN) == ([], 0)
+        assert in_order.on_token(5) == (out, 1)
+        assert early.on_sync() == in_order.on_sync()
+
+    def test_unknown_held_token_still_fails_loudly(self):
+        core = MatchActorCore(0, RunConfig(n_procs=2))
+        core.on_token(99)
+        with pytest.raises(KeyError):
+            core.on_cycle(self.PLAN)
 
 
 class TestRunHandle:

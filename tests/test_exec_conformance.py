@@ -223,6 +223,23 @@ class TestLoadtest:
             assert latency["p50"] <= latency["p95"] <= latency["p99"]
             assert latency["p99"] <= latency["max"]
 
+    def test_client_latency_tracks_server_latency(self):
+        """On a trivially fast server the client-observed p50 is the
+        server's own session latency plus dispatch, not an artifact of
+        when the driver collects results."""
+        from repro.exec import run_loadtest
+        from repro.obs import reset_registry
+        from repro.workloads.generator import SectionSpec, generate_section
+        tiny = generate_section(SectionSpec(
+            name="tiny", cycles=1, right_activations=4, left_activations=4))
+        reset_registry()
+        payload = run_loadtest(sessions=40, duration_s=1.0, seed=5,
+                               procs=2, trace=tiny)
+        assert payload["completed"] == 40
+        client_p50 = payload["latency_s"]["p50"]
+        server_p50 = payload["obs"]["served.session_latency_s"]["p50"]
+        assert abs(client_p50 - server_p50) < 0.005
+
     def test_overload_sheds_with_reason(self):
         from repro.exec import run_loadtest
         payload = run_loadtest(sessions=40, duration_s=0.05, seed=3,

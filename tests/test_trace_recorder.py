@@ -126,3 +126,50 @@ class TestSectionHelpers:
         stats = record().stats()
         row = stats.row("test")
         assert "test" in row and "%" in row
+
+
+def _recorded(network, source):
+    """Run *source* on *network* with a recorder; (trace, recorder)."""
+    program = parse_program(source)
+    recorder = TraceRecorder(network)
+    interpreter = Interpreter(matcher=network)
+    recorder.attach(interpreter)
+    interpreter.load_program(program)
+    assert interpreter.run(max_cycles=5000).halted
+    return recorder.section("s", drop_setup_cycle=True), recorder
+
+
+def _flat(trace):
+    """Everything a section records, in insertion order, with exact
+    value types (``repr`` tells ``1`` from ``1.0``)."""
+    return [(c.index, [(a.act_id, a.parent_id, a.node_id, a.kind, a.side,
+                        a.tag, repr(a.key), a.successors)
+                       for a in c.activations.values()])
+            for c in trace]
+
+
+class TestRecordedKernelMatchesReference:
+    """The one-pass recorder over the fast kernel yields the same
+    sections as over the frozen reference engine, at the benchmark's
+    program sizes."""
+
+    @pytest.mark.parametrize("name", ["rubik", "tourney", "weaver"])
+    def test_sections_identical(self, name):
+        from repro.rete import ReferenceReteNetwork
+        from repro.workloads.match import (rubik_match_program,
+                                           tourney_match_program,
+                                           weaver_match_program)
+        source = {
+            "rubik": lambda: rubik_match_program(0, n_moves=100),
+            "tourney": lambda: tourney_match_program(
+                0, n_players=24, n_rounds=75),
+            "weaver": lambda: weaver_match_program(0),
+        }[name]()
+        fast, recorder = _recorded(ReteNetwork(), source)
+        reference, _ = _recorded(ReferenceReteNetwork(), source)
+        assert fast.total_activations() > 0
+        assert _flat(fast) == _flat(reference)
+        assert fast == reference
+        again = recorder.section("s", drop_setup_cycle=True)
+        assert again == fast and _flat(again) == _flat(fast)
+        assert again.cycles[0] is not fast.cycles[0]
