@@ -67,7 +67,6 @@ from ..mpc.config import RunConfig
 from ..mpc.mapping import RoundRobinMapping
 from ..mpc.metrics import CycleResult
 from ..mpc.simulator import compute_search_costs
-from ..rete.hashing import BucketKey
 from ..trace.events import KIND_TERMINAL, LEFT, SectionTrace
 from .errors import ProtocolViolation
 
@@ -109,10 +108,11 @@ class CyclePlan:
 def build_plans(trace: SectionTrace, config: RunConfig) -> List[CyclePlan]:
     """Partition *trace* into per-cycle, per-actor plans under *config*.
 
-    Uses the same bucket-to-processor resolution as the simulator
-    (shared hash per distinct bucket key, optional per-cycle mapping
-    factory) and the same footnote-6 deletion-search surcharges, so an
-    actor run prices activations identically to a simulated one.
+    Uses the same bucket-to-processor resolution as the simulator (the
+    cycle's cached :meth:`~repro.trace.events.CycleTrace.key_index`,
+    optional per-cycle mapping factory) and the same footnote-6
+    deletion-search surcharges, so an actor run prices activations
+    identically to a simulated one.
     """
     n_procs = config.n_procs
     mapping = config.mapping or RoundRobinMapping(n_procs)
@@ -124,15 +124,9 @@ def build_plans(trace: SectionTrace, config: RunConfig) -> List[CyclePlan]:
         if cycle_mapping.n_procs != n_procs:
             raise ValueError("mapping_factory produced a mapping for "
                              f"{cycle_mapping.n_procs} processors")
-        processor_for = cycle_mapping.processor_for
-        key_proc: Dict[BucketKey, int] = {}
-        dest_of: Dict[int, int] = {}
-        for act in cycle.ordered():
-            key = act.key
-            proc = key_proc.get(key)
-            if proc is None:
-                proc = key_proc[key] = processor_for(key)
-            dest_of[act.act_id] = proc
+        index = cycle.key_index()
+        dest_of = index.destinations(cycle_mapping)
+        base = index.base
 
         get_extra = search_costs.get(cycle.index, {}).get
         acts = cycle.activations
@@ -148,7 +142,7 @@ def build_plans(trace: SectionTrace, config: RunConfig) -> List[CyclePlan]:
         # terminals are never generated).
         frontier: List[int] = []
         for root in cycle.roots():
-            owner = dest_of[root.act_id]
+            owner = dest_of[root.act_id - base]
             if root.kind == KIND_TERMINAL:
                 per_actor_fires[owner].append(root.act_id)
                 fires.append(root.act_id)
@@ -158,7 +152,7 @@ def build_plans(trace: SectionTrace, config: RunConfig) -> List[CyclePlan]:
         while frontier:
             act_id = frontier.pop()
             act = acts[act_id]
-            owner = dest_of[act_id]
+            owner = dest_of[act_id - base]
             successors = []
             for succ_id in act.successors:
                 succ = acts[succ_id]
@@ -166,7 +160,8 @@ def build_plans(trace: SectionTrace, config: RunConfig) -> List[CyclePlan]:
                     successors.append((succ_id, CONTROL, True))
                     fires.append(succ_id)
                 else:
-                    successors.append((succ_id, dest_of[succ_id], False))
+                    successors.append(
+                        (succ_id, dest_of[succ_id - base], False))
                     frontier.append(succ_id)
             per_actor_acts[owner][act_id] = (
                 act.side == LEFT, get_extra(act_id, 0.0),

@@ -77,6 +77,9 @@ def _simulate_cycle(cycle: CycleTrace, n_procs: int, n_const: int,
                     costs: CostModel, overheads: OverheadModel,
                     mapping: BucketMapping,
                     search_costs: Dict[int, float]) -> CycleResult:
+    index = cycle.key_index()
+    dest_of = index.destinations(mapping)
+    base = index.base
     control_busy = overheads.send_us
     const_start = (overheads.send_us + overheads.latency_us
                    + overheads.recv_us)
@@ -117,7 +120,7 @@ def _simulate_cycle(cycle: CycleTrace, n_procs: int, n_const: int,
         if root.kind == KIND_TERMINAL:
             send_to_control(depart)
             continue
-        owner = mapping.processor_for(root.key)
+        owner = dest_of[root.act_id - base]
         seq += 1
         heapq.heappush(queue, _Task(
             arrival=depart + overheads.latency_us, seq=seq, proc=owner,
@@ -141,7 +144,7 @@ def _simulate_cycle(cycle: CycleTrace, n_procs: int, n_const: int,
                 t += overheads.send_us
                 send_to_control(t)
                 continue
-            dest = mapping.processor_for(succ.key)
+            dest = dest_of[succ_id - base]
             seq += 1
             if dest == p:
                 heapq.heappush(queue, _Task(arrival=t, seq=seq, proc=p,

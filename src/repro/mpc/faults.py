@@ -383,17 +383,9 @@ def simulate_cycle_with_faults(
                 t = end
         return t
 
-    # Resolve every activation's destination processor once (as in the
-    # fault-free loop).
-    processor_for = mapping.processor_for
-    key_proc: Dict = {}
-    dest_of: Dict[int, int] = {}
-    for act in cycle.ordered():
-        key = act.key
-        proc = key_proc.get(key)
-        if proc is None:
-            proc = key_proc[key] = processor_for(key)
-        dest_of[act.act_id] = proc
+    index = cycle.key_index()
+    dest_of = index.destinations(mapping)
+    base = index.base
 
     # --- step 1: broadcast (reliable, as documented) -----------------------
     control_busy = send_us
@@ -468,7 +460,7 @@ def simulate_cycle_with_faults(
         return t
 
     for root in cycle.roots():
-        owner = dest_of[root.act_id]
+        owner = dest_of[root.act_id - base]
         if root.kind == KIND_TERMINAL:
             start = past_stalls(owner, ready[owner])
             stall_us += start - ready[owner]
@@ -534,7 +526,7 @@ def simulate_cycle_with_faults(
             if succ.kind == KIND_TERMINAL:
                 t = send_to_control(t, succ_id, p)
                 continue
-            dest = dest_of[succ_id]
+            dest = dest_of[succ_id - base]
             seq += 1
             if dest == p:
                 heappush(queue, (t, seq, p, False, succ))

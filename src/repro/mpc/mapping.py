@@ -10,15 +10,20 @@ processor (Section 3.1).  The paper evaluates:
 * an offline **greedy** distribution fed the per-bucket activity of each
   cycle (an upper bound: ≈1.4× over round robin).
 
-All strategies implement :class:`BucketMapping`:
-``processor_for(key) -> int`` in ``range(n_procs)``.
+All strategies implement :class:`BucketMapping`: the batch form
+``processors(keys, hashes) -> list[int]`` maps a cycle's distinct keys
+(with their precomputed ``stable_hash`` values, see
+:class:`~repro.trace.events.CycleKeyIndex`) in one call, and
+``processor_for(key) -> int`` is the one-key wrapper around it.
+Every result is in ``range(n_procs)``.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Protocol
+from typing import Dict, List, Mapping, Protocol, Sequence
 
 from ..rete.hashing import BucketKey, stable_hash
 
@@ -34,6 +39,12 @@ class BucketMapping(Protocol):
 
     n_procs: int
 
+    def processors(self, keys: Sequence[BucketKey],
+                   hashes: Sequence[int]) -> List[int]:
+        """The match processor owning each of *keys*, whose
+        ``stable_hash`` values are *hashes*."""
+        ...
+
     def processor_for(self, key: BucketKey) -> int:
         """The match processor (0-based) owning *key*'s bucket."""
         ...
@@ -46,8 +57,14 @@ class RoundRobinMapping:
     n_procs: int
     n_buckets: int = DEFAULT_N_BUCKETS
 
+    def processors(self, keys: Sequence[BucketKey],
+                   hashes: Sequence[int]) -> List[int]:
+        n_buckets = self.n_buckets
+        n_procs = self.n_procs
+        return [h % n_buckets % n_procs for h in hashes]
+
     def processor_for(self, key: BucketKey) -> int:
-        return (stable_hash(key) % self.n_buckets) % self.n_procs
+        return self.processors((key,), (stable_hash(key),))[0]
 
 
 @dataclass
@@ -69,8 +86,14 @@ class RandomMapping:
         self._table = [rng.randrange(self.n_procs)
                        for _ in range(self.n_buckets)]
 
+    def processors(self, keys: Sequence[BucketKey],
+                   hashes: Sequence[int]) -> List[int]:
+        table = self._table
+        n_buckets = self.n_buckets
+        return [table[h % n_buckets] for h in hashes]
+
     def processor_for(self, key: BucketKey) -> int:
-        return self._table[stable_hash(key) % self.n_buckets]
+        return self.processors((key,), (stable_hash(key),))[0]
 
 
 @dataclass
@@ -85,15 +108,25 @@ class ExplicitMapping:
     assignment: Mapping[BucketKey, int] = field(default_factory=dict)
     n_buckets: int = DEFAULT_N_BUCKETS
 
-    def processor_for(self, key: BucketKey) -> int:
-        proc = self.assignment.get(key)
-        if proc is not None:
-            if not 0 <= proc < self.n_procs:
+    def processors(self, keys: Sequence[BucketKey],
+                   hashes: Sequence[int]) -> List[int]:
+        get = self.assignment.get
+        n_buckets = self.n_buckets
+        n_procs = self.n_procs
+        procs = []
+        for key, h in zip(keys, hashes):
+            proc = get(key)
+            if proc is None:
+                proc = h % n_buckets % n_procs
+            elif not 0 <= proc < n_procs:
                 raise ValueError(
                     f"assignment maps {key} to processor {proc}, outside "
-                    f"range({self.n_procs})")
-            return proc
-        return (stable_hash(key) % self.n_buckets) % self.n_procs
+                    f"range({n_procs})")
+            procs.append(proc)
+        return procs
+
+    def processor_for(self, key: BucketKey) -> int:
+        return self.processors((key,), (stable_hash(key),))[0]
 
 
 def greedy_assignment(bucket_work: Mapping[BucketKey, float],
@@ -107,14 +140,20 @@ def greedy_assignment(bucket_work: Mapping[BucketKey, float],
     multiprocessor scheduling (NP-complete), and LPT's low variance makes
     it "close to the optimal distribution".
     """
-    loads = [0.0] * n_procs
+    # A (load, proc) min-heap: the top is the least-loaded processor,
+    # ties going to the lowest id — exactly what a linear ``min`` scan
+    # over ``range(n_procs)`` picks, in O(log P) instead of O(P).
+    loads = [(0.0, p) for p in range(n_procs)]
     assignment: Dict[BucketKey, int] = {}
-    # Sort heaviest first; ties broken by key for determinism.
+    # Sort heaviest first; ties broken by key for determinism — spelled
+    # as the key's own (node_id, values) order so that tuple comparison
+    # never calls back into BucketKey's Python-level __eq__/__lt__.
     for key, work in sorted(bucket_work.items(),
-                            key=lambda kv: (-kv[1], kv[0])):
-        target = min(range(n_procs), key=lambda p: loads[p])
+                            key=lambda kv: (-kv[1], kv[0].node_id,
+                                            kv[0].values)):
+        load, target = loads[0]
         assignment[key] = target
-        loads[target] += work
+        heapq.heapreplace(loads, (load + work, target))
     return assignment
 
 

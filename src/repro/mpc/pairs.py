@@ -75,6 +75,9 @@ class _Arrival:
 def _simulate_cycle(cycle: CycleTrace, n_pairs: int, costs: CostModel,
                     overheads: OverheadModel,
                     mapping: BucketMapping) -> CycleResult:
+    index = cycle.key_index()
+    dest_of = index.destinations(mapping)
+    base = index.base
     # Broadcast to the left processors (the pair's communication port);
     # each left processor relays the packet to its right sibling so both
     # can run the constant tests.
@@ -112,7 +115,7 @@ def _simulate_cycle(cycle: CycleTrace, n_pairs: int, costs: CostModel,
         control_arrivals.append(control_ready)
 
     for root in cycle.roots():
-        pair = mapping.processor_for(root.key)
+        pair = dest_of[root.act_id - base]
         if root.kind == KIND_TERMINAL:
             depart = ready[pair] + overheads.send_us
             busy[pair] += overheads.send_us
@@ -174,7 +177,7 @@ def _simulate_cycle(cycle: CycleTrace, n_pairs: int, costs: CostModel,
                 t_gen += overheads.send_us
                 send_to_control(t_gen)
                 continue
-            dest = mapping.processor_for(succ.key)
+            dest = dest_of[succ_id - base]
             seq += 1
             t_gen += overheads.send_us
             n_messages += 1

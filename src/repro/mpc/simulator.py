@@ -28,11 +28,18 @@ The inner event loop is the harness's hottest code — every sweep point
 of every figure goes through it — so it is written for speed: heap
 entries are plain ``(arrival, seq, proc, via_message, activation)``
 tuples (the unique ``seq`` guarantees comparison never reaches the
-activation), each activation's destination processor is resolved exactly
-once per cycle, and per-event attribute/method lookups are hoisted into
-locals.  :mod:`repro.mpc._reference` preserves the original
-object-based loop; ``tests/test_mpc_parallel.py`` asserts both produce
-bit-identical results.
+activation), and per-event attribute/method lookups are hoisted into
+locals.  Routing never hashes a bucket key per simulation: each cycle
+compiles its distinct keys and their hashes once into a cached
+:class:`~repro.trace.events.CycleKeyIndex`
+(:meth:`~repro.trace.events.CycleTrace.key_index`), and every
+simulation of the cycle — at any processor count, under any mapping —
+maps just those keys (``mapping.processors``) and expands them into a
+per-activation destination list with one list comprehension.  Token
+messages are counted where they are pushed.  :mod:`repro.mpc._reference`
+preserves the original object-based loop; ``tests/test_mpc_parallel.py``
+and ``tests/test_mpc_cycle_index.py`` assert both produce bit-identical
+results.
 
 Scaling to thousands of processors (ROADMAP item 3)
 ---------------------------------------------------
@@ -461,19 +468,9 @@ def _simulate_cycle(cycle: CycleTrace, n_procs: int, costs: CostModel,
     successor_us = costs.successor_us
     acts = cycle.activations
     get_extra = (search_costs or {}).get
-
-    # Resolve every activation's destination processor once.  Both the
-    # event loop and the message tally need it, and distinct bucket keys
-    # are far fewer than activations, so the hash work is shared here.
-    processor_for = mapping.processor_for
-    key_proc: Dict[BucketKey, int] = {}
-    dest_of: Dict[int, int] = {}
-    for act in cycle.ordered():
-        key = act.key
-        proc = key_proc.get(key)
-        if proc is None:
-            proc = key_proc[key] = processor_for(key)
-        dest_of[act.act_id] = proc
+    index = cycle.key_index()
+    dest_of = index.destinations(mapping)
+    base = index.base
 
     # --- step 1: broadcast -------------------------------------------------
     control_busy = send_us
@@ -488,6 +485,7 @@ def _simulate_cycle(cycle: CycleTrace, n_procs: int, costs: CostModel,
     left_activations = [0] * n_procs
 
     seq = 0
+    token_messages = 0
     #: heap of (arrival, seq, proc, via_message, activation); seq is
     #: unique, so tuple comparison never reaches the activation.
     queue: list = []
@@ -508,7 +506,7 @@ def _simulate_cycle(cycle: CycleTrace, n_procs: int, costs: CostModel,
         control_arrivals.append(control_ready)
 
     for root in cycle.roots():
-        owner = dest_of[root.act_id]
+        owner = dest_of[root.act_id - base]
         if root.kind == KIND_TERMINAL:
             # A single-CE instantiation: produced by the constant tests;
             # the bucket owner ships it to the control processor.
@@ -543,28 +541,20 @@ def _simulate_cycle(cycle: CycleTrace, n_procs: int, costs: CostModel,
                 t += send_us
                 send_to_control(t)
                 continue
-            dest = dest_of[succ_id]
+            dest = dest_of[succ_id - base]
             seq += 1
             if dest == p:
                 heappush(queue, (t, seq, p, False, succ))
             else:
                 t += send_us
+                token_messages += 1
                 heappush(queue, (t + latency_us, seq, dest, True, succ))
 
         busy[p] += t - start
         ready[p] = t
 
-    # Tally inter-processor token messages by walking the causal links
-    # against the mapping (equivalent to counting via_message pushes).
-    token_messages = 0
-    for act in cycle.ordered():
-        parent_id = act.parent_id
-        if act.kind == KIND_TERMINAL or parent_id is None:
-            continue
-        if acts[parent_id].kind == KIND_TERMINAL:
-            continue
-        if dest_of[parent_id] != dest_of[act.act_id]:
-            token_messages += 1
+    # Token messages are counted where they are pushed but priced here,
+    # after the loop, so the float operations keep the reference's order.
     n_messages += token_messages
     network_busy += token_messages * latency_us
 
@@ -682,16 +672,9 @@ def _simulate_cycle_active(cycle: CycleTrace, n_procs: int,
     successor_us = costs.successor_us
     acts = cycle.activations
     get_extra = (search_costs or {}).get
-
-    processor_for = mapping.processor_for
-    key_proc: Dict[BucketKey, int] = {}
-    dest_of: Dict[int, int] = {}
-    for act in cycle.ordered():
-        key = act.key
-        proc = key_proc.get(key)
-        if proc is None:
-            proc = key_proc[key] = processor_for(key)
-        dest_of[act.act_id] = proc
+    index = cycle.key_index()
+    dest_of = index.destinations(mapping)
+    base = index.base
 
     # --- step 1: broadcast -------------------------------------------------
     control_busy = send_us
@@ -712,6 +695,7 @@ def _simulate_cycle_active(cycle: CycleTrace, n_procs: int,
     left_get = left_activations.get
 
     seq = 0
+    token_messages = 0
     queue: list = []
     heappush = heapq.heappush
     heappop = heapq.heappop
@@ -728,7 +712,7 @@ def _simulate_cycle_active(cycle: CycleTrace, n_procs: int,
         control_arrivals.append(control_ready)
 
     for root in cycle.roots():
-        owner = dest_of[root.act_id]
+        owner = dest_of[root.act_id - base]
         if root.kind == KIND_TERMINAL:
             depart = ready_get(owner, floor_ready) + send_us
             busy[owner] = busy_get(owner, floor_busy) + send_us
@@ -762,26 +746,20 @@ def _simulate_cycle_active(cycle: CycleTrace, n_procs: int,
                 t += send_us
                 send_to_control(t)
                 continue
-            dest = dest_of[succ_id]
+            dest = dest_of[succ_id - base]
             seq += 1
             if dest == p:
                 heappush(queue, (t, seq, p, False, succ))
             else:
                 t += send_us
+                token_messages += 1
                 heappush(queue, (t + latency_us, seq, dest, True, succ))
 
         busy[p] = busy_get(p, floor_busy) + (t - start)
         ready[p] = t
 
-    token_messages = 0
-    for act in cycle.ordered():
-        parent_id = act.parent_id
-        if act.kind == KIND_TERMINAL or parent_id is None:
-            continue
-        if acts[parent_id].kind == KIND_TERMINAL:
-            continue
-        if dest_of[parent_id] != dest_of[act.act_id]:
-            token_messages += 1
+    # Token messages are counted where they are pushed but priced here,
+    # after the loop, so the float operations keep the reference's order.
     n_messages += token_messages
     network_busy += token_messages * latency_us
 

@@ -315,15 +315,9 @@ def _simulate_cycle_recorded(cycle: CycleTrace, n_procs: int,
     #: delivery delay of an inter-processor token (generation -> arrival)
     message_wait_us = send_us + latency_us
 
-    processor_for = mapping.processor_for
-    key_proc: Dict = {}
-    dest_of: Dict[int, int] = {}
-    for act in cycle.ordered():
-        key = act.key
-        proc = key_proc.get(key)
-        if proc is None:
-            proc = key_proc[key] = processor_for(key)
-        dest_of[act.act_id] = proc
+    index = cycle.key_index()
+    dest_of = index.destinations(mapping)
+    base = index.base
 
     # --- step 1: broadcast -------------------------------------------------
     control_busy = send_us
@@ -345,6 +339,7 @@ def _simulate_cycle_recorded(cycle: CycleTrace, n_procs: int,
     left_activations = [0] * n_procs
 
     seq = 0
+    token_messages = 0
     queue: list = []
     heappush = heapq.heappush
     heappop = heapq.heappop
@@ -364,7 +359,7 @@ def _simulate_cycle_recorded(cycle: CycleTrace, n_procs: int,
         control_arrivals.append(control_ready)
 
     for root in cycle.roots():
-        owner = dest_of[root.act_id]
+        owner = dest_of[root.act_id - base]
         if root.kind == KIND_TERMINAL:
             start = ready[owner]
             depart = start + send_us
@@ -409,13 +404,14 @@ def _simulate_cycle_recorded(cycle: CycleTrace, n_procs: int,
                 add_span(Span(CAT_SEND, p, send_start, t, succ_id))
                 send_to_control(t, succ_id)
                 continue
-            dest = dest_of[succ_id]
+            dest = dest_of[succ_id - base]
             seq += 1
             if dest == p:
                 heappush(queue, (t, seq, p, False, succ))
             else:
                 send_start = t
                 t += send_us
+                token_messages += 1
                 add_span(Span(CAT_SEND, p, send_start, t, succ_id))
                 add_span(Span(CAT_TRANSIT, NETWORK, t, t + latency_us,
                               succ_id))
@@ -427,16 +423,7 @@ def _simulate_cycle_recorded(cycle: CycleTrace, n_procs: int,
         busy[p] += t - start
         ready[p] = t
 
-    # Tally inter-processor token messages (as in the fast loop).
-    token_messages = 0
-    for act in cycle.ordered():
-        parent_id = act.parent_id
-        if act.kind == KIND_TERMINAL or parent_id is None:
-            continue
-        if acts[parent_id].kind == KIND_TERMINAL:
-            continue
-        if dest_of[parent_id] != dest_of[act.act_id]:
-            token_messages += 1
+    # Token messages are priced after the loop, as in the fast loop.
     n_messages += token_messages
     network_busy += token_messages * latency_us
 

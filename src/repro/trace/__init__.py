@@ -15,8 +15,9 @@ from .cache import (cache_dir, cache_enabled, cache_stats, cached_trace,
                     module_source, set_cache_enabled, source_fingerprint,
                     trace_key)
 from .events import (KIND_JOIN, KIND_NEGATIVE, KIND_TERMINAL, LEFT, RIGHT,
-                     ActivationStats, CycleTrace, IdleRun, SectionTrace,
-                     TraceActivation, TraceEntry, iter_cycles, materialize)
+                     ActivationStats, CycleKeyIndex, CycleTrace, IdleRun,
+                     SectionTrace, TraceActivation, TraceEntry,
+                     iter_cycles, materialize)
 from .format import (TRACE_FORMAT_VERSION, FileTraceStream, TraceFormatError,
                      dump_entries, dump_trace, dumps_trace, load_trace,
                      loads_trace, read_trace, save_entries, save_trace)
@@ -27,8 +28,9 @@ from .validate import TraceValidationError, validate_cycle, validate_trace
 
 __all__ = [
     "KIND_JOIN", "KIND_NEGATIVE", "KIND_TERMINAL", "LEFT", "RIGHT",
-    "ActivationStats", "CycleTrace", "IdleRun", "SectionTrace",
-    "TraceActivation", "TraceEntry", "iter_cycles", "materialize",
+    "ActivationStats", "CycleKeyIndex", "CycleTrace", "IdleRun",
+    "SectionTrace", "TraceActivation", "TraceEntry", "iter_cycles",
+    "materialize",
     "TRACE_FORMAT_VERSION", "FileTraceStream", "TraceFormatError",
     "dump_entries", "dump_trace", "dumps_trace", "load_trace",
     "loads_trace", "read_trace", "save_entries", "save_trace",

@@ -26,10 +26,11 @@ per-cycle view.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from ..rete.hashing import BucketKey
+from ..rete.hashing import BucketKey, stable_hash
 
 #: Sides of a two-input node activation.
 LEFT = "left"
@@ -92,15 +93,77 @@ class TraceActivation:
         return len(self.successors)
 
 
+@dataclass(frozen=True, slots=True)
+class CycleKeyIndex:
+    """A cycle's bucket keys, compiled once for every simulation of it.
+
+    Routing an activation means mapping its bucket key to a processor.
+    A cycle touches far fewer distinct keys than it has activations, and
+    a sweep replays the same cycle at many processor counts, so the keys
+    are deduplicated and hashed here once; each simulation then maps the
+    distinct keys (:meth:`destinations`) and never hashes a
+    :class:`~repro.rete.hashing.BucketKey` again.
+
+    Attributes
+    ----------
+    keys:
+        The distinct bucket keys, in ascending act_id order of first use.
+    hashes:
+        ``stable_hash`` of each key, parallel to *keys*.
+    base:
+        The cycle's lowest act_id.  Recorded programs number activations
+        across a whole section, so positions are offsets from it.
+    key_of:
+        ``key_of[act_id - base]`` is the position in *keys* of that
+        activation's key (gaps between sparse act_ids hold 0).
+    """
+
+    keys: Tuple[BucketKey, ...]
+    hashes: array
+    base: int
+    key_of: array
+
+    @classmethod
+    def build(cls, ordered: List[TraceActivation]) -> "CycleKeyIndex":
+        """Index *ordered* activations (ascending act_id)."""
+        if not ordered:
+            return cls((), array("Q"), 0, array("B"))
+        base = ordered[0].act_id
+        key_of = [0] * (ordered[-1].act_id - base + 1)
+        slot: Dict[BucketKey, int] = {}
+        for act in ordered:
+            key = act.key
+            k = slot.get(key)
+            if k is None:
+                k = slot[key] = len(slot)
+            key_of[act.act_id - base] = k
+        keys = tuple(slot)
+        code = "B" if len(keys) <= 0xFF else \
+            "H" if len(keys) <= 0xFFFF else "I"
+        return cls(keys, array("Q", map(stable_hash, keys)), base,
+                   array(code, key_of))
+
+    def destinations(self, mapping) -> List[int]:
+        """Every activation's processor under *mapping*, indexed like
+        :attr:`key_of` (``dest[act_id - base]``)."""
+        procs = mapping.processors(self.keys, self.hashes)
+        return [procs[k] for k in self.key_of]
+
+
 @dataclass(slots=True)
 class CycleTrace:
     """All activations of one MRA cycle, indexed by act_id.
 
-    Iteration order (ascending act_id) is computed lazily and cached —
-    the simulators walk each cycle several times per run, and re-sorting
-    on every walk dominated their profile.  The cache is dropped on
-    :meth:`add`; the lists returned by :meth:`ordered` and :meth:`roots`
-    are shared, so callers must not mutate them.
+    Iteration order (ascending act_id), the roots and the bucket-key
+    index (:meth:`key_index`) are computed lazily and cached — the
+    simulators walk each cycle several times per run, and re-sorting or
+    re-hashing on every walk dominated their profile.  The caches are
+    dropped on :meth:`add` and left out of pickles; the objects returned
+    by :meth:`ordered`, :meth:`roots` and :meth:`key_index` are shared,
+    so callers must not mutate them.  Only act_ids and keys are indexed:
+    successors may be rewritten in place (trace transforms and the
+    synthetic generators do), so they are always read from the
+    activations.
     """
 
     index: int
@@ -109,6 +172,15 @@ class CycleTrace:
         default=None, init=False, repr=False, compare=False)
     _roots: Optional[List[TraceActivation]] = field(
         default=None, init=False, repr=False, compare=False)
+    _key_index: Optional[CycleKeyIndex] = field(
+        default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self):
+        return self.index, self.activations
+
+    def __setstate__(self, state) -> None:
+        self.index, self.activations = state
+        self._ordered = self._roots = self._key_index = None
 
     def add(self, activation: TraceActivation) -> None:
         if activation.act_id in self.activations:
@@ -118,6 +190,7 @@ class CycleTrace:
         self.activations[activation.act_id] = activation
         self._ordered = None
         self._roots = None
+        self._key_index = None
 
     def ordered(self) -> List[TraceActivation]:
         """All activations in ascending act_id order (cached)."""
@@ -131,6 +204,12 @@ class CycleTrace:
         if self._roots is None:
             self._roots = [a for a in self.ordered() if a.parent_id is None]
         return self._roots
+
+    def key_index(self) -> CycleKeyIndex:
+        """The cycle's bucket keys compiled for routing (cached)."""
+        if self._key_index is None:
+            self._key_index = CycleKeyIndex.build(self.ordered())
+        return self._key_index
 
     def __len__(self) -> int:
         return len(self.activations)

@@ -242,7 +242,9 @@ class TestLoadtest:
 
     def test_overload_sheds_with_reason(self):
         from repro.exec import run_loadtest
-        payload = run_loadtest(sessions=40, duration_s=0.05, seed=3,
+        # 40 arrivals in 10 ms against ~1-2 ms sessions: far past what
+        # one running plus two pending sessions can absorb.
+        payload = run_loadtest(sessions=40, duration_s=0.01, seed=3,
                                procs=2, max_sessions=1, max_pending=2)
         assert payload["shed"]["total"] > 0
         assert payload["shed"]["overloaded"] == payload["shed"]["total"]

@@ -127,3 +127,33 @@ def test_greedy_respects_lpt_bound(n_procs, weights):
     for k, p in assignment.items():
         loads[p] += work[k]
     assert max(loads) <= sum(weights) / n_procs + max(weights) + 1e-9
+
+
+def _greedy_by_scan(bucket_work, n_procs):
+    """The linear-scan LPT greedy the heap version replaced."""
+    loads = [0.0] * n_procs
+    assignment = {}
+    for key, work in sorted(bucket_work.items(),
+                            key=lambda kv: (-kv[1], kv[0])):
+        target = min(range(n_procs), key=lambda p: loads[p])
+        assignment[key] = target
+        loads[target] += work
+    return assignment
+
+
+@given(n_procs=st.sampled_from([1, 2, 3, 16, 32, 64]),
+       items=st.lists(
+           st.tuples(st.integers(min_value=0, max_value=3),
+                     st.integers(min_value=0, max_value=30),
+                     st.sampled_from([0.0, 16.0, 32.0, 48.0, 0.5])),
+           max_size=80))
+def test_greedy_heap_matches_linear_scan(n_procs, items):
+    """Few distinct work values force tied loads and tied keys: the
+    heap must break every tie on the lowest processor id, as the scan's
+    ``min`` does, and order equal-work keys by the key itself (symbol
+    values on odd nodes, integers on even ones)."""
+    work = {BucketKey(node, (f"v{value}" if node % 2 else value,)): w
+            for node, value, w in items}
+    got = greedy_assignment(work, n_procs)
+    assert got == _greedy_by_scan(work, n_procs)
+    assert list(got) == list(_greedy_by_scan(work, n_procs))
