@@ -1,4 +1,5 @@
-"""Harness performance tracking: trace cache, parallel sweeps, hot path.
+"""Harness performance tracking: trace cache, parallel sweeps, hot path,
+live sessions.
 
 Unlike its siblings, this benchmark measures the *harness itself* rather
 than a figure of the paper: how long it takes to obtain the three
@@ -7,6 +8,8 @@ Figure 5-1 sweep (pre-PR serial reference path vs the optimized
 simulator on a warm cache).  The pre-PR baseline is executed live from
 :mod:`repro.mpc._reference` — the preserved original event loop — so
 both sides of every ratio run on the same machine, in the same process.
+``test_live_sessions`` compares plain and supervised asyncio sessions
+the same way: both engines, alternating, in one process.
 
 Results are written machine-readably to ``BENCH_harness.json`` at the
 repo root so the performance trajectory is tracked across PRs.  Run::
@@ -16,23 +19,30 @@ repo root so the performance trajectory is tracked across PRs.  Run::
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import pathlib
 import platform
 import resource
+import statistics
 import time
 
 import repro.trace.cache as trace_cache
 from conftest import once
+from repro.exec import (RunResult, match_signature, run, run_section_async,
+                        run_supervised_async)
 from repro.mpc import (DEFAULT_PROC_COUNTS, SCALE_PROC_COUNTS, RunConfig,
-                       iter_cycle_results, speedup, speedup_curve)
+                       SupervisePolicy, iter_cycle_results, speedup,
+                       speedup_curve)
 from repro.mpc._reference import simulate_reference
 from repro.mpc.simulator import simulate
+from repro.ops5 import parse_program
 from repro.rete.hashing import BucketKey
 from repro.trace import clear_cache, set_cache_enabled
-from repro.workloads import (StreamSpec, SyntheticStream, rubik_section,
-                             tourney_section, weaver_section)
+from repro.trace.recorder import record_program
+from repro.workloads import (MATCH_PROGRAMS, StreamSpec, SyntheticStream,
+                             rubik_section, tourney_section, weaver_section)
 from repro.workloads.programs import (blocks_world_trace, monkey_trace,
                                       router_trace)
 
@@ -327,3 +337,73 @@ def test_symbol_interning(report):
     # Interning must never make comparisons slower (generous margin:
     # identical strings compare fast even without identity).
     assert interned_s <= uninterned_s * 1.25
+
+
+#: Cycles per live session, and bursts per engine in the comparison.
+LIVE_WINDOW, LIVE_BURSTS = 5, 15
+
+
+def _live_windows():
+    """The 5-cycle windows of the seed-0 rubik/tourney/weaver recordings."""
+    windows = []
+    for name, generator in MATCH_PROGRAMS.items():
+        section = record_program(parse_program(generator(0)), name)
+        windows += [section.slice(start, start + LIVE_WINDOW)
+                    for start in range(0, len(section) - LIVE_WINDOW + 1,
+                                       LIVE_WINDOW)]
+    return windows
+
+
+def _quartiles(values):
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return {"median": round(q2, 1), "iqr": round(q3 - q1, 1)}
+
+
+def test_live_sessions(report):
+    """What supervision costs a live session: plain vs supervised asyncio
+    engines, each burst running every window as a concurrent session on
+    one loop (as the session server does), alternating engines."""
+    windows = _live_windows()
+    plain = RunConfig(n_procs=4)
+    supervised = plain.replace(supervise=SupervisePolicy())
+    expected = [match_signature(run(w, plain)) for w in windows]
+
+    async def burst(engine, config):
+        start = time.perf_counter()
+        outcomes = await asyncio.gather(
+            *(engine(w, config) for w in windows))
+        rate = len(windows) / (time.perf_counter() - start)
+        assert [match_signature(RunResult("actors", *o))
+                for o in outcomes] == expected
+        return rate
+
+    async def compare():
+        rates = {"plain": [], "supervised": []}
+        await burst(run_section_async, plain)  # warm-up
+        for _ in range(LIVE_BURSTS):
+            rates["plain"].append(await burst(run_section_async, plain))
+            rates["supervised"].append(
+                await burst(run_supervised_async, supervised))
+        return rates
+
+    rates = asyncio.run(compare())
+    ratio = statistics.median(
+        p / s for p, s in zip(rates["plain"], rates["supervised"]))
+    section = {
+        "what": "asyncio sessions/s, bursts of every 5-cycle window of "
+                "the seed-0 rubik/tourney/weaver recordings at P=4, "
+                "plain vs supervised engine",
+        "sessions_per_burst": len(windows),
+        "bursts": LIVE_BURSTS,
+        "cpus": os.cpu_count(),
+        "plain_per_s": _quartiles(rates["plain"]),
+        "supervised_per_s": _quartiles(rates["supervised"]),
+        # median over alternating pairs of plain/supervised rates
+        "supervised_over_plain": round(ratio, 2),
+    }
+    _merge_results({"live_sessions": section})
+    report("live_sessions", json.dumps(section, indent=2)
+           + f"\n[also saved to {BENCH_JSON}]")
+    # Supervision (heartbeat-sliced waits, deadlines) must stay cheap.
+    assert ratio <= 1.5, \
+        f"a supervised session costs {ratio:.2f}x a plain one"

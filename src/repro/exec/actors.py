@@ -10,8 +10,10 @@ recognize-act cycle.
 Two transports move the messages:
 
 ``asyncio`` (default)
-    One :mod:`asyncio` task and queue per match actor, all in one
-    process.  Cheap, deterministic to start, runs anywhere.
+    One :mod:`asyncio` task and :class:`~repro.exec.mailbox.Mailbox`
+    per match actor, all in one process.  Each wakeup drains the whole
+    inbox, so a burst of tokens costs one task switch.  Cheap,
+    deterministic to start, runs anywhere.
 ``process``
     One OS process per match actor with :mod:`multiprocessing` queues
     (:mod:`repro.exec.mp`) — actual parallel execution.
@@ -36,6 +38,7 @@ from ..trace.events import SectionTrace
 from .base import FireSet, RunHandle, RunResult
 from .chaos import ChaosPolicy
 from .errors import ExecutorCrashed, ExecutorError
+from .mailbox import Mailbox
 from .plan import (CONTROL, CycleAccumulator, MatchActorCore,
                    build_plans)
 
@@ -54,20 +57,20 @@ async def run_section_async(trace: SectionTrace, config: RunConfig,
 
     Usable directly from an existing event loop — the served backend
     runs many of these concurrently on one loop, each with its own
-    queues and actor cores (per-session sharded working memory).
+    mailboxes and actor cores (per-session sharded working memory).
 
     With a :class:`~repro.obs.trace.LiveTraceCollector` the run is
     traced: data messages carry a ``(sender, send_ts)`` context, each
     actor records match/send/barrier spans into a flight recorder
-    drained over the control queue before every barrier reply, and the
+    drained over the control mailbox before every barrier reply, and the
     control loop records one cycle span per committed cycle.  With
     ``collector=None`` (the default) this function is byte-for-byte
     the untraced protocol — no context on messages, no recorders.
     """
     plans = build_plans(trace, config)
     n_procs = config.n_procs
-    inboxes = [asyncio.Queue() for _ in range(n_procs)]
-    control_q: asyncio.Queue = asyncio.Queue()
+    inboxes = [Mailbox() for _ in range(n_procs)]
+    control = Mailbox()
     traced = collector is not None
     if traced:
         from ..obs.trace import (LIVE_BARRIER, LIVE_CYCLE, LIVE_MATCH,
@@ -78,27 +81,32 @@ async def run_section_async(trace: SectionTrace, config: RunConfig,
         inbox = inboxes[actor_id]
         try:
             while True:
-                message = await inbox.get()
-                kind = message[0]
-                if kind == "shutdown":
-                    return
-                if kind == "sync":
-                    control_q.put_nowait(("stats", actor_id,
-                                          core.on_sync()))
-                    continue
-                if kind == "cycle":
-                    out, processed = core.on_cycle(message[1])
-                else:  # "token"
-                    out, processed = core.on_token(message[1])
-                for dst, msg in out:
-                    if dst == CONTROL:
-                        control_q.put_nowait(msg)
-                    else:
-                        inboxes[dst].put_nowait(msg)
+                processed = 0
+                for message in await inbox.drain():
+                    kind = message[0]
+                    if kind == "token":
+                        out, k = core.on_token(message[1])
+                    elif kind == "cycle":
+                        out, k = core.on_cycle(message[1])
+                    elif kind == "sync":
+                        if processed:
+                            control.put_nowait(("processed", processed))
+                            processed = 0
+                        control.put_nowait(("stats", actor_id,
+                                            core.on_sync()))
+                        continue
+                    else:  # "shutdown"
+                        return
+                    processed += k
+                    for dst, msg in out:
+                        if dst == CONTROL:
+                            control.put_nowait(msg)
+                        else:
+                            inboxes[dst].put_nowait(msg)
                 if processed:
-                    control_q.put_nowait(("processed", processed))
+                    control.put_nowait(("processed", processed))
         except Exception as err:  # surface instead of hanging control
-            control_q.put_nowait(("actor_error", actor_id, repr(err)))
+            control.put_nowait(("actor_error", actor_id, repr(err)))
 
     async def actor_main_traced(actor_id: int) -> None:
         core = MatchActorCore(actor_id, config)
@@ -108,51 +116,58 @@ async def run_section_async(trace: SectionTrace, config: RunConfig,
         last_done = recorder.perf_base
         try:
             while True:
-                message = await inbox.get()
-                kind = message[0]
-                now = time.perf_counter()
-                if kind == "shutdown":
-                    control_q.put_nowait(recorder.drain())
-                    return
-                if kind == "sync":
-                    recorder.record(LIVE_BARRIER, cycle, last_done, now)
-                    control_q.put_nowait(recorder.drain())
-                    control_q.put_nowait(("stats", actor_id,
-                                          core.on_sync()))
-                    continue
-                if kind == "cycle":
-                    cycle = message[2]
-                    ctx = message[3]
-                    out, processed = core.on_cycle(message[1])
-                else:  # "token"
-                    ctx = message[2]
-                    out, processed = core.on_token(message[1])
-                done = time.perf_counter()
-                recorder.record(
-                    LIVE_MATCH, cycle, now, done, n=processed,
-                    act_id=(message[1] if kind == "token" else -1),
-                    src=ctx[0], sent_s=ctx[1], busy_us=core.busy_us)
-                if out:
-                    for dst, msg in out:
-                        stamped = msg + ((actor_id,
-                                          time.perf_counter()),)
-                        if dst == CONTROL:
-                            control_q.put_nowait(stamped)
-                        else:
-                            inboxes[dst].put_nowait(stamped)
-                    recorder.record(LIVE_SEND, cycle, done,
-                                    time.perf_counter(), n=len(out))
-                last_done = time.perf_counter()
+                processed = 0
+                for message in await inbox.drain():
+                    kind = message[0]
+                    now = time.perf_counter()
+                    if kind == "shutdown":
+                        control.put_nowait(recorder.drain())
+                        return
+                    if kind == "sync":
+                        recorder.record(LIVE_BARRIER, cycle, last_done, now)
+                        if processed:
+                            control.put_nowait(("processed", processed))
+                            processed = 0
+                        control.put_nowait(recorder.drain())
+                        control.put_nowait(("stats", actor_id,
+                                            core.on_sync()))
+                        continue
+                    if kind == "cycle":
+                        cycle = message[2]
+                        ctx = message[3]
+                        out, k = core.on_cycle(message[1])
+                    else:  # "token"
+                        ctx = message[2]
+                        out, k = core.on_token(message[1])
+                    done = time.perf_counter()
+                    recorder.record(
+                        LIVE_MATCH, cycle, now, done, n=k,
+                        act_id=(message[1] if kind == "token" else -1),
+                        src=ctx[0], sent_s=ctx[1], busy_us=core.busy_us)
+                    if out:
+                        for dst, msg in out:
+                            stamped = msg + ((actor_id,
+                                              time.perf_counter()),)
+                            if dst == CONTROL:
+                                control.put_nowait(stamped)
+                            else:
+                                inboxes[dst].put_nowait(stamped)
+                        recorder.record(LIVE_SEND, cycle, done,
+                                        time.perf_counter(), n=len(out))
+                    last_done = time.perf_counter()
+                    processed += k
                 if processed:
-                    control_q.put_nowait(("processed", processed))
+                    control.put_nowait(("processed", processed))
         except Exception as err:  # surface instead of hanging control
-            control_q.put_nowait(recorder.drain())
-            control_q.put_nowait(("actor_error", actor_id, repr(err)))
+            control.put_nowait(recorder.drain())
+            control.put_nowait(("actor_error", actor_id, repr(err)))
 
     main = actor_main_traced if traced else actor_main
     tasks = [asyncio.create_task(main(i)) for i in range(n_procs)]
     result = SimResult(trace_name=trace.name, n_procs=n_procs)
     fires: List[FireSet] = []
+    batch: List = []  # control messages drained but not yet handled
+    pos = 0
     section_start = time.perf_counter()
     try:
         for plan in plans:
@@ -166,7 +181,10 @@ async def run_section_async(trace: SectionTrace, config: RunConfig,
                 else:
                     inboxes[i].put_nowait(("cycle", plan.per_actor[i]))
             while not accumulator.done:
-                message = await control_q.get()
+                if pos == len(batch):
+                    batch, pos = await control.drain(), 0
+                message = batch[pos]
+                pos += 1
                 if message[0] == "actor_error":
                     raise ExecutorCrashed(
                         f"match actor {message[1]} failed: {message[2]}",
@@ -180,7 +198,10 @@ async def run_section_async(trace: SectionTrace, config: RunConfig,
             stats: List = [None] * n_procs
             remaining = n_procs
             while remaining:
-                message = await control_q.get()
+                if pos == len(batch):
+                    batch, pos = await control.drain(), 0
+                message = batch[pos]
+                pos += 1
                 if message[0] == "stats":
                     stats[message[1]] = message[2]
                     remaining -= 1
@@ -206,8 +227,10 @@ async def run_section_async(trace: SectionTrace, config: RunConfig,
             inboxes[i].put_nowait(("shutdown",))
         await asyncio.gather(*tasks, return_exceptions=True)
         if traced:
-            while not control_q.empty():
-                message = control_q.get_nowait()
+            salvage = batch[pos:]
+            while not control.empty():
+                salvage.append(control.get_nowait())
+            for message in salvage:
                 if message[0] == "spans":
                     collector.add_drain(message)
     return result, fires, time.perf_counter() - section_start

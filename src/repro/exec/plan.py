@@ -43,6 +43,12 @@ message               direction                      counted?
 ``("shutdown",)``     control → every match actor    no
 ====================  =============================  ==============
 
+``k`` in ``("processed", k)`` sums the activations of every delivery an
+actor handled since its last report: asyncio actors drain their whole
+:class:`~repro.exec.mailbox.Mailbox` per wakeup and report once per
+drained batch, process actors once per delivery.  Either way an actor
+reports its pending count before it answers ``sync`` with ``stats``.
+
 When a run is live-traced (``RunConfig(live_trace=True)``, see
 :mod:`repro.obs.trace`), every *data* message additionally carries a
 span context ``(sender_id, send_perf_ts)`` appended as one trailing
@@ -89,6 +95,10 @@ class ActorCyclePlan:
     #: Root *terminal* activations owned by this actor — single-CE
     #: instantiations it ships straight to control.
     root_fires: Tuple[int, ...]
+    #: ``(count, left count, sum, xor)`` over the act ids in *acts* —
+    #: what this actor's barrier stats must report, accumulated once by
+    #: :func:`build_plans` so no cycle close re-walks *acts*.
+    checksum: Tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -134,6 +144,9 @@ def build_plans(trace: SectionTrace, config: RunConfig) -> List[CyclePlan]:
             [{} for _ in range(n_procs)]
         per_actor_roots: List[List[int]] = [[] for _ in range(n_procs)]
         per_actor_fires: List[List[int]] = [[] for _ in range(n_procs)]
+        left = [0] * n_procs
+        act_sum = [0] * n_procs
+        act_xor = [0] * n_procs
         fires: List[int] = []
         processed = 0
 
@@ -163,9 +176,13 @@ def build_plans(trace: SectionTrace, config: RunConfig) -> List[CyclePlan]:
                     successors.append(
                         (succ_id, dest_of[succ_id - base], False))
                     frontier.append(succ_id)
+            is_left = act.side == LEFT
             per_actor_acts[owner][act_id] = (
-                act.side == LEFT, get_extra(act_id, 0.0),
-                tuple(successors))
+                is_left, get_extra(act_id, 0.0), tuple(successors))
+            if is_left:
+                left[owner] += 1
+            act_sum[owner] += act_id
+            act_xor[owner] ^= act_id
             processed += 1
 
         plans.append(CyclePlan(
@@ -173,7 +190,9 @@ def build_plans(trace: SectionTrace, config: RunConfig) -> List[CyclePlan]:
             per_actor=tuple(
                 ActorCyclePlan(acts=per_actor_acts[p],
                                roots=tuple(per_actor_roots[p]),
-                               root_fires=tuple(per_actor_fires[p]))
+                               root_fires=tuple(per_actor_fires[p]),
+                               checksum=(len(per_actor_acts[p]), left[p],
+                                         act_sum[p], act_xor[p]))
                 for p in range(n_procs)),
             expected_processed=processed,
             expected_fires=tuple(sorted(fires))))
@@ -248,18 +267,13 @@ class CycleAccumulator:
                 f"activations, expected {plan.expected_processed}",
                 cycle=plan.index)
         for i, s in enumerate(stats):
-            acts = plan.per_actor[i].acts
-            expect_left = sum(1 for spec in acts.values() if spec[0])
-            expect_xor = 0
-            for act_id in acts:
-                expect_xor ^= act_id
-            if (s[1], s[2], s[5], s[6]) != (len(acts), expect_left,
-                                            sum(acts), expect_xor):
+            expect = plan.per_actor[i].checksum
+            if (s[1], s[2], s[5], s[6]) != expect:
                 raise ProtocolViolation(
                     f"cycle {plan.index}: actor {i} processed "
                     f"{s[1]} activations (checksum {s[5]}/{s[6]}), "
-                    f"plan expects {len(acts)} "
-                    f"(checksum {sum(acts)}/{expect_xor})",
+                    f"plan expects {expect[0]} "
+                    f"(checksum {expect[2]}/{expect[3]})",
                     cycle=plan.index)
         token_sends = sum(s[3] for s in stats)
         control_sends = sum(s[4] for s in stats)

@@ -4,9 +4,9 @@ The paper simulates one production system at a time; a served
 deployment multiplexes many.  :class:`SessionServer` owns a background
 thread running a persistent asyncio event loop and hosts each
 submitted run as one *session* — a full actor engine
-(:func:`repro.exec.actors.run_section_async`) with its own queues,
+(:func:`repro.exec.actors.run_section_async`) with its own mailboxes,
 actor cores and plan stream.  Working memory stays sharded per
-session: no queue, core or bucket partition is shared between
+session: no mailbox, core or bucket partition is shared between
 sessions, so concurrent sessions are isolated by construction and
 their results equal a solo run's.  WME changes are batched exactly as
 in the single-session backends — one plan broadcast per recognize-act

@@ -11,7 +11,8 @@ three defenses, configured by
 :class:`~repro.mpc.config.RunConfig`:
 
 heartbeats
-    Every wait on the control queue is chopped into
+    Every wait for control messages (a timed mailbox drain on
+    asyncio, a timed queue get across processes) is chopped into
     ``heartbeat_s``-sized slices; between slices the supervisor checks
     worker liveness, so a killed worker is noticed within one
     heartbeat instead of one full deadline.
@@ -26,7 +27,7 @@ checkpoint-replay restart
     carry no state across cycles (the sync barrier resets them), and
     every :class:`~repro.exec.plan.CyclePlan` is precomputed.  On a
     wedge, crash or protocol violation the supervisor tears down every
-    worker and queue, respawns fresh ones after an exponential-backoff
+    worker and inbox, respawns fresh ones after an exponential-backoff
     pause, and re-broadcasts the failed cycle's plan — a bit-identical
     replay.  Completed cycles are never re-run; after
     ``max_restarts`` failed replays of one cycle the run raises
@@ -65,6 +66,7 @@ from .base import FireSet
 from .chaos import MSG_FIRE, MSG_TOKEN, ChaosPolicy
 from .errors import (ExecutorCrashed, ExecutorWedged, ProtocolViolation,
                      RestartsExhausted, exec_timeout_s)
+from .mailbox import Mailbox
 from .plan import (CONTROL, CycleAccumulator, CyclePlan, MatchActorCore,
                    build_plans)
 
@@ -126,10 +128,10 @@ def _log_restart(plan: CyclePlan, attempt: int, generation: int,
 
 
 class _AsyncEngine:
-    """One generation of asyncio match actors plus their queues.
+    """One generation of asyncio match actors plus their mailboxes.
 
     A restart discards the whole engine — tasks, inboxes, control
-    queue — so stale messages from a failed attempt (late chaos
+    mailbox — so stale messages from a failed attempt (late chaos
     deliveries, half-processed cycles) can never leak into the replay.
     """
 
@@ -141,21 +143,20 @@ class _AsyncEngine:
         self.generation = generation
         self.collector = collector
         self.n_procs = config.n_procs
-        self.inboxes: List[asyncio.Queue] = []
-        self.control_q: asyncio.Queue = asyncio.Queue()
+        self.inboxes: List[Mailbox] = []
+        self.control = Mailbox()
         self.tasks: List[asyncio.Task] = []
-        self._getter: Optional[asyncio.Task] = None
+        #: Control messages drained but not yet handled, from ``_pos``.
+        self._batch: List[Tuple] = []
+        self._pos = 0
 
     def start(self) -> None:
-        self.inboxes = [asyncio.Queue() for _ in range(self.n_procs)]
-        self.control_q = asyncio.Queue()
+        self.inboxes = [Mailbox() for _ in range(self.n_procs)]
+        self.control = Mailbox()
         self.tasks = [asyncio.create_task(self._actor_main(i))
                       for i in range(self.n_procs)]
 
     async def stop(self) -> None:
-        if self._getter is not None:
-            self._getter.cancel()
-            self._getter = None
         for task in self.tasks:
             task.cancel()
         if self.tasks:
@@ -165,8 +166,10 @@ class _AsyncEngine:
             # Salvage flight-recorder drains the dying generation
             # flushed on cancellation — filtered from the committed
             # timeline, but gold for post-mortem dumps.
-            while not self.control_q.empty():
-                message = self.control_q.get_nowait()
+            salvage = self._batch[self._pos:]
+            while not self.control.empty():
+                salvage.append(self.control.get_nowait())
+            for message in salvage:
                 if message[0] == "spans":
                     self.collector.add_drain(message)
 
@@ -180,7 +183,7 @@ class _AsyncEngine:
         return None
 
     def _deliver(self, cycle: int, dst: int, msg: Tuple) -> None:
-        target = self.control_q if dst == CONTROL else self.inboxes[dst]
+        target = self.control if dst == CONTROL else self.inboxes[dst]
         chaos = self.chaos
         if chaos is not None and msg[0] in ("token", "fire"):
             kind = MSG_FIRE if msg[0] == "fire" else MSG_TOKEN
@@ -214,94 +217,100 @@ class _AsyncEngine:
             last_done = recorder.perf_base
         core = MatchActorCore(actor_id, self.config)
         inbox = self.inboxes[actor_id]
+        control = self.control
         cycle = 0
         try:
             while True:
-                message = await inbox.get()
-                kind = message[0]
-                now = time.perf_counter()
-                if kind == "shutdown":
+                processed = 0
+                for message in await inbox.drain():
+                    kind = message[0]
+                    now = time.perf_counter()
+                    if kind == "shutdown":
+                        if traced:
+                            control.put_nowait(recorder.drain())
+                        return
+                    if kind == "sync":
+                        if traced:
+                            recorder.record(LIVE_BARRIER, cycle,
+                                            last_done, now)
+                        if processed:
+                            control.put_nowait(("processed", processed))
+                            processed = 0
+                        if traced:
+                            control.put_nowait(recorder.drain())
+                        control.put_nowait(("stats", actor_id,
+                                            core.on_sync()))
+                        continue
+                    if kind == "cycle":
+                        cycle = message[2]
+                        if self.chaos is not None:
+                            stall = self.chaos.stall_for(
+                                cycle, actor_id, self.generation)
+                            if stall > 0.0:
+                                get_registry().counter(
+                                    "chaos.stalls").inc()
+                                await asyncio.sleep(stall)
+                                now = time.perf_counter()
+                        out, k = core.on_cycle(message[1])
+                    else:  # "token"
+                        out, k = core.on_token(message[1])
+                    processed += k
                     if traced:
-                        self.control_q.put_nowait(recorder.drain())
-                    return
-                if kind == "sync":
-                    if traced:
-                        recorder.record(LIVE_BARRIER, cycle,
-                                        last_done, now)
-                        self.control_q.put_nowait(recorder.drain())
-                    self.control_q.put_nowait(("stats", actor_id,
-                                               core.on_sync()))
-                    continue
-                if kind == "cycle":
-                    cycle = message[2]
-                    if self.chaos is not None:
-                        stall = self.chaos.stall_for(cycle, actor_id,
-                                                     self.generation)
-                        if stall > 0.0:
-                            get_registry().counter("chaos.stalls").inc()
-                            await asyncio.sleep(stall)
-                            now = time.perf_counter()
-                    out, processed = core.on_cycle(message[1])
-                else:  # "token"
-                    out, processed = core.on_token(message[1])
-                if traced:
-                    ctx = message[3] if kind == "cycle" else message[2]
-                    done = time.perf_counter()
-                    recorder.record(
-                        LIVE_MATCH, cycle, now, done, n=processed,
-                        act_id=(message[1] if kind == "token" else -1),
-                        src=ctx[0], sent_s=ctx[1],
-                        busy_us=core.busy_us)
-                    if out:
+                        ctx = message[3] if kind == "cycle" else message[2]
+                        done = time.perf_counter()
+                        recorder.record(
+                            LIVE_MATCH, cycle, now, done, n=k,
+                            act_id=(message[1] if kind == "token"
+                                    else -1),
+                            src=ctx[0], sent_s=ctx[1],
+                            busy_us=core.busy_us)
+                        if out:
+                            for dst, msg in out:
+                                self._deliver(
+                                    cycle, dst,
+                                    msg + ((actor_id,
+                                            time.perf_counter()),))
+                            recorder.record(LIVE_SEND, cycle, done,
+                                            time.perf_counter(),
+                                            n=len(out))
+                        last_done = time.perf_counter()
+                    else:
                         for dst, msg in out:
-                            self._deliver(
-                                cycle, dst,
-                                msg + ((actor_id,
-                                        time.perf_counter()),))
-                        recorder.record(LIVE_SEND, cycle, done,
-                                        time.perf_counter(),
-                                        n=len(out))
-                    last_done = time.perf_counter()
-                else:
-                    for dst, msg in out:
-                        self._deliver(cycle, dst, msg)
+                            self._deliver(cycle, dst, msg)
                 if processed:
-                    self.control_q.put_nowait(("processed", processed))
+                    control.put_nowait(("processed", processed))
         except asyncio.CancelledError:
             if traced:
-                self.control_q.put_nowait(recorder.drain())
+                control.put_nowait(recorder.drain())
             raise
         except Exception as err:  # surface instead of hanging control
             if traced:
-                self.control_q.put_nowait(recorder.drain())
-            self.control_q.put_nowait(("actor_error", actor_id,
-                                       repr(err)))
+                control.put_nowait(recorder.drain())
+            control.put_nowait(("actor_error", actor_id, repr(err)))
 
     async def _get_control(self, cycle: int, cycle_start: float,
                            deadline_s: float, heartbeat_s: float):
         """Next control message, or a typed failure: heartbeat-sliced
-        wait with dead-worker checks and the per-cycle deadline."""
-        if self._getter is None:
-            self._getter = asyncio.ensure_future(self.control_q.get())
-        while True:
+        mailbox drains with dead-worker checks and the per-cycle
+        deadline."""
+        while self._pos == len(self._batch):
             waited = time.perf_counter() - cycle_start
             if waited >= deadline_s:
                 raise ExecutorWedged(
                     f"cycle {cycle}: no quiescence progress for "
                     f"{waited:.3f}s", cycle=cycle, waited_s=waited)
-            timeout = min(heartbeat_s, deadline_s - waited)
-            done, _ = await asyncio.wait({self._getter},
-                                         timeout=timeout)
-            if self._getter in done:
-                message = self._getter.result()
-                self._getter = asyncio.ensure_future(
-                    self.control_q.get())
-                return message
-            dead = self.dead_actor()
-            if dead is not None:
-                raise ExecutorCrashed(
-                    f"match actor {dead} died during cycle {cycle}",
-                    actor=dead, cycle=cycle)
+            self._batch = await self.control.drain(
+                timeout=min(heartbeat_s, deadline_s - waited))
+            self._pos = 0
+            if not self._batch:
+                dead = self.dead_actor()
+                if dead is not None:
+                    raise ExecutorCrashed(
+                        f"match actor {dead} died during cycle {cycle}",
+                        actor=dead, cycle=cycle)
+        message = self._batch[self._pos]
+        self._pos += 1
+        return message
 
     async def run_cycle(self, plan: CyclePlan, attempt: int,
                         deadline_s: float, heartbeat_s: float):

@@ -10,12 +10,15 @@ The contracts under test:
   with actionable messages rather than silently ignored.
 """
 
+import functools
+import operator
+
 import pytest
 
 from repro.exec import (CONTROL, ActorCyclePlan, ActorExecutor, BACKENDS,
                         Executor, MatchActorCore, RunHandle, SimExecutor,
-                        SupervisePolicy, expected_fires, get_executor,
-                        match_signature, run)
+                        SupervisePolicy, build_plans, expected_fires,
+                        get_executor, match_signature, run)
 from repro.mpc import (TABLE_5_1, FaultModel, RunConfig,
                        TimelineRecorder, simulate_config)
 from repro.ops5 import parse_program
@@ -163,7 +166,7 @@ class TestActorsBackend:
 class TestMatchActorCore:
     PLAN = ActorCyclePlan(
         acts={5: (True, 0.0, ((6, CONTROL, True), (7, 0, False)))},
-        roots=(), root_fires=())
+        roots=(), root_fires=(), checksum=(1, 1, 5, 5))
 
     def test_token_before_its_cycle_is_held(self):
         config = RunConfig(n_procs=2, overheads=OV8)
@@ -183,6 +186,19 @@ class TestMatchActorCore:
         core.on_token(99)
         with pytest.raises(KeyError):
             core.on_cycle(self.PLAN)
+
+
+class TestPlanChecksums:
+    def test_plan_walk_checksums_match_their_definition(self,
+                                                        rubik_recorded):
+        """build_plans accumulates each actor's (count, left, sum, xor)
+        during its walk; they must equal the four taken from *acts*."""
+        for plan in build_plans(rubik_recorded, RunConfig(n_procs=4)):
+            for share in plan.per_actor:
+                acts = share.acts
+                assert share.checksum == (
+                    len(acts), sum(1 for spec in acts.values() if spec[0]),
+                    sum(acts), functools.reduce(operator.xor, acts, 0))
 
 
 class TestRunHandle:
