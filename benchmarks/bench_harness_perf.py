@@ -247,8 +247,8 @@ def _drain(trace, config: RunConfig) -> float:
 
 
 def test_scale_sweep(report):
-    """The tentpole acceptance number: the compressed active-set loop vs
-    the dense exact loop on a streamed million-activation workload, at
+    """The tentpole acceptance number: the compressed path vs the dense
+    exact path on a streamed million-activation workload, at
     processor counts into the thousands.  One measurement per point —
     the baseline alone is minutes of wall clock at P=4096."""
     stream = SyntheticStream(SCALE_SPEC)
@@ -271,9 +271,11 @@ def test_scale_sweep(report):
         })
     peak_rss_mb = round(_rss_mb(), 1)
     section = {
-        "what": "streamed 1e6-activation mostly-idle section, dense "
-                "exact loop vs compressed active-set loop "
-                "(accumulate-and-discard on both sides)",
+        "what": "streamed 1e6-activation mostly-idle section, the event "
+                "loop dense vs compressed (sparse per-processor state "
+                "plus idle-run collapse; accumulate-and-discard on both "
+                "sides)",
+        "cpus": os.cpu_count(),
         "active_cycles": SCALE_SPEC.active_cycles,
         "activations": SCALE_SPEC.total_activations,
         "total_cycles": SCALE_SPEC.n_cycles,

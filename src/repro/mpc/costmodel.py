@@ -7,8 +7,17 @@ Nectar group's figures.  All times are microseconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Tuple
+
+
+def _check_non_negative(model) -> None:
+    """Reject negative (or NaN) times: no work or message takes less
+    than none, and the simulator's event queue relies on it."""
+    for f in fields(model):
+        if not getattr(model, f.name) >= 0.0:
+            raise ValueError(f"{f.name} must be >= 0, got "
+                             f"{getattr(model, f.name)!r}")
 
 
 @dataclass(frozen=True)
@@ -39,6 +48,9 @@ class CostModel:
     #: nonzero per-entry scan cost (e.g. 1-2 us) prices that search;
     #: the default 0.0 reproduces the paper's assumption.
     delete_search_us: float = 0.0
+
+    def __post_init__(self) -> None:
+        _check_non_negative(self)
 
     def store_cost(self, side: str) -> float:
         """Cost of the add/delete for a token arriving on *side*."""
@@ -75,6 +87,9 @@ class OverheadModel:
     send_us: float = 0.0
     recv_us: float = 0.0
     latency_us: float = 0.5
+
+    def __post_init__(self) -> None:
+        _check_non_negative(self)
 
     @property
     def total_us(self) -> float:

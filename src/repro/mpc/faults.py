@@ -85,10 +85,39 @@ def _mix64(x: int) -> int:
 
 def counter_u01(seed: int, *counters: int) -> float:
     """A uniform draw in [0, 1) determined entirely by its arguments."""
+    return counter_prefix(seed, *counters) * _INV_2_64
+
+
+def counter_prefix(seed: int, *counters: int) -> int:
+    """The 64-bit mixing state after *seed* and *counters*.
+
+    :func:`counter_u01` is this state scaled to [0, 1).  Draws sharing
+    leading counters — every message draw of one cycle shares ``(seed,
+    cycle)`` — hash that prefix once and continue from it.
+    """
     x = _mix64(seed ^ 0x9E3779B97F4A7C15)
     for c in counters:
         x = _mix64(x ^ ((c * 0x9E3779B97F4A7C15) & _MASK64))
-    return x * _INV_2_64
+    return x
+
+
+def _message_u01(prefix: int, msg_id: int, attempt: int,
+                 stream: int) -> float:
+    """``counter_u01(seed, cycle, msg_id, attempt, stream)`` continued
+    from ``prefix = counter_prefix(seed, cycle)``, unrolled for the
+    per-message hot path."""
+    x = prefix ^ ((msg_id * 0x9E3779B97F4A7C15) & _MASK64)
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    x ^= x >> 31
+    x ^= (attempt * 0x9E3779B97F4A7C15) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    x ^= x >> 31
+    x ^= (stream * 0x9E3779B97F4A7C15) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return (x ^ (x >> 31)) * _INV_2_64
 
 
 @dataclass(frozen=True)
@@ -176,20 +205,32 @@ class FaultModel:
                 and not self.failures)
 
     # -- counter-based draws (message id = the carried activation id) --
+    #
+    # A draw is in [0, 1), so a zero probability can never fire: those
+    # checks skip the hash entirely, bit-identically.
+
+    def cycle_prefix(self, cycle: int) -> int:
+        """The ``(seed, cycle)`` prefix shared by every draw in *cycle*
+        (see :func:`counter_prefix`)."""
+        return counter_prefix(self.seed, cycle)
 
     def lost(self, cycle: int, msg_id: int, attempt: int) -> bool:
-        return counter_u01(self.seed, cycle, msg_id, attempt,
-                           _STREAM_LOSS) < self.loss_prob
+        if self.loss_prob == 0.0:
+            return False
+        return _message_u01(self.cycle_prefix(cycle), msg_id, attempt,
+                            _STREAM_LOSS) < self.loss_prob
 
     def duplicated(self, cycle: int, msg_id: int) -> bool:
-        return counter_u01(self.seed, cycle, msg_id, 0,
-                           _STREAM_DUP) < self.dup_prob
+        if self.dup_prob == 0.0:
+            return False
+        return _message_u01(self.cycle_prefix(cycle), msg_id, 0,
+                            _STREAM_DUP) < self.dup_prob
 
     def jitter(self, cycle: int, msg_id: int, attempt: int) -> float:
         if self.jitter_us == 0.0:
             return 0.0
-        return self.jitter_us * counter_u01(self.seed, cycle, msg_id,
-                                            attempt, _STREAM_JITTER)
+        return self.jitter_us * _message_u01(
+            self.cycle_prefix(cycle), msg_id, attempt, _STREAM_JITTER)
 
     def windows_for_cycle(self, cycle_index: int,
                           n_procs: int) -> Dict[int, List[Tuple[float,
@@ -272,21 +313,36 @@ class DeliveryPlan:
 
 
 def plan_delivery(faults: FaultModel, protocol: ProtocolModel,
-                  cycle: int, msg_id: int) -> DeliveryPlan:
-    """Resolve loss/retry/duplication for one message, deterministically."""
+                  cycle: int, msg_id: int,
+                  prefix: Optional[int] = None) -> DeliveryPlan:
+    """Resolve loss/retry/duplication for one message, deterministically.
+
+    *prefix* is ``faults.cycle_prefix(cycle)``; a caller planning many
+    messages of one cycle passes it to hash the ``(seed, cycle)`` part
+    once.  The draws are exactly :meth:`FaultModel.lost`,
+    :meth:`~FaultModel.jitter` and :meth:`~FaultModel.duplicated`.
+    """
+    if prefix is None:
+        prefix = faults.cycle_prefix(cycle)
+    loss_prob = faults.loss_prob
     wait = 0.0
     timeout = protocol.timeout_us
     attempt = 0
-    while attempt < protocol.max_retries and \
-            faults.lost(cycle, msg_id, attempt):
-        wait += timeout
-        timeout *= protocol.backoff
-        attempt += 1
-    return DeliveryPlan(
-        attempts=attempt + 1,
-        timeout_wait_us=wait,
-        jitter_us=faults.jitter(cycle, msg_id, attempt),
-        duplicates=1 if faults.duplicated(cycle, msg_id) else 0)
+    if loss_prob != 0.0:
+        while attempt < protocol.max_retries and _message_u01(
+                prefix, msg_id, attempt, _STREAM_LOSS) < loss_prob:
+            wait += timeout
+            timeout *= protocol.backoff
+            attempt += 1
+    jitter_us = 0.0
+    if faults.jitter_us != 0.0:
+        jitter_us = faults.jitter_us * _message_u01(
+            prefix, msg_id, attempt, _STREAM_JITTER)
+    dup_prob = faults.dup_prob
+    duplicates = 1 if dup_prob != 0.0 and _message_u01(
+        prefix, msg_id, 0, _STREAM_DUP) < dup_prob else 0
+    return DeliveryPlan(attempts=attempt + 1, timeout_wait_us=wait,
+                        jitter_us=jitter_us, duplicates=duplicates)
 
 
 def simulate_cycle_with_faults(
@@ -365,6 +421,7 @@ def simulate_cycle_with_faults(
                               msg_id))
 
     # Fault-model state for this cycle.
+    prefix = faults.cycle_prefix(cycle_index)
     windows = faults.windows_for_cycle(cycle_index, n_procs)
     recovery_us = faults.recovery_in_cycle(cycle_index, n_procs)
     retransmits = 0
@@ -427,7 +484,8 @@ def simulate_cycle_with_faults(
         time after all send-side protocol costs."""
         nonlocal control_busy, control_ready, network_busy, n_messages
         nonlocal retransmits, duplicate_drops, acks, timeout_wait_us
-        plan = plan_delivery(faults, protocol, cycle_index, msg_id)
+        plan = plan_delivery(faults, protocol, cycle_index, msg_id,
+                             prefix)
         copies = plan.attempts + plan.duplicates
         retransmits += plan.retransmits
         duplicate_drops += plan.duplicates
@@ -491,7 +549,8 @@ def simulate_cycle_with_faults(
         env_wait_protocol = 0.0
         if via_message:
             # Receive the data copy, ack it; drop + ack any duplicate.
-            plan = plan_delivery(faults, protocol, cycle_index, act.act_id)
+            plan = plan_delivery(faults, protocol, cycle_index,
+                                 act.act_id, prefix)
             t += (recv_us + send_us) * (1 + plan.duplicates)
             if record:
                 env_wait_comm = send_us + latency_us + plan.jitter_us
@@ -532,7 +591,7 @@ def simulate_cycle_with_faults(
                 heappush(queue, (t, seq, p, False, succ))
             else:
                 plan = plan_delivery(faults, protocol, cycle_index,
-                                     succ_id)
+                                     succ_id, prefix)
                 copies = plan.attempts + plan.duplicates
                 retransmits += plan.retransmits
                 duplicate_drops += plan.duplicates

@@ -8,7 +8,7 @@ Two representation tricks keep results memory-bounded at thousands of
 processors and millions of cycles (ROADMAP item 3):
 
 * :class:`SparseProcArray` — a per-processor array stored as (length,
-  default, overrides).  The active-set event loop touches only the
+  default, overrides).  A compressed simulation packages only the
   processors that did any cycle-specific work, so a 4096-processor
   cycle result costs O(touched) memory instead of O(P).  It compares
   equal to the plain list the dense loop produces.

@@ -21,42 +21,56 @@ paper's match procedure:
    delivered; cycles are serialized by the control barrier.  Termination
    detection is idealized and free, as in the paper.
 
-Everything is deterministic: the event queue breaks ties on a sequence
-counter and processors serve tasks FIFO by arrival time.
+Everything is deterministic: events run in (arrival, push order), and
+processors serve tasks FIFO by arrival time.
 
-The inner event loop is the harness's hottest code — every sweep point
-of every figure goes through it — so it is written for speed: heap
-entries are plain ``(arrival, seq, proc, via_message, activation)``
-tuples (the unique ``seq`` guarantees comparison never reaches the
-activation), and per-event attribute/method lookups are hoisted into
-locals.  Routing never hashes a bucket key per simulation: each cycle
-compiles its distinct keys and their hashes once into a cached
-:class:`~repro.trace.events.CycleKeyIndex`
-(:meth:`~repro.trace.events.CycleTrace.key_index`), and every
-simulation of the cycle — at any processor count, under any mapping —
-maps just those keys (``mapping.processors``) and expands them into a
-per-activation destination list with one list comprehension.  Token
-messages are counted where they are pushed.  :mod:`repro.mpc._reference`
-preserves the original object-based loop; ``tests/test_mpc_parallel.py``
-and ``tests/test_mpc_cycle_index.py`` assert both produce bit-identical
-results.
+One event loop (:func:`_simulate_cycle`)
+----------------------------------------
+The event loop is the harness's hottest code — every sweep point of
+every figure goes through it — so it runs on a table compiled once per
+cycle, not on activation objects.
+:meth:`~repro.trace.events.CycleTrace.key_index` walks the cycle once
+and caches a :class:`~repro.trace.events.CycleKeyIndex`: the distinct
+bucket keys and their hashes, plus, per activation *position*
+(``act_id - base``), a left/right byte and the successor tuple, and the
+root, terminal and two-input positions.  Every simulation of the cycle
+— at any processor count, under any mapping — maps just the distinct
+keys (``mapping.processors``), expands them into a per-position
+destination list and marks terminal positions there with ``-1``, the
+control processor.  From then on an event is one integer:
 
-Scaling to thousands of processors (ROADMAP item 3)
----------------------------------------------------
-The dense loop above still charges O(P) per cycle — list allocations,
-the final ``max`` — which dominates exactly in the regime the paper
-says matters (mostly-idle machines).  ``RunConfig(compress_rounds=
-True)`` switches to two complementary optimizations, both **bit-exact**
-(the ``compressed_vs_exact`` oracle in :mod:`repro.check` holds them to
-the reference loop):
+* the queue is a heap of distinct arrival times, each holding its
+  events (positions; ``~pos`` for one that came as a message) in push
+  order — which, with non-negative costs, is exactly the (arrival,
+  sequence) order of a heap of single events, at one heap operation
+  per distinct time instead of two per event;
+* no side or kind string is compared, an instantiation's delivery to
+  the control processor is inlined, and search surcharges are looked
+  up only when the cost model has them;
+* per-processor activation counts are taken once per cycle from the
+  two-input positions — each is processed exactly once, on the
+  processor owning its bucket — not incremented per event.
 
-* an **active-set event loop** (:func:`_simulate_cycle_active`): per
-  cycle only processors that did cycle-specific work get entries in
-  the ready/busy dictionaries; everyone else sits at the closed-form
-  broadcast + constant-test floor, represented once by a
-  :class:`~repro.mpc.metrics.SparseProcArray` default.  Every
-  floating-point operation that *does* happen uses the same operands
-  in the same order as the dense loop, so results are bit-identical.
+:mod:`repro.mpc._reference` preserves the original object-based loop;
+``tests/test_mpc_parallel.py`` and ``tests/test_mpc_cycle_index.py``
+assert both produce bit-identical results.
+
+Scaling to thousands of processors
+----------------------------------
+A dense cycle still charges O(P) — list allocations, the final ``max``
+— which dominates exactly in the regime the paper says matters
+(mostly-idle machines).  ``RunConfig(compress_rounds=True)`` removes
+both O(P) terms and stays **bit-exact** (the ``compressed_vs_exact``
+oracle in :mod:`repro.check` holds it to the reference loop):
+
+* the **same event loop** runs on ready/busy lists that live for the
+  whole simulation, every entry at the closed-form broadcast +
+  constant-test floor.  After each cycle only the processors it
+  touched — the owners of its two-input activations and of its
+  single-CE instantiations — are packaged into
+  :class:`~repro.mpc.metrics.SparseProcArray` results (everyone else
+  is the array default) and reset to the floor, so no active cycle
+  allocates or scans O(P) state;
 * **round compression**: a run of consecutive fully-idle cycles is
   collapsed analytically into one closed-form :class:`CycleResult`
   (:func:`_idle_cycle_result`) carried with a repeat count — the
@@ -75,7 +89,7 @@ from __future__ import annotations
 
 import heapq
 import warnings
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import replace
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -89,12 +103,13 @@ from .mapping import BucketMapping, RoundRobinMapping, greedy_mapping
 from .metrics import CycleResult, SimResult, SparseProcArray
 
 #: Test-only mis-pricing hook for the conformance harness
-#: (:mod:`repro.check`).  When nonzero, the optimized event loops —
-#: dense and active-set; the reference loop, the fault/protocol loop
-#: and the recorded mirror all ignore it — charge right tokens this
-#: many extra microseconds.  The harness's mutation smoke test sets it
-#: (via :func:`repro.check.mutate_cost`) to prove the oracle matrix
-#: catches a mis-priced cost constant.  Never set it outside tests.
+#: (:mod:`repro.check`).  When nonzero, :func:`_simulate_cycle` — the
+#: one fault-free, unrecorded loop, dense and compressed alike; the
+#: reference loop, the fault/protocol loop and the recorded mirror all
+#: ignore it — charges right tokens this many extra microseconds.  The
+#: harness's mutation smoke test sets it (via
+#: :func:`repro.check.mutate_cost`) to prove the oracle matrix catches a
+#: mis-priced cost constant.  Never set it outside tests.
 _TEST_MUTATE_RIGHT_TOKEN_US = 0.0
 
 
@@ -289,6 +304,12 @@ def iter_cycle_results(trace, config: RunConfig
         ) | frozenset(f.cycle for f in faults.failures)
 
     tracker = _SearchCostTracker(costs.delete_search_us)
+    # With compression the per-processor lists live for the whole
+    # simulation; each cycle resets just the entries it touched.
+    slots = None
+    if compress:
+        floor_ready, floor_busy = _floors(costs, overheads)
+        slots = ([floor_ready] * n_procs, [floor_busy] * n_procs)
     idle_template: Optional[CycleResult] = None
     pending_start = 0
     pending_count = 0
@@ -327,14 +348,10 @@ def iter_cycle_results(trace, config: RunConfig
             cycle_result = _simulate_cycle_recorded(
                 cycle, n_procs, costs, overheads, cycle_mapping,
                 search_costs, recorder)
-        elif compress:
-            cycle_result = _simulate_cycle_active(
-                cycle, n_procs, costs, overheads, cycle_mapping,
-                search_costs)
         else:
             cycle_result = _simulate_cycle(
                 cycle, n_procs, costs, overheads, cycle_mapping,
-                search_costs)
+                search_costs, slots)
         yield (cycle_result, 1)
 
     for entry in trace:
@@ -401,7 +418,7 @@ def simulate_config(trace, config: RunConfig) -> SimResult:
         active and is ignored otherwise.  ``config.recorder`` routes
         every cycle through the span-recording mirror of the event loop
         (:mod:`repro.mpc.timeline`) without changing any result bit.
-        ``config.compress_rounds`` selects the active-set event loop
+        ``config.compress_rounds`` keeps per-processor state sparse
         and run-length encodes idle stretches — bit-identical numbers
         in O(active work) time; see the module docstring.
 
@@ -455,111 +472,193 @@ def simulate(trace: SectionTrace,
         faults=faults, protocol=protocol, recorder=recorder))
 
 
+def _floors(costs: CostModel, overheads: OverheadModel
+            ) -> Tuple[float, float]:
+    """``(ready, busy)`` of every match processor once it has received
+    the broadcast and run the constant tests: where each cycle starts."""
+    match_start = overheads.send_us + overheads.latency_us \
+        + overheads.recv_us
+    return (match_start + costs.constant_tests_us,
+            overheads.recv_us + costs.constant_tests_us)
+
+
 def _simulate_cycle(cycle: CycleTrace, n_procs: int, costs: CostModel,
                     overheads: OverheadModel,
                     mapping: BucketMapping,
-                    search_costs: Optional[Dict[int, float]] = None
+                    search_costs: Optional[Dict[int, float]] = None,
+                    slots: Optional[Tuple[List[float], List[float]]] = None
                     ) -> CycleResult:
+    """One cycle of the Section 3.2 mapping.
+
+    Without *slots* the per-processor state is fresh dense lists and the
+    result carries them.  With *slots* — ``(ready, busy)`` lists owned
+    by the caller for a whole simulation, every entry at the
+    :func:`_floors` values — the loop runs on them, packages only the
+    processors the cycle touched into
+    :class:`~repro.mpc.metrics.SparseProcArray` objects and resets just
+    those entries, so the cycle costs O(events), not O(P).  An
+    untouched processor's dense value *is* the floor, so both forms
+    compare equal.
+    """
     send_us = overheads.send_us
     recv_us = overheads.recv_us
     latency_us = overheads.latency_us
     left_us = costs.left_token_us
     right_us = costs.right_token_us + _TEST_MUTATE_RIGHT_TOKEN_US
     successor_us = costs.successor_us
-    acts = cycle.activations
-    get_extra = (search_costs or {}).get
     index = cycle.key_index()
-    dest_of = index.destinations(mapping)
+    dest = index.destinations(mapping)
     base = index.base
+    left = index.left
+    successors = index.successors
+    extra_of = search_costs or None
 
     # --- step 1: broadcast -------------------------------------------------
     control_busy = send_us
-    match_start = send_us + latency_us + recv_us
     network_busy = latency_us if n_procs > 0 else 0.0
     n_messages = 1  # the broadcast packet
 
     # --- step 2: constant tests on every processor -------------------------
-    ready = [match_start + costs.constant_tests_us] * n_procs
-    busy = [recv_us + costs.constant_tests_us] * n_procs
-    activations = [0] * n_procs
-    left_activations = [0] * n_procs
+    floor_ready, floor_busy = _floors(costs, overheads)
+    if slots is None:
+        ready = [floor_ready] * n_procs
+        busy = [floor_busy] * n_procs
+    else:
+        ready, busy = slots
 
-    seq = 0
     token_messages = 0
-    #: heap of (arrival, seq, proc, via_message, activation); seq is
-    #: unique, so tuple comparison never reaches the activation.
-    queue: list = []
+    #: The event queue: a heap of the distinct pending arrival times,
+    #: each with its events in push order.  An event is the position of
+    #: the activation to process (its processor is the bucket owner,
+    #: ``dest[pos]``), complemented (``~pos``) when it came as a
+    #: message.  Costs are non-negative, so nothing is ever pushed
+    #: earlier than the event being processed, and draining one
+    #: arrival's events in push order is exactly the (arrival, push
+    #: sequence) order of a heap of single events.
+    times: List[float] = []
+    pending: Dict[float, list] = {}
     heappush = heapq.heappush
     heappop = heapq.heappop
     #: completion times of instantiation deliveries at the control proc
     control_arrivals: List[float] = []
     control_ready = control_busy  # control is busy until broadcast sent
+    #: owners of single-CE instantiations (terminal roots)
+    shippers: List[int] = []
 
-    def send_to_control(depart: float) -> None:
-        nonlocal control_busy, control_ready, network_busy, n_messages
-        n_messages += 1
-        network_busy += latency_us
-        arrive = depart + latency_us
-        # Control handles instantiation receipts FIFO as they arrive.
-        control_ready = max(control_ready, arrive) + recv_us
-        control_busy += recv_us
-        control_arrivals.append(control_ready)
-
-    for root in cycle.roots():
-        owner = dest_of[root.act_id - base]
-        if root.kind == KIND_TERMINAL:
+    for r in index.roots:
+        if r < 0:
             # A single-CE instantiation: produced by the constant tests;
-            # the bucket owner ships it to the control processor.
+            # the bucket owner ships it to the control processor, which
+            # handles instantiation receipts FIFO as they arrive.
+            owner = dest[~r]
+            shippers.append(owner)
             depart = ready[owner] + send_us
             busy[owner] += send_us
             ready[owner] = depart
-            send_to_control(depart)
+            n_messages += 1
+            network_busy += latency_us
+            arrive = depart + latency_us
+            if arrive > control_ready:
+                control_ready = arrive
+            control_ready += recv_us
+            control_busy += recv_us
+            control_arrivals.append(control_ready)
             continue
-        seq += 1
-        heappush(queue, (ready[owner], seq, owner, False, root))
+        at = ready[dest[r]]
+        events = pending.get(at)
+        if events is None:
+            pending[at] = [r]
+            heappush(times, at)
+        else:
+            events.append(r)
+    # Terminal successors route to the control processor.
+    for pos in index.terminals:
+        dest[pos] = -1
 
     # --- steps 3-4: event loop ---------------------------------------------
-    while queue:
-        arrival, _, p, via_message, act = heappop(queue)
-        proc_ready = ready[p]
-        start = proc_ready if proc_ready > arrival else arrival
-        t = start
-        if via_message:
-            t += recv_us
-        t += left_us if act.side == LEFT else right_us
-        extra = get_extra(act.act_id)
-        if extra is not None:
-            t += extra
-        activations[p] += 1
-        if act.side == LEFT:
-            left_activations[p] += 1
-
-        for succ_id in act.successors:
-            succ = acts[succ_id]
-            t += successor_us
-            if succ.kind == KIND_TERMINAL:
-                t += send_us
-                send_to_control(t)
-                continue
-            dest = dest_of[succ_id - base]
-            seq += 1
-            if dest == p:
-                heappush(queue, (t, seq, p, False, succ))
+    while times:
+        arrival = heappop(times)
+        for pos in pending.pop(arrival):
+            via_message = pos < 0
+            if via_message:
+                pos = ~pos
+            p = dest[pos]
+            proc_ready = ready[p]
+            start = proc_ready if proc_ready > arrival else arrival
+            t = start + recv_us if via_message else start
+            if left[pos]:
+                t += left_us
             else:
-                t += send_us
-                token_messages += 1
-                heappush(queue, (t + latency_us, seq, dest, True, succ))
+                t += right_us
+            if extra_of is not None:
+                extra = extra_of.get(pos + base)
+                if extra is not None:
+                    t += extra
 
-        busy[p] += t - start
-        ready[p] = t
+            for succ_id in successors[pos]:
+                t += successor_us
+                succ = succ_id - base
+                d = dest[succ]
+                if d < 0:
+                    t += send_us
+                    n_messages += 1
+                    network_busy += latency_us
+                    arrive = t + latency_us
+                    if arrive > control_ready:
+                        control_ready = arrive
+                    control_ready += recv_us
+                    control_busy += recv_us
+                    control_arrivals.append(control_ready)
+                    continue
+                if d == p:
+                    at = t
+                else:
+                    t += send_us
+                    token_messages += 1
+                    at = t + latency_us
+                    succ = ~succ
+                events = pending.get(at)
+                if events is None:
+                    pending[at] = [succ]
+                    heappush(times, at)
+                else:
+                    events.append(succ)
+
+            busy[p] += t - start
+            ready[p] = t
 
     # Token messages are counted where they are pushed but priced here,
     # after the loop, so the float operations keep the reference's order.
     n_messages += token_messages
     network_busy += token_messages * latency_us
 
-    makespan = max([match_start + costs.constant_tests_us]
-                   + ready + control_arrivals)
+    # Every two-input activation is processed exactly once, on the
+    # processor owning its bucket.
+    if slots is None:
+        makespan = max([floor_ready] + ready + control_arrivals)
+        activations = [0] * n_procs
+        for p in map(dest.__getitem__, index.counted):
+            activations[p] += 1
+        left_activations = [0] * n_procs
+        for p in map(dest.__getitem__, index.counted_left):
+            left_activations[p] += 1
+    else:
+        counts = Counter(map(dest.__getitem__, index.counted))
+        left_counts = Counter(map(dest.__getitem__, index.counted_left))
+        touched = dict.fromkeys(shippers)
+        touched.update(counts)
+        # Untouched processors all sit exactly at floor_ready, so
+        # including the floor once makes this max equal the dense one.
+        makespan = max([floor_ready] + [ready[p] for p in touched]
+                       + control_arrivals)
+        touched_busy = {}
+        for p in touched:
+            touched_busy[p] = busy[p]
+            ready[p] = floor_ready
+            busy[p] = floor_busy
+        busy = SparseProcArray(n_procs, floor_busy, touched_busy)
+        activations = SparseProcArray(n_procs, 0, counts)
+        left_activations = SparseProcArray(n_procs, 0, left_counts)
     return CycleResult(index=cycle.index, makespan_us=makespan,
                        proc_busy_us=busy,
                        proc_activations=activations,
@@ -584,20 +683,16 @@ def _idle_cycle_result(n_procs: int, costs: CostModel,
     a million executions of the dense loop with one of these plus a
     repeat count.
     """
-    send_us = overheads.send_us
-    recv_us = overheads.recv_us
-    latency_us = overheads.latency_us
-    match_start = send_us + latency_us + recv_us
+    floor_ready, floor_busy = _floors(costs, overheads)
     return CycleResult(
         index=0,
-        makespan_us=match_start + costs.constant_tests_us,
-        proc_busy_us=SparseProcArray(
-            n_procs, recv_us + costs.constant_tests_us),
+        makespan_us=floor_ready,
+        proc_busy_us=SparseProcArray(n_procs, floor_busy),
         proc_activations=SparseProcArray(n_procs, 0),
         proc_left_activations=SparseProcArray(n_procs, 0),
         n_messages=1,
-        network_busy_us=latency_us if n_procs > 0 else 0.0,
-        control_busy_us=send_us)
+        network_busy_us=overheads.latency_us if n_procs > 0 else 0.0,
+        control_busy_us=overheads.send_us)
 
 
 def _idle_cycle_result_faulty(n_procs: int, costs: CostModel,
@@ -644,139 +739,6 @@ def _idle_cycle_result_faulty(n_procs: int, costs: CostModel,
         if ready > makespan:
             makespan = ready
     return replace(base, makespan_us=makespan, stall_us=stall_us)
-
-
-def _simulate_cycle_active(cycle: CycleTrace, n_procs: int,
-                           costs: CostModel,
-                           overheads: OverheadModel,
-                           mapping: BucketMapping,
-                           search_costs: Optional[Dict[int, float]] = None
-                           ) -> CycleResult:
-    """O(active work) mirror of :func:`_simulate_cycle`.
-
-    Identical event processing, but per-processor state lives in dicts
-    keyed by the processors the cycle actually touches; everyone else
-    sits at the closed-form post-broadcast floor (``floor_ready`` /
-    ``floor_busy``), supplied as dict-lookup defaults and as the
-    :class:`~repro.mpc.metrics.SparseProcArray` defaults of the result.
-    Because an untouched processor's dense-loop value *is* exactly the
-    floor, and every operation on a touched processor uses the same
-    operands in the same order as the dense loop, the result is
-    bit-identical — at O(events) cost instead of O(P + events).
-    """
-    send_us = overheads.send_us
-    recv_us = overheads.recv_us
-    latency_us = overheads.latency_us
-    left_us = costs.left_token_us
-    right_us = costs.right_token_us + _TEST_MUTATE_RIGHT_TOKEN_US
-    successor_us = costs.successor_us
-    acts = cycle.activations
-    get_extra = (search_costs or {}).get
-    index = cycle.key_index()
-    dest_of = index.destinations(mapping)
-    base = index.base
-
-    # --- step 1: broadcast -------------------------------------------------
-    control_busy = send_us
-    match_start = send_us + latency_us + recv_us
-    network_busy = latency_us if n_procs > 0 else 0.0
-    n_messages = 1  # the broadcast packet
-
-    # --- step 2: constant tests — the floor every processor starts at ------
-    floor_ready = match_start + costs.constant_tests_us
-    floor_busy = recv_us + costs.constant_tests_us
-    ready: Dict[int, float] = {}
-    busy: Dict[int, float] = {}
-    activations: Dict[int, int] = {}
-    left_activations: Dict[int, int] = {}
-    ready_get = ready.get
-    busy_get = busy.get
-    activations_get = activations.get
-    left_get = left_activations.get
-
-    seq = 0
-    token_messages = 0
-    queue: list = []
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    control_arrivals: List[float] = []
-    control_ready = control_busy  # control is busy until broadcast sent
-
-    def send_to_control(depart: float) -> None:
-        nonlocal control_busy, control_ready, network_busy, n_messages
-        n_messages += 1
-        network_busy += latency_us
-        arrive = depart + latency_us
-        control_ready = max(control_ready, arrive) + recv_us
-        control_busy += recv_us
-        control_arrivals.append(control_ready)
-
-    for root in cycle.roots():
-        owner = dest_of[root.act_id - base]
-        if root.kind == KIND_TERMINAL:
-            depart = ready_get(owner, floor_ready) + send_us
-            busy[owner] = busy_get(owner, floor_busy) + send_us
-            ready[owner] = depart
-            send_to_control(depart)
-            continue
-        seq += 1
-        heappush(queue, (ready_get(owner, floor_ready), seq, owner,
-                         False, root))
-
-    # --- steps 3-4: event loop ---------------------------------------------
-    while queue:
-        arrival, _, p, via_message, act = heappop(queue)
-        proc_ready = ready_get(p, floor_ready)
-        start = proc_ready if proc_ready > arrival else arrival
-        t = start
-        if via_message:
-            t += recv_us
-        t += left_us if act.side == LEFT else right_us
-        extra = get_extra(act.act_id)
-        if extra is not None:
-            t += extra
-        activations[p] = activations_get(p, 0) + 1
-        if act.side == LEFT:
-            left_activations[p] = left_get(p, 0) + 1
-
-        for succ_id in act.successors:
-            succ = acts[succ_id]
-            t += successor_us
-            if succ.kind == KIND_TERMINAL:
-                t += send_us
-                send_to_control(t)
-                continue
-            dest = dest_of[succ_id - base]
-            seq += 1
-            if dest == p:
-                heappush(queue, (t, seq, p, False, succ))
-            else:
-                t += send_us
-                token_messages += 1
-                heappush(queue, (t + latency_us, seq, dest, True, succ))
-
-        busy[p] = busy_get(p, floor_busy) + (t - start)
-        ready[p] = t
-
-    # Token messages are counted where they are pushed but priced here,
-    # after the loop, so the float operations keep the reference's order.
-    n_messages += token_messages
-    network_busy += token_messages * latency_us
-
-    # Untouched processors all sit exactly at floor_ready, so including
-    # the floor once makes this max bit-identical to the dense one.
-    makespan = max([floor_ready] + list(ready.values())
-                   + control_arrivals)
-    return CycleResult(index=cycle.index, makespan_us=makespan,
-                       proc_busy_us=SparseProcArray(
-                           n_procs, floor_busy, busy),
-                       proc_activations=SparseProcArray(
-                           n_procs, 0, activations),
-                       proc_left_activations=SparseProcArray(
-                           n_procs, 0, left_activations),
-                       n_messages=n_messages,
-                       network_busy_us=network_busy,
-                       control_busy_us=control_busy)
 
 
 def simulate_base(trace: SectionTrace,

@@ -1,6 +1,8 @@
 """Tokenizer for the OPS5 source syntax.
 
-The lexer is a straightforward single-pass scanner.  It understands:
+The lexer is one compiled master pattern matched across the source
+(``_TOKEN_RE``); each match is one token, comment or whitespace run.
+It understands:
 
 * parentheses and braces,
 * the arrow ``-->`` separating LHS from RHS,
@@ -18,8 +20,9 @@ Positions are tracked so parse errors point at the source.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Dict, Iterator, List
 
 from .errors import LexError
 from .values import Value, coerce_atom
@@ -54,9 +57,6 @@ class Token:
         return f"{self.type.name}({self.text!r})@{self.line}:{self.column}"
 
 
-#: Characters that terminate a bare atom.
-_DELIMITERS = set(" \t\r\n(){}^;|")
-
 #: Atoms that are operators rather than values when seen in test position.
 OPERATOR_ATOMS = {"=", "<>", "<", "<=", ">", ">=", "<=>"}
 
@@ -72,137 +72,83 @@ def tokenize(source: str) -> List[Token]:
     return list(_scan(source))
 
 
+#: One bare-atom character: anything but a delimiter or '<' (which
+#: only starts operator atoms and variables).
+_ATOM_CHAR = r"[^ \t\r\n(){}^;|<]"
+#: One variable-name character: no delimiter, and the name ends at the
+#: first '>'.
+_VAR_CHAR = r"[^ \t\r\n(){}^;|>]"
+
+#: One master pattern, alternatives in the order the scanner tries
+#: them at each position.  Every character starts some alternative, so
+#: consecutive matches tile the source.
+_TOKEN_RE = re.compile("|".join((
+    r"(?P<ws>[ \t\r\n]+)",
+    r"(?P<comment>;[^\n]*)",
+    # '-->' before '-('; '<<' but not '<<=' (that '<' scans below).
+    r"(?P<punct>[(){}]|-->|-(?=\()|<<(?!=)|>>)",
+    rf"(?P<attr>\^{_ATOM_CHAR}*)",
+    r"(?P<op><=>|<[=>])",
+    rf"(?P<var><{_VAR_CHAR}+>)",
+    r"(?P<lt><)",
+    # A doubled bar inside is a literal '|' (see values.format_value);
+    # the closing bar is the first one not followed by another.
+    r"(?P<quoted>\|(?:[^|]|\|\|)*\|(?!\|))",
+    r"(?P<unterminated>\|)",
+    rf"(?P<atom>{_ATOM_CHAR}+)",
+    r"(?P<bad>[\s\S])",
+)))
+
+_PUNCT = {"(": TokenType.LPAREN, ")": TokenType.RPAREN,
+          "{": TokenType.LBRACE, "}": TokenType.RBRACE,
+          "-->": TokenType.ARROW, "-": TokenType.NEGATION,
+          "<<": TokenType.LDISJ, ">>": TokenType.RDISJ}
+
+
 def _scan(source: str) -> Iterator[Token]:
-    i = 0
     line = 1
-    col = 1
-    n = len(source)
-
-    def advance(k: int = 1) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            advance()
+    line_start = 0  # index of the first character of the current line
+    ATOM = TokenType.ATOM
+    #: bare atom text -> its value; programs repeat a few symbols often
+    atoms: Dict[str, Value] = {}
+    for m in _TOKEN_RE.finditer(source):
+        kind = m.lastgroup
+        text = m.group()
+        start = m.start()
+        if kind == "ws":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = start + text.rindex("\n") + 1
             continue
-        if ch == ";":
-            while i < n and source[i] != "\n":
-                advance()
-            continue
-        tok_line, tok_col = line, col
-        if ch == "(":
-            advance()
-            yield Token(TokenType.LPAREN, "(", "(", tok_line, tok_col)
-            continue
-        if ch == ")":
-            advance()
-            yield Token(TokenType.RPAREN, ")", ")", tok_line, tok_col)
-            continue
-        if ch == "{":
-            advance()
-            yield Token(TokenType.LBRACE, "{", "{", tok_line, tok_col)
-            continue
-        if ch == "}":
-            advance()
-            yield Token(TokenType.RBRACE, "}", "}", tok_line, tok_col)
-            continue
-        if source.startswith("-->", i):
-            advance(3)
-            yield Token(TokenType.ARROW, "-->", "-->", tok_line, tok_col)
-            continue
-        if ch == "-" and i + 1 < n and source[i + 1] == "(":
-            # CE negation; the '(' is produced as its own token next.
-            advance()
-            yield Token(TokenType.NEGATION, "-", "-", tok_line, tok_col)
-            continue
-        if ch == "^":
-            advance()
-            start = i
-            while i < n and source[i] not in _DELIMITERS and source[i] != "<":
-                advance()
-            name = source[start:i]
+        col = start - line_start + 1
+        if kind == "atom":
+            value = atoms.get(text)
+            if value is None:
+                value = atoms[text] = coerce_atom(text)
+            yield Token(ATOM, text, value, line, col)
+        elif kind == "punct":
+            yield Token(_PUNCT[text], text, text, line, col)
+        elif kind == "attr":
+            name = text[1:]
             if not name:
-                raise LexError("empty attribute name after '^'",
-                               tok_line, tok_col)
-            yield Token(TokenType.ATTRIBUTE, f"^{name}", name,
-                        tok_line, tok_col)
-            continue
-        if source.startswith("<<", i) and not source.startswith("<<=", i):
-            advance(2)
-            yield Token(TokenType.LDISJ, "<<", "<<", tok_line, tok_col)
-            continue
-        if source.startswith(">>", i):
-            advance(2)
-            yield Token(TokenType.RDISJ, ">>", ">>", tok_line, tok_col)
-            continue
-        if ch == "<":
-            # Could be a variable <x>, or one of the operators <, <=, <>, <=>.
-            rest = source[i:i + 3]
-            if rest.startswith("<=>"):
-                advance(3)
-                yield Token(TokenType.ATOM, "<=>", "<=>", tok_line, tok_col)
-                continue
-            if rest.startswith("<=") or rest.startswith("<>"):
-                op = rest[:2]
-                advance(2)
-                yield Token(TokenType.ATOM, op, op, tok_line, tok_col)
-                continue
-            end = source.find(">", i + 1)
-            newline = source.find("\n", i + 1)
-            if (end == -1 or (newline != -1 and newline < end)
-                    or end == i + 1):
-                # A lone '<' operator (e.g. "^size < 5").
-                advance()
-                yield Token(TokenType.ATOM, "<", "<", tok_line, tok_col)
-                continue
-            name = source[i + 1:end]
-            if any(c in _DELIMITERS for c in name):
-                advance()
-                yield Token(TokenType.ATOM, "<", "<", tok_line, tok_col)
-                continue
-            advance(end - i + 1)
-            yield Token(TokenType.VARIABLE, f"<{name}>", name,
-                        tok_line, tok_col)
-            continue
-        if ch == "|":
-            # Scan to the closing bar; a doubled bar inside is a
-            # literal "|" (see values.format_value).
-            pieces = []
-            j = i + 1
-            while True:
-                end = source.find("|", j)
-                if end == -1:
-                    raise LexError("unterminated |quoted symbol|",
-                                   tok_line, tok_col)
-                pieces.append(source[j:end])
-                if end + 1 < n and source[end + 1] == "|":
-                    pieces.append("|")
-                    j = end + 2
-                    continue
-                break
-            text = "".join(pieces)
-            advance(end - i + 1)
-            yield Token(TokenType.ATOM, f"|{text}|", text, tok_line,
-                        tok_col)
-            continue
-        # Bare atom.
-        start = i
-        while i < n and source[i] not in _DELIMITERS and source[i] != "<":
-            # Allow '<' inside atoms only for operator atoms handled above,
-            # so stop at it here.
-            advance()
-        text = source[start:i]
-        if not text:
-            raise LexError(f"unexpected character {ch!r}", tok_line, tok_col)
-        yield Token(TokenType.ATOM, text, coerce_atom(text),
-                    tok_line, tok_col)
+                raise LexError("empty attribute name after '^'", line, col)
+            yield Token(TokenType.ATTRIBUTE, text, name, line, col)
+        elif kind == "var":
+            yield Token(TokenType.VARIABLE, text, text[1:-1], line, col)
+        elif kind == "op" or kind == "lt":
+            yield Token(ATOM, text, text, line, col)
+        elif kind == "quoted":
+            value = text[1:-1].replace("||", "|")
+            yield Token(ATOM, f"|{value}|", value, line, col)
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = start + text.rindex("\n") + 1
+        elif kind == "unterminated":
+            raise LexError("unterminated |quoted symbol|", line, col)
+        elif kind == "bad":
+            raise LexError(f"unexpected character {text!r}", line, col)
+        # comment: skipped
 
-    yield Token(TokenType.EOF, "", "", line, col)
+    yield Token(TokenType.EOF, "", "", line, len(source) - line_start + 1)

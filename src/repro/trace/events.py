@@ -93,16 +93,29 @@ class TraceActivation:
         return len(self.successors)
 
 
+def _compact(values: List[int], limit: int) -> array:
+    """*values* (all in ``range(limit)``) in the narrowest unsigned array."""
+    code = "B" if limit <= 0x100 else "H" if limit <= 0x10000 else "I"
+    return array(code, values)
+
+
 @dataclass(frozen=True, slots=True)
 class CycleKeyIndex:
-    """A cycle's bucket keys, compiled once for every simulation of it.
+    """A cycle compiled once for every simulation of it.
 
     Routing an activation means mapping its bucket key to a processor.
     A cycle touches far fewer distinct keys than it has activations, and
     a sweep replays the same cycle at many processor counts, so the keys
     are deduplicated and hashed here once; each simulation then maps the
     distinct keys (:meth:`destinations`) and never hashes a
-    :class:`~repro.rete.hashing.BucketKey` again.
+    :class:`~repro.rete.hashing.BucketKey` again.  The same walk lays
+    out the lean event table the simulator's loop runs on, so no
+    simulation compares a side or kind string per event.
+
+    Every per-activation entry is addressed by *position*, ``act_id -
+    base``.  Recorded programs number activations across a whole
+    section, so positions keep the arrays as long as the cycle, not the
+    section; gaps between sparse act_ids hold zeros.
 
     Attributes
     ----------
@@ -111,37 +124,78 @@ class CycleKeyIndex:
     hashes:
         ``stable_hash`` of each key, parallel to *keys*.
     base:
-        The cycle's lowest act_id.  Recorded programs number activations
-        across a whole section, so positions are offsets from it.
+        The cycle's lowest act_id.
     key_of:
-        ``key_of[act_id - base]`` is the position in *keys* of that
-        activation's key (gaps between sparse act_ids hold 0).
+        ``key_of[pos]`` is the position in *keys* of that activation's
+        key.
+    left:
+        ``left[pos]`` is 1 for a left two-input activation.
+    successors:
+        ``successors[pos]`` is the activation's successor act_ids — its
+        own tuple, shared, not a copy; ``()`` for terminals.
+    roots:
+        Root positions in act_id order, a terminal root stored as
+        ``~pos`` (negative).
+    terminals:
+        Positions of terminal activations (instantiations).
+    counted / counted_left:
+        Positions of the two-input activations, and of the left ones:
+        what the per-processor activation counters count.
     """
 
     keys: Tuple[BucketKey, ...]
     hashes: array
     base: int
     key_of: array
+    left: bytes
+    successors: List[Tuple[int, ...]]
+    roots: array
+    terminals: array
+    counted: array
+    counted_left: array
 
     @classmethod
     def build(cls, ordered: List[TraceActivation]) -> "CycleKeyIndex":
         """Index *ordered* activations (ascending act_id)."""
         if not ordered:
-            return cls((), array("Q"), 0, array("B"))
+            return _EMPTY_INDEX
         base = ordered[0].act_id
-        key_of = [0] * (ordered[-1].act_id - base + 1)
+        span = ordered[-1].act_id - base + 1
+        key_of = [0] * span
+        left = bytearray(span)
+        successors: List[Tuple[int, ...]] = [()] * span
+        roots: List[int] = []
+        terminals: List[int] = []
+        counted: List[int] = []
+        counted_left: List[int] = []
         slot: Dict[BucketKey, int] = {}
+        slot_get = slot.get
+        count = counted.append
+        count_left = counted_left.append
         for act in ordered:
+            pos = act.act_id - base
             key = act.key
-            k = slot.get(key)
+            k = slot_get(key)
             if k is None:
                 k = slot[key] = len(slot)
-            key_of[act.act_id - base] = k
+            key_of[pos] = k
+            if act.kind == KIND_TERMINAL:
+                terminals.append(pos)
+                if act.parent_id is None:
+                    roots.append(~pos)
+                continue
+            count(pos)
+            if act.side == LEFT:
+                left[pos] = 1
+                count_left(pos)
+            successors[pos] = act.successors
+            if act.parent_id is None:
+                roots.append(pos)
         keys = tuple(slot)
-        code = "B" if len(keys) <= 0xFF else \
-            "H" if len(keys) <= 0xFFFF else "I"
         return cls(keys, array("Q", map(stable_hash, keys)), base,
-                   array(code, key_of))
+                   _compact(key_of, len(keys)), bytes(left), successors,
+                   array("l", roots), _compact(terminals, span),
+                   _compact(counted, span), _compact(counted_left, span))
 
     def destinations(self, mapping) -> List[int]:
         """Every activation's processor under *mapping*, indexed like
@@ -150,20 +204,27 @@ class CycleKeyIndex:
         return [procs[k] for k in self.key_of]
 
 
+#: The index of every empty cycle (shared: indexes are never mutated).
+_EMPTY_INDEX = CycleKeyIndex((), array("Q"), 0, array("B"), b"", [],
+                             array("l"), array("B"), array("B"),
+                             array("B"))
+
+
 @dataclass(slots=True)
 class CycleTrace:
     """All activations of one MRA cycle, indexed by act_id.
 
-    Iteration order (ascending act_id), the roots and the bucket-key
+    Iteration order (ascending act_id), the roots and the compiled
     index (:meth:`key_index`) are computed lazily and cached — the
     simulators walk each cycle several times per run, and re-sorting or
     re-hashing on every walk dominated their profile.  The caches are
-    dropped on :meth:`add` and left out of pickles; the objects returned
-    by :meth:`ordered`, :meth:`roots` and :meth:`key_index` are shared,
-    so callers must not mutate them.  Only act_ids and keys are indexed:
-    successors may be rewritten in place (trace transforms and the
-    synthetic generators do), so they are always read from the
-    activations.
+    dropped on :meth:`add` and :meth:`invalidate` and left out of
+    pickles; the objects returned by :meth:`ordered`, :meth:`roots` and
+    :meth:`key_index` are shared, so callers must not mutate them.  The
+    index captures each activation's key, side, kind, parent link and
+    successor tuple: code that rewrites any of them in place after the
+    cycle may have been simulated (trace transforms do) must call
+    :meth:`invalidate`.
     """
 
     index: int
@@ -188,9 +249,12 @@ class CycleTrace:
                 f"duplicate act_id {activation.act_id} in cycle "
                 f"{self.index}")
         self.activations[activation.act_id] = activation
-        self._ordered = None
-        self._roots = None
-        self._key_index = None
+        self.invalidate()
+
+    def invalidate(self) -> None:
+        """Drop the cached order, roots and index; call after rewriting
+        activations in place."""
+        self._ordered = self._roots = self._key_index = None
 
     def ordered(self) -> List[TraceActivation]:
         """All activations in ascending act_id order (cached)."""
@@ -206,7 +270,7 @@ class CycleTrace:
         return self._roots
 
     def key_index(self) -> CycleKeyIndex:
-        """The cycle's bucket keys compiled for routing (cached)."""
+        """The cycle compiled for routing and simulation (cached)."""
         if self._key_index is None:
             self._key_index = CycleKeyIndex.build(self.ordered())
         return self._key_index

@@ -74,6 +74,7 @@ def _rebuild_successors(cycle: CycleTrace) -> None:
             children.setdefault(act.parent_id, []).append(act.act_id)
     for act in cycle.activations.values():
         act.successors = tuple(sorted(children.get(act.act_id, ())))
+    cycle.invalidate()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Round compression, the active-set loop and the streaming path.
+"""Round compression, sparse per-processor state and the streaming path.
 
 The contract under test is strong: with ``compress_rounds=True`` the
 simulator must produce results *bit-identical* to the exact dense loop
@@ -404,3 +404,49 @@ def test_cli_compress_rounds_composes_with_faults(capsys):
                  "--compress-rounds", "--loss", "0.01"]) == 0
     out = capsys.readouterr().out
     assert "rubik" in out
+
+
+# -- O(active work): no O(P) state per active cycle --------------------------
+
+def test_active_cycles_allocate_no_per_processor_state():
+    """2,000 one-activation cycles at P=65,536: after the first cycle
+    (which allocates the simulation's per-processor lists once), no
+    cycle's peak allocation comes anywhere near one O(P) list, and the
+    results kept for all of them stay far below one list per cycle."""
+    import tracemalloc
+
+    n_procs, n_cycles = 65_536, 2_000
+    one_list = 8 * n_procs  # one pointer per processor
+    cycles = []
+    for index in range(1, n_cycles + 1):
+        cycle = CycleTrace(index=index)
+        cycle.add(TraceActivation(
+            act_id=1, parent_id=None, node_id=1 + index % 7, kind="join",
+            side="right", tag="+",
+            key=BucketKey(1 + index % 7, (index % 11,)),
+            successors=()))
+        cycles.append(cycle)
+    config = RunConfig(n_procs=n_procs, compress_rounds=True)
+    kept = []
+    cycle_peaks = []
+    tracemalloc.start()
+    try:
+        results = iter_cycle_results(iter(cycles), config)
+        kept.append(next(results))
+        for _ in range(n_cycles - 1):
+            tracemalloc.reset_peak()
+            current, _ = tracemalloc.get_traced_memory()
+            pair = next(results)
+            cycle_peaks.append(tracemalloc.get_traced_memory()[1]
+                               - current)
+            kept.append(pair)
+        total, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == n_cycles and all(k == 1 for _, k in kept)
+    assert max(cycle_peaks) < one_list / 16
+    assert total < n_cycles * one_list / 100
+    for (result, _), cycle in zip(kept[:3], cycles):
+        assert _identical(result, simulate_config(
+            SectionTrace("one", [cycle]), RunConfig(n_procs=n_procs)
+        ).cycles[0])

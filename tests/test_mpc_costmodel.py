@@ -59,3 +59,25 @@ class TestOverheadModel:
 
     def test_label(self):
         assert OverheadModel(send_us=5, recv_us=3).label() == "8us"
+
+
+class TestNonNegative:
+    @pytest.mark.parametrize("field", ["constant_tests_us", "left_token_us",
+                                       "right_token_us", "successor_us",
+                                       "delete_search_us"])
+    def test_cost_model_rejects_negative_times(self, field):
+        with pytest.raises(ValueError, match=field):
+            CostModel(**{field: -1.0})
+
+    @pytest.mark.parametrize("field", ["send_us", "recv_us", "latency_us"])
+    def test_overhead_model_rejects_negative_times(self, field):
+        with pytest.raises(ValueError, match=field):
+            OverheadModel(**{field: -0.5})
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            OverheadModel(latency_us=float("nan"))
+
+    def test_zero_is_allowed(self):
+        assert CostModel(successor_us=0.0).successor_us == 0.0
+        assert OverheadModel(latency_us=0.0) == ZERO_OVERHEADS

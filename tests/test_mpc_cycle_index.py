@@ -1,15 +1,17 @@
 """Differential tests for the cached cycle key index.
 
-Every routing consumer — the dense, active-set, fault/protocol and
-timeline-recorded event loops and the live executors' ``build_plans`` —
-resolves destinations through :meth:`CycleTrace.key_index`.  These
-tests hold each of them to :mod:`repro.mpc._reference` (which still
-calls ``mapping.processor_for`` per activation) and to fingerprints of
+Every routing consumer — the event loop (dense and compressed), the
+fault/protocol and timeline-recorded loops and the live executors'
+``build_plans`` — resolves destinations through
+:meth:`CycleTrace.key_index`.  These tests hold each of them to
+:mod:`repro.mpc._reference` (which still calls
+``mapping.processor_for`` per activation) and to fingerprints of
 the per-cycle results the per-simulation ``key -> processor`` dicts
 produced before the index existed, across round robin, random,
 explicit and per-cycle greedy mappings, deletion-search surcharges,
 per-cycle and section-global act_id numbering, sparse act_ids, pickling
-and cache invalidation on :meth:`CycleTrace.add`.
+and cache invalidation on :meth:`CycleTrace.add` and on successors
+rewritten in place; the compressed path is also pinned at P=4096.
 """
 
 import copy
@@ -34,6 +36,7 @@ from repro.ops5 import parse_program
 from repro.rete.hashing import BucketKey, stable_hash
 from repro.trace import (CycleTrace, SectionTrace, TraceActivation,
                          record_program)
+from repro.trace.transform import _rebuild_successors
 from repro.trace.validate import validate_trace
 from repro.workloads import rubik_section
 from repro.workloads.match import tourney_match_program
@@ -69,6 +72,18 @@ PARENT_FINGERPRINTS = {
     "plans":
         "51ff54f8d5bf1888238fd8143d51936b38b99ab805d0ceb64993219775dc32fc",
 }
+
+
+#: Processor count of the large-P compressed fingerprint: far more
+#: processors than any cycle touches, so almost every slot is the floor.
+LARGE_P = 4096
+
+#: sha256 of the compressed path's per-cycle output at ``LARGE_P`` over
+#: every trace x mapping x cost model (see :func:`large_p_fingerprint`),
+#: as produced by the dict-state active-set loop before the dense and
+#: compressed paths shared one event loop.
+LARGE_P_FINGERPRINT = \
+    "e458dcd7f80330ff2ce6da700f1ad323609f8a74172beb67b1c0098a96733d71"
 
 
 def _sparse(section: SectionTrace) -> SectionTrace:
@@ -184,6 +199,23 @@ def path_fingerprints(matrix) -> dict:
     return {name: h.hexdigest() for name, h in hashers.items()}
 
 
+def large_p_fingerprint(traces) -> str:
+    """sha256 of every compressed ``LARGE_P`` simulation over *traces*."""
+    hasher = hashlib.sha256()
+    for trace in traces:
+        for mapping in MAPPINGS:
+            for costs in COSTS:
+                config = RunConfig(
+                    n_procs=LARGE_P, costs=costs, overheads=OV8,
+                    compress_rounds=True,
+                    **_mapping_kwargs(mapping, LARGE_P, trace))
+                result = simulate_config(trace, config)
+                hasher.update(repr(result.repeats).encode())
+                for cycle in result.expanded().cycles:
+                    hasher.update(repr(_canon(cycle)).encode())
+    return hasher.hexdigest()
+
+
 @pytest.fixture(scope="module")
 def traces():
     out = _traces()
@@ -284,7 +316,90 @@ class TestAgainstReference:
         assert path_fingerprints(matrix) == PARENT_FINGERPRINTS
 
 
+class TestLargeP:
+    def test_compressed_matches_results_before_one_loop(self, traces):
+        assert large_p_fingerprint(traces) == LARGE_P_FINGERPRINT
+
+    def test_compressed_equals_dense(self, traces):
+        config = RunConfig(n_procs=LARGE_P, overheads=OV8,
+                           costs=COSTS[1])
+        dense = simulate_config(traces[1], config)
+        compressed = simulate_config(
+            traces[1], config.replace(compress_rounds=True))
+        assert [_canon(c) for c in compressed.expanded().cycles] \
+            == [_canon(c) for c in dense.cycles]
+
+
+def _fresh(trace: SectionTrace) -> SectionTrace:
+    """*trace* through a pickle round trip: no cached order or index."""
+    return pickle.loads(pickle.dumps(trace))
+
+
+def _simulations(trace: SectionTrace) -> list:
+    """Dense and compressed results at a few processor counts."""
+    out = []
+    for n_procs in PROCS:
+        for compress in (False, True):
+            config = RunConfig(n_procs=n_procs, overheads=OV8,
+                               costs=COSTS[1], compress_rounds=compress)
+            out.append([_canon(c) for c in
+                        simulate_config(trace, config).expanded().cycles])
+    return out
+
+
 class TestCacheLifecycle:
+    def test_rebuilt_successors_after_simulation(self, traces):
+        """Re-parenting an activation and rebuilding successors in place
+        (what unsharing does) drops the compiled table."""
+        trace = copy.deepcopy(traces[1])
+        before = _simulations(trace)
+        moved = 0
+        for cycle in trace:
+            stale = cycle.key_index()
+            acts = cycle.ordered()
+            child = next((a for a in reversed(acts)
+                          if a.parent_id is not None
+                          and a.kind != "terminal"), None)
+            parent = next((a for a in acts if a.act_id < child.act_id
+                           and a.act_id != child.parent_id
+                           and a.kind != "terminal"), None) \
+                if child is not None else None
+            if parent is None:
+                continue
+            child.parent_id = parent.act_id
+            _rebuild_successors(cycle)
+            index = cycle.key_index()
+            assert index is not stale
+            assert child.act_id in index.successors[
+                parent.act_id - index.base]
+            moved += 1
+        assert moved > 5
+        validate_trace(trace)
+        after = _simulations(trace)
+        assert after == _simulations(_fresh(trace))
+        assert after != before
+
+    def test_add_then_rewrite_after_simulation(self, traces):
+        """The trace builder's order — ``add()`` a child, then extend its
+        parent's successors — after the cycle was simulated."""
+        trace = copy.deepcopy(traces[0])
+        before = _simulations(trace)
+        for cycle in trace:
+            parent = next(a for a in cycle.ordered()
+                          if a.kind != "terminal")
+            for offset, kind in ((1, "join"), (2, "terminal")):
+                act_id = max(cycle.activations) + 1
+                cycle.add(TraceActivation(
+                    act_id=act_id, parent_id=parent.act_id,
+                    node_id=parent.node_id + offset, kind=kind,
+                    side="left", tag="+",
+                    key=BucketKey(parent.node_id + offset, (offset,))))
+                parent.successors = parent.successors + (act_id,)
+        validate_trace(trace)
+        after = _simulations(trace)
+        assert after == _simulations(_fresh(trace))
+        assert after != before
+
     def test_add_after_simulation_invalidates(self, traces):
         trace = copy.deepcopy(traces[1].slice(0, 2))
         config = RunConfig(n_procs=3, overheads=OV8)

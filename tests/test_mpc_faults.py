@@ -22,7 +22,8 @@ from repro.mpc import (DEFAULT_PROTOCOL, TABLE_5_1, FailStop, FaultModel,
                        fault_sweep, plan_delivery, run_grid, simulate,
                        simulate_base, simulate_config, speedup)
 from repro.mpc._reference import simulate_reference
-from repro.mpc.faults import counter_u01
+from repro.mpc.faults import (_STREAM_DUP, _STREAM_JITTER, _STREAM_LOSS,
+                              _message_u01, counter_prefix, counter_u01)
 from repro.workloads import rubik_section, tourney_section, weaver_section
 
 from tests.test_simulator_properties import random_traces
@@ -96,6 +97,86 @@ class TestDeliveryPlan:
         a = plan_delivery(faults, DEFAULT_PROTOCOL, 2, 7)
         b = plan_delivery(faults, DEFAULT_PROTOCOL, 2, 7)
         assert a == b
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _oracle_u01(seed, *counters):
+    """The counter-based draw as first written: one splitmix64 round for
+    the seed and one per counter, nothing hoisted."""
+    def mix(x):
+        x &= _MASK64
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return x ^ (x >> 31)
+
+    x = mix(seed ^ 0x9E3779B97F4A7C15)
+    for c in counters:
+        x = mix(x ^ ((c * 0x9E3779B97F4A7C15) & _MASK64))
+    return x / float(1 << 64)
+
+
+_ids = st.integers(min_value=-2**40, max_value=2**63)
+
+
+class TestHoistedDraws:
+    """Each cycle hashes its ``(seed, cycle)`` prefix once; every draw
+    continued from it must equal the full counter-based draw."""
+
+    @given(seed=_ids, cycle=_ids, msg_id=_ids,
+           attempt=st.integers(min_value=0, max_value=64),
+           stream=st.sampled_from((_STREAM_LOSS, _STREAM_DUP,
+                                   _STREAM_JITTER)))
+    def test_prefixed_draw_equals_counter_u01(self, seed, cycle, msg_id,
+                                              attempt, stream):
+        want = _oracle_u01(seed, cycle, msg_id, attempt, stream)
+        assert counter_u01(seed, cycle, msg_id, attempt, stream) == want
+        prefix = counter_prefix(seed, cycle)
+        assert FaultModel(seed=seed).cycle_prefix(cycle) == prefix
+        assert _message_u01(prefix, msg_id, attempt, stream) == want
+
+    @given(seed=_ids, cycle=_ids, msg_id=_ids,
+           loss=st.sampled_from((0.0, 0.3, 1.0)),
+           dup=st.sampled_from((0.0, 0.5, 1.0)),
+           jitter=st.sampled_from((0.0, 12.5)))
+    def test_plan_equals_per_draw_model(self, seed, cycle, msg_id, loss,
+                                        dup, jitter):
+        faults = FaultModel(seed=seed, loss_prob=loss, dup_prob=dup,
+                            jitter_us=jitter)
+        proto = ProtocolModel(max_retries=4)
+        attempt = 0
+        while attempt < proto.max_retries and _oracle_u01(
+                seed, cycle, msg_id, attempt, _STREAM_LOSS) < loss:
+            assert faults.lost(cycle, msg_id, attempt)
+            attempt += 1
+        assert attempt == proto.max_retries \
+            or not faults.lost(cycle, msg_id, attempt)
+        duplicated = _oracle_u01(seed, cycle, msg_id, 0, _STREAM_DUP) < dup
+        assert faults.duplicated(cycle, msg_id) == duplicated
+        jitter_us = 0.0 if jitter == 0.0 else jitter * _oracle_u01(
+            seed, cycle, msg_id, attempt, _STREAM_JITTER)
+        assert faults.jitter(cycle, msg_id, attempt) == jitter_us
+        plan = plan_delivery(faults, proto, cycle, msg_id)
+        assert plan == plan_delivery(faults, proto, cycle, msg_id,
+                                     faults.cycle_prefix(cycle))
+        assert (plan.attempts, plan.duplicates, plan.jitter_us) \
+            == (attempt + 1, int(duplicated), jitter_us)
+
+    def test_zero_probabilities_skip_hashing(self, monkeypatch):
+        import repro.mpc.faults as faults_module
+
+        def boom(*args):
+            raise AssertionError("hashed a draw that cannot fire")
+
+        monkeypatch.setattr(faults_module, "_message_u01", boom)
+        faults = FaultModel(seed=9)
+        assert not faults.lost(3, 4, 0)
+        assert not faults.duplicated(3, 4)
+        assert faults.jitter(3, 4, 0) == 0.0
+        plan = plan_delivery(faults, DEFAULT_PROTOCOL, 3, 4)
+        assert (plan.attempts, plan.duplicates, plan.jitter_us) \
+            == (1, 0, 0.0)
 
 
 class TestZeroFaultTransparency:

@@ -248,3 +248,33 @@ class TestBucketWork:
         cycle.add(act(2, node=9, kind="terminal", side="left", parent=1))
         work = bucket_work(cycle)
         assert BucketKey(9, ()) not in work
+
+
+class TestEventOrderAtEqualTimes:
+    """The event queue drains each arrival time's events in push order.
+    Zero-cost models make many events share one time, including events
+    pushed at the very time being drained; every cycle must still match
+    the reference loop's heap of (arrival, sequence) entries."""
+
+    @pytest.mark.parametrize("costs", [
+        CostModel(constant_tests_us=0.0, left_token_us=0.0,
+                  right_token_us=0.0, successor_us=0.0),
+        CostModel(left_token_us=0.0, right_token_us=0.0),
+        CostModel(successor_us=0.0, delete_search_us=0.5),
+    ])
+    @pytest.mark.parametrize("overheads", [
+        ZERO_OVERHEADS, OverheadModel(send_us=0.0, recv_us=3.0),
+        OverheadModel(send_us=5.0, recv_us=0.0, latency_us=0.0)])
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_matches_reference(self, costs, overheads, compress):
+        from repro.mpc._reference import simulate_reference
+        from repro.workloads import rubik_section, weaver_section
+
+        for trace in (rubik_section().slice(0, 2), weaver_section()):
+            for n_procs in (1, 4, 32):
+                got = simulate_config(trace, RunConfig(
+                    n_procs=n_procs, costs=costs, overheads=overheads,
+                    compress_rounds=compress)).expanded()
+                want = simulate_reference(trace, n_procs, costs=costs,
+                                          overheads=overheads)
+                assert got.cycles == want.cycles

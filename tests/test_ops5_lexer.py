@@ -1,9 +1,20 @@
 """Unit tests for the OPS5 lexer."""
 
+import ast
+import pathlib
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.ops5.errors import LexError
 from repro.ops5.lexer import Token, TokenType, tokenize
+from repro.workloads import programs
+from repro.workloads.match import MATCH_PROGRAMS
+
+from tests import ops5_lexer_reference
+
+EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
 
 def types(source):
@@ -143,3 +154,71 @@ class TestRealisticProduction:
         assert ttypes[-1] is TokenType.EOF
         variables = [t.value for t in toks if t.type is TokenType.VARIABLE]
         assert variables == ["b2"]
+
+
+# -- the master pattern against the frozen per-character scanner -------------
+
+def _outcome(lex, source):
+    """Every token as a field tuple, or the error with its position."""
+    try:
+        return [(t.type, t.text, type(t.value), repr(t.value), t.line,
+                 t.column) for t in lex(source)]
+    except LexError as err:
+        return ("LexError", str(err), err.line, err.column)
+
+
+def _assert_same(source):
+    assert _outcome(tokenize, source) \
+        == _outcome(ops5_lexer_reference.tokenize, source)
+
+
+def _example_sources():
+    """Each example script's text, and every OPS5 program it embeds."""
+    for path in sorted(EXAMPLES.glob("*.py")):
+        text = path.read_text()
+        yield path.name, text
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Constant) and isinstance(node.value,
+                                                             str):
+                if "(p " in node.value or "literalize" in node.value:
+                    yield f"{path.name}:{node.lineno}", node.value
+
+
+#: Characters that steer the scanner, weighted into generated sources.
+_LEXICAL = list("()(){}^^<<>>||;;--= \t\r\n\n") + list("ab1.5e+x")
+
+
+class TestAgainstFrozenScanner:
+    @pytest.mark.parametrize("name", sorted(MATCH_PROGRAMS))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_match_programs(self, name, seed):
+        _assert_same(MATCH_PROGRAMS[name](seed))
+
+    def test_examples(self):
+        sources = list(_example_sources())
+        assert len(sources) > len(list(EXAMPLES.glob("*.py")))
+        for _, source in sources:
+            _assert_same(source)
+
+    def test_bundled_programs(self):
+        for source in (programs.BLOCKS_WORLD, programs.MONKEY_AND_BANANAS,
+                       programs.GRID_ROUTER):
+            _assert_same(source)
+
+    @pytest.mark.parametrize("source", [
+        "", "^", "^ x", "^<x>", "|", "|a", "||", "|||", "||||", "|a||",
+        "|a|||", "|a\nb|c", "<", "<>", "<=", "<=>", "<<", "<<=", "<<=x>",
+        "<a<b>", "<a b>", "<a\nb>", "< \n x>", ">>", ">>=", ">>>", "-->",
+        "--->", "-(", "- (", "a-->b", "x;c\n y", ";only", "\r\n\t(a)",
+        "1.5e3 -7 +2 .5", "(p a (b ^c <d>) --> (make e ^f |g h|))",
+    ])
+    def test_edge_cases(self, source):
+        _assert_same(source)
+
+    @given(st.text(alphabet=st.sampled_from(_LEXICAL), max_size=60))
+    def test_generated_lexical_soup(self, source):
+        _assert_same(source)
+
+    @given(st.text(max_size=40))
+    def test_generated_unicode(self, source):
+        _assert_same(source)
