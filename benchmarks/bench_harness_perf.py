@@ -5,9 +5,11 @@ Unlike its siblings, this benchmark measures the *harness itself* rather
 than a figure of the paper: how long it takes to obtain the three
 canonical sections (cold build vs warm cache) and to regenerate the
 Figure 5-1 sweep (pre-PR serial reference path vs the optimized
-simulator on a warm cache).  The pre-PR baseline is executed live from
-:mod:`repro.mpc._reference` — the preserved original event loop — so
-both sides of every ratio run on the same machine, in the same process.
+simulator on a warm cache), plus the fault/protocol loop and the greedy
+routing against their object- and dict-based forms.  The pre-PR
+baselines are executed live from :mod:`repro.mpc._reference` — the
+preserved original event loops — so both sides of every ratio run on
+the same machine, in the same process.
 ``test_live_sessions`` compares plain and supervised asyncio sessions
 the same way: both engines, alternating, in one process.
 
@@ -32,10 +34,13 @@ import repro.trace.cache as trace_cache
 from conftest import once
 from repro.exec import (RunResult, match_signature, run, run_section_async,
                         run_supervised_async)
-from repro.mpc import (DEFAULT_PROC_COUNTS, SCALE_PROC_COUNTS, RunConfig,
-                       SupervisePolicy, iter_cycle_results, speedup,
+from repro.mpc import (DEFAULT_PROC_COUNTS, SCALE_PROC_COUNTS, TABLE_5_1,
+                       FaultModel, GreedyMappingFactory, RunConfig,
+                       SupervisePolicy, bucket_work, greedy_mapping,
+                       iter_cycle_results, simulate_config, speedup,
                        speedup_curve)
-from repro.mpc._reference import simulate_reference
+from repro.mpc._reference import (simulate_reference,
+                                  simulate_with_faults_reference)
 from repro.mpc.simulator import simulate
 from repro.ops5 import parse_program
 from repro.rete.hashing import BucketKey
@@ -50,6 +55,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_JSON = ROOT / "BENCH_harness.json"
 
 SECTION_BUILDERS = (rubik_section, tourney_section, weaver_section)
+OVERHEAD_8US = next(o for o in TABLE_5_1 if o.total_us == 8)
 PROGRAM_BUILDERS = (blocks_world_trace, monkey_trace, router_trace)
 
 
@@ -164,6 +170,47 @@ def test_harness_perf(benchmark, report, workers):
         "reference_s": round(ref_s, 4),
         "optimized_s": round(opt_s, 4),
         "speedup": round(sim_speedup, 2),
+    }
+
+    # --- fault/protocol loop: object-based reference vs the table loop --
+    lossy = FaultModel(seed=0, loss_prob=0.01)
+    faulty_config = RunConfig(n_procs=16, overheads=OVERHEAD_8US,
+                              faults=lossy)
+    assert simulate_config(rubik, faulty_config).cycles == \
+        simulate_with_faults_reference(rubik, 16, lossy,
+                                       overheads=OVERHEAD_8US).cycles
+    ref_s = _best_of(lambda: simulate_with_faults_reference(
+        rubik, 16, lossy, overheads=OVERHEAD_8US), repeats=5)
+    opt_s = _best_of(lambda: simulate_config(rubik, faulty_config),
+                     repeats=5)
+    results["faulty_rubik_16procs"] = {
+        "what": "rubik at P=16, 8us overheads, loss 0.01",
+        "cpus": os.cpu_count(),
+        "reference_s": round(ref_s, 4),
+        "optimized_s": round(opt_s, 4),
+        "speedup": round(ref_s / opt_s, 2),
+    }
+
+    # --- greedy routing: dict-based greedy_mapping vs the factory -------
+    def _route_by_dict():
+        return [cycle.key_index().destinations(
+            greedy_mapping(bucket_work(cycle), 16)) for cycle in rubik]
+
+    def _route_by_factory():
+        factory = GreedyMappingFactory(16)
+        return [cycle.key_index().destinations(factory(cycle))
+                for cycle in rubik]
+
+    assert _route_by_factory() == _route_by_dict()
+    dict_s = _best_of(_route_by_dict, repeats=5)
+    factory_s = _best_of(_route_by_factory, repeats=5)
+    results["greedy_rubik_16procs"] = {
+        "what": "route every rubik cycle at P=16 under the greedy "
+                "distribution, cold work cache on both sides",
+        "cpus": os.cpu_count(),
+        "greedy_mapping_s": round(dict_s, 4),
+        "factory_s": round(factory_s, 4),
+        "speedup": round(dict_s / factory_s, 2),
     }
 
     # --- sweeps: serial vs parallel grid --------------------------------

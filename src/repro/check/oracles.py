@@ -17,6 +17,14 @@ paths that are documented to produce *identical* results.  The pairs:
     (loss, duplicates, jitter, stall windows, fail-stops) against the
     exact faulty loop: fault draws are keyed to absolute cycle
     indices, so idle-round compression may not move a single fault.
+``faults_vs_reference``
+    The fault/protocol loop on the compiled cycle table against the
+    preserved object-based fault loop
+    (:func:`repro.mpc._reference.simulate_cycle_with_faults_reference`)
+    under a per-case drawn :class:`FaultModel` (loss, duplicates,
+    jitter, stall windows — one on a processor outside the machine —
+    and fail-stops), :class:`~repro.mpc.ProtocolModel`, mapping and
+    deletion-search cost: every field of every cycle bitwise identical.
 ``fault_null_dispatch``
     ``RunConfig(faults=<null FaultModel>)`` must dispatch onto the exact
     fault-free path: bit-identical results, fault counters included.
@@ -89,13 +97,14 @@ import zlib
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-from ..mpc import (DEFAULT_COSTS, TABLE_5_1, ZERO_OVERHEADS, FaultModel,
-                   RunConfig, SupervisePolicy, simulate,
-                   simulate_config)
-from ..mpc._reference import simulate_reference
+from ..mpc import (DEFAULT_COSTS, TABLE_5_1, ZERO_OVERHEADS, CostModel,
+                   FaultModel, ProtocolModel, RunConfig, SimResult,
+                   SupervisePolicy, simulate, simulate_config)
+from ..mpc._reference import (simulate_reference,
+                              simulate_with_faults_reference)
 from ..mpc.faults import (DEFAULT_PROTOCOL, FailStop, StallWindow,
                           simulate_cycle_with_faults)
-from ..mpc.mapping import RoundRobinMapping
+from ..mpc.mapping import RandomMapping, RoundRobinMapping
 from ..mpc.parallel import ENV_FORCE_POOL, GridPoint, run_grid
 from ..mpc.simulator import compute_search_costs
 from ..mpc.timeline import TimelineRecorder
@@ -239,6 +248,54 @@ def compressed_vs_exact_faults(case: TraceCase) -> Optional[str]:
         return (f"compressed faulty n_messages "
                 f"{compressed.n_messages} != exact "
                 f"{exact.n_messages} at P={n_procs}")
+    return None
+
+
+def faults_vs_reference(case: TraceCase) -> Optional[str]:
+    """The table-driven fault loop equals the object-based one bitwise."""
+    rng = _draws(case, "faults_vs_reference")
+    n_procs = rng.choice(_PROC_CHOICES)
+    overheads = rng.choice((ZERO_OVERHEADS,) + TABLE_5_1)
+    indices = [c.index for c in case.trace.cycles]
+    stalls = []
+    failures = []
+    if rng.random() < 0.5:
+        for _ in range(rng.randint(1, 3)):
+            start = rng.uniform(0.0, 80.0)
+            stalls.append(StallWindow(
+                proc=rng.randrange(n_procs + 1), start_us=start,
+                end_us=start + rng.uniform(0.0, 300.0),
+                cycle=rng.choice(indices + [None])))
+    if indices and rng.random() < 0.3:
+        failures.append(FailStop(proc=rng.randrange(n_procs),
+                                 cycle=rng.choice(indices),
+                                 recovery_us=rng.uniform(100.0, 5000.0)))
+    model = FaultModel(seed=case.seed ^ (case.index << 8),
+                       loss_prob=rng.choice((0.0, 0.01, 0.1, 0.5)),
+                       dup_prob=rng.choice((0.0, 0.05, 0.3)),
+                       jitter_us=rng.choice((0.0, 2.5, 40.0)),
+                       stalls=tuple(stalls), failures=tuple(failures))
+    protocol = rng.choice((DEFAULT_PROTOCOL, ProtocolModel(
+        timeout_us=rng.uniform(10.0, 300.0),
+        backoff=rng.choice((1.0, 1.5, 3.0)),
+        max_retries=rng.randrange(4))))
+    costs = rng.choice((DEFAULT_COSTS, CostModel(delete_search_us=1.5)))
+    mapping = rng.choice((RoundRobinMapping(n_procs),
+                          RandomMapping(n_procs, seed=case.index)))
+    # The loop itself, not the dispatch: a null draw must still run it.
+    search = compute_search_costs(case.trace, costs)
+    got = SimResult(trace_name=case.trace.name, n_procs=n_procs, cycles=[
+        simulate_cycle_with_faults(cycle, n_procs, costs, overheads,
+                                   mapping, model, protocol,
+                                   search.get(cycle.index, {}))
+        for cycle in case.trace])
+    want = simulate_with_faults_reference(
+        case.trace, n_procs, model, costs=costs, overheads=overheads,
+        mapping=mapping, protocol=protocol)
+    diff = _diff_results(got, want)
+    if diff:
+        return (f"fault loop != reference at P={n_procs}, "
+                f"overheads={overheads.label()}: {diff}")
     return None
 
 
@@ -571,6 +628,7 @@ ORACLES: Tuple[Oracle, ...] = (
     Oracle("compressed_vs_exact", "trace", compressed_vs_exact),
     Oracle("compressed_vs_exact_faults", "trace",
            compressed_vs_exact_faults),
+    Oracle("faults_vs_reference", "trace", faults_vs_reference),
     Oracle("fault_null_dispatch", "trace", fault_null_dispatch),
     Oracle("protocol_zero_fault", "trace", protocol_zero_fault),
     Oracle("recorder_invisible", "trace", recorder_invisible),

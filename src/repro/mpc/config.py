@@ -10,8 +10,8 @@ sweep engines, the oracles — had to thread through separately.
 names a complete machine configuration, shared by the discrete
 simulator (:func:`repro.mpc.simulator.simulate_config`) and by every
 executor backend in :mod:`repro.exec`.  ``simulate(trace, n_procs,
-**kw)`` survives as a thin shim that warns (``DeprecationWarning``)
-when the sprawl keywords are used.
+costs=..., overheads=...)`` survives as the short spelling of a
+round-robin, fault-free run; the sprawl keywords are gone.
 
 ``RunConfig.from_args`` absorbs the CLI's flag validation (overhead
 row lookup, fault-model and protocol construction), raising

@@ -20,11 +20,15 @@ faults becomes a measurable axis:
   retry budget (the final attempt is carried by a link-level reliable
   fallback, so the simulation always terminates).
 * :func:`simulate_cycle_with_faults` — the fault-aware counterpart of
-  the optimized event loop in :mod:`repro.mpc.simulator`, charging
-  send/receive overheads for every ack and retry so degradation shows
-  up in the :class:`~repro.mpc.metrics.SimResult` counters
-  (``retransmits``, ``duplicate_drops``, ``acks``, ``timeout_wait_us``,
-  ``stall_us``, ``recovery_us``).
+  the event loop in :mod:`repro.mpc.simulator`, on the same compiled
+  cycle table (:meth:`~repro.trace.events.CycleTrace.key_index`),
+  charging send/receive overheads for every ack and retry so
+  degradation shows up in the :class:`~repro.mpc.metrics.SimResult`
+  counters (``retransmits``, ``duplicate_drops``, ``acks``,
+  ``timeout_wait_us``, ``stall_us``, ``recovery_us``).  Each data
+  message's delivery plan is drawn once, at its send.  The
+  object-based loop it replaced is kept in :mod:`repro.mpc._reference`
+  as its oracle.
 
 Determinism
 -----------
@@ -58,9 +62,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..trace.events import KIND_TERMINAL, LEFT, CycleTrace
+from ..trace.events import CycleTrace
 from .costmodel import CostModel, OverheadModel
 from .mapping import BucketMapping
 from .metrics import CycleResult
@@ -312,6 +316,46 @@ class DeliveryPlan:
         return self.attempts - 1
 
 
+def _planner(faults: FaultModel, protocol: ProtocolModel, prefix: int
+             ) -> Callable[[int], Tuple[int, float, float, int]]:
+    """The delivery draws of one cycle, as a function of the message id.
+
+    ``plan(msg_id)`` resolves one data message to ``(attempts,
+    timeout_wait_us, jitter_us, duplicates)``, the fields of a
+    :class:`DeliveryPlan`.  *prefix* is ``faults.cycle_prefix(cycle)``.
+    The draws are exactly :meth:`FaultModel.lost`,
+    :meth:`~FaultModel.jitter` and :meth:`~FaultModel.duplicated`.  The
+    fault loop calls ``plan`` once per message, at its send, and
+    :func:`plan_delivery` wraps its tuple: one draw implementation.
+    """
+    loss_prob = faults.loss_prob
+    jitter_scale = faults.jitter_us
+    dup_prob = faults.dup_prob
+    first_timeout = protocol.timeout_us
+    backoff = protocol.backoff
+    max_retries = protocol.max_retries
+
+    def plan(msg_id: int) -> Tuple[int, float, float, int]:
+        attempt = 0
+        wait = 0.0
+        if loss_prob != 0.0:
+            timeout = first_timeout
+            while attempt < max_retries and _message_u01(
+                    prefix, msg_id, attempt, _STREAM_LOSS) < loss_prob:
+                wait += timeout
+                timeout *= backoff
+                attempt += 1
+        jitter = 0.0
+        if jitter_scale != 0.0:
+            jitter = jitter_scale * _message_u01(
+                prefix, msg_id, attempt, _STREAM_JITTER)
+        duplicates = 1 if dup_prob != 0.0 and _message_u01(
+            prefix, msg_id, 0, _STREAM_DUP) < dup_prob else 0
+        return attempt + 1, wait, jitter, duplicates
+
+    return plan
+
+
 def plan_delivery(faults: FaultModel, protocol: ProtocolModel,
                   cycle: int, msg_id: int,
                   prefix: Optional[int] = None) -> DeliveryPlan:
@@ -324,25 +368,7 @@ def plan_delivery(faults: FaultModel, protocol: ProtocolModel,
     """
     if prefix is None:
         prefix = faults.cycle_prefix(cycle)
-    loss_prob = faults.loss_prob
-    wait = 0.0
-    timeout = protocol.timeout_us
-    attempt = 0
-    if loss_prob != 0.0:
-        while attempt < protocol.max_retries and _message_u01(
-                prefix, msg_id, attempt, _STREAM_LOSS) < loss_prob:
-            wait += timeout
-            timeout *= protocol.backoff
-            attempt += 1
-    jitter_us = 0.0
-    if faults.jitter_us != 0.0:
-        jitter_us = faults.jitter_us * _message_u01(
-            prefix, msg_id, attempt, _STREAM_JITTER)
-    dup_prob = faults.dup_prob
-    duplicates = 1 if dup_prob != 0.0 and _message_u01(
-        prefix, msg_id, 0, _STREAM_DUP) < dup_prob else 0
-    return DeliveryPlan(attempts=attempt + 1, timeout_wait_us=wait,
-                        jitter_us=jitter_us, duplicates=duplicates)
+    return DeliveryPlan(*_planner(faults, protocol, prefix)(msg_id))
 
 
 def simulate_cycle_with_faults(
@@ -353,10 +379,14 @@ def simulate_cycle_with_faults(
         recorder: Optional["TimelineRecorder"] = None) -> CycleResult:
     """One cycle of the Section 3.2 mapping under *faults* + *protocol*.
 
-    Structured exactly like the optimized loop in
-    :mod:`repro.mpc.simulator`, with three insertions: delivery plans
-    (loss/retry/duplication/jitter) for every data message, ack
-    accounting on both ends, and processor stall/recovery windows.
+    Runs on the cycle's compiled table like the fault-free loop in
+    :mod:`repro.mpc.simulator` — integer events (a position, ``~pos``
+    for one that came as a message) on a heap of distinct arrival
+    times — with three insertions: a delivery plan (loss, retries,
+    duplication, jitter) drawn once per data message, at its send; ack
+    accounting on both ends; and processor stall/recovery windows.
+    Every sent message's plan is priced into the cycle's counters after
+    the loop, in send order.
 
     With a :class:`~repro.mpc.timeline.TimelineRecorder` the same loop
     also emits typed spans — including the protocol machinery (acks,
@@ -367,67 +397,27 @@ def simulate_cycle_with_faults(
     send_us = overheads.send_us
     recv_us = overheads.recv_us
     latency_us = overheads.latency_us
+    per_copy = recv_us + send_us
     left_us = costs.left_token_us
     right_us = costs.right_token_us
     successor_us = costs.successor_us
-    acts = cycle.activations
-    get_extra = (search_costs or {}).get
+    tests_us = costs.constant_tests_us
     cycle_index = cycle.index
-
-    record = recorder is not None
-    if record:
-        from .timeline import (CAT_ACK, CAT_BROADCAST, CAT_CONSTANT_TESTS,
-                               CAT_RECV, CAT_RETRANSMIT, CAT_SEND,
-                               CAT_STALL, CAT_SUCCESSOR, CAT_TIMEOUT_WAIT,
-                               CAT_TOKEN_ADD, CAT_TOKEN_DELETE,
-                               CAT_TRANSIT, CONTROL, NETWORK,
-                               CycleTimeline, Envelope, Span)
-        spans: List["Span"] = []
-        envelopes: List["Envelope"] = []
-        add_span = spans.append
-        add_envelope = envelopes.append
-
-        def record_sender_side(proc: int, depart_base: float,
-                               plan: DeliveryPlan, msg_id: int) -> None:
-            """Sender busy spans: one send per attempt, one ack receipt."""
-            s = depart_base
-            for attempt in range(plan.attempts):
-                add_span(Span(CAT_SEND if attempt == 0 else CAT_RETRANSMIT,
-                              proc, s, s + send_us, msg_id))
-                s += send_us
-            add_span(Span(CAT_ACK, proc, s, s + recv_us, msg_id))
-
-        def record_data_transits(depart_base: float, arrive: float,
-                                 plan: DeliveryPlan, msg_id: int) -> None:
-            """Network occupancy of every data copy, plus timeout waits."""
-            first_wire = depart_base + send_us
-            if plan.timeout_wait_us > 0:
-                add_span(Span(CAT_TIMEOUT_WAIT, NETWORK, first_wire,
-                              first_wire + plan.timeout_wait_us, msg_id))
-            for _ in range(plan.retransmits):  # the lost copies
-                add_span(Span(CAT_RETRANSMIT, NETWORK, first_wire,
-                              first_wire + latency_us, msg_id))
-            add_span(Span(CAT_TRANSIT, NETWORK,
-                          arrive - (latency_us + plan.jitter_us), arrive,
-                          msg_id))
-            for _ in range(plan.duplicates):
-                add_span(Span(CAT_TRANSIT, NETWORK, arrive - latency_us,
-                              arrive, msg_id))
-
-        def record_ack_transits(after: float, copies: int,
-                                msg_id: int) -> None:
-            for _ in range(copies):
-                add_span(Span(CAT_ACK, NETWORK, after, after + latency_us,
-                              msg_id))
+    index = cycle.key_index()
+    dest = index.destinations(mapping)
+    base = index.base
+    left = index.left
+    successors = index.successors
+    extra_of = search_costs or None
 
     # Fault-model state for this cycle.
-    prefix = faults.cycle_prefix(cycle_index)
+    draw = _planner(faults, protocol, faults.cycle_prefix(cycle_index))
     windows = faults.windows_for_cycle(cycle_index, n_procs)
     recovery_us = faults.recovery_in_cycle(cycle_index, n_procs)
-    retransmits = 0
-    duplicate_drops = 0
-    acks = 0
-    timeout_wait_us = 0.0
+    #: every message's plan, in send order (priced after the loop)
+    sent: List[Tuple[int, float, float, int]] = []
+    #: the duplicate count of the message delivering each position
+    dup_of = [0] * len(left) if faults.dup_prob != 0.0 else None
     stall_us = 0.0
 
     def past_stalls(p: int, t: float) -> float:
@@ -440,15 +430,63 @@ def simulate_cycle_with_faults(
                 t = end
         return t
 
-    index = cycle.key_index()
-    dest_of = index.destinations(mapping)
-    base = index.base
+    record = recorder is not None
+    if record:
+        from .timeline import (CAT_ACK, CAT_BROADCAST, CAT_CONSTANT_TESTS,
+                               CAT_RECV, CAT_RETRANSMIT, CAT_SEND,
+                               CAT_STALL, CAT_SUCCESSOR, CAT_TIMEOUT_WAIT,
+                               CAT_TOKEN_ADD, CAT_TOKEN_DELETE,
+                               CAT_TRANSIT, CONTROL, NETWORK,
+                               CycleTimeline, Envelope, Span)
+        acts = cycle.activations
+        #: the plan of the message delivering each position
+        plan_of: list = [None] * len(left)
+        spans: List["Span"] = []
+        envelopes: List["Envelope"] = []
+        add_span = spans.append
+        add_envelope = envelopes.append
+
+        def record_send(proc: int, depart: float, arrive: float,
+                        plan: tuple, msg_id: int) -> None:
+            """Sender busy spans — one send per attempt, one ack
+            receipt — and the network occupancy of every data copy,
+            plus timeout waits."""
+            attempts, wait, jitter, dups = plan
+            s = depart
+            for attempt in range(attempts):
+                add_span(Span(CAT_SEND if attempt == 0 else CAT_RETRANSMIT,
+                              proc, s, s + send_us, msg_id))
+                s += send_us
+            add_span(Span(CAT_ACK, proc, s, s + recv_us, msg_id))
+            first_wire = depart + send_us
+            if wait > 0:
+                add_span(Span(CAT_TIMEOUT_WAIT, NETWORK, first_wire,
+                              first_wire + wait, msg_id))
+            for _ in range(attempts - 1):  # the lost copies
+                add_span(Span(CAT_RETRANSMIT, NETWORK, first_wire,
+                              first_wire + latency_us, msg_id))
+            add_span(Span(CAT_TRANSIT, NETWORK,
+                          arrive - (latency_us + jitter), arrive, msg_id))
+            for _ in range(dups):
+                add_span(Span(CAT_TRANSIT, NETWORK, arrive - latency_us,
+                              arrive, msg_id))
+
+        def record_receipt(proc: int, begin: float, copies: int,
+                           msg_id: int) -> None:
+            """Receive and ack every copy, then the acks' transits."""
+            b = begin
+            for _ in range(copies):
+                add_span(Span(CAT_RECV, proc, b, b + recv_us, msg_id))
+                add_span(Span(CAT_ACK, proc, b + recv_us,
+                              b + recv_us + send_us, msg_id))
+                b += per_copy
+            for _ in range(copies):
+                add_span(Span(CAT_ACK, NETWORK, b, b + latency_us,
+                              msg_id))
 
     # --- step 1: broadcast (reliable, as documented) -----------------------
     control_busy = send_us
     match_start = send_us + latency_us + recv_us
-    network_busy = latency_us if n_procs > 0 else 0.0
-    n_messages = 1  # the broadcast packet
     if record:
         add_span(Span(CAT_BROADCAST, CONTROL, 0.0, send_us))
         if n_procs > 0:
@@ -456,169 +494,178 @@ def simulate_cycle_with_faults(
                           send_us + latency_us))
 
     # --- step 2: constant tests, start pushed past stall windows -----------
-    ready = []
-    for p in range(n_procs):
+    # Only processors with windows can start late; stall_us starts at
+    # +0.0 and gains only non-negative terms, so skipping the others'
+    # zero terms (unless recording their spans) leaves it bit-identical.
+    floor_ready = match_start + tests_us
+    ready = [floor_ready] * n_procs
+    busy = [recv_us + tests_us] * n_procs
+    for p in range(n_procs) if record else sorted(windows):
         start = past_stalls(p, match_start)
         stall_us += start - match_start
+        ready[p] = start + tests_us
         if record:
             add_span(Span(CAT_RECV, p, send_us + latency_us, match_start))
             if start > match_start:
                 add_span(Span(CAT_STALL, p, match_start, start))
-            add_span(Span(CAT_CONSTANT_TESTS, p, start,
-                          start + costs.constant_tests_us))
-        ready.append(start + costs.constant_tests_us)
-    busy = [recv_us + costs.constant_tests_us] * n_procs
-    activations = [0] * n_procs
-    left_activations = [0] * n_procs
+            add_span(Span(CAT_CONSTANT_TESTS, p, start, ready[p]))
 
-    seq = 0
-    queue: list = []
-    heappush = heapq.heappush
-    heappop = heapq.heappop
     control_arrivals: List[float] = []
     control_ready = control_busy  # control is busy until broadcast sent
 
-    def send_to_control(depart_base: float, msg_id: int,
-                        sender: int) -> float:
+    def to_control(depart: float, msg_id: int, sender: int) -> float:
         """Reliable-protocol instantiation send; returns the sender's
         time after all send-side protocol costs."""
-        nonlocal control_busy, control_ready, network_busy, n_messages
-        nonlocal retransmits, duplicate_drops, acks, timeout_wait_us
-        plan = plan_delivery(faults, protocol, cycle_index, msg_id,
-                             prefix)
-        copies = plan.attempts + plan.duplicates
-        retransmits += plan.retransmits
-        duplicate_drops += plan.duplicates
-        timeout_wait_us += plan.timeout_wait_us
-        acks += 1 + plan.duplicates
-        # Data copies + one ack per received copy cross the network.
-        n_messages += copies + 1 + plan.duplicates
-        network_busy += latency_us * (copies + 1 + plan.duplicates) \
-            + plan.jitter_us
-        # Sender: one send overhead per attempt, one ack receipt.
-        t = depart_base + send_us * plan.attempts + recv_us
-        arrive = depart_base + send_us + plan.timeout_wait_us \
-            + latency_us + plan.jitter_us
+        nonlocal control_busy, control_ready
+        plan = draw(msg_id)
+        sent.append(plan)
+        attempts, wait, jitter, dups = plan
+        t = depart + send_us * attempts + recv_us
+        arrive = depart + send_us + wait + latency_us + jitter
         # Control: FIFO receipt of every copy, one ack send per copy.
-        per_copy = recv_us + send_us
-        begin = max(control_ready, arrive)
-        control_ready = begin + per_copy * (1 + plan.duplicates)
-        control_busy += per_copy * (1 + plan.duplicates)
+        begin = arrive if arrive > control_ready else control_ready
+        control_ready = begin + per_copy * (1 + dups)
+        control_busy += per_copy * (1 + dups)
         control_arrivals.append(control_ready)
         if record:
-            record_sender_side(sender, depart_base, plan, msg_id)
-            record_data_transits(depart_base, arrive, plan, msg_id)
-            b = begin
-            for _ in range(1 + plan.duplicates):
-                add_span(Span(CAT_RECV, CONTROL, b, b + recv_us, msg_id))
-                add_span(Span(CAT_ACK, CONTROL, b + recv_us,
-                              b + recv_us + send_us, msg_id))
-                b += per_copy
-            record_ack_transits(b, 1 + plan.duplicates, msg_id)
+            record_send(sender, depart, arrive, plan, msg_id)
+            record_receipt(CONTROL, begin, 1 + dups, msg_id)
         return t
 
-    for root in cycle.roots():
-        owner = dest_of[root.act_id - base]
-        if root.kind == KIND_TERMINAL:
-            start = past_stalls(owner, ready[owner])
-            stall_us += start - ready[owner]
-            if record and start > ready[owner]:
-                add_span(Span(CAT_STALL, owner, ready[owner], start))
-            t = send_to_control(start, root.act_id, owner)
-            if record:
-                add_envelope(Envelope(root.act_id, None, owner, start,
-                                      t, False))
-            busy[owner] += t - start
-            ready[owner] = t
+    #: The event queue, as in the fault-free loop: a heap of distinct
+    #: arrival times, each with its events in push order.
+    times: List[float] = []
+    pending: Dict[float, list] = {}
+    heappush = heapq.heappush
+    heappop = heapq.heappop
+
+    for r in index.roots:
+        if r >= 0:
+            at = ready[dest[r]]
+            events = pending.get(at)
+            if events is None:
+                pending[at] = [r]
+                heappush(times, at)
+            else:
+                events.append(r)
             continue
-        seq += 1
-        heappush(queue, (ready[owner], seq, owner, False, root))
+        # A single-CE instantiation, shipped by its bucket's owner.
+        owner = dest[~r]
+        start = ready[owner]
+        if windows:
+            stalled = past_stalls(owner, start)
+            stall_us += stalled - start
+            if record and stalled > start:
+                add_span(Span(CAT_STALL, owner, start, stalled))
+            start = stalled
+        t = to_control(start, ~r + base, owner)
+        if record:
+            add_envelope(Envelope(~r + base, None, owner, start, t,
+                                  False))
+        busy[owner] += t - start
+        ready[owner] = t
+    # Terminal successors route to the control processor.
+    for pos in index.terminals:
+        dest[pos] = -1
 
     # --- steps 3-4: event loop ---------------------------------------------
-    while queue:
-        arrival, _, p, via_message, act = heappop(queue)
-        proc_ready = ready[p]
-        start = proc_ready if proc_ready > arrival else arrival
-        stalled = past_stalls(p, start)
-        stall_us += stalled - start
-        if record and stalled > start:
-            add_span(Span(CAT_STALL, p, start, stalled))
-        start = stalled
-        t = start
-        env_wait_comm = 0.0
-        env_wait_protocol = 0.0
-        if via_message:
-            # Receive the data copy, ack it; drop + ack any duplicate.
-            plan = plan_delivery(faults, protocol, cycle_index,
-                                 act.act_id, prefix)
-            t += (recv_us + send_us) * (1 + plan.duplicates)
+    while times:
+        arrival = heappop(times)
+        for pos in pending.pop(arrival):
+            via_message = pos < 0
+            if via_message:
+                pos = ~pos
+            p = dest[pos]
+            proc_ready = ready[p]
+            start = proc_ready if proc_ready > arrival else arrival
+            if windows:
+                stalled = past_stalls(p, start)
+                stall_us += stalled - start
+                if record and stalled > start:
+                    add_span(Span(CAT_STALL, p, start, stalled))
+                start = stalled
+            t = start
+            if via_message:
+                # Receive the data copy, ack it; drop + ack any duplicate.
+                t += per_copy if dup_of is None \
+                    else per_copy * (1 + dup_of[pos])
             if record:
-                env_wait_comm = send_us + latency_us + plan.jitter_us
-                env_wait_protocol = plan.timeout_wait_us
-                b = start
-                for _ in range(1 + plan.duplicates):
-                    add_span(Span(CAT_RECV, p, b, b + recv_us,
-                                  act.act_id))
-                    add_span(Span(CAT_ACK, p, b + recv_us,
-                                  b + recv_us + send_us, act.act_id))
-                    b += recv_us + send_us
-                record_ack_transits(b, 1 + plan.duplicates, act.act_id)
-        token_start = t
-        t += left_us if act.side == LEFT else right_us
-        extra = get_extra(act.act_id)
-        if extra is not None:
-            t += extra
-        if record:
-            add_span(Span(CAT_TOKEN_ADD if act.tag == "+" else
-                          CAT_TOKEN_DELETE, p, token_start, t,
-                          act.act_id))
-        activations[p] += 1
-        if act.side == LEFT:
-            left_activations[p] += 1
+                act_id = pos + base
+                env_wait_comm = env_wait_protocol = 0.0
+                if via_message:
+                    _, wait, jitter, dups = plan_of[pos]
+                    env_wait_comm = send_us + latency_us + jitter
+                    env_wait_protocol = wait
+                    record_receipt(p, start, 1 + dups, act_id)
+                token_start = t
+            t += left_us if left[pos] else right_us
+            if extra_of is not None:
+                extra = extra_of.get(pos + base)
+                if extra is not None:
+                    t += extra
+            if record:
+                add_span(Span(CAT_TOKEN_ADD if acts[act_id].tag == "+"
+                              else CAT_TOKEN_DELETE, p, token_start, t,
+                              act_id))
 
-        for succ_id in act.successors:
-            succ = acts[succ_id]
-            gen_start = t
-            t += successor_us
-            if record:
-                add_span(Span(CAT_SUCCESSOR, p, gen_start, t, succ_id))
-            if succ.kind == KIND_TERMINAL:
-                t = send_to_control(t, succ_id, p)
-                continue
-            dest = dest_of[succ_id - base]
-            seq += 1
-            if dest == p:
-                heappush(queue, (t, seq, p, False, succ))
-            else:
-                plan = plan_delivery(faults, protocol, cycle_index,
-                                     succ_id, prefix)
-                copies = plan.attempts + plan.duplicates
-                retransmits += plan.retransmits
-                duplicate_drops += plan.duplicates
-                timeout_wait_us += plan.timeout_wait_us
-                acks += 1 + plan.duplicates
-                n_messages += copies + 1 + plan.duplicates
-                network_busy += latency_us * (copies + 1 + plan.duplicates) \
-                    + plan.jitter_us
-                arrive = t + send_us + plan.timeout_wait_us \
-                    + latency_us + plan.jitter_us
+            for succ_id in successors[pos]:
                 if record:
-                    record_sender_side(p, t, plan, succ_id)
-                    record_data_transits(t, arrive, plan, succ_id)
-                # Sender: send per attempt, then the ack receipt.
-                t += send_us * plan.attempts + recv_us
-                heappush(queue, (arrive, seq, dest, True, succ))
+                    add_span(Span(CAT_SUCCESSOR, p, t, t + successor_us,
+                                  succ_id))
+                t += successor_us
+                succ = succ_id - base
+                d = dest[succ]
+                if d < 0:
+                    t = to_control(t, succ_id, p)
+                    continue
+                if d == p:
+                    at = t
+                else:
+                    plan = draw(succ_id)
+                    sent.append(plan)
+                    attempts, wait, jitter, dups = plan
+                    if dups:
+                        dup_of[succ] = dups
+                    at = t + send_us + wait + latency_us + jitter
+                    if record:
+                        plan_of[succ] = plan
+                        record_send(p, t, at, plan, succ_id)
+                    # Sender: send per attempt, then the ack receipt.
+                    t += send_us * attempts + recv_us
+                    succ = ~succ
+                events = pending.get(at)
+                if events is None:
+                    pending[at] = [succ]
+                    heappush(times, at)
+                else:
+                    events.append(succ)
 
-        if record:
-            add_envelope(Envelope(act.act_id, act.parent_id, p, start, t,
-                                  via_message,
-                                  wait_comm_us=env_wait_comm,
-                                  wait_protocol_us=env_wait_protocol))
-        busy[p] += t - start
-        ready[p] = t
+            if record:
+                add_envelope(Envelope(act_id, acts[act_id].parent_id, p,
+                                      start, t, via_message,
+                                      wait_comm_us=env_wait_comm,
+                                      wait_protocol_us=env_wait_protocol))
+            busy[p] += t - start
+            ready[p] = t
 
-    makespan = max([match_start + costs.constant_tests_us]
-                   + ready + control_arrivals)
+    # Every message is priced here, in send order, so the float sums
+    # keep the order of pricing each message as it is sent.
+    network_busy = latency_us if n_procs > 0 else 0.0
+    n_messages = 1  # the broadcast packet
+    retransmits = duplicate_drops = acks = 0
+    timeout_wait_us = 0.0
+    for attempts, wait, jitter, dups in sent:
+        # Data copies + one ack per received copy cross the network.
+        copies = attempts + dups + 1 + dups
+        retransmits += attempts - 1
+        duplicate_drops += dups
+        timeout_wait_us += wait
+        acks += 1 + dups
+        n_messages += copies
+        network_busy += latency_us * copies + jitter
+
+    activations, left_activations = index.processor_counts(dest, n_procs)
+    makespan = max([floor_ready] + ready + control_arrivals)
     if record:
         recorder.add_cycle(CycleTimeline(
             index=cycle_index, n_procs=n_procs, makespan_us=makespan,

@@ -23,7 +23,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Protocol, Sequence
+from typing import Dict, List, Mapping, Optional, Protocol, Sequence
 
 from ..rete.hashing import BucketKey, stable_hash
 
@@ -129,6 +129,30 @@ class ExplicitMapping:
         return self.processors((key,), (stable_hash(key),))[0]
 
 
+def _lpt(works: Sequence[float], n_procs: int) -> List[int]:
+    """LPT placement of *works*, given heaviest first: each goes to the
+    least-loaded processor so far, ties to the lowest id."""
+    # A (load, proc) min-heap: the top is the least-loaded processor,
+    # ties going to the lowest id — exactly what a linear ``min`` scan
+    # over ``range(n_procs)`` picks, in O(log P) instead of O(P).
+    loads = [(0.0, p) for p in range(n_procs)]
+    procs = []
+    place = procs.append
+    for work in works:
+        load, target = loads[0]
+        place(target)
+        heapq.heapreplace(loads, (load + work, target))
+    return procs
+
+
+def _greedy_order(key: BucketKey, work: float) -> tuple:
+    """Sort key of the greedy order: heaviest first, ties broken by the
+    key's own (node_id, values) order — spelled out so that tuple
+    comparison never calls back into BucketKey's Python-level
+    ``__eq__``/``__lt__``."""
+    return (-work, key.node_id, key.values)
+
+
 def greedy_assignment(bucket_work: Mapping[BucketKey, float],
                       n_procs: int) -> Dict[BucketKey, int]:
     """Offline LPT greedy: heaviest bucket to the least-loaded processor.
@@ -140,21 +164,10 @@ def greedy_assignment(bucket_work: Mapping[BucketKey, float],
     multiprocessor scheduling (NP-complete), and LPT's low variance makes
     it "close to the optimal distribution".
     """
-    # A (load, proc) min-heap: the top is the least-loaded processor,
-    # ties going to the lowest id — exactly what a linear ``min`` scan
-    # over ``range(n_procs)`` picks, in O(log P) instead of O(P).
-    loads = [(0.0, p) for p in range(n_procs)]
-    assignment: Dict[BucketKey, int] = {}
-    # Sort heaviest first; ties broken by key for determinism — spelled
-    # as the key's own (node_id, values) order so that tuple comparison
-    # never calls back into BucketKey's Python-level __eq__/__lt__.
-    for key, work in sorted(bucket_work.items(),
-                            key=lambda kv: (-kv[1], kv[0].node_id,
-                                            kv[0].values)):
-        load, target = loads[0]
-        assignment[key] = target
-        heapq.heapreplace(loads, (load + work, target))
-    return assignment
+    items = sorted(bucket_work.items(),
+                   key=lambda kv: _greedy_order(*kv))
+    return dict(zip([key for key, _ in items],
+                    _lpt([work for _, work in items], n_procs)))
 
 
 def greedy_mapping(bucket_work: Mapping[BucketKey, float],
@@ -165,3 +178,34 @@ def greedy_mapping(bucket_work: Mapping[BucketKey, float],
                            assignment=greedy_assignment(bucket_work,
                                                         n_procs),
                            n_buckets=n_buckets)
+
+
+class IndexedMapping:
+    """A mapping precomputed for one cycle's distinct keys.
+
+    ``procs[k]`` owns ``keys[k]`` — the :attr:`~repro.trace.events
+    .CycleKeyIndex.keys` of one cycle's index — so routing that cycle
+    (which asks :meth:`processors` for exactly that tuple) is a lookup
+    with no key hashed.  Any other key is resolved through a key dict
+    built on first use, falling back to round robin like
+    :class:`ExplicitMapping`.
+    """
+
+    def __init__(self, n_procs: int, keys: Sequence[BucketKey],
+                 procs: List[int]) -> None:
+        self.n_procs = n_procs
+        self.keys = keys
+        self.procs = procs
+        self._explicit: Optional[ExplicitMapping] = None
+
+    def processors(self, keys: Sequence[BucketKey],
+                   hashes: Sequence[int]) -> List[int]:
+        if keys is self.keys:
+            return self.procs
+        if self._explicit is None:
+            self._explicit = ExplicitMapping(
+                self.n_procs, dict(zip(self.keys, self.procs)))
+        return self._explicit.processors(keys, hashes)
+
+    def processor_for(self, key: BucketKey) -> int:
+        return self.processors((key,), (stable_hash(key),))[0]

@@ -51,9 +51,16 @@ control processor.  From then on an event is one integer:
   two-input positions — each is processed exactly once, on the
   processor owning its bucket — not incremented per event.
 
-:mod:`repro.mpc._reference` preserves the original object-based loop;
-``tests/test_mpc_parallel.py`` and ``tests/test_mpc_cycle_index.py``
-assert both produce bit-identical results.
+The fault/protocol loop (:func:`repro.mpc.faults
+.simulate_cycle_with_faults`) runs on the same table with the same
+event encoding, and the offline greedy distribution routes from it:
+:class:`BucketWorkCache` prices and orders each cycle's keys once from
+the index columns, and :class:`GreedyMappingFactory` runs one LPT pass
+per processor count into a per-key processor list.
+
+:mod:`repro.mpc._reference` preserves the original object-based loops;
+``tests/test_mpc_parallel.py``, ``tests/test_mpc_cycle_index.py`` and
+``tests/test_mpc_faults.py`` assert both produce bit-identical results.
 
 Scaling to thousands of processors
 ----------------------------------
@@ -88,18 +95,18 @@ materialized.
 from __future__ import annotations
 
 import heapq
-import warnings
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import replace
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..rete.hashing import BucketKey
-from ..trace.events import (KIND_TERMINAL, LEFT, CycleTrace, IdleRun,
-                            SectionTrace, iter_cycles)
-from .config import MappingFactory, RunConfig
+from ..trace.events import (KIND_TERMINAL, CycleKeyIndex, CycleTrace,
+                            IdleRun, SectionTrace, iter_cycles)
+from .config import RunConfig
 from .costmodel import DEFAULT_COSTS, ZERO_OVERHEADS, CostModel, \
     OverheadModel
-from .mapping import BucketMapping, RoundRobinMapping, greedy_mapping
+from .mapping import (DEFAULT_N_BUCKETS, BucketMapping, IndexedMapping,
+                      RoundRobinMapping, _greedy_order, _lpt)
 from .metrics import CycleResult, SimResult, SparseProcArray
 
 #: Test-only mis-pricing hook for the conformance harness
@@ -113,45 +120,85 @@ from .metrics import CycleResult, SimResult, SparseProcArray
 _TEST_MUTATE_RIGHT_TOKEN_US = 0.0
 
 
+class _CyclePricing:
+    """One cycle's per-bucket work, priced once from its compiled index.
+
+    ``work[k]`` is the processing time of key id *k* (see
+    :class:`~repro.trace.events.CycleKeyIndex`), summed over
+    ``index.counted`` in ascending act_id order — the float order of a
+    walk over the cycle's activations.  ``priced`` lists the key ids
+    with two-input activity in first-use order; ``order`` is the same
+    ids heaviest first (the greedy order), with ``sorted_work`` their
+    work.  Key ids that only terminals use have no work entry.
+    """
+
+    __slots__ = ("index", "work", "priced", "order", "sorted_work")
+
+    def __init__(self, index: CycleKeyIndex, costs: CostModel) -> None:
+        left_us = costs.left_token_us
+        right_us = costs.right_token_us
+        successor_us = costs.successor_us
+        key_of = index.key_of
+        left = index.left
+        successors = index.successors
+        work = [0.0] * len(index.keys)
+        priced: Dict[int, None] = {}
+        for pos in index.counted:
+            k = key_of[pos]
+            priced[k] = None
+            work[k] += (left_us if left[pos] else right_us) \
+                + successor_us * len(successors[pos])
+        keys = index.keys
+        self.index = index
+        self.work = work
+        self.priced = list(priced)
+        self.order = sorted(priced,
+                            key=lambda k: _greedy_order(keys[k], work[k]))
+        self.sorted_work = [work[k] for k in self.order]
+
+    def as_dict(self) -> Dict[BucketKey, float]:
+        keys = self.index.keys
+        work = self.work
+        return {keys[k]: work[k] for k in self.priced}
+
+
 def bucket_work(cycle: CycleTrace,
                 costs: CostModel = DEFAULT_COSTS) -> Dict[BucketKey, float]:
     """Per-bucket processing time in *cycle* (greedy-distribution input).
 
     This is the "detailed trace of the activity in each bucket" the paper
-    feeds its offline greedy algorithm.
+    feeds its offline greedy algorithm, keyed in first-use order.
     """
-    work: Dict[BucketKey, float] = defaultdict(float)
-    left_us = costs.left_token_us
-    right_us = costs.right_token_us
-    successor_us = costs.successor_us
-    for act in cycle.ordered():
-        if act.kind == KIND_TERMINAL:
-            continue
-        work[act.key] += (left_us if act.side == LEFT else right_us) \
-            + successor_us * len(act.successors)
-    return dict(work)
+    return _CyclePricing(cycle.key_index(), costs).as_dict()
 
 
 class BucketWorkCache:
-    """Memoized :func:`bucket_work`, shared across sweep points.
+    """Memoized per-cycle bucket pricing, shared across sweep points.
 
     The greedy-distribution experiments rebuild a mapping per (cycle,
-    processor count) pair; the per-bucket activity depends only on the
-    cycle, so one cache serves every processor count of a sweep.  Cycles
-    are identified by object identity (a strong reference is kept, so an
-    id is never recycled while cached).
+    processor count) pair; the per-bucket activity and its greedy order
+    depend only on the cycle, so one cache serves every processor count
+    of a sweep.  Calling the cache returns :func:`bucket_work`'s dict.
+    Cycles are identified by object identity (a strong reference is
+    kept, so an id is never recycled while cached) and repriced when
+    their compiled index was rebuilt.
     """
 
     def __init__(self, costs: CostModel = DEFAULT_COSTS) -> None:
         self.costs = costs
         self._cache: Dict[int, tuple] = {}
 
-    def __call__(self, cycle: CycleTrace) -> Dict[BucketKey, float]:
+    def pricing(self, cycle: CycleTrace) -> _CyclePricing:
+        index = cycle.key_index()
         entry = self._cache.get(id(cycle))
-        if entry is None or entry[0] is not cycle:
-            entry = (cycle, bucket_work(cycle, self.costs))
+        if entry is None or entry[0] is not cycle \
+                or entry[1].index is not index:
+            entry = (cycle, _CyclePricing(index, self.costs))
             self._cache[id(cycle)] = entry
         return entry[1]
+
+    def __call__(self, cycle: CycleTrace) -> Dict[BucketKey, float]:
+        return self.pricing(cycle).as_dict()
 
     def __getstate__(self):
         # The cache keys are process-local object ids: never ship them
@@ -168,10 +215,14 @@ class GreedyMappingFactory:
     """Per-cycle idealized greedy (LPT) distribution, ready to share.
 
     A picklable :data:`MappingFactory`: pass
-    ``mapping_factory=GreedyMappingFactory(n_procs)`` to
-    :func:`simulate`, or build one per processor count around a shared
-    :class:`BucketWorkCache` so a whole sweep prices each cycle's bucket
-    activity once.
+    ``RunConfig(mapping_factory=GreedyMappingFactory(n_procs))``, or
+    build one per processor count around a shared
+    :class:`BucketWorkCache` so a whole sweep prices and orders each
+    cycle's bucket activity once.  Each call returns an
+    :class:`~repro.mpc.mapping.IndexedMapping` over the cycle's index
+    keys: the same routing as ``greedy_mapping(bucket_work(cycle), P)``
+    (keys without two-input work fall back to round robin), with no
+    bucket key hashed per processor count.
     """
 
     def __init__(self, n_procs: int,
@@ -181,8 +232,15 @@ class GreedyMappingFactory:
         self.work_cache = work_cache if work_cache is not None \
             else BucketWorkCache(costs)
 
-    def __call__(self, cycle: CycleTrace) -> BucketMapping:
-        return greedy_mapping(self.work_cache(cycle), self.n_procs)
+    def __call__(self, cycle: CycleTrace) -> IndexedMapping:
+        pricing = self.work_cache.pricing(cycle)
+        index = pricing.index
+        n_procs = self.n_procs
+        procs = [h % DEFAULT_N_BUCKETS % n_procs for h in index.hashes]
+        for k, p in zip(pricing.order,
+                        _lpt(pricing.sorted_work, n_procs)):
+            procs[k] = p
+        return IndexedMapping(n_procs, index.keys, procs)
 
 
 class _SearchCostTracker:
@@ -398,7 +456,7 @@ def simulate_config(trace, config: RunConfig) -> SimResult:
     """Simulate *trace* under one :class:`~repro.mpc.config.RunConfig`.
 
     This is the engine entry point every executor backend and sweep
-    shares; :func:`simulate` is a thin compatibility wrapper around it,
+    shares; :func:`simulate` is its short round-robin, fault-free form,
     and :func:`iter_cycle_results` is the streaming core it collects.
 
     Parameters
@@ -441,35 +499,16 @@ def simulate_config(trace, config: RunConfig) -> SimResult:
 def simulate(trace: SectionTrace,
              n_procs: int,
              costs: CostModel = DEFAULT_COSTS,
-             overheads: OverheadModel = ZERO_OVERHEADS,
-             mapping: Optional[BucketMapping] = None,
-             mapping_factory: Optional[MappingFactory] = None,
-             faults: Optional["FaultModel"] = None,
-             protocol: Optional["ProtocolModel"] = None,
-             recorder: Optional["TimelineRecorder"] = None) -> SimResult:
-    """Simulate *trace* on *n_procs* match processors.
+             overheads: OverheadModel = ZERO_OVERHEADS) -> SimResult:
+    """Simulate *trace* on *n_procs* match processors, round robin and
+    fault-free.
 
-    Compatibility wrapper over :func:`simulate_config`.  The short form
-    — ``simulate(trace, n_procs, costs=..., overheads=...)`` — remains
-    the supported convenience spelling.  The remaining keywords
-    (*mapping*, *mapping_factory*, *faults*, *protocol*, *recorder*)
-    are **deprecated** here: build a
-    :class:`~repro.mpc.config.RunConfig` and call
-    :func:`simulate_config` instead.  Passing any of them emits a
-    ``DeprecationWarning`` (results are unchanged).
+    The short convenience spelling of :func:`simulate_config`; anything
+    else — a mapping, a mapping factory, faults, a protocol, a
+    recorder — goes in a :class:`~repro.mpc.config.RunConfig`.
     """
-    if (mapping is not None or mapping_factory is not None
-            or faults is not None or protocol is not None
-            or recorder is not None):
-        warnings.warn(
-            "passing mapping/mapping_factory/faults/protocol/recorder "
-            "to simulate() is deprecated; build a RunConfig and call "
-            "simulate_config(trace, config)",
-            DeprecationWarning, stacklevel=2)
     return simulate_config(trace, RunConfig(
-        n_procs=n_procs, costs=costs, overheads=overheads,
-        mapping=mapping, mapping_factory=mapping_factory,
-        faults=faults, protocol=protocol, recorder=recorder))
+        n_procs=n_procs, costs=costs, overheads=overheads))
 
 
 def _floors(costs: CostModel, overheads: OverheadModel
@@ -636,12 +675,8 @@ def _simulate_cycle(cycle: CycleTrace, n_procs: int, costs: CostModel,
     # processor owning its bucket.
     if slots is None:
         makespan = max([floor_ready] + ready + control_arrivals)
-        activations = [0] * n_procs
-        for p in map(dest.__getitem__, index.counted):
-            activations[p] += 1
-        left_activations = [0] * n_procs
-        for p in map(dest.__getitem__, index.counted_left):
-            left_activations[p] += 1
+        activations, left_activations = index.processor_counts(dest,
+                                                               n_procs)
     else:
         counts = Counter(map(dest.__getitem__, index.counted))
         left_counts = Counter(map(dest.__getitem__, index.counted_left))

@@ -22,9 +22,9 @@ from .costmodel import (DEFAULT_COSTS, TABLE_5_1, ZERO_OVERHEADS, CostModel,
                         OverheadModel)
 from .faults import FaultModel, ProtocolModel
 from .mapping import BucketMapping
-from .config import RunConfig
+from .config import MappingFactory, RunConfig
 from .metrics import SimResult, speedup
-from .simulator import MappingFactory, iter_cycle_results, simulate_config
+from .simulator import iter_cycle_results, simulate_config
 
 #: The loss rates of the canonical degradation curve (the fault-sweep
 #: analogue of the paper's Table 5-1 overhead rows).

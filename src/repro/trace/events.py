@@ -203,6 +203,19 @@ class CycleKeyIndex:
         procs = mapping.processors(self.keys, self.hashes)
         return [procs[k] for k in self.key_of]
 
+    def processor_counts(self, dest: List[int], n_procs: int
+                         ) -> Tuple[List[int], List[int]]:
+        """Per-processor counts of the two-input activations, and of
+        the left ones, under destinations *dest*: each is processed
+        exactly once, on the processor owning its bucket."""
+        activations = [0] * n_procs
+        for p in map(dest.__getitem__, self.counted):
+            activations[p] += 1
+        left_activations = [0] * n_procs
+        for p in map(dest.__getitem__, self.counted_left):
+            left_activations[p] += 1
+        return activations, left_activations
+
 
 #: The index of every empty cycle (shared: indexes are never mutated).
 _EMPTY_INDEX = CycleKeyIndex((), array("Q"), 0, array("B"), b"", [],

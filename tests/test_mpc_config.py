@@ -3,9 +3,9 @@
 The config object is the one value naming a complete machine
 configuration; its contracts are (a) it validates on construction with
 the CLI's exact one-line messages, (b) ``from_args`` reproduces the
-CLI's legacy flag handling, and (c) the deprecated keyword sprawl on
-``simulate()`` still works but warns — while the supported short form
-stays silent.
+CLI's legacy flag handling, and (c) ``simulate()`` keeps only its short
+form — the old keyword sprawl is rejected, and the short form stays
+silent.
 """
 
 import warnings
@@ -118,18 +118,17 @@ class TestSimulateShim:
     def rubik(self):
         return rubik_section()
 
-    def test_sprawl_keywords_warn_but_match(self, rubik):
-        faults = FaultModel(seed=3, loss_prob=0.05)
-        with pytest.warns(DeprecationWarning,
-                          match="build a RunConfig and call "
-                                "simulate_config"):
-            shimmed = simulate(rubik, n_procs=8, faults=faults)
-        direct = simulate_config(rubik, RunConfig(n_procs=8,
-                                                  faults=faults))
-        assert shimmed == direct
+    def test_sprawl_keywords_rejected(self, rubik):
+        sprawl = {"mapping_factory": lambda cycle: None,
+                  "faults": FaultModel(seed=3, loss_prob=0.05),
+                  "protocol": ProtocolModel(),
+                  "recorder": TimelineRecorder()}
+        for keyword, value in sprawl.items():
+            with pytest.raises(TypeError, match=keyword):
+                simulate(rubik, n_procs=8, **{keyword: value})
 
-    def test_mapping_keyword_warns(self, rubik):
-        with pytest.warns(DeprecationWarning):
+    def test_mapping_keyword_rejected(self, rubik):
+        with pytest.raises(TypeError, match="mapping"):
             simulate(rubik, n_procs=4,
                      mapping=RoundRobinMapping(n_procs=4))
 

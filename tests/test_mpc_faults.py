@@ -17,13 +17,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.mpc import (DEFAULT_PROTOCOL, TABLE_5_1, FailStop, FaultModel,
-                       GridPoint, ProtocolModel, RunConfig, StallWindow,
+from repro.mpc import (DEFAULT_PROTOCOL, TABLE_5_1, ZERO_OVERHEADS,
+                       CostModel, FailStop, FaultModel, GridPoint,
+                       ProtocolModel, RandomMapping, RoundRobinMapping,
+                       RunConfig, StallWindow, compute_search_costs,
                        fault_sweep, plan_delivery, run_grid, simulate,
                        simulate_base, simulate_config, speedup)
-from repro.mpc._reference import simulate_reference
+from repro.mpc._reference import (simulate_reference,
+                                  simulate_with_faults_reference)
 from repro.mpc.faults import (_STREAM_DUP, _STREAM_JITTER, _STREAM_LOSS,
-                              _message_u01, counter_prefix, counter_u01)
+                              _message_u01, counter_prefix, counter_u01,
+                              simulate_cycle_with_faults)
 from repro.workloads import rubik_section, tourney_section, weaver_section
 
 from tests.test_simulator_properties import random_traces
@@ -205,6 +209,58 @@ class TestZeroFaultTransparency:
         assert run.timeout_wait_us == 0.0
         assert run.stall_us == 0.0
         assert run.recovery_us == 0.0
+
+
+#: The fault models of the table-loop-vs-reference grid: every fault
+#: feature alone and mixed, a stall on a processor outside the machine,
+#: and a fail-stop.
+GRID_MODELS = (
+    FaultModel(seed=3, loss_prob=0.05),
+    FaultModel(seed=4, dup_prob=0.2),
+    FaultModel(seed=5, jitter_us=7.5),
+    FaultModel(seed=6, loss_prob=0.3, dup_prob=0.1, jitter_us=2.0),
+    FaultModel(seed=7, stalls=(StallWindow(0, 10.0, 400.0),
+                               StallWindow(2, 0.0, 90.0, cycle=1),
+                               StallWindow(99, 0.0, 50.0))),
+    FaultModel(seed=8, loss_prob=0.01,
+               failures=(FailStop(1, 2, recovery_us=500.0),)),
+    FaultModel(seed=9),
+)
+GRID_PROTOCOLS = (DEFAULT_PROTOCOL,
+                  ProtocolModel(timeout_us=120.0, backoff=1.5,
+                                max_retries=2))
+GRID_COSTS = (CostModel(), CostModel(delete_search_us=1.5))
+
+
+class TestTableLoopMatchesReference:
+    """The fault/protocol loop on the compiled cycle table equals the
+    preserved object-based loop (:mod:`repro.mpc._reference`), every
+    field of every cycle, on the canonical sections: each (section,
+    P, overheads) point runs one rotation of fault model, protocol,
+    deletion-search cost and mapping."""
+
+    @pytest.mark.parametrize("n_procs", [1, 3, 16, 64])
+    def test_sections_bit_identical(self, sections, n_procs):
+        rows = (ZERO_OVERHEADS,) + TABLE_5_1
+        for s, trace in enumerate(sections):
+            for o, overheads in enumerate(rows):
+                i = s * len(rows) + o + n_procs
+                faults = GRID_MODELS[i % len(GRID_MODELS)]
+                protocol = GRID_PROTOCOLS[i % 2]
+                costs = GRID_COSTS[i // 2 % 2]
+                mapping = (RoundRobinMapping(n_procs) if i % 3
+                           else RandomMapping(n_procs, seed=i))
+                search = compute_search_costs(trace, costs)
+                want = simulate_with_faults_reference(
+                    trace, n_procs, faults, costs=costs,
+                    overheads=overheads, mapping=mapping,
+                    protocol=protocol)
+                for cycle, expect in zip(trace, want.cycles):
+                    got = simulate_cycle_with_faults(
+                        cycle, n_procs, costs, overheads, mapping, faults,
+                        protocol, search.get(cycle.index, {}))
+                    assert dataclasses.asdict(got) == \
+                        dataclasses.asdict(expect), (trace.name, faults)
 
 
 class TestSectionDeterminism:

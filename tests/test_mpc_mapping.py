@@ -1,12 +1,18 @@
 """Unit tests for bucket-to-processor distribution strategies."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.mpc import (ExplicitMapping, RandomMapping, RoundRobinMapping,
-                       greedy_assignment, greedy_mapping)
+from repro.mpc import (BucketWorkCache, CostModel, ExplicitMapping,
+                       GreedyMappingFactory, RandomMapping,
+                       RoundRobinMapping, bucket_work, greedy_assignment,
+                       greedy_mapping)
 from repro.rete.hashing import BucketKey
+from repro.trace.events import KIND_TERMINAL, LEFT
+from repro.workloads import rubik_section, tourney_section, weaver_section
 
 
 def keys(n, node=1):
@@ -157,3 +163,76 @@ def test_greedy_heap_matches_linear_scan(n_procs, items):
     got = greedy_assignment(work, n_procs)
     assert got == _greedy_by_scan(work, n_procs)
     assert list(got) == list(_greedy_by_scan(work, n_procs))
+
+
+def _bucket_work_by_walk(cycle, costs):
+    """Per-bucket work by walking the activation objects, the way
+    :func:`bucket_work` priced cycles before the compiled index."""
+    work = {}
+    for act in cycle.ordered():
+        if act.kind == KIND_TERMINAL:
+            continue
+        work[act.key] = work.get(act.key, 0.0) + (
+            costs.left_token_us if act.side == LEFT
+            else costs.right_token_us) \
+            + costs.successor_us * len(act.successors)
+    return work
+
+
+class TestGreedyFactoryMatchesGreedyMapping:
+    """:class:`GreedyMappingFactory` routes each cycle from its compiled
+    index (work priced and ordered once per cycle, one LPT per
+    processor count); it must route every activation exactly as the
+    dict-based ``greedy_mapping(bucket_work(cycle), P)`` does."""
+
+    PROCS = (1, 2, 3, 16, 32, 64, 257)
+    COSTS = (CostModel(), CostModel(left_token_us=20.0, right_token_us=24.0,
+                                    successor_us=4.0))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_sections_route_identically(self, seed):
+        for section in (rubik_section(seed), tourney_section(seed),
+                        weaver_section(seed)):
+            for costs in self.COSTS:
+                cache = BucketWorkCache(costs)
+                factories = [GreedyMappingFactory(n_procs, work_cache=cache)
+                             for n_procs in self.PROCS]
+                for cycle in section:
+                    index = cycle.key_index()
+                    work = bucket_work(cycle, costs)
+                    walked = _bucket_work_by_walk(cycle, costs)
+                    assert work == walked and list(work) == list(walked)
+                    assert cache(cycle) == work
+                    for factory in factories:
+                        want = index.destinations(
+                            greedy_mapping(work, factory.n_procs))
+                        assert index.destinations(factory(cycle)) == want
+
+    def test_processor_for_matches_explicit_mapping(self):
+        cycle = rubik_section().cycles[0]
+        mapping = GreedyMappingFactory(16)(cycle)
+        explicit = greedy_mapping(bucket_work(cycle), 16)
+        for key in cycle.key_index().keys + (BucketKey(10**6, (1,)),):
+            assert mapping.processor_for(key) == \
+                explicit.processor_for(key)
+
+    def test_pickled_factory_routes_identically(self):
+        section = tourney_section()
+        factory = GreedyMappingFactory(16, work_cache=BucketWorkCache())
+        for cycle in section:
+            factory(cycle)  # warm the cache: it must not travel
+        clone = pickle.loads(pickle.dumps(factory))
+        assert clone.work_cache._cache == {}
+        for cycle in section:
+            index = cycle.key_index()
+            assert index.destinations(clone(cycle)) == \
+                index.destinations(factory(cycle))
+
+    def test_cache_reprices_a_rebuilt_index(self):
+        cycle = weaver_section().cycles[0]
+        cache = BucketWorkCache()
+        first = cache.pricing(cycle)
+        assert cache.pricing(cycle) is first
+        cycle.invalidate()
+        assert cache.pricing(cycle) is not first
+        assert cache(cycle) == bucket_work(cycle)
