@@ -27,14 +27,14 @@ OVERHEADS = TABLE_5_1[1]  # Run 2: 5+3 us, the moderate Nectar setting
 SEED = 0
 
 
-def compute_curves(sections, workers):
+def compute_curves(sections):
     return [fault_sweep(trace, n_procs=N_PROCS, loss_rates=LOSS_RATES,
-                        overheads=OVERHEADS, seed=SEED, workers=workers)
+                        overheads=OVERHEADS, seed=SEED)
             for trace in sections]
 
 
-def test_fault_sweep(benchmark, sections, bases, report, workers):
-    curves = once(benchmark, lambda: compute_curves(sections, workers))
+def test_fault_sweep(benchmark, sections, bases, report):
+    curves = once(benchmark, lambda: compute_curves(sections))
 
     text = "\n\n".join(
         format_degradation(
@@ -69,7 +69,7 @@ def test_fault_sweep(benchmark, sections, bases, report, workers):
     # Same seed => bit-identical rerun (counter-based determinism).
     rerun = fault_sweep(sections[0], n_procs=N_PROCS,
                         loss_rates=LOSS_RATES, overheads=OVERHEADS,
-                        seed=SEED, workers=workers)
+                        seed=SEED)
     assert rerun.speedups == rubik.speedups
     for a, b in zip(rerun.results, rubik.results):
         assert a.cycles == b.cycles
@@ -80,7 +80,7 @@ def test_fault_sweep_seed_sensitivity(rubik, report):
     magnitude of them — the curve's shape is a property of the loss
     rate, not of one lucky seed."""
     curves = [fault_sweep(rubik, n_procs=N_PROCS, loss_rates=[1e-2],
-                          overheads=OVERHEADS, seed=seed, workers=1)
+                          overheads=OVERHEADS, seed=seed)
               for seed in range(3)]
     retx = [c.results[0].retransmits for c in curves]
     assert len(set(retx)) > 1 or retx[0] > 0

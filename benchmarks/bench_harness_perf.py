@@ -1,15 +1,12 @@
-"""Harness performance tracking: trace cache, parallel sweeps, hot path,
-live sessions.
+"""Harness performance tracking: simulator hot paths, scale, live
+sessions.
 
 Unlike its siblings, this benchmark measures the *harness itself* rather
-than a figure of the paper: how long it takes to obtain the three
-canonical sections (cold build vs warm cache) and to regenerate the
-Figure 5-1 sweep (pre-PR serial reference path vs the optimized
-simulator on a warm cache), plus the fault/protocol loop and the greedy
-routing against their object- and dict-based forms.  The pre-PR
-baselines are executed live from :mod:`repro.mpc._reference` — the
-preserved original event loops — so both sides of every ratio run on
-the same machine, in the same process.
+than a figure of the paper: the dense event loop, the fault/protocol
+loop and the greedy routing against their object- and dict-based
+forms.  The baselines are executed live from
+:mod:`repro.mpc._reference` — the preserved original event loops — so
+both sides of every ratio run on the same machine, in the same process.
 ``test_live_sessions`` compares plain and supervised asyncio sessions
 the same way: both engines, alternating, in one process.
 
@@ -30,8 +27,6 @@ import resource
 import statistics
 import time
 
-import repro.trace.cache as trace_cache
-from conftest import once
 from repro.exec import (RunResult, match_signature, run, run_section_async,
                         run_supervised_async)
 from repro.mpc import (DEFAULT_PROC_COUNTS, SCALE_PROC_COUNTS, TABLE_5_1,
@@ -44,19 +39,15 @@ from repro.mpc._reference import (simulate_reference,
 from repro.mpc.simulator import simulate
 from repro.ops5 import parse_program
 from repro.rete.hashing import BucketKey
-from repro.trace import clear_cache, set_cache_enabled
 from repro.trace.recorder import record_program
 from repro.workloads import (MATCH_PROGRAMS, StreamSpec, SyntheticStream,
                              rubik_section, tourney_section, weaver_section)
-from repro.workloads.programs import (blocks_world_trace, monkey_trace,
-                                      router_trace)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_JSON = ROOT / "BENCH_harness.json"
 
 SECTION_BUILDERS = (rubik_section, tourney_section, weaver_section)
 OVERHEAD_8US = next(o for o in TABLE_5_1 if o.total_us == 8)
-PROGRAM_BUILDERS = (blocks_world_trace, monkey_trace, router_trace)
 
 
 def _merge_results(update: dict) -> dict:
@@ -81,12 +72,8 @@ def _best_of(fn, repeats: int = 3) -> float:
     return best
 
 
-def _build_sections():
-    return [build() for build in SECTION_BUILDERS]
-
-
-def _fig5_1_pre_pr():
-    """The pre-PR Figure 5-1 path: cold builds + reference event loop."""
+def _fig5_1_reference():
+    """Figure 5-1 on the preserved reference event loop."""
     all_speedups = []
     for build in SECTION_BUILDERS:
         trace = build()
@@ -97,68 +84,13 @@ def _fig5_1_pre_pr():
     return all_speedups
 
 
-def _fig5_1_current(workers):
-    """Today's Figure 5-1 path: cached sections + optimized sweep."""
-    return [speedup_curve(build(), DEFAULT_PROC_COUNTS,
-                          workers=workers).speedups
-            for build in SECTION_BUILDERS]
-
-
-def test_harness_perf(benchmark, report, workers):
+def test_harness_perf(report):
     results = {
         "schema": 1,
         "generated_unix": int(time.time()),
         "machine": {"cpus": os.cpu_count(),
                     "platform": platform.platform(),
                     "python": platform.python_version()},
-        "workers": workers,
-    }
-
-    # --- trace load: cold build vs warm cache ---------------------------
-    set_cache_enabled(False)
-    try:
-        cold_s = _best_of(_build_sections)
-    finally:
-        set_cache_enabled(None)
-    clear_cache()
-    _build_sections()  # populate disk + memory layers
-
-    def _warm_disk():
-        trace_cache._memory.clear()
-        _build_sections()
-
-    warm_disk_s = _best_of(_warm_disk)
-    warm_memory_s = _best_of(_build_sections)
-    results["trace_load"] = {
-        "what": "build rubik+tourney+weaver sections",
-        "cold_build_s": round(cold_s, 4),
-        "warm_disk_s": round(warm_disk_s, 4),
-        "warm_memory_s": round(warm_memory_s, 6),
-        "cold_over_warm_disk": round(cold_s / warm_disk_s, 2),
-    }
-
-    # Same comparison for the recorded OPS5 program traces, where the
-    # cold path runs the full Rete engine rather than a synthesizer.
-    def _record_programs():
-        return [build() for build in PROGRAM_BUILDERS]
-
-    set_cache_enabled(False)
-    try:
-        prog_cold_s = _best_of(_record_programs)
-    finally:
-        set_cache_enabled(None)
-    _record_programs()  # populate
-
-    def _programs_warm_disk():
-        trace_cache._memory.clear()
-        _record_programs()
-
-    prog_warm_s = _best_of(_programs_warm_disk)
-    results["program_trace_load"] = {
-        "what": "record blocks-world+monkey+router OPS5 programs",
-        "cold_record_s": round(prog_cold_s, 4),
-        "warm_disk_s": round(prog_warm_s, 4),
-        "cold_over_warm_disk": round(prog_cold_s / prog_warm_s, 2),
     }
 
     # --- simulator hot path: reference vs optimized ---------------------
@@ -213,58 +145,19 @@ def test_harness_perf(benchmark, report, workers):
         "speedup": round(dict_s / factory_s, 2),
     }
 
-    # --- sweeps: serial vs parallel grid --------------------------------
-    serial_s = _best_of(lambda: _fig5_1_current(workers=1))
-    fanout = max(2, workers)
-    parallel_s = _best_of(lambda: _fig5_1_current(workers=fanout))
-    results["sweep_fig5_1"] = {
-        "serial_s": round(serial_s, 4),
-        "parallel_s": round(parallel_s, 4),
-        "parallel_workers": fanout,
-        "parallel_over_serial": round(serial_s / parallel_s, 2),
-    }
-
-    # --- the acceptance number: warm full regeneration vs pre-PR --------
-    pre_pr_speedups = None
-    current_speedups = None
-
-    def _pre_pr():
-        nonlocal pre_pr_speedups
-        set_cache_enabled(False)
-        try:
-            pre_pr_speedups = _fig5_1_pre_pr()
-        finally:
-            set_cache_enabled(None)
-
-    pre_pr_s = _best_of(_pre_pr)
-
-    def _current():
-        nonlocal current_speedups
-        current_speedups = _fig5_1_current(workers=workers)
-
-    warm_s = once(benchmark, lambda: _best_of(_current))
-    results["fig5_1_regeneration"] = {
-        "what": "figure 5-1 sweep, all three sections",
-        "pre_pr_cold_serial_s": round(pre_pr_s, 4),
-        "warm_cache_current_s": round(warm_s, 4),
-        "speedup_vs_pre_pr": round(pre_pr_s / warm_s, 2),
-    }
-
-    # The optimization must not move a single number of the figure.
-    assert current_speedups == pre_pr_speedups, \
+    # The optimized loop must not move a single number of Figure 5-1.
+    assert [speedup_curve(build(), DEFAULT_PROC_COUNTS).speedups
+            for build in SECTION_BUILDERS] == _fig5_1_reference(), \
         "optimized path changed Figure 5-1 speedups"
 
     results = _merge_results(results)
     report("harness_perf", json.dumps(results, indent=2)
            + f"\n[also saved to {BENCH_JSON}]")
 
-    # The PR's acceptance bars (generous margins below the measured
-    # values, so background load does not flake the suite).
+    # Generous margin below the measured value, so background load
+    # does not flake the suite.
     assert sim_speedup >= 1.5, \
         f"simulator hot path only {sim_speedup:.2f}x over reference"
-    assert pre_pr_s / warm_s >= 2.0, (
-        f"warm-cache figure regeneration only {pre_pr_s / warm_s:.2f}x "
-        f"over the pre-PR serial cold path")
 
 
 #: The scale workload: one streamed section of 10^6 activations whose

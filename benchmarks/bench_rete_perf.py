@@ -2,7 +2,7 @@
 
 Replays the recorded rubik/tourney/weaver delta scripts (see
 :mod:`repro.workloads.match`) into the preserved object-dispatch engine
-and the flattened kernel (numpy on and off), twice: untraced, and
+and the flattened kernel, twice: untraced, and
 *recorded* — a :class:`~repro.trace.recorder.TraceRecorder` attached and
 its section built, the path every program in the trace pipeline takes.
 It also times the CORGI-style adversarial cross-product at two sizes to
@@ -26,7 +26,7 @@ import platform
 import time
 
 from conftest import once
-from repro.rete import ReferenceReteNetwork, ReteNetwork, resolve_numpy
+from repro.rete import ReferenceReteNetwork, ReteNetwork
 from repro.trace.recorder import TraceRecorder
 from repro.workloads import (adversarial_cross_product,
                              record_match_deltas, replay_deltas,
@@ -117,16 +117,14 @@ def _machine() -> dict:
 
 
 def test_match_throughput(benchmark, report):
-    numpy_available = resolve_numpy(True) is not None
     results = {
         "schema": 1,
         "generated_unix": int(time.time()),
         "machine": _machine(),
-        "numpy_available": numpy_available,
     }
     lines = ["Rete match throughput: flattened kernel vs reference",
              f"{'workload':<9} {'waves':>6} {'ref':>9} {'fast':>9} "
-             f"{'speedup':>8} {'no-numpy':>9} {'speedup':>8} "
+             f"{'speedup':>8} "
              f"{'rec ref':>9} {'rec fast':>9} {'speedup':>8}"]
 
     def _measure():
@@ -135,27 +133,20 @@ def test_match_throughput(benchmark, report):
             script = record_match_deltas(make_source())
             assert script.halted, f"{name} did not halt"
             waves = script.wave_count()
-            (ref_s, fast_s, plain_s), (ref_sig, fast_sig, plain_sig) = \
-                _time_replays((ReferenceReteNetwork, ReteNetwork,
-                               lambda: ReteNetwork(use_numpy=False)),
-                              script)
+            (ref_s, fast_s), (ref_sig, fast_sig) = \
+                _time_replays((ReferenceReteNetwork, ReteNetwork), script)
             assert fast_sig == ref_sig, f"{name}: fast diverged"
-            assert plain_sig == ref_sig, f"{name}: no-numpy diverged"
             (rec_ref_s, rec_fast_s), (rec_ref_sig, rec_fast_sig) = \
                 _time_replays((ReferenceReteNetwork, ReteNetwork), script,
                               recorded=True)
             assert rec_fast_sig == rec_ref_sig, \
                 f"{name}: recorded fast section diverged"
-            probe = ReteNetwork()
-            replay_deltas(probe, script.program, script.deltas)
             throughput[name] = {
                 "waves": waves,
                 "cycles": script.cycles,
                 "reference_s": round(ref_s, 5),
                 "fast_s": round(fast_s, 5),
-                "fast_no_numpy_s": round(plain_s, 5),
                 "speedup": round(ref_s / fast_s, 2),
-                "speedup_no_numpy": round(ref_s / plain_s, 2),
                 "fast_waves_per_s": round(waves / fast_s),
                 "reference_waves_per_s": round(waves / ref_s),
                 "recorded_reference_s": round(rec_ref_s, 5),
@@ -163,14 +154,11 @@ def test_match_throughput(benchmark, report):
                 "recorded_speedup": round(rec_ref_s / rec_fast_s, 2),
                 "recorded_fast_waves_per_s": round(waves / rec_fast_s),
                 "activations": rec_fast_sig[1].total_activations(),
-                "numpy_engaged": probe.kernel.numpy_engaged,
             }
             row = throughput[name]
             lines.append(
                 f"{name:<9} {waves:>6} {ref_s * 1e3:>7.1f}ms "
                 f"{fast_s * 1e3:>7.1f}ms {row['speedup']:>7.2f}x "
-                f"{plain_s * 1e3:>7.1f}ms "
-                f"{row['speedup_no_numpy']:>7.2f}x "
                 f"{rec_ref_s * 1e3:>7.1f}ms {rec_fast_s * 1e3:>7.1f}ms "
                 f"{row['recorded_speedup']:>7.2f}x")
         return throughput
@@ -181,7 +169,6 @@ def test_match_throughput(benchmark, report):
     report("bench_rete_throughput", "\n".join(lines))
 
     rubik = throughput["rubik"]
-    assert rubik["numpy_engaged"] == numpy_available
     assert rubik["speedup"] >= RUBIK_MIN_SPEEDUP, (
         f"rubik match speedup {rubik['speedup']}x is below the "
         f"{RUBIK_MIN_SPEEDUP}x acceptance bar")

@@ -22,20 +22,6 @@ from repro.workloads import rubik_section, tourney_section, weaver_section
 OUT_DIR = pathlib.Path(__file__).parent / "out"
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--workers", type=int, default=1,
-        help="worker processes for sweep-based benchmarks (1 = serial, "
-             "the default, so timings stay comparable across runs; "
-             "N fans sweep grids out over N processes)")
-
-
-@pytest.fixture(scope="session")
-def workers(request):
-    """The --workers knob, threaded into sweep entry points."""
-    return request.config.getoption("--workers")
-
-
 @pytest.fixture(scope="session")
 def rubik():
     return rubik_section()

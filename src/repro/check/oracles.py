@@ -61,14 +61,10 @@ paths that are documented to produce *identical* results.  The pairs:
     :class:`~repro.exec.errors.ExecutorError` — never wedge, never
     return silently-wrong counters.  The zero-chaos supervised run
     must equal the unsupervised one.  Declares ``every=10``.
-``parallel_vs_serial``
-    :func:`repro.mpc.parallel.run_grid` with worker processes returns
-    the same results as the serial path.  Worker pools are expensive,
-    so this oracle declares ``every=25`` and the runner samples it.
-``cache_round_trip``
-    A trace stored through the content-addressed cache and reloaded
-    from disk (memory entry evicted) serializes identically to the
-    original.
+``format_round_trip``
+    A trace written with :func:`~repro.trace.format.save_trace` to a
+    file and read back with :func:`~repro.trace.format.read_trace`
+    serializes identically to the original.
 ``rete_vs_naive``
     Incremental Rete match against the from-scratch naive matcher:
     identical conflict sets after every working-memory change.
@@ -76,9 +72,9 @@ paths that are documented to produce *identical* results.  The pairs:
     The flattened match kernel (:mod:`repro.rete.kernel`) against the
     preserved object-dispatch engine
     (:class:`~repro.rete._reference.ReferenceReteNetwork`): identical
-    conflict sets after every change (with and without the vectorized
-    alpha path), a bit-identical activation-event stream on the traced
-    path, and equal memory totals at the end.  Together with
+    conflict sets after every change (observed and unobserved), a
+    bit-identical activation-event stream on the traced path, and
+    equal memory totals at the end.  Together with
     ``rete_vs_naive`` this pins naive → reference Rete → fast Rete.
 
 Each oracle returns ``None`` on success or a one-line failure detail.
@@ -90,11 +86,11 @@ come from a CRC-keyed per-case stream, so a failure reproduces from
 from __future__ import annotations
 
 import dataclasses
-import os
 import random
 import tempfile
 import zlib
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, List, Optional, Tuple
 
 from ..mpc import (DEFAULT_COSTS, TABLE_5_1, ZERO_OVERHEADS, CostModel,
@@ -105,17 +101,14 @@ from ..mpc._reference import (simulate_reference,
 from ..mpc.faults import (DEFAULT_PROTOCOL, FailStop, StallWindow,
                           simulate_cycle_with_faults)
 from ..mpc.mapping import RandomMapping, RoundRobinMapping
-from ..mpc.parallel import ENV_FORCE_POOL, GridPoint, run_grid
 from ..mpc.simulator import compute_search_costs
 from ..mpc.timeline import TimelineRecorder
 from ..obs import get_registry
 from ..ops5 import NaiveMatcher, parse_production
 from ..ops5.wme import WME
 from ..rete import ReferenceReteNetwork, ReteNetwork
-from ..trace import cache as trace_cache
-from ..trace.cache import cached_trace, trace_key
 from ..trace.events import SectionTrace
-from ..trace.format import dumps_trace
+from ..trace.format import dumps_trace, read_trace, save_trace
 from .generate import CheckCase, ProgramCase, TraceCase
 
 #: Timing fields compared by ``protocol_zero_fault`` (counter fields —
@@ -136,7 +129,8 @@ class Oracle:
     kind: str  # "trace" or "program"
     fn: Callable[[CheckCase], Optional[str]]
     #: Run on every n-th eligible case (1 = always); lets expensive
-    #: oracles (worker pools) stay in the matrix without dominating it.
+    #: oracles (live event loops) stay in the matrix without dominating
+    #: it.
     every: int = 1
 
 
@@ -346,31 +340,6 @@ def recorder_invisible(case: TraceCase) -> Optional[str]:
     return None
 
 
-def parallel_vs_serial(case: TraceCase) -> Optional[str]:
-    rng = _draws(case, "parallel_vs_serial")
-    points = [GridPoint(n_procs=rng.choice(_PROC_CHOICES),
-                        overheads=rng.choice((ZERO_OVERHEADS,)
-                                             + TABLE_5_1))
-              for _ in range(4)]
-    serial = run_grid(case.trace, points, workers=1)
-    # Force past the pool-benefit gate: the oracle exists to exercise
-    # the pool machinery, whatever the host's CPU count.
-    saved = os.environ.get(ENV_FORCE_POOL)
-    os.environ[ENV_FORCE_POOL] = "1"
-    try:
-        pooled = run_grid(case.trace, points, workers=2)
-    finally:
-        if saved is None:
-            del os.environ[ENV_FORCE_POOL]
-        else:
-            os.environ[ENV_FORCE_POOL] = saved
-    for i, (a, b) in enumerate(zip(serial, pooled)):
-        diff = _diff_results(a, b)
-        if diff:
-            return f"worker pool diverged on grid point {i}: {diff}"
-    return None
-
-
 def actors_vs_sim(case: TraceCase) -> Optional[str]:
     from ..exec import match_signature, run
     n_procs, overheads = _pick_config(case, "actors_vs_sim")
@@ -489,34 +458,14 @@ def live_recovery(case: TraceCase) -> Optional[str]:
     return None
 
 
-def cache_round_trip(case: TraceCase) -> Optional[str]:
-    if not trace_cache.cache_enabled():
-        return None  # nothing to check when the cache is off
-    key = trace_key("check", source="check.oracles",
-                    seed=case.seed, index=case.index)
+def format_round_trip(case: TraceCase) -> Optional[str]:
     want = dumps_trace(case.trace)
     with tempfile.TemporaryDirectory(prefix="repro-check-") as tmp:
-        saved = os.environ.get("REPRO_TRACE_CACHE_DIR")
-        os.environ["REPRO_TRACE_CACHE_DIR"] = tmp
-        try:
-            cached_trace(key, lambda: case.trace)
-            # Drop the memory entry so the second lookup must come
-            # from disk; the build callback proves it never fires.
-            trace_cache._memory.pop(key, None)
-            reloaded = cached_trace(
-                key, lambda: (_ for _ in ()).throw(
-                    AssertionError("cache missed its own entry")))
-        except AssertionError as err:
-            return str(err)
-        finally:
-            if saved is None:
-                del os.environ["REPRO_TRACE_CACHE_DIR"]
-            else:
-                os.environ["REPRO_TRACE_CACHE_DIR"] = saved
-            trace_cache._memory.pop(key, None)
-    got = dumps_trace(reloaded)
+        path = Path(tmp) / "case.trace"
+        save_trace(case.trace, path)
+        got = dumps_trace(read_trace(path))
     if want != got:
-        return "trace cache round-trip changed the serialized trace"
+        return "trace file round-trip changed the serialized trace"
     return None
 
 
@@ -569,14 +518,13 @@ def rete_fast_vs_reference(case: ProgramCase) -> Optional[str]:
     the kernel with an observer attached (exercising the traced stack
     machine, which must reproduce the reference's activation-event
     stream *bit for bit* — ids, parents, keys, successor counts), and
-    an unobserved kernel with the vectorized alpha path disabled
-    (exercising the untraced fast walk and the pure-Python fallback).
+    an unobserved kernel (exercising the untraced fast walk).
     Conflict sets are compared after every delta; memory totals and the
     event streams are compared at the end.
     """
     reference = ReferenceReteNetwork()
     fast = ReteNetwork()
-    plain = ReteNetwork(use_numpy=False)
+    plain = ReteNetwork()
     ref_events: List = []
     fast_events: List = []
     reference.observers.append(ref_events.append)
@@ -605,7 +553,7 @@ def rete_fast_vs_reference(case: ProgramCase) -> Optional[str]:
             return (f"fast kernel conflict set diverged after step "
                     f"{step} ({op[0]} wme {op[1]})")
         if _conflict_signature(plain) != want:
-            return (f"no-numpy kernel conflict set diverged after step "
+            return (f"unobserved kernel conflict set diverged after step "
                     f"{step} ({op[0]} wme {op[1]})")
     if len(ref_events) != len(fast_events):
         return (f"event stream lengths diverged: reference "
@@ -615,7 +563,7 @@ def rete_fast_vs_reference(case: ProgramCase) -> Optional[str]:
             return (f"activation event {i} diverged: reference "
                     f"{_event_tuple(ref_ev)}, fast {_event_tuple(fast_ev)}")
     ref_counts = reference.memories.counts()
-    for name, engine in (("fast", fast), ("no-numpy", plain)):
+    for name, engine in (("fast", fast), ("unobserved", plain)):
         if engine.memories.counts() != ref_counts:
             return (f"{name} memory totals {engine.memories.counts()} "
                     f"!= reference {ref_counts}")
@@ -636,8 +584,7 @@ ORACLES: Tuple[Oracle, ...] = (
     Oracle("live_trace_invisible", "trace", live_trace_invisible,
            every=5),
     Oracle("live_recovery", "trace", live_recovery, every=10),
-    Oracle("cache_round_trip", "trace", cache_round_trip),
-    Oracle("parallel_vs_serial", "trace", parallel_vs_serial, every=25),
+    Oracle("format_round_trip", "trace", format_round_trip),
     Oracle("rete_vs_naive", "program", rete_vs_naive),
     Oracle("rete_fast_vs_reference", "program", rete_fast_vs_reference),
 )

@@ -12,8 +12,6 @@ Commands
 ``profile``
     Record a run's timeline and report idle-time attribution, an ASCII
     Gantt chart, or export Chrome trace-event JSON / JSONL spans.
-``cache-stats``
-    Trace-cache contents (entries, quarantined files) and counters.
 ``figures``
     Regenerate paper figures (same as ``examples/paper_figures.py``).
 ``trace``
@@ -64,12 +62,11 @@ import sys
 from typing import List, Optional
 
 from .analysis import format_table
-from .mpc import (OVERHEADS, GridPoint, RunConfig, fault_sweep,
-                  format_degradation, run_grid, set_default_workers,
-                  simulate_base, speedup)
+from .mpc import (RunConfig, fault_sweep, format_degradation, simulate_base,
+                  simulate_config, speedup)
 from .obs import configure_logging
 from .trace import (TraceFormatError, TraceValidationError, read_trace,
-                    save_trace, set_cache_enabled, validate_trace)
+                    save_trace, validate_trace)
 from .workloads import rubik_section, tourney_section, weaver_section
 
 logger = logging.getLogger(__name__)
@@ -90,22 +87,12 @@ def _print_json(payload: dict, sort_keys: bool = False) -> None:
     snapshot folded in under ``"obs"``.
 
     Every machine-readable output thereby carries what the whole stack
-    did this process — trace-cache hits, broken sweep pools
-    (``parallel.pool_broken``), shed sessions, live-trace dumps —
-    instead of those counters dying invisibly at exit."""
+    did this process — supervisor restarts, shed sessions, live-trace
+    dumps — instead of those counters dying invisibly at exit."""
     from .obs import get_registry
     payload = dict(payload)
     payload["obs"] = get_registry().snapshot()
     print(json.dumps(payload, indent=2, sort_keys=sort_keys))
-
-
-def _apply_perf_flags(args) -> None:
-    """Honor the shared --workers / --no-trace-cache options."""
-    if getattr(args, "no_trace_cache", False):
-        set_cache_enabled(False)
-    workers = getattr(args, "workers", None)
-    if workers is not None:
-        set_default_workers(workers)
 
 
 def _read_trace_file(path):
@@ -170,24 +157,13 @@ def cmd_simulate(args) -> int:
                        f"(got {len(args.procs)})")
     base = simulate_base(trace)
     if args.timeline:
-        # Record the run in-process (spans cannot cross worker
-        # boundaries); bit-identical to the unrecorded fan-out.
-        from .mpc import (TimelineRecorder, simulate_config,
-                          write_chrome_trace)
+        from .mpc import TimelineRecorder, write_chrome_trace
         recorder = TimelineRecorder()
         runs = [simulate_config(trace,
                                 configs[0].replace(recorder=recorder))]
         write_chrome_trace(recorder.timeline, args.timeline)
     else:
-        # One grid point per processor count, fanned out over --workers.
-        points = [GridPoint(n_procs=c.n_procs, overheads=c.overheads,
-                            faults=c.faults,
-                            protocol=c.protocol if c.faults is not None
-                            else None,
-                            compress_rounds=c.compress_rounds)
-                  for c in configs]
-        runs = run_grid(trace, points,
-                        workers=getattr(args, "workers", None))
+        runs = [simulate_config(trace, config) for config in configs]
     if args.json:
         payload = {
             "trace": trace.name,
@@ -245,12 +221,10 @@ def cmd_fault_sweep(args) -> int:
     curve = fault_sweep(trace, n_procs=args.procs, loss_rates=args.loss,
                         overheads=overheads, seed=args.fault_seed,
                         dup_prob=args.dup, jitter_us=args.jitter,
-                        protocol=config.protocol,
-                        workers=getattr(args, "workers", None))
+                        protocol=config.protocol)
     if args.timeline:
         # Record the worst point of the sweep (highest loss rate).
-        from .mpc import (TimelineRecorder, simulate_config,
-                          write_chrome_trace)
+        from .mpc import TimelineRecorder, write_chrome_trace
         recorder = TimelineRecorder()
         simulate_config(trace, _run_config(
             args, n_procs=args.procs, loss=max(args.loss),
@@ -359,38 +333,6 @@ def cmd_profile(args) -> int:
     print()
     print(gantt_section(timeline, width=args.width,
                         cycles=args.cycle or None))
-    return 0
-
-
-def cmd_cache_stats(args) -> int:
-    from .trace import cache_dir, cache_enabled, cache_stats, \
-        format_cache_stats
-    directory = cache_dir()
-    entries = sorted(directory.glob("*.trace")) \
-        if directory.is_dir() else []
-    corrupt = sorted(directory.glob("*.trace.corrupt")) \
-        if directory.is_dir() else []
-    total_bytes = 0
-    for path in entries:
-        try:
-            total_bytes += path.stat().st_size
-        except OSError:
-            pass
-    if args.json:
-        _print_json({
-            "dir": str(directory),
-            "enabled": cache_enabled(),
-            "entries": len(entries),
-            "bytes": total_bytes,
-            "quarantined": len(corrupt),
-            "counters": cache_stats(),
-        })
-        return 0
-    print(f"cache dir: {directory}")
-    print(f"enabled: {cache_enabled()}")
-    print(f"entries: {len(entries)} ({total_bytes / 1024:.1f} KiB)")
-    print(f"quarantined: {len(corrupt)}")
-    print(f"this process: {format_cache_stats()}")
     return 0
 
 
@@ -754,19 +696,6 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError("must be >= 1")
         return value
 
-    # Shared performance knobs (see README "Performance").
-    perf = argparse.ArgumentParser(add_help=False)
-    perf.add_argument(
-        "--workers", type=positive_int, default=None, metavar="N",
-        help="worker processes for simulation sweeps (default: all "
-             "cores, or $REPRO_SWEEP_WORKERS; 1 = fully serial). "
-             "Results are identical for any value.")
-    perf.add_argument(
-        "--no-trace-cache", action="store_true",
-        help="rebuild section traces from scratch instead of loading "
-             "them from the on-disk trace cache (equivalent to "
-             "REPRO_TRACE_CACHE=0)")
-
     # Shared logging verbosity (routed through repro.obs.logging).
     verb = argparse.ArgumentParser(add_help=False)
     verb.add_argument(
@@ -809,7 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
         return src
 
     p = sub.add_parser("sections", help="Table 5-2 statistics",
-                       parents=[perf, verb, seedp])
+                       parents=[verb, seedp])
     p.set_defaults(fn=cmd_sections)
 
     # Shared fault-injection knobs (see README "Fault model").
@@ -833,7 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(default 8)")
 
     p = sub.add_parser("simulate", help="simulate a section on an MPC",
-                       parents=[perf, fault, verb,
+                       parents=[fault, verb,
                                 source_parent("rubik"), seedp, jsonp,
                                 timelinep, compressp])
     p.add_argument("--procs", type=int, nargs="+",
@@ -848,7 +777,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fault-sweep",
                        help="speedup degradation vs message-loss rate",
-                       parents=[perf, fault, verb,
+                       parents=[fault, verb,
                                 source_parent("rubik"), seedp, jsonp,
                                 timelinep])
     p.add_argument("--procs", type=int, default=16,
@@ -893,15 +822,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Gantt chart width in columns (default 72)")
     p.set_defaults(fn=cmd_profile)
 
-    p = sub.add_parser("cache-stats",
-                       help="trace-cache contents and counters",
-                       parents=[verb, jsonp])
-    p.set_defaults(fn=cmd_cache_stats)
-
     p = sub.add_parser("diagnose",
                        help="detect speedup limiters in a trace "
                             "(Section 5.2 methodology)",
-                       parents=[perf, verb, source_parent("tourney"),
+                       parents=[verb, source_parent("tourney"),
                                 seedp])
     p.add_argument("--procs", type=int, default=16,
                    help="processor count for the measured idle-time "
@@ -917,7 +841,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_diagnose)
 
     p = sub.add_parser("trace", help="write a section trace to a file",
-                       parents=[perf, verb, seedp])
+                       parents=[verb, seedp])
     p.add_argument("--section", choices=sorted(SECTIONS),
                    default="rubik")
     p.add_argument("--out", required=True)
@@ -926,7 +850,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("autotune",
                        help="apply the Section 5.2 remedies "
                             "automatically",
-                       parents=[perf, verb, source_parent("tourney"),
+                       parents=[verb, source_parent("tourney"),
                                 seedp])
     p.add_argument("--procs", type=int, default=16)
     p.add_argument("--out", help="write the tuned trace here")
@@ -950,7 +874,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("figures", help="regenerate paper figures",
-                       parents=[perf, verb])
+                       parents=[verb])
     p.add_argument("names", nargs="*",
                    help="figure ids (default: all)")
     p.set_defaults(fn=cmd_figures)
@@ -1084,7 +1008,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     configure_logging(verbose=getattr(args, "verbosity", 0),
                       quiet=getattr(args, "quiet", False))
-    _apply_perf_flags(args)
     try:
         return args.fn(args)
     except CLIError as err:

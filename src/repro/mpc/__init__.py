@@ -26,9 +26,6 @@ from .mapping import (DEFAULT_N_BUCKETS, BucketMapping, ExplicitMapping,
 from .metrics import (CycleResult, SimResult, SparseProcArray, speedup,
                       speedup_series)
 from .pairs import simulate_pairs
-from .parallel import (GridPoint, parallel_overhead_sweep,
-                       parallel_speedup_curve, pool_worth_it,
-                       resolve_workers, run_grid, set_default_workers)
 from .sharedbus import DEFAULT_QUEUE_ACCESS_US, simulate_shared_bus
 from .simulator import (BucketWorkCache, GreedyMappingFactory, bucket_work,
                         compute_search_costs, iter_cycle_results, simulate,
@@ -69,9 +66,6 @@ __all__ = [
     "DEFAULT_PROC_COUNTS", "SCALE_PROC_COUNTS", "SpeedupCurve",
     "format_curves", "overhead_sweep", "speedup_curve", "speedup_loss",
     "total_time_us",
-    "GridPoint", "parallel_overhead_sweep", "parallel_speedup_curve",
-    "pool_worth_it", "resolve_workers", "run_grid",
-    "set_default_workers",
     "simulate_master_copy", "simulate_replicated", "simulate_pairs",
     "DEFAULT_QUEUE_ACCESS_US", "simulate_shared_bus",
     "simulate_dedicated_alpha",

@@ -6,7 +6,7 @@ loops replaced: :func:`simulate_cycle_reference` for
 for :mod:`repro.mpc.faults`.  They are kept, verbatim in logic, for two
 jobs:
 
-* **Executable specification** — ``tests/test_mpc_parallel.py``,
+* **Executable specification** — ``tests/test_mpc_simulator.py``,
   ``tests/test_mpc_faults.py`` and the ``opt_vs_reference`` /
   ``faults_vs_reference`` oracles of :mod:`repro.check` assert that the
   optimized loops produce bit-identical

@@ -59,7 +59,7 @@ the index columns, and :class:`GreedyMappingFactory` runs one LPT pass
 per processor count into a per-key processor list.
 
 :mod:`repro.mpc._reference` preserves the original object-based loops;
-``tests/test_mpc_parallel.py``, ``tests/test_mpc_cycle_index.py`` and
+``tests/test_mpc_simulator.py``, ``tests/test_mpc_cycle_index.py`` and
 ``tests/test_mpc_faults.py`` assert both produce bit-identical results.
 
 Scaling to thousands of processors
@@ -201,9 +201,8 @@ class BucketWorkCache:
         return self.pricing(cycle).as_dict()
 
     def __getstate__(self):
-        # The cache keys are process-local object ids: never ship them
-        # to a worker process (the parallel sweep engine pickles
-        # factories); start empty there instead.
+        # The cache keys are process-local object ids: a pickled copy
+        # (of a factory holding this cache) starts empty instead.
         return {"costs": self.costs}
 
     def __setstate__(self, state):

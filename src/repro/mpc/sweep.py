@@ -4,12 +4,9 @@ Every speedup is computed the paper's way — against the run with a
 single match processor and zero communication overheads on the *same*
 trace (Section 5.1).
 
-Both sweep entry points take a ``workers`` knob: ``1`` runs the exact
-serial path in-process, ``N`` fans the grid out over N worker processes
-via :mod:`repro.mpc.parallel`, and ``None`` (the default) resolves to
-``os.cpu_count()`` (overridable by ``REPRO_SWEEP_WORKERS`` or
-:func:`repro.mpc.parallel.set_default_workers`).  The parallel path is
-deterministic and numerically identical to the serial one.
+Every point runs in-process through
+:func:`~repro.mpc.simulator.simulate_config` on one
+:class:`~repro.mpc.config.RunConfig`.
 """
 
 from __future__ import annotations
@@ -87,6 +84,13 @@ class SpeedupCurve:
                 for p, s in zip(self.proc_counts, self.speedups)]
 
 
+def _check_workers(workers: Optional[int]) -> None:
+    """Sweeps run in-process; ``workers`` only accepts that (``None``/1)."""
+    if workers not in (None, 1):
+        raise ValueError(f"workers={workers!r}: sweeps run serially "
+                         "in-process; pass None or 1")
+
+
 def speedup_curve(trace: SectionTrace,
                   proc_counts: Sequence[int] = DEFAULT_PROC_COUNTS,
                   overheads: OverheadModel = ZERO_OVERHEADS,
@@ -104,48 +108,17 @@ def speedup_curve(trace: SectionTrace,
     *mapping_for* builds the bucket distribution for each processor
     count (default: round robin); *mapping_factory_for* instead builds a
     per-cycle mapping factory (for the idealized greedy distribution).
-    *workers* fans the processor counts out over worker processes
-    (``1`` = serial, ``None`` = all cores); results are identical either
-    way.  *compress_rounds* runs every point (and the base) through the
+    *compress_rounds* runs every point (and the base) through the
     O(active-work) loop — numerically identical speedups.
-    ``keep_results=False`` streams each point to its total instead of
-    materializing per-cycle results (``curve.results`` stays empty) —
-    the memory-bounded mode for :data:`SCALE_PROC_COUNTS`-sized grids
-    on million-activation traces; it always evaluates in-process.
+    ``keep_results=False`` streams each point to its total via
+    :func:`total_time_us` instead of materializing per-cycle results
+    (``curve.results`` stays empty) — the memory-bounded mode for
+    :data:`SCALE_PROC_COUNTS`-sized grids on million-activation traces;
+    speedups are bit-identical either way.  *workers* accepts only
+    ``None`` or ``1``.
     """
-    if not keep_results:
-        return _streamed_speedup_curve(
-            trace, proc_counts, overheads=overheads, costs=costs,
-            mapping_for=mapping_for,
-            mapping_factory_for=mapping_factory_for, label=label,
-            compress_rounds=compress_rounds)
-    if workers != 1:
-        from .parallel import parallel_speedup_curve, resolve_workers
-        if resolve_workers(workers) > 1:
-            return parallel_speedup_curve(
-                trace, proc_counts, overheads=overheads, costs=costs,
-                mapping_for=mapping_for,
-                mapping_factory_for=mapping_factory_for, label=label,
-                workers=workers, compress_rounds=compress_rounds)
-    return _serial_speedup_curve(trace, proc_counts, overheads=overheads,
-                                 costs=costs, mapping_for=mapping_for,
-                                 mapping_factory_for=mapping_factory_for,
-                                 label=label,
-                                 compress_rounds=compress_rounds)
-
-
-def _serial_speedup_curve(trace: SectionTrace,
-                          proc_counts: Sequence[int] = DEFAULT_PROC_COUNTS,
-                          overheads: OverheadModel = ZERO_OVERHEADS,
-                          costs: CostModel = DEFAULT_COSTS,
-                          mapping_for: Optional[
-                              Callable[[int], BucketMapping]] = None,
-                          mapping_factory_for: Optional[
-                              Callable[[int], MappingFactory]] = None,
-                          label: Optional[str] = None,
-                          compress_rounds: bool = False) -> SpeedupCurve:
-    """The in-process sweep (the ``workers=1`` path)."""
-    base = simulate_config(trace, RunConfig(
+    _check_workers(workers)
+    base_total = total_time_us(trace, RunConfig(
         n_procs=1, costs=costs, overheads=ZERO_OVERHEADS,
         compress_rounds=compress_rounds))
     speedups: List[float] = []
@@ -156,49 +129,18 @@ def _serial_speedup_curve(trace: SectionTrace,
             kwargs["mapping_factory"] = mapping_factory_for(n_procs)
         elif mapping_for is not None:
             kwargs["mapping"] = mapping_for(n_procs)
-        result = simulate_config(trace, RunConfig(
-            n_procs=n_procs, costs=costs, overheads=overheads,
-            compress_rounds=compress_rounds, **kwargs))
-        results.append(result)
-        speedups.append(speedup(base, result))
+        config = RunConfig(n_procs=n_procs, costs=costs, overheads=overheads,
+                           compress_rounds=compress_rounds, **kwargs)
+        if keep_results:
+            result = simulate_config(trace, config)
+            results.append(result)
+            total = result.total_us
+        else:
+            total = total_time_us(trace, config)
+        speedups.append(_speedup_from_totals(base_total, total))
     return SpeedupCurve(label=label or f"{trace.name}@{overheads.label()}",
                         proc_counts=list(proc_counts), speedups=speedups,
                         results=results)
-
-
-def _streamed_speedup_curve(trace,
-                            proc_counts: Sequence[int],
-                            overheads: OverheadModel = ZERO_OVERHEADS,
-                            costs: CostModel = DEFAULT_COSTS,
-                            mapping_for: Optional[
-                                Callable[[int], BucketMapping]] = None,
-                            mapping_factory_for: Optional[
-                                Callable[[int], MappingFactory]] = None,
-                            label: Optional[str] = None,
-                            compress_rounds: bool = False) -> SpeedupCurve:
-    """The memory-bounded sweep (``keep_results=False``).
-
-    Each point streams straight to its total via :func:`total_time_us`;
-    per-cycle results are never materialized, so a 4096-processor point
-    on a million-activation trace costs O(1) result memory.  Speedups
-    are bit-identical to the materializing path.
-    """
-    base_total = total_time_us(trace, RunConfig(
-        n_procs=1, costs=costs, overheads=ZERO_OVERHEADS,
-        compress_rounds=compress_rounds))
-    speedups: List[float] = []
-    for n_procs in proc_counts:
-        kwargs = {}
-        if mapping_factory_for is not None:
-            kwargs["mapping_factory"] = mapping_factory_for(n_procs)
-        elif mapping_for is not None:
-            kwargs["mapping"] = mapping_for(n_procs)
-        total = total_time_us(trace, RunConfig(
-            n_procs=n_procs, costs=costs, overheads=overheads,
-            compress_rounds=compress_rounds, **kwargs))
-        speedups.append(_speedup_from_totals(base_total, total))
-    return SpeedupCurve(label=label or f"{trace.name}@{overheads.label()}",
-                        proc_counts=list(proc_counts), speedups=speedups)
 
 
 def overhead_sweep(trace: SectionTrace,
@@ -210,40 +152,13 @@ def overhead_sweep(trace: SectionTrace,
                    keep_results: bool = True) -> List[SpeedupCurve]:
     """The Figure 5-2 experiment: one curve per Table 5-1 setting.
 
-    With ``workers`` > 1 the whole (setting x processors) grid is one
-    parallel fan-out; the curves are identical to the serial result.
-    ``compress_rounds`` / ``keep_results`` behave as in
+    ``workers`` / ``compress_rounds`` / ``keep_results`` behave as in
     :func:`speedup_curve`.
     """
-    if not keep_results:
-        return [_streamed_speedup_curve(
-                    trace, proc_counts, overheads=overheads, costs=costs,
-                    label=f"{trace.name}@{overheads.label()}",
-                    compress_rounds=compress_rounds)
-                for overheads in overhead_settings]
-    if workers != 1:
-        from .parallel import parallel_overhead_sweep, resolve_workers
-        if resolve_workers(workers) > 1:
-            return parallel_overhead_sweep(trace, proc_counts,
-                                           overhead_settings, costs,
-                                           workers=workers,
-                                           compress_rounds=compress_rounds)
-    return _serial_overhead_sweep(trace, proc_counts, overhead_settings,
-                                  costs, compress_rounds=compress_rounds)
-
-
-def _serial_overhead_sweep(trace: SectionTrace,
-                           proc_counts: Sequence[int] = DEFAULT_PROC_COUNTS,
-                           overhead_settings: Sequence[OverheadModel]
-                           = TABLE_5_1,
-                           costs: CostModel = DEFAULT_COSTS,
-                           compress_rounds: bool = False
-                           ) -> List[SpeedupCurve]:
-    """The in-process Figure 5-2 sweep (the ``workers=1`` path)."""
-    return [_serial_speedup_curve(trace, proc_counts, overheads=overheads,
-                                  costs=costs,
-                                  label=f"{trace.name}@{overheads.label()}",
-                                  compress_rounds=compress_rounds)
+    return [speedup_curve(trace, proc_counts, overheads=overheads,
+                          costs=costs, workers=workers,
+                          compress_rounds=compress_rounds,
+                          keep_results=keep_results)
             for overheads in overhead_settings]
 
 
@@ -298,17 +213,17 @@ def fault_sweep(trace: SectionTrace,
     1-processor zero-overhead base.  A loss rate of exactly 0 (with
     ``dup_prob`` and ``jitter_us`` 0) runs the fault-free simulator —
     the curve's anchor is bit-identical to :func:`simulate` without
-    faults.  Deterministic for any *workers* value.
+    faults.  *workers* accepts only ``None`` or ``1``.
     """
-    from .parallel import GridPoint, run_grid
-    points = [GridPoint(n_procs=1)]
+    _check_workers(workers)
+    configs = [RunConfig(n_procs=1, costs=costs)]
     for rate in loss_rates:
         faults = FaultModel(seed=seed, loss_prob=rate, dup_prob=dup_prob,
                             jitter_us=jitter_us)
-        points.append(GridPoint(n_procs=n_procs, overheads=overheads,
-                                faults=None if faults.is_null else faults,
-                                protocol=protocol))
-    results = run_grid(trace, points, costs=costs, workers=workers)
+        configs.append(RunConfig(
+            n_procs=n_procs, costs=costs, overheads=overheads,
+            faults=None if faults.is_null else faults, protocol=protocol))
+    results = [simulate_config(trace, config) for config in configs]
     base, rest = results[0], results[1:]
     return DegradationCurve(
         label=label or f"{trace.name}@{n_procs}procs",

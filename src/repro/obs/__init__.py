@@ -1,13 +1,12 @@
 """Observability primitives: a metrics registry and structured logging.
 
 This package is deliberately dependency-free (stdlib only) and imported
-by every layer of the harness — the trace cache counts hits and misses,
-the parallel sweep engine counts worker crashes and recovered points,
-the conformance harness counts its progress (``check.cases``,
-``check.failures``, ``check.oracle_runs``, ``check.invariant_runs``,
-``check.shrink_evals``), the CLI routes its warnings through one
-configurable logger — so a single ``repro cache-stats`` or ``-v`` flag
-surfaces what the whole stack did.
+by every layer of the harness — the conformance harness counts its
+progress (``check.cases``, ``check.failures``, ``check.oracle_runs``,
+``check.invariant_runs``, ``check.shrink_evals``), the live executors
+count supervisor restarts, chaos faults and shed sessions, the CLI
+routes its warnings through one configurable logger — so a single
+``--json`` snapshot or ``-v`` flag surfaces what the whole stack did.
 
 * :mod:`~repro.obs.metrics` — process-local counters and histograms
   (with reservoir quantiles), collected in a named registry,

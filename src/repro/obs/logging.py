@@ -4,7 +4,7 @@ Every module already logs under ``repro.*`` via
 ``logging.getLogger(__name__)``; this module adds the piece the CLI
 needs — a configurator mapping ``--quiet`` / ``-v`` / ``-vv`` onto the
 ``repro`` logger — and a tiny helper for ``event key=value`` structured
-messages, so warnings (cache quarantines, broken worker pools,
+messages, so warnings (supervisor give-ups, shed sessions,
 non-monotone degradation curves) come out of one formatter instead of
 scattered ``print(..., file=sys.stderr)`` calls.
 
@@ -29,7 +29,7 @@ _FORMAT = "%(levelname)s %(name)s: %(message)s"
 def get_logger(name: str) -> logging.Logger:
     """A logger under the ``repro`` hierarchy.
 
-    ``get_logger("mpc.parallel")`` and ``get_logger("repro.mpc.parallel")``
+    ``get_logger("exec.served")`` and ``get_logger("repro.exec.served")``
     return the same logger; modules inside the package keep using
     ``logging.getLogger(__name__)``, which is equivalent.
     """

@@ -11,8 +11,8 @@ Typical use::
 
     from repro.obs import get_registry
 
-    get_registry().counter("trace_cache.disk_hits").inc()
-    get_registry().histogram("parallel.point_s").observe(elapsed)
+    get_registry().counter("check.cases").inc()
+    get_registry().histogram("served.session_latency_s").observe(elapsed)
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ class Histogram:
 class MetricsRegistry:
     """A flat namespace of counters and histograms.
 
-    Names are dotted strings (``"trace_cache.misses"``); asking for an
+    Names are dotted strings (``"check.failures"``); asking for an
     existing name returns the existing instrument, so call sites never
     need to coordinate creation.
     """

@@ -21,7 +21,7 @@ from .footprint import (INLINE_BYTES_PER_NODE, STRUCT_BYTES_PER_NODE,
                         partitions_needed, struct_bytes)
 from ._reference import ReferenceReteNetwork
 from .hashing import BucketKey, bucket_index, fnv1a, stable_hash
-from .kernel import NUMPY_MIN_PATTERNS, ReteKernel, resolve_numpy
+from .kernel import ReteKernel
 from .memory import FlatMemories, HashedMemories
 from .network import ReteError, ReteNetwork
 from .nodes import (AlphaPattern, BetaNode, JoinNode, NegativeNode,
@@ -37,7 +37,7 @@ __all__ = [
     "CEAnalysis", "NetworkBuilder", "analyze_ce",
     "BucketKey", "bucket_index", "fnv1a", "stable_hash",
     "FlatMemories", "HashedMemories",
-    "NUMPY_MIN_PATTERNS", "ReteKernel", "resolve_numpy",
+    "ReteKernel",
     "ReferenceReteNetwork", "ReteError", "ReteNetwork",
     "AlphaPattern", "BetaNode", "JoinNode", "NegativeNode",
     "ProductionNode",

@@ -10,10 +10,7 @@ and executes waves with an explicit stack machine:
 
 * **Alpha dispatch** is indexed by wme class: only the patterns that
   could possibly match are tested, as tuple-compare loops over the
-  pattern's constant tests.  When numpy is available (and the class has
-  enough eligible patterns) the EQ-against-constant batteries of a whole
-  class are evaluated in one vectorized shot over interned value ids —
-  see :data:`NUMPY_MIN_PATTERNS` and :func:`resolve_numpy`.
+  pattern's constant tests.
 * **Beta nodes** become rows of parallel arrays (kind, bucket-key
   positions, residual tests, binding-merge plans, children), indexed by
   a compact integer.  Bucket state lives in
@@ -35,10 +32,8 @@ oracle and the differential fuzz suite pin this equivalence.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..ops5.ast import Constant, Predicate
 from ..ops5.conflict import Instantiation
 from ..ops5.values import NIL
 from ..ops5.wme import WME
@@ -54,41 +49,13 @@ KIND_JOIN = 0
 KIND_NEGATIVE = 1
 KIND_TERMINAL = 2
 
-#: Minimum EQ-constant-eligible patterns a wme class must have before
-#: the vectorized alpha path engages.  Below this, a plain Python loop
-#: beats the cost of encoding the wme into value ids.
-NUMPY_MIN_PATTERNS = 8
-
-
-def resolve_numpy(use_numpy: Optional[bool] = None):
-    """The capability check gating the vectorized alpha path.
-
-    Returns the numpy module when the path should be used, else None.
-    ``use_numpy`` is an explicit override (constructor kwarg); when it
-    is None the ``REPRO_RETE_NUMPY`` environment variable decides
-    (``0``/``off``/``false``/``no`` disables), defaulting to *enabled
-    if importable*.  Import failure always falls back to pure Python.
-    """
-    if use_numpy is False:
-        return None
-    if use_numpy is None:
-        env = os.environ.get("REPRO_RETE_NUMPY", "").strip().lower()
-        if env in {"0", "off", "false", "no"}:
-            return None
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - exercised by the CI leg
-        return None
-    return numpy
-
 
 class _AlphaSlot:
     """One alpha pattern's compiled tests and delivery list."""
 
-    __slots__ = ("np_row", "const_tests", "intra_tests", "subs")
+    __slots__ = ("const_tests", "intra_tests", "subs")
 
     def __init__(self, pattern) -> None:
-        self.np_row = -1          # row in the class's vectorized block
         #: (attr, fn, operand): passes when fn(wme value, operand)
         self.const_tests = tuple(compile_constant_test(test)
                                  for test in pattern.const_tests)
@@ -102,47 +69,6 @@ class _AlphaSlot:
         self.subs: List[Tuple[int, Optional[Tuple[str, ...]]]] = []
 
 
-class _AlphaGroup:
-    """All patterns of one wme class, in global registration order."""
-
-    __slots__ = ("slots", "np_attrs", "np_pat", "np_attr_idx", "np_val",
-                 "np_rows", "np_slots", "py_slots", "val_ids")
-
-    def __init__(self) -> None:
-        self.slots: List[_AlphaSlot] = []
-        self.np_rows = 0          # vectorized pattern count (0 = off)
-        self.np_attrs: Tuple[str, ...] = ()
-        self.np_pat = None        # test -> pattern row
-        self.np_attr_idx = None   # test -> index into np_attrs
-        self.np_val = None        # test -> expected value id
-        #: the untraced fast path visits only nonzero ok-rows, so the
-        #: vectorized and scalar slots are also kept split by row order
-        #: (the traced path walks ``slots`` to preserve event order).
-        self.np_slots: List[_AlphaSlot] = []
-        self.py_slots: List[_AlphaSlot] = []
-        self.val_ids: Dict[Any, int] = {}
-
-
-def _numpy_eligible(pattern) -> bool:
-    """True when a pattern's tests are all EQ-against-constant.
-
-    Disjunctions, relational predicates and intra-CE tests keep the
-    (still class-indexed) Python loop; bool constants are excluded
-    because dict-key encoding would conflate ``True`` with ``1`` where
-    OPS5 equality does not.
-    """
-    if pattern.intra_tests or pattern.always_false:
-        return False
-    for test in pattern.const_tests:
-        if test.predicate is not Predicate.EQ:
-            return False
-        if not isinstance(test.operand, Constant):
-            return False
-        if isinstance(test.operand.value, bool):
-            return False
-    return True
-
-
 class ReteKernel:
     """A compiled, array-of-struct execution engine for one network.
 
@@ -153,9 +79,12 @@ class ReteKernel:
     stays on the network's node objects.
     """
 
-    def __init__(self, network, use_numpy: Optional[bool] = None) -> None:
+    #: Always False: the alpha match is pure Python.  Kept only because
+    #: the end-to-end benchmark still reports it.
+    numpy_engaged = False
+
+    def __init__(self, network) -> None:
         self.net = network
-        self.np = resolve_numpy(use_numpy)
         self.pool = TokenPool()
 
         # -- beta nodes: one row of parallel arrays per node ----------------
@@ -254,17 +183,14 @@ class ReteKernel:
             BucketKey(node_id, ()) for node_id in self.node_id]
 
         # -- alpha network: class-indexed pattern groups --------------------
-        self._alpha: Dict[str, _AlphaGroup] = {}
+        self._alpha: Dict[str, List[_AlphaSlot]] = {}
         slot_of: Dict[int, _AlphaSlot] = {}
         for pattern in network._alpha_patterns:
             if pattern.always_false:
                 continue  # can never match; no observable effect
-            group = self._alpha.setdefault(pattern.cls, _AlphaGroup())
             slot = _AlphaSlot(pattern)
-            group.slots.append(slot)
+            self._alpha.setdefault(pattern.cls, []).append(slot)
             slot_of[pattern.pattern_id] = slot
-            if self.np is not None and _numpy_eligible(pattern):
-                slot.np_row = 0  # provisional; rows assigned below
         for pattern_id, subs in network._subscriptions.items():
             slot = slot_of.get(pattern_id)
             if slot is None:
@@ -274,83 +200,18 @@ class ReteKernel:
                               if sub.side == "left" else None)
                 slot.subs.append((ci_of[sub.node.node_id], unit_attrs))
 
-        self.numpy_engaged = False
-        if self.np is not None:
-            for group in self._alpha.values():
-                self._vectorize_group(group)
-
-    def _vectorize_group(self, group: _AlphaGroup) -> None:
-        """Build the vectorized EQ-constant block for one class group."""
-        np = self.np
-        eligible = [s for s in group.slots if s.np_row >= 0]
-        if len(eligible) < NUMPY_MIN_PATTERNS:
-            for slot in eligible:
-                slot.np_row = -1
-            return
-        attrs: List[str] = []
-        attr_idx: Dict[str, int] = {}
-        pat_rows: List[int] = []
-        test_attr: List[int] = []
-        test_val: List[int] = []
-        val_ids = group.val_ids
-        for row, slot in enumerate(eligible):
-            slot.np_row = row
-            for attr, _, value in slot.const_tests:
-                if attr not in attr_idx:
-                    attr_idx[attr] = len(attrs)
-                    attrs.append(attr)
-                vid = val_ids.setdefault(value, len(val_ids))
-                pat_rows.append(row)
-                test_attr.append(attr_idx[attr])
-                test_val.append(vid)
-        group.np_rows = len(eligible)
-        group.np_attrs = tuple(attrs)
-        group.np_pat = np.asarray(pat_rows, dtype=np.intp)
-        group.np_attr_idx = np.asarray(test_attr, dtype=np.intp)
-        group.np_val = np.asarray(test_val, dtype=np.int64)
-        group.np_slots = eligible
-        group.py_slots = [s for s in group.slots if s.np_row < 0]
-        self.numpy_engaged = True
-
     # -- wave execution -----------------------------------------------------
 
     def dispatch(self, wme: WME, tag: str) -> None:
         """Run one +/- wave: alpha match, then beta propagation."""
-        group = self._alpha.get(wme.cls)
-        if group is None:
+        slots = self._alpha.get(wme.cls)
+        if slots is None:
             return
         pool = self.pool
         allocs: List[int] = []
         traced = bool(self.net.observers)
         alpha_match = self._alpha_match
-        if group.np_rows:
-            np = self.np
-            val_ids = group.val_ids
-            encoded = [(-1 if type(v) is bool else val_ids.get(v, -1))
-                       for v in map(wme.get, group.np_attrs)]
-            vals = np.asarray(encoded, dtype=np.int64)
-            ok = np.ones(group.np_rows, dtype=bool)
-            # A row fails when any of its tests mismatches; scatter
-            # False into the failing rows (equivalent to
-            # logical_and.at, far cheaper per wave).
-            ok[group.np_pat[vals[group.np_attr_idx] != group.np_val]] \
-                = False
-            if traced:
-                # Event order must match the reference engine exactly,
-                # so walk every slot in registration order.
-                row_ok = ok.tolist()
-                matched = [s for s in group.slots
-                           if (row_ok[s.np_row] if s.np_row >= 0
-                               else alpha_match(s, wme))]
-            else:
-                # Untraced final state is wave-order independent, so
-                # visit only the rows the vector pass accepted.
-                np_slots = group.np_slots
-                matched = [np_slots[r] for r in ok.nonzero()[0].tolist()]
-                matched += [s for s in group.py_slots
-                            if alpha_match(s, wme)]
-        else:
-            matched = [s for s in group.slots if alpha_match(s, wme)]
+        matched = [s for s in slots if alpha_match(s, wme)]
         for slot in matched:
             for ci, unit_attrs in slot.subs:
                 if unit_attrs is None:

@@ -60,16 +60,11 @@ class _Subscription:
 class ReteNetwork:
     """A complete Rete match engine with hashed memories."""
 
-    def __init__(self, share: bool = True,
-                 use_numpy: Optional[bool] = None) -> None:
+    def __init__(self, share: bool = True) -> None:
         #: When False, two-input nodes are never shared between
         #: productions — the global form of the paper's Section 5.2.1
         #: "unsharing" transformation (Figure 5-3).
         self.share = share
-        #: Vectorized-alpha override: None = capability check decides
-        #: (numpy importable, ``REPRO_RETE_NUMPY`` env var honoured),
-        #: True/False forces the choice.  See :mod:`repro.rete.kernel`.
-        self.use_numpy = use_numpy
         self.observers: List[Callable[[ActivationEvent], None]] = []
         self._builder = NetworkBuilder(self)
         self._alpha_patterns: List[AlphaPattern] = []
@@ -126,7 +121,7 @@ class ReteNetwork:
 
     def _compile(self) -> ReteKernel:
         """Lower the node graph into the flat kernel (idempotent)."""
-        kernel = ReteKernel(self, use_numpy=self.use_numpy)
+        kernel = ReteKernel(self)
         self._kernel = kernel
         return kernel
 

@@ -41,8 +41,7 @@ from .events import (VALID_KINDS, VALID_SIDES, VALID_TAGS, CycleTrace,
                      IdleRun, SectionTrace, TraceActivation, TraceEntry)
 
 #: Version of the on-disk trace format.  Bump when the serialization
-#: changes shape; the content-addressed cache (:mod:`repro.trace.cache`)
-#: folds it into every key, so stale cache entries self-invalidate.
+#: changes shape; the header line carries it.
 TRACE_FORMAT_VERSION = 1
 
 _MAGIC = f"#repro-trace {TRACE_FORMAT_VERSION}"
@@ -235,8 +234,7 @@ class FileTraceStream:
     Holds one cycle in memory at a time — a million-activation file
     streams through the simulator at O(largest cycle) memory.  Each
     ``__iter__`` call reopens the file, so the stream can feed every
-    point of a sweep.  Picklable (only the path travels), which lets
-    the parallel sweep engine ship it to worker processes.
+    point of a sweep.  Picklable: only the path travels.
 
     ``idle`` lines come out as :class:`~repro.trace.events.IdleRun`
     markers; pass ``coalesce_idle=True`` to also merge runs of adjacent

@@ -9,8 +9,9 @@ cross-products all appear.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from ..ops5 import Program, parse_program
-from ..trace.cache import cached_trace, trace_key
 from ..trace.events import SectionTrace
 from ..trace.recorder import record_program
 
@@ -137,16 +138,11 @@ def router_program() -> Program:
     return parse_program(GRID_ROUTER)
 
 
+@lru_cache(maxsize=None)
 def _recorded_trace(source: str, name: str) -> SectionTrace:
-    """Record *source* once; load the trace from the cache thereafter.
-
-    The cache key is the OPS5 program text itself, so editing a program
-    re-records it, and ``REPRO_TRACE_CACHE=0`` always re-runs the full
-    OPS5 → Rete → trace pipeline.
-    """
-    key = trace_key(f"program-{name}", source=source, name=name)
-    return cached_trace(
-        key, lambda: record_program(parse_program(source), name))
+    """Record *source* once per process; repeated calls return the same
+    shared (read-only) trace."""
+    return record_program(parse_program(source), name)
 
 
 def blocks_world_trace() -> SectionTrace:

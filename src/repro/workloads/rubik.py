@@ -19,11 +19,10 @@ the ~48 active buckets of each cycle.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 from ..mpc.mapping import DEFAULT_N_BUCKETS
 from ..rete.hashing import BucketKey, stable_hash
-from ..trace.cache import (cached_trace, module_source, source_fingerprint,
-                           trace_key)
 from ..trace.events import SectionTrace
 from .synthetic import TraceBuilder, partition_counts, zipf_weights
 
@@ -107,16 +106,13 @@ def _cycle_buckets(cycle: int, count: int, hot: int) -> list:
 def rubik_section(seed: int = 0) -> SectionTrace:
     """The Rubik section trace (deterministic for a given seed).
 
-    Served from the on-disk trace cache when available (the key covers
-    this module's source, its building blocks and *seed*); built from
-    scratch otherwise or when ``REPRO_TRACE_CACHE=0``.
+    Built once per process and seed; repeated calls return the same
+    shared (and therefore read-only) trace.
     """
-    key = trace_key("rubik", seed=seed, source=source_fingerprint(
-        module_source(__name__),
-        module_source("repro.workloads.synthetic")))
-    return cached_trace(key, lambda: _build_rubik_section(seed))
+    return _build_rubik_section(seed)
 
 
+@lru_cache(maxsize=None)
 def _build_rubik_section(seed: int) -> SectionTrace:
     rng = random.Random(seed)
     builder = TraceBuilder("rubik")

@@ -25,9 +25,8 @@ hot spots); those in turn generate a thinner, well-hashed stage 3.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
-from ..trace.cache import (cached_trace, module_source, source_fingerprint,
-                           trace_key)
 from ..trace.events import SectionTrace
 from .synthetic import TraceBuilder, partition_counts, zipf_weights
 
@@ -56,16 +55,13 @@ TERMINALS = 40              # instantiations out of the cp cycle
 def tourney_section(seed: int = 0) -> SectionTrace:
     """The Tourney section trace (deterministic for a given seed).
 
-    Served from the on-disk trace cache when available (the key covers
-    this module's source, its building blocks and *seed*); built from
-    scratch otherwise or when ``REPRO_TRACE_CACHE=0``.
+    Built once per process and seed; repeated calls return the same
+    shared (and therefore read-only) trace.
     """
-    key = trace_key("tourney", seed=seed, source=source_fingerprint(
-        module_source(__name__),
-        module_source("repro.workloads.synthetic")))
-    return cached_trace(key, lambda: _build_tourney_section(seed))
+    return _build_tourney_section(seed)
 
 
+@lru_cache(maxsize=None)
 def _build_tourney_section(seed: int) -> SectionTrace:
     rng = random.Random(seed)
     builder = TraceBuilder("tourney")

@@ -20,9 +20,8 @@ Published characteristics reproduced exactly:
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
-from ..trace.cache import (cached_trace, module_source, source_fingerprint,
-                           trace_key)
 from ..trace.events import SectionTrace
 from .synthetic import TraceBuilder, partition_counts
 
@@ -47,16 +46,13 @@ TERMINALS_HEAVY = 12
 def weaver_section(seed: int = 0) -> SectionTrace:
     """The Weaver section trace (deterministic for a given seed).
 
-    Served from the on-disk trace cache when available (the key covers
-    this module's source, its building blocks and *seed*); built from
-    scratch otherwise or when ``REPRO_TRACE_CACHE=0``.
+    Built once per process and seed; repeated calls return the same
+    shared (and therefore read-only) trace.
     """
-    key = trace_key("weaver", seed=seed, source=source_fingerprint(
-        module_source(__name__),
-        module_source("repro.workloads.synthetic")))
-    return cached_trace(key, lambda: _build_weaver_section(seed))
+    return _build_weaver_section(seed)
 
 
+@lru_cache(maxsize=None)
 def _build_weaver_section(seed: int) -> SectionTrace:
     rng = random.Random(seed)
     builder = TraceBuilder("weaver")

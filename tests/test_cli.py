@@ -295,17 +295,6 @@ class TestObservability:
         assert "measured-idle" in out
         assert "of idle time at 8 procs" in out
 
-    def test_cache_stats_text_and_json(self, capsys):
-        import json as json_mod
-        assert main(["cache-stats"]) == 0
-        out = capsys.readouterr().out
-        assert "cache dir:" in out and "this process:" in out
-        assert main(["cache-stats", "--json"]) == 0
-        payload = json_mod.loads(capsys.readouterr().out)
-        assert set(payload["counters"]) == {
-            "memory_hits", "disk_hits", "misses", "stores",
-            "quarantines"}
-
     def test_verbosity_flags_accepted(self, capsys):
         assert main(["sections", "-q"]) == 0
         capsys.readouterr()

@@ -18,10 +18,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.mpc import (DEFAULT_PROTOCOL, TABLE_5_1, ZERO_OVERHEADS,
-                       CostModel, FailStop, FaultModel, GridPoint,
+                       CostModel, FailStop, FaultModel,
                        ProtocolModel, RandomMapping, RoundRobinMapping,
                        RunConfig, StallWindow, compute_search_costs,
-                       fault_sweep, plan_delivery, run_grid, simulate,
+                       fault_sweep, plan_delivery, simulate,
                        simulate_base, simulate_config, speedup)
 from repro.mpc._reference import (simulate_reference,
                                   simulate_with_faults_reference)
@@ -286,15 +286,18 @@ class TestSectionDeterminism:
             faults=FaultModel(seed=1, loss_prob=0.05)))
         assert a.retransmits != b.retransmits or a.total_us != b.total_us
 
-    def test_parallel_equals_serial_with_faults(self, sections):
+    def test_fault_sweep_equals_direct_simulation(self, sections):
         trace = sections[0]
-        faults = FaultModel(seed=5, loss_prob=0.01, jitter_us=2.0)
-        points = [GridPoint(n_procs=n, overheads=OVERHEADS, faults=faults)
-                  for n in (4, 16)]
-        serial = run_grid(trace, points, workers=1)
-        fanned = run_grid(trace, points, workers=2)
-        for a, b in zip(serial, fanned):
-            assert_results_identical(a, b)
+        curve = fault_sweep(trace, n_procs=16, loss_rates=[0.0, 0.01],
+                            overheads=OVERHEADS, seed=5, jitter_us=2.0)
+        base = simulate_base(trace)
+        for rate, speedup_at, result in zip(curve.loss_rates,
+                                            curve.speedups, curve.results):
+            direct = simulate_config(trace, RunConfig(
+                n_procs=16, overheads=OVERHEADS,
+                faults=FaultModel(seed=5, loss_prob=rate, jitter_us=2.0)))
+            assert_results_identical(result, direct)
+            assert speedup_at == speedup(base, direct)
 
 
 class TestProtocolAccounting:

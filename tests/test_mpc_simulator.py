@@ -1,14 +1,17 @@
 """Tests for the MPC discrete-event simulator: exact hand-computed
-timings, conservation laws, and overhead behaviour."""
+timings, conservation laws, overhead behaviour, and bit-identity with
+the preserved reference loop (:mod:`repro.mpc._reference`)."""
 
 import pytest
 
-from repro.mpc import (CostModel, ExplicitMapping, OverheadModel,
+from repro.mpc import (TABLE_5_1, CostModel, ExplicitMapping, OverheadModel,
                        RoundRobinMapping, RunConfig, ZERO_OVERHEADS,
-                       bucket_work, simulate, simulate_base,
-                       simulate_config, speedup)
+                       bucket_work, overhead_sweep, simulate, simulate_base,
+                       simulate_config, speedup, speedup_curve)
+from repro.mpc._reference import simulate_reference
 from repro.rete.hashing import BucketKey
 from repro.trace import CycleTrace, SectionTrace, TraceActivation
+from repro.workloads import rubik_section, tourney_section, weaver_section
 
 
 def act(i, node, side="right", tag="+", parent=None, succ=(), kind="join",
@@ -278,3 +281,55 @@ class TestEventOrderAtEqualTimes:
                 want = simulate_reference(trace, n_procs, costs=costs,
                                           overheads=overheads)
                 assert got.cycles == want.cycles
+
+
+@pytest.fixture(scope="module")
+def sections():
+    return [rubik_section(), tourney_section(), weaver_section()]
+
+
+def assert_results_equal(a, b):
+    assert a.total_us == b.total_us
+    assert a.n_messages == b.n_messages
+    assert len(a.cycles) == len(b.cycles)
+    for ca, cb in zip(a.cycles, b.cycles):
+        assert ca == cb
+
+
+class TestOptimizedSimulatorMatchesReference:
+    @pytest.mark.parametrize("n_procs", [1, 4, 16, 32])
+    def test_zero_overheads(self, sections, n_procs):
+        for trace in sections:
+            assert_results_equal(
+                simulate(trace, n_procs=n_procs),
+                simulate_reference(trace, n_procs))
+
+    @pytest.mark.parametrize("overheads", TABLE_5_1,
+                             ids=lambda m: m.label())
+    def test_table_5_1_overheads(self, sections, overheads):
+        trace = sections[0]
+        assert_results_equal(
+            simulate(trace, n_procs=16, overheads=overheads),
+            simulate_reference(trace, 16, overheads=overheads))
+
+    def test_delete_search_costs(self, sections):
+        costs = CostModel(delete_search_us=2.0)
+        for trace in sections:
+            assert_results_equal(
+                simulate(trace, n_procs=8, costs=costs),
+                simulate_reference(trace, 8, costs=costs))
+
+
+class TestSweepsRunInProcess:
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_speedup_curve_rejects_other_worker_counts(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            speedup_curve(fanout_trace(4), [1, 2], workers=workers)
+
+    def test_streamed_curve_equals_materialized(self, sections):
+        weaver = sections[2]
+        for kept, streamed in zip(
+                overhead_sweep(weaver, [1, 4, 16]),
+                overhead_sweep(weaver, [1, 4, 16], keep_results=False)):
+            assert kept.speedups == streamed.speedups
+            assert len(kept.results) == 3 and streamed.results == []

@@ -98,8 +98,8 @@ class TestLogging:
         assert verbosity_level(verbose=3, quiet=True) == logging.ERROR
 
     def test_get_logger_normalizes_names(self):
-        assert get_logger("mpc.parallel") is \
-            logging.getLogger("repro.mpc.parallel")
+        assert get_logger("exec.served") is \
+            logging.getLogger("repro.exec.served")
         assert get_logger("repro.trace") is logging.getLogger("repro.trace")
         assert get_logger("") is logging.getLogger("repro")
 

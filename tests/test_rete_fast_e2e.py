@@ -2,7 +2,7 @@
 
 Full OPS5 programs — the classic demos and the rubik/tourney/weaver
 match workloads — run token-for-token identically on the fast kernel
-(numpy on and off) and the preserved reference engine: same firing
+(observed and unobserved) and the preserved reference engine: same firing
 sequence, same wme ids in every instantiation, same output, same halt
 state.  The recorded match scripts also replay into every engine with
 identical final conflict sets, which is the property the rete bench
@@ -18,10 +18,18 @@ from repro.workloads import (MATCH_PROGRAMS, adversarial_cross_product,
 from repro.workloads.programs import (BLOCKS_WORLD, GRID_ROUTER,
                                       MONKEY_AND_BANANAS)
 
+
+def _observed_network():
+    """A kernel with an observer: waves take the traced stack machine."""
+    net = ReteNetwork()
+    net.observers.append(lambda event: None)
+    return net
+
+
 ENGINES = {
     "reference": ReferenceReteNetwork,
-    "fast": ReteNetwork,
-    "fast-nonumpy": lambda: ReteNetwork(use_numpy=False),
+    "fast": _observed_network,
+    "fast-unobserved": ReteNetwork,
 }
 
 PROGRAMS = {
@@ -57,7 +65,7 @@ def test_fast_kernel_runs_token_for_token(name):
             for ename, factory in ENGINES.items()}
     reference = runs["reference"]
     assert reference[0], f"{name}: reference run fired nothing"
-    for ename in ("fast", "fast-nonumpy"):
+    for ename in ("fast", "fast-unobserved"):
         assert runs[ename] == reference, f"{name}: {ename} diverged"
 
 
@@ -97,15 +105,3 @@ def test_adversarial_cross_product_forms_n_squared_then_drains():
     assert net.conflict_set() == []
     assert net.memories.is_empty()
     assert net.kernel.pool.live_count() == 0
-
-
-def test_vectorized_alpha_engages_on_rubik():
-    """Rubik's 24 ``^pos`` constant patterns are the designed numpy
-    showcase; if numpy is importable the kernel must vectorize them."""
-    from repro.rete import resolve_numpy
-    if resolve_numpy(True) is None:
-        pytest.skip("numpy not installed")
-    script = record_match_deltas(PROGRAMS["rubik"])
-    net = ReteNetwork(use_numpy=True)
-    replay_deltas(net, script.program, script.deltas)
-    assert net.kernel.numpy_engaged

@@ -2,11 +2,12 @@
 
 Three independently-written matchers — the from-scratch naive matcher,
 the preserved object-dispatch Rete (:class:`ReferenceReteNetwork`) and
-the flattened kernel (with and without the vectorized alpha path) —
-are driven through random rule subsets and random working-memory churn
-(adds, removes, negated CEs, multiple-modify bursts).  All four must
-agree on the conflict set after every single delta; the kernel variants
-must also agree on memory totals and live token counts.
+the flattened kernel (observed, on its traced stack machine, and
+unobserved, on its untraced fast walk) — are driven through random rule
+subsets and random working-memory churn (adds, removes, negated CEs,
+multiple-modify bursts).  All four must agree on the conflict set after
+every single delta; the kernel variants must also agree on memory
+totals and live token counts.
 
 The ``ci`` hypothesis profile runs on every PR; the ``fuzz``-marked
 deep sweeps run nightly at the ``nightly`` profile budget.
@@ -48,8 +49,8 @@ PRODUCTION_SOURCES = [
     "(p doubleneg (a ^p <x>) -(b ^p <x>) -(c ^q <x>) --> (remove 1))",
 ]
 
-#: A battery of EQ-constant patterns on one class, wide enough to
-#: engage the kernel's vectorized alpha path (>= NUMPY_MIN_PATTERNS).
+#: A wide battery of EQ-constant patterns on one class: many alpha
+#: patterns tested against every wme of the class.
 CONST_BATTERY = [
     f"(p const{v} (a ^p {v} ^q <y>) (b ^q <y>) --> (remove 1))"
     for v in range(10)
@@ -145,7 +146,8 @@ def _run_differential(rules, script):
     naive = NaiveMatcher()
     reference = ReferenceReteNetwork()
     fast = ReteNetwork()
-    plain = ReteNetwork(use_numpy=False)
+    fast.observers.append(lambda event: None)
+    plain = ReteNetwork()
     engines = (naive, reference, fast, plain)
     for source in rules:
         production = parse_production(source)
@@ -171,8 +173,8 @@ def test_fast_matches_reference_and_naive_under_churn(rules, script):
 
 @given(rules=rule_subsets(battery=True), script=churn_scripts())
 def test_const_battery_vectorized_parity(rules, script):
-    """The wide EQ-constant battery always rides along, so the numpy
-    alpha path (when numpy is importable) is fuzzed too."""
+    """The wide EQ-constant battery always rides along, so the
+    class-indexed alpha loop is fuzzed over many patterns per class."""
     _run_differential(rules, script)
 
 

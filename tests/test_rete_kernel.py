@@ -1,16 +1,12 @@
 """Unit tests for the flattened match kernel's building blocks:
-token-pool lifecycle, the numpy capability gate, vectorized-alpha
-engagement, flat memories and the network front-end's compile
-behaviour."""
+token-pool lifecycle, alpha matching, flat memories and the network
+front-end's compile behaviour."""
 
 import pytest
 
 from repro.ops5 import parse_production
 from repro.ops5.wme import WME
-from repro.rete import (NUMPY_MIN_PATTERNS, FlatMemories, ReteError,
-                        ReteNetwork, TokenPool, resolve_numpy)
-
-numpy_installed = resolve_numpy(True) is not None
+from repro.rete import FlatMemories, ReteError, ReteNetwork, TokenPool
 
 
 def _wme(wid, cls="a", **attrs):
@@ -88,85 +84,27 @@ class TestTokenPool:
 
 
 # ---------------------------------------------------------------------------
-# numpy gate
+# alpha match
 # ---------------------------------------------------------------------------
 
-class TestResolveNumpy:
-    def test_force_off(self):
-        assert resolve_numpy(False) is None
-
-    def test_env_var_disables(self, monkeypatch):
-        for word in ("0", "off", "FALSE", "no"):
-            monkeypatch.setenv("REPRO_RETE_NUMPY", word)
-            assert resolve_numpy(None) is None
-
-    def test_explicit_true_ignores_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETE_NUMPY", "0")
-        assert resolve_numpy(True) is resolve_numpy(True)  # stable
-        if numpy_installed:
-            assert resolve_numpy(True) is not None
-
-    @pytest.mark.skipif(not numpy_installed, reason="numpy not installed")
-    def test_default_enables_when_importable(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RETE_NUMPY", raising=False)
-        assert resolve_numpy(None) is not None
-
-
-def _const_battery_network(n_patterns, **kwargs):
-    net = ReteNetwork(**kwargs)
+def _const_battery_network(n_patterns):
+    net = ReteNetwork()
     for v in range(n_patterns):
         net.add_production(parse_production(
             f"(p const{v} (a ^p {v}) --> (remove 1))"))
     return net
 
 
-@pytest.mark.skipif(not numpy_installed, reason="numpy not installed")
-class TestVectorizedAlpha:
-    def test_engages_at_threshold(self):
-        net = _const_battery_network(NUMPY_MIN_PATTERNS, use_numpy=True)
-        assert net.kernel.numpy_engaged
-
-    def test_stays_off_below_threshold(self):
-        net = _const_battery_network(NUMPY_MIN_PATTERNS - 1,
-                                     use_numpy=True)
-        assert not net.kernel.numpy_engaged
-
-    def test_forced_off_never_engages(self):
-        net = _const_battery_network(NUMPY_MIN_PATTERNS * 2,
-                                     use_numpy=False)
-        assert not net.kernel.numpy_engaged
-
-    def test_env_var_disables_engagement(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETE_NUMPY", "0")
-        net = _const_battery_network(NUMPY_MIN_PATTERNS * 2)
-        assert not net.kernel.numpy_engaged
-
-    def test_vectorized_and_scalar_agree(self):
-        nets = [_const_battery_network(12, use_numpy=True),
-                _const_battery_network(12, use_numpy=False)]
-        assert nets[0].kernel.numpy_engaged
-        assert not nets[1].kernel.numpy_engaged
-        wid = 0
-        for v in [0, 3, 11, 99, "x", 3, 0]:
-            wid += 1
-            wme = _wme(wid, p=v)
-            for net in nets:
-                net.add_wme(wme)
-            sigs = [sorted((i.production.name, tuple(w.wme_id
-                                                     for w in i.wmes))
-                           for i in net.conflict_set())
-                    for net in nets]
-            assert sigs[0] == sigs[1]
-
+class TestAlphaMatch:
     def test_bool_values_never_match_numeric_constants(self):
         # values_equal(True, 1) is False even though True == 1 in
-        # Python; the encoded alpha path must preserve that.
-        nets = [_const_battery_network(12, use_numpy=True),
-                _const_battery_network(12, use_numpy=False)]
-        wme = _wme(1, p=True)
-        for net in nets:
-            net.add_wme(wme)
-            assert net.conflict_set() == []
+        # Python; the alpha tests must preserve that.
+        net = _const_battery_network(12)
+        net.add_wme(_wme(1, p=True))
+        assert net.conflict_set() == []
+        net.add_wme(_wme(2, p=1))
+        assert [i.production.name for i in net.conflict_set()] \
+            == ["const1"]
 
 
 # ---------------------------------------------------------------------------

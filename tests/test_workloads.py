@@ -224,3 +224,17 @@ class TestDemoPrograms:
         base = simulate_base(trace)
         run = simulate(trace, n_procs=4)
         assert speedup(base, run) >= 0.9
+
+
+class TestSectionMemo:
+    def test_memory_layer_returns_same_object(self):
+        from repro.workloads.programs import (blocks_world_trace,
+                                              monkey_trace, router_trace)
+        for build in (rubik_section, tourney_section, weaver_section):
+            first = build(1)
+            assert build(1) is first
+            assert build(seed=1) is first
+            assert build(2) is not first
+        assert rubik_section() is rubik_section(0)
+        for build in (blocks_world_trace, monkey_trace, router_trace):
+            assert build() is build()
