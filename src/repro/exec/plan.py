@@ -73,7 +73,7 @@ from ..mpc.config import RunConfig
 from ..mpc.mapping import RoundRobinMapping
 from ..mpc.metrics import CycleResult
 from ..mpc.simulator import compute_search_costs
-from ..trace.events import KIND_TERMINAL, LEFT, SectionTrace
+from ..trace.events import TAG_TERMINAL, SectionTrace
 from .errors import ProtocolViolation
 
 #: Destination id of the control actor in emitted ``(dst, msg)`` pairs.
@@ -137,9 +137,11 @@ def build_plans(trace: SectionTrace, config: RunConfig) -> List[CyclePlan]:
         index = cycle.key_index()
         dest_of = index.destinations(cycle_mapping)
         base = index.base
+        tags = index.tags
+        left_of = index.left
+        successors_of = index.successors
 
         get_extra = search_costs.get(cycle.index, {}).get
-        acts = cycle.activations
         per_actor_acts: List[Dict[int, ActSpec]] = \
             [{} for _ in range(n_procs)]
         per_actor_roots: List[List[int]] = [[] for _ in range(n_procs)]
@@ -152,31 +154,32 @@ def build_plans(trace: SectionTrace, config: RunConfig) -> List[CyclePlan]:
 
         # Walk exactly the activations the simulator delivers: roots,
         # then successors of processed nonterminals (successors of
-        # terminals are never generated).
+        # terminals are never generated).  The walk reads the cycle's
+        # compiled table, never its activation objects.
         frontier: List[int] = []
-        for root in cycle.roots():
-            owner = dest_of[root.act_id - base]
-            if root.kind == KIND_TERMINAL:
-                per_actor_fires[owner].append(root.act_id)
-                fires.append(root.act_id)
+        for r in index.roots:
+            if r < 0:
+                act_id = base + ~r
+                per_actor_fires[dest_of[~r]].append(act_id)
+                fires.append(act_id)
             else:
-                per_actor_roots[owner].append(root.act_id)
-                frontier.append(root.act_id)
+                act_id = base + r
+                per_actor_roots[dest_of[r]].append(act_id)
+                frontier.append(act_id)
         while frontier:
             act_id = frontier.pop()
-            act = acts[act_id]
-            owner = dest_of[act_id - base]
+            pos = act_id - base
+            owner = dest_of[pos]
             successors = []
-            for succ_id in act.successors:
-                succ = acts[succ_id]
-                if succ.kind == KIND_TERMINAL:
+            for succ_id in successors_of[pos]:
+                succ = succ_id - base
+                if tags[succ] >= TAG_TERMINAL:
                     successors.append((succ_id, CONTROL, True))
                     fires.append(succ_id)
                 else:
-                    successors.append(
-                        (succ_id, dest_of[succ_id - base], False))
+                    successors.append((succ_id, dest_of[succ], False))
                     frontier.append(succ_id)
-            is_left = act.side == LEFT
+            is_left = left_of[pos] == 1
             per_actor_acts[owner][act_id] = (
                 is_left, get_extra(act_id, 0.0), tuple(successors))
             if is_left:

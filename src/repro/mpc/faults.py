@@ -404,7 +404,8 @@ def simulate_cycle_with_faults(
     tests_us = costs.constant_tests_us
     cycle_index = cycle.index
     index = cycle.key_index()
-    dest = index.destinations(mapping)
+    procs = mapping.processors(index.keys, index.hashes)
+    dest = index.expand(procs)
     base = index.base
     left = index.left
     successors = index.successors
@@ -664,7 +665,7 @@ def simulate_cycle_with_faults(
         n_messages += copies
         network_busy += latency_us * copies + jitter
 
-    activations, left_activations = index.processor_counts(dest, n_procs)
+    activations, left_activations = index.processor_counts(procs, n_procs)
     makespan = max([floor_ready] + ready + control_arrivals)
     if record:
         recorder.add_cycle(CycleTimeline(

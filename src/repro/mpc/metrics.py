@@ -5,7 +5,7 @@ speedup, idle-time and network-utilization numbers the paper reports are
 all derived here.
 
 Two representation tricks keep results memory-bounded at thousands of
-processors and millions of cycles (ROADMAP item 3):
+processors and millions of cycles (DESIGN §4.4):
 
 * :class:`SparseProcArray` — a per-processor array stored as (length,
   default, overrides).  A compressed simulation packages only the

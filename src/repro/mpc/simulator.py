@@ -48,8 +48,9 @@ control processor.  From then on an event is one integer:
   the control processor is inlined, and search surcharges are looked
   up only when the cost model has them;
 * per-processor activation counts are taken once per cycle from the
-  two-input positions — each is processed exactly once, on the
-  processor owning its bucket — not incremented per event.
+  index's per-key counts — each two-input activation is processed
+  exactly once, on the processor owning its bucket — not incremented
+  per event.
 
 The fault/protocol loop (:func:`repro.mpc.faults
 .simulate_cycle_with_faults`) runs on the same table with the same
@@ -100,8 +101,8 @@ from dataclasses import replace
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..rete.hashing import BucketKey
-from ..trace.events import (KIND_TERMINAL, CycleKeyIndex, CycleTrace,
-                            IdleRun, SectionTrace, iter_cycles)
+from ..trace.events import (CycleKeyIndex, CycleTrace, IdleRun,
+                            SectionTrace, iter_cycles)
 from .config import RunConfig
 from .costmodel import DEFAULT_COSTS, ZERO_OVERHEADS, CostModel, \
     OverheadModel
@@ -252,6 +253,8 @@ class _SearchCostTracker:
     one at a time as the engine reaches them is bit-identical to the
     old up-front whole-trace pass — and it is what lets
     :func:`iter_cycle_results` consume streaming traces in one pass.
+    Each cycle is charged on its compiled table
+    (:meth:`~repro.trace.events.CycleKeyIndex.charge_searches`).
     """
 
     __slots__ = ("rate", "depth")
@@ -265,19 +268,7 @@ class _SearchCostTracker:
         rate = self.rate
         if rate <= 0.0:
             return {}
-        depth = self.depth
-        per_cycle: Dict[int, float] = {}
-        for act in cycle:
-            if act.kind == KIND_TERMINAL:
-                continue
-            if act.tag == "+":
-                depth[act.key] = depth.get(act.key, 0) + 1
-            else:
-                before = depth.get(act.key, 0)
-                if before > 0:
-                    per_cycle[act.act_id] = rate * before
-                    depth[act.key] = before - 1
-        return per_cycle
+        return cycle.key_index().charge_searches(self.depth, rate)
 
 
 def compute_search_costs(trace: SectionTrace,
@@ -419,7 +410,7 @@ def iter_cycle_results(trace, config: RunConfig
             # flushes it first.
             if is_idle_run:
                 idle_start, idle_count = entry.start_index, entry.count
-            elif not entry.activations:
+            elif not len(entry):
                 idle_start, idle_count = entry.index, 1
             else:
                 idle_start = None
@@ -545,7 +536,8 @@ def _simulate_cycle(cycle: CycleTrace, n_procs: int, costs: CostModel,
     right_us = costs.right_token_us + _TEST_MUTATE_RIGHT_TOKEN_US
     successor_us = costs.successor_us
     index = cycle.key_index()
-    dest = index.destinations(mapping)
+    procs = mapping.processors(index.keys, index.hashes)
+    dest = index.expand(procs)
     base = index.base
     left = index.left
     successors = index.successors
@@ -674,7 +666,7 @@ def _simulate_cycle(cycle: CycleTrace, n_procs: int, costs: CostModel,
     # processor owning its bucket.
     if slots is None:
         makespan = max([floor_ready] + ready + control_arrivals)
-        activations, left_activations = index.processor_counts(dest,
+        activations, left_activations = index.processor_counts(procs,
                                                                n_procs)
     else:
         counts = Counter(map(dest.__getitem__, index.counted))

@@ -32,7 +32,7 @@ DEFAULT_LOSS_RATES: Tuple[float, ...] = (0.0, 1e-4, 1e-3, 1e-2)
 DEFAULT_PROC_COUNTS: Tuple[int, ...] = (1, 2, 4, 8, 16, 24, 32)
 
 #: Processor counts for the what-if extrapolation past Nectar scale
-#: (ROADMAP item 3) — use with ``compress_rounds=True`` and
+#: (DESIGN §4.4) — use with ``compress_rounds=True`` and
 #: ``keep_results=False`` to stay memory-bounded.
 SCALE_PROC_COUNTS: Tuple[int, ...] = (64, 256, 1024, 4096)
 

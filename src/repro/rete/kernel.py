@@ -1,4 +1,4 @@
-"""The flattened Rete match kernel (ROADMAP item 2).
+"""The flattened Rete match kernel (DESIGN §4.5).
 
 The reference engine (:mod:`repro.rete._reference`) dispatches every
 working-memory delta through a graph of node *objects*: each activation
@@ -6,11 +6,12 @@ is a Python method call, each token an immutable :class:`Token`
 allocation, and each alpha test a scan over every pattern in the
 network.  This module compiles the same network — built by the ordinary
 :class:`~repro.rete.builder.NetworkBuilder` — into flat parallel arrays
-and executes waves with an explicit stack machine:
+and executes waves with one explicit depth-first work stack, observed
+or not:
 
-* **Alpha dispatch** is indexed by wme class: only the patterns that
-  could possibly match are tested, as tuple-compare loops over the
-  pattern's constant tests.
+* **Alpha dispatch** is hashed: within a wme class, one lookup on the
+  attribute the patterns share an EQ constant on picks the patterns
+  that could possibly match, and only those run their compiled tests.
 * **Beta nodes** become rows of parallel arrays (kind, bucket-key
   positions, residual tests, binding-merge plans, children), indexed by
   a compact integer.  Bucket state lives in
@@ -25,7 +26,7 @@ The executor replicates the reference engine's observable behaviour bit
 for bit: activation events get their ``act_id`` in the reference's
 pre-order (assigned when an activation *starts*) and are delivered to
 observers in its post-order (when the activation's subtree finishes),
-conflict sets preserve terminal/insertion order, and memory buckets are
+conflict sets hold the same instantiations, and memory buckets are
 deleted when they empty.  The ``rete_fast_vs_reference`` conformance
 oracle and the differential fuzz suite pin this equivalence.
 """
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..ops5.ast import Constant, Predicate
 from ..ops5.conflict import Instantiation
 from ..ops5.values import NIL
 from ..ops5.wme import WME
@@ -48,12 +50,19 @@ from .tokens import MINUS, PLUS, TokenPool
 KIND_JOIN = 0
 KIND_NEGATIVE = 1
 KIND_TERMINAL = 2
+#: The kind of the extra row a walk's finish markers point at.
+KIND_FINISH = 3
+
+#: Exact value types an alpha constant is hashed on: their ``==`` and
+#: ``hash`` are OPS5 equality (``1 == 1.0``, ``"1" != 1``), and ``bool``
+#: is deliberately absent.
+_HASHED_TYPES = frozenset((int, float, str))
 
 
 class _AlphaSlot:
     """One alpha pattern's compiled tests and delivery list."""
 
-    __slots__ = ("const_tests", "intra_tests", "subs")
+    __slots__ = ("const_tests", "intra_tests", "subs", "eq_constants")
 
     def __init__(self, pattern) -> None:
         #: (attr, fn, operand): passes when fn(wme value, operand)
@@ -67,6 +76,92 @@ class _AlphaSlot:
         #: subscription feeds the node's *right* input with the raw wme;
         #: a tuple of attributes means unit tokens on the left input.
         self.subs: List[Tuple[int, Optional[Tuple[str, ...]]]] = []
+        #: attr -> the constant of the pattern's first hashable EQ test
+        #: on it (exactly int, float or str, and not NaN)
+        self.eq_constants: Dict[str, Any] = {}
+        for test in pattern.const_tests:
+            operand = test.operand
+            if (test.predicate is Predicate.EQ
+                    and isinstance(operand, Constant)
+                    and type(operand.value) in _HASHED_TYPES
+                    and operand.value == operand.value):
+                self.eq_constants.setdefault(test.attr, operand.value)
+
+
+class _AlphaClass:
+    """One wme class's alpha patterns, dispatched through a hash table.
+
+    The constant-test step of paper Section 3.2 as a hashed alpha
+    network (Doorenbos, CMU-CS-95-113): the attribute that the most
+    slots (at least two) test for equality with a constant is the
+    *hash attribute*, and each of its constants maps to the slots that
+    could match a wme carrying it — the slots testing that constant
+    plus every slot without an EQ-constant test on the attribute, in
+    slot order.  A wme whose value there is not exactly ``int``,
+    ``float`` or ``str`` is offered every slot.  Candidates still run
+    all their compiled tests, so the matched slots and their order are
+    exactly a full scan's.
+    """
+
+    __slots__ = ("slots", "attr", "table", "unkeyed")
+
+    def __init__(self, slots: List[_AlphaSlot]) -> None:
+        self.slots = tuple(slots)
+        self.attr: Optional[str] = None
+        self.table: Dict[Any, Tuple[_AlphaSlot, ...]] = {}
+        self.unkeyed = self.slots
+        tested: Dict[str, int] = {}
+        for slot in slots:
+            for attr in slot.eq_constants:
+                tested[attr] = tested.get(attr, 0) + 1
+        if not tested or max(tested.values()) < 2:
+            return
+        attr = self.attr = max(tested, key=tested.get)
+        groups: Dict[Any, List[_AlphaSlot]] = {}
+        for slot in slots:
+            if attr in slot.eq_constants:
+                groups.setdefault(slot.eq_constants[attr], []).append(slot)
+        self.unkeyed = tuple(s for s in slots if attr not in s.eq_constants)
+        for constant, members in groups.items():
+            self.table[constant] = tuple(
+                s for s in slots
+                if attr not in s.eq_constants or s in members)
+
+    def candidates(self, wme: WME) -> Tuple[_AlphaSlot, ...]:
+        """The slots that could match *wme*, in slot order."""
+        attr = self.attr
+        if attr is None:
+            return self.slots
+        value = wme.attrs.get(attr, NIL)
+        if type(value) in _HASHED_TYPES:
+            return self.table.get(value, self.unkeyed)
+        return self.slots
+
+
+def _passing(wmes: list, residuals: tuple, values: tuple) -> list:
+    """The wmes passing every residual test against token *values*."""
+    if len(residuals) == 1:
+        (pos, pred, attr), = residuals
+        value = values[pos]
+        return [wme for wme in wmes if pred(wme.attrs.get(attr, NIL), value)]
+    out = []
+    for wme in wmes:
+        get = wme.attrs.get
+        for pos, pred, attr in residuals:
+            if not pred(get(attr, NIL), values[pos]):
+                break
+        else:
+            out.append(wme)
+    return out
+
+
+def _passes(tests: list, values: tuple) -> bool:
+    """Whether token *values* passes residual *tests*, given as
+    ``(value index, predicate, the wme's value)``."""
+    for pos, pred, wme_value in tests:
+        if not pred(wme_value, values[pos]):
+            return False
+    return True
 
 
 class ReteKernel:
@@ -165,15 +260,21 @@ class ReteKernel:
 
         # Children split by kind (kinds are known once every row is
         # compiled — children always have larger node ids than parents).
-        # The untraced walk delivers join outputs to terminal children
+        # The unobserved walk delivers join outputs to terminal children
         # inline, without allocating a pool slot for tokens that exist
-        # only to become a conflict-set entry.
+        # only to become a conflict-set entry.  The walk pushes
+        # successors in reverse, so the pushed tuples are reversed here.
         self.term_children: List[Tuple[int, ...]] = [
             tuple(c for c in self.children[ci]
                   if self.kind[c] == KIND_TERMINAL) for ci in range(n)]
-        self.beta_children: List[Tuple[int, ...]] = [
-            tuple(c for c in self.children[ci]
+        self.rchildren: List[Tuple[int, ...]] = [
+            children[::-1] for children in self.children]
+        self.rbeta_children: List[Tuple[int, ...]] = [
+            tuple(c for c in self.rchildren[ci]
                   if self.kind[c] != KIND_TERMINAL) for ci in range(n)]
+        #: the row finish markers name (see :meth:`_walk`)
+        self._finish_ci = n
+        self.kind.append(KIND_FINISH)
 
         self.memories = FlatMemories(n)
         #: each node's key-less bucket (every terminal activation and
@@ -182,15 +283,17 @@ class ReteKernel:
         self.empty_key: List[BucketKey] = [
             BucketKey(node_id, ()) for node_id in self.node_id]
 
-        # -- alpha network: class-indexed pattern groups --------------------
-        self._alpha: Dict[str, List[_AlphaSlot]] = {}
+        # -- alpha network: hashed per-class pattern groups -----------------
+        by_class: Dict[str, List[_AlphaSlot]] = {}
         slot_of: Dict[int, _AlphaSlot] = {}
         for pattern in network._alpha_patterns:
             if pattern.always_false:
                 continue  # can never match; no observable effect
             slot = _AlphaSlot(pattern)
-            self._alpha.setdefault(pattern.cls, []).append(slot)
+            by_class.setdefault(pattern.cls, []).append(slot)
             slot_of[pattern.pattern_id] = slot
+        self._alpha: Dict[str, _AlphaClass] = {
+            cls: _AlphaClass(slots) for cls, slots in by_class.items()}
         for pattern_id, subs in network._subscriptions.items():
             slot = slot_of.get(pattern_id)
             if slot is None:
@@ -204,31 +307,24 @@ class ReteKernel:
 
     def dispatch(self, wme: WME, tag: str) -> None:
         """Run one +/- wave: alpha match, then beta propagation."""
-        slots = self._alpha.get(wme.cls)
-        if slots is None:
+        alpha = self._alpha.get(wme.cls)
+        if alpha is None:
             return
         pool = self.pool
         allocs: List[int] = []
-        traced = bool(self.net.observers)
         alpha_match = self._alpha_match
-        matched = [s for s in slots if alpha_match(s, wme)]
+        matched = [s for s in alpha.candidates(wme) if alpha_match(s, wme)]
         for slot in matched:
             for ci, unit_attrs in slot.subs:
                 if unit_attrs is None:
-                    if traced:
-                        self._run_right(ci, wme, tag, allocs)
-                    else:
-                        self._fast_right(ci, wme, tag, allocs)
+                    self._right(ci, wme, tag, allocs)
                 else:
                     tok = pool.alloc(
                         (wme.wme_id,), (wme,),
                         tuple(intern_value(wme.get(a))
                               for a in unit_attrs))
                     allocs.append(tok)
-                    if traced:
-                        self._run_left(ci, tok, tag, allocs)
-                    else:
-                        self._walk_fast([(ci, tok, tag)], allocs)
+                    self._walk([(ci, tok, tag, None)], allocs)
         release = pool.release_if_unused
         for idx in allocs:
             release(idx)
@@ -244,254 +340,16 @@ class ReteKernel:
                 return False
         return True
 
-    def _run_left(self, ci: int, tok: int, tag: str,
-                  allocs: List[int]) -> None:
-        if self.kind[ci] == KIND_TERMINAL:
-            self._finish(self._enter_terminal(ci, tok, tag, None), 0)
-        else:
-            self._drain(self._enter_left(ci, tok, tag, None, allocs),
-                        allocs)
+    def _right(self, ci: int, wme: WME, tag: str,
+               allocs: List[int]) -> None:
+        """One right (wme) activation at node *ci*: the root of a walk.
 
-    def _run_right(self, ci: int, wme: WME, tag: str,
-                   allocs: List[int]) -> None:
-        self._drain(self._enter_right(ci, wme, tag, allocs), allocs)
-
-    def _drain(self, root_frame, allocs: List[int]) -> None:
-        """The stack machine replacing recursive node dispatch.
-
-        Each frame is ``[event, items, pos]``: the activation's (already
-        emitted) event and its precomputed successor list.  Pushing a
-        child frame performs the child's entry actions — memory update
-        plus event-id assignment, the reference engine's pre-order — and
-        popping delivers the event to observers, its post-order.  A
-        terminal child has no successors, so it is entered and finished
-        in place, without a frame.
-        Precomputing ``items`` at entry is safe because the network is a
-        DAG: a node's buckets are only mutated by its *own* activations,
-        and the descent below an item only reaches strict descendants.
+        Its successors are pushed in reverse so the walk pops them in
+        the reference engine's order; :meth:`_walk` describes the
+        entries and what attached observers change.
         """
-        enter = self._enter_left
-        enter_terminal = self._enter_terminal
-        finish = self._finish
-        kinds = self.kind
-        stack = [root_frame]
-        push = stack.append
-        pop = stack.pop
-        while stack:
-            frame = stack[-1]
-            items = frame[1]
-            pos = frame[2]
-            if pos < len(items):
-                frame[2] = pos + 1
-                cci, ctok, ctag = items[pos]
-                if kinds[cci] == KIND_TERMINAL:
-                    finish(enter_terminal(cci, ctok, ctag, frame[0]), 0)
-                else:
-                    push(enter(cci, ctok, ctag, frame[0], allocs))
-            else:
-                finish(frame[0], len(items))
-                pop()
-
-    def _enter_terminal(self, ci: int, tok, tag: str, parent_ev):
-        """A terminal activation: add/remove one instantiation.
-
-        *tok* is a pool index, or — for join outputs that feed only
-        terminals and so never need a slot — the ``(ids, wmes, values)``
-        triple itself.
-        """
-        ev = self._emit(ci, "left", tag, (), parent_ev)
-        if type(tok) is tuple:
-            ids, wmes, values = tok
-        else:
-            pool = self.pool
-            ids = pool.ids[tok]
-            wmes = pool.wmes[tok]
-            values = pool.values[tok]
-        if tag == PLUS:
-            self.term_insts[ci][ids] = Instantiation(
-                self.term_prod[ci], wmes,
-                dict(zip(self.term_names[ci], values)))
-        else:
-            self.term_insts[ci].pop(ids, None)
-        return ev
-
-    def _join_items(self, ci: int, tok: int, tag: str,
-                    matches, allocs: List[int]) -> list:
-        """Successor items of join *ci* extending token *tok* by each
-        wme of *matches*, in child order per match.
-
-        Terminal children receive the output as an inline triple; a pool
-        slot is allocated only when some child is a beta node.
-        """
-        pool = self.pool
-        values = pool.values[tok]
-        ids_tok = pool.ids[tok]
-        wmes_tok = pool.wmes[tok]
-        copy_vals = self.copy_values[ci]
-        plan = self.merge_plan[ci]
-        children = self.children[ci]
-        terminal_only = not self.beta_children[ci]
-        kinds = self.kind
-        items: List[Tuple[int, Any, str]] = []
-        append = items.append
-        for wme in matches:
-            if copy_vals:
-                nvalues = values  # no new bindings: share the parent's
-            else:
-                get = wme.attrs.get
-                nvalues = tuple([
-                    intern_value(get(src, NIL)) if from_wme
-                    else values[src] for from_wme, src in plan])
-            nids = ids_tok + (wme.wme_id,)
-            nwmes = wmes_tok + (wme,)
-            inline = (nids, nwmes, nvalues)
-            if terminal_only:
-                for cci in children:
-                    append((cci, inline, tag))
-                continue
-            ntok = pool.alloc(nids, nwmes, nvalues)
-            allocs.append(ntok)
-            for cci in children:
-                append((cci, inline if kinds[cci] == KIND_TERMINAL
-                        else ntok, tag))
-        return items
-
-    def _right_matches(self, ci: int, right, values) -> list:
-        """The wmes of *right* passing node *ci*'s residual tests
-        against token *values*."""
-        residuals = self.residuals[ci]
-        if not residuals:
-            return right
-        if len(residuals) == 1:
-            (pos, pred, attr), = residuals
-            value = values[pos]
-            return [wme for wme in right
-                    if pred(wme.attrs.get(attr, NIL), value)]
-        out = []
-        for wme in right:
-            get = wme.attrs.get
-            for pos, pred, attr in residuals:
-                if not pred(get(attr, NIL), values[pos]):
-                    break
-            else:
-                out.append(wme)
-        return out
-
-    def _enter_left(self, ci: int, tok: int, tag: str,
-                    parent_ev, allocs: List[int]):
-        """Entry actions of one join/negative left activation; returns
-        its frame."""
-        pool = self.pool
-        values = pool.values[tok]
-        key = tuple([values[p] for p in self.left_key_pos[ci]])
-        buckets = self.memories.left[ci]
-        if self.kind[ci] == KIND_JOIN:
-            if tag == PLUS:
-                buckets.setdefault(key, []).append(tok)
-                pool.retain(tok)
-            else:
-                self._remove_left(ci, key, pool.ids[tok])
-            ev = self._emit(ci, "left", tag, key, parent_ev)
-            right = self.memories.right[ci].get(key)
-            if right and self.children[ci]:
-                return [ev, self._join_items(
-                    ci, tok, tag, self._right_matches(ci, right, values),
-                    allocs), 0]
-            return [ev, (), 0]
-
-        # negative node
-        ev = self._emit(ci, "left", tag, key, parent_ev)
-        counts = self.neg_counts[ci]
-        ids = pool.ids[tok]
-        items: List[Tuple[int, int, str]] = []
-        if tag == PLUS:
-            buckets.setdefault(key, []).append(tok)
-            pool.retain(tok)
-            right = self.memories.right[ci].get(key)
-            count = len(self._right_matches(ci, right, values)) \
-                if right else 0
-            counts[ids] = count
-            if count == 0:
-                items = [(cci, tok, PLUS) for cci in self.children[ci]]
-        else:
-            self._remove_left(ci, key, ids)
-            if counts.pop(ids, 0) == 0:
-                items = [(cci, tok, MINUS) for cci in self.children[ci]]
-        return [ev, items, 0]
-
-    def _enter_right(self, ci: int, wme: WME, tag: str,
-                     allocs: List[int]):
-        """Entry actions of one right (wme) activation at its node."""
         get = wme.attrs.get
-        # Interned here, once, so the event's bucket key can skip the
-        # BucketKey re-interning pass (left keys come from token values,
-        # which are interned when they enter the pool).
-        key = tuple([intern_value(get(a, NIL))
-                     for a in self.right_key_attrs[ci]])
-        rbuckets = self.memories.right[ci]
-        if tag == PLUS:
-            rbuckets.setdefault(key, []).append(wme)
-        else:
-            bucket = rbuckets.get(key)
-            if bucket:
-                try:
-                    bucket.remove(wme)
-                except ValueError:
-                    pass
-                else:
-                    if not bucket:
-                        del rbuckets[key]
-        ev = self._emit(ci, "right", tag, key, None)
-        items: list = []
-        children = self.children[ci]
-        left = self.memories.left[ci].get(key)
-        if not left:
-            return [ev, items, 0]
-        residuals = self.residuals[ci]
-        values_arr = self.pool.values
-        if self.kind[ci] == KIND_JOIN:
-            if not children:
-                return [ev, items, 0]
-            join_items = self._join_items
-            for tok in left:
-                values = values_arr[tok]
-                for pos, pred, attr in residuals:
-                    if not pred(get(attr, NIL), values[pos]):
-                        break
-                else:
-                    items += join_items(ci, tok, tag, (wme,), allocs)
-            return [ev, items, 0]
-        counts = self.neg_counts[ci]
-        ids_arr = self.pool.ids
-        for tok in left:
-            values = values_arr[tok]
-            for pos, pred, attr in residuals:
-                if not pred(get(attr, NIL), values[pos]):
-                    break
-            else:
-                ids = ids_arr[tok]
-                if tag == PLUS:
-                    count = counts.get(ids, 0) + 1
-                    counts[ids] = count
-                    if count == 1:
-                        # Was propagated; retract downstream.
-                        for cci in children:
-                            items.append((cci, tok, MINUS))
-                else:
-                    count = counts.get(ids, 1) - 1
-                    counts[ids] = count
-                    if count == 0:
-                        for cci in children:
-                            items.append((cci, tok, PLUS))
-        return [ev, items, 0]
-
-    # -- untraced fast path ---------------------------------------------------
-
-    def _fast_right(self, ci: int, wme: WME, tag: str,
-                    allocs: List[int]) -> None:
-        """Right activation with no observers: no events, lean walk."""
-        get = wme.get
-        key = tuple(get(a) for a in self.right_key_attrs[ci])
+        key = tuple([get(a, NIL) for a in self.right_key_attrs[ci]])
         rbuckets = self.memories.right[ci]
         if tag == PLUS:
             bucket = rbuckets.get(key)
@@ -510,20 +368,31 @@ class ReteKernel:
                     if not bucket:
                         del rbuckets[key]
         left = self.memories.left[ci].get(key)
-        if not left:
-            return
-        pool = self.pool
-        stack: List[Tuple[int, int, str]] = []
-        children = self.children[ci]
-        residuals = self.residuals[ci]
-        values_arr = pool.values
-        if self.kind[ci] == KIND_JOIN:
-            if children:
+        net = self.net
+        observers = net.observers
+        stack: List[tuple] = []
+        act_id = None
+        if observers:
+            act_id = net._next_act_id
+            net._next_act_id = act_id + 1
+        rchildren = self.rchildren[ci]
+        if left and rchildren:
+            pool = self.pool
+            values_arr = pool.values
+            ids_arr = pool.ids
+            push = stack.append
+            residuals = self.residuals[ci]
+            if residuals:
+                tests = [(pos, pred, get(attr, NIL))
+                         for pos, pred, attr in residuals]
+                left = [tok for tok in left
+                        if _passes(tests, values_arr[tok])]
+            if self.kind[ci] == KIND_JOIN:
+                kinds = self.kind
                 tchildren = self.term_children[ci]
-                bchildren = self.beta_children[ci]
+                rbchildren = self.rbeta_children[ci]
                 copy_vals = self.copy_values[ci]
                 plan = self.merge_plan[ci]
-                ids_arr = pool.ids
                 wmes_arr = pool.wmes
                 alloc = pool.alloc
                 term_insts = self.term_insts
@@ -532,67 +401,91 @@ class ReteKernel:
                 wid = (wme.wme_id,)
                 wtup = (wme,)
                 plus = tag == PLUS
-                for tok in left:
+                for tok in reversed(left):
                     values = values_arr[tok]
-                    for pos, pred, attr in residuals:
-                        if not pred(get(attr), values[pos]):
-                            break
-                    else:
-                        nvalues = values if copy_vals else tuple(
-                            intern_value(get(src)) if from_wme
-                            else values[src]
-                            for from_wme, src in plan)
-                        nids = ids_arr[tok] + wid
-                        nwmes = wmes_arr[tok] + wtup
-                        for tci in tchildren:
-                            insts = term_insts[tci]
-                            if plus:
-                                insts[nids] = Instantiation(
-                                    term_prod[tci], nwmes,
-                                    dict(zip(term_names[tci], nvalues)))
-                            else:
-                                insts.pop(nids, None)
-                        if bchildren:
+                    nvalues = values if copy_vals else tuple([
+                        intern_value(get(src, NIL)) if from_wme
+                        else values[src]
+                        for from_wme, src in plan])
+                    nids = ids_arr[tok] + wid
+                    nwmes = wmes_arr[tok] + wtup
+                    if act_id is not None:
+                        ntok = None
+                        if rbchildren:
                             ntok = alloc(nids, nwmes, nvalues)
                             allocs.append(ntok)
-                            for cci in bchildren:
-                                stack.append((cci, ntok, tag))
-        else:
-            counts = self.neg_counts[ci]
-            ids_arr = pool.ids
-            for tok in left:
-                values = values_arr[tok]
-                for pos, pred, attr in residuals:
-                    if not pred(get(attr), values[pos]):
-                        break
-                else:
+                        inline = (nids, nwmes, nvalues)
+                        for cci in rchildren:
+                            push((cci, inline if kinds[cci] == KIND_TERMINAL
+                                  else ntok, tag, act_id))
+                        continue
+                    for tci in tchildren:
+                        insts = term_insts[tci]
+                        if plus:
+                            insts[nids] = Instantiation(
+                                term_prod[tci], nwmes,
+                                dict(zip(term_names[tci], nvalues)))
+                        else:
+                            insts.pop(nids, None)
+                    if rbchildren:
+                        ntok = alloc(nids, nwmes, nvalues)
+                        allocs.append(ntok)
+                        for cci in rbchildren:
+                            push((cci, ntok, tag, None))
+            else:
+                counts = self.neg_counts[ci]
+                for tok in reversed(left):
                     ids = ids_arr[tok]
                     if tag == PLUS:
                         count = counts.get(ids, 0) + 1
                         counts[ids] = count
                         if count == 1:
-                            for cci in children:
-                                stack.append((cci, tok, MINUS))
+                            # Was propagated; retract downstream.
+                            for cci in rchildren:
+                                push((cci, tok, MINUS, act_id))
                     else:
                         count = counts.get(ids, 1) - 1
                         counts[ids] = count
                         if count == 0:
-                            for cci in children:
-                                stack.append((cci, tok, PLUS))
+                            for cci in rchildren:
+                                push((cci, tok, PLUS, act_id))
+        if observers:
+            node_id = self.node_id[ci]
+            event = ActivationEvent(
+                act_id, None, node_id, self.label[ci], self.kind_str[ci],
+                "right", tag,
+                interned_key(node_id, tuple([intern_value(v)
+                                             for v in key]))
+                if key else self.empty_key[ci], len(stack))
+            if not stack:
+                for observer in observers:
+                    observer(event)
+                return
+            stack.insert(0, (self._finish_ci, event, 0, None))
         if stack:
-            self._walk_fast(stack, allocs)
+            self._walk(stack, allocs)
 
-    def _walk_fast(self, stack: List[Tuple[int, int, str]],
-                   allocs: List[int]) -> None:
-        """Propagate left activations with no observers attached.
+    def _walk(self, stack: List[tuple], allocs: List[int]) -> None:
+        """Propagate the left activations on *stack* depth first.
 
-        With nobody listening there are no events to order, and within
-        one root activation the final memory/count/conflict-set state
-        is independent of sibling processing order: every node has a
-        unique left-input path from the root, and right buckets are
-        only mutated at roots.  A bare LIFO work stack therefore
-        replaces the event-ordered frame machine of :meth:`_drain` —
-        this is the match hot path the benchmarks measure.
+        Entries are ``(node, token, tag, parent act_id)``; a token is a
+        pool index, or for a join output headed to a terminal the
+        ``(ids, wmes, values)`` triple itself.  Each activation pushes
+        its successors in reverse order, so pops follow the reference
+        engine's pre-order.  A node's buckets are only mutated by its
+        own activations and a descent only reaches strict descendants
+        (the network is a DAG), so computing successors at entry is
+        exact.
+
+        With no observers attached there are no events to order:
+        terminal children of a join are handled in place, without an
+        entry or a pool slot.  With observers, every activation takes
+        its event id at entry — the reference's pre-order — terminals
+        become entries too, and a finish marker
+        ``(_finish_ci, event, 0, None)`` inserted under each
+        activation's successors delivers the event once its subtree is
+        done: the reference's post-order.  An activation without
+        successors delivers its event at once.
         """
         pool = self.pool
         pop = stack.pop
@@ -602,9 +495,9 @@ class ReteKernel:
         left_mem = self.memories.left
         right_mem = self.memories.right
         residuals_arr = self.residuals
-        children_arr = self.children
+        rchildren_arr = self.rchildren
         tchildren_arr = self.term_children
-        bchildren_arr = self.beta_children
+        rbchildren_arr = self.rbeta_children
         copy_values_arr = self.copy_values
         merge_plan_arr = self.merge_plan
         term_insts_arr = self.term_insts
@@ -616,61 +509,97 @@ class ReteKernel:
         alloc = pool.alloc
         allocs_append = allocs.append
         retain = pool.retain
+        net = self.net
+        observers = net.observers
+        if observers:
+            next_id = net._next_act_id
+            finish_ci = self._finish_ci
+            node_id_arr = self.node_id
+            label_arr = self.label
+            kind_str_arr = self.kind_str
+            empty_key = self.empty_key
+        act_id = None
         while stack:
-            ci, tok, tag = pop()
+            ci, tok, tag, parent = pop()
             kind = kinds[ci]
-            if kind == KIND_TERMINAL:
-                insts = self.term_insts[ci]
-                ids = ids_arr[tok]
+            if kind >= KIND_TERMINAL:
+                if kind == KIND_FINISH:
+                    for observer in observers:
+                        observer(tok)
+                    continue
+                if type(tok) is tuple:
+                    ids, wmes, values = tok
+                else:
+                    ids = ids_arr[tok]
+                    wmes = wmes_arr[tok]
+                    values = values_arr[tok]
+                insts = term_insts_arr[ci]
                 if tag == PLUS:
                     insts[ids] = Instantiation(
-                        production=self.term_prod[ci],
-                        wmes=pool.wmes[tok],
-                        bindings=dict(zip(self.term_names[ci],
-                                          values_arr[tok])))
+                        term_prod_arr[ci], wmes,
+                        dict(zip(term_names_arr[ci], values)))
                 else:
                     insts.pop(ids, None)
+                if observers:
+                    event = ActivationEvent(
+                        next_id, parent, node_id_arr[ci], label_arr[ci],
+                        kind_str_arr[ci], "left", tag, empty_key[ci])
+                    next_id += 1
+                    for observer in observers:
+                        observer(event)
                 continue
             values = values_arr[tok]
+            ids = ids_arr[tok]
             key = tuple([values[p] for p in key_pos_arr[ci]])
-            children = children_arr[ci]
             buckets = left_mem[ci]
-            if kind == KIND_JOIN:
-                if tag == PLUS:
-                    bucket = buckets.get(key)
-                    if bucket is None:
-                        buckets[key] = [tok]
-                    else:
-                        bucket.append(tok)
-                    retain(tok)
+            if tag == PLUS:
+                bucket = buckets.get(key)
+                if bucket is None:
+                    buckets[key] = [tok]
                 else:
-                    self._remove_left(ci, key, ids_arr[tok])
+                    bucket.append(tok)
+                retain(tok)
+            else:
+                self._remove_left(ci, key, ids)
+            if observers:
+                act_id = next_id
+                next_id += 1
+                mark = len(stack)
+            if kind == KIND_JOIN:
                 right = right_mem[ci].get(key)
-                if right and children:
+                rchildren = rchildren_arr[ci]
+                if right and rchildren:
                     residuals = residuals_arr[ci]
+                    if residuals:
+                        right = _passing(right, residuals, values)
                     tchildren = tchildren_arr[ci]
-                    bchildren = bchildren_arr[ci]
+                    rbchildren = rbchildren_arr[ci]
                     copy_vals = copy_values_arr[ci]
                     plan = merge_plan_arr[ci]
-                    ids_tok = ids_arr[tok]
                     wmes_tok = wmes_arr[tok]
                     plus = tag == PLUS
-                    for wme in right:
-                        get = wme.get
-                        if residuals:
-                            matched = True
-                            for pos, pred, attr in residuals:
-                                if not pred(get(attr), values[pos]):
-                                    matched = False
-                                    break
-                            if not matched:
-                                continue
-                        nvalues = values if copy_vals else tuple(
-                            intern_value(get(src)) if from_wme
-                            else values[src]
-                            for from_wme, src in plan)
-                        nids = ids_tok + (wme.wme_id,)
+                    for wme in reversed(right):
+                        if not copy_vals:
+                            get = wme.attrs.get
+                            nvalues = tuple([
+                                intern_value(get(src, NIL)) if from_wme
+                                else values[src]
+                                for from_wme, src in plan])
+                        else:
+                            nvalues = values
+                        nids = ids + (wme.wme_id,)
                         nwmes = wmes_tok + (wme,)
+                        if observers:
+                            ntok = None
+                            if rbchildren:
+                                ntok = alloc(nids, nwmes, nvalues)
+                                allocs_append(ntok)
+                            inline = (nids, nwmes, nvalues)
+                            for cci in rchildren:
+                                push((cci, inline
+                                      if kinds[cci] == KIND_TERMINAL
+                                      else ntok, tag, act_id))
+                            continue
                         for tci in tchildren:
                             insts = term_insts_arr[tci]
                             if plus:
@@ -680,45 +609,42 @@ class ReteKernel:
                                              nvalues)))
                             else:
                                 insts.pop(nids, None)
-                        if bchildren:
+                        if rbchildren:
                             ntok = alloc(nids, nwmes, nvalues)
                             allocs_append(ntok)
-                            for cci in bchildren:
-                                push((cci, ntok, tag))
-                continue
-            # negative node
-            counts = self.neg_counts[ci]
-            ids = ids_arr[tok]
-            if tag == PLUS:
-                bucket = buckets.get(key)
-                if bucket is None:
-                    buckets[key] = [tok]
-                else:
-                    bucket.append(tok)
-                retain(tok)
-                count = 0
-                right = right_mem[ci].get(key)
-                if right:
-                    residuals = residuals_arr[ci]
-                    if residuals:
-                        for wme in right:
-                            get = wme.get
-                            for pos, pred, attr in residuals:
-                                if not pred(get(attr), values[pos]):
-                                    break
-                            else:
-                                count += 1
-                    else:
-                        count = len(right)
-                counts[ids] = count
-                if count == 0:
-                    for cci in children:
-                        push((cci, tok, PLUS))
+                            for cci in rbchildren:
+                                push((cci, ntok, tag, None))
             else:
-                self._remove_left(ci, key, ids)
-                if counts.pop(ids, 0) == 0:
-                    for cci in children:
-                        push((cci, tok, MINUS))
+                # negative node
+                counts = self.neg_counts[ci]
+                if tag == PLUS:
+                    count = 0
+                    right = right_mem[ci].get(key)
+                    if right:
+                        residuals = residuals_arr[ci]
+                        count = len(_passing(right, residuals, values)
+                                    if residuals else right)
+                    counts[ids] = count
+                    if count == 0:
+                        for cci in rchildren_arr[ci]:
+                            push((cci, tok, PLUS, act_id))
+                elif counts.pop(ids, 0) == 0:
+                    for cci in rchildren_arr[ci]:
+                        push((cci, tok, MINUS, act_id))
+            if observers:
+                node_id = node_id_arr[ci]
+                event = ActivationEvent(
+                    act_id, parent, node_id, label_arr[ci],
+                    kind_str_arr[ci], "left", tag,
+                    interned_key(node_id, key) if key else empty_key[ci],
+                    len(stack) - mark)
+                if event.n_successors:
+                    stack.insert(mark, (finish_ci, event, 0, None))
+                else:
+                    for observer in observers:
+                        observer(event)
+        if observers:
+            net._next_act_id = next_id
 
     def _remove_left(self, ci: int, key: tuple,
                      ids: Tuple[int, ...]) -> None:
@@ -739,30 +665,6 @@ class ReteKernel:
                     del buckets[key]
                 pool.release(idx)
                 return
-
-    # -- activation reporting ------------------------------------------------
-
-    def _emit(self, ci: int, side: str, tag: str, key: tuple,
-              parent_ev) -> Optional[ActivationEvent]:
-        """Open an activation event; *key*'s strings are interned."""
-        net = self.net
-        if not net.observers:
-            return None
-        node_id = self.node_id[ci]
-        act_id = net._next_act_id
-        net._next_act_id = act_id + 1
-        return ActivationEvent(
-            act_id, parent_ev.act_id if parent_ev is not None else None,
-            node_id, self.label[ci], self.kind_str[ci], side, tag,
-            interned_key(node_id, key) if key else self.empty_key[ci])
-
-    def _finish(self, ev: Optional[ActivationEvent],
-                n_successors: int) -> None:
-        if ev is None:
-            return
-        ev.n_successors = n_successors
-        for observer in self.net.observers:
-            observer(ev)
 
     # -- results --------------------------------------------------------------
 

@@ -7,13 +7,13 @@ protocol.  Working-memory deltas enter through :meth:`add_wme` /
 join structure, keeps all memory-node state in the two global hash
 tables, and maintains the conflict set at the terminal nodes.
 
-Since the flattened-kernel rewrite (ROADMAP item 2) this class is a
+Since the flattened-kernel rewrite (DESIGN §4.5) this class is a
 *front end*: productions are compiled by the ordinary
 :class:`~repro.rete.builder.NetworkBuilder` into the node-object graph
 (kept for structural introspection, sharing analysis and dot export),
 and the first working-memory delta lowers that graph into a
 :class:`~repro.rete.kernel.ReteKernel` — flat instruction arrays, a
-pooled token store and class-indexed alpha dispatch — which executes
+pooled token store and hashed alpha dispatch — which executes
 all waves from then on.  The original object-dispatch engine survives
 unchanged as :class:`repro.rete._reference.ReferenceReteNetwork`; the
 ``rete_fast_vs_reference`` conformance oracle pins the two to identical

@@ -28,7 +28,9 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from operator import attrgetter
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 from ..rete.hashing import BucketKey, stable_hash
 
@@ -93,13 +95,62 @@ class TraceActivation:
         return len(self.successors)
 
 
+#: Bits of :attr:`CycleKeyIndex.tags`: one byte per position holding
+#: the activation's kind, side and sign; 0 marks a gap between sparse
+#: act_ids.  ``code >= TAG_TERMINAL`` tells a terminal.
+TAG_MINUS = 1
+TAG_LEFT = 2
+TAG_JOIN = 4
+TAG_NEGATIVE = 8
+TAG_TERMINAL = 12
+_KIND_BITS = 12
+
+_KIND_CODE = {KIND_JOIN: TAG_JOIN, KIND_NEGATIVE: TAG_NEGATIVE,
+              KIND_TERMINAL: TAG_TERMINAL}
+_KIND_NAME = {code: kind for kind, code in _KIND_CODE.items()}
+
+
+def _tag_code(kind: str, side: str, tag: str) -> int:
+    """The tag byte of an activation.  Unknown kinds count as joins,
+    unknown sides as right and any tag but ``"+"`` as a deletion: what
+    the simulators always did with them."""
+    return (_KIND_CODE.get(kind, TAG_JOIN)
+            | (TAG_LEFT if side == LEFT else 0)
+            | (0 if tag == "+" else TAG_MINUS))
+
+
+class _TagCodes(dict):
+    """``(kind, side, tag)`` -> tag byte: one lookup for the valid
+    triples, :func:`_tag_code` for anything else."""
+
+    def __missing__(self, triple: Tuple[str, str, str]) -> int:
+        return _tag_code(*triple)
+
+
+_TAG_CODES = _TagCodes(
+    ((kind, side, tag), _tag_code(kind, side, tag))
+    for kind in VALID_KINDS for side in VALID_SIDES for tag in VALID_TAGS)
+
+_act_id = attrgetter("act_id")
+#: ``(act_id, parent_id, key, kind, side, tag)`` of a trace activation
+#: and of a recorded activation event.
+_ACTIVATION_FIELDS = attrgetter("act_id", "parent_id", "key", "kind",
+                                "side", "tag")
+_EVENT_FIELDS = attrgetter("act_id", "parent_id", "key", "node_kind",
+                           "side", "tag")
+
+
+def _typecode(limit: int) -> str:
+    """The narrowest unsigned array type holding ``range(limit)``."""
+    return "B" if limit <= 0x100 else "H" if limit <= 0x10000 else "I"
+
+
 def _compact(values: List[int], limit: int) -> array:
     """*values* (all in ``range(limit)``) in the narrowest unsigned array."""
-    code = "B" if limit <= 0x100 else "H" if limit <= 0x10000 else "I"
-    return array(code, values)
+    return array(_typecode(limit), values)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CycleKeyIndex:
     """A cycle compiled once for every simulation of it.
 
@@ -111,6 +162,15 @@ class CycleKeyIndex:
     :class:`~repro.rete.hashing.BucketKey` again.  The same walk lays
     out the lean event table the simulator's loop runs on, so no
     simulation compares a side or kind string per event.
+
+    The table holds everything a :class:`TraceActivation` does, so a
+    recorded cycle is stored as this table alone
+    (:meth:`from_events`) and its activation objects are a view built
+    on demand (:meth:`view`).
+
+    Indexes are shared and never mutated once built (the class is not
+    frozen only because a frozen constructor costs several times as
+    much, once per recorded cycle).
 
     Every per-activation entry is addressed by *position*, ``act_id -
     base``.  Recorded programs number activations across a whole
@@ -128,11 +188,18 @@ class CycleKeyIndex:
     key_of:
         ``key_of[pos]`` is the position in *keys* of that activation's
         key.
+    tags:
+        ``tags[pos]`` is the activation's kind, side and sign
+        (``TAG_*`` bits); 0 for a gap.
     left:
         ``left[pos]`` is 1 for a left two-input activation.
     successors:
         ``successors[pos]`` is the activation's successor act_ids — its
-        own tuple, shared, not a copy; ``()`` for terminals.
+        own tuple, shared, not a copy.
+    orphans:
+        ``orphans[pos]`` is the parent act_id of each activation whose
+        parent is not in the cycle (usually none); every other parent
+        link is a successor link.
     roots:
         Root positions in act_id order, a terminal root stored as
         ``~pos`` (negative).
@@ -141,133 +208,318 @@ class CycleKeyIndex:
     counted / counted_left:
         Positions of the two-input activations, and of the left ones:
         what the per-processor activation counters count.
+    key_counts / key_left_counts:
+        The same activations counted per key id (0 for terminal keys),
+        so a simulation counts per distinct key, not per activation.
     """
 
     keys: Tuple[BucketKey, ...]
     hashes: array
     base: int
     key_of: array
+    tags: bytes
     left: bytes
     successors: List[Tuple[int, ...]]
+    orphans: Dict[int, int]
     roots: array
     terminals: array
     counted: array
     counted_left: array
+    key_counts: array
+    key_left_counts: array
 
     @classmethod
     def build(cls, ordered: List[TraceActivation]) -> "CycleKeyIndex":
         """Index *ordered* activations (ascending act_id)."""
         if not ordered:
             return _EMPTY_INDEX
+        return cls._compile(ordered, _ACTIVATION_FIELDS, False, {})
+
+    @classmethod
+    def from_events(cls, events: Sequence, hashes: Dict[tuple, int]
+                    ) -> "CycleKeyIndex":
+        """Compile one recorded cycle straight from its activation
+        events (:class:`~repro.rete.stats.ActivationEvent`, in any
+        order), gathering successors from the parent links.
+
+        Equal to :meth:`build` over the :class:`TraceActivation`
+        objects the events describe.  Each event's key must name the
+        event's own node, as the match engines' keys do.  *hashes*
+        memoises ``stable_hash`` by plain ``(node_id, values)`` key
+        across the calls it is passed to, such as the cycles of one
+        section, which share most of their keys.
+        """
+        if not events:
+            return _EMPTY_INDEX
+        return cls._compile(sorted(events, key=_act_id), _EVENT_FIELDS,
+                            True, hashes)
+
+    @classmethod
+    def _compile(cls, ordered: list, fields, gather: bool,
+                 hash_of: Dict[tuple, int]) -> "CycleKeyIndex":
+        """The one walk behind :meth:`build` and :meth:`from_events`.
+
+        *fields* reads ``(act_id, parent_id, key, kind, side, tag)``
+        off each of the *ordered* records.  Keys are deduplicated on
+        plain ``(node_id, values)`` tuples, so no ``BucketKey`` is
+        hashed per activation, and hashed through the *hash_of* memo.
+        Successors are the records' own tuples, or with *gather*
+        collected from the parent links — in ascending act_id order, so
+        every sibling list is sorted.
+        """
         base = ordered[0].act_id
         span = ordered[-1].act_id - base + 1
+        positions = _typecode(span)
         key_of = [0] * span
+        tags = bytearray(span)
         left = bytearray(span)
-        successors: List[Tuple[int, ...]] = [()] * span
-        roots: List[int] = []
-        terminals: List[int] = []
-        counted: List[int] = []
-        counted_left: List[int] = []
-        slot: Dict[BucketKey, int] = {}
+        keys: List[BucketKey] = []
+        hashes = array("Q")
+        hash_get = hash_of.get
+        counts: List[int] = []
+        left_counts: List[int] = []
+        roots = array("l")
+        terminals = array(positions)
+        counted = array(positions)
+        counted_left = array(positions)
+        kids: Dict[int, List[int]] = {}
+        kids_get = kids.get
+        slot: Dict[tuple, int] = {}
         slot_get = slot.get
-        count = counted.append
-        count_left = counted_left.append
-        for act in ordered:
-            pos = act.act_id - base
-            key = act.key
-            k = slot_get(key)
+        codes = _TAG_CODES
+        for act_id, parent, key, kind, side, tag in map(fields, ordered):
+            pos = act_id - base
+            if tags[pos]:
+                raise ValueError(f"duplicate act_id {act_id}")
+            plain = (key.node_id, key.values)
+            k = slot_get(plain)
             if k is None:
-                k = slot[key] = len(slot)
+                k = slot[plain] = len(keys)
+                keys.append(key)
+                h = hash_get(plain)
+                if h is None:
+                    h = hash_of[plain] = stable_hash(key)
+                hashes.append(h)
+                counts.append(0)
+                left_counts.append(0)
             key_of[pos] = k
-            if act.kind == KIND_TERMINAL:
+            tags[pos] = code = codes[kind, side, tag]
+            if parent is None:
+                roots.append(~pos if code >= TAG_TERMINAL else pos)
+            elif gather:
+                siblings = kids_get(parent)
+                if siblings is None:
+                    kids[parent] = [act_id]
+                else:
+                    siblings.append(act_id)
+            if code >= TAG_TERMINAL:
                 terminals.append(pos)
-                if act.parent_id is None:
-                    roots.append(~pos)
                 continue
-            count(pos)
-            if act.side == LEFT:
+            counted.append(pos)
+            counts[k] += 1
+            if code & TAG_LEFT:
                 left[pos] = 1
-                count_left(pos)
-            successors[pos] = act.successors
-            if act.parent_id is None:
-                roots.append(pos)
-        keys = tuple(slot)
-        return cls(keys, array("Q", map(stable_hash, keys)), base,
-                   _compact(key_of, len(keys)), bytes(left), successors,
-                   array("l", roots), _compact(terminals, span),
-                   _compact(counted, span), _compact(counted_left, span))
+                counted_left.append(pos)
+                left_counts[k] += 1
+        successors: List[Tuple[int, ...]] = [()] * span
+        orphans: Dict[int, int] = {}
+        if gather:
+            for parent, siblings in kids.items():
+                ppos = parent - base
+                if 0 <= ppos < span and tags[ppos]:
+                    successors[ppos] = tuple(siblings)
+                else:
+                    for child in siblings:
+                        orphans[child - base] = parent
+        else:
+            for act in ordered:
+                pos = act.act_id - base
+                successors[pos] = act.successors
+                parent = act.parent_id
+                if parent is not None and not (
+                        0 <= parent - base < span and tags[parent - base]):
+                    orphans[pos] = parent
+        return cls(tuple(keys), hashes, base,
+                   _compact(key_of, len(keys)), bytes(tags), bytes(left),
+                   successors, orphans, roots, terminals, counted,
+                   counted_left, _compact(counts, max(counts) + 1),
+                   _compact(left_counts, max(left_counts) + 1))
+
+    def __len__(self) -> int:
+        return len(self.counted) + len(self.terminals)
+
+    def view(self) -> Dict[int, TraceActivation]:
+        """The indexed activations as fresh :class:`TraceActivation`
+        objects, by act_id in ascending order.  Exact for tables built
+        from events, where every parent link is a successor link or an
+        orphan; an activation's node is its key's node."""
+        keys = self.keys
+        key_of = self.key_of
+        successors = self.successors
+        base = self.base
+        tags = self.tags
+        parent_of = dict(self.orphans)
+        for pos, code in enumerate(tags):
+            if code:
+                for child in successors[pos]:
+                    parent_of[child - base] = base + pos
+        get_parent = parent_of.get
+        acts: Dict[int, TraceActivation] = {}
+        for pos, code in enumerate(tags):
+            if code:
+                key = keys[key_of[pos]]
+                acts[base + pos] = TraceActivation(
+                    base + pos, get_parent(pos), key.node_id,
+                    _KIND_NAME[code & _KIND_BITS],
+                    LEFT if code & TAG_LEFT else RIGHT,
+                    "-" if code & TAG_MINUS else "+", key,
+                    successors[pos])
+        return acts
 
     def destinations(self, mapping) -> List[int]:
         """Every activation's processor under *mapping*, indexed like
         :attr:`key_of` (``dest[act_id - base]``)."""
-        procs = mapping.processors(self.keys, self.hashes)
+        return self.expand(mapping.processors(self.keys, self.hashes))
+
+    def expand(self, procs: List[int]) -> List[int]:
+        """Per-key processors *procs* expanded to every position."""
         return [procs[k] for k in self.key_of]
 
-    def processor_counts(self, dest: List[int], n_procs: int
+    def processor_counts(self, procs: List[int], n_procs: int
                          ) -> Tuple[List[int], List[int]]:
         """Per-processor counts of the two-input activations, and of
-        the left ones, under destinations *dest*: each is processed
-        exactly once, on the processor owning its bucket."""
+        the left ones, when key id *k* lives on processor ``procs[k]``:
+        each is processed exactly once, on the processor owning its
+        bucket."""
         activations = [0] * n_procs
-        for p in map(dest.__getitem__, self.counted):
-            activations[p] += 1
         left_activations = [0] * n_procs
-        for p in map(dest.__getitem__, self.counted_left):
-            left_activations[p] += 1
+        for p, count, left_count in zip(procs, self.key_counts,
+                                        self.key_left_counts):
+            activations[p] += count
+            left_activations[p] += left_count
         return activations, left_activations
+
+    def charge_searches(self, depth: Dict[BucketKey, int],
+                        rate: float) -> Dict[int, float]:
+        """Footnote-6 deletion-search surcharges of this cycle.
+
+        Walks the two-input activations in act_id order: a ``+`` adds
+        one entry to its bucket's *depth*, a ``-`` is charged *rate*
+        per entry it scans past and removes one.  Advances *depth*
+        (bucket key -> entries), which persists across cycles like Rete
+        memory; returns ``{act_id: extra_us}``.
+        """
+        keys = self.keys
+        key_of = self.key_of
+        tags = self.tags
+        base = self.base
+        charges: Dict[int, float] = {}
+        for pos in self.counted:
+            key = keys[key_of[pos]]
+            if tags[pos] & TAG_MINUS:
+                before = depth.get(key, 0)
+                if before > 0:
+                    charges[base + pos] = rate * before
+                    depth[key] = before - 1
+            else:
+                depth[key] = depth.get(key, 0) + 1
+        return charges
 
 
 #: The index of every empty cycle (shared: indexes are never mutated).
-_EMPTY_INDEX = CycleKeyIndex((), array("Q"), 0, array("B"), b"", [],
-                             array("l"), array("B"), array("B"),
-                             array("B"))
+_EMPTY_INDEX = CycleKeyIndex((), array("Q"), 0, array("B"), b"", b"", [],
+                             [], array("l"), array("B"), array("B"),
+                             array("B"), (), ())
 
 
-@dataclass(slots=True)
 class CycleTrace:
     """All activations of one MRA cycle, indexed by act_id.
 
+    A cycle holds its activations in one of two forms.  Built from
+    :class:`TraceActivation` objects (the constructor, :meth:`add`, the
+    trace transforms and file readers) it compiles its
+    :class:`CycleKeyIndex` from them on first use.  Recorded from a
+    live network (:meth:`from_index`) it is the compiled table alone:
+    :attr:`activations` is then a view built from the table on first
+    access, and ``len``, :meth:`key_index` and everything the
+    simulators and executors run on never build it.
+
     Iteration order (ascending act_id), the roots and the compiled
-    index (:meth:`key_index`) are computed lazily and cached — the
-    simulators walk each cycle several times per run, and re-sorting or
-    re-hashing on every walk dominated their profile.  The caches are
-    dropped on :meth:`add` and :meth:`invalidate` and left out of
-    pickles; the objects returned by :meth:`ordered`, :meth:`roots` and
-    :meth:`key_index` are shared, so callers must not mutate them.  The
-    index captures each activation's key, side, kind, parent link and
-    successor tuple: code that rewrites any of them in place after the
-    cycle may have been simulated (trace transforms do) must call
-    :meth:`invalidate`.
+    index are computed lazily and cached — the simulators walk each
+    cycle several times per run, and re-sorting or re-hashing on every
+    walk dominated their profile.  The caches are dropped on :meth:`add`
+    and :meth:`invalidate` and left out of pickles, which carry the
+    index and the activations as before; the objects returned by
+    :meth:`ordered`, :meth:`roots` and :meth:`key_index` are shared, so
+    callers must not mutate them.  The index captures each activation's
+    key, side, kind, parent link and successor tuple: code that
+    rewrites any of them in place after the cycle may have been
+    simulated (trace transforms do) must call :meth:`invalidate`.
     """
 
-    index: int
-    activations: Dict[int, TraceActivation] = field(default_factory=dict)
-    _ordered: Optional[List[TraceActivation]] = field(
-        default=None, init=False, repr=False, compare=False)
-    _roots: Optional[List[TraceActivation]] = field(
-        default=None, init=False, repr=False, compare=False)
-    _key_index: Optional[CycleKeyIndex] = field(
-        default=None, init=False, repr=False, compare=False)
+    __slots__ = ("index", "_activations", "_ordered", "_roots",
+                 "_key_index")
+
+    def __init__(self, index: int,
+                 activations: Optional[Dict[int, TraceActivation]] = None
+                 ) -> None:
+        self.index = index
+        self._activations = {} if activations is None else activations
+        self._ordered = self._roots = self._key_index = None
+
+    @classmethod
+    def from_index(cls, index: int, key_index: CycleKeyIndex
+                   ) -> "CycleTrace":
+        """The cycle numbered *index* whose activations *key_index*
+        holds (built by :meth:`CycleKeyIndex.from_events`)."""
+        cycle = cls(index)
+        cycle._activations = None
+        cycle._key_index = key_index
+        return cycle
+
+    @property
+    def activations(self) -> Dict[int, TraceActivation]:
+        """The activations by act_id (a recorded cycle builds them from
+        its table on first access)."""
+        acts = self._activations
+        if acts is None:
+            acts = self._activations = self._key_index.view()
+        return acts
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.index == other.index
+                and self.activations == other.activations)
+
+    __hash__ = None  # mutable, compared by value
+
+    def __repr__(self) -> str:
+        return (f"CycleTrace(index={self.index!r}, "
+                f"activations={self.activations!r})")
 
     def __getstate__(self):
         return self.index, self.activations
 
     def __setstate__(self, state) -> None:
-        self.index, self.activations = state
+        self.index, self._activations = state
         self._ordered = self._roots = self._key_index = None
 
     def add(self, activation: TraceActivation) -> None:
-        if activation.act_id in self.activations:
+        acts = self.activations
+        if activation.act_id in acts:
             raise ValueError(
                 f"duplicate act_id {activation.act_id} in cycle "
                 f"{self.index}")
-        self.activations[activation.act_id] = activation
+        acts[activation.act_id] = activation
         self.invalidate()
 
     def invalidate(self) -> None:
         """Drop the cached order, roots and index; call after rewriting
-        activations in place."""
-        self._ordered = self._roots = self._key_index = None
+        activations in place.  A recorded cycle whose view was never
+        built has nothing to drop: its table is its only copy."""
+        if self._activations is not None:
+            self._ordered = self._roots = self._key_index = None
 
     def ordered(self) -> List[TraceActivation]:
         """All activations in ascending act_id order (cached)."""
@@ -289,7 +541,8 @@ class CycleTrace:
         return self._key_index
 
     def __len__(self) -> int:
-        return len(self.activations)
+        acts = self._activations
+        return len(self._key_index) if acts is None else len(acts)
 
     def __iter__(self) -> Iterator[TraceActivation]:
         return iter(self.ordered())

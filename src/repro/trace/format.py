@@ -16,7 +16,7 @@ kind, side, tag, then ``k`` followed by the bucket-key values
 act-ids.  Values are tagged ``n:`` (number) or ``s:`` (symbol) so that
 ``1`` and ``"1"`` survive the round trip.
 
-Two extensions serve the large-scale path (ROADMAP item 3):
+Two extensions serve the large-scale path (DESIGN §4.4):
 
 * an ``idle <start> <count>`` line stands for *count* consecutive empty
   cycles (an :class:`~repro.trace.events.IdleRun`), so a million-cycle
@@ -78,7 +78,7 @@ def _decode_value(text: str) -> Value:
     if tag == "s":
         # Interned: a million-activation file repeats the same few
         # hundred symbols; one shared str per symbol instead of one per
-        # occurrence (ROADMAP item 2).
+        # occurrence (DESIGN §4.4, columnar recorded cycles).
         return sys.intern(unquote(body))
     raise TraceFormatError(f"unknown value tag {tag!r}")
 

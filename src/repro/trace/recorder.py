@@ -9,15 +9,12 @@ real OPS5 program into simulator input, end to end.
 
 from __future__ import annotations
 
-from operator import attrgetter
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from ..ops5.interpreter import Interpreter
 from ..rete.network import ReteNetwork
 from ..rete.stats import ActivationEvent
-from .events import CycleTrace, SectionTrace, TraceActivation
-
-_act_id = attrgetter("act_id")
+from .events import CycleKeyIndex, CycleTrace, SectionTrace
 
 
 class TraceRecorder:
@@ -39,11 +36,13 @@ class TraceRecorder:
 
     def __init__(self, network: ReteNetwork) -> None:
         self.network = network
-        #: cycle index -> that cycle's events, in delivery order
-        self._cycles: Dict[int, List[ActivationEvent]] = {}
-        #: the current cycle's list (cycle 0 until told otherwise)
-        self._events = self._cycles.setdefault(0, [])
-        network.observers.append(self._on_event)
+        #: every event, in delivery order
+        self._events: List[ActivationEvent] = []
+        #: ``(cycle index, first event position)`` per cycle switch
+        self._marks: List[Tuple[int, int]] = [(0, 0)]
+        # The observer is the list's own append: no Python frame runs
+        # per event.
+        network.observers.append(self._events.append)
 
     # -- wiring ------------------------------------------------------------
 
@@ -59,14 +58,7 @@ class TraceRecorder:
     def set_cycle(self, cycle: int) -> None:
         """Manual cycle control for driving the network without an
         interpreter (tests, custom drivers)."""
-        self._events = self._cycles.setdefault(cycle, [])
-
-    # -- event collection -----------------------------------------------------
-
-    def _on_event(self, event: ActivationEvent) -> None:
-        # The event itself is the record: a slotted object the network
-        # allocated anyway and never touches after delivery.
-        self._events.append(event)
+        self._marks.append((cycle, len(self._events)))
 
     # -- extraction --------------------------------------------------------------
 
@@ -74,33 +66,27 @@ class TraceRecorder:
                 drop_setup_cycle: bool = False) -> SectionTrace:
         """Build the finished section trace.
 
-        Each :class:`TraceActivation` is built once, here, with its
-        successors already known: events arrive in post-order, so a
-        cycle's parent links are complete only once it is recorded.
-        Activations are inserted in ascending act_id order and cycles
-        without events are omitted; calling this again builds an equal,
-        independent trace.
+        Each cycle is compiled once, here, straight from its events
+        into the table the simulators run on
+        (:meth:`CycleKeyIndex.from_events`): events arrive in
+        post-order, so a cycle's parent links are complete only once it
+        is recorded.  The cycles' :class:`TraceActivation` objects are
+        built only if something asks for them.  Cycles without events
+        are omitted; calling this again builds an equal, independent
+        trace.
         """
-        cycles: List[CycleTrace] = []
-        for index in sorted(self._cycles):
-            events = self._cycles[index]
-            if not events or (drop_setup_cycle and index == 0):
-                continue
-            children: Dict[int, List[int]] = {}
-            for ev in events:
-                if ev.parent_id is not None:
-                    children.setdefault(ev.parent_id, []).append(ev.act_id)
-            acts: Dict[int, TraceActivation] = {}
-            for ev in sorted(events, key=_act_id):
-                kids = children.get(ev.act_id)
-                acts[ev.act_id] = TraceActivation(
-                    ev.act_id, ev.parent_id, ev.node_id, ev.node_kind,
-                    ev.side, ev.tag, ev.key,
-                    tuple(sorted(kids)) if kids else ())
-            if len(acts) != len(events):
-                raise ValueError(f"duplicate act_id in cycle {index}")
-            cycles.append(CycleTrace(index=index, activations=acts))
-        return SectionTrace(name=name, cycles=cycles)
+        events = self._events
+        marks = self._marks
+        by_cycle: Dict[int, List[ActivationEvent]] = {}
+        for (index, start), (_, end) in zip(
+                marks, marks[1:] + [(None, len(events))]):
+            by_cycle.setdefault(index, []).extend(events[start:end])
+        hashes: Dict[tuple, int] = {}
+        return SectionTrace(name=name, cycles=[
+            CycleTrace.from_index(
+                index, CycleKeyIndex.from_events(by_cycle[index], hashes))
+            for index in sorted(by_cycle)
+            if by_cycle[index] and (index or not drop_setup_cycle)])
 
 
 def record_program(program, name: str, max_cycles: int = 10_000,

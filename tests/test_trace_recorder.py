@@ -1,11 +1,21 @@
 """Tests for trace recording from live Rete runs."""
 
+import pickle
+
 import pytest
 
-from repro.ops5 import Interpreter, parse_program
+from repro.exec import run
+from repro.mpc import RunConfig, speedup_curve
+from repro.ops5 import Interpreter, parse_production, parse_program
+from repro.ops5.wme import WME
 from repro.rete import ReteNetwork
-from repro.trace import (KIND_TERMINAL, TraceRecorder, record_program,
-                         validate_trace)
+from repro.trace import (KIND_TERMINAL, CycleKeyIndex, TraceRecorder,
+                         dumps_trace, record_program, validate_trace)
+from repro.workloads.configurator import configurator_program
+from repro.workloads.match import MATCH_PROGRAMS
+from repro.workloads.programs import (BLOCKS_WORLD, GRID_ROUTER,
+                                      MONKEY_AND_BANANAS)
+from tests.trace_recorder_reference import ReferenceTraceRecorder
 
 PROGRAM = """
 (startup
@@ -173,3 +183,101 @@ class TestRecordedKernelMatchesReference:
         again = recorder.section("s", drop_setup_cycle=True)
         assert again == fast and _flat(again) == _flat(fast)
         assert again.cycles[0] is not fast.cycles[0]
+
+
+def _recorders(program, max_cycles=5000):
+    """One run with the recorder and the frozen reference recorder
+    both attached to the same network."""
+    network = ReteNetwork()
+    recorder = TraceRecorder(network)
+    frozen = ReferenceTraceRecorder(network)
+    interpreter = Interpreter(matcher=network)
+    recorder.attach(interpreter)
+    frozen.attach(interpreter)
+    interpreter.load_program(program)
+    interpreter.run(max_cycles=max_cycles)
+    return recorder, frozen
+
+
+def _assert_like_frozen(recorder, frozen):
+    for drop in (False, True):
+        section = recorder.section("s", drop_setup_cycle=drop)
+        for cycle in section:
+            assert cycle.key_index() == CycleKeyIndex.build(cycle.ordered())
+        expect = frozen.section("s", drop_setup_cycle=drop)
+        assert dumps_trace(section) == dumps_trace(expect)
+        assert section == expect
+        assert [len(c) for c in recorder.section("s", drop)] == \
+            [len(c) for c in expect]
+
+
+RECORDED_PROGRAMS = {
+    **{f"{name}-{seed}": (lambda gen=gen, seed=seed:
+                          parse_program(gen(seed)))
+       for name, gen in sorted(MATCH_PROGRAMS.items())
+       for seed in range(4)},
+    "blocks": lambda: parse_program(BLOCKS_WORLD),
+    "monkey": lambda: parse_program(MONKEY_AND_BANANAS),
+    "router": lambda: parse_program(GRID_ROUTER),
+    "configurator": lambda: configurator_program(2, 2),
+}
+
+
+class TestRecorderMatchesFrozenCopy:
+    """The recorder compiles cycles straight from the event stream; the
+    sections it yields are the frozen object-building recorder's, byte
+    for byte through the text format."""
+
+    @pytest.mark.parametrize("name", sorted(RECORDED_PROGRAMS))
+    def test_program(self, name):
+        _assert_like_frozen(*_recorders(RECORDED_PROGRAMS[name]()))
+
+    def test_sparse_act_ids(self):
+        """Returning to an earlier cycle leaves a gap in its act ids."""
+        network = ReteNetwork()
+        network.add_production(parse_production(
+            "(p r (a ^v <x>) (b ^w <x>) --> (remove 1))"))
+        recorder = TraceRecorder(network)
+        frozen = ReferenceTraceRecorder(network)
+        for cycle, wme in [(5, WME(1, "a", {"v": 1})),
+                           (6, WME(2, "b", {"w": 1})),
+                           (5, WME(3, "b", {"w": 1})),
+                           (6, WME(4, "a", {"v": 2}))]:
+            recorder.set_cycle(cycle)
+            frozen.set_cycle(cycle)
+            network.add_wme(wme)
+        section = recorder.section("manual")
+        first = section.cycles[0]
+        index = first.key_index()
+        assert len(index.tags) > len(first)
+        assert 0 in index.tags
+        _assert_like_frozen(recorder, frozen)
+
+    def test_repeated_sections_are_independent(self):
+        recorder, _ = _recorders(RECORDED_PROGRAMS["blocks"]())
+        first = recorder.section("s")
+        text = dumps_trace(first)
+        first.cycles[0].activations.clear()
+        second = recorder.section("s")
+        assert dumps_trace(second) == text
+        assert second.cycles[0] is not first.cycles[0]
+
+    def test_pickle_round_trip(self):
+        recorder, frozen = _recorders(RECORDED_PROGRAMS["rubik-0"]())
+        section = recorder.section("s", drop_setup_cycle=True)
+        clone = pickle.loads(pickle.dumps(section))
+        assert clone == section == frozen.section("s", True)
+        assert dumps_trace(clone) == dumps_trace(section)
+        for cycle, copy in zip(section, clone):
+            assert copy.key_index() == cycle.key_index()
+
+    def test_recorded_pipeline_builds_no_view(self, monkeypatch):
+        """Recording, simulating and planning a live run read only the
+        compiled tables."""
+        def refuse(index):
+            raise AssertionError("built a TraceActivation view")
+        monkeypatch.setattr(CycleKeyIndex, "view", refuse)
+        section = record_program(RECORDED_PROGRAMS["rubik-0"](), "rubik")
+        assert section.total_activations() > 0
+        speedup_curve(section, (1, 4, 16))
+        run(section, RunConfig(n_procs=4), backend="actors")
