@@ -59,8 +59,8 @@ paths that are documented to produce *identical* results.  The pairs:
     duplicates, delays, stalls): the run must either recover to a
     match signature bit-identical to the simulator's or raise a typed
     :class:`~repro.exec.errors.ExecutorError` — never wedge, never
-    return silently-wrong counters.  The zero-chaos supervised run
-    must equal the unsupervised one.  Declares ``every=10``.
+    return silently-wrong counters.  The zero-chaos run must equal
+    the simulator's.  Declares ``every=10``.
 ``format_round_trip``
     A trace written with :func:`~repro.trace.format.save_trace` to a
     file and read back with :func:`~repro.trace.format.read_trace`
@@ -409,9 +409,8 @@ def live_recovery(case: TraceCase) -> Optional[str]:
     :class:`~repro.exec.errors.ExecutorError`.  A hang is converted to
     :class:`~repro.exec.errors.ExecutorWedged` by the per-cycle
     deadline, so every failure mode is observable.  Also proves the
-    zero-chaos supervised run is signature-identical to the
-    unsupervised one (supervision must be invisible when nothing
-    fails).
+    zero-chaos run is signature-identical to the simulator's
+    (supervision must be invisible when nothing fails).
     """
     from ..exec import (ChaosPolicy, ExecutorError, match_signature,
                         run)
@@ -426,7 +425,7 @@ def live_recovery(case: TraceCase) -> Optional[str]:
 
     quiet = run(case.trace, config, backend="actors")
     if match_signature(quiet) != sim_sig:
-        return (f"zero-chaos supervised run diverged from the "
+        return (f"zero-chaos run diverged from the "
                 f"simulator at P={n_procs}, "
                 f"overheads={overheads.label()}")
 

@@ -539,9 +539,6 @@ def _run_backend(args) -> int:
     if config.compress_rounds and args.backend != "sim":
         raise CLIError("--compress-rounds applies to the sim backend "
                        "only (live backends execute every cycle)")
-    if config.supervise is not None and args.backend == "sim":
-        raise CLIError("--supervise applies to the live backends only "
-                       "(the simulator has nothing to supervise)")
     if config.live_trace and args.backend != "actors":
         raise CLIError("--trace-live applies to the actors backend "
                        "only (use --backend actors; 'repro profile' "
@@ -611,7 +608,7 @@ def _run_backend(args) -> int:
             "wall_s": outcome.wall_s,
             "matches_simulator": True if live else None,
         }
-        if config.supervise is not None:
+        if live:
             payload["supervised"] = True
         if chaos is not None:
             payload["chaos_seed"] = chaos.seed
@@ -641,8 +638,8 @@ def _run_backend(args) -> int:
         if chaos is not None:
             print(f"  recovered from seeded chaos (seed {chaos.seed}) "
                   f"bit-identically")
-        elif config.supervise is not None:
-            print("  supervised: heartbeats, deadlines, "
+        else:
+            print("  supervised: liveness checks, deadlines, "
                   "checkpoint-replay restarts")
         if trace_info is not None:
             print(f"  live trace: {trace_info['spans']} spans over "
@@ -914,17 +911,11 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="N",
                    help="served backend: concurrent sessions to run "
                         "(default 4)")
-    p.add_argument("--supervise", action="store_true",
-                   help="live backends: wrap the run in the "
-                        "supervision layer (heartbeat liveness checks, "
-                        "per-cycle deadlines, checkpoint-replay "
-                        "restarts); results stay bit-identical to the "
-                        "unsupervised run")
     p.add_argument("--chaos", action="store_true",
                    help="actors backend: inject a light deterministic "
                         "chaos mix (message drop/duplicate/delay, "
                         "actor stalls and kills) and recover through "
-                        "supervision; implies --supervise")
+                        "supervision")
     p.add_argument("--chaos-seed", type=int, default=None, metavar="N",
                    help="seed of the deterministic chaos policy "
                         "(implies --chaos; same seed, same faults)")

@@ -33,7 +33,6 @@ from .plan import (CONTROL, ActorCyclePlan, CyclePlan, MatchActorCore,
                    build_plans, expected_fires)
 from .served import SessionServer, ServedExecutor
 from .sim import SimExecutor
-from .supervise import run_supervised_async, run_supervised_mp
 
 #: Backend registry: name -> executor class.  ``get_executor`` builds a
 #: fresh instance per call; backend-specific options (``transport`` for
@@ -104,6 +103,4 @@ __all__ = [
     "run",
     "run_loadtest",
     "run_section_async",
-    "run_supervised_async",
-    "run_supervised_mp",
 ]

@@ -18,7 +18,10 @@ Two transports move the messages:
     One OS process per match actor with :mod:`multiprocessing` queues
     (:mod:`repro.exec.mp`) — actual parallel execution.
 
-Either way the counters come out of the same
+Each transport has one engine and one actor loop, always supervised by
+the restart driver of :mod:`repro.exec.supervise`; chaos and tracing
+enter the loop as hooks bound once at actor start.  Either way the
+counters come out of the same
 :class:`~repro.exec.plan.MatchActorCore` state machines, so activation
 counts, message counts and fire sets are equal to the simulator's for
 the same ``(trace, config)`` — the ``actors_vs_sim`` oracle in
@@ -32,15 +35,15 @@ import asyncio
 import time
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from ..mpc.config import RunConfig, SupervisePolicy
+from ..mpc.config import RunConfig
 from ..mpc.metrics import SimResult
 from ..trace.events import SectionTrace
 from .base import FireSet, RunHandle, RunResult
 from .chaos import ChaosPolicy
-from .errors import ExecutorCrashed, ExecutorError
+from .errors import ExecutorError
 from .mailbox import Mailbox
-from .plan import (CONTROL, CycleAccumulator, MatchActorCore,
-                   build_plans)
+from .plan import MatchActorCore, build_plans
+from .supervise import Engine, bind_send, stall_s, supervise
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..obs.trace import LiveTraceCollector
@@ -49,191 +52,140 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 TRANSPORTS = ("asyncio", "process")
 
 
+class _AsyncEngine(Engine):
+    """One generation of asyncio match actors plus their mailboxes."""
+
+    def start(self) -> None:
+        loop = self._loop = asyncio.get_running_loop()
+        self.inboxes = [Mailbox() for _ in range(self.n_procs)]
+        self.control = Mailbox()
+        self.posts = [box.put_nowait for box in self.inboxes]
+        self.tasks = [loop.create_task(self._actor_main(i))
+                      for i in range(self.n_procs)]
+        for task in self.tasks:
+            task.add_done_callback(self._exited)
+        self._watchdog = loop.call_later(self.deadline_s, self._watch)
+
+    async def stop(self) -> None:
+        # A shutdown message, not Task.cancel(): a cancelled actor keeps
+        # a CancelledError whose traceback holds the engine in a
+        # reference cycle, which costs served sessions a GC pass each.
+        self._watchdog.cancel()
+        for task in self.tasks:
+            task.remove_done_callback(self._exited)
+        for post in self.posts:
+            post(("shutdown",))
+        await asyncio.gather(*self.tasks, return_exceptions=True)
+        if self.collector is not None:
+            # Salvage flight-recorder drains the dying generation
+            # flushed on shutdown — filtered from the committed
+            # timeline, but gold for post-mortem dumps.
+            salvage = self._batch[self._pos:]
+            while not self.control.empty():
+                salvage.append(self.control.get_nowait())
+            for message in salvage:
+                if message[0] == "spans":
+                    self.collector.add_drain(message)
+
+    def kill(self, actor_id: int) -> None:
+        self.tasks[actor_id].cancel()
+
+    def receive(self):
+        return self.control.drain()
+
+    def _exited(self, task: asyncio.Task) -> None:
+        """Done-callback, detached before shutdown: until then an actor
+        task ends only by failing or being killed, and reports either to
+        control at once."""
+        detail = ("cancelled" if task.cancelled()
+                  else repr(task.exception()))
+        self.control.put_nowait(("actor_error", self.tasks.index(task),
+                                 detail))
+
+    def _watch(self) -> None:
+        """The per-cycle deadline: one timer, re-armed for whatever is
+        left of the deadline of the cycle in flight."""
+        wait_s = self.deadline_s
+        start = self.cycle_start
+        if start is not None:
+            waited = time.perf_counter() - start
+            if waited >= wait_s:
+                self.control.put_nowait(("wedged", self.cycle, waited))
+            else:
+                wait_s -= waited
+        self._watchdog = self._loop.call_later(wait_s, self._watch)
+
+    async def _actor_main(self, actor_id: int) -> None:
+        core = MatchActorCore(actor_id, self.config)
+        inbox = self.inboxes[actor_id]
+        report = self.control.put_nowait
+        chaos, generation = self.chaos, self.generation
+        spans = None
+        if self.collector is not None:
+            from ..obs.trace import ActorSpans
+            spans = ActorSpans(actor_id, generation)
+        send = bind_send(self.posts + [report], chaos, generation, spans,
+                         self._loop.call_later)
+        cycle = 0
+        try:
+            while True:
+                processed = 0
+                for message in await inbox.drain():
+                    kind = message[0]
+                    if spans is not None:
+                        spans.received()
+                    if kind == "token":
+                        out, k = core.on_token(message[1])
+                    elif kind == "cycle":
+                        cycle = message[2]
+                        if chaos is not None:
+                            stall = stall_s(chaos, cycle, actor_id,
+                                            generation)
+                            if stall > 0.0:
+                                await asyncio.sleep(stall)
+                                if spans is not None:
+                                    spans.received()
+                        out, k = core.on_cycle(message[1])
+                    elif kind == "shutdown":
+                        return
+                    else:  # "sync"
+                        if processed:
+                            report(("processed", processed))
+                            processed = 0
+                        if spans is not None:
+                            spans.barrier(cycle)
+                            report(spans.drain())
+                        report(("stats", actor_id, core.on_sync()))
+                        continue
+                    processed += k
+                    if spans is not None:
+                        spans.matched(cycle, message, k, core.busy_us)
+                    if out:
+                        send(cycle, out)
+                if processed:
+                    report(("processed", processed))
+        finally:
+            if spans is not None:
+                report(spans.drain())
+
+
 async def run_section_async(trace: SectionTrace, config: RunConfig,
+                            chaos: Optional[ChaosPolicy] = None,
                             collector: Optional[
                                 "LiveTraceCollector"] = None,
                             ) -> Tuple[SimResult, List[FireSet], float]:
-    """Run *trace* on asyncio actors; ``(result, fires, wall_s)``.
+    """Run *trace* on supervised asyncio actors; ``(result, fires,
+    wall_s)``.
 
     Usable directly from an existing event loop — the served backend
     runs many of these concurrently on one loop, each with its own
     mailboxes and actor cores (per-session sharded working memory).
-
-    With a :class:`~repro.obs.trace.LiveTraceCollector` the run is
-    traced: data messages carry a ``(sender, send_ts)`` context, each
-    actor records match/send/barrier spans into a flight recorder
-    drained over the control mailbox before every barrier reply, and the
-    control loop records one cycle span per committed cycle.  With
-    ``collector=None`` (the default) this function is byte-for-byte
-    the untraced protocol — no context on messages, no recorders.
+    *chaos* injects seeded faults the supervisor must recover from; a
+    :class:`~repro.obs.trace.LiveTraceCollector` traces the run (see
+    :func:`repro.exec.supervise.supervise`).
     """
-    plans = build_plans(trace, config)
-    n_procs = config.n_procs
-    inboxes = [Mailbox() for _ in range(n_procs)]
-    control = Mailbox()
-    traced = collector is not None
-    if traced:
-        from ..obs.trace import (LIVE_BARRIER, LIVE_CYCLE, LIVE_MATCH,
-                                 LIVE_SEND, FlightRecorder)
-
-    async def actor_main(actor_id: int) -> None:
-        core = MatchActorCore(actor_id, config)
-        inbox = inboxes[actor_id]
-        try:
-            while True:
-                processed = 0
-                for message in await inbox.drain():
-                    kind = message[0]
-                    if kind == "token":
-                        out, k = core.on_token(message[1])
-                    elif kind == "cycle":
-                        out, k = core.on_cycle(message[1])
-                    elif kind == "sync":
-                        if processed:
-                            control.put_nowait(("processed", processed))
-                            processed = 0
-                        control.put_nowait(("stats", actor_id,
-                                            core.on_sync()))
-                        continue
-                    else:  # "shutdown"
-                        return
-                    processed += k
-                    for dst, msg in out:
-                        if dst == CONTROL:
-                            control.put_nowait(msg)
-                        else:
-                            inboxes[dst].put_nowait(msg)
-                if processed:
-                    control.put_nowait(("processed", processed))
-        except Exception as err:  # surface instead of hanging control
-            control.put_nowait(("actor_error", actor_id, repr(err)))
-
-    async def actor_main_traced(actor_id: int) -> None:
-        core = MatchActorCore(actor_id, config)
-        recorder = FlightRecorder(actor_id)
-        inbox = inboxes[actor_id]
-        cycle = 0
-        last_done = recorder.perf_base
-        try:
-            while True:
-                processed = 0
-                for message in await inbox.drain():
-                    kind = message[0]
-                    now = time.perf_counter()
-                    if kind == "shutdown":
-                        control.put_nowait(recorder.drain())
-                        return
-                    if kind == "sync":
-                        recorder.record(LIVE_BARRIER, cycle, last_done, now)
-                        if processed:
-                            control.put_nowait(("processed", processed))
-                            processed = 0
-                        control.put_nowait(recorder.drain())
-                        control.put_nowait(("stats", actor_id,
-                                            core.on_sync()))
-                        continue
-                    if kind == "cycle":
-                        cycle = message[2]
-                        ctx = message[3]
-                        out, k = core.on_cycle(message[1])
-                    else:  # "token"
-                        ctx = message[2]
-                        out, k = core.on_token(message[1])
-                    done = time.perf_counter()
-                    recorder.record(
-                        LIVE_MATCH, cycle, now, done, n=k,
-                        act_id=(message[1] if kind == "token" else -1),
-                        src=ctx[0], sent_s=ctx[1], busy_us=core.busy_us)
-                    if out:
-                        for dst, msg in out:
-                            stamped = msg + ((actor_id,
-                                              time.perf_counter()),)
-                            if dst == CONTROL:
-                                control.put_nowait(stamped)
-                            else:
-                                inboxes[dst].put_nowait(stamped)
-                        recorder.record(LIVE_SEND, cycle, done,
-                                        time.perf_counter(), n=len(out))
-                    last_done = time.perf_counter()
-                    processed += k
-                if processed:
-                    control.put_nowait(("processed", processed))
-        except Exception as err:  # surface instead of hanging control
-            control.put_nowait(recorder.drain())
-            control.put_nowait(("actor_error", actor_id, repr(err)))
-
-    main = actor_main_traced if traced else actor_main
-    tasks = [asyncio.create_task(main(i)) for i in range(n_procs)]
-    result = SimResult(trace_name=trace.name, n_procs=n_procs)
-    fires: List[FireSet] = []
-    batch: List = []  # control messages drained but not yet handled
-    pos = 0
-    section_start = time.perf_counter()
-    try:
-        for plan in plans:
-            cycle_start = time.perf_counter()
-            accumulator = CycleAccumulator(plan, config)
-            for i in range(n_procs):
-                if traced:
-                    inboxes[i].put_nowait(
-                        ("cycle", plan.per_actor[i], plan.index,
-                         (CONTROL, time.perf_counter())))
-                else:
-                    inboxes[i].put_nowait(("cycle", plan.per_actor[i]))
-            while not accumulator.done:
-                if pos == len(batch):
-                    batch, pos = await control.drain(), 0
-                message = batch[pos]
-                pos += 1
-                if message[0] == "actor_error":
-                    raise ExecutorCrashed(
-                        f"match actor {message[1]} failed: {message[2]}",
-                        actor=message[1], cycle=plan.index)
-                if traced and message[0] == "spans":
-                    collector.add_drain(message)
-                    continue
-                accumulator.note(message)
-            for i in range(n_procs):
-                inboxes[i].put_nowait(("sync",))
-            stats: List = [None] * n_procs
-            remaining = n_procs
-            while remaining:
-                if pos == len(batch):
-                    batch, pos = await control.drain(), 0
-                message = batch[pos]
-                pos += 1
-                if message[0] == "stats":
-                    stats[message[1]] = message[2]
-                    remaining -= 1
-                elif message[0] == "actor_error":
-                    raise ExecutorCrashed(
-                        f"match actor {message[1]} failed: {message[2]}",
-                        actor=message[1], cycle=plan.index)
-                elif traced and message[0] == "spans":
-                    collector.add_drain(message)
-                else:
-                    accumulator.note(message)
-            wall_s = time.perf_counter() - cycle_start
-            cycle_result, fired = accumulator.finish(stats, wall_s)
-            if traced:
-                collector.recorder.record(
-                    LIVE_CYCLE, plan.index, cycle_start,
-                    time.perf_counter(), n=cycle_result.n_messages)
-                collector.commit(plan.index, 0)
-            result.cycles.append(cycle_result)
-            fires.append(fired)
-    finally:
-        for i in range(n_procs):
-            inboxes[i].put_nowait(("shutdown",))
-        await asyncio.gather(*tasks, return_exceptions=True)
-        if traced:
-            salvage = batch[pos:]
-            while not control.empty():
-                salvage.append(control.get_nowait())
-            for message in salvage:
-                if message[0] == "spans":
-                    collector.add_drain(message)
-    return result, fires, time.perf_counter() - section_start
+    return await supervise(_AsyncEngine, build_plans(trace, config),
+                           trace.name, config, chaos, collector)
 
 
 def _check_supported(config: RunConfig) -> None:
@@ -250,16 +202,11 @@ class ActorExecutor:
 
     *transport* selects how messages move: ``"asyncio"`` (tasks in
     this process) or ``"process"`` (one OS process per actor, see
-    :mod:`repro.exec.mp`).
-
-    When the config carries a
-    :class:`~repro.mpc.config.SupervisePolicy` (``config.supervise``),
-    or a non-null :class:`~repro.exec.chaos.ChaosPolicy` is given, the
-    run goes through the supervised engines in
-    :mod:`repro.exec.supervise` — heartbeat liveness checks, per-cycle
-    deadlines, checkpoint-replay restarts.  A chaos policy without an
-    explicit supervision policy turns on default supervision: chaos
-    without recovery would just be a hang.
+    :mod:`repro.exec.mp`).  Every run is supervised
+    (:mod:`repro.exec.supervise`) under ``config.supervise`` —
+    ``None`` means the default :class:`~repro.mpc.config
+    .SupervisePolicy`.  A :class:`~repro.exec.chaos.ChaosPolicy`
+    injects seeded faults the supervisor must recover from.
     """
 
     name = "actors"
@@ -275,12 +222,6 @@ class ActorExecutor:
     def submit(self, trace: SectionTrace,
                config: RunConfig) -> RunHandle:
         _check_supported(config)
-        chaos = self.chaos
-        if chaos is not None and chaos.is_null:
-            chaos = None
-        if chaos is not None and config.supervise is None:
-            config = config.replace(supervise=SupervisePolicy())
-        supervised = config.supervise is not None
 
         def thunk() -> RunResult:
             collector = None
@@ -289,24 +230,14 @@ class ActorExecutor:
                 collector = LiveTraceCollector(
                     trace.name, config.n_procs, self.transport)
             try:
-                if supervised:
-                    from .supervise import (run_supervised_async,
-                                            run_supervised_mp)
-                    if self.transport == "process":
-                        result, fires, wall_s = run_supervised_mp(
-                            trace, config, chaos, collector=collector)
-                    else:
-                        result, fires, wall_s = asyncio.run(
-                            run_supervised_async(trace, config, chaos,
-                                                 collector=collector))
-                elif self.transport == "process":
-                    from .mp import run_section_mp
-                    result, fires, wall_s = run_section_mp(
-                        trace, config, collector=collector)
+                if self.transport == "process":
+                    from .mp import run_section_process
+                    result, fires, wall_s = run_section_process(
+                        trace, config, self.chaos, collector)
                 else:
                     result, fires, wall_s = asyncio.run(
-                        run_section_async(trace, config,
-                                          collector=collector))
+                        run_section_async(trace, config, self.chaos,
+                                          collector))
             except ExecutorError as err:
                 if collector is not None:
                     from ..obs.trace import dump_flight

@@ -23,10 +23,10 @@ from typing import Optional
 #: Environment override for every live-executor deadline, in seconds.
 ENV_TIMEOUT = "REPRO_EXEC_TIMEOUT_S"
 
-#: Default control-side wedge deadline (seconds) when neither the
+#: Default per-cycle wedge deadline (seconds) when neither the
 #: environment nor a :class:`~repro.mpc.config.SupervisePolicy` says
-#: otherwise.  Generous on purpose: an unsupervised run should only
-#: give up when something is genuinely stuck.
+#: otherwise.  Generous on purpose: a run with the default policy
+#: should only give up when something is genuinely stuck.
 DEFAULT_TIMEOUT_S = 300.0
 
 

@@ -19,11 +19,6 @@ import asyncio
 from typing import Any, List, Optional
 
 
-def _wake(waiter: asyncio.Future) -> None:
-    if not waiter.done():
-        waiter.set_result(None)
-
-
 class Mailbox:
     """A single-consumer, single-loop inbox: a list plus at most one
     waiter future.  Not thread-safe."""
@@ -43,23 +38,18 @@ class Mailbox:
             if not waiter.done():
                 waiter.set_result(None)
 
-    async def drain(self, timeout: Optional[float] = None) -> List[Any]:
+    async def drain(self) -> List[Any]:
         """Every queued message, oldest first.
 
-        Waits for at least one; with *timeout* (seconds), returns ``[]``
-        once it passes with nothing queued.  Cancelling the waiting
-        task leaves the mailbox usable.
+        Waits for at least one, untimed: deadlines belong to the caller
+        (the asyncio engine's watchdog).  Cancelling the waiting task
+        leaves the mailbox usable.
         """
         if not self._items:
-            loop = asyncio.get_running_loop()
-            waiter = self._waiter = loop.create_future()
-            handle = (loop.call_later(timeout, _wake, waiter)
-                      if timeout is not None else None)
+            waiter = self._waiter = asyncio.get_running_loop().create_future()
             try:
                 await waiter
             finally:
-                if handle is not None:
-                    handle.cancel()
                 if self._waiter is waiter:
                     self._waiter = None
         items = self._items

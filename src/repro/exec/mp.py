@@ -4,8 +4,10 @@ Same protocol, same :class:`~repro.exec.plan.MatchActorCore` state
 machines as the asyncio transport — but each match actor is an OS
 process with a :class:`multiprocessing.Queue` inbox, so activations in
 different bucket partitions really execute in parallel.  The control
-actor runs synchronously in the parent process (the paper's control
-processor is serialized by the barrier anyway).
+actor runs in the parent process (the paper's control processor is
+serialized by the barrier anyway), under the same restart driver as
+the asyncio transport (:func:`repro.exec.supervise.supervise`); its
+engine methods simply block.
 
 Everything crossing a process boundary is a plain picklable tuple; the
 ``fork`` start method is preferred when available (no module re-import
@@ -14,6 +16,7 @@ per actor), with the platform default as fallback.
 
 from __future__ import annotations
 
+import asyncio
 import multiprocessing
 import queue as queue_mod
 import time
@@ -23,18 +26,13 @@ from ..mpc.config import RunConfig
 from ..mpc.metrics import SimResult
 from ..trace.events import SectionTrace
 from .base import FireSet
-from .errors import (DEFAULT_TIMEOUT_S, ExecutorCrashed, ExecutorWedged,
-                     exec_timeout_s)
-from .plan import CONTROL, CycleAccumulator, MatchActorCore, build_plans
+from .chaos import ChaosPolicy
+from .errors import ExecutorCrashed, ExecutorWedged
+from .plan import MatchActorCore, build_plans
+from .supervise import Engine, bind_send, stall_s, supervise
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..obs.trace import LiveTraceCollector
-
-#: Default seconds the control process waits for any actor message
-#: before declaring the run wedged (an actor died without reporting).
-#: Resolved through :func:`repro.exec.errors.exec_timeout_s` at call
-#: time, so ``REPRO_EXEC_TIMEOUT_S`` overrides it.
-CONTROL_TIMEOUT_S = DEFAULT_TIMEOUT_S
 
 
 def _mp_context():
@@ -43,208 +41,142 @@ def _mp_context():
         "fork" if "fork" in methods else None)
 
 
-def _actor_process(actor_id: int, config: RunConfig,
-                   inboxes, control_q, traced: bool = False) -> None:
-    """Child-process main loop: one match actor until shutdown."""
+def _sleep_then(delay: float, put, message: Tuple) -> None:
+    time.sleep(delay)
+    put(message)
+
+
+def _match_worker(actor_id: int, config: RunConfig,
+                  chaos: Optional[ChaosPolicy], generation: int,
+                  inboxes, control_q, traced: bool) -> None:
+    """Child-process main loop: one match actor until terminated."""
+    core = MatchActorCore(actor_id, config)
+    inbox = inboxes[actor_id]
+    report = control_q.put
+    spans = None
     if traced:
-        _traced_actor_process(actor_id, config, inboxes, control_q)
-        return
-    core = MatchActorCore(actor_id, config)
-    inbox = inboxes[actor_id]
-    try:
-        while True:
-            message = inbox.get()
-            kind = message[0]
-            if kind == "shutdown":
-                return
-            if kind == "sync":
-                control_q.put(("stats", actor_id, core.on_sync()))
-                continue
-            if kind == "cycle":
-                out, processed = core.on_cycle(message[1])
-            else:  # "token"
-                out, processed = core.on_token(message[1])
-            for dst, msg in out:
-                if dst == CONTROL:
-                    control_q.put(msg)
-                else:
-                    inboxes[dst].put(msg)
-            if processed:
-                control_q.put(("processed", processed))
-    except Exception as err:  # surface instead of wedging control
-        control_q.put(("actor_error", actor_id, repr(err)))
-
-
-def _traced_actor_process(actor_id: int, config: RunConfig,
-                          inboxes, control_q,
-                          generation: int = 0) -> None:
-    """The flight-recorded twin of :func:`_actor_process`.
-
-    Same protocol and counters; additionally records match/send/
-    barrier spans into a per-process :class:`~repro.obs.trace
-    .FlightRecorder` drained over the control queue before every
-    barrier ``stats`` reply (FIFO order guarantees the coordinator has
-    a cycle's spans before it closes the cycle), stamps every outgoing
-    data message with a ``(sender, send_ts)`` context, and expects one
-    on everything it receives.
-    """
-    from ..obs.trace import (LIVE_BARRIER, LIVE_MATCH, LIVE_SEND,
-                             FlightRecorder)
-    core = MatchActorCore(actor_id, config)
-    recorder = FlightRecorder(actor_id, generation)
-    inbox = inboxes[actor_id]
+        from ..obs.trace import ActorSpans
+        spans = ActorSpans(actor_id, generation)
+    send = bind_send([q.put for q in inboxes] + [report], chaos,
+                     generation, spans, _sleep_then)
     cycle = 0
-    last_done = recorder.perf_base
     try:
         while True:
             message = inbox.get()
             kind = message[0]
-            now = time.perf_counter()
-            if kind == "shutdown":
-                control_q.put(recorder.drain())
-                return
-            if kind == "sync":
-                recorder.record(LIVE_BARRIER, cycle, last_done, now)
-                control_q.put(recorder.drain())
-                control_q.put(("stats", actor_id, core.on_sync()))
-                continue
-            if kind == "cycle":
-                cycle = message[2]
-                ctx = message[3]
-                out, processed = core.on_cycle(message[1])
-            else:  # "token"
-                ctx = message[2]
+            if spans is not None:
+                spans.received()
+            if kind == "token":
                 out, processed = core.on_token(message[1])
-            done = time.perf_counter()
-            recorder.record(
-                LIVE_MATCH, cycle, now, done, n=processed,
-                act_id=(message[1] if kind == "token" else -1),
-                src=ctx[0], sent_s=ctx[1], busy_us=core.busy_us)
+            elif kind == "cycle":
+                cycle = message[2]
+                if chaos is not None:
+                    stall = stall_s(chaos, cycle, actor_id, generation)
+                    if stall > 0.0:
+                        time.sleep(stall)
+                        if spans is not None:
+                            spans.received()
+                out, processed = core.on_cycle(message[1])
+            else:  # "sync"
+                if spans is not None:
+                    spans.barrier(cycle)
+                    report(spans.drain())
+                report(("stats", actor_id, core.on_sync()))
+                continue
+            if spans is not None:
+                spans.matched(cycle, message, processed, core.busy_us)
             if out:
-                for dst, msg in out:
-                    stamped = msg + ((actor_id, time.perf_counter()),)
-                    if dst == CONTROL:
-                        control_q.put(stamped)
-                    else:
-                        inboxes[dst].put(stamped)
-                recorder.record(LIVE_SEND, cycle, done,
-                                time.perf_counter(), n=len(out))
-            last_done = time.perf_counter()
+                send(cycle, out)
             if processed:
-                control_q.put(("processed", processed))
+                report(("processed", processed))
     except Exception as err:  # surface instead of wedging control
-        try:
-            control_q.put(recorder.drain())
-        finally:
-            control_q.put(("actor_error", actor_id, repr(err)))
+        if spans is not None:
+            report(spans.drain())
+        report(("actor_error", actor_id, repr(err)))
 
 
-def _get_control(control_q):
-    timeout_s = exec_timeout_s(CONTROL_TIMEOUT_S)
-    try:
-        return control_q.get(timeout=timeout_s)
-    except queue_mod.Empty:
-        raise ExecutorWedged(
-            "actor run wedged: no control message for "
-            f"{timeout_s:g}s", waited_s=timeout_s) from None
+class _MpEngine(Engine):
+    """One generation of worker processes plus their queues."""
 
+    # Until start() has made them, so stop() always works.
+    inboxes: list = []
+    control_q = None
+    workers: list = []
 
-def run_section_mp(trace: SectionTrace, config: RunConfig,
-                   collector: Optional["LiveTraceCollector"] = None,
-                   ) -> Tuple[SimResult, List[FireSet], float]:
-    """Run *trace* on one worker process per match actor.
+    def start(self) -> None:
+        ctx = _mp_context()
+        self.inboxes = [ctx.Queue() for _ in range(self.n_procs)]
+        self.control_q = ctx.Queue()
+        self.posts = [q.put for q in self.inboxes]
+        self.workers = [
+            ctx.Process(target=_match_worker,
+                        args=(i, self.config, self.chaos,
+                              self.generation, self.inboxes,
+                              self.control_q,
+                              self.collector is not None),
+                        daemon=True)
+            for i in range(self.n_procs)
+        ]
+        for worker in self.workers:
+            worker.start()
 
-    With a :class:`~repro.obs.trace.LiveTraceCollector` the workers
-    run flight-recorded (:func:`_traced_actor_process`) and the
-    control loop merges their drains; with ``collector=None`` the
-    untraced loop runs unchanged.
-    """
-    plans = build_plans(trace, config)
-    n_procs = config.n_procs
-    ctx = _mp_context()
-    inboxes = [ctx.Queue() for _ in range(n_procs)]
-    control_q = ctx.Queue()
-    traced = collector is not None
-    if traced:
-        from ..obs.trace import LIVE_CYCLE
-    workers = [
-        ctx.Process(target=_actor_process,
-                    args=(i, config, inboxes, control_q, traced),
-                    daemon=True)
-        for i in range(n_procs)
-    ]
-    for worker in workers:
-        worker.start()
-
-    result = SimResult(trace_name=trace.name, n_procs=n_procs)
-    fires: List[FireSet] = []
-    section_start = time.perf_counter()
-    try:
-        for plan in plans:
-            cycle_start = time.perf_counter()
-            accumulator = CycleAccumulator(plan, config)
-            for i in range(n_procs):
-                if traced:
-                    inboxes[i].put(
-                        ("cycle", plan.per_actor[i], plan.index,
-                         (CONTROL, time.perf_counter())))
-                else:
-                    inboxes[i].put(("cycle", plan.per_actor[i]))
-            while not accumulator.done:
-                message = _get_control(control_q)
-                if message[0] == "actor_error":
-                    raise ExecutorCrashed(
-                        f"match actor {message[1]} failed: {message[2]}",
-                        actor=message[1], cycle=plan.index)
-                if traced and message[0] == "spans":
-                    collector.add_drain(message)
-                    continue
-                accumulator.note(message)
-            for i in range(n_procs):
-                inboxes[i].put(("sync",))
-            stats: List = [None] * n_procs
-            remaining = n_procs
-            while remaining:
-                message = _get_control(control_q)
-                if message[0] == "stats":
-                    stats[message[1]] = message[2]
-                    remaining -= 1
-                elif message[0] == "actor_error":
-                    raise ExecutorCrashed(
-                        f"match actor {message[1]} failed: {message[2]}",
-                        actor=message[1], cycle=plan.index)
-                elif traced and message[0] == "spans":
-                    collector.add_drain(message)
-                else:
-                    accumulator.note(message)
-            wall_s = time.perf_counter() - cycle_start
-            cycle_result, fired = accumulator.finish(stats, wall_s)
-            if traced:
-                collector.recorder.record(
-                    LIVE_CYCLE, plan.index, cycle_start,
-                    time.perf_counter(), n=cycle_result.n_messages)
-                collector.commit(plan.index, 0)
-            result.cycles.append(cycle_result)
-            fires.append(fired)
-    finally:
-        for i in range(n_procs):
-            inboxes[i].put(("shutdown",))
-        for worker in workers:
-            worker.join(timeout=10.0)
+    async def stop(self) -> None:
+        for worker in self.workers:
             if worker.is_alive():
                 worker.terminate()
-                worker.join(timeout=10.0)
-        if traced:
-            # The workers flush a final (usually empty) drain on
-            # shutdown; collect what arrives promptly so dropped
-            # counters are complete, without risking a hang.
+        for worker in self.workers:
+            worker.join(timeout=5.0)
+            if worker.is_alive():
+                worker.kill()
+                worker.join(timeout=5.0)
+        for q in self.inboxes + [self.control_q]:
+            if q is not None:
+                q.close()
+                q.cancel_join_thread()
+
+    def kill(self, actor_id: int) -> None:
+        self.workers[actor_id].kill()
+
+    async def receive(self) -> List[Tuple]:
+        """One control message: heartbeat-sliced queue reads with
+        dead-worker checks and the per-cycle deadline."""
+        cycle = self.cycle
+        while True:
+            waited = time.perf_counter() - self.cycle_start
+            if waited >= self.deadline_s:
+                raise ExecutorWedged(
+                    f"cycle {cycle}: no quiescence progress for "
+                    f"{waited:.3f}s", cycle=cycle, waited_s=waited)
+            timeout = min(self.heartbeat_s, self.deadline_s - waited)
             try:
-                while True:
-                    message = control_q.get(timeout=0.2)
-                    if message[0] == "spans":
-                        collector.add_drain(message)
-            except (queue_mod.Empty, EOFError, OSError):
+                return [self.control_q.get(timeout=timeout)]
+            except queue_mod.Empty:
                 pass
-        for q in inboxes + [control_q]:
-            q.close()
-    return result, fires, time.perf_counter() - section_start
+            except (EOFError, OSError) as err:
+                # A SIGKILLed worker can tear the queue's pipe
+                # mid-write; the whole queue set is discarded on
+                # restart, so surface it as a crash.
+                raise ExecutorCrashed(
+                    f"control queue broken during cycle {cycle}: "
+                    f"{err!r}", cycle=cycle) from err
+            for i, worker in enumerate(self.workers):
+                if not worker.is_alive():
+                    raise ExecutorCrashed(
+                        f"match actor {i} died during cycle {cycle}",
+                        actor=i, cycle=cycle)
+
+
+def run_section_process(trace: SectionTrace, config: RunConfig,
+                        chaos: Optional[ChaosPolicy] = None,
+                        collector: Optional["LiveTraceCollector"] = None,
+                        ) -> Tuple[SimResult, List[FireSet], float]:
+    """Run *trace* on supervised worker processes, one per match actor;
+    ``(result, fires, wall_s)``.
+
+    The process-transport twin of
+    :func:`repro.exec.actors.run_section_async`: same protocol, same
+    counters, same restart driver, with real OS processes killed and
+    respawned on failure.
+    """
+    return asyncio.run(supervise(_MpEngine, build_plans(trace, config),
+                                 trace.name, config, chaos, collector))

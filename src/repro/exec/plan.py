@@ -232,14 +232,16 @@ class CycleAccumulator:
         self.fires: List[int] = []
         self.processed = 0
 
-    def note(self, message: Tuple) -> None:
-        """Feed one control-bound message (``fire`` or ``processed``)."""
+    def note(self, message: Tuple) -> bool:
+        """Feed one control-bound message; whether it was cycle
+        accounting (``fire`` or ``processed``)."""
         if message[0] == "fire":
             self.fires.append(message[1])
         elif message[0] == "processed":
             self.processed += message[1]
         else:
-            raise ValueError(f"unexpected control message {message!r}")
+            return False
+        return True
 
     @property
     def done(self) -> bool:

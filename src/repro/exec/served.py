@@ -4,11 +4,11 @@ The paper simulates one production system at a time; a served
 deployment multiplexes many.  :class:`SessionServer` owns a background
 thread running a persistent asyncio event loop and hosts each
 submitted run as one *session* — a full actor engine
-(:func:`repro.exec.actors.run_section_async`) with its own mailboxes,
-actor cores and plan stream.  Working memory stays sharded per
-session: no mailbox, core or bucket partition is shared between
-sessions, so concurrent sessions are isolated by construction and
-their results equal a solo run's.  WME changes are batched exactly as
+(:func:`repro.exec.actors.run_section_async`, supervised like every
+live run) with its own mailboxes, actor cores and plan stream.
+Working memory stays sharded per session: no mailbox, core or bucket
+partition is shared between sessions, so concurrent sessions are
+isolated by construction and their results equal a solo run's.  WME changes are batched exactly as
 in the single-session backends — one plan broadcast per recognize-act
 cycle.
 
@@ -48,13 +48,12 @@ import threading
 import time
 from typing import Callable, Optional
 
-from ..mpc.config import OVERHEADS, RunConfig, SupervisePolicy
+from ..mpc.config import OVERHEADS, RunConfig
 from ..obs import get_logger, get_registry, log_event, prometheus_text
 from ..trace.events import SectionTrace
 from .actors import _check_supported, run_section_async
 from .base import RunHandle, RunResult
 from .errors import SessionOverloaded, exec_timeout_s
-from .supervise import run_supervised_async
 
 _LOG = get_logger("repro.exec.served")
 
@@ -213,10 +212,7 @@ class SessionServer:
                 self._sessions_started += 1
                 get_registry().counter("served.sessions").inc()
                 try:
-                    if config.supervise is not None:
-                        value = await run_supervised_async(trace, config)
-                    else:
-                        value = await run_section_async(trace, config)
+                    value = await run_section_async(trace, config)
                 except BaseException:
                     self._sessions_failed += 1
                     get_registry().counter("served.failed").inc()
@@ -339,9 +335,6 @@ class SessionServer:
                 raise ValueError(f"overhead must be one of "
                                  f"{sorted(OVERHEADS)} or 0")
             config = RunConfig(n_procs=int(request.get("procs", 1)),
-                               supervise=(SupervisePolicy()
-                                          if request.get("supervise")
-                                          else None),
                                **({"overheads": overheads}
                                   if overheads else {}))
             result, fires, wall_s = await self._session(trace, config)

@@ -54,10 +54,12 @@ class SupervisePolicy:
     Attributes
     ----------
     heartbeat_s:
-        How often the control actor checks worker liveness while
-        waiting for cycle progress.  Every wait on the control queue is
-        chopped into heartbeats, so a dead worker is noticed within one
-        interval instead of one full deadline.
+        Process transport: how often the control actor checks worker
+        liveness while waiting for cycle progress.  Every wait on the
+        control queue is chopped into heartbeats, so a dead worker is
+        noticed within one interval instead of one full deadline.  On
+        asyncio a dead actor task reports itself and no heartbeat is
+        needed.
     cycle_timeout_s:
         Per-phase deadline: the longest one recognize-act cycle may go
         without quiescing before the attempt is declared wedged.
@@ -137,9 +139,10 @@ class RunConfig:
     #: and idle cycles touched by a stall window or fail-stop are
     #: simulated exactly instead of collapsed.
     compress_rounds: bool = False
-    #: Supervision policy for the live executor backends (heartbeats,
-    #: per-cycle deadlines, checkpoint-replay restarts; see
-    #: :mod:`repro.exec.supervise`).  ``None`` runs unsupervised.  The
+    #: Supervision policy for the live executor backends (liveness
+    #: checks, per-cycle deadlines, checkpoint-replay restarts; see
+    #: :mod:`repro.exec.supervise`).  Every live run is supervised;
+    #: ``None`` means the default :class:`SupervisePolicy`.  The
     #: discrete simulator ignores it.
     supervise: Optional[SupervisePolicy] = None
     #: Record distributed spans on the live ``actors`` backend into
@@ -225,7 +228,4 @@ class RunConfig:
                    recorder=recorder,
                    compress_rounds=getattr(args, "compress_rounds",
                                            False),
-                   supervise=(SupervisePolicy()
-                              if getattr(args, "supervise", False)
-                              else None),
                    live_trace=getattr(args, "trace_live", False))

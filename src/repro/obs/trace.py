@@ -35,9 +35,9 @@ attribution.  This module gives the *live* actor backends
 
 Tracing is strictly opt-in (``RunConfig.live_trace`` /
 ``--trace-live``) and bit-invisible to match signatures and every
-counter when off — the untraced code paths are unchanged and this
-module is not imported; the ``live_trace_invisible`` oracle in
-:mod:`repro.check` pins that.  When a traced run dies with a typed
+counter when off — each actor's :class:`ActorSpans` hook is then
+``None`` and this module is not imported; the ``live_trace_invisible``
+oracle in :mod:`repro.check` pins that.  When a traced run dies with a typed
 :class:`~repro.exec.errors.ExecutorError`, the flight recorder is
 dumped automatically (:func:`dump_flight`) for post-mortem analysis —
 including spans of failed, uncommitted cycle attempts.
@@ -141,6 +141,53 @@ class FlightRecorder:
         dropped, self.dropped = self.dropped, 0
         return (SPANS, self.actor_id, self.generation, self.perf_base,
                 self.wall_base, self.pid, spans, dropped)
+
+
+class ActorSpans:
+    """The recorder hook of one live match actor.
+
+    The actor loop calls :meth:`received` on every inbox message,
+    :meth:`matched` after the core handled a cycle plan or token, and
+    :meth:`barrier` on ``sync``; its send hook stamps each outgoing data
+    message (:meth:`stamp`) and closes the send span (:meth:`sent`).
+    Incoming ``cycle``/``token`` messages carry the sender's
+    ``(sender, send_ts)`` context as their last element.
+    """
+
+    __slots__ = ("recorder", "actor_id", "start", "done", "last_done")
+
+    def __init__(self, actor_id: int, generation: int = 0) -> None:
+        self.recorder = FlightRecorder(actor_id, generation)
+        self.actor_id = actor_id
+        self.start = self.done = self.last_done = self.recorder.perf_base
+
+    def received(self) -> None:
+        self.start = time.perf_counter()
+
+    def matched(self, cycle: int, message: Tuple, n: int,
+                busy_us: float) -> None:
+        self.done = time.perf_counter()
+        token = message[0] == "token"
+        src, sent_s = message[-1]
+        self.recorder.record(LIVE_MATCH, cycle, self.start, self.done,
+                             n=n, act_id=message[1] if token else -1,
+                             src=src, sent_s=sent_s, busy_us=busy_us)
+        self.last_done = self.done
+
+    def stamp(self, message: Tuple) -> Tuple:
+        return message + ((self.actor_id, time.perf_counter()),)
+
+    def sent(self, cycle: int, n: int) -> None:
+        self.last_done = time.perf_counter()
+        self.recorder.record(LIVE_SEND, cycle, self.done, self.last_done,
+                             n=n)
+
+    def barrier(self, cycle: int) -> None:
+        self.recorder.record(LIVE_BARRIER, cycle, self.last_done,
+                             self.start)
+
+    def drain(self) -> Tuple:
+        return self.recorder.drain()
 
 
 @dataclass(frozen=True, slots=True)

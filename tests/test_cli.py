@@ -306,7 +306,7 @@ class TestObservability:
 
 class TestSuperviseAndChaosFlags:
     def test_run_supervised_actors(self, capsys):
-        assert main(["run", "--backend", "actors", "--supervise",
+        assert main(["run", "--backend", "actors",
                      "--section", "rubik", "--procs", "2"]) == 0
         out = capsys.readouterr().out
         assert "match the simulator" in out
@@ -332,11 +332,6 @@ class TestSuperviseAndChaosFlags:
         assert main(["run", "--backend", "sim", "--chaos-seed", "1",
                      "--section", "rubik"]) == 2
         assert "actors backend only" in capsys.readouterr().err
-
-    def test_supervise_rejected_on_sim(self, capsys):
-        assert main(["run", "--backend", "sim", "--supervise",
-                     "--section", "rubik"]) == 2
-        assert "live backends only" in capsys.readouterr().err
 
     def test_run_trace_live_writes_reconciled_trace(self, tmp_path,
                                                     capsys):

@@ -136,6 +136,8 @@ class TestActorsBackend:
     @pytest.mark.parametrize("variant", ["traced", "supervised"])
     def test_process_transport_recorded_variants(self, rubik_recorded,
                                                  variant):
+        """Every run is supervised; "supervised" passes an explicit
+        policy, "traced" the default one plus live tracing."""
         config = RunConfig(n_procs=4, live_trace=variant == "traced",
                            supervise=(SupervisePolicy()
                                       if variant == "supervised" else None))

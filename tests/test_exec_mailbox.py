@@ -1,11 +1,11 @@
-"""The asyncio actor inbox: batched drains, timeouts, cancellation.
+"""The asyncio actor inbox: batched drains and cancellation.
 
-:class:`~repro.exec.mailbox.Mailbox` replaces ``asyncio.Queue`` in both
-asyncio engines; each actor wakeup drains the whole inbox.  These tests
-pin its contract (FIFO, wakeups, timed drains, a cancelled consumer)
-and that batching changes no counter: a plain and a supervised run of
-a recorded window agree exactly, while reporting fewer
-``processed`` counts than deliveries that processed anything.
+:class:`~repro.exec.mailbox.Mailbox` replaces ``asyncio.Queue`` in the
+asyncio engine; each actor wakeup drains the whole inbox.  These tests
+pin its contract (FIFO, wakeups, a cancelled consumer)
+and that batching changes no counter: a run of a recorded window
+agrees exactly with the simulator, while reporting fewer ``processed``
+counts than deliveries that processed anything.
 """
 
 import asyncio
@@ -13,9 +13,9 @@ import asyncio
 import pytest
 
 from repro.exec import (MatchActorCore, RunResult, match_signature, run,
-                        run_section_async, run_supervised_async)
+                        run_section_async)
 from repro.exec.mailbox import Mailbox
-from repro.mpc import RunConfig, SupervisePolicy
+from repro.mpc import RunConfig
 from repro.ops5 import parse_program
 from repro.trace.recorder import record_program
 from repro.workloads import tourney_match_program
@@ -46,36 +46,6 @@ class TestMailbox:
 
         assert asyncio.run(main()) == ["a", "b"]
 
-    def test_timed_drain_returns_empty_and_leaves_no_waiter(self):
-        async def main():
-            box = Mailbox()
-            assert await box.drain(timeout=0.01) == []
-            assert box._waiter is None
-            box.put_nowait("late")
-            return await box.drain(timeout=1.0)
-
-        assert asyncio.run(main()) == ["late"]
-
-    def test_timed_drain_cancels_its_timer_on_wake(self):
-        async def main():
-            loop = asyncio.get_running_loop()
-            timers = []
-            call_later = loop.call_later
-
-            def spy(*args):
-                timers.append(call_later(*args))
-                return timers[-1]
-
-            loop.call_later = spy
-            box = Mailbox()
-            loop.call_soon(box.put_nowait, "x")
-            got = await box.drain(timeout=60.0)
-            return got, timers
-
-        got, timers = asyncio.run(main())
-        assert got == ["x"]
-        assert len(timers) == 1 and timers[0].cancelled()
-
     def test_cancelled_consumer_leaves_mailbox_usable(self):
         async def main():
             box = Mailbox()
@@ -87,7 +57,7 @@ class TestMailbox:
             assert box._waiter is None
             box.put_nowait(1)
             assert not box.empty()
-            return await box.drain(timeout=1.0)
+            return await asyncio.wait_for(box.drain(), 1.0)
 
         assert asyncio.run(main()) == [1]
 
@@ -148,19 +118,15 @@ class TestBatchedRuns:
             result, fires, wall_s = asyncio.run(coro_fn(window, config))
         return RunResult("actors", result, fires, wall_s), counts
 
-    def test_plain_and_supervised_agree_with_fewer_reports(
+    def test_engine_agrees_with_sim_with_fewer_reports(
             self, monkeypatch, tourney_window):
         config = RunConfig(n_procs=4)
-        plain, plain_counts = self._counted(
+        live, counts = self._counted(
             monkeypatch, run_section_async, tourney_window, config)
-        supervised, sup_counts = self._counted(
-            monkeypatch, run_supervised_async, tourney_window,
-            config.replace(supervise=SupervisePolicy()))
+        sim = run(tourney_window, config)
 
-        assert match_signature(plain) == match_signature(supervised) \
-            == match_signature(run(tourney_window, config))
-        assert plain.fires == supervised.fires
-        assert [c.proc_busy_us for c in plain.result.cycles] \
-            == [c.proc_busy_us for c in supervised.result.cycles]
-        for counts in (plain_counts, sup_counts):
-            assert 0 < counts["processed"] < counts["deliveries"], counts
+        assert match_signature(live) == match_signature(sim)
+        assert live.fires == sim.fires
+        assert [c.proc_busy_us for c in live.result.cycles] \
+            == [c.proc_busy_us for c in sim.result.cycles]
+        assert 0 < counts["processed"] < counts["deliveries"], counts

@@ -6,8 +6,7 @@ policy either recovers to counters bit-identical to the simulator's —
 worker restarts replay the current :class:`~repro.exec.plan.CyclePlan`
 checkpoint — or raises a typed :class:`~repro.exec.errors
 .ExecutorError`.  Never a wedge, never silently-wrong results.  The
-zero-chaos supervised run must be indistinguishable from the
-unsupervised one.
+zero-chaos run must be indistinguishable from the simulator's.
 """
 
 import asyncio
@@ -22,8 +21,9 @@ from repro.exec import (ActorExecutor, ChaosPolicy, ExecutorError,
                         RestartsExhausted, SessionOverloaded,
                         SessionServer, CONTROL, MatchActorCore,
                         build_plans, exec_timeout_s, match_signature,
-                        run, run_supervised_async, run_supervised_mp)
+                        run, run_section_async)
 from repro.exec.errors import DEFAULT_TIMEOUT_S, ENV_TIMEOUT
+from repro.exec.mp import run_section_process
 from repro.exec.plan import CycleAccumulator
 from repro.mpc import TABLE_5_1, RunConfig, SupervisePolicy
 from repro.workloads import rubik_section
@@ -69,6 +69,34 @@ class TestZeroChaosEquivalence:
         config = RunConfig(n_procs=4, overheads=OV8)
         assert supervised(rubik, config, chaos=NULL_CHAOS) \
             == sim_signature(rubik, config)
+
+
+class TestEventDrivenLiveness:
+    def test_zero_chaos_run_arms_no_timer_per_drain(self, rubik,
+                                                     monkeypatch):
+        """On asyncio a dead actor task reports itself and one watchdog
+        per engine generation enforces the cycle deadline, so the
+        control drains are untimed: a zero-chaos run arms at most one
+        timer per generation plus one per cycle.  Every timer goes
+        through ``call_at`` (``call_later`` delegates to it)."""
+        armed = []
+        call_at = asyncio.BaseEventLoop.call_at
+
+        def counting(loop, when, callback, *args, **kwargs):
+            armed.append(callback)
+            return call_at(loop, when, callback, *args, **kwargs)
+
+        from repro.obs import get_registry
+        restarts = get_registry().counter("supervise.restarts")
+        before = restarts.value
+        config = RunConfig(n_procs=4, overheads=OV8, supervise=FAST)
+        monkeypatch.setattr(asyncio.BaseEventLoop, "call_at", counting)
+        outcome = ActorExecutor().submit(rubik, config).result()
+        monkeypatch.undo()
+        generations = 1 + restarts.value - before
+        assert len(outcome.result.cycles) == len(rubik.cycles) > 1
+        assert len(armed) <= generations + len(rubik.cycles), armed
+        assert match_signature(outcome) == sim_signature(rubik, config)
 
 
 class TestKillRecovery:
@@ -422,12 +450,12 @@ class TestSupervisedEntryPoints:
     def test_async_entry_point_returns_triple(self, rubik):
         config = RunConfig(n_procs=2, overheads=OV8, supervise=FAST)
         result, fires, wall_s = asyncio.run(
-            run_supervised_async(rubik, config))
+            run_section_async(rubik, config))
         assert len(result.cycles) == len(rubik.cycles)
         assert wall_s > 0.0
 
     def test_mp_entry_point_returns_triple(self, rubik):
         config = RunConfig(n_procs=2, overheads=OV8, supervise=FAST)
-        result, fires, wall_s = run_supervised_mp(rubik, config)
+        result, fires, wall_s = run_section_process(rubik, config)
         assert len(result.cycles) == len(rubik.cycles)
         assert wall_s > 0.0

@@ -20,7 +20,7 @@ from repro.workloads.programs import (BLOCKS_WORLD, GRID_ROUTER,
 
 
 def _observed_network():
-    """A kernel with an observer: waves take the traced stack machine."""
+    """A kernel with an observer: every wave emits its events."""
     net = ReteNetwork()
     net.observers.append(lambda event: None)
     return net

@@ -2,8 +2,8 @@
 
 Three independently-written matchers — the from-scratch naive matcher,
 the preserved object-dispatch Rete (:class:`ReferenceReteNetwork`) and
-the flattened kernel (observed, on its traced stack machine, and
-unobserved, on its untraced fast walk) — are driven through random rule
+the flattened kernel (observed, emitting events from its one walk, and
+unobserved, emitting none) — are driven through random rule
 subsets and random working-memory churn (adds, removes, negated CEs,
 multiple-modify bursts).  All four must agree on the conflict set after
 every single delta; the kernel variants must also agree on memory
@@ -181,8 +181,8 @@ def test_const_battery_vectorized_parity(rules, script):
 @given(rules=rule_subsets(), script=churn_scripts())
 def test_traced_equals_untraced_final_state(rules, script):
     """An observer must not change what the kernel computes — only
-    whether events are emitted.  The traced stack machine and the
-    untraced fast walk must land in identical final states."""
+    whether events are emitted.  The observed and the unobserved
+    kernel must land in identical final states."""
     traced = ReteNetwork()
     untraced = ReteNetwork()
     events = []
