@@ -36,8 +36,9 @@ paths that are documented to produce *identical* results.  The pairs:
     and ack counters are excluded by design.
 ``recorder_invisible``
     Passing a :class:`~repro.mpc.timeline.TimelineRecorder` must not
-    change any result field (the recorded loop is a mirror of the fast
-    one).
+    change any result field (a recorded run goes through the
+    instrumented loop, an unrecorded fault-free one through the
+    hook-free loop).
 ``actors_vs_sim``
     The live actor backend (:mod:`repro.exec.actors`) against the
     discrete simulator: identical match signatures — per-processor

@@ -36,6 +36,7 @@ class _Task:
     seq: int
     proc: int
     act: TraceActivation
+    via_message: bool
 
     def __lt__(self, other: "_Task") -> bool:
         return (self.arrival, self.seq) < (other.arrival, other.seq)
@@ -110,8 +111,8 @@ def _simulate_cycle(cycle: CycleTrace, n_procs: int, n_const: int,
 
     # Roots are produced on the dedicated processors (round robin over
     # them, in trace order) and shipped to their bucket owners.
-    for index, root in enumerate(cycle.roots()):
-        cp = n_procs + index % n_const
+    for i, root in enumerate(cycle.roots()):
+        cp = n_procs + i % n_const
         depart = ready[cp] + overheads.send_us
         busy[cp] += overheads.send_us
         ready[cp] = depart
@@ -124,14 +125,14 @@ def _simulate_cycle(cycle: CycleTrace, n_procs: int, n_const: int,
         seq += 1
         heapq.heappush(queue, _Task(
             arrival=depart + overheads.latency_us, seq=seq, proc=owner,
-            act=root))
+            act=root, via_message=True))
 
     while queue:
         task = heapq.heappop(queue)
         p = task.proc
         act = task.act
         start = max(ready[p], task.arrival)
-        t = start + overheads.recv_us
+        t = start + overheads.recv_us if task.via_message else start
         t += costs.store_cost(act.side)
         t += search_costs.get(act.act_id, 0.0)
         activations[p] += 1
@@ -148,14 +149,14 @@ def _simulate_cycle(cycle: CycleTrace, n_procs: int, n_const: int,
             seq += 1
             if dest == p:
                 heapq.heappush(queue, _Task(arrival=t, seq=seq, proc=p,
-                                            act=succ))
+                                            act=succ, via_message=False))
             else:
                 t += overheads.send_us
                 n_messages += 1
                 network_busy += overheads.latency_us
                 heapq.heappush(queue, _Task(
                     arrival=t + overheads.latency_us, seq=seq,
-                    proc=dest, act=succ))
+                    proc=dest, act=succ, via_message=True))
         busy[p] += t - start
         ready[p] = t
 

@@ -19,16 +19,18 @@ faults becomes a measurable axis:
   copy, a retransmit timeout with exponential backoff, and a bounded
   retry budget (the final attempt is carried by a link-level reliable
   fallback, so the simulation always terminates).
-* :func:`simulate_cycle_with_faults` — the fault-aware counterpart of
-  the event loop in :mod:`repro.mpc.simulator`, on the same compiled
-  cycle table (:meth:`~repro.trace.events.CycleTrace.key_index`),
-  charging send/receive overheads for every ack and retry so
+* :func:`simulate_cycle_with_faults` — the simulator's instrumented
+  loop, on the same compiled cycle table
+  (:meth:`~repro.trace.events.CycleTrace.key_index`) as the hook-free
+  loop in :mod:`repro.mpc.simulator`.  It is the one loop that observes
+  (records timeline spans) or perturbs messages.  Under a fault model
+  it charges send/receive overheads for every ack and retry, so
   degradation shows up in the :class:`~repro.mpc.metrics.SimResult`
   counters (``retransmits``, ``duplicate_drops``, ``acks``,
   ``timeout_wait_us``, ``stall_us``, ``recovery_us``).  Each data
   message's delivery plan is drawn once, at its send.  The
-  object-based loop it replaced is kept in :mod:`repro.mpc._reference`
-  as its oracle.
+  object-based fault loop it replaced is kept in
+  :mod:`repro.mpc._reference` as its oracle.
 
 Determinism
 -----------
@@ -42,8 +44,11 @@ messages lost at a lower rate (which is what makes degradation curves
 monotone).
 
 The zero-fault path is untouched: :func:`repro.mpc.simulator.simulate`
-dispatches to this module only when a non-null fault model is supplied,
-so ``FaultModel()`` (all-zero) reproduces today's simulator bit for bit.
+injects faults only when a non-null fault model is supplied, so
+``FaultModel()`` (all-zero) reproduces the fault-free simulator bit for
+bit.  A recorded fault-free run goes through this module's loop with
+no fault model: the plain exchange, with the hook-free loop's
+arithmetic.
 
 Model simplifications (documented, deliberate):
 
@@ -64,7 +69,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..trace.events import CycleTrace
+from ..trace.events import TAG_MINUS, CycleTrace
 from .costmodel import CostModel, OverheadModel
 from .mapping import BucketMapping
 from .metrics import CycleResult
@@ -371,33 +376,55 @@ def plan_delivery(faults: FaultModel, protocol: ProtocolModel,
     return DeliveryPlan(*_planner(faults, protocol, prefix)(msg_id))
 
 
+#: The fate of every message on the plain Section 3.2 exchange, as a
+#: delivery plan: one copy, no timeout wait, no jitter, no duplicate.
+_PLAIN_DELIVERY = (1, 0.0, 0.0, 0)
+
+
+def _plain_draw(msg_id: int) -> Tuple[int, float, float, int]:
+    return _PLAIN_DELIVERY
+
+
 def simulate_cycle_with_faults(
         cycle: CycleTrace, n_procs: int, costs: CostModel,
         overheads: OverheadModel, mapping: BucketMapping,
-        faults: FaultModel, protocol: ProtocolModel,
+        faults: Optional[FaultModel] = None,
+        protocol: Optional[ProtocolModel] = None,
         search_costs: Optional[Dict[int, float]] = None,
         recorder: Optional["TimelineRecorder"] = None) -> CycleResult:
-    """One cycle of the Section 3.2 mapping under *faults* + *protocol*.
+    """One cycle of the Section 3.2 mapping, observed or perturbed.
 
-    Runs on the cycle's compiled table like the fault-free loop in
-    :mod:`repro.mpc.simulator` — integer events (a position, ``~pos``
-    for one that came as a message) on a heap of distinct arrival
-    times — with three insertions: a delivery plan (loss, retries,
-    duplication, jitter) drawn once per data message, at its send; ack
-    accounting on both ends; and processor stall/recovery windows.
-    Every sent message's plan is priced into the cycle's counters after
-    the loop, in send order.
+    The simulator's instrumented loop: every run that records a
+    timeline or injects faults goes through it, and the hook-free
+    :func:`repro.mpc.simulator._simulate_cycle` serves the rest.  It
+    runs on the same compiled table with the same event encoding — a
+    position, ``~pos`` for one that came as a message, on a heap of
+    distinct arrival times.
 
-    With a :class:`~repro.mpc.timeline.TimelineRecorder` the same loop
-    also emits typed spans — including the protocol machinery (acks,
-    retransmissions, timeout waits) and stall windows — without
+    With no fault model it runs the paper's plain exchange and ignores
+    *protocol*: no delivery is drawn, no ack is sent or charged, and
+    the messages are priced in the hook-free loop's order, so the
+    result is bit-identical to that loop's for any costs.  With one
+    (and *protocol*, :data:`DEFAULT_PROTOCOL` when ``None``) it adds
+    three things: a delivery plan (loss, retries, duplication, jitter)
+    drawn once per data message, at its send; ack accounting on both
+    ends; and processor stall/recovery windows.  Every sent message's
+    plan is then priced into the cycle's counters after the loop, in
+    send order.
+
+    With a :class:`~repro.mpc.timeline.TimelineRecorder` the loop also
+    emits typed spans and envelopes — on the protocol path including
+    acks, retransmissions, timeout waits and stall windows — without
     touching any timing arithmetic, so recorded results stay
     bit-identical to unrecorded ones.
     """
+    plain = faults is None
     send_us = overheads.send_us
     recv_us = overheads.recv_us
     latency_us = overheads.latency_us
-    per_copy = recv_us + send_us
+    #: the receiver's cost per data copy, and the sender's per ack
+    per_copy, ack_us = (recv_us, 0.0) if plain \
+        else (recv_us + send_us, recv_us)
     left_us = costs.left_token_us
     right_us = costs.right_token_us
     successor_us = costs.successor_us
@@ -412,13 +439,21 @@ def simulate_cycle_with_faults(
     extra_of = search_costs or None
 
     # Fault-model state for this cycle.
-    draw = _planner(faults, protocol, faults.cycle_prefix(cycle_index))
-    windows = faults.windows_for_cycle(cycle_index, n_procs)
-    recovery_us = faults.recovery_in_cycle(cycle_index, n_procs)
+    if plain:
+        draw = _plain_draw
+        windows: Dict[int, List[Tuple[float, float]]] = {}
+        recovery_us = 0.0
+        dup_of = None
+    else:
+        if protocol is None:
+            protocol = DEFAULT_PROTOCOL
+        draw = _planner(faults, protocol, faults.cycle_prefix(cycle_index))
+        windows = faults.windows_for_cycle(cycle_index, n_procs)
+        recovery_us = faults.recovery_in_cycle(cycle_index, n_procs)
+        #: the duplicate count of the message delivering each position
+        dup_of = [0] * len(left) if faults.dup_prob != 0.0 else None
     #: every message's plan, in send order (priced after the loop)
     sent: List[Tuple[int, float, float, int]] = []
-    #: the duplicate count of the message delivering each position
-    dup_of = [0] * len(left) if faults.dup_prob != 0.0 else None
     stall_us = 0.0
 
     def past_stalls(p: int, t: float) -> float:
@@ -439,9 +474,13 @@ def simulate_cycle_with_faults(
                                CAT_TOKEN_ADD, CAT_TOKEN_DELETE,
                                CAT_TRANSIT, CONTROL, NETWORK,
                                CycleTimeline, Envelope, Span)
-        acts = cycle.activations
-        #: the plan of the message delivering each position
+        tags = index.tags
+        #: the plan of the message delivering each position, and the
+        #: act_id of the activation that generated it (roots have none;
+        #: an orphan, whose parent is outside the cycle, is never
+        #: processed here, so it needs no entry)
         plan_of: list = [None] * len(left)
+        parent_of: List[Optional[int]] = [None] * len(left)
         spans: List["Span"] = []
         envelopes: List["Envelope"] = []
         add_span = spans.append
@@ -458,6 +497,9 @@ def simulate_cycle_with_faults(
                 add_span(Span(CAT_SEND if attempt == 0 else CAT_RETRANSMIT,
                               proc, s, s + send_us, msg_id))
                 s += send_us
+            if plain:
+                add_span(Span(CAT_TRANSIT, NETWORK, s, arrive, msg_id))
+                return
             add_span(Span(CAT_ACK, proc, s, s + recv_us, msg_id))
             first_wire = depart + send_us
             if wait > 0:
@@ -474,7 +516,12 @@ def simulate_cycle_with_faults(
 
         def record_receipt(proc: int, begin: float, copies: int,
                            msg_id: int) -> None:
-            """Receive and ack every copy, then the acks' transits."""
+            """Receive (and, under the protocol, ack) every copy, then
+            the acks' transits."""
+            if plain:
+                add_span(Span(CAT_RECV, proc, begin, begin + recv_us,
+                              msg_id))
+                return
             b = begin
             for _ in range(copies):
                 add_span(Span(CAT_RECV, proc, b, b + recv_us, msg_id))
@@ -515,15 +562,15 @@ def simulate_cycle_with_faults(
     control_ready = control_busy  # control is busy until broadcast sent
 
     def to_control(depart: float, msg_id: int, sender: int) -> float:
-        """Reliable-protocol instantiation send; returns the sender's
-        time after all send-side protocol costs."""
+        """Instantiation send; returns the sender's time after all its
+        send-side costs."""
         nonlocal control_busy, control_ready
         plan = draw(msg_id)
         sent.append(plan)
         attempts, wait, jitter, dups = plan
-        t = depart + send_us * attempts + recv_us
+        t = depart + send_us * attempts + ack_us
         arrive = depart + send_us + wait + latency_us + jitter
-        # Control: FIFO receipt of every copy, one ack send per copy.
+        # Control: FIFO receipt of every copy (and its ack).
         begin = arrive if arrive > control_ready else control_ready
         control_ready = begin + per_copy * (1 + dups)
         control_busy += per_copy * (1 + dups)
@@ -563,7 +610,9 @@ def simulate_cycle_with_faults(
         if record:
             add_envelope(Envelope(~r + base, None, owner, start, t,
                                   False))
-        busy[owner] += t - start
+        # The plain exchange adds the send itself, as the hook-free
+        # loop does: (start + send) - start need not equal send.
+        busy[owner] += send_us if plain else t - start
         ready[owner] = t
     # Terminal successors route to the control processor.
     for pos in index.terminals:
@@ -587,7 +636,8 @@ def simulate_cycle_with_faults(
                 start = stalled
             t = start
             if via_message:
-                # Receive the data copy, ack it; drop + ack any duplicate.
+                # Receive the data copy (under the protocol, ack it and
+                # drop + ack any duplicate).
                 t += per_copy if dup_of is None \
                     else per_copy * (1 + dup_of[pos])
             if record:
@@ -605,14 +655,15 @@ def simulate_cycle_with_faults(
                 if extra is not None:
                     t += extra
             if record:
-                add_span(Span(CAT_TOKEN_ADD if acts[act_id].tag == "+"
-                              else CAT_TOKEN_DELETE, p, token_start, t,
+                add_span(Span(CAT_TOKEN_DELETE if tags[pos] & TAG_MINUS
+                              else CAT_TOKEN_ADD, p, token_start, t,
                               act_id))
 
             for succ_id in successors[pos]:
                 if record:
                     add_span(Span(CAT_SUCCESSOR, p, t, t + successor_us,
                                   succ_id))
+                    parent_of[succ_id - base] = act_id
                 t += successor_us
                 succ = succ_id - base
                 d = dest[succ]
@@ -631,8 +682,8 @@ def simulate_cycle_with_faults(
                     if record:
                         plan_of[succ] = plan
                         record_send(p, t, at, plan, succ_id)
-                    # Sender: send per attempt, then the ack receipt.
-                    t += send_us * attempts + recv_us
+                    # Sender: send per attempt, then any ack receipt.
+                    t += send_us * attempts + ack_us
                     succ = ~succ
                 events = pending.get(at)
                 if events is None:
@@ -642,28 +693,37 @@ def simulate_cycle_with_faults(
                     events.append(succ)
 
             if record:
-                add_envelope(Envelope(act_id, acts[act_id].parent_id, p,
-                                      start, t, via_message,
+                add_envelope(Envelope(act_id, parent_of[pos], p, start, t,
+                                      via_message,
                                       wait_comm_us=env_wait_comm,
                                       wait_protocol_us=env_wait_protocol))
             busy[p] += t - start
             ready[p] = t
 
-    # Every message is priced here, in send order, so the float sums
-    # keep the order of pricing each message as it is sent.
     network_busy = latency_us if n_procs > 0 else 0.0
     n_messages = 1  # the broadcast packet
     retransmits = duplicate_drops = acks = 0
     timeout_wait_us = 0.0
-    for attempts, wait, jitter, dups in sent:
-        # Data copies + one ack per received copy cross the network.
-        copies = attempts + dups + 1 + dups
-        retransmits += attempts - 1
-        duplicate_drops += dups
-        timeout_wait_us += wait
-        acks += 1 + dups
-        n_messages += copies
-        network_busy += latency_us * copies + jitter
+    if plain:
+        # Priced as the hook-free loop prices them: each instantiation's
+        # transit on its own, the token messages' as one product.
+        for _ in control_arrivals:
+            network_busy += latency_us
+        n_messages += len(sent)
+        network_busy += (len(sent) - len(control_arrivals)) * latency_us
+    else:
+        # Under the protocol every message is priced here, in send
+        # order, so the float sums keep the order of pricing each
+        # message as it is sent.
+        for attempts, wait, jitter, dups in sent:
+            # Data copies + one ack per received copy cross the network.
+            copies = attempts + dups + 1 + dups
+            retransmits += attempts - 1
+            duplicate_drops += dups
+            timeout_wait_us += wait
+            acks += 1 + dups
+            n_messages += copies
+            network_busy += latency_us * copies + jitter
 
     activations, left_activations = index.processor_counts(procs, n_procs)
     makespan = max([floor_ready] + ready + control_arrivals)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from ..trace.events import (KIND_TERMINAL, LEFT, CycleTrace, SectionTrace,
                             TraceActivation)
@@ -31,6 +31,7 @@ from .costmodel import DEFAULT_COSTS, ZERO_OVERHEADS, CostModel, \
     OverheadModel
 from .mapping import BucketMapping, RoundRobinMapping
 from .metrics import CycleResult, SimResult
+from .simulator import compute_search_costs
 
 
 def simulate_pairs(trace: SectionTrace,
@@ -53,10 +54,12 @@ def simulate_pairs(trace: SectionTrace,
             f"mapping built for {mapping.n_procs} pairs, "
             f"simulating {n_pairs}")
 
+    search_costs = compute_search_costs(trace, costs)
     result = SimResult(trace_name=trace.name, n_procs=2 * n_pairs)
     for cycle in trace:
-        result.cycles.append(
-            _simulate_cycle(cycle, n_pairs, costs, overheads, mapping))
+        result.cycles.append(_simulate_cycle(
+            cycle, n_pairs, costs, overheads, mapping,
+            search_costs.get(cycle.index, {})))
     return result
 
 
@@ -73,8 +76,8 @@ class _Arrival:
 
 
 def _simulate_cycle(cycle: CycleTrace, n_pairs: int, costs: CostModel,
-                    overheads: OverheadModel,
-                    mapping: BucketMapping) -> CycleResult:
+                    overheads: OverheadModel, mapping: BucketMapping,
+                    search_costs: Dict[int, float]) -> CycleResult:
     index = cycle.key_index()
     dest_of = index.destinations(mapping)
     base = index.base
@@ -146,7 +149,9 @@ def _simulate_cycle(cycle: CycleTrace, n_pairs: int, costs: CostModel,
         n_messages += 1
         network_busy += overheads.latency_us
 
+        # The store micro-task also pays any footnote-6 search.
         store_cost = costs.store_cost(act.side)
+        extra = search_costs.get(act.act_id)
         if act.side == LEFT:
             # Store on the left processor; match/generate on the right.
             store_p, gen_p = left_p, right_p
@@ -161,8 +166,12 @@ def _simulate_cycle(cycle: CycleTrace, n_pairs: int, costs: CostModel,
 
         if store_p == left_p:
             t_left += store_cost
+            if extra is not None:
+                t_left += extra
         else:
             t_right += store_cost
+            if extra is not None:
+                t_right += extra
 
         # Generation runs on gen_p; track its own clock.
         if gen_p == left_p:

@@ -52,9 +52,13 @@ control processor.  From then on an event is one integer:
   exactly once, on the processor owning its bucket — not incremented
   per event.
 
-The fault/protocol loop (:func:`repro.mpc.faults
-.simulate_cycle_with_faults`) runs on the same table with the same
-event encoding, and the offline greedy distribution routes from it:
+That loop has no hooks.  The one other per-cycle loop is the
+instrumented one (:func:`repro.mpc.faults.simulate_cycle_with_faults`),
+on the same table with the same event encoding: it serves every run
+that records a timeline (:mod:`repro.mpc.timeline`) or injects faults,
+and without a fault model it runs the plain exchange with this loop's
+arithmetic, so recording never changes a result bit.  The offline
+greedy distribution routes from the table too:
 :class:`BucketWorkCache` prices and orders each cycle's keys once from
 the index columns, and :class:`GreedyMappingFactory` runs one LPT pass
 per processor count into a per-key processor list.
@@ -106,18 +110,19 @@ from ..trace.events import (CycleKeyIndex, CycleTrace, IdleRun,
 from .config import RunConfig
 from .costmodel import DEFAULT_COSTS, ZERO_OVERHEADS, CostModel, \
     OverheadModel
+from .faults import simulate_cycle_with_faults
 from .mapping import (DEFAULT_N_BUCKETS, BucketMapping, IndexedMapping,
                       RoundRobinMapping, _greedy_order, _lpt)
 from .metrics import CycleResult, SimResult, SparseProcArray
 
 #: Test-only mis-pricing hook for the conformance harness
 #: (:mod:`repro.check`).  When nonzero, :func:`_simulate_cycle` — the
-#: one fault-free, unrecorded loop, dense and compressed alike; the
-#: reference loop, the fault/protocol loop and the recorded mirror all
-#: ignore it — charges right tokens this many extra microseconds.  The
-#: harness's mutation smoke test sets it (via
-#: :func:`repro.check.mutate_cost`) to prove the oracle matrix catches a
-#: mis-priced cost constant.  Never set it outside tests.
+#: hook-free loop, dense and compressed alike; the reference loop and
+#: the instrumented (fault and recording) loop ignore it — charges
+#: right tokens this many extra microseconds.  The harness's mutation
+#: smoke test sets it (via :func:`repro.check.mutate_cost`) to prove
+#: the oracle matrix catches a mis-priced cost constant.  Never set it
+#: outside tests.
 _TEST_MUTATE_RIGHT_TOKEN_US = 0.0
 
 
@@ -306,6 +311,10 @@ def iter_cycle_results(trace, config: RunConfig
     aggregates consume this directly and discard each pair;
     :func:`simulate_config` collects the pairs into a
     :class:`~repro.mpc.metrics.SimResult`.
+
+    Each cycle runs on one of two loops: :func:`_simulate_cycle` when
+    nothing records or injects faults, the instrumented
+    :func:`~repro.mpc.faults.simulate_cycle_with_faults` otherwise.
     """
     n_procs = config.n_procs
     costs = config.costs
@@ -320,15 +329,11 @@ def iter_cycle_results(trace, config: RunConfig
         mapping = RoundRobinMapping(n_procs)
 
     faulty = config.faulty
-    simulate_cycle_with_faults = None
-    record_idle_stretch = None
-    if faulty:
-        from .faults import DEFAULT_PROTOCOL, simulate_cycle_with_faults
-        if protocol is None:
-            protocol = DEFAULT_PROTOCOL
+    if not faulty:
+        # A null fault model takes the plain exchange, like no model.
+        faults = None
+    instrumented = faulty or recorder is not None
     if recorder is not None:
-        from .timeline import _record_idle_stretch as record_idle_stretch
-        from .timeline import _simulate_cycle_recorded
         recorder.begin_section(trace.name, n_procs, costs, overheads,
                                faulty)
 
@@ -376,8 +381,12 @@ def iter_cycle_results(trace, config: RunConfig
                 if faulty else
                 _idle_cycle_result(n_procs, costs, overheads))
         if recorder is not None:
-            record_idle_stretch(recorder, start, count, n_procs, costs,
-                                overheads)
+            # One empty cycle through the instrumented loop stands for
+            # the whole stretch.
+            simulate_cycle_with_faults(
+                CycleTrace(index=start), n_procs, costs, overheads,
+                mapping, faults, protocol, recorder=recorder)
+            recorder.timeline.cycles[-1].repeat = count
         yield (replace(idle_template, index=start), count)
 
     def one_cycle(cycle) -> Iterator[Tuple[CycleResult, int]]:
@@ -388,14 +397,10 @@ def iter_cycle_results(trace, config: RunConfig
             raise ValueError("mapping_factory produced a mapping for "
                              f"{cycle_mapping.n_procs} processors")
         search_costs = tracker.charge(cycle)
-        if faulty:
+        if instrumented:
             cycle_result = simulate_cycle_with_faults(
                 cycle, n_procs, costs, overheads, cycle_mapping,
-                faults, protocol, search_costs, recorder=recorder)
-        elif recorder is not None:
-            cycle_result = _simulate_cycle_recorded(
-                cycle, n_procs, costs, overheads, cycle_mapping,
-                search_costs, recorder)
+                faults, protocol, search_costs, recorder)
         else:
             cycle_result = _simulate_cycle(
                 cycle, n_procs, costs, overheads, cycle_mapping,
@@ -464,8 +469,9 @@ def simulate_config(trace, config: RunConfig) -> SimResult:
         fault-free config; ``config.protocol`` defaults to
         :data:`~repro.mpc.faults.DEFAULT_PROTOCOL` when faults are
         active and is ignored otherwise.  ``config.recorder`` routes
-        every cycle through the span-recording mirror of the event loop
-        (:mod:`repro.mpc.timeline`) without changing any result bit.
+        every cycle through the instrumented loop, which records its
+        spans (:mod:`repro.mpc.timeline`) without changing any result
+        bit.
         ``config.compress_rounds`` keeps per-processor state sparse
         and run-length encodes idle stretches — bit-identical numbers
         in O(active work) time; see the module docstring.

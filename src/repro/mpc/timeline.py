@@ -18,35 +18,36 @@ timeout wait and stall.  The result is exportable three ways —
 and, through :mod:`repro.mpc.attribution`, decomposable into the
 paper's Section 5 idle-time limiter categories.
 
-Strictly opt-in, by construction
---------------------------------
-Recording is enabled by passing a :class:`TimelineRecorder` to
-:func:`repro.mpc.simulator.simulate`.  When no recorder is passed the
-simulator runs its existing tuple-based fast loop *untouched* — this
-module is not even imported — so the disabled cost is exactly zero;
-``benchmarks/bench_harness_perf.py`` pins that.  The recorded loop
-below (:func:`_simulate_cycle_recorded`) replays the fast loop's
-arithmetic operation for operation, in the same order, so a recorded
-run returns a bit-identical :class:`~repro.mpc.metrics.SimResult` — and
-the spans double as a cross-check of the simulator itself: per-processor
-span durations sum exactly to ``CycleResult.proc_busy_us`` and the
-latest busy span ends exactly at ``CycleResult.makespan_us``
-(see :meth:`CycleTimeline.reconcile`).  With the paper's cost models
-every time constant is a multiple of 0.5 µs, so all of this arithmetic
-is exact in floating point and "exactly" means ``==``, not "within
+Strictly opt-in, one loop
+-------------------------
+Recording is enabled by passing a :class:`TimelineRecorder` in a
+:class:`~repro.mpc.config.RunConfig`.  Without one the simulator runs
+its hook-free fast loop untouched, so the disabled cost is exactly
+zero; ``benchmarks/bench_harness_perf.py`` pins that.  With one, every
+cycle goes through the instrumented loop
+(:func:`repro.mpc.faults.simulate_cycle_with_faults`), the same loop
+that injects faults; without a fault model it runs the plain exchange
+with the fast loop's arithmetic.  The recorder only appends spans and
+envelopes, so a recorded run returns a bit-identical
+:class:`~repro.mpc.metrics.SimResult` for any costs.  The spans double
+as a cross-check of the simulator itself: per-processor span
+durations sum to ``CycleResult.proc_busy_us`` and the latest busy span
+ends at ``CycleResult.makespan_us`` (see
+:meth:`CycleTimeline.reconcile`).  With the paper's cost models every
+time constant is a multiple of 0.5 µs, so all of this arithmetic is
+exact in floating point and "sum to" means ``==``, not "within
 epsilon".
+
+This module holds the span model and its exporters.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass, field
 from typing import IO, Dict, Iterator, List, Optional, Sequence
 
-from ..trace.events import KIND_TERMINAL, LEFT, CycleTrace
 from .costmodel import CostModel, OverheadModel
-from .mapping import BucketMapping
 from .metrics import CycleResult
 
 #: Pseudo-processor rows for spans not on a match processor.
@@ -279,196 +280,6 @@ class TimelineRecorder:
         assert self.timeline is not None, \
             "add_cycle before begin_section"
         self.timeline.cycles.append(cycle)
-
-
-# ---------------------------------------------------------------------------
-# The recorded event loop: the fast loop's arithmetic, span by span.
-# ---------------------------------------------------------------------------
-
-def _simulate_cycle_recorded(cycle: CycleTrace, n_procs: int,
-                             costs: CostModel, overheads: OverheadModel,
-                             mapping: BucketMapping,
-                             search_costs: Optional[Dict[int, float]],
-                             recorder: TimelineRecorder) -> CycleResult:
-    """Fault-free cycle simulation with span recording.
-
-    Mirror of :func:`repro.mpc.simulator._simulate_cycle`: every
-    floating-point operation on the timing state happens in the same
-    order with the same operands, so the returned :class:`CycleResult`
-    is bit-identical to the fast loop's — the only additions are span
-    and envelope appends.  ``tests/test_mpc_timeline.py`` holds the two
-    loops together.
-    """
-    send_us = overheads.send_us
-    recv_us = overheads.recv_us
-    latency_us = overheads.latency_us
-    left_us = costs.left_token_us
-    right_us = costs.right_token_us
-    successor_us = costs.successor_us
-    acts = cycle.activations
-    get_extra = (search_costs or {}).get
-
-    spans: List[Span] = []
-    envelopes: List[Envelope] = []
-    add_span = spans.append
-    add_envelope = envelopes.append
-    #: delivery delay of an inter-processor token (generation -> arrival)
-    message_wait_us = send_us + latency_us
-
-    index = cycle.key_index()
-    dest_of = index.destinations(mapping)
-    base = index.base
-
-    # --- step 1: broadcast -------------------------------------------------
-    control_busy = send_us
-    match_start = send_us + latency_us + recv_us
-    network_busy = latency_us if n_procs > 0 else 0.0
-    n_messages = 1
-    add_span(Span(CAT_BROADCAST, CONTROL, 0.0, send_us))
-    if n_procs > 0:
-        add_span(Span(CAT_TRANSIT, NETWORK, send_us, send_us + latency_us))
-
-    # --- step 2: constant tests on every processor -------------------------
-    for p in range(n_procs):
-        add_span(Span(CAT_RECV, p, send_us + latency_us, match_start))
-        add_span(Span(CAT_CONSTANT_TESTS, p, match_start,
-                      match_start + costs.constant_tests_us))
-    ready = [match_start + costs.constant_tests_us] * n_procs
-    busy = [recv_us + costs.constant_tests_us] * n_procs
-    activations = [0] * n_procs
-    left_activations = [0] * n_procs
-
-    seq = 0
-    token_messages = 0
-    queue: list = []
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    control_arrivals: List[float] = []
-    control_ready = control_busy
-
-    def send_to_control(depart: float, msg_id: int) -> None:
-        nonlocal control_busy, control_ready, network_busy, n_messages
-        n_messages += 1
-        network_busy += latency_us
-        arrive = depart + latency_us
-        add_span(Span(CAT_TRANSIT, NETWORK, depart, arrive, msg_id))
-        begin = max(control_ready, arrive)
-        control_ready = begin + recv_us
-        add_span(Span(CAT_RECV, CONTROL, begin, control_ready, msg_id))
-        control_busy += recv_us
-        control_arrivals.append(control_ready)
-
-    for root in cycle.roots():
-        owner = dest_of[root.act_id - base]
-        if root.kind == KIND_TERMINAL:
-            start = ready[owner]
-            depart = start + send_us
-            add_span(Span(CAT_SEND, owner, start, depart, root.act_id))
-            add_envelope(Envelope(root.act_id, None, owner, start,
-                                  depart, False))
-            busy[owner] += send_us
-            ready[owner] = depart
-            send_to_control(depart, root.act_id)
-            continue
-        seq += 1
-        heappush(queue, (ready[owner], seq, owner, False, root))
-
-    # --- steps 3-4: event loop ---------------------------------------------
-    while queue:
-        arrival, _, p, via_message, act = heappop(queue)
-        proc_ready = ready[p]
-        start = proc_ready if proc_ready > arrival else arrival
-        t = start
-        if via_message:
-            t += recv_us
-            add_span(Span(CAT_RECV, p, start, t, act.act_id))
-        token_start = t
-        t += left_us if act.side == LEFT else right_us
-        extra = get_extra(act.act_id)
-        if extra is not None:
-            t += extra
-        add_span(Span(CAT_TOKEN_ADD if act.tag == "+" else
-                      CAT_TOKEN_DELETE, p, token_start, t, act.act_id))
-        activations[p] += 1
-        if act.side == LEFT:
-            left_activations[p] += 1
-
-        for succ_id in act.successors:
-            succ = acts[succ_id]
-            gen_start = t
-            t += successor_us
-            add_span(Span(CAT_SUCCESSOR, p, gen_start, t, succ_id))
-            if succ.kind == KIND_TERMINAL:
-                send_start = t
-                t += send_us
-                add_span(Span(CAT_SEND, p, send_start, t, succ_id))
-                send_to_control(t, succ_id)
-                continue
-            dest = dest_of[succ_id - base]
-            seq += 1
-            if dest == p:
-                heappush(queue, (t, seq, p, False, succ))
-            else:
-                send_start = t
-                t += send_us
-                token_messages += 1
-                add_span(Span(CAT_SEND, p, send_start, t, succ_id))
-                add_span(Span(CAT_TRANSIT, NETWORK, t, t + latency_us,
-                              succ_id))
-                heappush(queue, (t + latency_us, seq, dest, True, succ))
-
-        add_envelope(Envelope(
-            act.act_id, act.parent_id, p, start, t, via_message,
-            wait_comm_us=message_wait_us if via_message else 0.0))
-        busy[p] += t - start
-        ready[p] = t
-
-    # Token messages are priced after the loop, as in the fast loop.
-    n_messages += token_messages
-    network_busy += token_messages * latency_us
-
-    makespan = max([match_start + costs.constant_tests_us]
-                   + ready + control_arrivals)
-    recorder.add_cycle(CycleTimeline(
-        index=cycle.index, n_procs=n_procs, makespan_us=makespan,
-        proc_busy_us=list(busy), spans=spans, envelopes=envelopes))
-    return CycleResult(index=cycle.index, makespan_us=makespan,
-                       proc_busy_us=busy,
-                       proc_activations=activations,
-                       proc_left_activations=left_activations,
-                       n_messages=n_messages,
-                       network_busy_us=network_busy,
-                       control_busy_us=control_busy)
-
-
-def _record_idle_stretch(recorder: TimelineRecorder, start_index: int,
-                         count: int, n_procs: int, costs: CostModel,
-                         overheads: OverheadModel) -> None:
-    """Record *count* consecutive fully-idle cycles as one entry.
-
-    The spans are exactly what :func:`_simulate_cycle_recorded` emits
-    for one empty cycle — broadcast, transit, per-processor receive and
-    constant tests — stored once with ``repeat=count``, so a
-    million-cycle idle stretch costs one :class:`CycleTimeline`.
-    :meth:`CycleTimeline.reconcile` against the compressed run's
-    template result holds bit-exactly.
-    """
-    send_us = overheads.send_us
-    recv_us = overheads.recv_us
-    latency_us = overheads.latency_us
-    match_start = send_us + latency_us + recv_us
-    makespan = match_start + costs.constant_tests_us
-    spans: List[Span] = [Span(CAT_BROADCAST, CONTROL, 0.0, send_us)]
-    if n_procs > 0:
-        spans.append(Span(CAT_TRANSIT, NETWORK, send_us,
-                          send_us + latency_us))
-    for p in range(n_procs):
-        spans.append(Span(CAT_RECV, p, send_us + latency_us, match_start))
-        spans.append(Span(CAT_CONSTANT_TESTS, p, match_start, makespan))
-    recorder.add_cycle(CycleTimeline(
-        index=start_index, n_procs=n_procs, makespan_us=makespan,
-        proc_busy_us=[recv_us + costs.constant_tests_us] * n_procs,
-        spans=spans, envelopes=[], repeat=count))
 
 
 # ---------------------------------------------------------------------------

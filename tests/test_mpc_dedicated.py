@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.mpc import (TABLE_5_1, ZERO_OVERHEADS, RoundRobinMapping,
-                       simulate, simulate_base, simulate_dedicated_alpha,
+from repro.mpc import (TABLE_5_1, ZERO_OVERHEADS, OverheadModel,
+                       RoundRobinMapping, simulate, simulate_base, simulate_dedicated_alpha,
                        speedup)
 from repro.rete.hashing import BucketKey
 from repro.trace import CycleTrace, SectionTrace, TraceActivation
@@ -53,6 +53,19 @@ class TestBasics:
                                        n_const_procs=2)
         # broadcast + 60 root messages (terminals would add more).
         assert run.n_messages == 61
+
+    def test_local_successor_pays_no_receive(self):
+        """Only message deliveries pay the receive overhead: a successor
+        whose bucket is on its producer's processor is never sent."""
+        cycle = CycleTrace(index=1)
+        cycle.add(act(1, node=3, succ=(2,), vals=(1,)))
+        cycle.add(act(2, node=4, side="left", parent=1, vals=(1,)))
+        run = simulate_dedicated_alpha(
+            SectionTrace(name="chain", cycles=[cycle]), 1,
+            overheads=OverheadModel(send_us=5, recv_us=3))
+        # One root receive + right token + successor + left token.
+        assert run.cycles[0].proc_busy_us[0] == 3 + 16 + 16 + 32
+        assert run.n_messages == 2  # the broadcast and the root
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):

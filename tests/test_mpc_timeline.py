@@ -19,6 +19,9 @@ from repro.mpc import (FaultModel, OverheadModel, ProtocolModel,
                        write_chrome_trace)
 from repro.mpc.costmodel import TABLE_5_1
 from repro.mpc.timeline import CONTROL, NETWORK, CATEGORIES
+from repro.rete.hashing import BucketKey
+from repro.trace import (KIND_TERMINAL, CycleTrace, SectionTrace,
+                         TraceActivation)
 from repro.workloads import weaver_section
 
 from tests.test_simulator_properties import random_traces
@@ -122,19 +125,66 @@ class TestReconciliation:
             cycle_timeline.reconcile(cycle_result)
 
 
-@given(trace=random_traces(),
-       n_procs=st.integers(min_value=1, max_value=12))
-def test_recorder_never_changes_results(trace, n_procs):
+#: Overhead rows for the invisibility property.  The last two are not
+#: dyadic (no multiple of 0.5 us), so float sums depend on their order:
+#: a recorded loop pricing messages in any other order than the fast
+#: loop would change a result bit there.
+RECORDER_OVERHEADS = (
+    OverheadModel(send_us=5.0, recv_us=3.0),
+    OverheadModel(send_us=0.1, recv_us=0.7, latency_us=0.3),
+    OverheadModel(send_us=0.2, recv_us=0.7, latency_us=1.3),
+)
+
+
+def _dyadic(overheads: OverheadModel) -> bool:
+    return all((2 * v).is_integer() for v in (
+        overheads.send_us, overheads.recv_us, overheads.latency_us))
+
+
+@st.composite
+def traces_with_idle_stretches(draw):
+    """A :func:`random_traces` trace, renumbered to leave a drawn run of
+    empty cycles (0-3) before each of its cycles, each of which also
+    gets 0-2 single-CE instantiations (terminal roots, shipped straight
+    from the constant tests)."""
+    busy = draw(random_traces())
+    trace = SectionTrace(name=busy.name)
+    index = 0
+    for cycle in busy:
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            index += 1
+            trace.cycles.append(CycleTrace(index=index))
+        index += 1
+        renumbered = CycleTrace(index=index)
+        for act in cycle.ordered():
+            renumbered.add(act)
+        first = cycle.max_act_id() + 1
+        for i in range(draw(st.integers(min_value=0, max_value=2))):
+            renumbered.add(TraceActivation(
+                first + i, None, 20 + i, KIND_TERMINAL, "left", "+",
+                BucketKey(20 + i, ()), ()))
+        trace.cycles.append(renumbered)
+    return trace
+
+
+@given(trace=traces_with_idle_stretches(),
+       n_procs=st.integers(min_value=1, max_value=12),
+       overheads=st.sampled_from(RECORDER_OVERHEADS),
+       compress=st.booleans())
+def test_recorder_never_changes_results(trace, n_procs, overheads,
+                                        compress):
     """Property: recording is invisible to the simulation physics."""
-    overheads = OverheadModel(send_us=5.0, recv_us=3.0)
-    base = simulate(trace, n_procs=n_procs, overheads=overheads)
+    config = RunConfig(n_procs=n_procs, overheads=overheads,
+                       compress_rounds=compress)
+    base = simulate_config(trace, config)
     recorder = TimelineRecorder()
-    result = simulate_config(trace, RunConfig(
-        n_procs=n_procs, overheads=overheads, recorder=recorder))
+    result = simulate_config(trace, config.replace(recorder=recorder))
     assert result == base
+    assert len(recorder.timeline.cycles) == len(result.cycles)
     for cycle_timeline, cycle_result in zip(recorder.timeline.cycles,
                                             result.cycles):
-        cycle_timeline.reconcile(cycle_result)
+        cycle_timeline.reconcile(cycle_result,
+                                 exact=_dyadic(overheads))
 
 
 @given(trace=random_traces(),

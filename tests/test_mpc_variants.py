@@ -4,8 +4,9 @@ models (Section 4 future work)."""
 
 import pytest
 
-from repro.mpc import (OverheadModel, TABLE_5_1, TerminationScheme,
-                       ZERO_OVERHEADS, apply_termination, detection_delay,
+from repro.mpc import (CostModel, OverheadModel, TABLE_5_1,
+                       TerminationScheme, ZERO_OVERHEADS,
+                       apply_termination, detection_delay,
                        simulate, simulate_base, simulate_master_copy,
                        simulate_pairs, simulate_replicated, speedup,
                        termination_overhead_fraction)
@@ -67,6 +68,22 @@ class TestProcessorPairs:
         run = simulate_pairs(fanout_trace(), n_pairs=4)
         # At least the broadcast + relays + one forward per activation.
         assert run.n_messages > 4
+
+    def test_pairs_charge_deletion_search(self):
+        """Footnote 6: a '-' activation scans its bucket past the
+        entries before it, on the pair's store micro-task."""
+        cycle = CycleTrace(index=1)
+        for i, tag in enumerate("++-", start=1):
+            cycle.add(TraceActivation(
+                act_id=i, parent_id=None, node_id=3, kind="join",
+                side="right", tag=tag, key=BucketKey(3, (1,)),
+                successors=()))
+        trace = SectionTrace(name="deletes", cycles=[cycle])
+        plain = simulate_pairs(trace, n_pairs=1)
+        searched = simulate_pairs(trace, n_pairs=1,
+                                  costs=CostModel(delete_search_us=1.5))
+        # The delete scans past two entries at 1.5 us each.
+        assert searched.total_us == plain.total_us + 3.0
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):

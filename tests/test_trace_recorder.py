@@ -5,7 +5,8 @@ import pickle
 import pytest
 
 from repro.exec import run
-from repro.mpc import RunConfig, speedup_curve
+from repro.mpc import (FaultModel, OverheadModel, RunConfig,
+                       TimelineRecorder, simulate_config, speedup_curve)
 from repro.ops5 import Interpreter, parse_production, parse_program
 from repro.ops5.wme import WME
 from repro.rete import ReteNetwork
@@ -280,4 +281,11 @@ class TestRecorderMatchesFrozenCopy:
         section = record_program(RECORDED_PROGRAMS["rubik-0"](), "rubik")
         assert section.total_activations() > 0
         speedup_curve(section, (1, 4, 16))
+        for faults in (None, FaultModel(seed=1, loss_prob=0.1,
+                                        dup_prob=0.1)):
+            recorder = TimelineRecorder()
+            simulate_config(section, RunConfig(
+                n_procs=4, overheads=OverheadModel(send_us=5, recv_us=3),
+                faults=faults, recorder=recorder))
+            assert any(c.envelopes for c in recorder.timeline)
         run(section, RunConfig(n_procs=4), backend="actors")
