@@ -14,8 +14,6 @@ Typical use::
 
 from .config import (OVERHEADS, MappingFactory, RunConfig,
                      SupervisePolicy)
-from .continuum import simulate_master_copy, simulate_replicated
-from .dedicated import simulate_dedicated_alpha
 from .costmodel import (DEFAULT_COSTS, TABLE_5_1, ZERO_OVERHEADS, CostModel,
                         OverheadModel, table_5_1_rows)
 from .faults import (DEFAULT_PROTOCOL, DeliveryPlan, FailStop, FaultModel,
@@ -25,8 +23,9 @@ from .mapping import (DEFAULT_N_BUCKETS, BucketMapping, ExplicitMapping,
                       greedy_mapping)
 from .metrics import (CycleResult, SimResult, SparseProcArray, speedup,
                       speedup_series)
-from .pairs import simulate_pairs
-from .sharedbus import DEFAULT_QUEUE_ACCESS_US, simulate_shared_bus
+from .machines import (DEFAULT_QUEUE_ACCESS_US, simulate_dedicated_alpha,
+                       simulate_master_copy, simulate_pairs,
+                       simulate_replicated, simulate_shared_bus)
 from .simulator import (BucketWorkCache, GreedyMappingFactory, bucket_work,
                         compute_search_costs, iter_cycle_results, simulate,
                         simulate_base, simulate_config)

@@ -266,8 +266,9 @@ class FaultModel:
 
     def recovery_in_cycle(self, cycle_index: int, n_procs: int) -> float:
         """Total restart time spent by fail-stopped processors."""
-        return sum(f.recovery_us for f in self.failures
-                   if f.cycle == cycle_index and 0 <= f.proc < n_procs)
+        return sum((f.recovery_us for f in self.failures
+                    if f.cycle == cycle_index and 0 <= f.proc < n_procs),
+                   0.0)
 
 
 @dataclass(frozen=True)

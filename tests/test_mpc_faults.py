@@ -363,6 +363,19 @@ class TestStallsAndFailStop:
         assert crashed.recovery_us == 50_000.0
         assert crashed.total_us > plain.total_us
 
+    def test_recovery_is_a_float_on_every_faulty_cycle(self, sections):
+        """Faulty cycles carry ``recovery_us`` as a float, like
+        fault-free ones, with or without a fail-stop (an integral
+        ``recovery_us`` included)."""
+        trace = sections[0].slice(0, 3)
+        for failures in ((), (FailStop(proc=1, cycle=trace.cycles[0].index,
+                                       recovery_us=500),)):
+            run = simulate_config(trace, RunConfig(
+                n_procs=4, faults=FaultModel(seed=3, loss_prob=0.1,
+                                             failures=failures)))
+            assert [type(c.recovery_us) for c in run.cycles] \
+                == [float] * len(run.cycles)
+
     def test_stall_on_out_of_range_proc_is_ignored(self, sections):
         trace = sections[0]
         plain = simulate(trace, n_procs=4)

@@ -10,7 +10,8 @@ loops that preceded the shared event core.  The traces are the
 generated trace cases of the conformance harness plus a recorded
 program with section-global act_ids and its sparse-id copy.  The
 continuum models are fingerprinted without deletion-search surcharges,
-which the earlier loops did not charge.
+which the earlier loops did not charge.  Every model also accepts
+streaming trace sources and charges those surcharges.
 """
 
 import hashlib
@@ -23,6 +24,11 @@ from repro.mpc import (TABLE_5_1, ZERO_OVERHEADS, CostModel, OverheadModel,
                        simulate_dedicated_alpha, simulate_master_copy,
                        simulate_pairs, simulate_replicated,
                        simulate_shared_bus)
+from repro.rete.hashing import BucketKey
+from repro.trace import CycleTrace, SectionTrace, TraceActivation
+from repro.trace.events import materialize
+from repro.workloads.synthetic import StreamSpec, SyntheticStream
+
 from tests.test_mpc_cycle_index import _traces
 
 OV8 = next(o for o in TABLE_5_1 if o.total_us == 8)
@@ -90,3 +96,52 @@ def variant_fingerprints(traces) -> dict:
 class TestFingerprints:
     def test_models_match_their_per_model_loops(self):
         assert variant_fingerprints(matrix_traces()) == VARIANT_FINGERPRINTS
+
+
+#: Every model at four processors (pairs: four pairs) with 8 us
+#: overheads where the model takes overheads.
+MODELS = {
+    "pairs": lambda trace, costs: simulate_pairs(
+        trace, 4, costs, OV8),
+    "dedicated": lambda trace, costs: simulate_dedicated_alpha(
+        trace, 4, 2, costs, OV8),
+    "shared_bus": lambda trace, costs: simulate_shared_bus(
+        trace, 4, costs),
+    "replicated": lambda trace, costs: simulate_replicated(
+        trace, 4, costs, OV8),
+    "master_copy": lambda trace, costs: simulate_master_copy(
+        trace, 4, costs, OV8),
+}
+
+
+def _deletion_trace() -> SectionTrace:
+    """Three ``+`` tokens into one bucket, then a ``-`` that must scan
+    past them: one root per cycle."""
+    key = BucketKey(7, (1,))
+    cycles = []
+    for index, tag in enumerate("+++-", start=1):
+        cycle = CycleTrace(index=index)
+        cycle.add(TraceActivation(
+            act_id=1, parent_id=None, node_id=7, kind="join",
+            side="right", tag=tag, key=key))
+        cycles.append(cycle)
+    return SectionTrace(name="deletions", cycles=cycles)
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+class TestEveryModel:
+    def test_stream_with_idle_runs_equals_materialized(self, model):
+        stream = SyntheticStream(StreamSpec(
+            active_cycles=3, activations_per_cycle=20, idle_between=3,
+            seed=5))
+        run = MODELS[model]
+        assert repr(run(stream, CostModel()).cycles) \
+            == repr(run(materialize(stream), CostModel()).cycles)
+
+    def test_deletion_search_is_charged(self, model):
+        trace = _deletion_trace()
+        run = MODELS[model]
+        plain = run(trace, CostModel())
+        searched = run(trace, CostModel(delete_search_us=1.5))
+        assert plain.cycles[:3] == searched.cycles[:3]
+        assert searched.total_us > plain.total_us

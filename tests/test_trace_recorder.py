@@ -6,7 +6,10 @@ import pytest
 
 from repro.exec import run
 from repro.mpc import (FaultModel, OverheadModel, RunConfig,
-                       TimelineRecorder, simulate_config, speedup_curve)
+                       TimelineRecorder, simulate_config,
+                       simulate_dedicated_alpha, simulate_master_copy,
+                       simulate_pairs, simulate_replicated,
+                       simulate_shared_bus, speedup_curve)
 from repro.ops5 import Interpreter, parse_production, parse_program
 from repro.ops5.wme import WME
 from repro.rete import ReteNetwork
@@ -273,8 +276,8 @@ class TestRecorderMatchesFrozenCopy:
             assert copy.key_index() == cycle.key_index()
 
     def test_recorded_pipeline_builds_no_view(self, monkeypatch):
-        """Recording, simulating and planning a live run read only the
-        compiled tables."""
+        """Recording, simulating (every machine model included) and
+        planning a live run read only the compiled tables."""
         def refuse(index):
             raise AssertionError("built a TraceActivation view")
         monkeypatch.setattr(CycleKeyIndex, "view", refuse)
@@ -288,4 +291,8 @@ class TestRecorderMatchesFrozenCopy:
                 n_procs=4, overheads=OverheadModel(send_us=5, recv_us=3),
                 faults=faults, recorder=recorder))
             assert any(c.envelopes for c in recorder.timeline)
+        for model in (simulate_pairs, simulate_dedicated_alpha,
+                      simulate_shared_bus, simulate_replicated,
+                      simulate_master_copy):
+            model(section, 4)
         run(section, RunConfig(n_procs=4), backend="actors")
