@@ -8,7 +8,8 @@ forms.  The baselines are executed live from
 :mod:`repro.mpc._reference` — the preserved original event loops — so
 both sides of every ratio run on the same machine, in the same process.
 ``test_live_sessions`` times live sessions of the one supervised
-engine on both transports.
+engine on both transports, and ``test_single_processor`` the FIFO pass
+that runs every one-processor simulation.
 
 Results are written machine-readably to ``BENCH_harness.json`` at the
 repo root so the performance trajectory is tracked across PRs.  Run::
@@ -25,17 +26,19 @@ import pathlib
 import platform
 import resource
 import statistics
+import subprocess
 import time
 
 from repro.exec import RunResult, match_signature, run, run_section_async
 from repro.exec.mp import run_section_process
-from repro.mpc import (DEFAULT_PROC_COUNTS, SCALE_PROC_COUNTS, TABLE_5_1,
-                       FaultModel, GreedyMappingFactory, RunConfig,
+from repro.mpc import (DEFAULT_COSTS, DEFAULT_PROC_COUNTS,
+                       SCALE_PROC_COUNTS, TABLE_5_1, FaultModel,
+                       GreedyMappingFactory, RoundRobinMapping, RunConfig,
                        bucket_work, greedy_mapping, iter_cycle_results,
                        simulate_config, speedup, speedup_curve)
 from repro.mpc._reference import (simulate_reference,
                                   simulate_with_faults_reference)
-from repro.mpc.simulator import simulate
+from repro.mpc.simulator import _simulate_cycle, _simulate_single, simulate
 from repro.ops5 import parse_program
 from repro.rete.hashing import BucketKey
 from repro.trace.recorder import record_program
@@ -295,9 +298,9 @@ def _live_windows():
     return windows
 
 
-def _quartiles(values):
+def _quartiles(values, digits=1):
     q1, q2, q3 = statistics.quantiles(values, n=4)
-    return {"median": round(q2, 1), "iqr": round(q3 - q1, 1)}
+    return {"median": round(q2, digits), "iqr": round(q3 - q1, digits)}
 
 
 def test_live_sessions(report):
@@ -344,3 +347,77 @@ def test_live_sessions(report):
     _merge_results({"live_sessions": section})
     report("live_sessions", json.dumps(section, indent=2)
            + f"\n[also saved to {BENCH_JSON}]")
+
+
+#: Alternating rounds of the single-processor timing.
+SINGLE_ROUNDS = 15
+
+
+def _git_revision() -> str:
+    """``HEAD``'s short hash, suffixed ``-dirty`` when ``src/`` has
+    uncommitted changes: the code the numbers were measured on."""
+    def git(*args):
+        return subprocess.run(("git",) + args, cwd=ROOT, check=True,
+                              capture_output=True, text=True).stdout.strip()
+    try:
+        rev = git("rev-parse", "--short", "HEAD")
+        dirty = git("status", "--porcelain", "--", "src")
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return rev + ("-dirty" if dirty else "")
+
+
+def test_single_processor(report):
+    """The paper's P=1 grid (3 sections x the 4 Table 5-1 rows) on the
+    reference loop, on the general event loop called at ``n_procs=1``
+    and on the FIFO pass the simulator selects there.  Each round runs
+    every leg once, in the reverse of the previous round's order; the
+    legs must agree by ``repr``."""
+    grid = [(section, overheads)
+            for section in [build() for build in SECTION_BUILDERS]
+            for overheads in TABLE_5_1]
+    mapping = RoundRobinMapping(1)
+
+    def reference():
+        return [simulate_reference(section, 1, overheads=overheads).cycles
+                for section, overheads in grid]
+
+    def general():
+        return [[_simulate_cycle(c, 1, DEFAULT_COSTS, overheads, mapping)
+                 for c in section] for section, overheads in grid]
+
+    def single():
+        return [[_simulate_single(c, DEFAULT_COSTS, overheads)
+                 for c in section] for section, overheads in grid]
+
+    legs = {"reference": reference, "general": general, "single": single}
+    expected = repr(reference())
+    assert repr(general()) == expected and repr(single()) == expected
+    times = {name: [] for name in legs}
+    order = list(legs)
+    for _ in range(SINGLE_ROUNDS):
+        for name in order:
+            start = time.perf_counter()
+            legs[name]()
+            times[name].append(time.perf_counter() - start)
+        order.reverse()
+    ratios = [g / s for g, s in zip(times["general"], times["single"])]
+    section = {
+        "what": "P=1 grid: rubik/tourney/weaver x the 4 Table 5-1 rows, "
+                "per-cycle loops; reference = mpc._reference, general = "
+                "_simulate_cycle at n_procs=1, single = the FIFO pass",
+        "cpus": os.cpu_count(),
+        "git_revision": _git_revision(),
+        "n": SINGLE_ROUNDS,
+        **{f"{name}_s": _quartiles(values, digits=5)
+           for name, values in times.items()},
+        "general_over_single": {
+            "median": round(statistics.median(ratios), 2),
+            "wins": sum(r > 1.0 for r in ratios)},
+    }
+    _merge_results({"single_processor": section})
+    report("single_processor", json.dumps(section, indent=2)
+           + f"\n[also saved to {BENCH_JSON}]")
+    # Generous margin below the measured ratio, so background load does
+    # not flake the suite.
+    assert section["general_over_single"]["median"] >= 1.5

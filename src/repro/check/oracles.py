@@ -152,16 +152,25 @@ def _pick_config(case: CheckCase, oracle: str):
 
 def _diff_results(a, b, fields: Optional[Tuple[str, ...]] = None
                   ) -> Optional[str]:
-    """First differing cycle/field between two SimResults, or None."""
+    """First differing cycle/field between two SimResults, or None.
+
+    A scalar field also differs when its type does (``0`` vs ``0.0``):
+    ``repr``-based digests and ``--json`` payloads tell them apart.
+    ``proc_*`` arrays compare by value, since a sparse and a dense
+    array of the same values are equal by design.
+    """
     if len(a.cycles) != len(b.cycles):
         return f"cycle counts differ: {len(a.cycles)} vs {len(b.cycles)}"
     for ca, cb in zip(a.cycles, b.cycles):
         da, db = dataclasses.asdict(ca), dataclasses.asdict(cb)
         names = fields if fields is not None else tuple(da)
         for name in names:
-            if da[name] != db[name]:
+            va, vb = da[name], db[name]
+            if va != vb or (not name.startswith("proc_")
+                            and type(va) is not type(vb)):
                 return (f"cycle {ca.index}: {name} "
-                        f"{da[name]!r} != {db[name]!r}")
+                        f"{va!r} ({type(va).__name__}) != "
+                        f"{vb!r} ({type(vb).__name__})")
     return None
 
 

@@ -73,7 +73,7 @@ from ..mpc.config import RunConfig
 from ..mpc.mapping import RoundRobinMapping
 from ..mpc.metrics import CycleResult
 from ..mpc.simulator import compute_search_costs
-from ..trace.events import TAG_TERMINAL, SectionTrace
+from ..trace.events import TAG_TERMINAL, SectionTrace, iter_cycles
 from .errors import ProtocolViolation
 
 #: Destination id of the control actor in emitted ``(dst, msg)`` pairs.
@@ -128,7 +128,7 @@ def build_plans(trace: SectionTrace, config: RunConfig) -> List[CyclePlan]:
     mapping = config.mapping or RoundRobinMapping(n_procs)
     search_costs = compute_search_costs(trace, config.costs)
     plans: List[CyclePlan] = []
-    for cycle in trace:
+    for cycle in iter_cycles(trace):
         cycle_mapping = (config.mapping_factory(cycle)
                          if config.mapping_factory else mapping)
         if cycle_mapping.n_procs != n_procs:

@@ -211,8 +211,8 @@ class SimResult:
         k-fold sum bit for bit.
         """
         if self.repeats is None:
-            return sum(c.makespan_us for c in self.cycles)
-        return sum(c.makespan_us * r for c, r in self._counted())
+            return sum((c.makespan_us for c in self.cycles), 0.0)
+        return sum((c.makespan_us * r for c, r in self._counted()), 0.0)
 
     @property
     def n_messages(self) -> int:
@@ -234,15 +234,16 @@ class SimResult:
 
     @property
     def timeout_wait_us(self) -> float:
-        return sum(c.timeout_wait_us * r for c, r in self._counted())
+        return sum((c.timeout_wait_us * r for c, r in self._counted()),
+                   0.0)
 
     @property
     def stall_us(self) -> float:
-        return sum(c.stall_us * r for c, r in self._counted())
+        return sum((c.stall_us * r for c, r in self._counted()), 0.0)
 
     @property
     def recovery_us(self) -> float:
-        return sum(c.recovery_us * r for c, r in self._counted())
+        return sum((c.recovery_us * r for c, r in self._counted()), 0.0)
 
     def fault_summary(self) -> str:
         """One line of protocol-layer accounting for reports."""
@@ -255,8 +256,8 @@ class SimResult:
 
     def average_idle_fraction(self) -> float:
         """Mean idle fraction across processors and cycles, time-weighted."""
-        busy = sum(_proc_sum(c.proc_busy_us) * r
-                   for c, r in self._counted())
+        busy = sum((_proc_sum(c.proc_busy_us) * r
+                    for c, r in self._counted()), 0.0)
         capacity = self.n_procs * self.total_us
         if capacity <= 0:
             return 0.0
@@ -272,7 +273,8 @@ class SimResult:
         """
         if self.total_us <= 0:
             return 0.0
-        transit = sum(c.network_busy_us * r for c, r in self._counted())
+        transit = sum((c.network_busy_us * r for c, r in self._counted()),
+                      0.0)
         return min(1.0, transit / self.total_us)
 
     def network_idle_fraction(self) -> float:

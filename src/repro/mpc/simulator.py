@@ -24,20 +24,23 @@ paper's match procedure:
 Everything is deterministic: events run in (arrival, push order), and
 processors serve tasks FIFO by arrival time.
 
-One event loop (:func:`_simulate_cycle`)
-----------------------------------------
+Two hook-free loops
+-------------------
 The event loop is the harness's hottest code — every sweep point of
 every figure goes through it — so it runs on a table compiled once per
 cycle, not on activation objects.
 :meth:`~repro.trace.events.CycleTrace.key_index` walks the cycle once
 and caches a :class:`~repro.trace.events.CycleKeyIndex`: the distinct
 bucket keys and their hashes, plus, per activation *position*
-(``act_id - base``), a left/right byte and the successor tuple, and the
-root, terminal and two-input positions.  Every simulation of the cycle
-— at any processor count, under any mapping — maps just the distinct
-keys (``mapping.processors``), expands them into a per-position
-destination list and marks terminal positions there with ``-1``, the
-control processor.  From then on an event is one integer:
+(``act_id - base``), a left/right byte, a kind tag and the successor
+tuple, and the root, terminal and two-input positions.
+
+:func:`_simulate_cycle` is the general loop, for two or more
+processors.  Every simulation of the cycle — at any processor count,
+under any mapping — maps just the distinct keys
+(``mapping.processors``), expands them into a per-position destination
+list and marks terminal positions there with ``-1``, the control
+processor.  From then on an event is one integer:
 
 * the queue is a heap of distinct arrival times, each holding its
   events (positions; ``~pos`` for one that came as a message) in push
@@ -52,20 +55,39 @@ control processor.  From then on an event is one integer:
   exactly once, on the processor owning its bucket — not incremented
   per event.
 
-That loop has no hooks.  The one other per-cycle loop is the
+:func:`_simulate_single` runs one match processor, which is the
+paper's speedup base and the first point of every curve.  There the
+queue is a plain FIFO list, and that is exact, not an approximation.
+Every successor stays on the one processor, so it is pushed at a time
+between its producer's start and the processor's next ready time, and
+(costs being non-negative) each event starts at the processor's ready
+time, which no earlier push exceeds.  So push times never decrease,
+arrival order is push order, and every event starts when the processor
+is ready.  The pass makes the general loop's float additions in the
+same order (terminal roots first, then per event its own cost, its
+search surcharge and per successor the generation cost and, for an
+instantiation, the send), and the counts are just the lengths of
+``index.counted`` and ``index.counted_left``.  It calls no mapping:
+with one processor every valid mapping routes every key to processor
+0.  :func:`iter_cycle_results` picks it from ``n_procs`` alone.
+
+Neither loop has hooks.  The one other per-cycle loop is the
 instrumented one (:func:`repro.mpc.faults.simulate_cycle_with_faults`),
-on the same table with the same event encoding: it serves every run
-that records a timeline (:mod:`repro.mpc.timeline`) or injects faults,
-and without a fault model it runs the plain exchange with this loop's
-arithmetic, so recording never changes a result bit.  The offline
-greedy distribution routes from the table too:
-:class:`BucketWorkCache` prices and orders each cycle's keys once from
-the index columns, and :class:`GreedyMappingFactory` runs one LPT pass
-per processor count into a per-key processor list.
+on the same table with the general loop's event encoding: it serves
+every run that records a timeline (:mod:`repro.mpc.timeline`) or
+injects faults, at any processor count, and without a fault model it
+runs the plain exchange with the general loop's arithmetic, so
+recording never changes a result bit.  The offline greedy distribution
+routes from the table too: :class:`BucketWorkCache` prices and orders
+each cycle's keys once from the index columns, and
+:class:`GreedyMappingFactory` runs one LPT pass per processor count
+into a per-key processor list.
 
 :mod:`repro.mpc._reference` preserves the original object-based loops;
 ``tests/test_mpc_simulator.py``, ``tests/test_mpc_cycle_index.py`` and
-``tests/test_mpc_faults.py`` assert both produce bit-identical results.
+``tests/test_mpc_faults.py`` assert every loop produces bit-identical
+results to them, and ``tests/test_mpc_simulator.py`` holds the FIFO
+pass to the general loop at one processor by ``repr``.
 
 Scaling to thousands of processors
 ----------------------------------
@@ -82,7 +104,8 @@ oracle in :mod:`repro.check` holds it to the reference loop):
   single-CE instantiations — are packaged into
   :class:`~repro.mpc.metrics.SparseProcArray` results (everyone else
   is the array default) and reset to the floor, so no active cycle
-  allocates or scans O(P) state;
+  allocates or scans O(P) state (at one processor the FIFO pass
+  packages its result in the same sparse form);
 * **round compression**: a run of consecutive fully-idle cycles is
   collapsed analytically into one closed-form :class:`CycleResult`
   (:func:`_idle_cycle_result`) carried with a repeat count — the
@@ -105,8 +128,8 @@ from dataclasses import replace
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..rete.hashing import BucketKey
-from ..trace.events import (CycleKeyIndex, CycleTrace, IdleRun,
-                            SectionTrace, iter_cycles)
+from ..trace.events import (TAG_TERMINAL, CycleKeyIndex, CycleTrace,
+                            IdleRun, SectionTrace, iter_cycles)
 from .config import RunConfig
 from .costmodel import DEFAULT_COSTS, ZERO_OVERHEADS, CostModel, \
     OverheadModel
@@ -116,10 +139,11 @@ from .mapping import (DEFAULT_N_BUCKETS, BucketMapping, IndexedMapping,
 from .metrics import CycleResult, SimResult, SparseProcArray
 
 #: Test-only mis-pricing hook for the conformance harness
-#: (:mod:`repro.check`).  When nonzero, :func:`_simulate_cycle` — the
-#: hook-free loop, dense and compressed alike; the reference loop and
-#: the instrumented (fault and recording) loop ignore it — charges
-#: right tokens this many extra microseconds.  The harness's mutation
+#: (:mod:`repro.check`).  When nonzero, the hook-free loops
+#: (:func:`_simulate_cycle` and :func:`_simulate_single`, dense and
+#: compressed alike; the reference loop and the instrumented (fault
+#: and recording) loop ignore it) charge right tokens this many extra
+#: microseconds.  The harness's mutation
 #: smoke test sets it (via :func:`repro.check.mutate_cost`) to prove
 #: the oracle matrix catches a mis-priced cost constant.  Never set it
 #: outside tests.
@@ -312,9 +336,11 @@ def iter_cycle_results(trace, config: RunConfig
     :func:`simulate_config` collects the pairs into a
     :class:`~repro.mpc.metrics.SimResult`.
 
-    Each cycle runs on one of two loops: :func:`_simulate_cycle` when
-    nothing records or injects faults, the instrumented
-    :func:`~repro.mpc.faults.simulate_cycle_with_faults` otherwise.
+    Each cycle runs on one of three loops: the instrumented
+    :func:`~repro.mpc.faults.simulate_cycle_with_faults` when something
+    records or injects faults; otherwise the FIFO pass
+    :func:`_simulate_single` on one processor and the general
+    :func:`_simulate_cycle` on more.
     """
     n_procs = config.n_procs
     costs = config.costs
@@ -401,6 +427,9 @@ def iter_cycle_results(trace, config: RunConfig
             cycle_result = simulate_cycle_with_faults(
                 cycle, n_procs, costs, overheads, cycle_mapping,
                 faults, protocol, search_costs, recorder)
+        elif n_procs == 1:
+            cycle_result = _simulate_single(cycle, costs, overheads,
+                                            search_costs, compress)
         else:
             cycle_result = _simulate_cycle(
                 cycle, n_procs, costs, overheads, cycle_mapping,
@@ -698,6 +727,104 @@ def _simulate_cycle(cycle: CycleTrace, n_procs: int, costs: CostModel,
                        n_messages=n_messages,
                        network_busy_us=network_busy,
                        control_busy_us=control_busy)
+
+
+def _simulate_single(cycle: CycleTrace, costs: CostModel,
+                     overheads: OverheadModel,
+                     search_costs: Optional[Dict[int, float]] = None,
+                     sparse: bool = False) -> CycleResult:
+    """:func:`_simulate_cycle` at ``n_procs == 1``, as one FIFO pass.
+
+    Every activation is processed on the one match processor, in the
+    order it was pushed, starting when that processor is ready (see the
+    module docstring for why that is the event order).  The float
+    additions are the general loop's, in its order.  With *sparse* the
+    result has the compressed loop's
+    :class:`~repro.mpc.metrics.SparseProcArray` form.
+    """
+    send_us = overheads.send_us
+    recv_us = overheads.recv_us
+    latency_us = overheads.latency_us
+    left_us = costs.left_token_us
+    right_us = costs.right_token_us + _TEST_MUTATE_RIGHT_TOKEN_US
+    successor_us = costs.successor_us
+    index = cycle.key_index()
+    base = index.base
+    left = index.left
+    successors = index.successors
+    tags = index.tags
+    extra_of = search_costs or None
+
+    control_busy = send_us
+    network_busy = latency_us
+    n_messages = 1
+    floor_ready, floor_busy = _floors(costs, overheads)
+    ready = floor_ready
+    busy = floor_busy
+    control_ready = control_busy
+    control_arrivals: List[float] = []
+    queue: List[int] = []
+    for r in index.roots:
+        if r < 0:
+            ready += send_us
+            busy += send_us
+            n_messages += 1
+            network_busy += latency_us
+            arrive = ready + latency_us
+            if arrive > control_ready:
+                control_ready = arrive
+            control_ready += recv_us
+            control_busy += recv_us
+            control_arrivals.append(control_ready)
+        else:
+            queue.append(r)
+
+    # The queue grows while it is walked: successors join its end.
+    for pos in queue:
+        t = ready + (left_us if left[pos] else right_us)
+        if extra_of is not None:
+            extra = extra_of.get(pos + base)
+            if extra is not None:
+                t += extra
+        for succ_id in successors[pos]:
+            t += successor_us
+            succ = succ_id - base
+            if tags[succ] >= TAG_TERMINAL:
+                t += send_us
+                n_messages += 1
+                network_busy += latency_us
+                arrive = t + latency_us
+                if arrive > control_ready:
+                    control_ready = arrive
+                control_ready += recv_us
+                control_busy += recv_us
+                control_arrivals.append(control_ready)
+            else:
+                queue.append(succ)
+        busy += t - ready
+        ready = t
+
+    makespan = max([floor_ready, ready] + control_arrivals)
+    n_acts = len(index.counted)
+    n_left = len(index.counted_left)
+    if not sparse:
+        return CycleResult(index=cycle.index, makespan_us=makespan,
+                           proc_busy_us=[busy], proc_activations=[n_acts],
+                           proc_left_activations=[n_left],
+                           n_messages=n_messages,
+                           network_busy_us=network_busy,
+                           control_busy_us=control_busy)
+    touched = bool(n_acts or control_arrivals)
+    return CycleResult(
+        index=cycle.index, makespan_us=makespan,
+        proc_busy_us=SparseProcArray(1, floor_busy,
+                                     {0: busy} if touched else None),
+        proc_activations=SparseProcArray(1, 0, {0: n_acts} if n_acts
+                                         else None),
+        proc_left_activations=SparseProcArray(1, 0, {0: n_left} if n_left
+                                              else None),
+        n_messages=n_messages, network_busy_us=network_busy,
+        control_busy_us=control_busy)
 
 
 def _idle_cycle_result(n_procs: int, costs: CostModel,

@@ -16,6 +16,8 @@ from repro.check import (ProgramCase, TraceCase, build_case,
                          generate_cases, mutated_right_token_cost,
                          run_check, run_invariants, run_oracles,
                          shrink_program, shrink_trace)
+from repro.check.oracles import _diff_results
+from repro.mpc import CycleResult, SimResult, SparseProcArray
 from repro.obs import get_registry, reset_registry
 from repro.trace import validate_trace
 from repro.trace.events import SectionTrace
@@ -87,6 +89,30 @@ class TestMutationSmoke:
             names = {name for name, _ in run_oracles(case)}
         assert "opt_vs_reference" in names
         assert "recorder_invisible" in names
+
+
+class TestTypeDrift:
+    """An int where a float belongs compares equal but changes ``repr``
+    digests and ``--json`` payloads, so the oracles' diff reports it."""
+
+    @staticmethod
+    def result(recovery_us, busy):
+        return SimResult(trace_name="x", n_procs=1, cycles=[CycleResult(
+            index=3, makespan_us=30.0, proc_busy_us=busy,
+            proc_activations=[0], proc_left_activations=[0],
+            n_messages=1, network_busy_us=0.0, control_busy_us=0.0,
+            recovery_us=recovery_us)])
+
+    def test_int_vs_float_scalar_is_reported(self):
+        diff = _diff_results(self.result(0, [30.0]),
+                             self.result(0.0, [30.0]))
+        assert diff is not None
+        assert "cycle 3: recovery_us" in diff and "int" in diff
+
+    def test_proc_arrays_compare_by_value(self):
+        sparse = SparseProcArray(1, 30.0)
+        assert _diff_results(self.result(0.0, [30.0]),
+                             self.result(0.0, sparse)) is None
 
 
 class TestShrinkTrace:

@@ -23,7 +23,8 @@ from repro.mpc import (TABLE_5_1, FaultModel, RunConfig,
                        TimelineRecorder, simulate_config)
 from repro.ops5 import parse_program
 from repro.trace.recorder import record_program
-from repro.workloads import rubik_match_program, rubik_section, weaver_section
+from repro.workloads import (StreamSpec, SyntheticStream, rubik_match_program,
+                             rubik_section, weaver_section)
 
 OV8 = next(o for o in TABLE_5_1 if o.total_us == 8)
 
@@ -145,6 +146,17 @@ class TestActorsBackend:
                    transport="process")
         assert match_signature(live) == \
             match_signature(run(rubik_recorded, RunConfig(n_procs=4)))
+
+    def test_streaming_source_matches_simulator(self):
+        """Plans are built per cycle from a stream's IdleRun markers
+        too, not only from a materialized section's cycles."""
+        stream = SyntheticStream(StreamSpec(
+            active_cycles=2, idle_between=2, activations_per_cycle=10))
+        config = RunConfig(n_procs=2)
+        live = run(stream, config, backend="actors")
+        assert match_signature(live) == \
+            match_signature(run(stream, config, backend="sim"))
+        assert len(live.result.cycles) == stream.n_cycles()
 
     def test_rejects_fault_injection(self, rubik):
         executor = ActorExecutor()

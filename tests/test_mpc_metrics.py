@@ -49,6 +49,13 @@ class TestSimResult:
                       cycles=[cycle(10.0, [10.0, 0.0])])
         assert r.average_idle_fraction() == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("repeats", [None, []])
+    def test_empty_float_aggregates_are_floats(self, repeats):
+        r = SimResult(trace_name="x", n_procs=1, repeats=repeats)
+        for name in ("total_us", "timeout_wait_us", "stall_us",
+                     "recovery_us"):
+            assert type(getattr(r, name)) is float, name
+
     def test_average_idle_empty(self):
         r = SimResult(trace_name="t", n_procs=2, cycles=[])
         assert r.average_idle_fraction() == 0.0

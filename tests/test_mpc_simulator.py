@@ -3,15 +3,26 @@ timings, conservation laws, overhead behaviour, and bit-identity with
 the preserved reference loop (:mod:`repro.mpc._reference`)."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.check import mutated_right_token_cost
 from repro.mpc import (TABLE_5_1, CostModel, ExplicitMapping, OverheadModel,
                        RoundRobinMapping, RunConfig, ZERO_OVERHEADS,
                        bucket_work, overhead_sweep, simulate, simulate_base,
                        simulate_config, speedup, speedup_curve)
 from repro.mpc._reference import simulate_reference
+from repro.mpc.simulator import (_floors, _SearchCostTracker,
+                                 _simulate_cycle, _simulate_single)
+from repro.ops5 import parse_program
 from repro.rete.hashing import BucketKey
-from repro.trace import CycleTrace, SectionTrace, TraceActivation
+from repro.trace import (CycleTrace, SectionTrace, TraceActivation,
+                         validate_trace)
+from repro.trace.recorder import record_program
 from repro.workloads import rubik_section, tourney_section, weaver_section
+from repro.workloads.match import (rubik_match_program,
+                                   tourney_match_program,
+                                   weaver_match_program)
 
 
 def act(i, node, side="right", tag="+", parent=None, succ=(), kind="join",
@@ -308,9 +319,10 @@ class TestOptimizedSimulatorMatchesReference:
                              ids=lambda m: m.label())
     def test_table_5_1_overheads(self, sections, overheads):
         trace = sections[0]
-        assert_results_equal(
-            simulate(trace, n_procs=16, overheads=overheads),
-            simulate_reference(trace, 16, overheads=overheads))
+        for n_procs in (1, 16):
+            assert_results_equal(
+                simulate(trace, n_procs=n_procs, overheads=overheads),
+                simulate_reference(trace, n_procs, overheads=overheads))
 
     def test_delete_search_costs(self, sections):
         costs = CostModel(delete_search_us=2.0)
@@ -318,6 +330,125 @@ class TestOptimizedSimulatorMatchesReference:
             assert_results_equal(
                 simulate(trace, n_procs=8, costs=costs),
                 simulate_reference(trace, 8, costs=costs))
+
+
+#: Cost models of the single-processor pins: the paper's, non-dyadic
+#: constants with footnote-6 search surcharges (so float rounding is
+#: exercised), and all-zero costs (every event ties in time).
+SINGLE_COSTS = [
+    CostModel(),
+    CostModel(constant_tests_us=29.3, left_token_us=31.7,
+              right_token_us=15.1, successor_us=16.3,
+              delete_search_us=0.7),
+    CostModel(constant_tests_us=0.0, left_token_us=0.0,
+              right_token_us=0.0, successor_us=0.0),
+]
+SINGLE_OVERHEADS = [ZERO_OVERHEADS, TABLE_5_1[-1],
+                    OverheadModel(send_us=1.3, recv_us=2.9,
+                                  latency_us=0.7)]
+
+
+def assert_single_pass_exact(trace, costs, overheads):
+    """The FIFO pass equals the general loop at P=1 by ``repr`` (every
+    bit and every type), dense and with compressed-mode slots; a whole
+    dense run equals the reference loop by ``repr``, and a compressed
+    one by value (its arrays are sparse)."""
+    tracker = _SearchCostTracker(costs.delete_search_us)
+    floor_ready, floor_busy = _floors(costs, overheads)
+    for cycle in trace:
+        search = tracker.charge(cycle)
+        for slots in (None, ([floor_ready], [floor_busy])):
+            got = _simulate_single(cycle, costs, overheads, search,
+                                   slots is not None)
+            want = _simulate_cycle(cycle, 1, costs, overheads,
+                                   RoundRobinMapping(1), search, slots)
+            assert repr(got) == repr(want)
+    reference = simulate_reference(trace, 1, costs=costs,
+                                   overheads=overheads)
+    dense = simulate_config(trace, RunConfig(
+        n_procs=1, costs=costs, overheads=overheads))
+    assert repr(dense.cycles) == repr(reference.cycles)
+    compressed = simulate_config(trace, RunConfig(
+        n_procs=1, costs=costs, overheads=overheads,
+        compress_rounds=True))
+    assert compressed.expanded().cycles == reference.cycles
+
+
+@st.composite
+def forests(draw):
+    """1-3 cycles of random activation forests whose roots may be
+    single-CE instantiations (terminal roots), interleaved in act_id
+    order with two-input roots."""
+    trace = SectionTrace(name="forest")
+    for index in range(1, draw(st.integers(1, 3)) + 1):
+        cycle = CycleTrace(index=index)
+        acts = []
+        for _ in range(draw(st.integers(0, 6))):
+            acts.append(act(len(acts) + 1, node=draw(st.integers(1, 9)),
+                            kind=draw(st.sampled_from(
+                                ["join", "join", "terminal"])),
+                            side=draw(st.sampled_from(["left", "right"])),
+                            tag=draw(st.sampled_from(["+", "-"])),
+                            vals=(draw(st.integers(0, 3)),)))
+        open_acts = [a for a in acts if a.kind != "terminal"]
+        for _ in range(draw(st.integers(0, 14)) if open_acts else 0):
+            parent = draw(st.sampled_from(open_acts))
+            kind = draw(st.sampled_from(["join", "join", "terminal"]))
+            child = act(len(acts) + 1, node=draw(st.integers(1, 9)),
+                        kind=kind, side="left", tag=parent.tag,
+                        parent=parent.act_id,
+                        vals=(draw(st.integers(0, 3)),))
+            parent.successors += (child.act_id,)
+            acts.append(child)
+            if kind != "terminal":
+                open_acts.append(child)
+        for a in acts:
+            cycle.add(a)
+        trace.cycles.append(cycle)
+    return trace
+
+
+@pytest.fixture(scope="module")
+def recorded_programs():
+    """Recorded rubik, tourney and weaver programs; weaver's 106
+    cycles carry 69 terminal roots."""
+    return [
+        record_program(parse_program(rubik_match_program(0, n_moves=20)),
+                       "rubik"),
+        record_program(parse_program(tourney_match_program(
+            0, n_players=6)), "tourney", max_cycles=30),
+        record_program(parse_program(weaver_match_program(0)), "weaver"),
+    ]
+
+
+class TestSingleProcessorPass:
+    """One match processor runs as a FIFO pass (``_simulate_single``)
+    that must equal the general event loop and the reference bitwise."""
+
+    @given(trace=forests(), costs=st.sampled_from(SINGLE_COSTS),
+           overheads=st.sampled_from(SINGLE_OVERHEADS))
+    def test_random_forests(self, trace, costs, overheads):
+        assert validate_trace(trace) == []
+        assert_single_pass_exact(trace, costs, overheads)
+
+    @pytest.mark.parametrize("costs", SINGLE_COSTS)
+    def test_recorded_programs(self, recorded_programs, costs):
+        assert sum(r < 0 for c in recorded_programs[2]
+                   for r in c.key_index().roots) == 69
+        for trace in recorded_programs:
+            for overheads in SINGLE_OVERHEADS:
+                assert_single_pass_exact(trace, costs, overheads)
+
+    def test_generated_sections(self, sections):
+        for trace in sections:
+            for costs in SINGLE_COSTS:
+                assert_single_pass_exact(trace, costs, TABLE_5_1[0])
+
+    def test_mutation_is_caught_at_one_processor(self, sections):
+        trace = sections[0]
+        with mutated_right_token_cost(1.0):
+            mutated = simulate(trace, n_procs=1)
+        assert mutated.total_us > simulate_reference(trace, 1).total_us
 
 
 class TestSweepsRunInProcess:
