@@ -14,9 +14,10 @@ The walk checks its own output, mirroring the simulator example:
 1. run traced and untraced — tracing must be bit-invisible,
 2. reconcile the merged spans against the run's counters (``==``),
 3. attribute measured idle time to the paper's limiter categories,
-4. export a Chrome trace you can open in https://ui.perfetto.dev
-   (load it next to a ``repro profile`` trace of the same section to
-   see where the model and the machine disagree),
+4. export a Chrome trace you can open in https://ui.perfetto.dev —
+   through the same writer and with the same ``control``/``proc N``
+   rows as a ``repro profile`` trace of the same section, so the two
+   load side by side to show where the model and the machine disagree,
 5. crash an actor under supervision and watch the restart and
    checkpoint-replay windows appear as spans — plus the
    flight-recorder post-mortem dump a fatal error would leave behind.
@@ -32,9 +33,8 @@ from repro.exec import (ActorExecutor, ChaosPolicy, match_signature,
                         run)
 from repro.mpc import (TABLE_5_1, RunConfig, SupervisePolicy,
                        format_attribution)
-from repro.obs import (live_attribution, reconcile_live,
-                       write_chrome_trace_live)
-from repro.obs.trace import LIVE_REPLAY, LIVE_RESTART
+from repro.obs import live_attribution, reconcile_live, write_chrome_trace
+from repro.obs.spans import CAT_CHECKPOINT_REPLAY, CAT_RESTART
 from repro.workloads import rubik_section
 
 N_PROCS = 4
@@ -80,11 +80,12 @@ def attribute(timeline):
 def export(timeline):
     print("--- 4. Chrome trace export ---")
     out = pathlib.Path(tempfile.mkdtemp()) / "live.trace.json"
-    with out.open("w") as stream:
-        n_events = write_chrome_trace_live(timeline, stream)
+    n_events = write_chrome_trace(timeline, out)
     payload = json.loads(out.read_text())
     threads = {e["args"]["name"] for e in payload["traceEvents"]
                if e.get("name") == "thread_name"}
+    # The same row names as a simulated ``repro profile`` export.
+    assert threads == {"control"} | {f"proc {p}" for p in range(N_PROCS)}
     print(f"wrote {n_events} events to {out}")
     print(f"Perfetto rows: {sorted(threads)}\n")
 
@@ -103,9 +104,9 @@ def crash_and_recover(trace):
         match_signature(run(trace, CONFIG)), "recovery changed matches"
     timeline = outcome.live
     restarts = [s for s in timeline.spans
-                if s.category == LIVE_RESTART]
+                if s.category == CAT_RESTART]
     replays = [s for s in timeline.spans
-               if s.category == LIVE_REPLAY]
+               if s.category == CAT_CHECKPOINT_REPLAY]
     reconcile_live(timeline, outcome.result)
     print(f"killed actor 1 in cycle {first}: {len(restarts)} restart "
           f"span(s), {len(replays)} replay span(s);")

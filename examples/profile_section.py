@@ -14,7 +14,9 @@ This example walks the whole loop and *checks its own output*:
 1. record a run (and verify recording never changes the result),
 2. reconcile spans against the aggregate counters, bit for bit,
 3. attribute idle time and print the report + ASCII Gantt chart,
-4. export a Chrome trace you can open in https://ui.perfetto.dev.
+4. export a Chrome trace you can open in https://ui.perfetto.dev, and
+   JSONL spans — through the writers a live traced run uses too
+   (``examples/live_trace.py``), so both load side by side.
 
 Run:  python examples/profile_section.py
 """
@@ -26,7 +28,8 @@ import tempfile
 from repro.mpc import (TABLE_5_1, RunConfig, TimelineRecorder,
                        attribute_timeline, critical_path,
                        format_attribution, gantt, simulate,
-                       simulate_config, write_chrome_trace)
+                       simulate_config, timeline_jsonl,
+                       write_chrome_trace)
 from repro.workloads import weaver_section
 
 N_PROCS = 16
@@ -81,11 +84,16 @@ def export(timeline, section):
     print("--- 4. machine-readable exports ---")
     with tempfile.TemporaryDirectory() as tmp:
         out = pathlib.Path(tmp) / "weaver.trace.json"
-        write_chrome_trace(timeline, out)
+        n_events = write_chrome_trace(timeline, out)
         events = json.loads(out.read_text(encoding="utf-8"))
-        n_events = len(events["traceEvents"])
-        print(f"Chrome trace: {n_events} events "
+        threads = [e["args"]["name"] for e in events["traceEvents"]
+                   if e["name"] == "thread_name"]
+        print(f"Chrome trace: {n_events} events on rows {threads[0]}, "
+              f"{threads[1]} .. {threads[-1]} "
               f"(load in https://ui.perfetto.dev)")
+    records = [json.loads(line) for line in timeline_jsonl(timeline)]
+    assert len({frozenset(r) for r in records}) == 1  # one key set
+    print(f"JSONL: {len(records)} spans, keys {sorted(records[0])}")
     payload = section.to_dict()
     json.dumps(payload)  # JSON-ready by construction
     dominant = section.dominant_category()

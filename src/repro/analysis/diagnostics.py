@@ -222,21 +222,9 @@ def diagnose_measured(trace: SectionTrace, n_procs: int = 16,
     simulate_config(trace, RunConfig(n_procs=n_procs,
                                      overheads=overheads,
                                      recorder=recorder))
-    section = attribute_timeline(recorder.timeline)
-    shares = section.idle_shares()
-    idle_by_category = section.idle_by_category()
-    findings = []
-    for category in sorted(shares, key=lambda c: -shares[c]):
-        if shares[category] < MEASURED_IDLE_SHARE:
-            continue
-        findings.append(Finding(
-            kind="measured-idle", cycle_index=-1, node_id=-1,
-            detail=f"{shares[category]:.0%} of idle time at {n_procs} "
-                   f"procs ({overheads.label()} overheads) is "
-                   f"{category} ({idle_by_category[category] / 1000:.2f} "
-                   f"ms of {section.idle_us / 1000:.2f} ms)",
-            remedy=_MEASURED_REMEDIES[category]))
-    return findings
+    return _idle_findings(
+        attribute_timeline(recorder.timeline), "measured-idle",
+        f"idle time at {n_procs} procs ({overheads.label()} overheads)")
 
 
 def diagnose_live(timeline) -> List[Finding]:
@@ -251,7 +239,17 @@ def diagnose_live(timeline) -> List[Finding]:
     over verbatim and a sim-vs-live comparison is category-by-category.
     """
     from ..obs.trace import live_attribution
-    section = live_attribution(timeline)
+    return _idle_findings(
+        live_attribution(timeline), "live-idle",
+        f"measured live idle time on {timeline.n_procs} actors "
+        f"({timeline.transport} transport)")
+
+
+def _idle_findings(section, kind: str, what: str) -> List[Finding]:
+    """One *kind* finding per idle category of *section* (a
+    :class:`~repro.mpc.attribution.SectionAttribution`) holding at
+    least :data:`MEASURED_IDLE_SHARE` of its idle time, largest first;
+    *what* names the idle time in each finding's detail."""
     shares = section.idle_shares()
     idle_by_category = section.idle_by_category()
     findings = []
@@ -259,10 +257,8 @@ def diagnose_live(timeline) -> List[Finding]:
         if shares[category] < MEASURED_IDLE_SHARE:
             continue
         findings.append(Finding(
-            kind="live-idle", cycle_index=-1, node_id=-1,
-            detail=f"{shares[category]:.0%} of measured live idle time "
-                   f"on {timeline.n_procs} actors "
-                   f"({timeline.transport} transport) is {category} "
+            kind=kind, cycle_index=-1, node_id=-1,
+            detail=f"{shares[category]:.0%} of {what} is {category} "
                    f"({idle_by_category[category] / 1000:.2f} ms of "
                    f"{section.idle_us / 1000:.2f} ms)",
             remedy=_MEASURED_REMEDIES[category]))

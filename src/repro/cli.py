@@ -656,7 +656,7 @@ def _export_live_trace(args, trace, outcome) -> dict:
     """Write, reconcile and summarize a ``--trace-live`` run's merged
     timeline; returns the JSON-ready ``live_trace`` payload."""
     from .analysis import diagnose_live
-    from .obs.trace import reconcile_live, write_chrome_trace_live
+    from .obs import reconcile_live, write_chrome_trace
     timeline = outcome.live
     if timeline is None:
         raise CLIError("--trace-live produced no timeline "
@@ -668,8 +668,7 @@ def _export_live_trace(args, trace, outcome) -> dict:
             from err
     out = getattr(args, "trace_out", None) \
         or f"{trace.name}-live-{args.transport}.trace.json"
-    with open(out, "w", encoding="utf-8") as stream:
-        write_chrome_trace_live(timeline, stream)
+    write_chrome_trace(timeline, out)
     findings = [str(f) for f in diagnose_live(timeline)]
     return {
         "path": out,

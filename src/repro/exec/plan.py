@@ -18,14 +18,13 @@ paper's mapping describes and the discrete simulator prices:
    before opening the next — one barrier per recognize-act cycle.
 
 This module holds everything transport-independent: plan construction
-(which activations live where, priced with the same
-:func:`~repro.mpc.simulator.compute_search_costs` surcharges as the
-simulator) and the pure per-actor state machine
-(:class:`MatchActorCore`).  Transports only move the emitted messages;
-because the cores never look at a clock or a scheduler, the *counters*
-(activations per processor, message counts, fires) are deterministic
-and equal to the discrete simulator's for any interleaving — only wall
-time varies.  Bookkeeping traffic (processed-counts, sync, stats) is
+(which activations live where, priced with the same footnote-6
+deletion-search surcharges as the simulator) and the pure per-actor
+state machine (:class:`MatchActorCore`).  Transports only move the
+emitted messages; because the cores never look at a clock or a
+scheduler, the *counters* (activations per processor, message counts,
+fires) are deterministic and equal to the discrete simulator's for any
+interleaving — only wall time varies.  Bookkeeping traffic (processed-counts, sync, stats) is
 not counted in ``n_messages``: termination detection is idealized and
 free, exactly as in the paper and the simulator.
 
@@ -72,12 +71,10 @@ from typing import Dict, List, Tuple
 from ..mpc.config import RunConfig
 from ..mpc.mapping import RoundRobinMapping
 from ..mpc.metrics import CycleResult
-from ..mpc.simulator import compute_search_costs
+from ..mpc.simulator import _SearchCostTracker
+from ..obs.spans import CONTROL  # the control actor's id in (dst, msg)
 from ..trace.events import TAG_TERMINAL, SectionTrace, iter_cycles
 from .errors import ProtocolViolation
-
-#: Destination id of the control actor in emitted ``(dst, msg)`` pairs.
-CONTROL = -1
 
 #: Activation spec inside an actor's plan:
 #: ``(is_left, extra_us, ((succ_id, dest, is_terminal), ...))``.
@@ -122,11 +119,12 @@ def build_plans(trace: SectionTrace, config: RunConfig) -> List[CyclePlan]:
     cycle's cached :meth:`~repro.trace.events.CycleTrace.key_index`,
     optional per-cycle mapping factory) and the same footnote-6
     deletion-search surcharges, so an actor run prices activations
-    identically to a simulated one.
+    identically to a simulated one.  Surcharges are charged as the walk
+    reaches each cycle, so a streaming trace is built once.
     """
     n_procs = config.n_procs
     mapping = config.mapping or RoundRobinMapping(n_procs)
-    search_costs = compute_search_costs(trace, config.costs)
+    searches = _SearchCostTracker(config.costs.delete_search_us)
     plans: List[CyclePlan] = []
     for cycle in iter_cycles(trace):
         cycle_mapping = (config.mapping_factory(cycle)
@@ -141,7 +139,7 @@ def build_plans(trace: SectionTrace, config: RunConfig) -> List[CyclePlan]:
         left_of = index.left
         successors_of = index.successors
 
-        get_extra = search_costs.get(cycle.index, {}).get
+        get_extra = searches.charge(cycle).get
         per_actor_acts: List[Dict[int, ActSpec]] = \
             [{} for _ in range(n_procs)]
         per_actor_roots: List[List[int]] = [[] for _ in range(n_procs)]

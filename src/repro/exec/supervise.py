@@ -63,6 +63,7 @@ from typing import Callable, List, Optional, Tuple
 from ..mpc.config import RunConfig, SupervisePolicy
 from ..mpc.metrics import SimResult
 from ..obs import get_logger, get_registry, log_event
+from ..obs.spans import CAT_CHECKPOINT_REPLAY, CAT_CYCLE, CAT_RESTART
 from .base import FireSet
 from .chaos import MSG_FIRE, MSG_TOKEN, ChaosPolicy
 from .errors import (ExecutorCrashed, ExecutorWedged, ProtocolViolation,
@@ -277,8 +278,6 @@ async def supervise(engine_type: Callable[..., Engine],
     if chaos is not None and chaos.is_null:
         chaos = None
     traced = collector is not None
-    if traced:
-        from ..obs.trace import LIVE_CYCLE, LIVE_REPLAY, LIVE_RESTART
     generation = 0
     engine = engine_type(config, policy, chaos, generation, collector)
     engine.start()
@@ -300,8 +299,8 @@ async def supervise(engine_type: Callable[..., Engine],
                     failed_at = time.perf_counter()
                     if traced and attempt:
                         collector.recorder.record(
-                            LIVE_REPLAY, plan.index, attempt_start,
-                            failed_at, n=attempt)
+                            CAT_CHECKPOINT_REPLAY, plan.index,
+                            attempt_start, failed_at, n=attempt)
                     if attempt >= policy.max_restarts:
                         raise _give_up(plan, attempt, err) from err
                     await engine.stop()
@@ -316,11 +315,11 @@ async def supervise(engine_type: Callable[..., Engine],
                     engine.start()
                     if traced:
                         collector.recorder.record(
-                            LIVE_RESTART, plan.index, failed_at,
+                            CAT_RESTART, plan.index, failed_at,
                             time.perf_counter(), n=attempt)
             if traced:
                 collector.recorder.record(
-                    LIVE_CYCLE, plan.index, attempt_start,
+                    CAT_CYCLE, plan.index, attempt_start,
                     time.perf_counter(), n=cycle_result.n_messages)
                 collector.commit(plan.index, generation)
             result.cycles.append(cycle_result)

@@ -31,11 +31,11 @@ from .simulator import (BucketWorkCache, GreedyMappingFactory, bucket_work,
                         simulate_base, simulate_config)
 from .termination import (TerminationScheme, apply_termination,
                           detection_delay, termination_overhead_fraction)
-from .timeline import (CATEGORIES, CONTROL, GANTT_LEGEND, NETWORK,
-                       CycleTimeline, Envelope, Span, Timeline,
-                       TimelineRecorder, chrome_trace, gantt, gantt_section,
-                       timeline_jsonl, write_chrome_trace,
-                       write_timeline_jsonl)
+from ..obs.spans import (CATEGORIES, CONTROL, NETWORK, Span, chrome_trace,
+                         timeline_jsonl, write_chrome_trace,
+                         write_timeline_jsonl)
+from .timeline import (GANTT_LEGEND, CycleTimeline, Envelope, Timeline,
+                       TimelineRecorder, gantt, gantt_section)
 from .attribution import (IDLE_CATEGORIES, CycleAttribution,
                           SectionAttribution, attribute_cycle,
                           attribute_timeline, critical_path,

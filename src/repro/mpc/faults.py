@@ -469,12 +469,13 @@ def simulate_cycle_with_faults(
 
     record = recorder is not None
     if record:
-        from .timeline import (CAT_ACK, CAT_BROADCAST, CAT_CONSTANT_TESTS,
-                               CAT_RECV, CAT_RETRANSMIT, CAT_SEND,
-                               CAT_STALL, CAT_SUCCESSOR, CAT_TIMEOUT_WAIT,
-                               CAT_TOKEN_ADD, CAT_TOKEN_DELETE,
-                               CAT_TRANSIT, CONTROL, NETWORK,
-                               CycleTimeline, Envelope, Span)
+        from ..obs.spans import (CAT_ACK, CAT_BROADCAST,
+                                 CAT_CONSTANT_TESTS, CAT_RECV,
+                                 CAT_RETRANSMIT, CAT_SEND, CAT_STALL,
+                                 CAT_SUCCESSOR, CAT_TIMEOUT_WAIT,
+                                 CAT_TOKEN_ADD, CAT_TOKEN_DELETE,
+                                 CAT_TRANSIT, CONTROL, NETWORK, Span)
+        from .timeline import CycleTimeline, Envelope
         tags = index.tags
         #: the plan of the message delivering each position, and the
         #: act_id of the activation that generated it (roots have none;

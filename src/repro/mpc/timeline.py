@@ -7,16 +7,15 @@ when explicitly asked to, everything the event loop does as **typed
 spans** on a per-cycle timeline: the broadcast, the constant tests,
 every token add/delete, every successor generation, every message send
 / transit / receive, and (on the fault path) every ack, retransmission,
-timeout wait and stall.  The result is exportable three ways —
-
-* :func:`chrome_trace` — Chrome trace-event JSON, loadable in Perfetto
-  or ``chrome://tracing``;
-* :func:`timeline_jsonl` — one JSON object per span, for ad-hoc
-  analysis;
-* :func:`gantt` — an ASCII per-cycle Gantt chart for the terminal —
-
-and, through :mod:`repro.mpc.attribution`, decomposable into the
-paper's Section 5 idle-time limiter categories.
+timeout wait and stall.  The spans are the one
+:class:`~repro.obs.spans.Span` type the live executors' tracing also
+emits, so a recorded :class:`Timeline` exports through the same
+:func:`~repro.obs.spans.chrome_trace` (Perfetto) and
+:func:`~repro.obs.spans.timeline_jsonl` writers as a live run, with
+the same row names.  This module adds :func:`gantt`, an ASCII
+per-cycle Gantt chart for the terminal, and through
+:mod:`repro.mpc.attribution` the timeline decomposes into the paper's
+Section 5 idle-time limiter categories.
 
 Strictly opt-in, one loop
 -------------------------
@@ -38,66 +37,23 @@ time constant is a multiple of 0.5 µs, so all of this arithmetic is
 exact in floating point and "sum to" means ``==``, not "within
 epsilon".
 
-This module holds the span model and its exporters.
+This module holds the per-cycle containers, the recorder and the
+Gantt chart.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import IO, Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+# CATEGORIES is re-exported for callers importing it from here.
+from ..obs.spans import (CAT_ACK, CAT_BROADCAST, CAT_CONSTANT_TESTS,
+                         CAT_RECV, CAT_RETRANSMIT, CAT_SEND, CAT_STALL,
+                         CAT_SUCCESSOR, CAT_TIMEOUT_WAIT, CAT_TOKEN_ADD,
+                         CAT_TOKEN_DELETE, CAT_TRANSIT, CATEGORIES,
+                         CONTROL, NETWORK, Span, row_name)
 from .costmodel import CostModel, OverheadModel
 from .metrics import CycleResult
-
-#: Pseudo-processor rows for spans not on a match processor.
-CONTROL = -1
-NETWORK = -2
-
-# -- span categories (the typed vocabulary) -------------------------------
-CAT_BROADCAST = "broadcast"          # control sends the cycle's wme packet
-CAT_CONSTANT_TESTS = "constant_tests"
-CAT_RECV = "recv"                    # message receive overhead
-CAT_TOKEN_ADD = "token_add"          # hash-bucket insert (+ search extra)
-CAT_TOKEN_DELETE = "token_delete"    # hash-bucket delete (+ search extra)
-CAT_SUCCESSOR = "successor"          # successor generation, one per token
-CAT_SEND = "send"                    # message send overhead
-CAT_TRANSIT = "transit"              # in-flight on the network
-CAT_ACK = "ack"                      # ack handling (fault path)
-CAT_RETRANSMIT = "retransmit"        # lost-copy resend (fault path)
-CAT_TIMEOUT_WAIT = "timeout_wait"    # sender's retransmit timeout (idle)
-CAT_STALL = "stall"                  # processor unavailable (idle)
-
-#: Categories that are *not* busy work: they explain idleness instead.
-IDLE_CATEGORIES = frozenset({CAT_TIMEOUT_WAIT, CAT_STALL})
-
-CATEGORIES = (CAT_BROADCAST, CAT_CONSTANT_TESTS, CAT_RECV, CAT_TOKEN_ADD,
-              CAT_TOKEN_DELETE, CAT_SUCCESSOR, CAT_SEND, CAT_TRANSIT,
-              CAT_ACK, CAT_RETRANSMIT, CAT_TIMEOUT_WAIT, CAT_STALL)
-
-
-@dataclass(slots=True, frozen=True)
-class Span:
-    """One typed interval on one row of a cycle timeline.
-
-    ``proc`` is a match-processor index, or :data:`CONTROL` /
-    :data:`NETWORK`.  ``act_id`` ties the span to the trace activation
-    it processes or carries (-1 when not applicable).
-    """
-
-    category: str
-    proc: int
-    start_us: float
-    end_us: float
-    act_id: int = -1
-
-    @property
-    def duration_us(self) -> float:
-        return self.end_us - self.start_us
-
-    @property
-    def is_busy(self) -> bool:
-        return self.category not in IDLE_CATEGORIES
 
 
 @dataclass(slots=True, frozen=True)
@@ -147,9 +103,6 @@ class CycleTimeline:
     envelopes: List[Envelope]
     #: How many consecutive identical cycles this entry stands for.
     repeat: int = 1
-
-    def spans_for(self, proc: int) -> List[Span]:
-        return [s for s in self.spans if s.proc == proc]
 
     def busy_from_spans(self) -> List[float]:
         """Per-processor busy time recomputed from the spans alone."""
@@ -257,6 +210,22 @@ class Timeline:
             raise ValueError("empty timeline")
         return max(self.cycles, key=lambda c: c.makespan_us)
 
+    # -- the exportable-timeline protocol of repro.obs.spans ---------------
+    has_network = True
+
+    def export_header(self) -> Tuple[str, Dict[str, object]]:
+        return (f"repro {self.trace_name} @{self.n_procs} procs",
+                {"trace": self.trace_name, "n_procs": self.n_procs,
+                 "overheads_us": self.overheads.total_us,
+                 "faulty": self.faulty})
+
+    def segments(self) -> Iterator[tuple]:
+        """One ``(offset_us, index, repeat, makespan_us, spans)`` per
+        recorded cycle, span times relative to the cycle start."""
+        for offset, cycle in zip(self.cycle_offsets_us(), self.cycles):
+            yield (offset, cycle.index, cycle.repeat, cycle.makespan_us,
+                   cycle.spans)
+
 
 class TimelineRecorder:
     """Opt-in span collector: set ``RunConfig(recorder=...)``.
@@ -283,112 +252,8 @@ class TimelineRecorder:
 
 
 # ---------------------------------------------------------------------------
-# Exports: Chrome trace-event JSON, JSONL spans, ASCII Gantt.
+# Export: ASCII Gantt (Chrome and JSONL live in repro.obs.spans).
 # ---------------------------------------------------------------------------
-
-def _thread_ids(n_procs: int) -> Dict[int, int]:
-    """Chrome tid per row: control first, then procs, network last."""
-    tids = {CONTROL: 0, NETWORK: n_procs + 1}
-    for p in range(n_procs):
-        tids[p] = p + 1
-    return tids
-
-
-def _thread_name(proc: int) -> str:
-    if proc == CONTROL:
-        return "control"
-    if proc == NETWORK:
-        return "network"
-    return f"proc {proc}"
-
-
-def chrome_trace(timeline: Timeline) -> Dict[str, object]:
-    """The timeline as a Chrome trace-event JSON object.
-
-    Cycles are laid end to end on one absolute time axis (they are
-    serialized by the control barrier), timestamps are microseconds
-    (Chrome's native unit), and each row becomes a named thread.  Load
-    the written file in Perfetto (https://ui.perfetto.dev) or
-    ``chrome://tracing``.
-    """
-    tids = _thread_ids(timeline.n_procs)
-    events: List[Dict[str, object]] = [
-        {"name": "process_name", "ph": "M", "pid": 0,
-         "args": {"name": f"repro {timeline.trace_name} "
-                          f"@{timeline.n_procs} procs"}},
-    ]
-    for proc, tid in sorted(tids.items(), key=lambda kv: kv[1]):
-        events.append({"name": "thread_name", "ph": "M", "pid": 0,
-                       "tid": tid, "args": {"name": _thread_name(proc)}})
-    for offset, cycle in zip(timeline.cycle_offsets_us(),
-                             timeline.cycles):
-        if cycle.repeat == 1:
-            name = f"cycle {cycle.index}"
-        else:
-            name = (f"cycles {cycle.index}-"
-                    f"{cycle.index + cycle.repeat - 1} (idle x"
-                    f"{cycle.repeat})")
-        cycle_args: Dict[str, object] = {"cycle": cycle.index,
-                                         "makespan_us": cycle.makespan_us}
-        if cycle.repeat != 1:
-            cycle_args["repeat"] = cycle.repeat
-        events.append({
-            "name": name, "cat": "cycle", "ph": "X",
-            "ts": offset, "dur": cycle.makespan_us * cycle.repeat,
-            "pid": 0, "tid": tids[CONTROL], "args": cycle_args})
-        for span in cycle.spans:
-            args: Dict[str, object] = {"cycle": cycle.index}
-            if span.act_id >= 0:
-                args["act_id"] = span.act_id
-            events.append({
-                "name": span.category, "cat": span.category, "ph": "X",
-                "ts": offset + span.start_us, "dur": span.duration_us,
-                "pid": 0, "tid": tids[span.proc], "args": args})
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "trace": timeline.trace_name,
-            "n_procs": timeline.n_procs,
-            "overheads_us": timeline.overheads.total_us,
-            "faulty": timeline.faulty,
-        },
-    }
-
-
-def write_chrome_trace(timeline: Timeline, path) -> None:
-    with open(path, "w", encoding="utf-8") as stream:
-        json.dump(chrome_trace(timeline), stream)
-        stream.write("\n")
-
-
-def timeline_jsonl(timeline: Timeline) -> Iterator[str]:
-    """One JSON line per span, with absolute (section-level) times."""
-    for offset, cycle in zip(timeline.cycle_offsets_us(),
-                             timeline.cycles):
-        for span in cycle.spans:
-            record = {
-                "trace": timeline.trace_name,
-                "cycle": cycle.index,
-                "proc": _thread_name(span.proc),
-                "category": span.category,
-                "start_us": offset + span.start_us,
-                "end_us": offset + span.end_us,
-                "act_id": span.act_id if span.act_id >= 0 else None,
-                "busy": span.is_busy,
-            }
-            if cycle.repeat != 1:
-                record["repeat"] = cycle.repeat
-            yield json.dumps(record, separators=(",", ":"))
-
-
-def write_timeline_jsonl(timeline: Timeline, stream: IO[str]) -> int:
-    n = 0
-    for line in timeline_jsonl(timeline):
-        stream.write(line + "\n")
-        n += 1
-    return n
-
 
 #: Gantt glyph per category (later spans overwrite earlier ones, so the
 #: fine-grained work inside an envelope wins over its container).
@@ -440,14 +305,14 @@ def gantt(cycle: CycleTimeline, width: int = 64,
             glyph = _GANTT_GLYPHS.get(span.category, "?")
             for i in range(max(0, first), min(width, last)):
                 grid[i] = glyph
-    label_w = max(len(_thread_name(p)) for p in rows)
+    label_w = max(len(row_name(p)) for p in rows)
     stretch = "" if cycle.repeat == 1 else \
         f" (x{cycle.repeat} idle cycles)"
     lines = [f"cycle {cycle.index}{stretch}: makespan "
              f"{makespan / 1000:.3f} ms, {width} cols of "
              f"{makespan / width:.1f} us"]
     for proc in rows:
-        lines.append(f"{_thread_name(proc).rjust(label_w)} "
+        lines.append(f"{row_name(proc).rjust(label_w)} "
                      f"|{''.join(grids[proc])}|")
     lines.append(GANTT_LEGEND)
     return "\n".join(lines)

@@ -14,27 +14,30 @@ routes its warnings through one configurable logger — so a single
 * :mod:`~repro.obs.logging` — the ``repro.*`` logger hierarchy with a
   verbosity-level configurator (``--quiet`` / ``-v`` / ``-vv``) and a
   ``key=value`` structured-event helper.
+* :mod:`~repro.obs.spans` — the one span type, category vocabulary
+  and row naming shared by simulated and live timelines, and their
+  Chrome-trace / JSONL exporters.
 * :mod:`~repro.obs.trace` — distributed tracing for the live executor
   backends: per-actor flight recorders, span-context propagation over
-  the Section 3.2 message protocol, clock-aligned merge, Chrome-trace
-  / JSONL export, measured attribution and post-mortem dumps.
+  the Section 3.2 message protocol, clock-aligned merge, measured
+  attribution and post-mortem dumps.
 """
 
 from .logging import (configure_logging, get_logger, log_event,
                       verbosity_level)
 from .metrics import (Counter, Histogram, MetricsRegistry, get_registry,
                       prometheus_text, reset_registry)
-from .trace import (FlightRecorder, LiveSpan, LiveTimeline,
-                    LiveTraceCollector, chrome_trace_live, dump_flight,
-                    live_attribution, live_jsonl, reconcile_live,
-                    write_chrome_trace_live, write_live_jsonl)
+from .spans import (Span, chrome_trace, timeline_jsonl, write_chrome_trace,
+                    write_timeline_jsonl)
+from .trace import (FlightRecorder, LiveTimeline, LiveTraceCollector,
+                    dump_flight, live_attribution, reconcile_live)
 
 __all__ = [
     "configure_logging", "get_logger", "log_event", "verbosity_level",
     "Counter", "Histogram", "MetricsRegistry", "get_registry",
     "prometheus_text", "reset_registry",
-    "FlightRecorder", "LiveSpan", "LiveTimeline", "LiveTraceCollector",
-    "chrome_trace_live", "dump_flight", "live_attribution",
-    "live_jsonl", "reconcile_live", "write_chrome_trace_live",
-    "write_live_jsonl",
+    "Span", "chrome_trace", "timeline_jsonl", "write_chrome_trace",
+    "write_timeline_jsonl",
+    "FlightRecorder", "LiveTimeline", "LiveTraceCollector",
+    "dump_flight", "live_attribution", "reconcile_live",
 ]

@@ -12,10 +12,10 @@ attribution.  This module gives the *live* actor backends
   ``(sender, send_perf_ts)`` appended to the tuple, so the receiver can
   measure the real delivery delay of the message that triggered it;
 * each actor — asyncio task or worker process — records typed spans
-  (:data:`LIVE_MATCH`, :data:`LIVE_SEND`, :data:`LIVE_BARRIER`) into a
-  per-process ring-buffer **flight recorder**
-  (:class:`FlightRecorder`); the supervisor coordinator records
-  :data:`LIVE_CYCLE`, :data:`LIVE_RESTART` and :data:`LIVE_REPLAY`;
+  (``match``, ``send``, ``barrier_wait``) into a per-process
+  ring-buffer **flight recorder** (:class:`FlightRecorder`); the
+  supervisor coordinator records ``cycle``, ``restart`` and
+  ``checkpoint_replay``;
 * recorders are **drained over the existing control channel** — a
   ``("spans", ...)`` bookkeeping message sent just before each barrier
   ``stats`` reply, so the merge needs no side channel and FIFO order
@@ -27,17 +27,23 @@ attribution.  This module gives the *live* actor backends
   processes each recorder's paired ``(perf_counter, time.time)`` base
   anchors its monotonic clock to wall time, and all spans land on one
   axis — microseconds since the coordinator recorder was created;
-* the merged :class:`LiveTimeline` exports in the **same formats** as
-  ``repro profile`` (:func:`chrome_trace_live`, :func:`live_jsonl`) so
-  a live run and its simulated twin open side by side in Perfetto, and
-  a measured-attribution pass (:func:`live_attribution`) reuses the
-  :mod:`repro.mpc.attribution` categories over live spans.
+* the merged :class:`LiveTimeline` holds the same
+  :class:`~repro.obs.spans.Span` type as a simulated timeline and
+  exports through the same writers
+  (:func:`~repro.obs.spans.chrome_trace`,
+  :func:`~repro.obs.spans.timeline_jsonl`), with the same row names,
+  so a live run and its simulated twin open side by side in Perfetto,
+  and a measured-attribution pass (:func:`live_attribution`) reuses
+  the :mod:`repro.mpc.attribution` categories over live spans.
 
 Tracing is strictly opt-in (``RunConfig.live_trace`` /
 ``--trace-live``) and bit-invisible to match signatures and every
 counter when off — each actor's :class:`ActorSpans` hook is then
-``None`` and this module is not imported; the ``live_trace_invisible``
-oracle in :mod:`repro.check` pins that.  When a traced run dies with a typed
+``None``, so no recorder, collector or span is ever created (the
+module itself is still loaded: :mod:`repro.obs` imports it, and
+``import repro.exec`` imports :mod:`repro.obs`); the
+``live_trace_invisible`` oracle in
+:mod:`repro.check` pins that.  When a traced run dies with a typed
 :class:`~repro.exec.errors.ExecutorError`, the flight recorder is
 dumped automatically (:func:`dump_flight`) for post-mortem analysis —
 including spans of failed, uncommitted cycle attempts.
@@ -55,26 +61,11 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import IO, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-#: Pseudo-actor id of the control/coordinator row (matches
-#: :data:`repro.exec.plan.CONTROL`).
-CONTROL = -1
-
-# -- live span categories (the typed vocabulary) ---------------------------
-LIVE_CYCLE = "cycle"                    # coordinator: one committed cycle
-LIVE_MATCH = "match"                    # actor: processing one delivery
-LIVE_SEND = "send"                      # actor: emitting outbox messages
-LIVE_BARRIER = "barrier_wait"           # actor: idle until the sync barrier
-LIVE_RESTART = "restart"                # coordinator: failure -> respawn
-LIVE_REPLAY = "checkpoint_replay"       # coordinator: failed replay attempt
-
-LIVE_CATEGORIES = (LIVE_CYCLE, LIVE_MATCH, LIVE_SEND, LIVE_BARRIER,
-                   LIVE_RESTART, LIVE_REPLAY)
-
-#: Categories that measure *waiting*, not work.
-LIVE_IDLE_CATEGORIES = frozenset({LIVE_BARRIER, LIVE_RESTART,
-                                  LIVE_REPLAY})
+from .spans import (CAT_BARRIER_WAIT, CAT_CHECKPOINT_REPLAY, CAT_CYCLE,
+                    CAT_MATCH, CAT_RESTART, CAT_SEND, CONTROL, Span,
+                    write_timeline_jsonl)
 
 #: Tag of the control-channel drain message (bookkeeping, never counted
 #: in ``n_messages`` — exactly like ``processed``/``sync``/``stats``).
@@ -169,7 +160,7 @@ class ActorSpans:
         self.done = time.perf_counter()
         token = message[0] == "token"
         src, sent_s = message[-1]
-        self.recorder.record(LIVE_MATCH, cycle, self.start, self.done,
+        self.recorder.record(CAT_MATCH, cycle, self.start, self.done,
                              n=n, act_id=message[1] if token else -1,
                              src=src, sent_s=sent_s, busy_us=busy_us)
         self.last_done = self.done
@@ -179,51 +170,15 @@ class ActorSpans:
 
     def sent(self, cycle: int, n: int) -> None:
         self.last_done = time.perf_counter()
-        self.recorder.record(LIVE_SEND, cycle, self.done, self.last_done,
+        self.recorder.record(CAT_SEND, cycle, self.done, self.last_done,
                              n=n)
 
     def barrier(self, cycle: int) -> None:
-        self.recorder.record(LIVE_BARRIER, cycle, self.last_done,
+        self.recorder.record(CAT_BARRIER_WAIT, cycle, self.last_done,
                              self.start)
 
     def drain(self) -> Tuple:
         return self.recorder.drain()
-
-
-@dataclass(frozen=True, slots=True)
-class LiveSpan:
-    """One merged, clock-aligned span of a live run.
-
-    Times are microseconds since the coordinator's flight recorder was
-    created (one absolute axis across all actors and processes).
-    ``wait_us`` is the measured delivery delay of the message that
-    triggered this span — send timestamp on the *sender's* clock,
-    aligned, clamped at zero (clock alignment across processes is
-    wall-clock accurate, not perfect).  ``busy_us`` on a match span is
-    the actor core's cumulative model-priced busy time at the end of
-    the span, so the last match span of a cycle carries exactly the
-    ``proc_busy_us`` the barrier stats report.
-    """
-
-    category: str
-    actor: int
-    cycle: int
-    start_us: float
-    end_us: float
-    n: int = 1
-    act_id: int = -1
-    src: Optional[int] = None
-    wait_us: float = 0.0
-    busy_us: float = 0.0
-    generation: int = 0
-
-    @property
-    def duration_us(self) -> float:
-        return self.end_us - self.start_us
-
-    @property
-    def is_busy(self) -> bool:
-        return self.category not in LIVE_IDLE_CATEGORIES
 
 
 @dataclass
@@ -233,7 +188,7 @@ class LiveTimeline:
     trace_name: str
     n_procs: int
     transport: str
-    spans: List[LiveSpan] = field(default_factory=list)
+    spans: List[Span] = field(default_factory=list)
     #: Committed cycle index -> the generation whose spans count.
     committed: Dict[int, int] = field(default_factory=dict)
     #: Total ring-buffer overwrites across every drained recorder.
@@ -242,40 +197,24 @@ class LiveTimeline:
     def cycle_indices(self) -> List[int]:
         return sorted({s.cycle for s in self.spans if s.cycle >= 0})
 
-    def by_cycle(self) -> Dict[int, List[LiveSpan]]:
-        out: Dict[int, List[LiveSpan]] = {}
+    def by_cycle(self) -> Dict[int, List[Span]]:
+        out: Dict[int, List[Span]] = {}
         for span in self.spans:
             out.setdefault(span.cycle, []).append(span)
         return out
 
-    def spans_for(self, actor: int) -> List[LiveSpan]:
-        return [s for s in self.spans if s.actor == actor]
+    # -- the exportable-timeline protocol of repro.obs.spans ---------------
+    has_network = False
 
-    def duration_us(self) -> float:
-        if not self.spans:
-            return 0.0
-        return (max(s.end_us for s in self.spans)
-                - min(s.start_us for s in self.spans))
+    def export_header(self) -> Tuple[str, Dict[str, object]]:
+        return (f"repro live {self.trace_name} @{self.n_procs} actors "
+                f"({self.transport})",
+                {"trace": self.trace_name, "n_procs": self.n_procs,
+                 "transport": self.transport, "dropped": self.dropped})
 
-    def summary(self) -> Dict[str, object]:
-        """JSON-ready overview (the CLI's ``--json`` payload slice)."""
-        by_category: Dict[str, int] = {}
-        wait_us = 0.0
-        for span in self.spans:
-            by_category[span.category] = \
-                by_category.get(span.category, 0) + 1
-            wait_us += span.wait_us
-        return {
-            "trace": self.trace_name,
-            "n_procs": self.n_procs,
-            "transport": self.transport,
-            "n_spans": len(self.spans),
-            "n_cycles": len(self.committed),
-            "spans_by_category": dict(sorted(by_category.items())),
-            "message_wait_us": wait_us,
-            "duration_us": self.duration_us(),
-            "dropped": self.dropped,
-        }
+    def segments(self) -> List[tuple]:
+        """One segment: absolute span times, each span's own cycle."""
+        return [(0.0, None, 1, None, self.spans)]
 
 
 class LiveTraceCollector:
@@ -345,7 +284,7 @@ class LiveTraceCollector:
                                 n_procs=self.n_procs,
                                 transport=self.transport,
                                 committed=dict(self.committed))
-        coordinator_spans = (LIVE_CYCLE, LIVE_RESTART, LIVE_REPLAY)
+        coordinator_spans = (CAT_CYCLE, CAT_RESTART, CAT_CHECKPOINT_REPLAY)
         for drain in self._drains:
             _, actor, generation, _, _, _, raw_spans, dropped = drain
             timeline.dropped += dropped
@@ -363,120 +302,14 @@ class LiveTraceCollector:
                         wait_us = max(
                             0.0,
                             ((start_s + off) - (sent_s + src_off)) * 1e6)
-                timeline.spans.append(LiveSpan(
-                    category=category, actor=actor, cycle=cycle,
+                timeline.spans.append(Span(
+                    category=category, proc=actor, cycle=cycle,
                     start_us=(start_s + off) * 1e6,
                     end_us=(end_s + off) * 1e6,
                     n=n, act_id=act_id, src=src, wait_us=wait_us,
                     busy_us=busy_us, generation=generation))
-        timeline.spans.sort(key=lambda s: (s.start_us, s.actor))
+        timeline.spans.sort(key=lambda s: (s.start_us, s.proc))
         return timeline
-
-
-# ---------------------------------------------------------------------------
-# Export: the same formats as the simulator's ``repro profile``
-# ---------------------------------------------------------------------------
-
-
-def _live_thread_ids(n_procs: int) -> Dict[int, int]:
-    """Chrome tid per row: control first, then actors — the same
-    layout as :func:`repro.mpc.timeline.chrome_trace`, so a live trace
-    and its simulated twin line up row for row in Perfetto."""
-    tids = {CONTROL: 0}
-    for p in range(n_procs):
-        tids[p] = p + 1
-    return tids
-
-
-def _live_thread_name(actor: int) -> str:
-    return "control" if actor == CONTROL else f"actor {actor}"
-
-
-def chrome_trace_live(timeline: LiveTimeline) -> Dict[str, object]:
-    """The live timeline as a Chrome trace-event JSON object.
-
-    Timestamps are microseconds on the merged coordinator axis; load
-    the written file in Perfetto (https://ui.perfetto.dev) next to a
-    ``repro profile --format chrome`` export of the same section to
-    compare measured against modeled behavior span by span.
-    """
-    tids = _live_thread_ids(timeline.n_procs)
-    events: List[Dict[str, object]] = [
-        {"name": "process_name", "ph": "M", "pid": 0,
-         "args": {"name": f"repro live {timeline.trace_name} "
-                          f"@{timeline.n_procs} actors "
-                          f"({timeline.transport})"}},
-    ]
-    for actor, tid in sorted(tids.items(), key=lambda kv: kv[1]):
-        events.append({"name": "thread_name", "ph": "M", "pid": 0,
-                       "tid": tid,
-                       "args": {"name": _live_thread_name(actor)}})
-    for span in timeline.spans:
-        args: Dict[str, object] = {"cycle": span.cycle}
-        if span.n != 1:
-            args["n"] = span.n
-        if span.act_id >= 0:
-            args["act_id"] = span.act_id
-        if span.src is not None:
-            args["src"] = _live_thread_name(span.src)
-            args["wait_us"] = span.wait_us
-        if span.busy_us:
-            args["busy_us"] = span.busy_us
-        if span.generation:
-            args["generation"] = span.generation
-        events.append({
-            "name": span.category, "cat": span.category, "ph": "X",
-            "ts": span.start_us, "dur": span.duration_us,
-            "pid": 0, "tid": tids.get(span.actor, span.actor + 1),
-            "args": args})
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "trace": timeline.trace_name,
-            "n_procs": timeline.n_procs,
-            "transport": timeline.transport,
-            "dropped": timeline.dropped,
-        },
-    }
-
-
-def write_chrome_trace_live(timeline: LiveTimeline,
-                            stream: IO[str]) -> int:
-    """Write :func:`chrome_trace_live` JSON; returns the event count."""
-    payload = chrome_trace_live(timeline)
-    json.dump(payload, stream, separators=(",", ":"))
-    return len(payload["traceEvents"])  # type: ignore[arg-type]
-
-
-def live_jsonl(timeline: LiveTimeline) -> Iterator[str]:
-    """One JSON line per merged span (the ``repro profile`` JSONL
-    shape, with live-only fields added)."""
-    for span in timeline.spans:
-        record = {
-            "trace": timeline.trace_name,
-            "cycle": span.cycle,
-            "proc": _live_thread_name(span.actor),
-            "category": span.category,
-            "start_us": span.start_us,
-            "end_us": span.end_us,
-            "act_id": span.act_id if span.act_id >= 0 else None,
-            "busy": span.is_busy,
-            "n": span.n,
-            "src": (None if span.src is None
-                    else _live_thread_name(span.src)),
-            "wait_us": span.wait_us,
-            "generation": span.generation,
-        }
-        yield json.dumps(record, separators=(",", ":"))
-
-
-def write_live_jsonl(timeline: LiveTimeline, stream: IO[str]) -> int:
-    n = 0
-    for line in live_jsonl(timeline):
-        stream.write(line + "\n")
-        n += 1
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +344,7 @@ def reconcile_live(timeline: LiveTimeline, result) -> None:
         sends = 0
         for actor in range(timeline.n_procs):
             matches = [s for s in spans
-                       if s.actor == actor and s.category == LIVE_MATCH]
+                       if s.proc == actor and s.category == CAT_MATCH]
             delivered = sum(s.n for s in matches)
             expected = cycle_result.proc_activations[actor]
             if delivered != expected:
@@ -525,7 +358,7 @@ def reconcile_live(timeline: LiveTimeline, result) -> None:
                     f"cycle {index}: actor {actor} traced busy "
                     f"{busy!r} us != counter {expected_busy!r} us")
             sends += sum(s.n for s in spans
-                         if s.actor == actor and s.category == LIVE_SEND)
+                         if s.proc == actor and s.category == CAT_SEND)
         expected_sends = cycle_result.n_messages - 1
         if sends != expected_sends:
             raise ValueError(
@@ -567,7 +400,7 @@ def live_attribution(timeline: LiveTimeline):
     n_procs = timeline.n_procs
     for index in sorted(timeline.committed):
         spans = by_cycle.get(index, [])
-        cycle_spans = [s for s in spans if s.category == LIVE_CYCLE]
+        cycle_spans = [s for s in spans if s.category == CAT_CYCLE]
         if cycle_spans:
             makespan_us = max(s.duration_us for s in cycle_spans)
         elif spans:
@@ -582,20 +415,20 @@ def live_attribution(timeline: LiveTimeline):
         for actor in range(n_procs):
             busy = 0.0
             for span in spans:
-                if span.actor != actor:
+                if span.proc != actor:
                     continue
-                if span.category in (LIVE_MATCH, LIVE_SEND):
+                if span.category in (CAT_MATCH, CAT_SEND):
                     busy += span.duration_us
                     busy_by_category[span.category] = \
                         busy_by_category.get(span.category, 0.0) \
                         + span.duration_us
                     wait_total += span.wait_us
-                elif span.category == LIVE_BARRIER:
+                elif span.category == CAT_BARRIER_WAIT:
                     barrier_total += span.duration_us
             per_proc_idle.append(max(0.0, makespan_us - busy))
         protocol_raw = sum(
             s.duration_us for s in spans
-            if s.category in (LIVE_RESTART, LIVE_REPLAY)) * n_procs
+            if s.category in (CAT_RESTART, CAT_CHECKPOINT_REPLAY)) * n_procs
         remaining = sum(per_proc_idle)
         idle_by_category = {category: 0.0
                             for category in IDLE_CATEGORIES}
@@ -641,7 +474,8 @@ def dump_flight(collector: LiveTraceCollector, reason: str,
     Called automatically by the traced executors when a run dies with
     a typed :class:`~repro.exec.errors.ExecutorError`; the first line
     is a header object (trace, reason, committed map, drop counts),
-    each following line one span in the :func:`live_jsonl` shape.
+    each following line one span in the
+    :func:`~repro.obs.spans.timeline_jsonl` shape.
     Returns the written path.
     """
     timeline = collector.build(committed_only=False)
@@ -658,7 +492,7 @@ def dump_flight(collector: LiveTraceCollector, reason: str,
             "dropped": timeline.dropped,
         }
         stream.write(json.dumps(header, separators=(",", ":")) + "\n")
-        write_live_jsonl(timeline, stream)
+        write_timeline_jsonl(timeline, stream)
     from . import get_registry
     get_registry().counter("trace_live.dumps").inc()
     return path

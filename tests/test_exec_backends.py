@@ -19,9 +19,10 @@ from repro.exec import (CONTROL, ActorCyclePlan, ActorExecutor, BACKENDS,
                         Executor, MatchActorCore, RunHandle, SimExecutor,
                         SupervisePolicy, build_plans, expected_fires,
                         get_executor, match_signature, run)
-from repro.mpc import (TABLE_5_1, FaultModel, RunConfig,
+from repro.mpc import (TABLE_5_1, CostModel, FaultModel, RunConfig,
                        TimelineRecorder, simulate_config)
 from repro.ops5 import parse_program
+from repro.trace.events import materialize
 from repro.trace.recorder import record_program
 from repro.workloads import (StreamSpec, SyntheticStream, rubik_match_program,
                              rubik_section, weaver_section)
@@ -213,6 +214,25 @@ class TestPlanChecksums:
                 assert share.checksum == (
                     len(acts), sum(1 for spec in acts.values() if spec[0]),
                     sum(acts), functools.reduce(operator.xor, acts, 0))
+
+    def test_stream_walked_once_with_search_costs(self, monkeypatch):
+        """Deletion-search surcharges are charged inside the plan walk,
+        so each active cycle of a stream is built once, not twice."""
+        stream = SyntheticStream(StreamSpec(
+            active_cycles=3, idle_between=2, activations_per_cycle=10))
+        config = RunConfig(n_procs=2,
+                           costs=CostModel(delete_search_us=1.0))
+        built = []
+        build_cycle = SyntheticStream._build_cycle
+
+        def counting(self, index, position):
+            built.append(index)
+            return build_cycle(self, index, position)
+
+        monkeypatch.setattr(SyntheticStream, "_build_cycle", counting)
+        plans = build_plans(stream, config)
+        assert len(built) == 3
+        assert plans == build_plans(materialize(stream), config)
 
 
 class TestRunHandle:

@@ -381,7 +381,7 @@ class TestRestartObservability:
                              "supervise.crashes")}
 
     def test_restart_spans_match_counters_and_generation(self, rubik):
-        from repro.obs.trace import LIVE_RESTART
+        from repro.obs.spans import CAT_RESTART
         first = rubik.cycles[0].index
         chaos = ChaosPolicy(seed=3, kills=((first, 1),))
         config = RunConfig(n_procs=4, overheads=OV8, supervise=FAST,
@@ -397,7 +397,7 @@ class TestRestartObservability:
             == before["supervise.giveups"]
         timeline = outcome.live
         restart_spans = [s for s in timeline.spans
-                         if s.category == LIVE_RESTART]
+                         if s.category == CAT_RESTART]
         assert len(restart_spans) == restarts
         # The killed cycle committed on a later generation; each
         # restart advances the generation by exactly one.
@@ -427,7 +427,7 @@ class TestRestartObservability:
 
     def test_exhaustion_replay_spans_in_flight_dump(
             self, rubik, tmp_path, monkeypatch):
-        from repro.obs.trace import LIVE_REPLAY, LIVE_RESTART
+        from repro.obs.spans import CAT_CHECKPOINT_REPLAY, CAT_RESTART
         monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path))
         first = rubik.cycles[0].index
         chaos = ChaosPolicy(seed=3, persistent_kills=((first, 0),))
@@ -442,8 +442,8 @@ class TestRestartObservability:
                       for line in lines[1:]]
         # One restart window per counted restart, one failed-replay
         # window per re-attempt: both reconcile with max_restarts.
-        assert categories.count(LIVE_RESTART) == FAST.max_restarts
-        assert categories.count(LIVE_REPLAY) == FAST.max_restarts
+        assert categories.count(CAT_RESTART) == FAST.max_restarts
+        assert categories.count(CAT_CHECKPOINT_REPLAY) == FAST.max_restarts
 
 
 class TestSupervisedEntryPoints:

@@ -61,13 +61,16 @@ TIMING_POS = [i for i, f in enumerate(dataclasses.fields(CycleResult))
 #: ``zero_fault`` and ``lossy`` digests are those outputs with
 #: ``recovery_us`` as a float, which faulty cycles carry since
 #: :meth:`~repro.mpc.FaultModel.recovery_in_cycle` sums from ``0.0``.
+#: The ``recorded`` digest hashes ``repr`` of the spans: it is the
+#: earlier recorder's spans, same values, printed in the shared
+#: :class:`~repro.obs.spans.Span` repr (live-only fields at defaults).
 PARENT_FINGERPRINTS = {
     "dense":
         "3b626c4f8076e927ed9eba87109b47f30175cd3965c57d031b79c41ad38745c5",
     "active":
         "3b626c4f8076e927ed9eba87109b47f30175cd3965c57d031b79c41ad38745c5",
     "recorded":
-        "9c555475d2451f4312f60adafee56adcd6fd0436a0463659705676afec0365b4",
+        "abe33bb49f39edea4373401e82bbdf867d9048533661b2b5861b4da3c6905fbd",
     "zero_fault":
         "49f6823b0c87bf4f8be95687cc77845ad49465bebc5f135c92d32427b193db12",
     "lossy":

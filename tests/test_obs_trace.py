@@ -22,14 +22,15 @@ import pytest
 
 from repro.exec import (ActorExecutor, ChaosPolicy, RestartsExhausted,
                         match_signature, run)
-from repro.mpc import TABLE_5_1, RunConfig, SupervisePolicy
-from repro.obs import get_registry
-from repro.obs.trace import (CONTROL, LIVE_BARRIER, LIVE_CYCLE,
-                             LIVE_MATCH, LIVE_REPLAY, LIVE_RESTART,
-                             LIVE_SEND, FlightRecorder,
-                             LiveTraceCollector, chrome_trace_live,
+from repro.mpc import (TABLE_5_1, RunConfig, SupervisePolicy,
+                       TimelineRecorder, simulate_config)
+from repro.obs import chrome_trace, get_registry, timeline_jsonl
+from repro.obs.spans import (CAT_BARRIER_WAIT, CAT_CHECKPOINT_REPLAY,
+                             CAT_CYCLE, CAT_MATCH, CAT_RESTART, CAT_SEND,
+                             CONTROL)
+from repro.obs.trace import (FlightRecorder, LiveTraceCollector,
                              dump_flight, live_attribution,
-                             live_jsonl, reconcile_live)
+                             reconcile_live)
 from repro.workloads.generator import SectionSpec, generate_section
 
 OV8 = next(o for o in TABLE_5_1 if o.total_us == 8)
@@ -97,7 +98,7 @@ class TestClockAlignment:
         collector.add_drain(recorder.drain())
         collector.commit(0, 0)
         timeline = collector.build()
-        span = [s for s in timeline.spans if s.actor == 0][0]
+        span = [s for s in timeline.spans if s.proc == 0][0]
         # Same-pid recorders share the perf clock: exact placement on
         # the axis whose origin is the collector's own recorder.
         assert span.start_us == pytest.approx(0.25e6)
@@ -114,7 +115,7 @@ class TestClockAlignment:
         collector.add_drain(drain)
         collector.commit(0, 0)
         timeline = collector.build()
-        span = [s for s in timeline.spans if s.actor == 0][0]
+        span = [s for s in timeline.spans if s.proc == 0][0]
         assert span.start_us == pytest.approx(1.25e6, rel=1e-6)
         assert span.duration_us == pytest.approx(0.5e6)
 
@@ -126,10 +127,10 @@ class TestClockAlignment:
             collector.add_drain(recorder.drain())
         collector.commit(0, 1)
         committed = collector.build()
-        actor_spans = [s for s in committed.spans if s.actor == 0]
+        actor_spans = [s for s in committed.spans if s.proc == 0]
         assert [s.generation for s in actor_spans] == [1]
         everything = collector.build(committed_only=False)
-        assert len([s for s in everything.spans if s.actor == 0]) == 2
+        assert len([s for s in everything.spans if s.proc == 0]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -155,22 +156,22 @@ class TestTracedRuns:
         config = RunConfig(n_procs=4, overheads=OV8)
         timeline = traced_run(small, config).live
         categories = {s.category for s in timeline.spans}
-        assert {LIVE_CYCLE, LIVE_MATCH, LIVE_SEND,
-                LIVE_BARRIER} <= categories
+        assert {CAT_CYCLE, CAT_MATCH, CAT_SEND,
+                CAT_BARRIER_WAIT} <= categories
         assert sorted(timeline.committed) \
             == [c.index for c in small.cycles]
         # One coordinator cycle span per committed cycle.
         cycle_spans = [s for s in timeline.spans
-                       if s.category == LIVE_CYCLE]
+                       if s.category == CAT_CYCLE]
         assert len(cycle_spans) == len(small.cycles)
-        assert all(s.actor == CONTROL for s in cycle_spans)
+        assert all(s.proc == CONTROL for s in cycle_spans)
 
     def test_reconcile_rejects_tampered_counts(self, small):
         config = RunConfig(n_procs=2, overheads=OV8)
         traced = traced_run(small, config)
         timeline = traced.live
         victim = next(i for i, s in enumerate(timeline.spans)
-                      if s.category == LIVE_MATCH and s.n > 0)
+                      if s.category == CAT_MATCH and s.n > 0)
         span = timeline.spans[victim]
         import dataclasses
         timeline.spans[victim] = dataclasses.replace(span, n=span.n + 1)
@@ -207,18 +208,18 @@ class TestSupervisedTracing:
         assert restarts >= 1
         timeline = outcome.live
         restart_spans = [s for s in timeline.spans
-                         if s.category == LIVE_RESTART]
+                         if s.category == CAT_RESTART]
         assert len(restart_spans) == restarts
-        assert all(s.actor == CONTROL for s in restart_spans)
+        assert all(s.proc == CONTROL for s in restart_spans)
         # A one-shot kill fails only the first attempt, so no failed
         # *replay* windows exist (those are pinned by the persistent-
         # kill dump test below).
-        assert not any(s.category == LIVE_REPLAY
+        assert not any(s.category == CAT_CHECKPOINT_REPLAY
                        for s in timeline.spans)
         # Only the surviving generation's actor spans are merged.
         for index, generation in timeline.committed.items():
             for span in timeline.spans:
-                if span.cycle == index and span.actor != CONTROL:
+                if span.cycle == index and span.proc != CONTROL:
                     assert span.generation == generation
         reconcile_live(timeline, outcome.result)
         sim_sig = match_signature(run(small, config, backend="sim"))
@@ -248,8 +249,8 @@ class TestSupervisedTracing:
         # The coordinator's failure story is in the dump.
         categories = {json.loads(line)["category"]
                       for line in lines[1:]}
-        assert LIVE_RESTART in categories
-        assert LIVE_REPLAY in categories
+        assert CAT_RESTART in categories
+        assert CAT_CHECKPOINT_REPLAY in categories
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +277,7 @@ class TestExport:
     def test_chrome_trace_layout(self, small):
         config = RunConfig(n_procs=2, overheads=OV8)
         timeline = traced_run(small, config).live
-        payload = chrome_trace_live(timeline)
+        payload = chrome_trace(timeline)
         events = payload["traceEvents"]
         meta = [e for e in events if e["ph"] == "M"]
         spans = [e for e in events if e["ph"] == "X"]
@@ -285,16 +286,33 @@ class TestExport:
         assert len(spans) == len(timeline.spans)
         names = {e["args"]["name"] for e in meta
                  if e["name"] == "thread_name"}
-        assert names == {"control", "actor 0", "actor 1"}
+        assert names == {"control", "proc 0", "proc 1"}
         assert all(e["dur"] >= 0 for e in spans)
         assert payload["otherData"]["transport"] == "asyncio"
 
     def test_jsonl_mirrors_spans(self, small):
         config = RunConfig(n_procs=2, overheads=OV8)
         timeline = traced_run(small, config).live
-        lines = list(live_jsonl(timeline))
+        lines = list(timeline_jsonl(timeline))
         assert len(lines) == len(timeline.spans)
         first = json.loads(lines[0])
         assert first["trace"] == timeline.trace_name
         assert {"cycle", "proc", "category", "start_us", "end_us",
                 "wait_us", "generation"} <= set(first)
+
+    def test_sim_and_live_exports_share_one_layout(self, small):
+        """A recorded simulation and a live traced run of one section
+        export the same rows and the same JSONL keys."""
+        config = RunConfig(n_procs=2, overheads=OV8)
+        recorder = TimelineRecorder()
+        simulate_config(small, config.replace(recorder=recorder))
+        timelines = (recorder.timeline, traced_run(small, config).live)
+        rows = [{e["tid"]: e["args"]["name"]
+                 for e in chrome_trace(t)["traceEvents"]
+                 if e["name"] == "thread_name"} for t in timelines]
+        for by_tid in rows:
+            assert [by_tid[tid] for tid in range(3)] \
+                == ["control", "proc 0", "proc 1"]
+        key_sets = {frozenset(json.loads(line))
+                    for t in timelines for line in timeline_jsonl(t)}
+        assert len(key_sets) == 1
