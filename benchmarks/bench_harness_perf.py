@@ -26,9 +26,9 @@ import pathlib
 import platform
 import resource
 import statistics
-import subprocess
 import time
 
+from conftest import git_revision, quartiles
 from repro.exec import RunResult, match_signature, run, run_section_async
 from repro.exec.mp import run_section_process
 from repro.mpc import (DEFAULT_COSTS, DEFAULT_PROC_COUNTS,
@@ -298,11 +298,6 @@ def _live_windows():
     return windows
 
 
-def _quartiles(values, digits=1):
-    q1, q2, q3 = statistics.quantiles(values, n=4)
-    return {"median": round(q2, digits), "iqr": round(q3 - q1, digits)}
-
-
 def test_live_sessions(report):
     """What a live session costs on each transport's one (supervised)
     engine.  An asyncio burst runs every window as a concurrent session
@@ -341,8 +336,8 @@ def test_live_sessions(report):
         "sessions_per_burst": len(windows),
         "bursts": {"asyncio": LIVE_BURSTS, "process": PROCESS_BURSTS},
         "cpus": os.cpu_count(),
-        "asyncio_per_s": _quartiles(asyncio_rates),
-        "process_per_s": _quartiles(process_rates),
+        "asyncio_per_s": quartiles(asyncio_rates),
+        "process_per_s": quartiles(process_rates),
     }
     _merge_results({"live_sessions": section})
     report("live_sessions", json.dumps(section, indent=2)
@@ -351,20 +346,6 @@ def test_live_sessions(report):
 
 #: Alternating rounds of the single-processor timing.
 SINGLE_ROUNDS = 15
-
-
-def _git_revision() -> str:
-    """``HEAD``'s short hash, suffixed ``-dirty`` when ``src/`` has
-    uncommitted changes: the code the numbers were measured on."""
-    def git(*args):
-        return subprocess.run(("git",) + args, cwd=ROOT, check=True,
-                              capture_output=True, text=True).stdout.strip()
-    try:
-        rev = git("rev-parse", "--short", "HEAD")
-        dirty = git("status", "--porcelain", "--", "src")
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-    return rev + ("-dirty" if dirty else "")
 
 
 def test_single_processor(report):
@@ -407,9 +388,9 @@ def test_single_processor(report):
                 "per-cycle loops; reference = mpc._reference, general = "
                 "_simulate_cycle at n_procs=1, single = the FIFO pass",
         "cpus": os.cpu_count(),
-        "git_revision": _git_revision(),
+        "git_revision": git_revision(),
         "n": SINGLE_ROUNDS,
-        **{f"{name}_s": _quartiles(values, digits=5)
+        **{f"{name}_s": quartiles(values, digits=5)
            for name, values in times.items()},
         "general_over_single": {
             "median": round(statistics.median(ratios), 2),

@@ -6,13 +6,17 @@ and the flattened kernel, twice: untraced, and
 *recorded* — a :class:`~repro.trace.recorder.TraceRecorder` attached and
 its section built, the path every program in the trace pipeline takes.
 It also times the CORGI-style adversarial cross-product at two sizes to
-confirm cost stays quadratic in token count.  Every timed pair also
-cross-checks final conflict sets (and recorded sections), so a kernel
-that got fast by getting wrong fails here before it fails anywhere
-else.
+confirm cost stays quadratic in token count, and a negated CE with one
+relational test and no equality key (the tourney ``leader`` shape)
+against the reference engine.  Every timed pair also cross-checks final
+conflict sets (and recorded sections), so a kernel that got fast by
+getting wrong fails here before it fails anywhere else.
 
 Results are written machine-readably to ``BENCH_rete.json`` at the repo
-root so the match-throughput trajectory is tracked across PRs.  Run::
+root so the match-throughput trajectory is tracked across PRs.  Every
+timing is the median and IQR of ``n`` round-robin repeats, and the
+machine block names the CPU count, Python version and git revision.
+Run::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_rete_perf.py -s
 """
@@ -23,12 +27,13 @@ import json
 import os
 import pathlib
 import platform
+import statistics
 import time
 
-from conftest import once
+from conftest import git_revision, once, quartiles
 from repro.rete import ReferenceReteNetwork, ReteNetwork
 from repro.trace.recorder import TraceRecorder
-from repro.workloads import (adversarial_cross_product,
+from repro.workloads import (adversarial_cross_product, negated_range,
                              record_match_deltas, replay_deltas,
                              rubik_match_program, tourney_match_program,
                              weaver_match_program)
@@ -56,6 +61,15 @@ RUBIK_MIN_SPEEDUP = 2.0
 #: regression (ratio 8).
 ADVERSARIAL_MAX_RATIO = 6.0
 
+#: Kernel-over-reference floor for the negated range test.  The
+#: reference scans the whole right bucket per token (n² predicate calls
+#: per ctl); the kernel bisects a sorted index.  A kernel that scans
+#: as well reads about 7-11x, the index about 70-90x (2-CPU box).
+NEGATED_RANGE_MIN_SPEEDUP = 30.0
+
+#: Round-robin repeats per timed leg.
+REPEATS = 5
+
 
 def _merge_results(update: dict) -> dict:
     """Merge *update* into ``BENCH_rete.json`` (section-wise), so the
@@ -69,14 +83,8 @@ def _merge_results(update: dict) -> dict:
     return results
 
 
-def _best_of(fn, repeats: int = 5) -> float:
-    """Minimum wall time of *fn* over *repeats* runs (noise floor)."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+def _seconds(samples) -> dict:
+    return quartiles(samples, digits=5)
 
 
 def _signature(conflict_set):
@@ -85,9 +93,10 @@ def _signature(conflict_set):
                   for inst in conflict_set)
 
 
-def _time_replays(factories, script, repeats: int = 5,
+def _time_replays(factories, program, deltas, repeats: int = REPEATS,
                   recorded: bool = False):
-    """Best replay seconds and final signature per factory.
+    """Replay seconds (one sample per repeat) and final signature per
+    factory.
 
     The engines are timed round-robin (ref, fast, ... ref, fast, ...)
     rather than back to back, so drifting machine load lands on every
@@ -96,29 +105,29 @@ def _time_replays(factories, script, repeats: int = 5,
     observes every activation and its section is built inside the
     timed region; the signature then includes the section.
     """
-    best = [float("inf")] * len(factories)
+    samples = [[] for _ in factories]
     signatures = [None] * len(factories)
     for _ in range(repeats):
         for i, factory in enumerate(factories):
             matcher = factory()
             recorder = TraceRecorder(matcher) if recorded else None
             start = time.perf_counter()
-            conflict_set = replay_deltas(matcher, script.program,
-                                         script.deltas)
+            conflict_set = replay_deltas(matcher, program, deltas)
             section = recorder.section("replay") if recorded else None
-            best[i] = min(best[i], time.perf_counter() - start)
+            samples[i].append(time.perf_counter() - start)
             signatures[i] = (_signature(conflict_set), section)
-    return best, signatures
+    return samples, signatures
 
 
 def _machine() -> dict:
     return {"cpus": os.cpu_count(), "platform": platform.platform(),
-            "python": platform.python_version()}
+            "python": platform.python_version(),
+            "git_revision": git_revision()}
 
 
 def test_match_throughput(benchmark, report):
     results = {
-        "schema": 1,
+        "schema": 2,
         "generated_unix": int(time.time()),
         "machine": _machine(),
     }
@@ -133,24 +142,29 @@ def test_match_throughput(benchmark, report):
             script = record_match_deltas(make_source())
             assert script.halted, f"{name} did not halt"
             waves = script.wave_count()
-            (ref_s, fast_s), (ref_sig, fast_sig) = \
-                _time_replays((ReferenceReteNetwork, ReteNetwork), script)
+            engines = (ReferenceReteNetwork, ReteNetwork)
+            (ref, fast), (ref_sig, fast_sig) = _time_replays(
+                engines, script.program, script.deltas)
             assert fast_sig == ref_sig, f"{name}: fast diverged"
-            (rec_ref_s, rec_fast_s), (rec_ref_sig, rec_fast_sig) = \
-                _time_replays((ReferenceReteNetwork, ReteNetwork), script,
+            (rec_ref, rec_fast), (rec_ref_sig, rec_fast_sig) = \
+                _time_replays(engines, script.program, script.deltas,
                               recorded=True)
             assert rec_fast_sig == rec_ref_sig, \
                 f"{name}: recorded fast section diverged"
+            ref_s, fast_s = statistics.median(ref), statistics.median(fast)
+            rec_ref_s = statistics.median(rec_ref)
+            rec_fast_s = statistics.median(rec_fast)
             throughput[name] = {
                 "waves": waves,
                 "cycles": script.cycles,
-                "reference_s": round(ref_s, 5),
-                "fast_s": round(fast_s, 5),
+                "n": REPEATS,
+                "reference_s": _seconds(ref),
+                "fast_s": _seconds(fast),
                 "speedup": round(ref_s / fast_s, 2),
                 "fast_waves_per_s": round(waves / fast_s),
                 "reference_waves_per_s": round(waves / ref_s),
-                "recorded_reference_s": round(rec_ref_s, 5),
-                "recorded_fast_s": round(rec_fast_s, 5),
+                "recorded_reference_s": _seconds(rec_ref),
+                "recorded_fast_s": _seconds(rec_fast),
                 "recorded_speedup": round(rec_ref_s / rec_fast_s, 2),
                 "recorded_fast_waves_per_s": round(waves / rec_fast_s),
                 "activations": rec_fast_sig[1].total_activations(),
@@ -176,32 +190,36 @@ def test_match_throughput(benchmark, report):
 
 def test_adversarial_cross_product_stays_quadratic(benchmark, report):
     n = 48
+    cases = [adversarial_cross_product(size) for size in (n, 2 * n)]
 
-    def _time_case(size):
-        program, deltas = adversarial_cross_product(size)
-
-        def _replay():
-            matcher = ReteNetwork()
-            conflict_set = replay_deltas(matcher, program, deltas)
-            assert conflict_set == []
-            assert matcher.memories.is_empty()
-
-        return _best_of(_replay)
+    def _replay(program, deltas):
+        matcher = ReteNetwork()
+        start = time.perf_counter()
+        conflict_set = replay_deltas(matcher, program, deltas)
+        seconds = time.perf_counter() - start
+        assert conflict_set == []
+        assert matcher.memories.is_empty()
+        return seconds
 
     def _measure():
-        small_s = _time_case(n)
-        big_s = _time_case(2 * n)
+        small, big = [], []
+        for _ in range(REPEATS):
+            small.append(_replay(*cases[0]))
+            big.append(_replay(*cases[1]))
         return {"n": n,
-                "small_s": round(small_s, 5),
-                "big_s": round(big_s, 5),
-                "time_ratio_2n_over_n": round(big_s / small_s, 2)}
+                "repeats": REPEATS,
+                "small_s": _seconds(small),
+                "big_s": _seconds(big),
+                "time_ratio_2n_over_n": round(
+                    statistics.median(b / s for s, b in zip(small, big)),
+                    2)}
 
     adversarial = once(benchmark, _measure)
     _merge_results({"adversarial_cross_product": adversarial})
     report("bench_rete_adversarial",
            "Adversarial cross-product (all wmes share one join key)\n"
-           f"n={n}: {adversarial['small_s'] * 1e3:.1f}ms   "
-           f"n={2 * n}: {adversarial['big_s'] * 1e3:.1f}ms   "
+           f"n={n}: {adversarial['small_s']['median'] * 1e3:.1f}ms   "
+           f"n={2 * n}: {adversarial['big_s']['median'] * 1e3:.1f}ms   "
            f"ratio {adversarial['time_ratio_2n_over_n']:.2f} "
            f"(quadratic ideal 4.0, bound {ADVERSARIAL_MAX_RATIO})")
 
@@ -210,3 +228,33 @@ def test_adversarial_cross_product_stays_quadratic(benchmark, report):
         f"cross-product time ratio {ratio} for n -> 2n exceeds "
         f"{ADVERSARIAL_MAX_RATIO}: match cost is no longer quadratic "
         f"in token count")
+
+
+def test_negated_range_test(benchmark, report):
+    """``(ctl ^r <r>) (item ^v <v>) -(item ^v > <v>)`` over 192 items and
+    20 ctl replacements, kernel and reference timed round-robin."""
+    program, deltas = negated_range(n_items=192, n_toggles=20)
+
+    def _measure():
+        (ref, fast), (ref_sig, fast_sig) = _time_replays(
+            (ReferenceReteNetwork, ReteNetwork), program, deltas)
+        assert fast_sig == ref_sig and fast_sig[0], "kernel diverged"
+        return {"items": 192, "toggles": 20, "n": REPEATS,
+                "reference_s": _seconds(ref),
+                "fast_s": _seconds(fast),
+                "speedup": round(statistics.median(ref)
+                                 / statistics.median(fast), 1)}
+
+    row = once(benchmark, _measure)
+    _merge_results({"negated_range": row})
+    report("bench_rete_negated_range",
+           "Negated CE with one relational test and no equality key\n"
+           f"reference {row['reference_s']['median'] * 1e3:.1f}ms   "
+           f"kernel {row['fast_s']['median'] * 1e3:.1f}ms   "
+           f"speedup {row['speedup']:.1f}x "
+           f"(floor {NEGATED_RANGE_MIN_SPEEDUP}x)")
+
+    assert row["speedup"] >= NEGATED_RANGE_MIN_SPEEDUP, (
+        f"negated range speedup {row['speedup']}x is below the "
+        f"{NEGATED_RANGE_MIN_SPEEDUP}x floor: the kernel is scanning "
+        f"the right bucket per token")

@@ -13,6 +13,8 @@ also measures the harness itself.
 from __future__ import annotations
 
 import pathlib
+import statistics
+import subprocess
 
 import pytest
 
@@ -20,6 +22,7 @@ from repro.mpc import simulate_base
 from repro.workloads import rubik_section, tourney_section, weaver_section
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="session")
@@ -67,3 +70,25 @@ def once(benchmark, fn):
     """Run *fn* exactly once under pytest-benchmark (the simulations are
     deterministic; repeated rounds would only re-measure the same work)."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)
+
+
+def quartiles(values, digits=1):
+    """``{"median", "iqr"}`` of *values* (``statistics.quantiles``
+    quartiles), the spread every committed ``BENCH_*.json`` timing
+    carries."""
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return {"median": round(q2, digits), "iqr": round(q3 - q1, digits)}
+
+
+def git_revision() -> str:
+    """``HEAD``'s short hash, suffixed ``-dirty`` when ``src/`` has
+    uncommitted changes: the code the numbers were measured on."""
+    def git(*args):
+        return subprocess.run(("git",) + args, cwd=ROOT, check=True,
+                              capture_output=True, text=True).stdout.strip()
+    try:
+        rev = git("rev-parse", "--short", "HEAD")
+        dirty = git("status", "--porcelain", "--", "src")
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return rev + ("-dirty" if dirty else "")

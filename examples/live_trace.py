@@ -79,14 +79,15 @@ def attribute(timeline):
 
 def export(timeline):
     print("--- 4. Chrome trace export ---")
-    out = pathlib.Path(tempfile.mkdtemp()) / "live.trace.json"
-    n_events = write_chrome_trace(timeline, out)
-    payload = json.loads(out.read_text())
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp) / "live.trace.json"
+        n_events = write_chrome_trace(timeline, out)
+        payload = json.loads(out.read_text())
     threads = {e["args"]["name"] for e in payload["traceEvents"]
                if e.get("name") == "thread_name"}
     # The same row names as a simulated ``repro profile`` export.
     assert threads == {"control"} | {f"proc {p}" for p in range(N_PROCS)}
-    print(f"wrote {n_events} events to {out}")
+    print(f"wrote {n_events} events to a Chrome trace file")
     print(f"Perfetto rows: {sorted(threads)}\n")
 
 

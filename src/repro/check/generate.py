@@ -54,6 +54,9 @@ PRODUCTION_CATALOGUE: Tuple[str, ...] = (
     "(p neg (a) -(c) --> (remove 1))",
     "(p negjoin (a ^p <x>) -(b ^p <x>) --> (remove 1))",
     "(p negmid (a ^p <x>) -(c ^p <x>) (b) --> (remove 1))",
+    "(p negrel (a ^p <x>) -(b ^q > <x>) --> (remove 1))",
+    "(p negrelkey (a ^p <k> ^q <x>) -(b ^p <k> ^q <= <x>)"
+    " --> (remove 1))",
     "(p rel (a ^p <x>) (b ^p > <x>) --> (remove 1))",
     "(p intra (a ^p <x> ^q <x>) --> (remove 1))",
     "(p selfjoin (a ^p <x>) (a ^q <x>) --> (remove 1))",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Sequence, Tuple, Union
 
 from .errors import SemanticError
@@ -324,6 +325,10 @@ class Production:
 
     def specificity(self) -> int:
         """Number of tests in the LHS; the LEX tie-breaker."""
+        return self._specificity
+
+    @cached_property
+    def _specificity(self) -> int:
         return sum(1 + len(ce.tests) for ce in self.lhs)
 
     def validate(self) -> None:

@@ -74,6 +74,13 @@ class Instantiation:
             tuple(-w.wme_id for w in self.wmes),
         )
 
+    @cached_property
+    def mea_key(self) -> Tuple:
+        """MEA ordering: recency of the first-CE wme dominates, then
+        :attr:`lex_key`."""
+        first = self.wmes[0].timestamp if self.wmes else -1
+        return (first,) + self.lex_key
+
     def key(self) -> Tuple[str, Tuple[int, ...]]:
         """Identity for refraction: production name + matched wme ids."""
         return self.refraction_key
@@ -106,18 +113,6 @@ class Strategy(enum.Enum):
     MEA = "mea"
 
 
-def _lex_sort_key(inst: Instantiation) -> Tuple:
-    """LEX ordering: the instantiation's cached :attr:`~Instantiation
-    .lex_key`."""
-    return inst.lex_key
-
-
-def _mea_sort_key(inst: Instantiation) -> Tuple:
-    """MEA: recency of the first-CE wme dominates, then LEX ordering."""
-    first = inst.wmes[0].timestamp if inst.wmes else -1
-    return (first,) + inst.lex_key
-
-
 def select(conflict_set, strategy: Strategy = Strategy.LEX,
            fired: Optional[set] = None) -> Optional[Instantiation]:
     """Pick the winning instantiation, honouring refraction.
@@ -133,10 +128,17 @@ def select(conflict_set, strategy: Strategy = Strategy.LEX,
 
     Returns
     -------
-    The chosen instantiation, or None when every candidate has fired
-    (i.e. the program has quiesced).
+    The chosen instantiation — the first maximal unfired candidate — or
+    None when every candidate has fired (i.e. the program has quiesced).
+    Only a candidate whose key beats the best so far is looked up in
+    *fired*: a loser cannot win whether it fired or not.
     """
-    fired = fired or set()
-    key = _lex_sort_key if strategy is Strategy.LEX else _mea_sort_key
-    return max((inst for inst in conflict_set
-                if inst.refraction_key not in fired), key=key, default=None)
+    fired = fired or ()
+    mea = strategy is Strategy.MEA
+    best = best_key = None
+    for inst in conflict_set:
+        key = inst.mea_key if mea else inst.lex_key
+        if (best is None or key > best_key) \
+                and inst.refraction_key not in fired:
+            best, best_key = inst, key
+    return best

@@ -33,14 +33,14 @@ oracle and the differential fuzz suite pin this equivalence.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..ops5.ast import Constant, Predicate
 from ..ops5.conflict import Instantiation
 from ..ops5.values import NIL
 from ..ops5.wme import WME
 from .hashing import BucketKey, interned_key, intern_value
-from .memory import FlatMemories
+from .memory import BISECT_COUNTS, FlatMemories, RangeIndex
 from .nodes import JoinNode, NegativeNode, ProductionNode
 from .predicates import compile_constant_test, compile_predicate
 from .stats import ActivationEvent
@@ -204,6 +204,10 @@ class ReteKernel:
         #: is the parent's, shared, with no per-extension rebuild
         self.copy_values: List[bool] = [False] * n
         self.neg_counts: List[Optional[Dict]] = [None] * n
+        #: negative nodes whose one residual test is relational count
+        #: their right bucket through its range index with this (see
+        #: :meth:`RangeIndex.count`); None elsewhere
+        self.range_count: List[Optional[Callable]] = [None] * n
         self.term_prod: List[Any] = [None] * n
         self.term_names: List[Tuple[str, ...]] = [()] * n
         self.term_insts: List[Optional[Dict]] = [None] * n
@@ -242,6 +246,9 @@ class ReteKernel:
             if isinstance(node, NegativeNode):
                 self.kind[ci] = KIND_NEGATIVE
                 self.neg_counts[ci] = {}
+                if len(node.residual_tests) == 1:
+                    self.range_count[ci] = BISECT_COUNTS.get(
+                        node.residual_tests[0][1])
                 out_layout = layout
             else:
                 assert isinstance(node, JoinNode)
@@ -276,7 +283,8 @@ class ReteKernel:
         self._finish_ci = n
         self.kind.append(KIND_FINISH)
 
-        self.memories = FlatMemories(n)
+        self.memories = FlatMemories(
+            n, [ci for ci in range(n) if self.range_count[ci]])
         #: each node's key-less bucket (every terminal activation and
         #: every activation of a join without equality tests), shared
         #: by all events that report it
@@ -350,24 +358,37 @@ class ReteKernel:
         """
         get = wme.attrs.get
         key = tuple([get(a, NIL) for a in self.right_key_attrs[ci]])
-        rbuckets = self.memories.right[ci]
+        memories = self.memories
+        rbuckets = memories.right[ci]
+        ranges = memories.ranges[ci]
         if tag == PLUS:
             bucket = rbuckets.get(key)
             if bucket is None:
                 rbuckets[key] = [wme]
             else:
                 bucket.append(wme)
+            if ranges is not None:
+                index = ranges.get(key)
+                if index is None:
+                    index = ranges[key] = RangeIndex()
+                index.add(get(self.residuals[ci][0][2], NIL))
         else:
             bucket = rbuckets.get(key)
             if bucket:
                 try:
-                    bucket.remove(wme)
+                    i = bucket.index(wme)
                 except ValueError:
                     pass
                 else:
+                    stored = bucket.pop(i)
+                    if ranges is not None:
+                        ranges[key].remove(stored.attrs.get(
+                            self.residuals[ci][0][2], NIL))
                     if not bucket:
                         del rbuckets[key]
-        left = self.memories.left[ci].get(key)
+                        if ranges is not None:
+                            del ranges[key]
+        left = memories.left[ci].get(key)
         net = self.net
         observers = net.observers
         stack: List[tuple] = []
@@ -382,11 +403,18 @@ class ReteKernel:
             ids_arr = pool.ids
             push = stack.append
             residuals = self.residuals[ci]
-            if residuals:
+            if len(residuals) == 1:
+                (pos, pred, attr), = residuals
+                value = get(attr, NIL)
+                left = [tok for tok in left.values()
+                        if pred(value, values_arr[tok][pos])]
+            elif residuals:
                 tests = [(pos, pred, get(attr, NIL))
                          for pos, pred, attr in residuals]
-                left = [tok for tok in left
+                left = [tok for tok in left.values()
                         if _passes(tests, values_arr[tok])]
+            else:
+                left = left.values()
             if self.kind[ci] == KIND_JOIN:
                 kinds = self.kind
                 tchildren = self.term_children[ci]
@@ -492,8 +520,12 @@ class ReteKernel:
         push = stack.append
         kinds = self.kind
         key_pos_arr = self.left_key_pos
-        left_mem = self.memories.left
-        right_mem = self.memories.right
+        memories = self.memories
+        left_mem = memories.left
+        right_mem = memories.right
+        ranges_arr = memories.ranges
+        copies = memories.copies
+        range_count_arr = self.range_count
         residuals_arr = self.residuals
         rchildren_arr = self.rchildren
         tchildren_arr = self.term_children
@@ -509,6 +541,7 @@ class ReteKernel:
         alloc = pool.alloc
         allocs_append = allocs.append
         retain = pool.retain
+        release = pool.release
         net = self.net
         observers = net.observers
         if observers:
@@ -555,12 +588,24 @@ class ReteKernel:
             if tag == PLUS:
                 bucket = buckets.get(key)
                 if bucket is None:
-                    buckets[key] = [tok]
+                    buckets[key] = {ids: tok}
+                elif ids in bucket or copies:
+                    self._store_copy(ci, key, ids, tok)
                 else:
-                    bucket.append(tok)
+                    bucket[ids] = tok
                 retain(tok)
             else:
-                self._remove_left(ci, key, ids)
+                # The stored twin keyed by ids is the first-stored copy.
+                bucket = buckets.get(key)
+                if bucket:
+                    idx = bucket.pop(ids, None)
+                    if idx is None:
+                        if copies:
+                            self._remove_copy(ci, key, ids)
+                    else:
+                        if not bucket:
+                            del buckets[key]
+                        release(idx)
             if observers:
                 act_id = next_id
                 next_id += 1
@@ -622,8 +667,14 @@ class ReteKernel:
                     right = right_mem[ci].get(key)
                     if right:
                         residuals = residuals_arr[ci]
-                        count = len(_passing(right, residuals, values)
-                                    if residuals else right)
+                        counter = range_count_arr[ci]
+                        if counter is not None:
+                            (pos, pred, _), = residuals
+                            count = ranges_arr[ci][key].count(
+                                pred, counter, values[pos])
+                        else:
+                            count = len(_passing(right, residuals, values)
+                                        if residuals else right)
                     counts[ids] = count
                     if count == 0:
                         for cci in rchildren_arr[ci]:
@@ -646,25 +697,48 @@ class ReteKernel:
         if observers:
             net._next_act_id = next_id
 
-    def _remove_left(self, ci: int, key: tuple,
+    def _store_copy(self, ci: int, key: tuple, ids: Tuple[int, ...],
+                    tok: int) -> None:
+        """Store *tok* in a left bucket that may already hold its ids.
+
+        A later copy of a stored token goes under a fresh alias key,
+        queued in ``memories.copies`` behind its elders, so that minus
+        tokens take copies first-stored first, as a list would.
+        """
+        bucket = self.memories.left[ci][key]
+        copies = self.memories.copies
+        slot = (ci, key, ids)
+        aliases = copies.get(slot)
+        if aliases is None and ids not in bucket:
+            bucket[ids] = tok
+            return
+        alias = object()
+        bucket[alias] = tok
+        if aliases is None:
+            copies[slot] = [alias]
+        else:
+            aliases.append(alias)
+
+    def _remove_copy(self, ci: int, key: tuple,
                      ids: Tuple[int, ...]) -> None:
-        """Delete one stored token equal (by wme ids) to a minus token.
+        """Delete the oldest aliased copy of a token whose ids key is no
+        longer in its left bucket (see :meth:`_store_copy`).
 
         Silently tolerates absence, like the reference memories.
         """
-        buckets = self.memories.left[ci]
-        bucket = buckets.get(key)
-        if not bucket:
+        copies = self.memories.copies
+        slot = (ci, key, ids)
+        aliases = copies.get(slot)
+        if aliases is None:
             return
-        pool = self.pool
-        pool_ids = pool.ids
-        for i, idx in enumerate(bucket):
-            if pool_ids[idx] == ids:
-                del bucket[i]
-                if not bucket:
-                    del buckets[key]
-                pool.release(idx)
-                return
+        buckets = self.memories.left[ci]
+        bucket = buckets[key]
+        idx = bucket.pop(aliases.pop(0))
+        if not aliases:
+            del copies[slot]
+        if not bucket:
+            del buckets[key]
+        self.pool.release(idx)
 
     # -- results --------------------------------------------------------------
 

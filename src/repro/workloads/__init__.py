@@ -5,8 +5,9 @@ exercise the full OPS5 → Rete → trace → simulator pipeline.
 
 from .generator import SectionSpec, generate_section
 from .match import (MATCH_PROGRAMS, MatchScript, adversarial_cross_product,
-                    record_match_deltas, replay_deltas, rubik_match_program,
-                    tourney_match_program, weaver_match_program)
+                    negated_range, record_match_deltas, replay_deltas,
+                    rubik_match_program, tourney_match_program,
+                    weaver_match_program)
 from .rubik import rubik_section
 from .synthetic import StreamSpec, SyntheticStream
 from .tourney import tourney_section
@@ -17,8 +18,9 @@ __all__ = ["SectionSpec", "StreamSpec", "SyntheticStream",
            "rubik_section", "tourney_section", "weaver_section",
            "all_sections",
            "MATCH_PROGRAMS", "MatchScript", "adversarial_cross_product",
-           "record_match_deltas", "replay_deltas", "rubik_match_program",
-           "tourney_match_program", "weaver_match_program"]
+           "negated_range", "record_match_deltas", "replay_deltas",
+           "rubik_match_program", "tourney_match_program",
+           "weaver_match_program"]
 
 
 def all_sections(seed: int = 0):

@@ -38,6 +38,10 @@ one rule whose two CEs join on a single shared key, so *n* row wmes and
 the token count (each wme arrival scans one opposite bucket); the bench
 asserts the 2n/n time ratio to catch accidentally super-quadratic
 kernels.
+
+:func:`negated_range` isolates the tourney ``leader`` shape: a negated
+CE with an empty equality key and one relational test, probed by every
+token a ``ctl`` toggle sends through it.
 """
 
 from __future__ import annotations
@@ -374,4 +378,52 @@ def adversarial_cross_product(n: int) -> Tuple[Program, List[Delta]]:
         deltas.append((PLUS, wme))
     for wme in reversed(wmes):
         deltas.append((MINUS, wme))
+    return program, deltas
+
+
+# ---------------------------------------------------------------------------
+# negated range test
+# ---------------------------------------------------------------------------
+
+_RANGE_SOURCE = """
+(literalize ctl r)
+(literalize item v)
+
+(p top
+  (ctl ^r <r>)
+  (item ^v <v>)
+  -(item ^v > <v>)
+  -->
+  (halt))
+"""
+
+
+def negated_range(n_items: int = 192, n_toggles: int = 20,
+                  seed: int = 0) -> Tuple[Program, List[Delta]]:
+    """A negated CE with no equality key and one relational test.
+
+    Returns a one-rule program and a delta script that adds *n_items*
+    item wmes (seeded integer values, repeats included), then adds a
+    ctl wme and replaces it *n_toggles* - 1 times (add the new one,
+    remove the old).  Each ctl sends one token per item into the
+    negative node, and each token asks how many items carry a larger
+    value: a full scan of the one right bucket costs n_items²
+    predicate calls per ctl, a sorted index n_items bisections.  The
+    last ctl stays, so the final conflict set names the top items.
+    """
+    program = parse_program(_RANGE_SOURCE)
+    rng = random.Random(seed)
+    deltas: List[Delta] = [
+        (PLUS, WME(wme_id=i + 1, cls="item",
+                   attrs={"v": rng.randrange(n_items // 2)},
+                   timestamp=i + 1))
+        for i in range(n_items)]
+    previous = None
+    for k in range(n_toggles):
+        stamp = n_items + k + 1
+        ctl = WME(wme_id=stamp, cls="ctl", attrs={"r": k}, timestamp=stamp)
+        deltas.append((PLUS, ctl))
+        if previous is not None:
+            deltas.append((MINUS, previous))
+        previous = ctl
     return program, deltas

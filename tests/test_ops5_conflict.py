@@ -1,6 +1,8 @@
 """Unit tests for conflict resolution (LEX / MEA / refraction)."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.ops5 import Instantiation, Strategy, parse_production, select
 from repro.ops5.wme import WME
@@ -119,3 +121,37 @@ class TestInstantiationHelpers:
         wa, wc = WME(1, "a", {}), WME(2, "c", {})
         i = inst(p, wa, wc)
         assert i.wme_for_ce(3) is wc
+
+
+PRODUCTIONS = [parse_production(source) for source in (
+    "(p one (a) --> (halt))",
+    "(p two (a) (b) --> (halt))",
+    "(p specific (a ^v 1 ^w 2) --> (halt))",
+)]
+
+
+@st.composite
+def candidates(draw):
+    """Instantiations with colliding time tags and wme ids (so keys can
+    tie), and a fired subset."""
+    out = []
+    for _ in range(draw(st.integers(0, 8))):
+        production = draw(st.sampled_from(PRODUCTIONS))
+        wmes = tuple(WME(draw(st.integers(1, 3)), "a", {},
+                         timestamp=draw(st.integers(0, 3)))
+                     for _ in production.positive_ces())
+        out.append(inst(production, *wmes))
+    fired = {c.key() for c in out if draw(st.booleans())}
+    return out, fired
+
+
+@given(case=candidates(), strategy=st.sampled_from(list(Strategy)))
+def test_select_is_first_maximal_unfired(case, strategy):
+    """The one-pass select picks what ``max`` over the unfired
+    candidates picks: the first one with the greatest key."""
+    conflict_set, fired = case
+    key = ((lambda i: i.mea_key) if strategy is Strategy.MEA
+           else (lambda i: i.lex_key))
+    want = max((i for i in conflict_set if i.key() not in fired),
+               key=key, default=None)
+    assert select(conflict_set, strategy, fired) is want
