@@ -8,8 +8,10 @@ forms.  The baselines are executed live from
 :mod:`repro.mpc._reference` — the preserved original event loops — so
 both sides of every ratio run on the same machine, in the same process.
 ``test_live_sessions`` times live sessions of the one supervised
-engine on both transports, and ``test_single_processor`` the FIFO pass
-that runs every one-processor simulation.
+engine on both transports, ``test_plan_build`` the per-cycle plans
+every live run builds before its first broadcast, and
+``test_single_processor`` the FIFO pass that runs every one-processor
+simulation.
 
 Results are written machine-readably to ``BENCH_harness.json`` at the
 repo root so the performance trajectory is tracked across PRs.  Run::
@@ -29,7 +31,8 @@ import statistics
 import time
 
 from conftest import git_revision, quartiles
-from repro.exec import RunResult, match_signature, run, run_section_async
+from repro.exec import (RunResult, build_plans, match_signature, run,
+                        run_section_async)
 from repro.exec.mp import run_section_process
 from repro.mpc import (DEFAULT_COSTS, DEFAULT_PROC_COUNTS,
                        SCALE_PROC_COUNTS, TABLE_5_1, FaultModel,
@@ -336,11 +339,46 @@ def test_live_sessions(report):
         "sessions_per_burst": len(windows),
         "bursts": {"asyncio": LIVE_BURSTS, "process": PROCESS_BURSTS},
         "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "git_revision": git_revision(),
         "asyncio_per_s": quartiles(asyncio_rates),
         "process_per_s": quartiles(process_rates),
     }
     _merge_results({"live_sessions": section})
     report("live_sessions", json.dumps(section, indent=2)
+           + f"\n[also saved to {BENCH_JSON}]")
+
+
+#: Round-robin repeats of the plan-build timing, and its processor counts.
+PLAN_ROUNDS, PLAN_PROCS = 15, (4, 16)
+
+
+def test_plan_build(report):
+    """``build_plans`` over the three seed-0 sections at each of
+    :data:`PLAN_PROCS`: what a live run does before its first cycle
+    broadcast.  Each round builds every (section, P) point once."""
+    points = [(section, n_procs) for n_procs in PLAN_PROCS
+              for section in [build() for build in SECTION_BUILDERS]]
+    times = {(section.name, n_procs): [] for section, n_procs in points}
+    for _ in range(PLAN_ROUNDS):
+        for section, n_procs in points:
+            config = RunConfig(n_procs=n_procs)
+            start = time.perf_counter()
+            build_plans(section, config)
+            times[section.name, n_procs].append(
+                (time.perf_counter() - start) * 1e3)
+    section = {
+        "what": "ms of build_plans per seed-0 section and processor "
+                "count (round-robin mapping, default costs)",
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "git_revision": git_revision(),
+        "n": PLAN_ROUNDS,
+        **{f"{name}_p{n_procs}_ms": quartiles(values, digits=2)
+           for (name, n_procs), values in times.items()},
+    }
+    _merge_results({"plan_build": section})
+    report("plan_build", json.dumps(section, indent=2)
            + f"\n[also saved to {BENCH_JSON}]")
 
 

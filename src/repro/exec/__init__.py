@@ -29,8 +29,8 @@ from .errors import (ENV_TIMEOUT, ExecutorCrashed, ExecutorError,
                      RestartsExhausted, SessionOverloaded,
                      exec_timeout_s)
 from .loadtest import arrival_offsets, run_loadtest
-from .plan import (CONTROL, ActorCyclePlan, CyclePlan, MatchActorCore,
-                   build_plans, expected_fires)
+from .plan import (CONTROL, ActorCyclePlan, CyclePlan, CycleTable,
+                   MatchActorCore, build_plans, expected_fires)
 from .served import SessionServer, ServedExecutor
 from .sim import SimExecutor
 
@@ -77,6 +77,7 @@ __all__ = [
     "CONTROL",
     "ChaosPolicy",
     "CyclePlan",
+    "CycleTable",
     "ENV_TIMEOUT",
     "Executor",
     "ExecutorCrashed",

@@ -4,8 +4,8 @@
 :func:`repro.mpc.simulate_config` unchanged, so its counters and
 timings are bit-identical to a direct ``simulate_config`` call (the
 executor layer adds nothing to the model).  The per-cycle fire sets
-are derived from the trace by the shared plan builder, which walks
-exactly the activations the simulator delivers.
+are the reachable terminals of each cycle's compiled table, the
+instantiations the simulator delivers to control.
 """
 
 from __future__ import annotations
@@ -37,6 +37,6 @@ class SimExecutor:
             result = simulate_config(trace, config)
             wall_s = time.perf_counter() - start
             return RunResult(backend=self.name, result=result,
-                             fires=expected_fires(trace, config),
+                             fires=expected_fires(trace),
                              wall_s=wall_s)
         return RunHandle(thunk)

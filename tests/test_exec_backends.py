@@ -16,13 +16,14 @@ import operator
 import pytest
 
 from repro.exec import (CONTROL, ActorCyclePlan, ActorExecutor, BACKENDS,
-                        Executor, MatchActorCore, RunHandle, SimExecutor,
-                        SupervisePolicy, build_plans, expected_fires,
-                        get_executor, match_signature, run)
+                        CycleTable, Executor, MatchActorCore, RunHandle,
+                        SimExecutor, SupervisePolicy, build_plans,
+                        expected_fires, get_executor, match_signature, run)
 from repro.mpc import (TABLE_5_1, CostModel, FaultModel, RunConfig,
                        TimelineRecorder, simulate_config)
 from repro.ops5 import parse_program
-from repro.trace.events import materialize
+from repro.trace.events import (TAG_JOIN, TAG_LEFT, TAG_TERMINAL,
+                               materialize)
 from repro.trace.recorder import record_program
 from repro.workloads import (StreamSpec, SyntheticStream, rubik_match_program,
                              rubik_section, weaver_section)
@@ -79,7 +80,7 @@ class TestSimBackend:
     def test_fires_are_the_planned_conflict_sets(self, rubik):
         config = RunConfig(n_procs=4)
         outcome = run(rubik, config)
-        assert outcome.fires == expected_fires(rubik, config)
+        assert outcome.fires == expected_fires(rubik)
         assert len(outcome.fires) == len(rubik.cycles)
         for fire_set in outcome.fires:
             assert list(fire_set) == sorted(fire_set)
@@ -114,7 +115,7 @@ class TestActorsBackend:
         conflict-set sequence the simulator predicts on rubik."""
         config = RunConfig(n_procs=8, overheads=OV8)
         live = run(rubik, config, backend="actors")
-        assert live.fires == expected_fires(rubik, config)
+        assert live.fires == expected_fires(rubik)
 
     def test_process_transport_matches(self, rubik):
         config = RunConfig(n_procs=2, overheads=OV8)
@@ -179,9 +180,14 @@ class TestActorsBackend:
 
 
 class TestMatchActorCore:
-    PLAN = ActorCyclePlan(
-        acts={5: (True, 0.0, ((6, CONTROL, True), (7, 0, False)))},
-        roots=(), root_fires=(), checksum=(1, 1, 5, 5))
+    #: Act 5, a left join activation on actor 1, has a terminal
+    #: successor 6 and a successor 7 on actor 0.
+    TABLE = CycleTable(
+        base=5, tags=bytes([TAG_JOIN | TAG_LEFT, TAG_TERMINAL, TAG_JOIN]),
+        left=b"\x01\x00\x00", successors=[(6, 7), (), ()],
+        dest=[1, CONTROL, 0], extra={})
+    PLAN = ActorCyclePlan(table=TABLE, roots=(), root_fires=(),
+                          checksum=(1, 1, 5, 5))
 
     def test_token_before_its_cycle_is_held(self):
         config = RunConfig(n_procs=2, overheads=OV8)
@@ -202,17 +208,29 @@ class TestMatchActorCore:
         with pytest.raises(KeyError):
             core.on_cycle(self.PLAN)
 
+    def test_held_token_the_plan_does_not_own_fails_loudly(self):
+        """Before the table, owned by actor 1, and a terminal."""
+        for act_id in (4, 5, 6):
+            core = MatchActorCore(0, RunConfig(n_procs=2))
+            core.on_token(act_id)
+            with pytest.raises(KeyError):
+                core.on_cycle(self.PLAN)
+
 
 class TestPlanChecksums:
     def test_plan_walk_checksums_match_their_definition(self,
                                                         rubik_recorded):
         """build_plans accumulates each actor's (count, left, sum, xor)
-        during its walk; they must equal the four taken from *acts*."""
+        in one pass over the table; they must equal the four taken
+        from the nonterminals the table gives that actor."""
         for plan in build_plans(rubik_recorded, RunConfig(n_procs=4)):
-            for share in plan.per_actor:
-                acts = share.acts
+            for p, share in enumerate(plan.per_actor):
+                table = share.table
+                owned = [pos for pos, tag in enumerate(table.tags)
+                         if tag and table.dest[pos] == p]
+                acts = [table.base + pos for pos in owned]
                 assert share.checksum == (
-                    len(acts), sum(1 for spec in acts.values() if spec[0]),
+                    len(acts), sum(1 for pos in owned if table.left[pos]),
                     sum(acts), functools.reduce(operator.xor, acts, 0))
 
     def test_stream_walked_once_with_search_costs(self, monkeypatch):

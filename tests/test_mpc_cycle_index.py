@@ -16,14 +16,16 @@ rewritten in place; the compressed path is also pinned at P=4096.
 
 import copy
 import dataclasses
+import functools
 import hashlib
+import operator
 import pickle
 
 import pytest
 
 from repro.check import TraceCase, generate_cases, mutated_right_token_cost
 from repro.check.oracles import run_oracles
-from repro.exec.plan import CONTROL, build_plans
+from repro.exec.plan import CONTROL, build_plans, expected_fires
 from repro.mpc import (DEFAULT_PROTOCOL, TABLE_5_1, ZERO_OVERHEADS,
                        CostModel, CycleResult, ExplicitMapping, FaultModel,
                        GreedyMappingFactory, RandomMapping,
@@ -155,10 +157,85 @@ def _canon(result) -> tuple:
                  for k, v in dataclasses.asdict(result).items())
 
 
+def _owned(table, actor: int) -> list:
+    """Positions of the nonterminals *table* gives *actor* (gaps have
+    no tag; terminals go to CONTROL)."""
+    return [pos for pos, tag in enumerate(table.tags)
+            if tag and table.dest[pos] == actor]
+
+
+def _specs(table, actor: int) -> dict:
+    """*actor*'s ``{act_id: (is_left, extra_us, ((succ_id, dest,
+    is_terminal), ...))}``: the per-actor form plans held before the
+    actors read the shared table, rebuilt from the table."""
+    base, dest = table.base, table.dest
+    return {base + pos: (bool(table.left[pos]),
+                         float(table.extra.get(base + pos, 0.0)),
+                         tuple((succ_id, dest[succ_id - base],
+                                dest[succ_id - base] == CONTROL)
+                               for succ_id in table.successors[pos]))
+            for pos in _owned(table, actor)}
+
+
 def _canon_plan(plan) -> tuple:
     return (plan.index, plan.expected_processed, plan.expected_fires,
-            tuple((sorted(a.acts.items()), a.roots, a.root_fires)
-                  for a in plan.per_actor))
+            tuple((sorted(_specs(a.table, p).items()), a.roots,
+                   a.root_fires)
+                  for p, a in enumerate(plan.per_actor)))
+
+
+def _walk_plans(trace, config: RunConfig) -> list:
+    """What each plan held when it was built by walking the activations
+    the simulator delivers — roots, then successors of processed
+    nonterminals — per cycle ``(index, expected_processed,
+    expected_fires, ((roots, root_fires, checksum), ...))``."""
+    n_procs = config.n_procs
+    plans = []
+    for cycle in trace:
+        mapping = _cycle_mapping(config, cycle)
+        acts = cycle.activations
+        roots = [[] for _ in range(n_procs)]
+        root_fires = [[] for _ in range(n_procs)]
+        owned = [[] for _ in range(n_procs)]
+        fires = []
+        frontier = []
+        for act_id in sorted(acts):
+            act = acts[act_id]
+            if act.parent_id is None:
+                p = mapping.processor_for(act.key)
+                if act.kind == "terminal":
+                    root_fires[p].append(act_id)
+                    fires.append(act_id)
+                else:
+                    roots[p].append(act_id)
+                    frontier.append(act_id)
+        while frontier:
+            act = acts[frontier.pop()]
+            owned[mapping.processor_for(act.key)].append(act)
+            for succ_id in act.successors:
+                if acts[succ_id].kind == "terminal":
+                    fires.append(succ_id)
+                else:
+                    frontier.append(succ_id)
+        plans.append((cycle.index, sum(map(len, owned)),
+                      tuple(sorted(fires)),
+                      tuple((tuple(roots[p]), tuple(root_fires[p]),
+                             (len(owned[p]),
+                              sum(a.side == "left" for a in owned[p]),
+                              sum(a.act_id for a in owned[p]),
+                              functools.reduce(operator.xor,
+                                               (a.act_id for a in owned[p]),
+                                               0)))
+                            for p in range(n_procs))))
+    return plans
+
+
+def _plan_aggregates(plans) -> list:
+    """*plans* in the form of :func:`_walk_plans`."""
+    return [(plan.index, plan.expected_processed, plan.expected_fires,
+             tuple((a.roots, a.root_fires, a.checksum)
+                   for a in plan.per_actor))
+            for plan in plans]
 
 
 def _path_outputs(trace, config: RunConfig) -> dict:
@@ -309,7 +386,8 @@ class TestAgainstReference:
                         for act_id in actor.roots + actor.root_fires:
                             assert mapping.processor_for(
                                 cycle.activations[act_id].key) == p
-                        for act_id, (_, _, succs) in actor.acts.items():
+                        for act_id, (_, _, succs) in _specs(
+                                actor.table, p).items():
                             assert mapping.processor_for(
                                 cycle.activations[act_id].key) == p
                             for succ_id, dest, terminal in succs:
@@ -317,6 +395,47 @@ class TestAgainstReference:
                                                 mapping.processor_for(
                                                     cycle.activations[
                                                         succ_id].key))
+
+    def test_plans_equal_the_root_walk(self, traces):
+        for trace in traces:
+            for config in _configs(trace):
+                assert _plan_aggregates(build_plans(trace, config)) == \
+                    _walk_plans(trace, config)
+
+    def test_expected_fires_need_no_plans(self, traces):
+        for trace in traces:
+            fires = expected_fires(trace)
+            for config in _configs(trace):
+                assert fires == [plan.expected_fires
+                                 for plan in build_plans(trace, config)]
+
+    def test_orphan_subtrees_left_out_like_the_root_walk(self, traces):
+        """An activation whose parent is outside its cycle is never
+        delivered, nor is anything under it: plans leave its subtree
+        out of every count, fire set and checksum, as the walk did."""
+        cycle = max(traces[1], key=len)
+        acts = cycle.activations
+        orphan = next(
+            act for act in acts.values()
+            if act.parent_id is not None and act.kind != "terminal"
+            and any(acts[s].kind == "terminal" for s in act.successors))
+        out = CycleTrace(index=cycle.index)
+        for act in acts.values():
+            if act.act_id == orphan.parent_id:
+                act = dataclasses.replace(act, successors=tuple(
+                    s for s in act.successors if s != orphan.act_id))
+            elif act.act_id == orphan.act_id:
+                act = dataclasses.replace(act, parent_id=-1)
+            out.add(act)
+        trace = SectionTrace(name="orphaned", cycles=[out])
+        index = out.key_index()
+        assert index.orphans
+        for config in _configs(trace):
+            plans = build_plans(trace, config)
+            assert _plan_aggregates(plans) == _walk_plans(trace, config)
+            assert expected_fires(trace) == [plans[0].expected_fires]
+        assert plans[0].expected_processed < len(index.counted)
+        assert len(plans[0].expected_fires) < len(index.terminals)
 
     def test_matches_results_before_the_index(self, matrix):
         assert path_fingerprints(matrix) == PARENT_FINGERPRINTS
