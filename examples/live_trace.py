@@ -6,8 +6,9 @@ from a modeled clock, so they reconcile with the cost model exactly.
 This example traces the real thing: an asyncio run of the Section 3.2
 message protocol, where span context rides inside the protocol's own
 ``cycle``/``token``/``fire`` messages, each actor records into a
-bounded flight-recorder ring, and the coordinator drains the rings at
-every barrier and merges them onto one clock-aligned axis.
+bounded flight-recorder ring, and the coordinator drains the rings
+before every ``processed`` report and merges them onto one
+clock-aligned axis.
 
 The walk checks its own output, mirroring the simulator example:
 

@@ -4,8 +4,8 @@ Where the simulator *prices* the paper's message protocol under a cost
 model, this backend *executes* it: each bucket partition is an actor
 with an inbox, the control actor broadcasts each cycle's plan, token
 messages really travel between partitions, instantiations really
-arrive at control, and a sync barrier really closes every
-recognize-act cycle.
+arrive at control, and control really closes every recognize-act
+cycle by counting its actors' reports before it broadcasts the next.
 
 Two transports move the messages:
 
@@ -126,17 +126,25 @@ class _AsyncEngine(Engine):
             spans = ActorSpans(actor_id, generation)
         send = bind_send(self.posts + [report], chaos, generation, spans,
                          self._loop.call_later)
-        cycle = 0
+        cycle = -1
         try:
             while True:
                 processed = 0
+                opened = False
                 for message in await inbox.drain():
                     kind = message[0]
                     if spans is not None:
                         spans.received()
                     if kind == "token":
-                        out, k = core.on_token(message[1])
+                        out, k = core.on_token(message)
                     elif kind == "cycle":
+                        if processed:  # a late duplicate's, reported as such
+                            if spans is not None:
+                                report(spans.drain())
+                            report(core.report(processed))
+                            processed = 0
+                        if spans is not None and cycle >= 0:
+                            spans.barrier(cycle)
                         cycle = message[2]
                         if chaos is not None:
                             stall = stall_s(chaos, cycle, actor_id,
@@ -145,25 +153,21 @@ class _AsyncEngine(Engine):
                                 await asyncio.sleep(stall)
                                 if spans is not None:
                                     spans.received()
-                        out, k = core.on_cycle(message[1])
-                    elif kind == "shutdown":
-                        return
-                    else:  # "sync"
-                        if processed:
-                            report(("processed", processed))
-                            processed = 0
-                        if spans is not None:
+                        out, k = core.on_cycle(message)
+                        opened = True
+                    else:  # "shutdown"
+                        if spans is not None and cycle >= 0:
                             spans.barrier(cycle)
-                            report(spans.drain())
-                        report(("stats", actor_id, core.on_sync()))
-                        continue
+                        return
                     processed += k
                     if spans is not None:
                         spans.matched(cycle, message, k, core.busy_us)
                     if out:
                         send(cycle, out)
-                if processed:
-                    report(("processed", processed))
+                if processed or opened:
+                    if spans is not None:
+                        report(spans.drain())  # spans before counters
+                    report(core.report(processed))
         finally:
             if spans is not None:
                 report(spans.drain())

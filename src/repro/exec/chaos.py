@@ -21,11 +21,12 @@ restart (drives :class:`~repro.exec.errors.RestartsExhausted`).
 
 Mirroring the simulator's fault model, chaos applies only to *data*
 messages — cross-partition tokens and instantiation (fire) deliveries.
-The cycle broadcast, the bookkeeping traffic and the sync barrier stay
-reliable, so every injected fault is *detectable* by counting: a drop
-starves quiescence (wedge), a duplicate breaks the cycle's
-processed/fires validation (protocol violation), a late delayed
-message hits a cleared actor table (crash report).  Detected is the
+The cycle broadcast and the bookkeeping traffic stay reliable, so
+every injected fault is *detectable* by counting: a drop starves
+quiescence (wedge), a duplicate breaks the cycle's processed/fires
+validation (protocol violation), and a duplicate that arrives after
+its cycle closed fails on its cycle index (a token crashes the actor
+it reaches, a report is a protocol violation).  Detected is the
 point — the supervised contract is "bit-identical result or typed
 error, never silently wrong".
 """

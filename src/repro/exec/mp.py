@@ -59,7 +59,7 @@ def _match_worker(actor_id: int, config: RunConfig,
         spans = ActorSpans(actor_id, generation)
     send = bind_send([q.put for q in inboxes] + [report], chaos,
                      generation, spans, _sleep_then)
-    cycle = 0
+    cycle = -1
     try:
         while True:
             message = inbox.get()
@@ -67,8 +67,12 @@ def _match_worker(actor_id: int, config: RunConfig,
             if spans is not None:
                 spans.received()
             if kind == "token":
-                out, processed = core.on_token(message[1])
-            elif kind == "cycle":
+                out, processed = core.on_token(message)
+                if not processed:
+                    continue  # held until its cycle's broadcast
+            else:  # "cycle"
+                if spans is not None and cycle >= 0:
+                    spans.barrier(cycle)
                 cycle = message[2]
                 if chaos is not None:
                     stall = stall_s(chaos, cycle, actor_id, generation)
@@ -76,19 +80,14 @@ def _match_worker(actor_id: int, config: RunConfig,
                         time.sleep(stall)
                         if spans is not None:
                             spans.received()
-                out, processed = core.on_cycle(message[1])
-            else:  # "sync"
-                if spans is not None:
-                    spans.barrier(cycle)
-                    report(spans.drain())
-                report(("stats", actor_id, core.on_sync()))
-                continue
+                out, processed = core.on_cycle(message)
             if spans is not None:
                 spans.matched(cycle, message, processed, core.busy_us)
             if out:
                 send(cycle, out)
-            if processed:
-                report(("processed", processed))
+            if spans is not None:
+                report(spans.drain())  # spans before counters
+            report(core.report(processed))
     except Exception as err:  # surface instead of wedging control
         if spans is not None:
             report(spans.drain())

@@ -12,10 +12,10 @@ paper's mapping describes and the discrete simulator prices:
    point-to-point messages, and ship instantiations (terminal
    activations) back to the control actor as *changes to the conflict
    set*;
-3. the control actor detects quiescence by counting (every reachable
-   nonterminal is processed exactly once, every reachable terminal
-   fires exactly once) and closes the cycle with a *sync barrier*
-   before opening the next — one barrier per recognize-act cycle.
+3. the control actor detects quiescence by counting (every actor has
+   reported on the cycle, every reachable nonterminal is processed
+   exactly once, every reachable terminal fires exactly once) and opens
+   the next cycle: the next broadcast is the cycle's one barrier.
 
 This module holds everything transport-independent: plan construction
 (where each activation lives, priced with the same footnote-6
@@ -24,48 +24,48 @@ state machine (:class:`MatchActorCore`).  Transports only move the
 emitted messages; because the cores never look at a clock or a
 scheduler, the *counters* (activations per processor, message counts,
 fires) are deterministic and equal to the discrete simulator's for any
-interleaving — only wall time varies.  Bookkeeping traffic (processed-counts, sync, stats) is
-not counted in ``n_messages``: termination detection is idealized and
-free, exactly as in the paper and the simulator.
+interleaving — only wall time varies.  Bookkeeping traffic (the
+``processed`` reports) is not counted in ``n_messages``: termination
+detection is idealized and free, exactly as in the paper and the
+simulator.
 
 Messages (plain tuples, picklable for the multiprocessing transport):
 
-====================  =============================  ==============
-message               direction                      counted?
-====================  =============================  ==============
-``("cycle", plan)``   control → every match actor    1 per cycle
-``("token", act)``    match actor → match actor      yes
-``("fire", act)``     match actor → control          yes
-``("processed", k)``  match actor → control          no (bookkeeping)
-``("sync",)``         control → every match actor    no (barrier)
-``("stats", i, s)``   match actor → control          no (barrier)
-``("shutdown",)``     control → every match actor    no
-====================  =============================  ==============
+==============================  ===========================  ==========
+message                         direction                    counted?
+==============================  ===========================  ==========
+``("cycle", plan, c)``          control → every match actor  1 per cycle
+``("token", act, c)``           match actor → match actor    yes
+``("fire", act)``               match actor → control        yes
+``("processed", k, i, c, s)``   match actor → control        no
+``("shutdown",)``               control → every match actor  no
+==============================  ===========================  ==========
 
-``k`` in ``("processed", k)`` sums the activations of every delivery an
-actor handled since its last report: asyncio actors drain their whole
-:class:`~repro.exec.mailbox.Mailbox` per wakeup and report once per
-drained batch, process actors once per delivery.  Either way an actor
-reports its pending count before it answers ``sync`` with ``stats``.
+*c* is the cycle index.  After every batch that processed *k*
+activations or opened a cycle, actor *i* reports its counters *s* for
+cycle *c* so far (:meth:`MatchActorCore.report`): asyncio actors
+drain their whole :class:`~repro.exec.mailbox.Mailbox` per batch,
+process actors handle one delivery.  A token that overtook its
+cycle's broadcast is held until it arrives; a token or report of a
+closed cycle fails the run.
 
 When a run is live-traced (``RunConfig(live_trace=True)``, see
 :mod:`repro.obs.trace`), every *data* message additionally carries a
 span context ``(sender_id, send_perf_ts)`` appended as one trailing
-element: the cycle broadcast becomes ``("cycle", plan, index, ctx)``
-and token/fire messages become ``("token", act, ctx)`` / ``("fire",
-act, ctx)``.  One extra message flows per actor per barrier: a
-``("spans", ...)`` flight-recorder drain, sent *before* the ``stats``
-reply so FIFO ordering guarantees the coordinator holds a cycle's
-spans before it closes the cycle.  None of this changes what is
-counted: contexts ride on already-counted messages, ``spans`` is
-bookkeeping like ``stats``, and the cores never see either
-(:meth:`CycleAccumulator.note` tolerates the trailing context on
-``fire``; control loops intercept ``spans`` before calling it).
+element: the cycle broadcast becomes ``("cycle", plan, c, ctx)`` and
+token/fire messages become ``("token", act, c, ctx)`` / ``("fire",
+act, ctx)``.  Each actor also sends a ``("spans", ...)``
+flight-recorder drain just *before* each ``processed`` report, so
+FIFO ordering guarantees the coordinator holds a cycle's spans before
+it closes the cycle.  None of this changes what is counted: contexts
+ride on already-counted messages, ``spans`` is bookkeeping like
+``processed``, and the cores ignore both (control loops intercept
+``spans`` before :meth:`CycleAccumulator.note`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..mpc.config import RunConfig
 from ..mpc.mapping import RoundRobinMapping
@@ -104,8 +104,8 @@ class ActorCyclePlan(NamedTuple):
     #: instantiations it ships straight to control.
     root_fires: Tuple[int, ...]
     #: ``(count, left count, sum, xor)`` over the act ids of the
-    #: reachable nonterminals this actor owns — what its barrier stats
-    #: must report.
+    #: reachable nonterminals this actor owns — what its last report
+    #: of the cycle must carry.
     checksum: Tuple[int, int, int, int]
 
 
@@ -120,21 +120,6 @@ class CyclePlan(NamedTuple):
     #: Every terminal activation that will be delivered to control,
     #: sorted — the cycle's canonical fire set.
     expected_fires: Tuple[int, ...]
-
-
-def _reached(index: CycleKeyIndex, positions: Sequence[int]
-             ) -> Sequence[int]:
-    """*positions* less the subtrees of orphans (activations whose parent
-    is outside the cycle; a validated trace has none): what the
-    simulator delivers."""
-    cut = set()
-    stack = list(index.orphans)
-    while stack:
-        pos = stack.pop()
-        if pos not in cut:
-            cut.add(pos)
-            stack += [s - index.base for s in index.successors[pos]]
-    return [pos for pos in positions if pos not in cut] if cut else positions
 
 
 def build_plans(trace: SectionTrace, config: RunConfig) -> List[CyclePlan]:
@@ -158,9 +143,9 @@ def build_plans(trace: SectionTrace, config: RunConfig) -> List[CyclePlan]:
             raise ValueError("mapping_factory produced a mapping for "
                              f"{cycle_mapping.n_procs} processors")
         index = cycle.key_index()
-        dest = index.destinations(cycle_mapping)
+        procs = cycle_mapping.processors(index.keys, index.hashes)
+        dest = index.expand(procs)
         base = index.base
-        left = index.left
         roots = [[] for _ in range(n_procs)]
         root_fires = [[] for _ in range(n_procs)]
         for r in index.roots:
@@ -171,28 +156,25 @@ def build_plans(trace: SectionTrace, config: RunConfig) -> List[CyclePlan]:
         for pos in index.terminals:
             dest[pos] = CONTROL
 
-        counted = _reached(index, index.counted)
-        count, left_count, act_sum, act_xor = (
-            [0] * n_procs for _ in range(4))
-        for pos in counted:
+        count, left_count = index.processor_counts(procs, n_procs)
+        act_sum, act_xor = [0] * n_procs, [0] * n_procs
+        for pos in index.counted:
             p = dest[pos]
             act_id = base + pos
-            count[p] += 1
-            left_count[p] += left[pos]
             act_sum[p] += act_id
             act_xor[p] ^= act_id
 
-        table = CycleTable(base, index.tags, left, index.successors, dest,
-                           searches.charge(cycle))
+        table = CycleTable(base, index.tags, index.left, index.successors,
+                           dest, searches.charge(cycle))
         plans.append(CyclePlan(
             index=cycle.index,
-            per_actor=tuple(
+            per_actor=tuple([
                 ActorCyclePlan(table, tuple(roots[p]),
                                tuple(root_fires[p]),
                                (count[p], left_count[p], act_sum[p],
                                 act_xor[p]))
-                for p in range(n_procs)),
-            expected_processed=len(counted),
+                for p in range(n_procs)]),
+            expected_processed=len(index.counted),
             expected_fires=_fires(index)))
     return plans
 
@@ -200,7 +182,7 @@ def build_plans(trace: SectionTrace, config: RunConfig) -> List[CyclePlan]:
 def _fires(index: CycleKeyIndex) -> Tuple[int, ...]:
     """The act ids of the reachable terminals of *index*, ascending."""
     base = index.base
-    return tuple(base + pos for pos in _reached(index, index.terminals))
+    return tuple([base + pos for pos in index.terminals])
 
 
 def expected_fires(trace: SectionTrace) -> List[Tuple[int, ...]]:
@@ -212,17 +194,17 @@ def expected_fires(trace: SectionTrace) -> List[Tuple[int, ...]]:
 class CycleAccumulator:
     """Control-actor bookkeeping for one cycle, shared by transports.
 
-    Tracks delivered instantiations and processed-counts until the
-    cycle quiesces, then assembles a
-    :class:`~repro.mpc.metrics.CycleResult` from the barrier stats.
-    The counter fields are computed with the simulator's formulas
-    (``n_messages`` = broadcast + cross-partition tokens + conflict-set
-    deliveries; network busy = latency per counted message; control
-    busy = the broadcast send plus one receive per instantiation), so a
-    live run and a simulated run of the same cycle agree on every
-    counter.  ``makespan_us`` is the *measured* wall time of the cycle
-    — the one field where the live backends report reality instead of
-    the model.
+    Tracks delivered instantiations, processed-counts and each actor's
+    latest report until the cycle quiesces, then assembles a
+    :class:`~repro.mpc.metrics.CycleResult` from the actors' final
+    snapshots.  The counter fields are computed with the simulator's
+    formulas (``n_messages`` = broadcast + cross-partition tokens +
+    conflict-set deliveries; network busy = latency per counted
+    message; control busy = the broadcast send plus one receive per
+    instantiation), so a live run and a simulated run of the same cycle
+    agree on every counter.  ``makespan_us`` is the *measured* wall
+    time of the cycle — the one field where the live backends report
+    reality instead of the model.
     """
 
     def __init__(self, plan: CyclePlan, config: RunConfig) -> None:
@@ -232,33 +214,47 @@ class CycleAccumulator:
         self._latency_us = config.overheads.latency_us
         self.fires: List[int] = []
         self.processed = 0
+        #: Each actor's latest ``(busy, activations, left, token_sends,
+        #: control_sends, sum, xor)``; ``None`` until it reports.
+        self.snapshots: List[Optional[Tuple]] = [None] * len(plan.per_actor)
+        self._silent = len(plan.per_actor)
 
     def note(self, message: Tuple) -> bool:
         """Feed one control-bound message; whether it was cycle
-        accounting (``fire`` or ``processed``)."""
+        accounting (``fire`` or ``processed``).  A report of a closed
+        cycle raises :class:`~repro.exec.errors.ProtocolViolation`."""
         if message[0] == "fire":
             self.fires.append(message[1])
         elif message[0] == "processed":
-            self.processed += message[1]
+            _, count, actor, cycle, snapshot = message
+            if cycle != self._plan.index:
+                raise ProtocolViolation(
+                    f"cycle {self._plan.index}: actor {actor} reported "
+                    f"{count} activation(s) of closed cycle {cycle}",
+                    cycle=self._plan.index)
+            self.processed += count
+            if self.snapshots[actor] is None:
+                self._silent -= 1
+            self.snapshots[actor] = snapshot
         else:
             return False
         return True
 
     @property
     def done(self) -> bool:
-        return (self.processed >= self._plan.expected_processed
+        return (not self._silent
+                and self.processed >= self._plan.expected_processed
                 and len(self.fires) >= len(self._plan.expected_fires))
 
-    def finish(self,
-               stats: List[Tuple[float, int, int, int, int, int, int]],
-               wall_s: float):
+    def finish(self, wall_s: float):
         """Close the cycle: ``(CycleResult, sorted fire tuple)``.
 
         Validates the delivered fires and processed counts against the
-        plan — globally *and* per actor, with an act-id checksum — and
-        raises :class:`~repro.exec.errors.ProtocolViolation` on any
-        mismatch, so a corrupted cycle is always detected rather than
-        silently folded into the result.
+        plan — globally *and* per actor, with an act-id checksum over
+        each actor's final snapshot — and raises
+        :class:`~repro.exec.errors.ProtocolViolation` on any mismatch,
+        so a corrupted cycle is always detected rather than silently
+        folded into the result.
         """
         plan = self._plan
         fired = tuple(sorted(self.fires))
@@ -272,24 +268,25 @@ class CycleAccumulator:
                 f"cycle {plan.index}: processed {self.processed} "
                 f"activations, expected {plan.expected_processed}",
                 cycle=plan.index)
-        for i, s in enumerate(stats):
-            expect = plan.per_actor[i].checksum
-            if (s[1], s[2], s[5], s[6]) != expect:
+        busy, acts, lefts, token_sends, control_sends, sums, xors = zip(
+            *self.snapshots)
+        for i, share in enumerate(plan.per_actor):
+            expect = share.checksum
+            if (acts[i], lefts[i], sums[i], xors[i]) != expect:
                 raise ProtocolViolation(
                     f"cycle {plan.index}: actor {i} processed "
-                    f"{s[1]} activations (checksum {s[5]}/{s[6]}), "
+                    f"{acts[i]} activations (checksum {sums[i]}/{xors[i]}), "
                     f"plan expects {expect[0]} "
                     f"(checksum {expect[2]}/{expect[3]})",
                     cycle=plan.index)
-        token_sends = sum(s[3] for s in stats)
-        control_sends = sum(s[4] for s in stats)
-        n_messages = 1 + token_sends + control_sends
+        control_sends = sum(control_sends)
+        n_messages = 1 + sum(token_sends) + control_sends
         return CycleResult(
             index=plan.index,
             makespan_us=wall_s * 1e6,
-            proc_busy_us=[s[0] for s in stats],
-            proc_activations=[s[1] for s in stats],
-            proc_left_activations=[s[2] for s in stats],
+            proc_busy_us=list(busy),
+            proc_activations=list(acts),
+            proc_left_activations=list(lefts),
             n_messages=n_messages,
             network_busy_us=self._latency_us * n_messages,
             control_busy_us=self._send_us
@@ -309,14 +306,15 @@ class MatchActorCore:
     so at any overhead setting the accumulated ``busy_us`` equals the
     simulator's ``proc_busy_us`` for the same partition.
 
-    A peer's token can overtake this actor's own cycle broadcast — on
-    the multiprocessing transport the control actor and the peer are
-    two producers writing one inbox queue — so a token that arrives
-    while the core holds no cycle table is held and processed right
-    after :meth:`on_cycle`.  Tokens never cross a barrier (every token
-    of a cycle is processed before its ``sync`` is sent), so a held
-    token always belongs to the next plan; one that plan does not give
-    this actor raises :class:`KeyError`.
+    Each cycle broadcast resets the counters and replaces the table.
+    A peer's token can overtake this actor's own broadcast — on the
+    multiprocessing transport the control actor and the peer are two
+    producers writing one inbox queue — so a token of a later cycle is
+    held and processed right after :meth:`on_cycle`.  Only the very next
+    cycle can be early (no cycle closes before every actor has reported
+    on it), so a held token that broadcast does not give this actor
+    raises :class:`KeyError`; a token of a closed cycle raises
+    :class:`~repro.exec.errors.ProtocolViolation`.
     """
 
     def __init__(self, actor_id: int, config: RunConfig) -> None:
@@ -328,11 +326,12 @@ class MatchActorCore:
         self._successor_us = costs.successor_us
         self._send_us = config.overheads.send_us
         self._recv_us = config.overheads.recv_us
-        #: the current cycle's table; None between a sync and the next
-        #: cycle broadcast
+        #: The index of the cycle whose table the core holds; -1 before
+        #: the first broadcast.
+        self.cycle = -1
         self._table: Optional[CycleTable] = None
-        #: tokens that arrived before this cycle's plan
-        self._early: List[int] = []
+        #: ``(cycle, act_id)`` of tokens that overtook their broadcast
+        self._early: List[Tuple[int, int]] = []
         self._reset_counters()
 
     def _reset_counters(self) -> None:
@@ -344,9 +343,13 @@ class MatchActorCore:
         self.acts_sum = 0
         self.acts_xor = 0
 
-    def on_cycle(self, plan: ActorCyclePlan):
-        """Handle the cycle broadcast: constant tests, owned roots."""
+    def on_cycle(self, message: Tuple):
+        """Handle the broadcast ``("cycle", plan, c, ...)``: reset, then
+        constant tests, owned roots and tokens held for cycle *c*."""
+        plan = message[1]
+        cycle = self.cycle = message[2]
         table = self._table = plan.table
+        self._reset_counters()
         self.busy_us += self._recv_us + self._constant_tests_us
         out: List[Tuple[int, Tuple]] = []
         for act_id in plan.root_fires:
@@ -357,24 +360,32 @@ class MatchActorCore:
         for act_id in plan.roots:
             processed += self._process(act_id, False, out)
         early, self._early = self._early, []
-        for act_id in early:
+        for token_cycle, act_id in early:
             pos = act_id - table.base
-            if not (0 <= pos < len(table.tags) and table.tags[pos]
+            if not (token_cycle == cycle and 0 <= pos < len(table.tags)
+                    and table.tags[pos]
                     and table.dest[pos] == self.actor_id):
                 raise KeyError(act_id)  # not this actor's, this cycle
             processed += self._process(act_id, True, out)
         return out, processed
 
-    def on_token(self, act_id: int):
-        """Handle a cross-partition successor token message."""
-        if self._table is None:
-            self._early.append(act_id)  # overtook the cycle broadcast
+    def on_token(self, message: Tuple):
+        """Handle a cross-partition token ``("token", act, c, ...)``."""
+        act_id, cycle = message[1], message[2]
+        if cycle != self.cycle:
+            if cycle < self.cycle:
+                raise ProtocolViolation(
+                    f"actor {self.actor_id}: token {act_id} of closed "
+                    f"cycle {cycle} arrived in cycle {self.cycle}",
+                    cycle=cycle)
+            self._early.append((cycle, act_id))  # overtook the broadcast
             return [], 0
         out: List[Tuple[int, Tuple]] = []
         return out, self._process(act_id, True, out)
 
-    def on_sync(self) -> Tuple[float, int, int, int, int, int, int]:
-        """Barrier: report and reset this cycle's counters.
+    def report(self, processed: int) -> Tuple:
+        """The ``processed`` report of a batch that handled *processed*
+        activations, carrying this cycle's counters so far.
 
         The trailing ``(acts_sum, acts_xor)`` pair is a checksum over
         the act ids this actor actually processed;
@@ -382,12 +393,10 @@ class MatchActorCore:
         so a duplicated delivery cannot silently compensate for a
         dropped one (totals would match, the checksum cannot).
         """
-        stats = (self.busy_us, self.activations, self.left_activations,
+        return ("processed", processed, self.actor_id, self.cycle,
+                (self.busy_us, self.activations, self.left_activations,
                  self.token_sends, self.control_sends,
-                 self.acts_sum, self.acts_xor)
-        self._table = None
-        self._reset_counters()
-        return stats
+                 self.acts_sum, self.acts_xor))
 
     def _process(self, act_id: int, via_message: bool,
                  out: List[Tuple[int, Tuple]]) -> int:
@@ -421,7 +430,7 @@ class MatchActorCore:
                     out.append((CONTROL, ("fire", succ_id)))
                 else:
                     self.token_sends += 1
-                    out.append((dest_id, ("token", succ_id)))
+                    out.append((dest_id, ("token", succ_id, self.cycle)))
             self.busy_us += busy
             busy = 0.0
             processed += 1

@@ -26,7 +26,7 @@ per-cycle deadlines
     mailbox drains themselves are untimed.
 checkpoint-replay restart
     The cycle-index barrier *is* the checkpoint: match-actor cores
-    carry no state across cycles (the sync barrier resets them), and
+    carry no state into a cycle (its broadcast resets them), and
     every :class:`~repro.exec.plan.CyclePlan` is precomputed.  On a
     wedge, crash or protocol violation the supervisor tears down every
     worker and inbox, respawns fresh ones after an exponential-backoff
@@ -39,12 +39,15 @@ checkpoint-replay restart
 Failures are *detected by counting*, never guessed: a dropped data
 message starves the processed/fires targets (wedge), a duplicated one
 breaks the plan's exact-count validation
-(:class:`~repro.exec.errors.ProtocolViolation`), a late one hits a
-cleared actor table and surfaces as an ``actor_error``
-(:class:`~repro.exec.errors.ExecutorCrashed`).  The supervised
-contract — relied on by the ``live_recovery`` oracle in
-:mod:`repro.check` — is therefore: the sim-identical result, or a
-typed :class:`~repro.exec.errors.ExecutorError`; never a silent wrong
+(:class:`~repro.exec.errors.ProtocolViolation`), and one that
+arrives after its cycle closed fails on the cycle index its token or
+report carries: the token's actor fails with an ``actor_error``
+(:class:`~repro.exec.errors.ExecutorCrashed`), the report is a
+:class:`~repro.exec.errors.ProtocolViolation`, never counted towards
+the next cycle.  The supervised contract — relied on by the
+``live_recovery`` oracle in :mod:`repro.check` — is therefore: the
+sim-identical result, or a typed
+:class:`~repro.exec.errors.ExecutorError`; never a silent wrong
 answer, never an unbounded hang.
 
 Chaos (:class:`~repro.exec.chaos.ChaosPolicy`) plugs in at two seams:
@@ -148,8 +151,6 @@ class Engine:
             for post, actor_plan in zip(self.posts, plan.per_actor):
                 post(("cycle", actor_plan, index,
                       (CONTROL, time.perf_counter())))
-        stats: List = [None] * self.n_procs
-        remaining = self.n_procs
         batch, pos = self._batch, self._pos
         try:
             while not accumulator.done:
@@ -159,22 +160,10 @@ class Engine:
                 pos += 1
                 if not note(message):
                     self._control(message)
-            for post in self.posts:
-                post(("sync",))
-            while remaining:
-                if pos == len(batch):
-                    batch, pos = await self.receive(), 0
-                message = batch[pos]
-                pos += 1
-                if message[0] == "stats":
-                    stats[message[1]] = message[2]
-                    remaining -= 1
-                elif not note(message):
-                    self._control(message)
         finally:
             self._batch, self._pos = batch, pos
             self.cycle_start = None
-        return accumulator.finish(stats, time.perf_counter() - start)
+        return accumulator.finish(time.perf_counter() - start)
 
     def _control(self, message: Tuple) -> None:
         """Handle a control message that is not cycle accounting."""

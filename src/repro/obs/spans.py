@@ -85,7 +85,7 @@ class Span:
     message), ``wait_us`` (that message's measured delivery delay,
     clamped at zero), ``busy_us`` (on a match span, the actor's
     cumulative model-priced busy time at its end, so a cycle's last
-    match span carries the barrier's ``proc_busy_us``) and
+    match span carries the cycle's ``proc_busy_us``) and
     ``generation`` (the supervisor attempt that recorded it).
 
     Not frozen: nothing hashes spans, and the recorder builds one per

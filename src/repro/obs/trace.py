@@ -17,10 +17,10 @@ attribution.  This module gives the *live* actor backends
   supervisor coordinator records ``cycle``, ``restart`` and
   ``checkpoint_replay``;
 * recorders are **drained over the existing control channel** — a
-  ``("spans", ...)`` bookkeeping message sent just before each barrier
-  ``stats`` reply, so the merge needs no side channel and FIFO order
-  guarantees every span of a cycle is on the coordinator before the
-  cycle closes;
+  ``("spans", ...)`` bookkeeping message sent just before each
+  ``processed`` report, so the merge needs no side channel and FIFO
+  order guarantees every span of a cycle is on the coordinator before
+  the cycle closes;
 * the coordinator merges drains with **clock-offset alignment**
   (:meth:`LiveTraceCollector.build`): within one process
   ``perf_counter`` timestamps are directly comparable; across worker
@@ -68,7 +68,7 @@ from .spans import (CAT_BARRIER_WAIT, CAT_CHECKPOINT_REPLAY, CAT_CYCLE,
                     write_timeline_jsonl)
 
 #: Tag of the control-channel drain message (bookkeeping, never counted
-#: in ``n_messages`` — exactly like ``processed``/``sync``/``stats``).
+#: in ``n_messages`` — exactly like ``processed``).
 SPANS = "spans"
 
 #: Environment override for where post-mortem flight dumps land.
@@ -139,8 +139,9 @@ class ActorSpans:
 
     The actor loop calls :meth:`received` on every inbox message,
     :meth:`matched` after the core handled a cycle plan or token, and
-    :meth:`barrier` on ``sync``; its send hook stamps each outgoing data
-    message (:meth:`stamp`) and closes the send span (:meth:`sent`).
+    :meth:`barrier` for the previous cycle when the next broadcast (or
+    shutdown) arrives; its send hook stamps each outgoing data message
+    (:meth:`stamp`) and closes the send span (:meth:`sent`).
     Incoming ``cycle``/``token`` messages carry the sender's
     ``(sender, send_ts)`` context as their last element.
     """
@@ -237,6 +238,8 @@ class LiveTraceCollector:
         self.recorder = FlightRecorder(CONTROL)
         self._drains: List[Tuple] = []
         self.committed: Dict[int, int] = {}
+        #: Committed cycle index -> drains received when it closed.
+        self._closed_at: Dict[int, int] = {}
 
     def add_drain(self, message: Tuple) -> None:
         """Accept one ``("spans", ...)`` control-channel message."""
@@ -246,8 +249,11 @@ class LiveTraceCollector:
         """Mark *cycle* as closed by *generation* — only that
         generation's actor spans survive into :meth:`build` (spans of
         failed replay attempts are filtered, keeping reconciliation
-        exact under restarts)."""
+        exact under restarts).  Actors drain before every report, so a
+        match or send span drained after the cycle closed is a late
+        duplicate's, never counted, and is filtered too."""
         self.committed[cycle] = generation
+        self._closed_at[cycle] = len(self._drains)
 
     def now(self) -> float:
         return time.perf_counter()
@@ -268,8 +274,9 @@ class LiveTraceCollector:
 
         Coordinator spans (cycle/restart/replay) are always kept;
         actor spans are kept only for the generation that committed
-        their cycle unless *committed_only* is false (post-mortem
-        dumps want the failed attempts too).
+        their cycle, and match and send spans only if drained before
+        it closed (see :meth:`commit`), unless *committed_only* is
+        false (post-mortem dumps want the failed attempts too).
         """
         self.add_drain(self.recorder.drain())
         offsets: Dict[Tuple[int, int], float] = {}
@@ -285,14 +292,16 @@ class LiveTraceCollector:
                                 transport=self.transport,
                                 committed=dict(self.committed))
         coordinator_spans = (CAT_CYCLE, CAT_RESTART, CAT_CHECKPOINT_REPLAY)
-        for drain in self._drains:
+        for position, drain in enumerate(self._drains):
             _, actor, generation, _, _, _, raw_spans, dropped = drain
             timeline.dropped += dropped
             off = offsets[(actor, generation)]
             for (category, cycle, start_s, end_s, n, act_id, src,
                  sent_s, busy_us) in raw_spans:
                 if committed_only and category not in coordinator_spans \
-                        and self.committed.get(cycle) != generation:
+                        and (self.committed.get(cycle) != generation
+                             or category in (CAT_MATCH, CAT_SEND)
+                             and position >= self._closed_at[cycle]):
                     continue
                 wait_us = 0.0
                 if src is not None:

@@ -204,10 +204,12 @@ class CycleKeyIndex:
         Root positions in act_id order, a terminal root stored as
         ``~pos`` (negative).
     terminals:
-        Positions of terminal activations (instantiations).
+        Positions of the reachable terminal activations
+        (instantiations).
     counted / counted_left:
-        Positions of the two-input activations, and of the left ones:
-        what the per-processor activation counters count.
+        Positions of the reachable two-input activations, and of the
+        left ones: what the per-processor activation counters count.
+        No root reaches an orphan's subtree, so none of it is here.
     key_counts / key_left_counts:
         The same activations counted per key id (0 for terminal keys),
         so a simulation counts per distinct key, not per activation.
@@ -339,6 +341,21 @@ class CycleKeyIndex:
                 if parent is not None and not (
                         0 <= parent - base < span and tags[parent - base]):
                     orphans[pos] = parent
+        if orphans:  # nothing delivers an orphan's subtree: count none
+            cut = set()
+            stack = list(orphans)
+            while stack:
+                pos = stack.pop()
+                if pos not in cut:
+                    cut.add(pos)
+                    stack += [s - base for s in successors[pos]]
+            for pos in cut:
+                if tags[pos] < TAG_TERMINAL:
+                    counts[key_of[pos]] -= 1
+                    left_counts[key_of[pos]] -= left[pos]
+            terminals, counted, counted_left = (
+                array(positions, [pos for pos in kept if pos not in cut])
+                for kept in (terminals, counted, counted_left))
         return cls(tuple(keys), hashes, base,
                    _compact(key_of, len(keys)), bytes(tags), bytes(left),
                    successors, orphans, roots, terminals, counted,

@@ -189,32 +189,61 @@ class TestMatchActorCore:
     PLAN = ActorCyclePlan(table=TABLE, roots=(), root_fires=(),
                           checksum=(1, 1, 5, 5))
 
+    @staticmethod
+    def cycle(index=3):
+        return ("cycle", TestMatchActorCore.PLAN, index)
+
     def test_token_before_its_cycle_is_held(self):
         config = RunConfig(n_procs=2, overheads=OV8)
         early = MatchActorCore(1, config)
-        assert early.on_token(5) == ([], 0)
-        out, processed = early.on_cycle(self.PLAN)
+        assert early.on_token(("token", 5, 3)) == ([], 0)
+        out, processed = early.on_cycle(self.cycle())
         assert processed == 1
-        assert out == [(CONTROL, ("fire", 6)), (0, ("token", 7))]
+        assert out == [(CONTROL, ("fire", 6)), (0, ("token", 7, 3))]
 
         in_order = MatchActorCore(1, config)
-        assert in_order.on_cycle(self.PLAN) == ([], 0)
-        assert in_order.on_token(5) == (out, 1)
-        assert early.on_sync() == in_order.on_sync()
+        assert in_order.on_cycle(self.cycle()) == ([], 0)
+        assert in_order.on_token(("token", 5, 3)) == (out, 1)
+        assert early.report(0) == in_order.report(0)
+
+    def test_token_of_the_next_cycle_is_held_across_a_cycle(self):
+        """The table stays set between cycles: a token of the next
+        cycle that overtakes its broadcast must wait for it, not run on
+        the previous cycle's table."""
+        config = RunConfig(n_procs=2, overheads=OV8)
+        core = MatchActorCore(1, config)
+        core.on_cycle(self.cycle(2))
+        assert core.on_token(("token", 5, 3)) == ([], 0)
+        assert core.report(0)[3:] == (2, (core.busy_us, 0, 0, 0, 0, 0, 0))
+        out, processed = core.on_cycle(self.cycle(3))
+        assert processed == 1
+        assert out == [(CONTROL, ("fire", 6)), (0, ("token", 7, 3))]
+        assert core.report(processed)[3] == 3
+
+    def test_next_broadcast_resets_the_counters(self):
+        config = RunConfig(n_procs=2, overheads=OV8)
+        core = MatchActorCore(1, config)
+        core.on_cycle(self.cycle(2))
+        core.on_token(("token", 5, 2))
+        fresh = MatchActorCore(1, config)
+        core.on_cycle(self.cycle(3))
+        fresh.on_cycle(self.cycle(3))
+        assert core.report(0)[2:] == fresh.report(0)[2:]
 
     def test_unknown_held_token_still_fails_loudly(self):
         core = MatchActorCore(0, RunConfig(n_procs=2))
-        core.on_token(99)
+        core.on_token(("token", 99, 3))
         with pytest.raises(KeyError):
-            core.on_cycle(self.PLAN)
+            core.on_cycle(self.cycle())
 
     def test_held_token_the_plan_does_not_own_fails_loudly(self):
-        """Before the table, owned by actor 1, and a terminal."""
-        for act_id in (4, 5, 6):
+        """Before the table, owned by actor 1, a terminal, and a token
+        of a cycle after the one broadcast."""
+        for act_id, cycle in ((4, 3), (5, 3), (6, 3), (7, 4)):
             core = MatchActorCore(0, RunConfig(n_procs=2))
-            core.on_token(act_id)
+            core.on_token(("token", act_id, cycle))
             with pytest.raises(KeyError):
-                core.on_cycle(self.PLAN)
+                core.on_cycle(self.cycle())
 
 
 class TestPlanChecksums:

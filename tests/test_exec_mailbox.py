@@ -130,3 +130,58 @@ class TestBatchedRuns:
         assert [c.proc_busy_us for c in live.result.cycles] \
             == [c.proc_busy_us for c in sim.result.cycles]
         assert 0 < counts["processed"] < counts["deliveries"], counts
+
+
+class TestControlTraffic:
+    """One control round trip per live cycle: the cycle broadcast out,
+    ``processed`` reports (and fires) back, nothing else."""
+
+    def test_one_round_trip_per_cycle(self, monkeypatch):
+        """Counts every mailbox put over one burst of the 5-cycle
+        windows of the seed-0 rubik/tourney/weaver recordings at P=4,
+        run concurrently on one loop as the session server runs them."""
+        from repro.exec.actors import _AsyncEngine
+        from repro.workloads import MATCH_PROGRAMS
+        windows = []
+        for name, generator in MATCH_PROGRAMS.items():
+            section = record_program(parse_program(generator(0)), name)
+            windows += [section.slice(start, start + 5)
+                        for start in range(0, len(section) - 4, 5)]
+        config = RunConfig(n_procs=4)
+        kinds = {}
+        to_control = []
+        controls = set()
+        put, start = Mailbox.put_nowait, _AsyncEngine.start
+
+        def counting_put(self, message):
+            kinds[message[0]] = kinds.get(message[0], 0) + 1
+            if id(self) in controls:
+                to_control.append(message[0])
+            put(self, message)
+
+        def recording_start(self):
+            start(self)
+            controls.add(id(self.control))
+
+        async def burst():
+            return await asyncio.gather(
+                *(run_section_async(w, config) for w in windows))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Mailbox, "put_nowait", counting_put)
+            patch.setattr(_AsyncEngine, "start", recording_start)
+            outcomes = asyncio.run(burst())
+        assert [match_signature(RunResult("actors", *o))
+                for o in outcomes] == [match_signature(run(w, config))
+                                       for w in windows]
+
+        cycles = sum(len(w.cycles) for w in windows)
+        n_procs = config.n_procs
+        assert not {"sync", "stats"} & set(kinds), kinds
+        assert kinds["cycle"] == n_procs * cycles
+        # Every actor reports on every cycle, at most once per batch.
+        assert n_procs * cycles <= kinds["processed"] \
+            <= kinds["cycle"] + kinds.get("token", 0)
+        # Control's own traffic: the broadcast out, reports and fires in.
+        assert kinds["cycle"] + len(to_control) \
+            <= n_procs * cycles + kinds["processed"] + kinds.get("fire", 0)

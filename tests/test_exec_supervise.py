@@ -16,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exec import (ActorExecutor, ChaosPolicy, ExecutorError,
-                        ExecutorWedged, NULL_CHAOS, ProtocolViolation,
+from repro.exec import (ActorExecutor, ActorCyclePlan, ChaosPolicy,
+                        CyclePlan, CycleTable, ExecutorCrashed,
+                        ExecutorError, ExecutorWedged, NULL_CHAOS, ProtocolViolation,
                         RestartsExhausted, SessionOverloaded,
                         SessionServer, CONTROL, MatchActorCore,
                         build_plans, exec_timeout_s, match_signature,
@@ -25,6 +26,7 @@ from repro.exec import (ActorExecutor, ChaosPolicy, ExecutorError,
 from repro.exec.errors import DEFAULT_TIMEOUT_S, ENV_TIMEOUT
 from repro.exec.mp import run_section_process
 from repro.exec.plan import CycleAccumulator
+from repro.trace.events import TAG_JOIN, TAG_TERMINAL
 from repro.mpc import TABLE_5_1, RunConfig, SupervisePolicy
 from repro.workloads import rubik_section
 
@@ -191,58 +193,157 @@ class TestChecksumGuard:
 
     @staticmethod
     def _run_cycle_serially(plan, config):
+        """Drive one cycle by hand: every core handles its broadcast and
+        then its tokens, one message per batch, and reports each batch
+        as the actor loops do; ``(accumulator, final reports)``."""
         n = config.n_procs
         cores = [MatchActorCore(i, config) for i in range(n)]
         acc = CycleAccumulator(plan, config)
         queue = deque()
+        last = [None] * n
 
-        def route(out, processed):
+        def route(core, opened, out, processed):
             for dst, msg in out:
                 if dst == CONTROL:
                     acc.note(msg)
                 else:
                     queue.append((dst, msg))
-            if processed:
-                acc.note(("processed", processed))
+            if processed or opened:
+                last[core.actor_id] = core.report(processed)
+                acc.note(last[core.actor_id])
 
         for i in range(n):
-            route(*cores[i].on_cycle(plan.per_actor[i]))
+            route(cores[i], True,
+                  *cores[i].on_cycle(("cycle", plan.per_actor[i],
+                                      plan.index)))
         while queue:
             dst, msg = queue.popleft()
-            route(*cores[dst].on_token(msg[1]))
+            route(cores[dst], False, *cores[dst].on_token(msg))
         assert acc.done
-        return acc, [core.on_sync() for core in cores]
+        return acc, last
+
+    @staticmethod
+    def _tampered(report, field, change):
+        """*report* re-sent with snapshot *field* changed by *change*,
+        as a zero-count report: only the snapshot moves."""
+        snapshot = list(report[4])
+        snapshot[field] = change(snapshot[field])
+        return ("processed", 0, report[2], report[3], tuple(snapshot))
 
     def test_clean_stats_pass(self, rubik):
         config = RunConfig(n_procs=4, overheads=OV8)
         plan = build_plans(rubik, config)[0]
-        acc, stats = self._run_cycle_serially(plan, config)
-        assert all(len(s) == 7 for s in stats)
-        cycle_result, fired = acc.finish(stats, wall_s=0.0)
+        acc, reports = self._run_cycle_serially(plan, config)
+        assert all(len(r[4]) == 7 for r in reports)
+        assert acc.snapshots == [r[4] for r in reports]
+        cycle_result, fired = acc.finish(wall_s=0.0)
         assert fired == plan.expected_fires
 
     def test_corrupted_checksum_detected(self, rubik):
         config = RunConfig(n_procs=4, overheads=OV8)
         plan = build_plans(rubik, config)[0]
-        acc, stats = self._run_cycle_serially(plan, config)
+        acc, reports = self._run_cycle_serially(plan, config)
         # One act-id swapped for another on actor 0: counts and left
         # counts still agree with the plan, only the checksum can tell.
-        s = list(stats[0])
-        s[5] += 1
-        s[6] ^= 3
-        stats[0] = tuple(s)
+        bad = self._tampered(reports[0], 5, lambda v: v + 1)
+        acc.note(self._tampered(bad, 6, lambda v: v ^ 3))
         with pytest.raises(ProtocolViolation, match="checksum"):
-            acc.finish(stats, wall_s=0.0)
+            acc.finish(wall_s=0.0)
 
     def test_miscounted_actor_detected(self, rubik):
         config = RunConfig(n_procs=4, overheads=OV8)
         plan = build_plans(rubik, config)[0]
-        acc, stats = self._run_cycle_serially(plan, config)
-        s = list(stats[1])
-        s[1] += 1  # one activation too many on actor 1
-        stats[1] = tuple(s)
+        acc, reports = self._run_cycle_serially(plan, config)
+        # One activation too many on actor 1.
+        acc.note(self._tampered(reports[1], 1, lambda v: v + 1))
         with pytest.raises(ProtocolViolation):
-            acc.finish(stats, wall_s=0.0)
+            acc.finish(wall_s=0.0)
+
+    def test_report_of_a_closed_cycle_never_counts(self, rubik):
+        """A late duplicate's report names the cycle it belongs to; the
+        next cycle's accumulator rejects it instead of counting it."""
+        config = RunConfig(n_procs=4, overheads=OV8)
+        first, second = build_plans(rubik, config)[:2]
+        _, reports = self._run_cycle_serially(first, config)
+        acc = CycleAccumulator(second, config)
+        stale = ("processed", 1) + reports[0][2:]
+        with pytest.raises(ProtocolViolation, match="closed cycle"):
+            acc.note(stale)
+        assert acc.processed == 0 and acc.snapshots == [None] * 4
+
+
+class TestStaleCycleGuard:
+    """Tokens and reports carry their cycle index, so cycles stay apart
+    with no barrier but the next broadcast."""
+
+    def test_late_token_of_a_closed_cycle_fails_the_actor(self, rubik):
+        config = RunConfig(n_procs=4, overheads=OV8)
+        first, second = build_plans(rubik, config)[:2]
+        core = MatchActorCore(0, config)
+        core.on_cycle(("cycle", first.per_actor[0], first.index))
+        core.on_cycle(("cycle", second.per_actor[0], second.index))
+        act_id = first.per_actor[0].roots[0]
+        with pytest.raises(ProtocolViolation, match="closed cycle"):
+            core.on_token(("token", act_id, first.index))
+
+    @pytest.mark.parametrize("broadcast_first, error", [
+        (True, ExecutorCrashed), (False, ProtocolViolation)])
+    def test_late_duplicate_on_a_live_engine(self, rubik, broadcast_first,
+                                             error):
+        """A duplicate of a closed cycle's token, arriving after the
+        next broadcast, fails its actor and surfaces as
+        :class:`ExecutorCrashed`; arriving before it, the actor still
+        processes it under the old table and control rejects the
+        report as a :class:`ProtocolViolation`."""
+        from repro.exec.actors import _AsyncEngine
+        config = RunConfig(n_procs=4, overheads=OV8)
+        first, second = build_plans(rubik, config)[:2]
+
+        async def main():
+            engine = _AsyncEngine(config, FAST, None, 0)
+            engine.start()
+            try:
+                await engine.run_cycle(first)
+                if broadcast_first:
+                    engine.posts[1](("cycle", second.per_actor[1],
+                                     second.index))
+                engine.posts[1](("token", first.per_actor[1].roots[0],
+                                 first.index))
+                with pytest.raises(error) as info:
+                    await engine.run_cycle(second)
+                assert info.value.cycle == second.index
+            finally:
+                await engine.stop()
+
+        asyncio.run(main())
+
+    def test_idle_and_root_fire_actors_report_their_busy_time(self):
+        """An actor with nothing to match and one that owns only a root
+        fire still report the broadcast's receive and constant-test
+        time; control waits for both reports."""
+        config = RunConfig(n_procs=3, overheads=OV8)
+        table = CycleTable(
+            base=10, tags=bytes([TAG_TERMINAL, TAG_JOIN]), left=b"\x00\x00",
+            successors=[(), ()], dest=[CONTROL, 2], extra={})
+        shares = (ActorCyclePlan(table, (), (), (0, 0, 0, 0)),
+                  ActorCyclePlan(table, (), (10,), (0, 0, 0, 0)),
+                  ActorCyclePlan(table, (11,), (), (1, 0, 11, 11)))
+        plan = CyclePlan(index=7, per_actor=shares, expected_processed=1,
+                         expected_fires=(10,))
+        cores = [MatchActorCore(i, config) for i in range(3)]
+        acc = CycleAccumulator(plan, config)
+        for i in (2, 1, 0):
+            out, processed = cores[i].on_cycle(("cycle", shares[i], 7))
+            for _, msg in out:
+                acc.note(msg)
+            acc.note(cores[i].report(processed))
+            assert acc.done == (i == 0)
+        result, fired = acc.finish(wall_s=0.0)
+        base = OV8.recv_us + config.costs.constant_tests_us
+        assert result.proc_busy_us[0] == base
+        assert result.proc_busy_us[1] == base + OV8.send_us
+        assert result.proc_activations == [0, 0, 1]
+        assert fired == (10,)
 
 
 class TestTimeoutKnob:

@@ -25,6 +25,7 @@ import pytest
 
 from repro.check import TraceCase, generate_cases, mutated_right_token_cost
 from repro.check.oracles import run_oracles
+from repro.exec import match_signature, run
 from repro.exec.plan import CONTROL, build_plans, expected_fires
 from repro.mpc import (DEFAULT_PROTOCOL, TABLE_5_1, ZERO_OVERHEADS,
                        CostModel, CycleResult, ExplicitMapping, FaultModel,
@@ -411,8 +412,10 @@ class TestAgainstReference:
 
     def test_orphan_subtrees_left_out_like_the_root_walk(self, traces):
         """An activation whose parent is outside its cycle is never
-        delivered, nor is anything under it: plans leave its subtree
-        out of every count, fire set and checksum, as the walk did."""
+        delivered, nor is anything under it: the index leaves its
+        subtree out of every count, so plans leave it out of every
+        count, fire set and checksum, as the walk did, and the
+        simulator counts the same activations the actors process."""
         cycle = max(traces[1], key=len)
         acts = cycle.activations
         orphan = next(
@@ -434,8 +437,18 @@ class TestAgainstReference:
             plans = build_plans(trace, config)
             assert _plan_aggregates(plans) == _walk_plans(trace, config)
             assert expected_fires(trace) == [plans[0].expected_fires]
-        assert plans[0].expected_processed < len(index.counted)
-        assert len(plans[0].expected_fires) < len(index.terminals)
+        terminal = [act.kind == "terminal" for act in acts.values()]
+        assert len(index.counted) < terminal.count(False)
+        assert len(index.terminals) < terminal.count(True)
+        assert plans[0].expected_processed == len(index.counted)
+        assert plans[0].expected_fires == tuple(
+            index.base + pos for pos in index.terminals)
+        config = RunConfig(n_procs=4)
+        sim = run(trace, config, backend="sim")
+        live = run(trace, config, backend="actors")
+        assert live.result.cycles[0].proc_activations \
+            == sim.result.cycles[0].proc_activations
+        assert match_signature(live) == match_signature(sim)
 
     def test_matches_results_before_the_index(self, matrix):
         assert path_fingerprints(matrix) == PARENT_FINGERPRINTS

@@ -132,6 +132,26 @@ class TestClockAlignment:
         everything = collector.build(committed_only=False)
         assert len([s for s in everything.spans if s.proc == 0]) == 2
 
+    def test_work_drained_after_its_cycle_closed_is_filtered(self):
+        """Spans before counters: a match or send span of a cycle that
+        reaches the collector after the cycle closed is a late
+        duplicate's, never counted; a barrier wait is drained after
+        its cycle closes by design and stays."""
+        collector = LiveTraceCollector("t", 1, "asyncio")
+        recorder = FlightRecorder(0)
+        recorder.record(CAT_MATCH, 0, 0.0, 1.0, n=2)
+        collector.add_drain(recorder.drain())
+        collector.commit(0, 0)
+        recorder.record(CAT_MATCH, 0, 1.0, 2.0, n=1)
+        recorder.record(CAT_SEND, 0, 2.0, 2.5)
+        recorder.record(CAT_BARRIER_WAIT, 0, 2.5, 3.0)
+        collector.add_drain(recorder.drain())
+        committed = [(s.category, s.n) for s in collector.build().spans
+                     if s.proc == 0]
+        assert committed == [(CAT_MATCH, 2), (CAT_BARRIER_WAIT, 1)]
+        everything = collector.build(committed_only=False)
+        assert len([s for s in everything.spans if s.proc == 0]) == 4
+
 
 # ---------------------------------------------------------------------------
 # Traced runs: invisibility and exact reconciliation
