@@ -31,7 +31,8 @@ import statistics
 import time
 
 from conftest import git_revision, once, quartiles
-from repro.rete import ReferenceReteNetwork, ReteNetwork
+from repro.rete import ReteNetwork
+from repro.rete._reference import ReferenceReteNetwork
 from repro.trace.recorder import TraceRecorder
 from repro.workloads import (adversarial_cross_product, negated_range,
                              record_match_deltas, replay_deltas,

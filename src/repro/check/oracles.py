@@ -107,7 +107,8 @@ from ..mpc.timeline import TimelineRecorder
 from ..obs import get_registry
 from ..ops5 import NaiveMatcher, parse_production
 from ..ops5.wme import WME
-from ..rete import ReferenceReteNetwork, ReteNetwork
+from ..rete import ReteNetwork
+from ..rete._reference import ReferenceReteNetwork
 from ..trace.events import SectionTrace
 from ..trace.format import dumps_trace, read_trace, save_trace
 from .generate import CheckCase, ProgramCase, TraceCase

@@ -66,7 +66,7 @@ class _AsyncEngine(Engine):
             task.add_done_callback(self._exited)
         self._watchdog = loop.call_later(self.deadline_s, self._watch)
 
-    async def stop(self) -> None:
+    async def stop(self, clean: bool = False) -> None:
         # A shutdown message, not Task.cancel(): a cancelled actor keeps
         # a CancelledError whose traceback holds the engine in a
         # reference cycle, which costs served sessions a GC pass each.
@@ -77,15 +77,10 @@ class _AsyncEngine(Engine):
             post(("shutdown",))
         await asyncio.gather(*self.tasks, return_exceptions=True)
         if self.collector is not None:
-            # Salvage flight-recorder drains the dying generation
-            # flushed on shutdown — filtered from the committed
-            # timeline, but gold for post-mortem dumps.
-            salvage = self._batch[self._pos:]
+            unread = []
             while not self.control.empty():
-                salvage.append(self.control.get_nowait())
-            for message in salvage:
-                if message[0] == "spans":
-                    self.collector.add_drain(message)
+                unread.append(self.control.get_nowait())
+            self._salvage(unread)
 
     def kill(self, actor_id: int) -> None:
         self.tasks[actor_id].cancel()

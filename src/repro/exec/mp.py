@@ -20,6 +20,7 @@ import asyncio
 import multiprocessing
 import queue as queue_mod
 import time
+from multiprocessing.connection import wait
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from ..mpc.config import RunConfig
@@ -41,6 +42,11 @@ def _mp_context():
         "fork" if "fork" in methods else None)
 
 
+#: Seconds a clean shutdown waits for the workers to exit on their own
+#: before terminating them.
+SHUTDOWN_S = 5.0
+
+
 def _sleep_then(delay: float, put, message: Tuple) -> None:
     time.sleep(delay)
     put(message)
@@ -49,7 +55,8 @@ def _sleep_then(delay: float, put, message: Tuple) -> None:
 def _match_worker(actor_id: int, config: RunConfig,
                   chaos: Optional[ChaosPolicy], generation: int,
                   inboxes, control_q, traced: bool) -> None:
-    """Child-process main loop: one match actor until terminated."""
+    """Child-process main loop: one match actor until shut down or
+    terminated."""
     core = MatchActorCore(actor_id, config)
     inbox = inboxes[actor_id]
     report = control_q.put
@@ -70,7 +77,7 @@ def _match_worker(actor_id: int, config: RunConfig,
                 out, processed = core.on_token(message)
                 if not processed:
                     continue  # held until its cycle's broadcast
-            else:  # "cycle"
+            elif kind == "cycle":
                 if spans is not None and cycle >= 0:
                     spans.barrier(cycle)
                 cycle = message[2]
@@ -81,6 +88,12 @@ def _match_worker(actor_id: int, config: RunConfig,
                         if spans is not None:
                             spans.received()
                 out, processed = core.on_cycle(message)
+            else:  # "shutdown"
+                if spans is not None:
+                    if cycle >= 0:
+                        spans.barrier(cycle)
+                    report(spans.drain())
+                return
             if spans is not None:
                 spans.matched(cycle, message, processed, core.busy_us)
             if out:
@@ -119,7 +132,11 @@ class _MpEngine(Engine):
         for worker in self.workers:
             worker.start()
 
-    async def stop(self) -> None:
+    async def stop(self, clean: bool = False) -> None:
+        if clean:
+            for post in self.posts:
+                post(("shutdown",))
+            self._await_exits()
         for worker in self.workers:
             if worker.is_alive():
                 worker.terminate()
@@ -132,6 +149,30 @@ class _MpEngine(Engine):
             if q is not None:
                 q.close()
                 q.cancel_join_thread()
+
+    def _await_exits(self) -> None:
+        """Read control until every worker has exited, for at most
+        :data:`SHUTDOWN_S`, and salvage the span drains read.
+
+        Control is read *before* the workers are joined: a worker whose
+        queue feeder still holds data cannot exit.
+        """
+        unread: List[Tuple] = []
+        pending = self.workers
+        deadline = time.perf_counter() + SHUTDOWN_S
+        while True:
+            try:
+                while True:
+                    unread.append(self.control_q.get_nowait())
+            except queue_mod.Empty:
+                pass
+            except (EOFError, OSError):
+                break
+            if not pending or time.perf_counter() >= deadline:
+                break
+            wait([worker.sentinel for worker in pending], timeout=0.01)
+            pending = [worker for worker in pending if worker.is_alive()]
+        self._salvage(unread)
 
     def kill(self, actor_id: int) -> None:
         self.workers[actor_id].kill()

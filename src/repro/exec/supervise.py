@@ -125,8 +125,20 @@ class Engine:
     def start(self) -> None:
         raise NotImplementedError
 
-    async def stop(self) -> None:
+    async def stop(self, clean: bool = False) -> None:
+        """Shut the generation down.  *clean* means every cycle of the
+        run closed, so the actors are idle between cycles."""
         raise NotImplementedError
+
+    def _salvage(self, unread: List[Tuple]) -> None:
+        """Hand the flight-recorder drains a stopping generation flushed
+        to the collector: the unhandled rest of the batch plus *unread*
+        control messages.  Filtered from the committed timeline, but
+        gold for post-mortem dumps."""
+        if self.collector is not None:
+            for message in self._batch[self._pos:] + unread:
+                if message[0] == "spans":
+                    self.collector.add_drain(message)
 
     def kill(self, actor_id: int) -> None:
         raise NotImplementedError
@@ -267,6 +279,7 @@ async def supervise(engine_type: Callable[..., Engine],
     if chaos is not None and chaos.is_null:
         chaos = None
     traced = collector is not None
+    clean = False
     generation = 0
     engine = engine_type(config, policy, chaos, generation, collector)
     engine.start()
@@ -313,8 +326,9 @@ async def supervise(engine_type: Callable[..., Engine],
                 collector.commit(plan.index, generation)
             result.cycles.append(cycle_result)
             fires.append(fired)
+        clean = True
     finally:
-        await engine.stop()
+        await engine.stop(clean)
     return result, fires, time.perf_counter() - section_start
 
 

@@ -12,38 +12,40 @@ The central class is :class:`ReteNetwork`, a drop-in
 
 Attach an observer to ``network.observers`` to see every two-input node
 activation — that is how :mod:`repro.trace` records simulator input.
+
+:class:`NetworkBuilder` owns the network's structure (the node
+descriptors of :mod:`repro.rete.nodes`), and :class:`ReteKernel` lowers
+it into the one production engine.  The original object-dispatch engine
+is an oracle only: import it from :mod:`repro.rete._reference`.
 """
 
-from .builder import CEAnalysis, NetworkBuilder, analyze_ce
+from .builder import CEAnalysis, NetworkBuilder, ReteError, analyze_ce
 from .dot import save_dot, to_dot
 from .footprint import (INLINE_BYTES_PER_NODE, STRUCT_BYTES_PER_NODE,
                         Partitioning, inline_bytes, partition_nodes,
                         partitions_needed, struct_bytes)
-from ._reference import ReferenceReteNetwork
 from .hashing import BucketKey, bucket_index, fnv1a, stable_hash
 from .kernel import ReteKernel
-from .memory import FlatMemories, HashedMemories
-from .network import ReteError, ReteNetwork
+from .memory import FlatMemories
+from .network import ReteNetwork
 from .nodes import (AlphaPattern, BetaNode, JoinNode, NegativeNode,
                     ProductionNode)
 from .stats import ActivationCounter, ActivationEvent
-from .tokens import (EMPTY_TOKEN, MINUS, PLUS, Token, TokenPool,
-                     make_unit_token)
+from .tokens import MINUS, PLUS, TokenPool
 from .transform import (build_network, build_unshared_network,
                         copy_and_constraint_ranges,
                         copy_and_constraint_values, sharing_factor)
 
 __all__ = [
-    "CEAnalysis", "NetworkBuilder", "analyze_ce",
+    "CEAnalysis", "NetworkBuilder", "ReteError", "analyze_ce",
     "BucketKey", "bucket_index", "fnv1a", "stable_hash",
-    "FlatMemories", "HashedMemories",
+    "FlatMemories",
     "ReteKernel",
-    "ReferenceReteNetwork", "ReteError", "ReteNetwork",
+    "ReteNetwork",
     "AlphaPattern", "BetaNode", "JoinNode", "NegativeNode",
     "ProductionNode",
     "ActivationCounter", "ActivationEvent",
-    "EMPTY_TOKEN", "MINUS", "PLUS", "Token", "TokenPool",
-    "make_unit_token",
+    "MINUS", "PLUS", "TokenPool",
     "build_network", "build_unshared_network",
     "copy_and_constraint_ranges", "copy_and_constraint_values",
     "sharing_factor",

@@ -13,20 +13,27 @@ The builder analyses each condition element into:
 Nodes are *shared* between productions whenever the parent beta node, the
 alpha pattern and all tests coincide — the sharing whose removal the
 paper studies in Section 5.2.1 (Figure 5-3).
+
+:class:`NetworkBuilder` owns the resulting structure — the alpha
+patterns, their subscriptions, the beta nodes and terminals, and each
+production's node ids — as public fields.  It is the network's one
+intermediate representation: the flat kernel lowers it, the reference
+engine wraps it, and dot export and the footprint analysis read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..ops5.ast import (AttrTest, ConditionElement, Predicate,
                         Production, Variable)
 from .nodes import (AlphaPattern, BetaNode, BindingSpec, EqTest, IntraTest,
                     JoinNode, NegativeNode, ProductionNode, ResidualTest)
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .network import ReteNetwork
+
+class ReteError(Exception):
+    """Raised on illegal network operations (e.g. late production adds)."""
 
 
 @dataclass(frozen=True)
@@ -98,14 +105,45 @@ def analyze_ce(ce: ConditionElement, bound: Set[str]) -> CEAnalysis:
 ParentKey = Tuple
 
 
-class NetworkBuilder:
-    """Incrementally compiles productions into a :class:`ReteNetwork`.
+class Subscription:
+    """Delivery of an alpha pattern's matches to one beta-node input."""
 
-    One builder per network; it owns the sharing tables.
+    __slots__ = ("node", "side", "unit_bindings")
+
+    def __init__(self, node: BetaNode, side: str,
+                 unit_bindings: Tuple[BindingSpec, ...] = ()) -> None:
+        self.node = node
+        self.side = side  # "left" (unit tokens) or "right" (raw wmes)
+        self.unit_bindings = unit_bindings
+
+
+class NetworkBuilder:
+    """Incrementally compiles productions into one network's structure.
+
+    Node ids and pattern ids count from 1 in creation order; a parent
+    node always has a smaller id than its children.  Once
+    :attr:`sealed` (the first wme has entered the network), adding a
+    production raises :class:`ReteError`: backfilling the memories of
+    freshly created (possibly shared) nodes is not supported, and
+    silently wrong matches would be worse than an error.
     """
 
-    def __init__(self, network: "ReteNetwork") -> None:
-        self.network = network
+    def __init__(self, share: bool = True) -> None:
+        #: When False, two-input nodes are never shared between
+        #: productions — the global form of the paper's Section 5.2.1
+        #: "unsharing" transformation (Figure 5-3).
+        self.share = share
+        self.sealed = False
+        self.alpha_patterns: List[AlphaPattern] = []
+        #: pattern id -> the node inputs its matches feed, in wiring order
+        self.subscriptions: Dict[int, List[Subscription]] = {}
+        #: node id -> join, negative or terminal node, in creation order
+        self.beta_nodes: Dict[int, BetaNode] = {}
+        self.terminals: List[ProductionNode] = []
+        #: two-input node ids used by each production (shared nodes
+        #: appear under every production using them); the Section 3.1
+        #: partitioning constraint needs this.
+        self.production_nodes: Dict[str, List[int]] = {}
         self._alpha_by_sig: Dict[Tuple, AlphaPattern] = {}
         self._node_by_share_key: Dict[Tuple, BetaNode] = {}
 
@@ -120,19 +158,29 @@ class NetworkBuilder:
         existing = self._alpha_by_sig.get(sig)
         if existing is not None:
             return existing
-        pattern = AlphaPattern(pattern_id=self.network.new_pattern_id(),
+        pattern = AlphaPattern(pattern_id=len(self.alpha_patterns) + 1,
                                cls=analysis.cls,
                                const_tests=analysis.const_tests,
                                intra_tests=analysis.intra_tests,
                                always_false=analysis.always_false)
         self._alpha_by_sig[sig] = pattern
-        self.network.register_alpha(pattern)
+        self.alpha_patterns.append(pattern)
+        self.subscriptions[pattern.pattern_id] = []
         return pattern
+
+    def _subscribe(self, pattern: AlphaPattern, node: BetaNode, side: str,
+                   unit_bindings: Tuple[BindingSpec, ...] = ()) -> None:
+        self.subscriptions[pattern.pattern_id].append(
+            Subscription(node, side, unit_bindings))
 
     # -- beta network -----------------------------------------------------------
 
     def add_production(self, production: Production) -> ProductionNode:
         """Compile *production*, sharing nodes with earlier productions."""
+        if self.sealed:
+            raise ReteError(
+                "productions must be added before any wme; "
+                "rebuild the network to change the rule set")
         bound: Set[str] = set()
         parent_key: Optional[ParentKey] = None
         parent_node: Optional[BetaNode] = None
@@ -159,32 +207,31 @@ class NetworkBuilder:
                          analysis.eq_tests, analysis.residual_tests,
                          analysis.new_bindings)
             node = (self._node_by_share_key.get(share_key)
-                    if self.network.share else None)
+                    if self.share else None)
             if node is None:
+                node_id = len(self.beta_nodes) + 1
                 label = f"{production.name}/ce{index + 1}"
                 if ce.negated:
                     node = NegativeNode(
-                        node_id=self.network.new_node_id(), label=label,
-                        network=self.network, eq_tests=analysis.eq_tests,
+                        node_id=node_id, label=label,
+                        eq_tests=analysis.eq_tests,
                         residual_tests=analysis.residual_tests)
                 else:
                     node = JoinNode(
-                        node_id=self.network.new_node_id(), label=label,
-                        network=self.network, eq_tests=analysis.eq_tests,
+                        node_id=node_id, label=label,
+                        eq_tests=analysis.eq_tests,
                         residual_tests=analysis.residual_tests,
                         new_bindings=analysis.new_bindings)
-                if not self.network.share:
-                    # Keep keys unique so the node census stays accurate.
-                    share_key = share_key + (node,)
-                self._node_by_share_key[share_key] = node
-                self.network.register_beta(node)
+                if self.share:
+                    self._node_by_share_key[share_key] = node
+                self.beta_nodes[node_id] = node
                 # Wire the right input to the alpha pattern...
-                self.network.subscribe(alpha, node, side="right")
+                self._subscribe(alpha, node, side="right")
                 # ...and the left input to the parent.
                 if parent_node is None:
                     assert first_alpha is not None
-                    self.network.subscribe(first_alpha, node, side="left",
-                                           unit_bindings=first_bindings)
+                    self._subscribe(first_alpha, node, side="left",
+                                    unit_bindings=first_bindings)
                 else:
                     parent_node.children.append(node)
 
@@ -194,22 +241,24 @@ class NetworkBuilder:
             parent_node = node
             used_nodes.append(node.node_id)
 
-        pnode = ProductionNode(node_id=self.network.new_node_id(),
+        pnode = ProductionNode(node_id=len(self.beta_nodes) + 1,
                                label=f"{production.name}/terminal",
-                               network=self.network, production=production)
-        self.network.register_terminal(pnode)
+                               production=production)
+        self.beta_nodes[pnode.node_id] = pnode
+        self.terminals.append(pnode)
         if parent_node is None:
             # Single positive CE: unit tokens go straight to the terminal.
             assert first_alpha is not None
-            self.network.subscribe(first_alpha, pnode, side="left",
-                                   unit_bindings=first_bindings)
+            self._subscribe(first_alpha, pnode, side="left",
+                            unit_bindings=first_bindings)
         else:
             parent_node.children.append(pnode)
-        self.network.production_nodes[production.name] = used_nodes
+        self.production_nodes[production.name] = used_nodes
         return pnode
 
     # -- introspection ------------------------------------------------------------
 
-    def shared_node_count(self) -> int:
-        """Number of distinct two-input nodes (for sharing tests)."""
-        return len(self._node_by_share_key)
+    def two_input_nodes(self) -> List[BetaNode]:
+        """The join and negative nodes, in creation order."""
+        return [n for n in self.beta_nodes.values()
+                if not isinstance(n, ProductionNode)]

@@ -45,18 +45,19 @@ def _join_label(node) -> str:
 
 def to_dot(network: ReteNetwork, title: str = "rete") -> str:
     """Serialize *network* as a Graphviz digraph string."""
+    ir = network.builder
     lines: List[str] = [f"digraph {_quote(title)} {{",
                         "  rankdir=TB;",
                         "  node [fontsize=10];"]
 
     # Alpha patterns.
-    for pattern in network._alpha_patterns:
+    for pattern in ir.alpha_patterns:
         lines.append(
             f"  a{pattern.pattern_id} [shape=ellipse, "
             f"label={_quote(_alpha_label(pattern))}];")
 
     # Beta nodes.
-    for node in network._beta_nodes.values():
+    for node in ir.beta_nodes.values():
         if isinstance(node, ProductionNode):
             lines.append(
                 f"  n{node.node_id} [shape=doubleoctagon, "
@@ -71,8 +72,8 @@ def to_dot(network: ReteNetwork, title: str = "rete") -> str:
                 f"label={_quote(_join_label(node))}];")
 
     # Alpha -> beta subscriptions.
-    for pattern in network._alpha_patterns:
-        for sub in network._subscriptions.get(pattern.pattern_id, []):
+    for pattern in ir.alpha_patterns:
+        for sub in ir.subscriptions[pattern.pattern_id]:
             style = ("[label=left, style=bold]" if sub.side == "left"
                      else "[label=right]")
             lines.append(
@@ -80,7 +81,7 @@ def to_dot(network: ReteNetwork, title: str = "rete") -> str:
                 f"{style};")
 
     # Beta -> beta children.
-    for node in network._beta_nodes.values():
+    for node in ir.beta_nodes.values():
         if isinstance(node, ProductionNode):
             continue
         for child in node.children:

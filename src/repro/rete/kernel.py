@@ -2,12 +2,13 @@
 
 The reference engine (:mod:`repro.rete._reference`) dispatches every
 working-memory delta through a graph of node *objects*: each activation
-is a Python method call, each token an immutable :class:`Token`
-allocation, and each alpha test a scan over every pattern in the
-network.  This module compiles the same network — built by the ordinary
-:class:`~repro.rete.builder.NetworkBuilder` — into flat parallel arrays
-and executes waves with one explicit depth-first work stack, observed
-or not:
+is a Python method call, each token an immutable
+:class:`~repro.rete._reference.Token` allocation, and each alpha test a
+scan over every pattern in the network.  This module lowers the same
+structure — the node descriptors a
+:class:`~repro.rete.builder.NetworkBuilder` owns — into flat parallel
+arrays and executes waves with one explicit depth-first work stack,
+observed or not:
 
 * **Alpha dispatch** is hashed: within a wme class, one lookup on the
   attribute the patterns share an EQ constant on picks the patterns
@@ -39,6 +40,7 @@ from ..ops5.ast import Constant, Predicate
 from ..ops5.conflict import Instantiation
 from ..ops5.values import NIL
 from ..ops5.wme import WME
+from .builder import NetworkBuilder
 from .hashing import BucketKey, interned_key, intern_value
 from .memory import BISECT_COUNTS, FlatMemories, RangeIndex
 from .nodes import JoinNode, NegativeNode, ProductionNode
@@ -167,24 +169,26 @@ def _passes(tests: list, values: tuple) -> bool:
 class ReteKernel:
     """A compiled, array-of-struct execution engine for one network.
 
-    Built from a :class:`~repro.rete.network.ReteNetwork`'s registration
-    state (alpha patterns, subscriptions, beta-node topology) after all
-    productions are added.  The network delegates ``add_wme`` /
-    ``remove_wme`` / ``conflict_set`` here; structural introspection
-    stays on the network's node objects.
+    Lowered from a :class:`~repro.rete.builder.NetworkBuilder`'s
+    structure (alpha patterns, subscriptions, beta-node topology) after
+    all productions are added.  The network delegates ``add_wme`` /
+    ``remove_wme`` / ``conflict_set`` here and shares its ``observers``
+    list; structural introspection stays on the builder.
     """
 
     #: Always False: the alpha match is pure Python.  Kept only because
     #: the end-to-end benchmark still reports it.
     numpy_engaged = False
 
-    def __init__(self, network) -> None:
-        self.net = network
+    def __init__(self, builder: NetworkBuilder,
+                 observers: List[Callable[[ActivationEvent], None]]) -> None:
+        self.observers = observers
+        #: the id the next observed activation gets (ids count from 1)
+        self.next_act_id = 1
         self.pool = TokenPool()
 
         # -- beta nodes: one row of parallel arrays per node ----------------
-        node_objs = sorted(network._beta_nodes.values(),
-                           key=lambda n: n.node_id)
+        node_objs = list(builder.beta_nodes.values())
         n = len(node_objs)
         ci_of: Dict[int, int] = {node.node_id: ci
                                  for ci, node in enumerate(node_objs)}
@@ -212,14 +216,14 @@ class ReteKernel:
         self.term_names: List[Tuple[str, ...]] = [()] * n
         self.term_insts: List[Optional[Dict]] = [None] * n
         self._terminal_cis: List[int] = [
-            ci_of[t.node_id] for t in network._terminals]
+            ci_of[t.node_id] for t in builder.terminals]
 
         # Left-input variable layouts.  A node's input is either unit
         # tokens from an alpha subscription (layout = the sorted unit
         # binding variables) or its parent's output; parents always have
         # smaller node ids, so one ascending pass resolves everything.
         in_layout: List[Tuple[str, ...]] = [()] * n
-        for subs in network._subscriptions.values():
+        for subs in builder.subscriptions.values():
             for sub in subs:
                 if sub.side == "left":
                     in_layout[ci_of[sub.node.node_id]] = tuple(
@@ -294,7 +298,7 @@ class ReteKernel:
         # -- alpha network: hashed per-class pattern groups -----------------
         by_class: Dict[str, List[_AlphaSlot]] = {}
         slot_of: Dict[int, _AlphaSlot] = {}
-        for pattern in network._alpha_patterns:
+        for pattern in builder.alpha_patterns:
             if pattern.always_false:
                 continue  # can never match; no observable effect
             slot = _AlphaSlot(pattern)
@@ -302,7 +306,7 @@ class ReteKernel:
             slot_of[pattern.pattern_id] = slot
         self._alpha: Dict[str, _AlphaClass] = {
             cls: _AlphaClass(slots) for cls, slots in by_class.items()}
-        for pattern_id, subs in network._subscriptions.items():
+        for pattern_id, subs in builder.subscriptions.items():
             slot = slot_of.get(pattern_id)
             if slot is None:
                 continue
@@ -389,13 +393,12 @@ class ReteKernel:
                         if ranges is not None:
                             del ranges[key]
         left = memories.left[ci].get(key)
-        net = self.net
-        observers = net.observers
+        observers = self.observers
         stack: List[tuple] = []
         act_id = None
         if observers:
-            act_id = net._next_act_id
-            net._next_act_id = act_id + 1
+            act_id = self.next_act_id
+            self.next_act_id = act_id + 1
         rchildren = self.rchildren[ci]
         if left and rchildren:
             pool = self.pool
@@ -542,10 +545,9 @@ class ReteKernel:
         allocs_append = allocs.append
         retain = pool.retain
         release = pool.release
-        net = self.net
-        observers = net.observers
+        observers = self.observers
         if observers:
-            next_id = net._next_act_id
+            next_id = self.next_act_id
             finish_ci = self._finish_ci
             node_id_arr = self.node_id
             label_arr = self.label
@@ -695,7 +697,7 @@ class ReteKernel:
                     for observer in observers:
                         observer(event)
         if observers:
-            net._next_act_id = next_id
+            self.next_act_id = next_id
 
     def _store_copy(self, ci: int, key: tuple, ids: Tuple[int, ...],
                     tok: int) -> None:

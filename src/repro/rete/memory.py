@@ -6,107 +6,26 @@ by :class:`~repro.rete.hashing.BucketKey` — destination node id plus the
 values of the equality-tested variables — so a left token only ever needs
 to search the right bucket with its own index, and vice versa.
 
-This module is purely a data structure; the join/negative nodes in
-:mod:`repro.rete.nodes` decide which keys to use.
+This module holds the flat kernel's data structures; the node
+descriptors in :mod:`repro.rete.nodes` decide which keys to use.  The
+reference engine's list-bucket tables live in
+:mod:`repro.rete._reference`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..ops5.ast import Predicate
 from ..ops5.values import Value
 from ..ops5.wme import WME
-from .hashing import BucketKey
-from .tokens import Token
-
-
-class HashedMemories:
-    """The pair of global hash tables holding all Rete memory state."""
-
-    def __init__(self) -> None:
-        self._left: Dict[BucketKey, List[Token]] = {}
-        self._right: Dict[BucketKey, List[WME]] = {}
-
-    # -- left (token) table -------------------------------------------------
-
-    def add_left(self, key: BucketKey, token: Token) -> None:
-        """Store *token* in left bucket *key*."""
-        self._left.setdefault(key, []).append(token)
-
-    def remove_left(self, key: BucketKey, token: Token) -> bool:
-        """Delete one copy of *token* from left bucket *key*.
-
-        Returns False when the token is absent (a minus token whose plus
-        twin never arrived — networks after transformation can produce
-        these; callers decide whether that is an error).
-        """
-        bucket = self._left.get(key)
-        if not bucket:
-            return False
-        try:
-            bucket.remove(token)
-        except ValueError:
-            return False
-        if not bucket:
-            del self._left[key]
-        return True
-
-    def left_bucket(self, key: BucketKey) -> List[Token]:
-        """Contents of left bucket *key* (empty list when unused)."""
-        return self._left.get(key, [])
-
-    # -- right (wme) table ---------------------------------------------------
-
-    def add_right(self, key: BucketKey, wme: WME) -> None:
-        """Store *wme* in right bucket *key*."""
-        self._right.setdefault(key, []).append(wme)
-
-    def remove_right(self, key: BucketKey, wme: WME) -> bool:
-        """Delete one copy of *wme* from right bucket *key*."""
-        bucket = self._right.get(key)
-        if not bucket:
-            return False
-        try:
-            bucket.remove(wme)
-        except ValueError:
-            return False
-        if not bucket:
-            del self._right[key]
-        return True
-
-    def right_bucket(self, key: BucketKey) -> List[WME]:
-        """Contents of right bucket *key* (empty list when unused)."""
-        return self._right.get(key, [])
-
-    # -- inspection -----------------------------------------------------------
-
-    def left_keys(self) -> Iterator[BucketKey]:
-        return iter(self._left)
-
-    def right_keys(self) -> Iterator[BucketKey]:
-        return iter(self._right)
-
-    def counts(self) -> Tuple[int, int]:
-        """(total left tokens, total right wmes) across all buckets."""
-        left = sum(len(b) for b in self._left.values())
-        right = sum(len(b) for b in self._right.values())
-        return left, right
-
-    def is_empty(self) -> bool:
-        """True when no state is stored — e.g. after symmetric add/delete."""
-        return not self._left and not self._right
-
-    def clear(self) -> None:
-        self._left.clear()
-        self._right.clear()
 
 
 class FlatMemories:
     """The flattened kernel's view of the two global memories.
 
-    Same hashed-memory semantics as :class:`HashedMemories` — one
+    Same hashed-memory semantics as the reference engine's tables — one
     conceptual left table and one right table, bucketed by destination
     node and equality-test values — but laid out for the hot path:
 
@@ -154,7 +73,7 @@ class FlatMemories:
         #: of a token stored more than once, oldest first
         self.copies: Dict[tuple, List[object]] = {}
 
-    # The introspection surface shared with HashedMemories ---------------
+    # The introspection surface shared with the reference tables --------
 
     def counts(self) -> Tuple[int, int]:
         """(total left tokens, total right wmes) across all buckets."""

@@ -1,5 +1,5 @@
-"""Rete network nodes: joins, negative nodes and production (terminal)
-nodes, operating on the global hashed memories.
+"""The Rete network's structural representation: alpha patterns, join
+and negative nodes, and production (terminal) nodes.
 
 The paper's three node types (Section 2.2) map as follows:
 
@@ -9,38 +9,27 @@ The paper's three node types (Section 2.2) map as follows:
   constant tests as a single 30 µs lump per cycle, so the internal
   topology of the constant-test part is not observable.
 * **Memory nodes** are not objects at all: their contents live in the two
-  global hash tables (:class:`~repro.rete.memory.HashedMemories`), keyed
-  by (node id, equality-test values) — the paper's Section 3.1 data
-  structure.  Each join/negative node knows how to compute its keys.
+  global hash tables, keyed by (node id, equality-test values) — the
+  paper's Section 3.1 data structure.  Each join/negative node's
+  ``eq_tests`` name the values of its keys.
 * **Two-input nodes** are :class:`JoinNode` / :class:`NegativeNode`.
 
-Every token arrival at a two-input or terminal node is reported to the
-owning network as an *activation* (the unit of cost in the paper's
-simulator); see :mod:`repro.rete.stats` for the event type.
-
-Since the flattened-kernel rewrite these classes are the network's
-*structural* representation only: the builder still creates them, the
-sharing/partitioning analyses and dot export still walk them, and
-:class:`~repro.rete._reference.ReferenceReteNetwork` still executes
-through their recursive ``left_activate`` / ``right_activate`` methods
-— but the production engine lowers them into flat instruction arrays
-(:mod:`repro.rete.kernel`) before the first wme wave.
+These classes are plain descriptors — ids, labels, test and binding
+specs, children — built by :class:`~repro.rete.builder.NetworkBuilder`
+and read by everything else: the flat kernel
+(:mod:`repro.rete.kernel`) lowers them into instruction arrays, dot
+export and the footprint analysis walk them, and the reference engine
+(:mod:`repro.rete._reference`) wraps them in its own executing node
+types.  No node holds run state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from ..ops5.ast import AttrTest, Predicate
-from ..ops5.conflict import Instantiation
-from ..ops5.values import Value
 from ..ops5.wme import WME
-from .hashing import BucketKey
-from .tokens import MINUS, PLUS, Token
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .network import ReteNetwork
 
 
 #: Equality join test: token.binding(var) must equal wme.get(attr).
@@ -101,16 +90,10 @@ class AlphaPattern:
 class BetaNode:
     """Base class for nodes that accept tokens on their left input."""
 
-    def __init__(self, node_id: int, label: str,
-                 network: "ReteNetwork") -> None:
+    def __init__(self, node_id: int, label: str) -> None:
         self.node_id = node_id
         self.label = label
-        self.network = network
         self.children: List[BetaNode] = []
-
-    def left_activate(self, token: Token, tag: str,
-                      parent_act: Optional[int]) -> None:
-        raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} #{self.node_id} {self.label}>"
@@ -122,179 +105,40 @@ class JoinNode(BetaNode):
     Left input: tokens (from the parent join/negative node, or unit
     tokens made from wmes matching the first CE).  Right input: wmes
     from this CE's alpha pattern.  Memory contents are stored in the
-    global hash tables under keys derived from ``eq_tests``.
+    global hash tables under keys derived from ``eq_tests``; matches
+    pass ``residual_tests`` and bind ``new_bindings``.
     """
 
     kind = "join"
 
-    def __init__(self, node_id: int, label: str, network: "ReteNetwork",
+    def __init__(self, node_id: int, label: str,
                  eq_tests: Tuple[EqTest, ...],
                  residual_tests: Tuple[ResidualTest, ...],
                  new_bindings: Tuple[BindingSpec, ...]) -> None:
-        super().__init__(node_id, label, network)
+        super().__init__(node_id, label)
         self.eq_tests = eq_tests
         self.residual_tests = residual_tests
         self.new_bindings = new_bindings
-
-    # -- keys ---------------------------------------------------------------
-
-    def left_key(self, token: Token) -> BucketKey:
-        """Bucket key for an incoming token, from its bindings."""
-        return BucketKey(self.node_id,
-                         tuple(token.binding(var)
-                               for var, _ in self.eq_tests))
-
-    def right_key(self, wme: WME) -> BucketKey:
-        """Bucket key for an incoming wme, from its attribute values."""
-        return BucketKey(self.node_id,
-                         tuple(wme.get(attr) for _, attr in self.eq_tests))
-
-    # -- tests ----------------------------------------------------------------
-
-    def _residual_ok(self, token: Token, wme: WME) -> bool:
-        for var, predicate, attr in self.residual_tests:
-            if not predicate.apply(wme.get(attr), token.binding(var)):
-                return False
-        return True
-
-    def _extend(self, token: Token, wme: WME) -> Token:
-        fresh: Dict[str, Value] = {var: wme.get(attr)
-                                   for var, attr in self.new_bindings}
-        return token.extend(wme, fresh)
-
-    # -- activations -----------------------------------------------------------
-
-    def left_activate(self, token: Token, tag: str,
-                      parent_act: Optional[int]) -> None:
-        """Store the token, match the opposite (right) bucket, propagate."""
-        key = self.left_key(token)
-        mem = self.network.memories
-        if tag == PLUS:
-            mem.add_left(key, token)
-        else:
-            mem.remove_left(key, token)
-        act = self.network.emit_activation(self, "left", tag, key,
-                                           parent_act)
-        n_successors = 0
-        for wme in list(mem.right_bucket(key)):
-            if self._residual_ok(token, wme):
-                new_token = self._extend(token, wme)
-                for child in self.children:
-                    child.left_activate(new_token, tag, act)
-                    n_successors += 1
-        self.network.finish_activation(act, n_successors)
-
-    def right_activate(self, wme: WME, tag: str,
-                       parent_act: Optional[int]) -> None:
-        """Store the wme, match the opposite (left) bucket, propagate."""
-        key = self.right_key(wme)
-        mem = self.network.memories
-        if tag == PLUS:
-            mem.add_right(key, wme)
-        else:
-            mem.remove_right(key, wme)
-        act = self.network.emit_activation(self, "right", tag, key,
-                                           parent_act)
-        n_successors = 0
-        for token in list(mem.left_bucket(key)):
-            if self._residual_ok(token, wme):
-                new_token = self._extend(token, wme)
-                for child in self.children:
-                    child.left_activate(new_token, tag, act)
-                    n_successors += 1
-        self.network.finish_activation(act, n_successors)
 
 
 class NegativeNode(BetaNode):
     """A two-input node for a negated CE.
 
     A token passes (propagates with tag +) while *zero* wmes of the
-    negated CE's alpha pattern are consistent with it.  The node tracks a
-    join count per stored token; right-side arrivals can therefore
-    *retract* previously-propagated tokens (emit -) and right-side
-    deletions can release them (emit +).
+    negated CE's alpha pattern are consistent with it.  An engine
+    tracks a join count per stored token; right-side arrivals can
+    therefore *retract* previously-propagated tokens (emit -) and
+    right-side deletions can release them (emit +).
     """
 
     kind = "negative"
 
-    def __init__(self, node_id: int, label: str, network: "ReteNetwork",
+    def __init__(self, node_id: int, label: str,
                  eq_tests: Tuple[EqTest, ...],
                  residual_tests: Tuple[ResidualTest, ...]) -> None:
-        super().__init__(node_id, label, network)
+        super().__init__(node_id, label)
         self.eq_tests = eq_tests
         self.residual_tests = residual_tests
-        #: join counts keyed by token identity (wme-id tuple)
-        self._counts: Dict[Tuple[int, ...], int] = {}
-
-    def left_key(self, token: Token) -> BucketKey:
-        return BucketKey(self.node_id,
-                         tuple(token.binding(var)
-                               for var, _ in self.eq_tests))
-
-    def right_key(self, wme: WME) -> BucketKey:
-        return BucketKey(self.node_id,
-                         tuple(wme.get(attr) for _, attr in self.eq_tests))
-
-    def _residual_ok(self, token: Token, wme: WME) -> bool:
-        for var, predicate, attr in self.residual_tests:
-            if not predicate.apply(wme.get(attr), token.binding(var)):
-                return False
-        return True
-
-    def left_activate(self, token: Token, tag: str,
-                      parent_act: Optional[int]) -> None:
-        key = self.left_key(token)
-        mem = self.network.memories
-        act = self.network.emit_activation(self, "left", tag, key,
-                                           parent_act)
-        n_successors = 0
-        if tag == PLUS:
-            mem.add_left(key, token)
-            count = sum(1 for wme in mem.right_bucket(key)
-                        if self._residual_ok(token, wme))
-            self._counts[token.ids()] = count
-            if count == 0:
-                for child in self.children:
-                    child.left_activate(token, PLUS, act)
-                    n_successors += 1
-        else:
-            mem.remove_left(key, token)
-            count = self._counts.pop(token.ids(), 0)
-            if count == 0:
-                for child in self.children:
-                    child.left_activate(token, MINUS, act)
-                    n_successors += 1
-        self.network.finish_activation(act, n_successors)
-
-    def right_activate(self, wme: WME, tag: str,
-                       parent_act: Optional[int]) -> None:
-        key = self.right_key(wme)
-        mem = self.network.memories
-        if tag == PLUS:
-            mem.add_right(key, wme)
-        else:
-            mem.remove_right(key, wme)
-        act = self.network.emit_activation(self, "right", tag, key,
-                                           parent_act)
-        n_successors = 0
-        for token in list(mem.left_bucket(key)):
-            if not self._residual_ok(token, wme):
-                continue
-            ids = token.ids()
-            if tag == PLUS:
-                self._counts[ids] = self._counts.get(ids, 0) + 1
-                if self._counts[ids] == 1:
-                    # Token had been propagated; retract it downstream.
-                    for child in self.children:
-                        child.left_activate(token, MINUS, act)
-                        n_successors += 1
-            else:
-                self._counts[ids] = self._counts.get(ids, 1) - 1
-                if self._counts[ids] == 0:
-                    for child in self.children:
-                        child.left_activate(token, PLUS, act)
-                        n_successors += 1
-        self.network.finish_activation(act, n_successors)
 
 
 class ProductionNode(BetaNode):
@@ -302,25 +146,6 @@ class ProductionNode(BetaNode):
 
     kind = "terminal"
 
-    def __init__(self, node_id: int, label: str, network: "ReteNetwork",
-                 production) -> None:
-        super().__init__(node_id, label, network)
+    def __init__(self, node_id: int, label: str, production) -> None:
+        super().__init__(node_id, label)
         self.production = production
-        self._instantiations: Dict[Tuple[int, ...], Instantiation] = {}
-
-    def left_activate(self, token: Token, tag: str,
-                      parent_act: Optional[int]) -> None:
-        key = BucketKey(self.node_id, ())
-        act = self.network.emit_activation(self, "left", tag, key,
-                                           parent_act)
-        if tag == PLUS:
-            self._instantiations[token.ids()] = Instantiation(
-                production=self.production, wmes=token.wmes,
-                bindings=token.bindings_dict())
-        else:
-            self._instantiations.pop(token.ids(), None)
-        self.network.finish_activation(act, 0)
-
-    def instantiations(self) -> List[Instantiation]:
-        """Current live instantiations of this production."""
-        return list(self._instantiations.values())

@@ -3,110 +3,32 @@
 Paper Section 2.2: a token consists of a tag (+ for addition, - for
 deletion), a list of wme IDs identifying the wmes matching a subsequence
 of the production's CEs, and a list of variable bindings.  Here the tag
-travels separately (as an argument of the activation methods) so that the
-same immutable :class:`Token` value can be added and later deleted.
+travels separately from the token, so that the same token can be added
+and later deleted.  A token's identity is its wme-id list: bindings are
+derived deterministically from the wmes by the network structure, which
+is what lets a minus token find and delete its stored plus twin.
 
-Tokens are value objects: two tokens are equal iff they hold the same
-wme sequence.  Bindings are derived deterministically from the wmes by
-the network structure, so they are excluded from equality — this is what
-lets a minus token find and delete its stored plus twin.
+The flat kernel keeps tokens in a :class:`TokenPool`; the reference
+engine's immutable token objects live in :mod:`repro.rete._reference`.
 """
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from typing import Tuple
 
 from ..ops5.values import Value
 from ..ops5.wme import WME
-from .hashing import intern_value
 
 #: Token tags, as in the paper: "+" add, "-" delete.
 PLUS = "+"
 MINUS = "-"
 
 
-@dataclass(frozen=True)
-class Token:
-    """An immutable partial instantiation.
-
-    Attributes
-    ----------
-    wmes:
-        The wmes matching the positive CEs processed so far, in CE order.
-    bindings:
-        Variable bindings established so far, as a sorted tuple of
-        ``(name, value)`` pairs (tuples keep the token hashable).
-    """
-
-    wmes: Tuple[WME, ...]
-    bindings: Tuple[Tuple[str, Value], ...] = ()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Token):
-            return NotImplemented
-        return self.ids() == other.ids()
-
-    def __hash__(self) -> int:
-        return hash(self.ids())
-
-    def ids(self) -> Tuple[int, ...]:
-        """The wme-id list — the token's identity (paper Section 2.2)."""
-        return tuple(w.wme_id for w in self.wmes)
-
-    def binding(self, name: str) -> Value:
-        """Value bound to variable *name* (raises KeyError when unbound)."""
-        for var, value in self.bindings:
-            if var == name:
-                return value
-        raise KeyError(name)
-
-    def bindings_dict(self) -> Dict[str, Value]:
-        """The bindings as a plain dict (for instantiation construction)."""
-        return dict(self.bindings)
-
-    def extend(self, wme: WME,
-               new_bindings: Mapping[str, Value]) -> "Token":
-        """Return this token extended by *wme* and its fresh bindings.
-
-        Binding names and string values are interned (see
-        :func:`repro.rete.hashing.intern_value`): every join compares
-        binding tuples, and a long run binds the same few symbols over
-        and over.
-        """
-        if not new_bindings:
-            merged = self.bindings
-        else:
-            merged = tuple(sorted(
-                (sys.intern(name), intern_value(value))
-                for name, value in
-                {**dict(self.bindings), **new_bindings}.items()))
-        return Token(wmes=self.wmes + (wme,), bindings=merged)
-
-    def __len__(self) -> int:
-        return len(self.wmes)
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        ids = ",".join(str(i) for i in self.ids())
-        return f"<tok [{ids}]>"
-
-
-#: The empty token seeding the top of the beta network.
-EMPTY_TOKEN = Token(wmes=(), bindings=())
-
-
-def make_unit_token(wme: WME,
-                    new_bindings: Mapping[str, Value]) -> Token:
-    """A length-1 token for a wme entering the first CE's position."""
-    return EMPTY_TOKEN.extend(wme, new_bindings)
-
-
 class TokenPool:
     """Array-of-struct token storage with free-list reuse.
 
     The flattened kernel (:mod:`repro.rete.kernel`) does not allocate a
-    :class:`Token` object per partial instantiation.  Instead a token is
+    token object per partial instantiation.  Instead a token is
     an integer index into this pool's parallel arrays:
 
     * ``ids[i]`` — the wme-id tuple, the token's identity (paper

@@ -172,6 +172,22 @@ class TestTracedRuns:
         assert traced.live.transport == "process"
         reconcile_live(traced.live, traced.result)
 
+    def test_mp_records_every_barrier_like_asyncio(self, small):
+        # A clean end shuts process workers down by message, so the
+        # last cycle's barrier_wait spans are recorded too.
+        config = RunConfig(n_procs=2, overheads=OV8)
+        counts = {}
+        for transport in ("asyncio", "process"):
+            traced = traced_run(small, config, transport=transport)
+            reconcile_live(traced.live, traced.result)
+            per_cycle = {}
+            for span in traced.live.spans:
+                if span.category == CAT_BARRIER_WAIT:
+                    per_cycle[span.cycle] = per_cycle.get(span.cycle, 0) + 1
+            counts[transport] = per_cycle
+        assert counts["process"] == counts["asyncio"] \
+            == {c.index: 2 for c in small.cycles}
+
     def test_span_vocabulary_and_commits(self, small):
         config = RunConfig(n_procs=4, overheads=OV8)
         timeline = traced_run(small, config).live

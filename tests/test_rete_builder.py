@@ -118,3 +118,52 @@ class TestLateProductionAdd:
         net.add_wme(WME(1, "a", {}))
         with pytest.raises(ReteError):
             net.add_production(parse_production("(p r2 (b) --> (halt))"))
+
+    def test_reference_engine_raises_the_same_error(self):
+        from repro.ops5.wme import WME
+        from repro.rete import ReteError
+        from repro.rete._reference import ReferenceReteNetwork
+        net = ReferenceReteNetwork()
+        net.add_production(parse_production("(p r (a) --> (halt))"))
+        net.remove_wme(WME(1, "a", {}))
+        with pytest.raises(ReteError):
+            net.add_production(parse_production("(p r2 (b) --> (halt))"))
+
+
+class TestObservers:
+    def test_observers_list_is_shared_with_the_kernel(self):
+        from repro.ops5.wme import WME
+        net = ReteNetwork()
+        net.add_production(parse_production("(p r (a) --> (halt))"))
+        net.add_wme(WME(1, "a", {}))
+        seen = []
+        net.observers.append(seen.append)
+        net.add_wme(WME(2, "a", {}))
+        assert [e.node_kind for e in seen] == ["terminal"]
+        with pytest.raises(AttributeError):
+            net.observers = []
+
+
+class TestNoReferenceCycles:
+    """A dropped network, with the events its observers kept, is freed by
+    reference counting, not at the cycle collector's next full pass."""
+
+    @pytest.mark.parametrize("engine", ["kernel", "reference"])
+    def test_dropped_network_is_freed_at_once(self, engine):
+        import gc
+        import weakref
+        from repro.rete._reference import ReferenceReteNetwork
+        from repro.trace.recorder import TraceRecorder
+        from repro.workloads import (adversarial_cross_product,
+                                     replay_deltas)
+        net = (ReteNetwork if engine == "kernel" else ReferenceReteNetwork)()
+        recorder = TraceRecorder(net)
+        replay_deltas(net, *adversarial_cross_product(4))
+        assert recorder.section("x").cycles
+        dropped = weakref.ref(net)
+        gc.disable()
+        try:
+            del net, recorder
+            assert dropped() is None
+        finally:
+            gc.enable()

@@ -12,7 +12,8 @@ import pytest
 
 from repro.ops5 import Interpreter, parse_program
 from repro.ops5.conflict import Strategy
-from repro.rete import ReferenceReteNetwork, ReteNetwork
+from repro.rete import ReteNetwork
+from repro.rete._reference import ReferenceReteNetwork
 from repro.workloads import (MATCH_PROGRAMS, adversarial_cross_product,
                              record_match_deltas, replay_deltas)
 from repro.workloads.programs import (BLOCKS_WORLD, GRID_ROUTER,

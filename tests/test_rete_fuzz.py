@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 
 from repro.ops5 import NaiveMatcher, parse_production
 from repro.ops5.wme import WME
-from repro.rete import ReferenceReteNetwork, ReteNetwork
+from repro.rete import ReteNetwork
+from repro.rete._reference import ReferenceReteNetwork
 
 CLASSES = ["a", "b", "c"]
 VALUES = [1, 2, 3, "x", "y"]

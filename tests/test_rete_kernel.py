@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from repro.ops5 import parse_production
 from repro.ops5.ast import AttrTest, Constant, Disjunction, Predicate
 from repro.ops5.wme import WME
-from repro.rete import (FlatMemories, ReferenceReteNetwork, ReteError,
-                        ReteNetwork, TokenPool)
+from repro.rete import FlatMemories, ReteError, ReteNetwork, TokenPool
+from repro.rete._reference import ReferenceReteNetwork
 from repro.rete.kernel import ReteKernel, _AlphaClass, _AlphaSlot
 from repro.rete.nodes import AlphaPattern
 

@@ -1,7 +1,8 @@
 """Unit tests for the global hashed memories."""
 
 from repro.ops5.wme import WME
-from repro.rete import BucketKey, HashedMemories, make_unit_token
+from repro.rete import BucketKey
+from repro.rete._reference import HashedMemories, make_unit_token
 
 
 def tok(i):

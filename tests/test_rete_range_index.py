@@ -25,7 +25,8 @@ from hypothesis import strategies as st
 from repro.ops5 import NaiveMatcher, parse_production
 from repro.ops5.ast import Predicate
 from repro.ops5.wme import WME
-from repro.rete import ReferenceReteNetwork, ReteNetwork
+from repro.rete import ReteNetwork
+from repro.rete._reference import ReferenceReteNetwork
 from repro.rete.memory import BISECT_COUNTS, RangeIndex
 from repro.rete.predicates import compile_predicate
 

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.ops5.wme import WME
-from repro.rete import (EMPTY_TOKEN, BucketKey, Token, bucket_index, fnv1a,
-                        make_unit_token, stable_hash)
+from repro.rete import BucketKey, bucket_index, fnv1a, stable_hash
+from repro.rete._reference import EMPTY_TOKEN, Token, make_unit_token
 
 
 def w(i, **attrs):

@@ -169,7 +169,7 @@ class TestRecordedKernelMatchesReference:
 
     @pytest.mark.parametrize("name", ["rubik", "tourney", "weaver"])
     def test_sections_identical(self, name):
-        from repro.rete import ReferenceReteNetwork
+        from repro.rete._reference import ReferenceReteNetwork
         from repro.workloads.match import (rubik_match_program,
                                            tourney_match_program,
                                            weaver_match_program)
