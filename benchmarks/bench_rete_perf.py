@@ -23,6 +23,7 @@ Run::
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import pathlib
@@ -102,9 +103,12 @@ def _time_replays(factories, program, deltas, repeats: int = REPEATS,
     The engines are timed round-robin (ref, fast, ... ref, fast, ...)
     rather than back to back, so drifting machine load lands on every
     engine about equally and the *ratios* stay stable even when the
-    absolute timings wobble.  With *recorded*, a trace recorder
-    observes every activation and its section is built inside the
-    timed region; the signature then includes the section.
+    absolute timings wobble.  Every leg starts from an empty cycle
+    collector (an untimed ``gc.collect()``), so no leg pays for a full
+    collection of what earlier legs or tests left behind.  With
+    *recorded*, a trace recorder logs every activation and its section
+    is built inside the timed region; the signature then includes the
+    section.
     """
     samples = [[] for _ in factories]
     signatures = [None] * len(factories)
@@ -112,6 +116,7 @@ def _time_replays(factories, program, deltas, repeats: int = REPEATS,
         for i, factory in enumerate(factories):
             matcher = factory()
             recorder = TraceRecorder(matcher) if recorded else None
+            gc.collect()
             start = time.perf_counter()
             conflict_set = replay_deltas(matcher, program, deltas)
             section = recorder.section("replay") if recorded else None
@@ -195,6 +200,7 @@ def test_adversarial_cross_product_stays_quadratic(benchmark, report):
 
     def _replay(program, deltas):
         matcher = ReteNetwork()
+        gc.collect()
         start = time.perf_counter()
         conflict_set = replay_deltas(matcher, program, deltas)
         seconds = time.perf_counter() - start

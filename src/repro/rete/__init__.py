@@ -10,8 +10,12 @@ The central class is :class:`ReteNetwork`, a drop-in
     interp.load_program(parse_program(source))
     interp.run()
 
-Attach an observer to ``network.observers`` to see every two-input node
-activation — that is how :mod:`repro.trace` records simulator input.
+While anything listens, the network writes every two-input and terminal
+activation as one row to its activation log
+(:class:`~repro.rete.stats.ActivationLog`) — that is how
+:mod:`repro.trace` records simulator input.  Attach an observer to
+``network.observers`` to receive the same activations as
+:class:`ActivationEvent` objects, in post-order after each wave.
 
 :class:`NetworkBuilder` owns the network's structure (the node
 descriptors of :mod:`repro.rete.nodes`), and :class:`ReteKernel` lowers
@@ -30,7 +34,7 @@ from .memory import FlatMemories
 from .network import ReteNetwork
 from .nodes import (AlphaPattern, BetaNode, JoinNode, NegativeNode,
                     ProductionNode)
-from .stats import ActivationCounter, ActivationEvent
+from .stats import ActivationCounter, ActivationEvent, ActivationLog
 from .tokens import MINUS, PLUS, TokenPool
 from .transform import (build_network, build_unshared_network,
                         copy_and_constraint_ranges,
@@ -44,7 +48,7 @@ __all__ = [
     "ReteNetwork",
     "AlphaPattern", "BetaNode", "JoinNode", "NegativeNode",
     "ProductionNode",
-    "ActivationCounter", "ActivationEvent",
+    "ActivationCounter", "ActivationEvent", "ActivationLog",
     "MINUS", "PLUS", "TokenPool",
     "build_network", "build_unshared_network",
     "copy_and_constraint_ranges", "copy_and_constraint_values",

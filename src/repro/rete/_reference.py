@@ -17,8 +17,11 @@ reporting (:class:`_Run`), never the network itself, so no reference
 cycle keeps a dropped network alive.  Memory state lives in
 :class:`HashedMemories`, and tokens are immutable :class:`Token`
 values.  It implements the same
-:class:`~repro.ops5.matcher.Matcher` protocol and emits the same
-:class:`~repro.rete.stats.ActivationEvent` stream.
+:class:`~repro.ops5.matcher.Matcher` protocol, emits the same
+:class:`~repro.rete.stats.ActivationEvent` stream (from its own
+recursion, not from a replay) and, once a recorder keeps its
+:class:`~repro.rete.stats.ActivationLog`, writes the same rows where it
+numbers an activation.
 
 The equivalence chain is pinned end to end by the conformance harness:
 ``rete_vs_naive`` proves the reference engine against the from-scratch
@@ -43,7 +46,7 @@ from ..ops5.wme import WME
 from .builder import NetworkBuilder, Subscription
 from .hashing import BucketKey, intern_value
 from .nodes import BetaNode, JoinNode, NegativeNode, ProductionNode
-from .stats import ActivationEvent
+from .stats import TAG_CODES, ActivationEvent, ActivationLog
 from .tokens import MINUS, PLUS
 
 # -- tokens ---------------------------------------------------------------------
@@ -233,13 +236,16 @@ class _Run:
     def __init__(self) -> None:
         self.memories = HashedMemories()
         self.observers: List[Callable[[ActivationEvent], None]] = []
+        self.log = ActivationLog()
         self._next_act_id = 1
 
     def emit_activation(self, node: BetaNode, side: str, tag: str,
                         key: BucketKey, parent_act: Optional[int]) -> \
             Optional[ActivationEvent]:
-        """Open an activation event.  Returns None when nobody listens."""
-        if not self.observers:
+        """Open an activation event, and write its log row once a
+        recorder keeps the log.  Returns None when nobody listens."""
+        log = self.log
+        if not self.observers and not log.kept:
             return None
         event = ActivationEvent(
             act_id=self._next_act_id, parent_id=(
@@ -248,6 +254,9 @@ class _Run:
             node_id=node.node_id, node_label=node.label,
             node_kind=node.kind, side=side, tag=tag, key=key)
         self._next_act_id += 1
+        if log.kept:
+            log.add(event.parent_id, TAG_CODES[node.kind, side, tag],
+                    node.node_id, key.values)
         return event
 
     def finish_activation(self, event: Optional[ActivationEvent],
@@ -520,3 +529,12 @@ class ReferenceReteNetwork:
         """Call-backs receiving every :class:`ActivationEvent` (change
         the list in place)."""
         return self._run.observers
+
+    def keep_log(self) -> ActivationLog:
+        """The network's activation log, with every row written from
+        now on kept (its first row is the next activation)."""
+        run = self._run
+        if not run.log.kept:
+            run.log.start = run._next_act_id
+            run.log.kept = True
+        return run.log

@@ -23,11 +23,15 @@ observed or not:
   static per node (the node's sorted variable layout), so a token
   carries only a value tuple and variable lookups are index reads.
 
-The executor replicates the reference engine's observable behaviour bit
-for bit: activation events get their ``act_id`` in the reference's
-pre-order (assigned when an activation *starts*) and are delivered to
-observers in its post-order (when the activation's subtree finishes),
-conflict sets hold the same instantiations, and memory buckets are
+While anything listens, the walk writes one row per activation to the
+network's :class:`~repro.rete.stats.ActivationLog` at the moment it
+numbers the activation: the reference engine's pre-order, so the rows
+are already in act-id order and nothing is sorted, queued or built per
+activation.  Observers get :class:`~repro.rete.stats.ActivationEvent`
+objects replayed from the wave's rows in the reference's post-order
+(:meth:`ActivationLog.replay`).  The executor replicates the reference
+engine's observable behaviour bit for bit: the same act ids, parents,
+keys and successor counts, the same conflict sets, and memory buckets
 deleted when they empty.  The ``rete_fast_vs_reference`` conformance
 oracle and the differential fuzz suite pin this equivalence.
 """
@@ -41,19 +45,18 @@ from ..ops5.conflict import Instantiation
 from ..ops5.values import NIL
 from ..ops5.wme import WME
 from .builder import NetworkBuilder
-from .hashing import BucketKey, interned_key, intern_value
+from .hashing import intern_value
 from .memory import BISECT_COUNTS, FlatMemories, RangeIndex
 from .nodes import JoinNode, NegativeNode, ProductionNode
 from .predicates import compile_constant_test, compile_predicate
-from .stats import ActivationEvent
+from .stats import (TAG_JOIN, TAG_LEFT, TAG_NEGATIVE, TAG_TERMINAL,
+                    ActivationEvent, ActivationLog)
 from .tokens import MINUS, PLUS, TokenPool
 
 #: Compiled node kinds (values of ``ReteKernel.kind``).
 KIND_JOIN = 0
 KIND_NEGATIVE = 1
 KIND_TERMINAL = 2
-#: The kind of the extra row a walk's finish markers point at.
-KIND_FINISH = 3
 
 #: Exact value types an alpha constant is hashed on: their ``==`` and
 #: ``hash`` are OPS5 equality (``1 == 1.0``, ``"1" != 1``), and ``bool``
@@ -173,7 +176,8 @@ class ReteKernel:
     structure (alpha patterns, subscriptions, beta-node topology) after
     all productions are added.  The network delegates ``add_wme`` /
     ``remove_wme`` / ``conflict_set`` here and shares its ``observers``
-    list; structural introspection stays on the builder.
+    list and its activation log; structural introspection stays on the
+    builder.
     """
 
     #: Always False: the alpha match is pure Python.  Kept only because
@@ -181,10 +185,11 @@ class ReteKernel:
     numpy_engaged = False
 
     def __init__(self, builder: NetworkBuilder,
-                 observers: List[Callable[[ActivationEvent], None]]) -> None:
+                 observers: List[Callable[[ActivationEvent], None]],
+                 log: ActivationLog) -> None:
         self.observers = observers
-        #: the id the next observed activation gets (ids count from 1)
-        self.next_act_id = 1
+        #: written while anything listens; it numbers the activations
+        self.log = log
         self.pool = TokenPool()
 
         # -- beta nodes: one row of parallel arrays per node ----------------
@@ -194,8 +199,9 @@ class ReteKernel:
                                  for ci, node in enumerate(node_objs)}
         self.kind: List[int] = [0] * n
         self.node_id: List[int] = [0] * n
-        self.label: List[str] = [""] * n
-        self.kind_str: List[str] = [""] * n
+        #: tag byte of a + left / right activation (``TAG_*`` bits)
+        self.left_code: List[int] = [0] * n
+        self.right_code: List[int] = [0] * n
         self.children: List[Tuple[int, ...]] = [()] * n
         self.left_key_pos: List[Tuple[int, ...]] = [()] * n
         self.right_key_attrs: List[Tuple[str, ...]] = [()] * n
@@ -231,11 +237,10 @@ class ReteKernel:
 
         for ci, node in enumerate(node_objs):
             self.node_id[ci] = node.node_id
-            self.label[ci] = node.label
-            self.kind_str[ci] = node.kind
             layout = in_layout[ci]
             if isinstance(node, ProductionNode):
                 self.kind[ci] = KIND_TERMINAL
+                self.left_code[ci] = TAG_TERMINAL | TAG_LEFT
                 self.term_prod[ci] = node.production
                 self.term_names[ci] = layout
                 self.term_insts[ci] = {}
@@ -249,6 +254,7 @@ class ReteKernel:
                 for var, pred, attr in node.residual_tests)
             if isinstance(node, NegativeNode):
                 self.kind[ci] = KIND_NEGATIVE
+                self.right_code[ci] = TAG_NEGATIVE
                 self.neg_counts[ci] = {}
                 if len(node.residual_tests) == 1:
                     self.range_count[ci] = BISECT_COUNTS.get(
@@ -257,6 +263,7 @@ class ReteKernel:
             else:
                 assert isinstance(node, JoinNode)
                 self.kind[ci] = KIND_JOIN
+                self.right_code[ci] = TAG_JOIN
                 new_by_var = dict(node.new_bindings)
                 out_layout = tuple(sorted(set(layout) | set(new_by_var)))
                 self.merge_plan[ci] = tuple(
@@ -264,6 +271,7 @@ class ReteKernel:
                     else (False, layout.index(var))
                     for var in out_layout)
                 self.copy_values[ci] = not new_by_var
+            self.left_code[ci] = self.right_code[ci] | TAG_LEFT
             self.children[ci] = tuple(
                 ci_of[child.node_id] for child in node.children)
             for child in node.children:
@@ -283,17 +291,11 @@ class ReteKernel:
         self.rbeta_children: List[Tuple[int, ...]] = [
             tuple(c for c in self.rchildren[ci]
                   if self.kind[c] != KIND_TERMINAL) for ci in range(n)]
-        #: the row finish markers name (see :meth:`_walk`)
-        self._finish_ci = n
-        self.kind.append(KIND_FINISH)
-
         self.memories = FlatMemories(
             n, [ci for ci in range(n) if self.range_count[ci]])
-        #: each node's key-less bucket (every terminal activation and
-        #: every activation of a join without equality tests), shared
-        #: by all events that report it
-        self.empty_key: List[BucketKey] = [
-            BucketKey(node_id, ()) for node_id in self.node_id]
+        #: node id -> label, for the events replayed to observers
+        self.labels: Dict[int, str] = {
+            node.node_id: node.label for node in node_objs}
 
         # -- alpha network: hashed per-class pattern groups -----------------
         by_class: Dict[str, List[_AlphaSlot]] = {}
@@ -324,22 +326,30 @@ class ReteKernel:
             return
         pool = self.pool
         allocs: List[int] = []
+        observers = self.observers
+        log: Optional[ActivationLog] = self.log
+        if observers:
+            start = log.end
+        elif not log.kept:
+            log = None
         alpha_match = self._alpha_match
         matched = [s for s in alpha.candidates(wme) if alpha_match(s, wme)]
         for slot in matched:
             for ci, unit_attrs in slot.subs:
                 if unit_attrs is None:
-                    self._right(ci, wme, tag, allocs)
+                    self._right(ci, wme, tag, allocs, log)
                 else:
                     tok = pool.alloc(
                         (wme.wme_id,), (wme,),
                         tuple(intern_value(wme.get(a))
                               for a in unit_attrs))
                     allocs.append(tok)
-                    self._walk([(ci, tok, tag, None)], allocs)
+                    self._walk([(ci, tok, tag, None)], allocs, log)
         release = pool.release_if_unused
         for idx in allocs:
             release(idx)
+        if observers:
+            log.replay(start, self.labels, observers)
 
     @staticmethod
     def _alpha_match(slot: _AlphaSlot, wme: WME) -> bool:
@@ -352,13 +362,13 @@ class ReteKernel:
                 return False
         return True
 
-    def _right(self, ci: int, wme: WME, tag: str,
-               allocs: List[int]) -> None:
+    def _right(self, ci: int, wme: WME, tag: str, allocs: List[int],
+               log: Optional[ActivationLog]) -> None:
         """One right (wme) activation at node *ci*: the root of a walk.
 
         Its successors are pushed in reverse so the walk pops them in
         the reference engine's order; :meth:`_walk` describes the
-        entries and what attached observers change.
+        entries and what writing the *log* changes.
         """
         get = wme.attrs.get
         key = tuple([get(a, NIL) for a in self.right_key_attrs[ci]])
@@ -393,12 +403,12 @@ class ReteKernel:
                         if ranges is not None:
                             del ranges[key]
         left = memories.left[ci].get(key)
-        observers = self.observers
         stack: List[tuple] = []
         act_id = None
-        if observers:
-            act_id = self.next_act_id
-            self.next_act_id = act_id + 1
+        if log is not None:
+            act_id = log.add(
+                None, self.right_code[ci] | (tag == MINUS),
+                self.node_id[ci], key)
         rchildren = self.rchildren[ci]
         if left and rchildren:
             pool = self.pool
@@ -480,23 +490,11 @@ class ReteKernel:
                         if count == 0:
                             for cci in rchildren:
                                 push((cci, tok, PLUS, act_id))
-        if observers:
-            node_id = self.node_id[ci]
-            event = ActivationEvent(
-                act_id, None, node_id, self.label[ci], self.kind_str[ci],
-                "right", tag,
-                interned_key(node_id, tuple([intern_value(v)
-                                             for v in key]))
-                if key else self.empty_key[ci], len(stack))
-            if not stack:
-                for observer in observers:
-                    observer(event)
-                return
-            stack.insert(0, (self._finish_ci, event, 0, None))
         if stack:
-            self._walk(stack, allocs)
+            self._walk(stack, allocs, log)
 
-    def _walk(self, stack: List[tuple], allocs: List[int]) -> None:
+    def _walk(self, stack: List[tuple], allocs: List[int],
+              log: Optional[ActivationLog]) -> None:
         """Propagate the left activations on *stack* depth first.
 
         Entries are ``(node, token, tag, parent act_id)``; a token is a
@@ -508,15 +506,12 @@ class ReteKernel:
         (the network is a DAG), so computing successors at entry is
         exact.
 
-        With no observers attached there are no events to order:
-        terminal children of a join are handled in place, without an
-        entry or a pool slot.  With observers, every activation takes
-        its event id at entry — the reference's pre-order — terminals
-        become entries too, and a finish marker
-        ``(_finish_ci, event, 0, None)`` inserted under each
-        activation's successors delivers the event once its subtree is
-        done: the reference's post-order.  An activation without
-        successors delivers its event at once.
+        With no *log* there is nothing to number: terminal children of
+        a join are handled in place, without an entry or a pool slot.
+        With a log, every activation takes the next act id as it is
+        popped — the reference's pre-order — and appends its row
+        (parent, tag byte, node, key values) there and then; terminals
+        become entries too, so they are numbered in their turn.
         """
         pool = self.pool
         pop = stack.pop
@@ -545,23 +540,20 @@ class ReteKernel:
         allocs_append = allocs.append
         retain = pool.retain
         release = pool.release
-        observers = self.observers
-        if observers:
-            next_id = self.next_act_id
-            finish_ci = self._finish_ci
+        logged = log is not None
+        if logged:
+            next_id = log.end
+            log_parent = log.parents.append
+            log_tag = log.tags.append
+            log_node = log.nodes.append
+            log_key = log.keys.append
             node_id_arr = self.node_id
-            label_arr = self.label
-            kind_str_arr = self.kind_str
-            empty_key = self.empty_key
+            left_code_arr = self.left_code
         act_id = None
         while stack:
             ci, tok, tag, parent = pop()
             kind = kinds[ci]
-            if kind >= KIND_TERMINAL:
-                if kind == KIND_FINISH:
-                    for observer in observers:
-                        observer(tok)
-                    continue
+            if kind == KIND_TERMINAL:
                 if type(tok) is tuple:
                     ids, wmes, values = tok
                 else:
@@ -575,13 +567,12 @@ class ReteKernel:
                         dict(zip(term_names_arr[ci], values)))
                 else:
                     insts.pop(ids, None)
-                if observers:
-                    event = ActivationEvent(
-                        next_id, parent, node_id_arr[ci], label_arr[ci],
-                        kind_str_arr[ci], "left", tag, empty_key[ci])
+                if logged:
                     next_id += 1
-                    for observer in observers:
-                        observer(event)
+                    log_parent(parent)
+                    log_tag(left_code_arr[ci] | (tag == MINUS))
+                    log_node(node_id_arr[ci])
+                    log_key(())
                 continue
             values = values_arr[tok]
             ids = ids_arr[tok]
@@ -608,10 +599,13 @@ class ReteKernel:
                         if not bucket:
                             del buckets[key]
                         release(idx)
-            if observers:
+            if logged:
                 act_id = next_id
                 next_id += 1
-                mark = len(stack)
+                log_parent(parent)
+                log_tag(left_code_arr[ci] | (tag == MINUS))
+                log_node(node_id_arr[ci])
+                log_key(key)
             if kind == KIND_JOIN:
                 right = right_mem[ci].get(key)
                 rchildren = rchildren_arr[ci]
@@ -636,7 +630,7 @@ class ReteKernel:
                             nvalues = values
                         nids = ids + (wme.wme_id,)
                         nwmes = wmes_tok + (wme,)
-                        if observers:
+                        if logged:
                             ntok = None
                             if rbchildren:
                                 ntok = alloc(nids, nwmes, nvalues)
@@ -684,20 +678,6 @@ class ReteKernel:
                 elif counts.pop(ids, 0) == 0:
                     for cci in rchildren_arr[ci]:
                         push((cci, tok, MINUS, act_id))
-            if observers:
-                node_id = node_id_arr[ci]
-                event = ActivationEvent(
-                    act_id, parent, node_id, label_arr[ci],
-                    kind_str_arr[ci], "left", tag,
-                    interned_key(node_id, key) if key else empty_key[ci],
-                    len(stack) - mark)
-                if event.n_successors:
-                    stack.insert(mark, (finish_ci, event, 0, None))
-                else:
-                    for observer in observers:
-                        observer(event)
-        if observers:
-            self.next_act_id = next_id
 
     def _store_copy(self, ci: int, key: tuple, ids: Tuple[int, ...],
                     tok: int) -> None:

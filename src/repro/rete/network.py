@@ -18,9 +18,14 @@ kept as an oracle in :mod:`repro.rete._reference`; the
 ``rete_fast_vs_reference`` conformance oracle pins the two to identical
 conflict sets and activation-event streams.
 
-Every two-input/terminal activation is reported to ``observers`` as an
-:class:`~repro.rete.stats.ActivationEvent` — the raw material for the
-Figure 4-1 trace.
+While anything listens, every two-input/terminal activation is numbered
+and written as one row to the network's
+:class:`~repro.rete.stats.ActivationLog` — the raw material for the
+Figure 4-1 trace, which :class:`~repro.trace.recorder.TraceRecorder`
+compiles straight from the rows (:meth:`ReteNetwork.keep_log`).
+``observers`` receive the same activations as
+:class:`~repro.rete.stats.ActivationEvent` objects, replayed from the log
+in post-order after each wave.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from .builder import NetworkBuilder, ReteError
 from .kernel import ReteKernel
 from .memory import FlatMemories
 from .nodes import BetaNode
-from .stats import ActivationEvent
+from .stats import ActivationEvent, ActivationLog
 from .tokens import MINUS, PLUS
 
 __all__ = ["ReteError", "ReteNetwork"]
@@ -48,6 +53,7 @@ class ReteNetwork:
         #: two-input nodes between productions (Figure 5-3 unsharing)
         self.builder = NetworkBuilder(share)
         self._observers: List[Callable[[ActivationEvent], None]] = []
+        self._log = ActivationLog()
         self._kernel: Optional[ReteKernel] = None
 
     # -- Matcher protocol -----------------------------------------------------
@@ -78,18 +84,25 @@ class ReteNetwork:
 
     def _compile(self) -> ReteKernel:
         """Lower the builder's structure into the flat kernel."""
-        kernel = ReteKernel(self.builder, self._observers)
+        kernel = ReteKernel(self.builder, self._observers, self._log)
         self._kernel = kernel
         return kernel
 
     @property
     def observers(self) -> List[Callable[[ActivationEvent], None]]:
-        """Call-backs receiving every :class:`ActivationEvent`.
+        """Call-backs receiving every :class:`ActivationEvent`, in
+        post-order once each wave is done.
 
         The kernel holds this same list: append to it or remove from it
         in place (the attribute cannot be rebound).
         """
         return self._observers
+
+    def keep_log(self) -> ActivationLog:
+        """The network's activation log, with every row written from
+        now on kept for the network's lifetime."""
+        self._log.kept = True
+        return self._log
 
     @property
     def kernel(self) -> ReteKernel:

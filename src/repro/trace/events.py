@@ -8,6 +8,15 @@ activations it generated.  The paper's simulator consumes exactly this —
 network" — and so does ours, which is what makes recorded and synthetic
 traces interchangeable.
 
+Every cycle is run from one compiled table, :class:`CycleKeyIndex`, and
+:meth:`CycleKeyIndex.from_columns` is the one compile behind it.  A
+recorded cycle is compiled from the match engine's activation log (one
+row per activation, already in act-id order: parent act id, tag byte,
+node id, key values) with column operations, and is that table alone; a
+cycle built from :class:`TraceActivation` objects (transforms, synthetic
+generators, the text reader) feeds their columns to the same compile.
+The tag-byte bits (``TAG_*``) are the match engines', re-exported here.
+
 Streaming traces
 ----------------
 The simulator does not actually need a materialized
@@ -28,11 +37,17 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from operator import attrgetter
+from itertools import compress, count, repeat
+from operator import attrgetter, eq, is_
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
 from ..rete.hashing import BucketKey, stable_hash
+# The tag-byte bits are the match engines' (re-exported here for the
+# simulators and executors that read compiled cycles).
+from ..rete.stats import (KIND_BITS, KIND_NAMES, TAG_CODES,  # noqa: F401
+                          TAG_JOIN, TAG_LEFT, TAG_MINUS, TAG_NEGATIVE,
+                          TAG_TERMINAL)
 
 #: Sides of a two-input node activation.
 LEFT = "left"
@@ -95,54 +110,38 @@ class TraceActivation:
         return len(self.successors)
 
 
-#: Bits of :attr:`CycleKeyIndex.tags`: one byte per position holding
-#: the activation's kind, side and sign; 0 marks a gap between sparse
-#: act_ids.  ``code >= TAG_TERMINAL`` tells a terminal.
-TAG_MINUS = 1
-TAG_LEFT = 2
-TAG_JOIN = 4
-TAG_NEGATIVE = 8
-TAG_TERMINAL = 12
-_KIND_BITS = 12
+#: ``(kind, side, tag)``, ``parent_id``, ``key``, ``successors`` and
+#: ``act_id`` of a trace activation, and a key's ``node_id`` and
+#: ``values``: the columns :meth:`CycleKeyIndex.build` reads.
+_TRIPLE = attrgetter("kind", "side", "tag")
+_PARENT = attrgetter("parent_id")
+_KEY = attrgetter("key")
+_NODE_ID = attrgetter("node_id")
+_VALUES = attrgetter("values")
+_SUCCESSORS = attrgetter("successors")
+_ACT_ID = attrgetter("act_id")
 
-_KIND_CODE = {KIND_JOIN: TAG_JOIN, KIND_NEGATIVE: TAG_NEGATIVE,
-              KIND_TERMINAL: TAG_TERMINAL}
-_KIND_NAME = {code: kind for kind, code in _KIND_CODE.items()}
-
-
-def _tag_code(kind: str, side: str, tag: str) -> int:
-    """The tag byte of an activation.  Unknown kinds count as joins,
-    unknown sides as right and any tag but ``"+"`` as a deletion: what
-    the simulators always did with them."""
-    return (_KIND_CODE.get(kind, TAG_JOIN)
-            | (TAG_LEFT if side == LEFT else 0)
-            | (0 if tag == "+" else TAG_MINUS))
-
-
-class _TagCodes(dict):
-    """``(kind, side, tag)`` -> tag byte: one lookup for the valid
-    triples, :func:`_tag_code` for anything else."""
-
-    def __missing__(self, triple: Tuple[str, str, str]) -> int:
-        return _tag_code(*triple)
-
-
-_TAG_CODES = _TagCodes(
-    ((kind, side, tag), _tag_code(kind, side, tag))
-    for kind in VALID_KINDS for side in VALID_SIDES for tag in VALID_TAGS)
-
-_act_id = attrgetter("act_id")
-#: ``(act_id, parent_id, key, kind, side, tag)`` of a trace activation
-#: and of a recorded activation event.
-_ACTIVATION_FIELDS = attrgetter("act_id", "parent_id", "key", "kind",
-                                "side", "tag")
-_EVENT_FIELDS = attrgetter("act_id", "parent_id", "key", "node_kind",
-                           "side", "tag")
+#: Tag byte -> 1 for a terminal, for a two-input activation (what the
+#: per-processor counters count), and for a left two-input activation;
+#: 0 for a gap.  ``bytes.translate`` tables.
+_IS_TERMINAL = bytes(code >= TAG_TERMINAL for code in range(256))
+_IS_COUNTED = bytes(0 < code < TAG_TERMINAL for code in range(256))
+_IS_LEFT = bytes(0 < code < TAG_TERMINAL and code & TAG_LEFT > 0
+                 for code in range(256))
 
 
 def _typecode(limit: int) -> str:
     """The narrowest unsigned array type holding ``range(limit)``."""
     return "B" if limit <= 0x100 else "H" if limit <= 0x10000 else "I"
+
+
+def _positions(mask: bytes) -> array:
+    """The positions of *mask*'s nonzero bytes, in the narrowest
+    unsigned array (collected through ``bytes`` while they fit one)."""
+    picked = compress(range(len(mask)), mask)
+    if len(mask) <= 0x100:
+        return array("B", bytes(picked))
+    return array(_typecode(len(mask)), picked)
 
 
 def _compact(values: List[int], limit: int) -> array:
@@ -159,14 +158,14 @@ class CycleKeyIndex:
     a sweep replays the same cycle at many processor counts, so the keys
     are deduplicated and hashed here once; each simulation then maps the
     distinct keys (:meth:`destinations`) and never hashes a
-    :class:`~repro.rete.hashing.BucketKey` again.  The same walk lays
+    :class:`~repro.rete.hashing.BucketKey` again.  The same compile lays
     out the lean event table the simulator's loop runs on, so no
     simulation compares a side or kind string per event.
 
     The table holds everything a :class:`TraceActivation` does, so a
-    recorded cycle is stored as this table alone
-    (:meth:`from_events`) and its activation objects are a view built
-    on demand (:meth:`view`).
+    recorded cycle is stored as this table alone, compiled from the
+    match engine's activation log (:meth:`from_columns`), and its
+    activation objects are a view built on demand (:meth:`view`).
 
     Indexes are shared and never mutated once built (the class is not
     frozen only because a frozen constructor costs several times as
@@ -232,100 +231,104 @@ class CycleKeyIndex:
 
     @classmethod
     def build(cls, ordered: List[TraceActivation]) -> "CycleKeyIndex":
-        """Index *ordered* activations (ascending act_id)."""
+        """Index *ordered* activations (ascending act_id): their columns
+        through :meth:`from_columns`, with their own successor tuples."""
         if not ordered:
             return _EMPTY_INDEX
-        return cls._compile(ordered, _ACTIVATION_FIELDS, False, {})
-
-    @classmethod
-    def from_events(cls, events: Sequence, hashes: Dict[tuple, int]
-                    ) -> "CycleKeyIndex":
-        """Compile one recorded cycle straight from its activation
-        events (:class:`~repro.rete.stats.ActivationEvent`, in any
-        order), gathering successors from the parent links.
-
-        Equal to :meth:`build` over the :class:`TraceActivation`
-        objects the events describe.  Each event's key must name the
-        event's own node, as the match engines' keys do.  *hashes*
-        memoises ``stable_hash`` by plain ``(node_id, values)`` key
-        across the calls it is passed to, such as the cycles of one
-        section, which share most of their keys.
-        """
-        if not events:
-            return _EMPTY_INDEX
-        return cls._compile(sorted(events, key=_act_id), _EVENT_FIELDS,
-                            True, hashes)
-
-    @classmethod
-    def _compile(cls, ordered: list, fields, gather: bool,
-                 hash_of: Dict[tuple, int]) -> "CycleKeyIndex":
-        """The one walk behind :meth:`build` and :meth:`from_events`.
-
-        *fields* reads ``(act_id, parent_id, key, kind, side, tag)``
-        off each of the *ordered* records.  Keys are deduplicated on
-        plain ``(node_id, values)`` tuples, so no ``BucketKey`` is
-        hashed per activation, and hashed through the *hash_of* memo.
-        Successors are the records' own tuples, or with *gather*
-        collected from the parent links — in ascending act_id order, so
-        every sibling list is sorted.
-        """
         base = ordered[0].act_id
-        span = ordered[-1].act_id - base + 1
-        positions = _typecode(span)
-        key_of = [0] * span
-        tags = bytearray(span)
-        left = bytearray(span)
-        keys: List[BucketKey] = []
+        contiguous = all(map(eq, map(_ACT_ID, ordered), count(base)))
+        objects = list(map(_KEY, ordered))
+        nodes = list(map(_NODE_ID, objects))
+        return cls.from_columns(
+            base, bytes(map(TAG_CODES.__getitem__, map(_TRIPLE, ordered))),
+            list(map(_PARENT, ordered)), nodes,
+            list(map(_VALUES, objects)), {},
+            # the index keeps this list: sized exactly, as a map is not
+            list(tuple(map(_SUCCESSORS, ordered))),
+            None if contiguous else list(map(_ACT_ID, ordered)), objects)
+
+    @classmethod
+    def from_columns(cls, base: int, tags: bytes, parents: Sequence,
+                     nodes: Sequence[int], keys: Sequence[tuple],
+                     memo: Dict[tuple, Tuple[BucketKey, int]],
+                     successors: Optional[List[Tuple[int, ...]]] = None,
+                     act_ids: Optional[List[int]] = None,
+                     objects: Optional[List[BucketKey]] = None
+                     ) -> "CycleKeyIndex":
+        """Compile one cycle from its activation columns — the one
+        compile behind the recorder and :meth:`build`.
+
+        Row ``i`` is act id ``base + i``, or ``act_ids[i]`` when the
+        act ids are sparse (ascending, with gaps); rows are then spread
+        over positions ``act_id - base``, gaps holding tag 0.  *tags*
+        holds each row's tag byte, *parents* its parent's act id (None
+        for a root), and *nodes* and *keys* its bucket key's node id and
+        value tuple.  Without *successors* each activation's successors
+        are gathered from the parent column, in ascending act id order;
+        a recorded cycle's rows are an
+        :class:`~repro.rete.stats.ActivationLog`'s, where every parent
+        link is a successor link.
+
+        Keys are deduplicated on plain ``(node_id, values)`` tuples in
+        one pass (``zip`` builds one only per distinct key, so a row
+        allocates nothing), and each distinct one is looked up in
+        *memo* (plain key -> its ``BucketKey`` and ``stable_hash``),
+        which the cycles of one section share: a ``BucketKey`` is built
+        once per distinct key of the section, unless *objects* holds
+        each row's own key object (the activations' keys, which the
+        index then shares).  Of plain keys that compare equal (``1``
+        and ``1.0``), the first one compiled through *memo* names them
+        all.  Every other column is a table operation on the tag
+        bytes.
+        """
+        ids = dict.fromkeys(zip(nodes, keys))
+        if objects is not None:  # the first row's object names each key
+            ids.update(zip(zip(reversed(nodes), reversed(keys)),
+                           reversed(objects)))
+        bucket_keys: List[BucketKey] = []
         hashes = array("Q")
-        hash_get = hash_of.get
-        counts: List[int] = []
-        left_counts: List[int] = []
-        roots = array("l")
-        terminals = array(positions)
-        counted = array(positions)
-        counted_left = array(positions)
-        kids: Dict[int, List[int]] = {}
-        kids_get = kids.get
-        slot: Dict[tuple, int] = {}
-        slot_get = slot.get
-        codes = _TAG_CODES
-        for act_id, parent, key, kind, side, tag in map(fields, ordered):
-            pos = act_id - base
-            if tags[pos]:
-                raise ValueError(f"duplicate act_id {act_id}")
-            plain = (key.node_id, key.values)
-            k = slot_get(plain)
-            if k is None:
-                k = slot[plain] = len(keys)
-                keys.append(key)
-                h = hash_get(plain)
-                if h is None:
-                    h = hash_of[plain] = stable_hash(key)
-                hashes.append(h)
-                counts.append(0)
-                left_counts.append(0)
-            key_of[pos] = k
-            tags[pos] = code = codes[kind, side, tag]
-            if parent is None:
-                roots.append(~pos if code >= TAG_TERMINAL else pos)
-            elif gather:
-                siblings = kids_get(parent)
-                if siblings is None:
-                    kids[parent] = [act_id]
-                else:
-                    siblings.append(act_id)
-            if code >= TAG_TERMINAL:
-                terminals.append(pos)
-                continue
-            counted.append(pos)
-            counts[k] += 1
-            if code & TAG_LEFT:
-                left[pos] = 1
-                counted_left.append(pos)
-                left_counts[k] += 1
-        successors: List[Tuple[int, ...]] = [()] * span
+        for k, (plain, own) in enumerate(ids.items()):
+            entry = memo.get(plain)
+            if entry is None:
+                key = BucketKey(*plain) if own is None else own
+                entry = memo[plain] = (key, stable_hash(key))
+            bucket_keys.append(entry[0])
+            hashes.append(entry[1])
+            ids[plain] = k
+        if act_ids is not None:
+            span = act_ids[-1] - base + 1
+            spread = bytearray(span)
+            # a gap gets the first key, so key id 0 as in every index
+            columns = ([None] * span, [nodes[0]] * span, [keys[0]] * span,
+                       [()] * span)
+            for act_id, code, *row in zip(act_ids, tags, parents, nodes,
+                                           keys, successors or repeat(())):
+                pos = act_id - base
+                if spread[pos]:
+                    raise ValueError(f"duplicate act_id {act_id}")
+                spread[pos] = code
+                for column, value in zip(columns, row):
+                    column[pos] = value
+            tags = spread
+            parents, nodes, keys = columns[:3]
+            if successors is not None:
+                successors = columns[3]
+        tags = bytes(tags)
+        span = len(tags)
+        key_of = array(_typecode(len(ids)),
+                       list(map(ids.__getitem__, zip(nodes, keys))))
+        live_ids: Sequence[int] = range(base, base + span)
+        if 0 in tags:  # gaps between sparse act ids
+            live_ids = list(compress(live_ids, tags))
+            parents = list(compress(parents, tags))
         orphans: Dict[int, int] = {}
-        if gather:
+        if successors is None:
+            kids: Dict[Optional[int], List[int]] = {}
+            gather = kids.setdefault
+            for child, parent in zip(live_ids, parents):
+                gather(parent, []).append(child)
+            root_ids = kids.pop(None, ())
+            successors = [()] * span
             for parent, siblings in kids.items():
                 ppos = parent - base
                 if 0 <= ppos < span and tags[ppos]:
@@ -334,33 +337,41 @@ class CycleKeyIndex:
                     for child in siblings:
                         orphans[child - base] = parent
         else:
-            for act in ordered:
-                pos = act.act_id - base
-                successors[pos] = act.successors
-                parent = act.parent_id
-                if parent is not None and not (
-                        0 <= parent - base < span and tags[parent - base]):
-                    orphans[pos] = parent
+            root_ids = compress(live_ids, map(is_, parents, repeat(None)))
+            strays = {parent for parent in set(parents)
+                      if parent is not None and not (
+                          0 <= parent - base < span and tags[parent - base])}
+            if strays:
+                for act_id, parent in zip(live_ids, parents):
+                    if parent in strays:
+                        orphans[act_id - base] = parent
+        roots = array("l", (
+            ~pos if tags[pos] >= TAG_TERMINAL else pos
+            for pos in (act_id - base for act_id in root_ids)))
+        left = tags.translate(_IS_LEFT)
+        masks = (tags.translate(_IS_TERMINAL), tags.translate(_IS_COUNTED),
+                 left)
         if orphans:  # nothing delivers an orphan's subtree: count none
-            cut = set()
+            masks = tuple(map(bytearray, masks))
             stack = list(orphans)
             while stack:
                 pos = stack.pop()
-                if pos not in cut:
-                    cut.add(pos)
+                if masks[0][pos] or masks[1][pos]:
+                    for mask in masks:
+                        mask[pos] = 0
                     stack += [s - base for s in successors[pos]]
-            for pos in cut:
-                if tags[pos] < TAG_TERMINAL:
-                    counts[key_of[pos]] -= 1
-                    left_counts[key_of[pos]] -= left[pos]
-            terminals, counted, counted_left = (
-                array(positions, [pos for pos in kept if pos not in cut])
-                for kept in (terminals, counted, counted_left))
-        return cls(tuple(keys), hashes, base,
-                   _compact(key_of, len(keys)), bytes(tags), bytes(left),
+        terminals, counted, counted_left = map(_positions, masks)
+        key_counts = [0] * len(ids)
+        for k in compress(key_of, masks[1]):
+            key_counts[k] += 1
+        key_left_counts = [0] * len(ids)
+        for k in compress(key_of, masks[2]):
+            key_left_counts[k] += 1
+        return cls(tuple(bucket_keys), hashes, base, key_of, tags, left,
                    successors, orphans, roots, terminals, counted,
-                   counted_left, _compact(counts, max(counts) + 1),
-                   _compact(left_counts, max(left_counts) + 1))
+                   counted_left,
+                   _compact(key_counts, max(key_counts) + 1),
+                   _compact(key_left_counts, max(key_left_counts) + 1))
 
     def __len__(self) -> int:
         return len(self.counted) + len(self.terminals)
@@ -387,7 +398,7 @@ class CycleKeyIndex:
                 key = keys[key_of[pos]]
                 acts[base + pos] = TraceActivation(
                     base + pos, get_parent(pos), key.node_id,
-                    _KIND_NAME[code & _KIND_BITS],
+                    KIND_NAMES[code & KIND_BITS],
                     LEFT if code & TAG_LEFT else RIGHT,
                     "-" if code & TAG_MINUS else "+", key,
                     successors[pos])
@@ -488,7 +499,7 @@ class CycleTrace:
     def from_index(cls, index: int, key_index: CycleKeyIndex
                    ) -> "CycleTrace":
         """The cycle numbered *index* whose activations *key_index*
-        holds (built by :meth:`CycleKeyIndex.from_events`)."""
+        holds (built by :meth:`CycleKeyIndex.from_columns`)."""
         cycle = cls(index)
         cycle._activations = None
         cycle._key_index = key_index

@@ -1,19 +1,23 @@
 """Recording hash-table activity traces from live Rete runs.
 
-:class:`TraceRecorder` attaches to a :class:`~repro.rete.ReteNetwork` and
-an :class:`~repro.ops5.Interpreter` and groups the network's activation
-events by MRA cycle, producing the :class:`~repro.trace.events
-.SectionTrace` the MPC simulator consumes.  This is the path that turns a
-real OPS5 program into simulator input, end to end.
+:class:`TraceRecorder` attaches to a :class:`~repro.rete.ReteNetwork` (or
+the reference engine) and an :class:`~repro.ops5.Interpreter`, keeps the
+network's activation log (:class:`~repro.rete.stats.ActivationLog`:
+one row per activation, written by the match engine as it numbers the
+activation) and marks where each MRA cycle starts in it, producing the
+:class:`~repro.trace.events.SectionTrace` the MPC simulator consumes.
+No event object is built per activation on this path.  This is the path
+that turns a real OPS5 program into simulator input, end to end.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Tuple
 
 from ..ops5.interpreter import Interpreter
 from ..rete.network import ReteNetwork
-from ..rete.stats import ActivationEvent
+from ..rete.stats import ActivationLog
 from .events import CycleKeyIndex, CycleTrace, SectionTrace
 
 
@@ -29,20 +33,19 @@ class TraceRecorder:
         interp.run()                        # firings become cycles 1..n
         trace = recorder.section("my-run")
 
-    Cycle 0 holds the activations caused by initial working-memory setup;
-    experiment code usually drops it with ``trace.slice(1, None)`` since
-    the paper's sections are mid-run cycles.
+    Cycle 0 holds the activations caused by initial working-memory setup
+    (or, for a recorder created mid-run, every activation until the
+    first cycle switch); experiment code usually drops it with
+    ``trace.slice(1, None)`` since the paper's sections are mid-run
+    cycles.  Any number of recorders can share one network's log, each
+    reading it from its own start.
     """
 
     def __init__(self, network: ReteNetwork) -> None:
         self.network = network
-        #: every event, in delivery order
-        self._events: List[ActivationEvent] = []
-        #: ``(cycle index, first event position)`` per cycle switch
-        self._marks: List[Tuple[int, int]] = [(0, 0)]
-        # The observer is the list's own append: no Python frame runs
-        # per event.
-        network.observers.append(self._events.append)
+        self._log: ActivationLog = network.keep_log()
+        #: ``(cycle index, act id of its first row)`` per cycle switch
+        self._marks: List[Tuple[int, int]] = [(0, self._log.end)]
 
     # -- wiring ------------------------------------------------------------
 
@@ -58,7 +61,7 @@ class TraceRecorder:
     def set_cycle(self, cycle: int) -> None:
         """Manual cycle control for driving the network without an
         interpreter (tests, custom drivers)."""
-        self._marks.append((cycle, len(self._events)))
+        self._marks.append((cycle, self._log.end))
 
     # -- extraction --------------------------------------------------------------
 
@@ -66,27 +69,45 @@ class TraceRecorder:
                 drop_setup_cycle: bool = False) -> SectionTrace:
         """Build the finished section trace.
 
-        Each cycle is compiled once, here, straight from its events
+        Each cycle is compiled once, here, straight from its log rows
         into the table the simulators run on
-        (:meth:`CycleKeyIndex.from_events`): events arrive in
-        post-order, so a cycle's parent links are complete only once it
-        is recorded.  The cycles' :class:`TraceActivation` objects are
-        built only if something asks for them.  Cycles without events
-        are omitted; calling this again builds an equal, independent
-        trace.
+        (:meth:`CycleKeyIndex.from_columns`); the cycles of the section
+        share one key memo.  A cycle returned to later (a revisited
+        cycle index) has sparse act ids.  The cycles' :class:`TraceActivation`
+        objects are built only if something asks for them.  Cycles
+        without activations are omitted; calling this again builds an
+        equal, independent trace.
         """
-        events = self._events
+        log = self._log
         marks = self._marks
-        by_cycle: Dict[int, List[ActivationEvent]] = {}
-        for (index, start), (_, end) in zip(
-                marks, marks[1:] + [(None, len(events))]):
-            by_cycle.setdefault(index, []).extend(events[start:end])
-        hashes: Dict[tuple, int] = {}
+        runs: Dict[int, List[Tuple[int, int]]] = {}
+        for (index, begin), (_, end) in zip(
+                marks, marks[1:] + [(None, log.end)]):
+            if begin < end:
+                runs.setdefault(index, []).append((begin, end))
+        memo: Dict[tuple, tuple] = {}
         return SectionTrace(name=name, cycles=[
-            CycleTrace.from_index(
-                index, CycleKeyIndex.from_events(by_cycle[index], hashes))
-            for index in sorted(by_cycle)
-            if by_cycle[index] and (index or not drop_setup_cycle)])
+            CycleTrace.from_index(index, _compile(log, runs[index], memo))
+            for index in sorted(runs) if index or not drop_setup_cycle])
+
+
+def _compile(log: ActivationLog, runs: List[Tuple[int, int]],
+             memo: Dict[tuple, tuple]) -> CycleKeyIndex:
+    """The cycle whose rows are the act id ranges *runs* (ascending)."""
+    rows = [slice(begin - log.start, end - log.start)
+            for begin, end in runs]
+    if len(rows) == 1:
+        row, = rows
+        return CycleKeyIndex.from_columns(
+            runs[0][0], log.tags[row], log.parents[row], log.nodes[row],
+            log.keys[row], memo)
+    return CycleKeyIndex.from_columns(
+        runs[0][0], b"".join(log.tags[row] for row in rows),
+        list(chain.from_iterable(log.parents[row] for row in rows)),
+        list(chain.from_iterable(log.nodes[row] for row in rows)),
+        list(chain.from_iterable(log.keys[row] for row in rows)), memo,
+        act_ids=[act_id for begin, end in runs
+                 for act_id in range(begin, end)])
 
 
 def record_program(program, name: str, max_cycles: int = 10_000,

@@ -296,3 +296,38 @@ class TestRecorderMatchesFrozenCopy:
                       simulate_master_copy):
             model(section, 4)
         run(section, RunConfig(n_procs=4), backend="actors")
+
+    @pytest.mark.parametrize("name", ["rubik-0", "tourney-0"])
+    def test_recording_builds_no_activation_events(self, monkeypatch,
+                                                    name):
+        """With no observer attached the engine writes log rows only."""
+        from repro.rete.stats import ActivationEvent
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("built an ActivationEvent")
+        monkeypatch.setattr(ActivationEvent, "__init__", refuse)
+        section = record_program(RECORDED_PROGRAMS[name](), name)
+        assert section.total_activations() > 0
+        with pytest.raises(AssertionError, match="ActivationEvent"):
+            network = ReteNetwork()
+            network.observers.append(lambda event: None)
+            interpreter = Interpreter(matcher=network)
+            interpreter.load_program(RECORDED_PROGRAMS[name]())
+
+    def test_rewritten_and_synthetic_traces_build_no_view(self,
+                                                          monkeypatch):
+        from repro.trace.transform import insert_dummy_nodes, unshare_trace
+        from repro.workloads import (StreamSpec, SyntheticStream,
+                                     tourney_section)
+
+        def refuse(index):
+            raise AssertionError("built a TraceActivation view")
+        monkeypatch.setattr(CycleKeyIndex, "view", refuse)
+        base = tourney_section(0)
+        rewritten = insert_dummy_nodes(unshare_trace(base),
+                                       base.node_ids()[0])
+        stream = SyntheticStream(StreamSpec(active_cycles=20,
+                                            idle_between=3))
+        for source in (rewritten, stream):
+            speedup_curve(source, (1, 4, 16))
+            run(source, RunConfig(n_procs=4), backend="sim")
