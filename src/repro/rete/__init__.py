@@ -35,7 +35,7 @@ from .network import ReteNetwork
 from .nodes import (AlphaPattern, BetaNode, JoinNode, NegativeNode,
                     ProductionNode)
 from .stats import ActivationCounter, ActivationEvent, ActivationLog
-from .tokens import MINUS, PLUS, TokenPool
+from .tokens import MINUS, PLUS
 from .transform import (build_network, build_unshared_network,
                         copy_and_constraint_ranges,
                         copy_and_constraint_values, sharing_factor)
@@ -49,7 +49,7 @@ __all__ = [
     "AlphaPattern", "BetaNode", "JoinNode", "NegativeNode",
     "ProductionNode",
     "ActivationCounter", "ActivationEvent", "ActivationLog",
-    "MINUS", "PLUS", "TokenPool",
+    "MINUS", "PLUS",
     "build_network", "build_unshared_network",
     "copy_and_constraint_ranges", "copy_and_constraint_values",
     "sharing_factor",

@@ -245,7 +245,7 @@ class _Run:
         """Open an activation event, and write its log row once a
         recorder keeps the log.  Returns None when nobody listens."""
         log = self.log
-        if not self.observers and not log.kept:
+        if not self.observers and not log.readers:
             return None
         event = ActivationEvent(
             act_id=self._next_act_id, parent_id=(
@@ -254,7 +254,7 @@ class _Run:
             node_id=node.node_id, node_label=node.label,
             node_kind=node.kind, side=side, tag=tag, key=key)
         self._next_act_id += 1
-        if log.kept:
+        if log.readers:
             log.add(event.parent_id, TAG_CODES[node.kind, side, tag],
                     node.node_id, key.values)
         return event
@@ -506,6 +506,9 @@ class ReferenceReteNetwork:
 
     def _dispatch(self, wme: WME, tag: str) -> None:
         subscriptions = self._lower()
+        log = self._run.log
+        if not log.readers and log.tags:
+            log.drop()  # rows of readers that are gone
         for pattern in self.builder.alpha_patterns:
             if not pattern.matches(wme):
                 continue
@@ -530,11 +533,14 @@ class ReferenceReteNetwork:
         the list in place)."""
         return self._run.observers
 
-    def keep_log(self) -> ActivationLog:
+    def keep_log(self, reader: object) -> ActivationLog:
         """The network's activation log, with every row written from
-        now on kept (its first row is the next activation)."""
+        now on kept (its first row is the next activation) for as long
+        as *reader* (or another reader) lives."""
         run = self._run
-        if not run.log.kept:
-            run.log.start = run._next_act_id
-            run.log.kept = True
-        return run.log
+        log = run.log
+        if not log.readers:
+            log.drop()
+            log.start = run._next_act_id
+        log.keep(reader)
+        return log

@@ -17,18 +17,22 @@ observed or not:
   positions, residual tests, binding-merge plans, children), indexed by
   a compact integer.  Bucket state lives in
   :class:`~repro.rete.memory.FlatMemories`, keyed by bare value tuples.
-* **Tokens** are integer slots in a :class:`~repro.rete.tokens.TokenPool`
-  — three parallel lists (ids, wmes, binding values) with free-list
-  reuse — instead of per-match ``Token`` objects.  Binding *names* are
-  static per node (the node's sorted variable layout), so a token
-  carries only a value tuple and variable lookups are index reads.
+* **Tokens** are plain ``(ids, wmes, values)`` tuples — the wme-id
+  tuple that is the token's identity, its wmes and its binding values
+  — instead of per-match ``Token`` objects.  Left buckets and walk
+  entries hold the tuple itself, and CPython's reference counting is
+  its whole lifecycle.  Binding *names* are static per node (the
+  node's sorted variable layout), so a token carries only a value
+  tuple and variable lookups are index reads.
 
-While anything listens, the walk writes one row per activation to the
+While anything listens, the walk appends one row per activation to the
 network's :class:`~repro.rete.stats.ActivationLog` at the moment it
 numbers the activation: the reference engine's pre-order, so the rows
 are already in act-id order and nothing is sorted, queued or built per
-activation.  Observers get :class:`~repro.rete.stats.ActivationEvent`
-objects replayed from the wave's rows in the reference's post-order
+activation.  A node whose children are all terminals numbers its
+instantiations in place, where the pops would have.  Observers get
+:class:`~repro.rete.stats.ActivationEvent` objects replayed from the
+wave's rows in the reference's post-order
 (:meth:`ActivationLog.replay`).  The executor replicates the reference
 engine's observable behaviour bit for bit: the same act ids, parents,
 keys and successor counts, the same conflict sets, and memory buckets
@@ -45,18 +49,20 @@ from ..ops5.conflict import Instantiation
 from ..ops5.values import NIL
 from ..ops5.wme import WME
 from .builder import NetworkBuilder
-from .hashing import intern_value
 from .memory import BISECT_COUNTS, FlatMemories, RangeIndex
 from .nodes import JoinNode, NegativeNode, ProductionNode
 from .predicates import compile_constant_test, compile_predicate
 from .stats import (TAG_JOIN, TAG_LEFT, TAG_NEGATIVE, TAG_TERMINAL,
                     ActivationEvent, ActivationLog)
-from .tokens import MINUS, PLUS, TokenPool
+from .tokens import MINUS, PLUS
 
 #: Compiled node kinds (values of ``ReteKernel.kind``).
 KIND_JOIN = 0
 KIND_NEGATIVE = 1
 KIND_TERMINAL = 2
+
+#: tag byte of a terminal activation (a minus one adds ``TAG_MINUS``)
+TERMINAL_CODE = TAG_TERMINAL | TAG_LEFT
 
 #: Exact value types an alpha constant is hashed on: their ``==`` and
 #: ``hash`` are OPS5 equality (``1 == 1.0``, ``"1" != 1``), and ``bool``
@@ -190,7 +196,6 @@ class ReteKernel:
         self.observers = observers
         #: written while anything listens; it numbers the activations
         self.log = log
-        self.pool = TokenPool()
 
         # -- beta nodes: one row of parallel arrays per node ----------------
         node_objs = list(builder.beta_nodes.values())
@@ -277,20 +282,28 @@ class ReteKernel:
             for child in node.children:
                 in_layout[ci_of[child.node_id]] = out_layout
 
-        # Children split by kind (kinds are known once every row is
-        # compiled — children always have larger node ids than parents).
-        # The unobserved walk delivers join outputs to terminal children
-        # inline, without allocating a pool slot for tokens that exist
-        # only to become a conflict-set entry.  The walk pushes
-        # successors in reverse, so the pushed tuples are reversed here.
-        self.term_children: List[Tuple[int, ...]] = [
-            tuple(c for c in self.children[ci]
-                  if self.kind[c] == KIND_TERMINAL) for ci in range(n)]
-        self.rchildren: List[Tuple[int, ...]] = [
-            children[::-1] for children in self.children]
-        self.rbeta_children: List[Tuple[int, ...]] = [
-            tuple(c for c in self.rchildren[ci]
-                  if self.kind[c] != KIND_TERMINAL) for ci in range(n)]
+        # Terminal children as (instantiations, production, variable
+        # names, node id), and how each node hands its outputs on: a
+        # plan ``(terminals handled in place, children pushed, whether
+        # outputs go in forward order)``.  Kinds are known once every
+        # row is compiled (children have larger node ids than parents);
+        # the walk pushes successors in reverse, so the pushed tuples
+        # are reversed here.  Unlogged, every terminal child is handled
+        # in place; logged, only a node whose children are all
+        # terminals does that, in the order the pops would have taken.
+        self.logged_plan: List[Tuple] = [()] * n
+        self.plain_plan: List[Tuple] = [()] * n
+        for ci in range(n):
+            terms = tuple(
+                (self.term_insts[c], self.term_prod[c], self.term_names[c],
+                 self.node_id[c])
+                for c in self.children[ci] if self.kind[c] == KIND_TERMINAL)
+            rchildren = self.children[ci][::-1]
+            rbeta = tuple(c for c in rchildren
+                          if self.kind[c] != KIND_TERMINAL)
+            self.logged_plan[ci] = ((terms, (), True) if terms and not rbeta
+                                    else ((), rchildren, False))
+            self.plain_plan[ci] = (terms, rbeta, False)
         self.memories = FlatMemories(
             n, [ci for ci in range(n) if self.range_count[ci]])
         #: node id -> label, for the events replayed to observers
@@ -324,30 +337,28 @@ class ReteKernel:
         alpha = self._alpha.get(wme.cls)
         if alpha is None:
             return
-        pool = self.pool
-        allocs: List[int] = []
         observers = self.observers
-        log: Optional[ActivationLog] = self.log
-        if observers:
-            start = log.end
-        elif not log.kept:
-            log = None
+        log = self.log
+        rows = None
+        next_id = 0
+        if observers or log.readers:
+            start = next_id = log.end
+            rows = (log.parents.append, log.tags.append, log.nodes.append,
+                    log.keys.append)
+        elif log.tags:
+            log.drop()  # rows of readers that are gone
         alpha_match = self._alpha_match
         matched = [s for s in alpha.candidates(wme) if alpha_match(s, wme)]
+        get = wme.attrs.get
         for slot in matched:
             for ci, unit_attrs in slot.subs:
                 if unit_attrs is None:
-                    self._right(ci, wme, tag, allocs, log)
+                    next_id = self._right(ci, wme, tag, rows, next_id)
                 else:
-                    tok = pool.alloc(
-                        (wme.wme_id,), (wme,),
-                        tuple(intern_value(wme.get(a))
-                              for a in unit_attrs))
-                    allocs.append(tok)
-                    self._walk([(ci, tok, tag, None)], allocs, log)
-        release = pool.release_if_unused
-        for idx in allocs:
-            release(idx)
+                    tok = ((wme.wme_id,), (wme,),
+                           tuple([get(a, NIL) for a in unit_attrs]))
+                    next_id = self._walk([(ci, tok, tag, None)], rows,
+                                         next_id)
         if observers:
             log.replay(start, self.labels, observers)
 
@@ -362,13 +373,14 @@ class ReteKernel:
                 return False
         return True
 
-    def _right(self, ci: int, wme: WME, tag: str, allocs: List[int],
-               log: Optional[ActivationLog]) -> None:
+    def _right(self, ci: int, wme: WME, tag: str, rows: Optional[tuple],
+               next_id: int) -> int:
         """One right (wme) activation at node *ci*: the root of a walk.
 
-        Its successors are pushed in reverse so the walk pops them in
-        the reference engine's order; :meth:`_walk` describes the
-        entries and what writing the *log* changes.
+        Returns the next act id.  :meth:`_walk` describes *rows*, what
+        writing them changes and which successors are handled in place;
+        the rest are pushed in reverse so the walk pops them in the
+        reference engine's order.
         """
         get = wme.attrs.get
         key = tuple([get(a, NIL) for a in self.right_key_attrs[ci]])
@@ -389,11 +401,17 @@ class ReteKernel:
         else:
             bucket = rbuckets.get(key)
             if bucket:
-                try:
-                    i = bucket.index(wme)
-                except ValueError:
-                    pass
+                # By identity first: ``index`` would call the wme's
+                # dataclass ``__eq__`` on every wme it scans past.
+                for i, stored in enumerate(bucket):
+                    if stored is wme:
+                        break
                 else:
+                    try:
+                        i = bucket.index(wme)
+                    except ValueError:
+                        i = -1
+                if i >= 0:
                     stored = bucket.pop(i)
                     if ranges is not None:
                         ranges[key].remove(stored.attrs.get(
@@ -402,118 +420,124 @@ class ReteKernel:
                         del rbuckets[key]
                         if ranges is not None:
                             del ranges[key]
-        left = memories.left[ci].get(key)
-        stack: List[tuple] = []
         act_id = None
-        if log is not None:
-            act_id = log.add(
-                None, self.right_code[ci] | (tag == MINUS),
-                self.node_id[ci], key)
-        rchildren = self.rchildren[ci]
-        if left and rchildren:
-            pool = self.pool
-            values_arr = pool.values
-            ids_arr = pool.ids
-            push = stack.append
-            residuals = self.residuals[ci]
-            if len(residuals) == 1:
-                (pos, pred, attr), = residuals
-                value = get(attr, NIL)
-                left = [tok for tok in left.values()
-                        if pred(value, values_arr[tok][pos])]
-            elif residuals:
-                tests = [(pos, pred, get(attr, NIL))
-                         for pos, pred, attr in residuals]
-                left = [tok for tok in left.values()
-                        if _passes(tests, values_arr[tok])]
-            else:
-                left = left.values()
-            if self.kind[ci] == KIND_JOIN:
-                kinds = self.kind
-                tchildren = self.term_children[ci]
-                rbchildren = self.rbeta_children[ci]
-                copy_vals = self.copy_values[ci]
-                plan = self.merge_plan[ci]
-                wmes_arr = pool.wmes
-                alloc = pool.alloc
-                term_insts = self.term_insts
-                term_prod = self.term_prod
-                term_names = self.term_names
-                wid = (wme.wme_id,)
-                wtup = (wme,)
-                plus = tag == PLUS
-                for tok in reversed(left):
-                    values = values_arr[tok]
-                    nvalues = values if copy_vals else tuple([
-                        intern_value(get(src, NIL)) if from_wme
-                        else values[src]
-                        for from_wme, src in plan])
-                    nids = ids_arr[tok] + wid
-                    nwmes = wmes_arr[tok] + wtup
-                    if act_id is not None:
-                        ntok = None
-                        if rbchildren:
-                            ntok = alloc(nids, nwmes, nvalues)
-                            allocs.append(ntok)
-                        inline = (nids, nwmes, nvalues)
-                        for cci in rchildren:
-                            push((cci, inline if kinds[cci] == KIND_TERMINAL
-                                  else ntok, tag, act_id))
-                        continue
-                    for tci in tchildren:
-                        insts = term_insts[tci]
-                        if plus:
-                            insts[nids] = Instantiation(
-                                term_prod[tci], nwmes,
-                                dict(zip(term_names[tci], nvalues)))
-                        else:
-                            insts.pop(nids, None)
-                    if rbchildren:
-                        ntok = alloc(nids, nwmes, nvalues)
-                        allocs.append(ntok)
-                        for cci in rbchildren:
-                            push((cci, ntok, tag, None))
-            else:
-                counts = self.neg_counts[ci]
-                for tok in reversed(left):
-                    ids = ids_arr[tok]
-                    if tag == PLUS:
-                        count = counts.get(ids, 0) + 1
-                        counts[ids] = count
-                        if count == 1:
-                            # Was propagated; retract downstream.
-                            for cci in rchildren:
-                                push((cci, tok, MINUS, act_id))
+        logged = rows is not None
+        if logged:
+            act_id = next_id
+            next_id += 1
+            log_parent, log_tag, log_node, log_key = rows
+            log_parent(None)
+            log_tag(self.right_code[ci] | (tag == MINUS))
+            log_node(self.node_id[ci])
+            log_key(key)
+        left = memories.left[ci].get(key)
+        if not (left and self.children[ci]):
+            return next_id
+        residuals = self.residuals[ci]
+        if len(residuals) == 1:
+            (pos, pred, attr), = residuals
+            value = get(attr, NIL)
+            left = [tok for tok in left.values() if pred(value, tok[2][pos])]
+        elif residuals:
+            tests = [(pos, pred, get(attr, NIL))
+                     for pos, pred, attr in residuals]
+            left = [tok for tok in left.values() if _passes(tests, tok[2])]
+        else:
+            left = left.values()
+        stack: List[tuple] = []
+        push = stack.append
+        plus = tag == PLUS
+        if self.kind[ci] == KIND_JOIN:
+            inline, pushes, forward = (self.logged_plan if logged
+                                       else self.plain_plan)[ci]
+            copy_vals = self.copy_values[ci]
+            plan = self.merge_plan[ci]
+            wid = (wme.wme_id,)
+            wtup = (wme,)
+            for ids, wmes, values in (left if forward else reversed(left)):
+                nvalues = values if copy_vals else tuple([
+                    get(src, NIL) if from_wme else values[src]
+                    for from_wme, src in plan])
+                nids = ids + wid
+                for insts, prod, names, node_id in inline:
+                    if plus:
+                        insts[nids] = Instantiation(
+                            prod, wmes + wtup, dict(zip(names, nvalues)))
                     else:
-                        count = counts.get(ids, 1) - 1
-                        counts[ids] = count
-                        if count == 0:
-                            for cci in rchildren:
-                                push((cci, tok, PLUS, act_id))
+                        insts.pop(nids, None)
+                    if logged:
+                        next_id += 1
+                        log_parent(act_id)
+                        log_tag(TERMINAL_CODE | (not plus))
+                        log_node(node_id)
+                        log_key(())
+                if pushes:
+                    ntok = (nids, wmes + wtup, nvalues)
+                    for cci in pushes:
+                        push((cci, ntok, tag, act_id))
+        else:
+            counts = self.neg_counts[ci]
+            # The logged plan traced or not: a token's terminal children
+            # are handled in place only when they are all it has, and
+            # then in the order the pops would take.
+            inline, pushes, forward = self.logged_plan[ci]
+            for tok in (left if forward else reversed(left)):
+                ids = tok[0]
+                if plus:
+                    count = counts.get(ids, 0) + 1
+                    counts[ids] = count
+                    if count != 1:
+                        continue
+                else:
+                    count = counts.get(ids, 1) - 1
+                    counts[ids] = count
+                    if count:
+                        continue
+                # A token blocked (plus) or freed (minus) here: retract
+                # or propagate it downstream.
+                for insts, prod, names, node_id in inline:
+                    if plus:
+                        insts.pop(ids, None)
+                    else:
+                        insts[ids] = Instantiation(
+                            prod, tok[1], dict(zip(names, tok[2])))
+                    if logged:
+                        next_id += 1
+                        log_parent(act_id)
+                        log_tag(TERMINAL_CODE | plus)
+                        log_node(node_id)
+                        log_key(())
+                for cci in pushes:
+                    push((cci, tok, MINUS if plus else PLUS, act_id))
         if stack:
-            self._walk(stack, allocs, log)
+            next_id = self._walk(stack, rows, next_id)
+        return next_id
 
-    def _walk(self, stack: List[tuple], allocs: List[int],
-              log: Optional[ActivationLog]) -> None:
-        """Propagate the left activations on *stack* depth first.
+    def _walk(self, stack: List[tuple], rows: Optional[tuple],
+              next_id: int) -> int:
+        """Propagate the left activations on *stack* depth first; return
+        the next act id.
 
-        Entries are ``(node, token, tag, parent act_id)``; a token is a
-        pool index, or for a join output headed to a terminal the
-        ``(ids, wmes, values)`` triple itself.  Each activation pushes
-        its successors in reverse order, so pops follow the reference
+        Entries are ``(node, token, tag, parent act_id)``, and a token
+        is the tuple ``(ids, wmes, values)``: its wme-id tuple (its
+        identity, paper Section 2.2), its wmes and its binding values in
+        the node's static variable layout.  Each activation pushes its
+        successors in reverse order, so pops follow the reference
         engine's pre-order.  A node's buckets are only mutated by its
         own activations and a descent only reaches strict descendants
         (the network is a DAG), so computing successors at entry is
         exact.
 
-        With no *log* there is nothing to number: terminal children of
-        a join are handled in place, without an entry or a pool slot.
-        With a log, every activation takes the next act id as it is
-        popped — the reference's pre-order — and appends its row
-        (parent, tag byte, node, key values) there and then; terminals
-        become entries too, so they are numbered in their turn.
+        With *rows* — the log's four column appends — every activation
+        takes act id *next_id* and appends its row (parent, tag byte,
+        node, key values) there and then, in that pre-order.  A node
+        whose children are all terminals numbers its instantiations in
+        place: they would be popped right after it, so their ids and
+        rows are the same.  Mixed children are all pushed, terminals
+        included, and numbered in their turn.  Without rows nothing is
+        numbered, and the walk handles every terminal child of its
+        nodes in place (a terminal entry comes only from :meth:`_right`).
         """
-        pool = self.pool
         pop = stack.pop
         push = stack.append
         kinds = self.kind
@@ -525,43 +549,26 @@ class ReteKernel:
         copies = memories.copies
         range_count_arr = self.range_count
         residuals_arr = self.residuals
-        rchildren_arr = self.rchildren
-        tchildren_arr = self.term_children
-        rbchildren_arr = self.rbeta_children
         copy_values_arr = self.copy_values
         merge_plan_arr = self.merge_plan
         term_insts_arr = self.term_insts
         term_prod_arr = self.term_prod
         term_names_arr = self.term_names
-        values_arr = pool.values
-        ids_arr = pool.ids
-        wmes_arr = pool.wmes
-        alloc = pool.alloc
-        allocs_append = allocs.append
-        retain = pool.retain
-        release = pool.release
-        logged = log is not None
+        logged = rows is not None
+        plans = self.logged_plan if logged else self.plain_plan
         if logged:
-            next_id = log.end
-            log_parent = log.parents.append
-            log_tag = log.tags.append
-            log_node = log.nodes.append
-            log_key = log.keys.append
+            log_parent, log_tag, log_node, log_key = rows
             node_id_arr = self.node_id
             left_code_arr = self.left_code
         act_id = None
         while stack:
             ci, tok, tag, parent = pop()
+            ids, wmes, values = tok
             kind = kinds[ci]
+            plus = tag == PLUS
             if kind == KIND_TERMINAL:
-                if type(tok) is tuple:
-                    ids, wmes, values = tok
-                else:
-                    ids = ids_arr[tok]
-                    wmes = wmes_arr[tok]
-                    values = values_arr[tok]
                 insts = term_insts_arr[ci]
-                if tag == PLUS:
+                if plus:
                     insts[ids] = Instantiation(
                         term_prod_arr[ci], wmes,
                         dict(zip(term_names_arr[ci], values)))
@@ -570,15 +577,13 @@ class ReteKernel:
                 if logged:
                     next_id += 1
                     log_parent(parent)
-                    log_tag(left_code_arr[ci] | (tag == MINUS))
+                    log_tag(TERMINAL_CODE | (not plus))
                     log_node(node_id_arr[ci])
                     log_key(())
                 continue
-            values = values_arr[tok]
-            ids = ids_arr[tok]
             key = tuple([values[p] for p in key_pos_arr[ci]])
             buckets = left_mem[ci]
-            if tag == PLUS:
+            if plus:
                 bucket = buckets.get(key)
                 if bucket is None:
                     buckets[key] = {ids: tok}
@@ -586,101 +591,96 @@ class ReteKernel:
                     self._store_copy(ci, key, ids, tok)
                 else:
                     bucket[ids] = tok
-                retain(tok)
             else:
                 # The stored twin keyed by ids is the first-stored copy.
                 bucket = buckets.get(key)
                 if bucket:
-                    idx = bucket.pop(ids, None)
-                    if idx is None:
+                    if bucket.pop(ids, None) is None:
                         if copies:
                             self._remove_copy(ci, key, ids)
-                    else:
-                        if not bucket:
-                            del buckets[key]
-                        release(idx)
+                    elif not bucket:
+                        del buckets[key]
             if logged:
                 act_id = next_id
                 next_id += 1
                 log_parent(parent)
-                log_tag(left_code_arr[ci] | (tag == MINUS))
+                log_tag(left_code_arr[ci] | (not plus))
                 log_node(node_id_arr[ci])
                 log_key(key)
+            inline, pushes, forward = plans[ci]
             if kind == KIND_JOIN:
                 right = right_mem[ci].get(key)
-                rchildren = rchildren_arr[ci]
-                if right and rchildren:
-                    residuals = residuals_arr[ci]
-                    if residuals:
-                        right = _passing(right, residuals, values)
-                    tchildren = tchildren_arr[ci]
-                    rbchildren = rbchildren_arr[ci]
-                    copy_vals = copy_values_arr[ci]
-                    plan = merge_plan_arr[ci]
-                    wmes_tok = wmes_arr[tok]
-                    plus = tag == PLUS
-                    for wme in reversed(right):
-                        if not copy_vals:
-                            get = wme.attrs.get
-                            nvalues = tuple([
-                                intern_value(get(src, NIL)) if from_wme
-                                else values[src]
-                                for from_wme, src in plan])
+                if not right or not (inline or pushes):
+                    continue
+                residuals = residuals_arr[ci]
+                if residuals:
+                    right = _passing(right, residuals, values)
+                copy_vals = copy_values_arr[ci]
+                plan = merge_plan_arr[ci]
+                for wme in (right if forward else reversed(right)):
+                    if copy_vals:
+                        nvalues = values
+                    else:
+                        get = wme.attrs.get
+                        nvalues = tuple([
+                            get(src, NIL) if from_wme else values[src]
+                            for from_wme, src in plan])
+                    nids = ids + (wme.wme_id,)
+                    for insts, prod, names, node_id in inline:
+                        if plus:
+                            insts[nids] = Instantiation(
+                                prod, wmes + (wme,), dict(zip(names, nvalues)))
                         else:
-                            nvalues = values
-                        nids = ids + (wme.wme_id,)
-                        nwmes = wmes_tok + (wme,)
+                            insts.pop(nids, None)
                         if logged:
-                            ntok = None
-                            if rbchildren:
-                                ntok = alloc(nids, nwmes, nvalues)
-                                allocs_append(ntok)
-                            inline = (nids, nwmes, nvalues)
-                            for cci in rchildren:
-                                push((cci, inline
-                                      if kinds[cci] == KIND_TERMINAL
-                                      else ntok, tag, act_id))
-                            continue
-                        for tci in tchildren:
-                            insts = term_insts_arr[tci]
-                            if plus:
-                                insts[nids] = Instantiation(
-                                    term_prod_arr[tci], nwmes,
-                                    dict(zip(term_names_arr[tci],
-                                             nvalues)))
-                            else:
-                                insts.pop(nids, None)
-                        if rbchildren:
-                            ntok = alloc(nids, nwmes, nvalues)
-                            allocs_append(ntok)
-                            for cci in rbchildren:
-                                push((cci, ntok, tag, None))
-            else:
-                # negative node
-                counts = self.neg_counts[ci]
-                if tag == PLUS:
-                    count = 0
-                    right = right_mem[ci].get(key)
-                    if right:
-                        residuals = residuals_arr[ci]
-                        counter = range_count_arr[ci]
-                        if counter is not None:
-                            (pos, pred, _), = residuals
-                            count = ranges_arr[ci][key].count(
-                                pred, counter, values[pos])
-                        else:
-                            count = len(_passing(right, residuals, values)
-                                        if residuals else right)
-                    counts[ids] = count
-                    if count == 0:
-                        for cci in rchildren_arr[ci]:
-                            push((cci, tok, PLUS, act_id))
-                elif counts.pop(ids, 0) == 0:
-                    for cci in rchildren_arr[ci]:
-                        push((cci, tok, MINUS, act_id))
+                            next_id += 1
+                            log_parent(act_id)
+                            log_tag(TERMINAL_CODE | (not plus))
+                            log_node(node_id)
+                            log_key(())
+                    if pushes:
+                        ntok = (nids, wmes + (wme,), nvalues)
+                        for cci in pushes:
+                            push((cci, ntok, tag, act_id))
+                continue
+            # negative node: a token passes while nothing blocks it
+            counts = self.neg_counts[ci]
+            if plus:
+                count = 0
+                right = right_mem[ci].get(key)
+                if right:
+                    residuals = residuals_arr[ci]
+                    counter = range_count_arr[ci]
+                    if counter is not None:
+                        (pos, pred, _), = residuals
+                        count = ranges_arr[ci][key].count(
+                            pred, counter, values[pos])
+                    else:
+                        count = len(_passing(right, residuals, values)
+                                    if residuals else right)
+                counts[ids] = count
+                if count:
+                    continue
+            elif counts.pop(ids, 0):
+                continue
+            for insts, prod, names, node_id in inline:
+                if plus:
+                    insts[ids] = Instantiation(
+                        prod, wmes, dict(zip(names, values)))
+                else:
+                    insts.pop(ids, None)
+                if logged:
+                    next_id += 1
+                    log_parent(act_id)
+                    log_tag(TERMINAL_CODE | (not plus))
+                    log_node(node_id)
+                    log_key(())
+            for cci in pushes:
+                push((cci, tok, tag, act_id))
+        return next_id
 
     def _store_copy(self, ci: int, key: tuple, ids: Tuple[int, ...],
-                    tok: int) -> None:
+                    tok: tuple) -> None:
         """Store *tok* in a left bucket that may already hold its ids.
 
         A later copy of a stored token goes under a fresh alias key,
@@ -715,12 +715,11 @@ class ReteKernel:
             return
         buckets = self.memories.left[ci]
         bucket = buckets[key]
-        idx = bucket.pop(aliases.pop(0))
+        del bucket[aliases.pop(0)]
         if not aliases:
             del copies[slot]
         if not bucket:
             del buckets[key]
-        self.pool.release(idx)
 
     # -- results --------------------------------------------------------------
 

@@ -33,19 +33,19 @@ class FlatMemories:
       index, so bucket keys are bare value tuples — no
       :class:`~repro.rete.hashing.BucketKey` object per lookup);
     * left buckets are insertion-ordered dicts from a token's wme-id
-      tuple to its **token-pool index** (an int into the
-      :class:`~repro.rete.tokens.TokenPool` arrays), so a minus token
-      finds its stored twin with one ``pop`` and iteration follows
-      store order, as a list would.  A second copy of a stored token
-      (the same wme added twice) goes under a fresh alias key, listed
-      in :attr:`copies`; removal always takes the first-stored copy;
+      tuple to the **token tuple** ``(ids, wmes, values)`` itself, so
+      a minus token finds its stored twin with one ``pop`` and
+      iteration follows store order, as a list would.  A second copy
+      of a stored token (the same wme added twice) goes under a fresh
+      alias key, listed in :attr:`copies`; removal always takes the
+      first-stored copy;
     * right buckets are lists of wmes, in arrival order;
     * a negative node whose one residual test is relational also keeps
       a range index per right bucket in :attr:`ranges` (see
       :class:`RangeIndex`);
-    * string values are interned before keying (see
-      :func:`~repro.rete.hashing.intern_value`), so bucket probes
-      compare symbols by pointer.
+    * keys are the wmes' own values, not interned: a probe compares
+      equal symbols by identity when they are the same object and by
+      value otherwise.
 
     Buckets are deleted when they empty, preserving the reference
     engine's "no state after symmetric add/delete" invariant that
@@ -57,8 +57,8 @@ class FlatMemories:
 
     def __init__(self, n_nodes: int, ranged: Iterable[int] = ()) -> None:
         #: per-node dict: value-tuple -> {wme-id tuple or alias: token
-        #: pool index}
-        self.left: List[Dict[tuple, Dict[object, int]]] = [
+        #: tuple}
+        self.left: List[Dict[tuple, Dict[object, tuple]]] = [
             {} for _ in range(n_nodes)]
         #: per-node dict: value-tuple -> list of wmes
         self.right: List[Dict[tuple, List[WME]]] = [

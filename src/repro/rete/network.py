@@ -11,8 +11,8 @@ Productions are compiled by a
 :class:`~repro.rete.builder.NetworkBuilder`, which owns the network's
 structure (alpha patterns, subscriptions, node descriptors).  The first
 working-memory delta lowers that structure into a
-:class:`~repro.rete.kernel.ReteKernel` — flat instruction arrays, a
-pooled token store and hashed alpha dispatch — which executes all waves
+:class:`~repro.rete.kernel.ReteKernel` — flat instruction arrays,
+tuple tokens and hashed alpha dispatch — which executes all waves
 from then on (DESIGN §4.5).  The original object-dispatch engine is
 kept as an oracle in :mod:`repro.rete._reference`; the
 ``rete_fast_vs_reference`` conformance oracle pins the two to identical
@@ -22,7 +22,8 @@ While anything listens, every two-input/terminal activation is numbered
 and written as one row to the network's
 :class:`~repro.rete.stats.ActivationLog` — the raw material for the
 Figure 4-1 trace, which :class:`~repro.trace.recorder.TraceRecorder`
-compiles straight from the rows (:meth:`ReteNetwork.keep_log`).
+compiles straight from the rows while it lives
+(:meth:`ReteNetwork.keep_log`).
 ``observers`` receive the same activations as
 :class:`~repro.rete.stats.ActivationEvent` objects, replayed from the log
 in post-order after each wave.
@@ -98,10 +99,10 @@ class ReteNetwork:
         """
         return self._observers
 
-    def keep_log(self) -> ActivationLog:
+    def keep_log(self, reader: object) -> ActivationLog:
         """The network's activation log, with every row written from
-        now on kept for the network's lifetime."""
-        self._log.kept = True
+        now on kept for as long as *reader* (or another reader) lives."""
+        self._log.keep(reader)
         return self._log
 
     @property

@@ -17,6 +17,7 @@ aggregates them into the left/right totals of the paper's Table 5-2.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from itertools import count
 from typing import Callable, Dict, List, Optional, Tuple
@@ -114,13 +115,16 @@ class ActivationLog:
     key-less bucket).  Node and values are separate columns so that a
     row allocates nothing.
 
-    Rows outlive the wave that wrote them only once a reader (a trace
-    recorder, through the network's ``keep_log()``) has set ``kept``;
-    until then they exist just long enough to be replayed to
-    observers, and the log stays empty.
+    Rows outlive the wave that wrote them only while a reader (a trace
+    recorder, through the network's ``keep_log(reader)``) is alive, as
+    counted in ``readers``; until then they exist just long enough to
+    be replayed to observers, and the log stays empty.  Once the last
+    reader is gone the log stops keeping rows, and the engine drops
+    the rows at its next wave (never in the middle of one, where
+    observers still need them).
     """
 
-    __slots__ = ("start", "parents", "tags", "nodes", "keys", "kept")
+    __slots__ = ("start", "parents", "tags", "nodes", "keys", "readers")
 
     def __init__(self) -> None:
         #: the act id of row 0 (ids count from 1)
@@ -129,8 +133,8 @@ class ActivationLog:
         self.tags = bytearray()
         self.nodes: List[int] = []
         self.keys: List[tuple] = []
-        #: whether a reader holds rows past the wave that wrote them
-        self.kept = False
+        #: how many live readers keep rows past the wave that wrote them
+        self.readers = 0
 
     @property
     def end(self) -> int:
@@ -138,20 +142,38 @@ class ActivationLog:
         return self.start + len(self.tags)
 
     def add(self, parent: Optional[int], code: int, node_id: int,
-            values: tuple) -> int:
-        """Append one row; its act id."""
-        act_id = self.end
+            values: tuple) -> None:
+        """Append one row (the reference engine's path; the kernel
+        appends to the columns itself)."""
         self.parents.append(parent)
         self.tags.append(code)
         self.nodes.append(node_id)
         self.keys.append(values)
-        return act_id
+
+    def keep(self, reader: object) -> None:
+        """Keep every row written from now on for as long as *reader*
+        lives (rows left by readers that are gone are dropped first)."""
+        if not self.readers:
+            self.drop()
+        self.readers += 1
+        weakref.finalize(reader, self._release)
+
+    def _release(self) -> None:
+        self.readers -= 1
+
+    def drop(self) -> None:
+        """Forget every row; the next row keeps its act id."""
+        self.start = self.end
+        self.parents.clear()
+        self.tags.clear()
+        self.nodes.clear()
+        self.keys.clear()
 
     def replay(self, start: int, labels: Dict[int, str],
                observers: List[Callable[[ActivationEvent], None]]) -> None:
         """Deliver the rows from act id *start* on to *observers* as
         :class:`ActivationEvent` objects in post-order, then drop them
-        unless the log is kept.
+        unless a reader keeps them.
 
         The rows must be whole walks (a wave's): each row's parent is
         then an earlier row still open, and an activation is delivered
@@ -161,12 +183,8 @@ class ActivationLog:
         first = start - self.start
         rows = zip(count(start), self.parents[first:], self.tags[first:],
                    self.nodes[first:], self.keys[first:])
-        if not self.kept:
-            self.start = self.end
-            self.parents.clear()
-            self.tags.clear()
-            self.nodes.clear()
-            self.keys.clear()
+        if not self.readers:
+            self.drop()
         open_events: List[ActivationEvent] = []
         for act_id, parent, code, node_id, values in rows:
             while open_events and open_events[-1].act_id != parent:

@@ -43,7 +43,7 @@ class TraceRecorder:
 
     def __init__(self, network: ReteNetwork) -> None:
         self.network = network
-        self._log: ActivationLog = network.keep_log()
+        self._log: ActivationLog = network.keep_log(self)
         #: ``(cycle index, act id of its first row)`` per cycle switch
         self._marks: List[Tuple[int, int]] = [(0, self._log.end)]
 

@@ -14,8 +14,9 @@ from repro.ops5.wme import WME
 from repro.rete import ReteNetwork
 from repro.rete._reference import ReferenceReteNetwork
 from repro.trace import TraceRecorder, dumps_trace
-from repro.workloads.match import MATCH_PROGRAMS
+from repro.workloads.match import MATCH_PROGRAMS, adversarial_cross_product
 from repro.workloads.programs import BLOCKS_WORLD, MONKEY_AND_BANANAS
+from tests.rete_memory_image import left_buckets, left_state
 from tests.trace_recorder_reference import ReferenceTraceRecorder
 
 ENGINES = {"kernel": ReteNetwork, "reference": ReferenceReteNetwork}
@@ -181,7 +182,7 @@ class TestLog:
             network.add_wme(wme)
             assert not (log.tags or log.parents or log.nodes or log.keys)
         assert [e.act_id for e in events] == [1, 3, 2, 5, 4]
-        assert log.end == 6 and not log.kept
+        assert log.end == 6 and not log.readers
 
     def test_nothing_numbered_while_nothing_listens(self):
         network = self._network()
@@ -194,7 +195,7 @@ class TestLog:
 
     def test_rows_are_pre_order_and_kept_for_a_recorder(self):
         network = self._network()
-        log = network.keep_log()
+        log = network.keep_log(self)
         network.add_wme(WME(1, "a", {"v": 1}))
         network.add_wme(WME(2, "b", {"w": 1}))
         assert log.start == 1 and log.end == 4
@@ -209,7 +210,185 @@ class TestLog:
         events = []
         network.observers.append(events.append)
         network.add_wme(WME(1, "a", {"v": 1}))
-        log = network.keep_log()
+        log = network.keep_log(self)
         network.add_wme(WME(2, "b", {"w": 1}))
         assert log.start == 2 and log.parents == [None, 2]
         assert [e.act_id for e in events] == [1, 3, 2]
+
+
+def _apply(network, deltas):
+    for tag, wme in deltas:
+        (network.add_wme if tag == "+" else network.remove_wme)(wme)
+
+
+def _cross(engine, n):
+    """A network with the adversarial cross-product program, and its
+    deltas (n adds of each class, then their removals)."""
+    program, deltas = adversarial_cross_product(n)
+    network = ENGINES[engine]()
+    for production in program.productions:
+        network.add_production(production)
+    return network, deltas
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+class TestLogReaders:
+    """The log keeps rows only while a reader that asked for them is
+    alive; once the last reader is gone the rows are dropped."""
+
+    def test_dropped_recorder_releases_the_log(self, engine):
+        network, deltas = _cross(engine, 8)
+        log = TraceRecorder(network)._log
+        assert log.readers == 0
+        _apply(network, deltas)
+        assert not (log.tags or log.parents or log.nodes or log.keys)
+
+    def test_rows_are_dropped_at_the_next_wave(self, engine):
+        network, deltas = _cross(engine, 4)
+        recorder = TraceRecorder(network)
+        log = recorder._log
+        _apply(network, deltas[:3])
+        assert log.readers and log.tags
+        del recorder
+        assert not log.readers and log.tags
+        _apply(network, deltas[3:])
+        assert not log.tags
+
+    def test_one_reader_dropped_one_alive(self, engine):
+        network, deltas = _cross(engine, 6)
+        events = []
+        network.observers.append(events.append)
+        half = len(deltas) // 2
+        alive, dropped = TraceRecorder(network), TraceRecorder(network)
+        frozen = ReferenceTraceRecorder(network)
+        log = alive._log
+        _apply(network, deltas[:half])
+        del dropped
+        assert log.readers == 1
+        alive.set_cycle(1)
+        frozen.set_cycle(1)
+        _apply(network, deltas[half:])
+        for drop in (False, True):
+            assert dumps_trace(alive.section("s", drop)) == dumps_trace(
+                frozen.section("s", drop))
+        del alive
+        _apply(network, deltas)
+        assert not log.readers and not log.tags
+        # the observer saw every activation of all three passes
+        reference, _ = _cross("reference", 6)
+        expect = []
+        reference.observers.append(expect.append)
+        _apply(reference, deltas + deltas)
+        assert ([_event_tuple(e) for e in events]
+                == [_event_tuple(e) for e in expect])
+
+    def test_a_new_reader_after_the_last_one_left(self, engine):
+        network, deltas = _cross(engine, 4)
+        first = TraceRecorder(network)
+        _apply(network, deltas)
+        del first
+        second, frozen = (TraceRecorder(network),
+                          ReferenceTraceRecorder(network))
+        _apply(network, deltas)
+        assert dumps_trace(second.section("s")) == dumps_trace(
+            frozen.section("s"))
+
+
+def _x(wid, cls, v, **extra):
+    return WME(wid, cls, {"v": v, **extra}, timestamp=wid)
+
+
+_X1, _X2, _Y1, _Y2, _Z1 = (_x(1, "x", 1), _x(2, "x", 1), _x(3, "y", 1),
+                           _x(4, "y", 2), _x(5, "z", 1))
+
+#: plus and minus waves on both inputs, and the same wme added twice
+#: (its second unit token is stored under an alias copy)
+_SCRIPT = [("+", _X1), ("+", _Y1), ("+", _X2), ("+", _Z1), ("+", _Y2),
+           ("+", _X1), ("-", _Y1), ("+", _Y1), ("-", _X1), ("-", _Z1),
+           ("-", _X1), ("-", _Y1), ("-", _X2), ("-", _Y2)]
+
+IN_PLACE_CASES = {
+    # join 1 feeds terminal `a` and join 2; join 2 feeds only `b`
+    "shared-prefix": (["(p a (x ^v <v>) (y ^v <v>) --> (remove 1))",
+                       "(p b (x ^v <v>) (y ^v <v>) (z ^v <v>) -->"
+                       " (remove 1))"],
+                      {1: False, 3: True}),
+    # a negative node feeding only a terminal, on both inputs
+    "negative": (["(p n (x ^v <v>) -(y ^v <v>) --> (remove 1))"],
+                 {1: True}),
+    # right activations of a join feeding two terminals
+    "two-terminals": (["(p r (x ^v <v>) (y ^v <v>) --> (remove 1))",
+                       "(p s (x ^v <v>) (y ^v <v>) --> (remove 2))"],
+                      {1: True}),
+}
+
+
+def _signature(network):
+    return sorted((inst.production.name, tuple(w.wme_id for w in inst.wmes),
+                   sorted(inst.bindings.items()))
+                  for inst in network.conflict_set())
+
+
+@pytest.mark.parametrize("case", sorted(IN_PLACE_CASES))
+class TestInPlaceNumbering:
+    """A node whose children are all terminals numbers and logs its
+    instantiations where it stands; the ids, rows and events must be
+    those of pushing them as walk entries."""
+
+    def _run(self, case, engine):
+        rules, _ = IN_PLACE_CASES[case]
+        network = ENGINES[engine]()
+        for source in rules:
+            network.add_production(parse_production(source))
+        events = []
+        network.observers.append(events.append)
+        recorder, frozen = (TraceRecorder(network),
+                            ReferenceTraceRecorder(network))
+        plain = ReteNetwork()
+        for source in rules:
+            plain.add_production(parse_production(source))
+        orders = []
+        for cycle, (tag, wme) in enumerate(_SCRIPT, 1):
+            recorder.set_cycle(cycle)
+            frozen.set_cycle(cycle)
+            for net in (network, plain):
+                (net.add_wme if tag == "+" else net.remove_wme)(wme)
+            assert _signature(network) == _signature(plain)
+            orders.append([(inst.production.name,
+                            tuple(w.wme_id for w in inst.wmes))
+                           for inst in network.conflict_set()])
+        return network, plain, events, recorder, frozen, orders
+
+    def test_the_nodes_take_the_in_place_path(self, case):
+        rules, in_place = IN_PLACE_CASES[case]
+        network, *_ = self._run(case, "kernel")
+        kernel = network.kernel
+        # a node numbering in place pushes nothing on the logged walk
+        assert {node_id: not kernel.logged_plan[
+                    kernel.node_id.index(node_id)][1]
+                for node_id in in_place} == in_place
+
+    def test_matches_the_reference_and_the_frozen_recorder(self, case):
+        runs = {engine: self._run(case, engine) for engine in ENGINES}
+        kernel, reference = runs["kernel"], runs["reference"]
+        assert kernel[2] and ([_event_tuple(e) for e in kernel[2]]
+                              == [_event_tuple(e) for e in reference[2]])
+        # the traced kernel stores instantiations in the reference's
+        # order, so the conflict sets list alike
+        assert kernel[5] == reference[5]
+        for _, _, _, recorder, frozen, _ in runs.values():
+            for drop in (False, True):
+                section = recorder.section("s", drop)
+                assert dumps_trace(section) == dumps_trace(
+                    frozen.section("s", drop))
+        assert (_flat(kernel[3].section("s"))
+                == _flat(reference[3].section("s")))
+        assert any(e.node_kind == "terminal" and e.tag == "-"
+                   for e in kernel[2])
+
+    def test_memories_match_untraced_and_reference(self, case):
+        network, plain, *_ = self._run(case, "kernel")
+        reference, *_ = self._run(case, "reference")
+        assert left_state(network) == left_state(plain)
+        assert left_buckets(network) == left_buckets(reference)
+        assert network.memories.is_empty()

@@ -18,6 +18,7 @@ from repro.workloads import (MATCH_PROGRAMS, adversarial_cross_product,
                              record_match_deltas, replay_deltas)
 from repro.workloads.programs import (BLOCKS_WORLD, GRID_ROUTER,
                                       MONKEY_AND_BANANAS)
+from tests.rete_memory_image import left_buckets, left_state
 
 
 def _observed_network():
@@ -98,11 +99,16 @@ def test_adversarial_cross_product_forms_n_squared_then_drains():
         net.add_production(production)
     adds = [d for d in deltas if d[0] == "+"]
     removes = [d for d in deltas if d[0] == "-"]
+    reference = ReferenceReteNetwork()
+    for production in program.productions:
+        reference.add_production(production)
     for _, wme in adds:
         net.add_wme(wme)
+        reference.add_wme(wme)
     assert len(net.conflict_set()) == n * n
+    assert left_buckets(net) == left_buckets(reference)
     for _, wme in removes:
         net.remove_wme(wme)
     assert net.conflict_set() == []
     assert net.memories.is_empty()
-    assert net.kernel.pool.live_count() == 0
+    assert left_state(net) == ({}, {})

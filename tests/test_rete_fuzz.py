@@ -7,7 +7,9 @@ unobserved, emitting none) — are driven through random rule
 subsets and random working-memory churn (adds, removes, negated CEs,
 multiple-modify bursts).  All four must agree on the conflict set after
 every single delta; the kernel variants must also agree on memory
-totals and live token counts.
+totals and on their left memories bucket by bucket (stored wme-id
+tuples in store order, and alias copies), which the reference's left
+memories must match too.
 
 The ``ci`` hypothesis profile runs on every PR; the ``fuzz``-marked
 deep sweeps run nightly at the ``nightly`` profile budget.
@@ -23,6 +25,7 @@ from repro.ops5 import NaiveMatcher, parse_production
 from repro.ops5.wme import WME
 from repro.rete import ReteNetwork
 from repro.rete._reference import ReferenceReteNetwork
+from tests.rete_memory_image import left_buckets, left_state
 
 CLASSES = ["a", "b", "c"]
 VALUES = [1, 2, 3, "x", "y"]
@@ -163,8 +166,8 @@ def _run_differential(rules, script):
         assert conflict_signature(fast) == want
         assert conflict_signature(plain) == want
     assert fast.memories.counts() == plain.memories.counts()
-    assert (fast.kernel.pool.live_count()
-            == plain.kernel.pool.live_count())
+    assert left_state(fast) == left_state(plain)
+    assert left_buckets(plain) == left_buckets(reference)
 
 
 @given(rules=rule_subsets(), script=churn_scripts())
@@ -199,15 +202,14 @@ def test_traced_equals_untraced_final_state(rules, script):
         timestamp = _apply(op, engines, wmes, timestamp)
         assert conflict_signature(traced) == conflict_signature(untraced)
     assert traced.memories.counts() == untraced.memories.counts()
-    assert (traced.kernel.pool.live_count()
-            == untraced.kernel.pool.live_count())
+    assert left_state(traced) == left_state(untraced)
 
 
 @pytest.mark.fuzz
 @given(rules=rule_subsets(), script=churn_scripts(max_ops=120))
 def test_deep_churn_differential(rules, script):
     """Nightly: long scripts reach deeper negative-count transitions
-    and heavier token-pool recycling than the PR-gate tier."""
+    and longer token churn than the PR-gate tier."""
     _run_differential(rules, script)
 
 

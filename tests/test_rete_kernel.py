@@ -1,5 +1,5 @@
 """Unit tests for the flattened match kernel's building blocks:
-token-pool lifecycle, alpha matching, flat memories and the network
+tuple tokens in the left buckets, alpha matching, flat memories and the network
 front-end's compile behaviour."""
 
 import pytest
@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from repro.ops5 import parse_production
 from repro.ops5.ast import AttrTest, Constant, Disjunction, Predicate
 from repro.ops5.wme import WME
-from repro.rete import FlatMemories, ReteError, ReteNetwork, TokenPool
+from repro.rete import FlatMemories, ReteError, ReteNetwork
 from repro.rete._reference import ReferenceReteNetwork
 from repro.rete.kernel import ReteKernel, _AlphaClass, _AlphaSlot
 from repro.rete.nodes import AlphaPattern
+from tests.rete_memory_image import left_buckets, left_state
 
 
 def _wme(wid, cls="a", **attrs):
@@ -20,73 +21,108 @@ def _wme(wid, cls="a", **attrs):
 
 
 # ---------------------------------------------------------------------------
-# TokenPool
+# tokens: (ids, wmes, values) tuples held by the left buckets
 # ---------------------------------------------------------------------------
 
-class TestTokenPool:
-    def test_alloc_starts_unreferenced(self):
-        pool = TokenPool()
-        idx = pool.alloc((1,), (_wme(1),), ("x",))
-        assert pool.refs[idx] == 0
-        assert pool.live_count() == 1
+def _pair(*sources):
+    """A kernel network and a reference network with *sources*."""
+    engines = ReteNetwork(), ReferenceReteNetwork()
+    for source in sources:
+        for engine in engines:
+            engine.add_production(parse_production(source))
+    return engines
 
-    def test_release_frees_and_reuses_slot(self):
-        pool = TokenPool()
-        idx = pool.alloc((1,), (_wme(1),), ("x",))
-        pool.retain(idx)
-        pool.release(idx)
-        assert pool.live_count() == 0
-        assert pool.ids[idx] is None
-        idx2 = pool.alloc((2,), (_wme(2),), ("y",))
-        assert idx2 == idx  # free list reuses the slot
-        assert pool.values[idx2] == ("y",)
 
-    def test_refcount_keeps_slot_alive(self):
-        pool = TokenPool()
-        idx = pool.alloc((1,), (_wme(1),), ())
-        pool.retain(idx)
-        pool.retain(idx)
-        pool.release(idx)
-        assert pool.live_count() == 1
-        pool.release(idx)
-        assert pool.live_count() == 0
+def _apply(engines, op, wme):
+    for engine in engines:
+        getattr(engine, op)(wme)
 
-    def test_release_if_unused_only_frees_unreferenced(self):
-        pool = TokenPool()
-        kept = pool.alloc((1,), (_wme(1),), ())
-        pool.retain(kept)
-        loose = pool.alloc((2,), (_wme(2),), ())
-        pool.release_if_unused(kept)
-        pool.release_if_unused(loose)
-        assert pool.live_count() == 1
-        assert pool.ids[kept] == (1,)
 
-    def test_wave_end_sweep_cannot_double_free_reused_slot(self):
-        """A slot recycled mid-wave and immediately reallocated must
-        survive the wave-end ``release_if_unused`` sweep over the old
-        index — the free marker (refs == -1) breaks the aliasing."""
-        pool = TokenPool()
-        idx = pool.alloc((1,), (_wme(1),), ())
-        pool.retain(idx)
-        pool.release(idx)            # mid-wave recycle: refs -> -1
-        assert pool.refs[idx] == -1
-        again = pool.alloc((2,), (_wme(2),), ())
-        assert again == idx          # reallocated under the same index
-        pool.retain(again)
-        pool.release_if_unused(idx)  # wave-end sweep over the OLD alloc
-        assert pool.live_count() == 1
-        assert pool.ids[again] == (2,)
-        assert idx not in pool._free
+class TestTupleTokens:
+    JOIN = "(p j (a ^p <x>) (b ^p <x>) --> (remove 1))"
 
-    def test_capacity_is_high_water_mark(self):
-        pool = TokenPool()
-        slots = [pool.alloc((i,), (_wme(i),), ()) for i in range(5)]
-        for idx in slots:
-            pool.release_if_unused(idx)
-        assert pool.capacity() == 5
-        assert pool.live_count() == 0
-        pool.alloc((9,), (_wme(9),), ())
-        assert pool.capacity() == 5  # reuse, not growth
+    def test_outputs_feeding_only_terminals_are_not_stored(self):
+        net, reference = engines = _pair(self.JOIN)
+        a, b = _wme(1, p=1), WME(2, "b", {"p": 1}, timestamp=2)
+        _apply(engines, "add_wme", a)
+        _apply(engines, "add_wme", b)
+        ci = net.kernel.node_id.index(1)
+        assert net.kernel.logged_plan[ci][1] == ()  # pushes nothing
+        # only the unit token is stored: the join's output became an
+        # instantiation and nothing else
+        assert left_state(net) == ({(1, (1,)): [(1,)]}, {})
+        assert left_buckets(reference) == left_buckets(net)
+        (inst,) = net.conflict_set()
+        assert inst.wmes == (a, b)
+
+    def test_minus_wave_drops_the_stored_token(self):
+        net, _ = engines = _pair(self.JOIN)
+        a = _wme(1, p=1)
+        _apply(engines, "add_wme", a)
+        (token,) = net.kernel.memories.left[0][(1,)].values()
+        assert token == ((1,), (a,), (1,))
+        _apply(engines, "remove_wme", a)
+        assert net.kernel.memories.left[0] == {}
+        assert left_state(net) == ({}, {})
+
+    def test_token_shared_by_two_buckets_survives_one_removal(self):
+        """A negative node stores a token and passes the same tuple on;
+        its child dropping it leaves the negative node's copy whole."""
+        net, reference = engines = _pair(
+            "(p n (a ^p <x>) -(c ^p <x>) (b ^p <x>) --> (remove 1))")
+        a = _wme(1, p=1)
+        _apply(engines, "add_wme", a)
+        kernel = net.kernel
+        neg, join = (kernel.node_id.index(i) for i in (1, 2))
+        (stored,) = kernel.memories.left[neg][(1,)].values()
+        (passed,) = kernel.memories.left[join][(1,)].values()
+        assert passed is stored
+        _apply(engines, "add_wme", WME(2, "c", {"p": 1}, timestamp=2))
+        assert kernel.memories.left[join] == {}
+        assert kernel.memories.left[neg][(1,)][(1,)] == ((1,), (a,), (1,))
+        assert left_buckets(net) == left_buckets(reference)
+
+    def test_minus_tokens_are_never_stored(self):
+        """A minus wave whose plus twin never arrived stores nothing and
+        raises nothing, like the reference's list buckets."""
+        net, reference = engines = _pair(self.JOIN)
+        _apply(engines, "remove_wme", _wme(1, p=1))
+        _apply(engines, "remove_wme", WME(2, "b", {"p": 1}, timestamp=2))
+        assert left_state(net) == ({}, {}) and net.memories.is_empty()
+        assert left_buckets(reference) == {}
+
+    def test_duplicate_copies_leave_first_stored_first(self):
+        """The same wme added twice stores two copies of one token (the
+        second under an alias); removals take the first-stored copy."""
+        net, reference = engines = _pair(self.JOIN)
+        a = _wme(1, p=1)
+        key = (1, (1,), (1,))
+        _apply(engines, "add_wme", a)
+        _apply(engines, "add_wme", a)
+        assert left_state(net) == ({(1, (1,)): [(1,), (1,)]}, {key: 1})
+        _apply(engines, "remove_wme", a)
+        assert left_state(net) == ({(1, (1,)): [(1,)]}, {key: 1})
+        _apply(engines, "add_wme", a)
+        assert left_state(net) == ({(1, (1,)): [(1,), (1,)]}, {key: 2})
+        assert left_buckets(net) == left_buckets(reference)
+        _apply(engines, "remove_wme", a)
+        _apply(engines, "remove_wme", a)
+        assert left_state(net) == ({}, {}) and net.memories.is_empty()
+        assert reference.memories.is_empty()
+
+    def test_churn_leaves_no_token_behind(self):
+        net, reference = engines = _pair(
+            self.JOIN, "(p k (a ^p <x>) (b ^p <x>) (c ^p <x>) --> (remove 1))")
+        wmes = [_wme(1, p=1), WME(2, "b", {"p": 1}, timestamp=2),
+                WME(3, "c", {"p": 1}, timestamp=3)]
+        for _ in range(5):
+            for wme in wmes:
+                _apply(engines, "add_wme", wme)
+            assert len(net.conflict_set()) == 2
+            assert left_buckets(net) == left_buckets(reference)
+            for wme in reversed(wmes):
+                _apply(engines, "remove_wme", wme)
+            assert left_state(net) == ({}, {}) and net.memories.is_empty()
 
 
 # ---------------------------------------------------------------------------
@@ -279,16 +315,20 @@ class TestNetworkFrontEnd:
         assert [i.production.name for i in net.conflict_set()] == ["two"]
 
     def test_memories_drain_after_symmetric_churn(self):
-        net = ReteNetwork()
-        net.add_production(parse_production(
-            "(p join2 (a ^p <x>) (b ^p <x>) --> (remove 1))"))
+        net, reference = ReteNetwork(), ReferenceReteNetwork()
+        for engine in (net, reference):
+            engine.add_production(parse_production(
+                "(p join2 (a ^p <x>) (b ^p <x>) --> (remove 1))"))
         wmes = [_wme(1, p=1), WME(2, "b", {"p": 1}, timestamp=2)]
         for wme in wmes:
             net.add_wme(wme)
+            reference.add_wme(wme)
         assert len(net.conflict_set()) == 1
         assert not net.memories.is_empty()
+        assert left_state(net) == ({(1, (1,)): [(1,)]}, {})
+        assert left_buckets(net) == left_buckets(reference)
         for wme in wmes:
             net.remove_wme(wme)
         assert net.conflict_set() == []
         assert net.memories.is_empty()
-        assert net.kernel.pool.live_count() == 0
+        assert left_state(net) == ({}, {})

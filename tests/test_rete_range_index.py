@@ -29,6 +29,7 @@ from repro.rete import ReteNetwork
 from repro.rete._reference import ReferenceReteNetwork
 from repro.rete.memory import BISECT_COUNTS, RangeIndex
 from repro.rete.predicates import compile_predicate
+from tests.rete_memory_image import left_buckets, left_state
 
 NAN = float("nan")
 INF = float("inf")
@@ -80,6 +81,8 @@ def _check(engines):
     counts = reference.memories.counts()
     assert observed.memories.counts() == counts
     assert plain.memories.counts() == counts
+    assert left_state(observed) == left_state(plain)
+    assert left_buckets(plain) == left_buckets(reference)
 
 
 def _drive(rules, ops):
@@ -106,8 +109,6 @@ def _drive(rules, ops):
         assert engine.memories.is_empty()
     for kernel in engines[2:]:
         assert not any(kernel.memories.ranges) and not kernel.memories.copies
-    assert engines[2].kernel.pool.live_count() == 0
-    assert engines[3].kernel.pool.live_count() == 0
 
 
 @st.composite
