@@ -28,9 +28,8 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from ..obs import get_registry
-from ..rete.hashing import BucketKey
-from ..trace.events import CycleTrace, SectionTrace, TraceActivation
-from ..trace.transform import _renumber_cycle
+from ..trace.events import CycleTrace, SectionTrace, TraceBuilder
+from ..trace.transform import _renumber, _rows
 from ..trace.validate import validate_trace
 
 TracePredicate = Callable[[SectionTrace], bool]
@@ -53,34 +52,21 @@ class _Budget:
         return True
 
 
-def _copy_act(act: TraceActivation, *,
-              successors: Optional[Tuple[int, ...]] = None,
-              key: Optional[BucketKey] = None) -> TraceActivation:
-    return TraceActivation(
-        act_id=act.act_id, parent_id=act.parent_id, node_id=act.node_id,
-        kind=act.kind, side=act.side, tag=act.tag,
-        key=key if key is not None else act.key,
-        successors=(successors if successors is not None
-                    else act.successors))
-
-
 def _without_acts(cycle: CycleTrace, doomed: Set[int]) -> CycleTrace:
     """The cycle minus *doomed* and everything they generate."""
+    rows = _rows(cycle.key_index())
     # Close over descendants (children of dropped activations must go).
-    changed = True
-    while changed:
-        changed = False
-        for act in cycle:
-            if act.parent_id in doomed and act.act_id not in doomed:
-                doomed.add(act.act_id)
-                changed = True
-    out = CycleTrace(index=cycle.index)
-    for act in cycle:
-        if act.act_id in doomed:
-            continue
-        out.add(_copy_act(act, successors=tuple(
-            s for s in act.successors if s not in doomed)))
-    return _renumber_cycle(out)
+    while True:
+        grown = {act_id for act_id, row in rows.items()
+                 if row[0] in doomed} - doomed
+        if not grown:
+            break
+        doomed |= grown
+    builder = TraceBuilder("")
+    _renumber(builder, cycle.index,
+              {act_id: row for act_id, row in rows.items()
+               if act_id not in doomed})
+    return builder.end_cycle()
 
 
 def _replace_cycle(trace: SectionTrace, position: int,
@@ -113,7 +99,7 @@ def _pass_drop_cycles(trace: SectionTrace, fails: TracePredicate,
         progressed = False
         # Largest first: dropping a big cycle simplifies the most.
         order = sorted(range(len(trace.cycles)),
-                       key=lambda i: -len(trace.cycles[i].activations))
+                       key=lambda i: -len(trace.cycles[i]))
         for position in order:
             candidate = SectionTrace(
                 name=trace.name,
@@ -133,7 +119,8 @@ def _pass_drop_subtrees(trace: SectionTrace, fails: TracePredicate,
     while progressed and budget.left > 0:
         progressed = False
         for position, cycle in enumerate(trace.cycles):
-            roots = [a.act_id for a in cycle if a.parent_id is None]
+            roots = [act_id for act_id, parent, *_
+                     in cycle.key_index().rows() if parent is None]
             if len(roots) <= 1:
                 continue
             for root in roots:
@@ -155,12 +142,13 @@ def _pass_drop_leaves(trace: SectionTrace, fails: TracePredicate,
     while progressed and budget.left > 0:
         progressed = False
         for position, cycle in enumerate(trace.cycles):
-            leaves = [a.act_id for a in cycle if not a.successors]
-            if len(cycle.activations) <= 1:
+            leaves = [act_id for act_id, *_, kids
+                      in cycle.key_index().rows() if not kids]
+            if len(cycle) <= 1:
                 continue
             for leaf in leaves:
                 shrunk = _without_acts(cycle, {leaf})
-                if not shrunk.activations:
+                if not len(shrunk):
                     continue
                 candidate = _replace_cycle(trace, position, shrunk)
                 if _try(candidate, fails, budget):
@@ -176,17 +164,17 @@ def _pass_shrink_values(trace: SectionTrace, fails: TracePredicate,
                         budget: _Budget) -> Tuple[SectionTrace, bool]:
     any_progress = False
     for position, cycle in enumerate(trace.cycles):
-        for act in list(cycle):
-            if not act.key.values:
+        for act_id, *_, key, _ in list(cycle.key_index().rows()):
+            if not key.values:
                 continue
-            out = CycleTrace(index=cycle.index)
-            for other in cycle:
-                if other.act_id == act.act_id:
-                    out.add(_copy_act(
-                        other, key=BucketKey(other.key.node_id, ())))
-                else:
-                    out.add(_copy_act(other))
-            candidate = _replace_cycle(trace, position, out)
+            builder = TraceBuilder("")
+            builder.new_cycle(cycle.index)
+            for other, parent, code, other_key, kids in \
+                    cycle.key_index().rows():
+                builder.add(parent, code, other_key.node_id,
+                            () if other == act_id else other_key.values,
+                            other, kids)
+            candidate = _replace_cycle(trace, position, builder.end_cycle())
             if _try(candidate, fails, budget):
                 trace = candidate
                 cycle = trace.cycles[position]

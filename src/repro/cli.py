@@ -98,13 +98,12 @@ def _print_json(payload: dict, sort_keys: bool = False) -> None:
 def _read_trace_file(path):
     try:
         trace = read_trace(path)
+        validate_trace(trace)
     except OSError as err:
         raise CLIError(f"cannot read trace file {path}: "
                        f"{err.strerror or err}") from err
     except TraceFormatError as err:
         raise CLIError(f"malformed trace file {path}: {err}") from err
-    try:
-        validate_trace(trace)
     except TraceValidationError as err:
         raise CLIError(f"invalid trace {path}: {err}") from err
     return trace

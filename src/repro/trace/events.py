@@ -8,14 +8,17 @@ activations it generated.  The paper's simulator consumes exactly this —
 network" — and so does ours, which is what makes recorded and synthetic
 traces interchangeable.
 
-Every cycle is run from one compiled table, :class:`CycleKeyIndex`, and
-:meth:`CycleKeyIndex.from_columns` is the one compile behind it.  A
-recorded cycle is compiled from the match engine's activation log (one
-row per activation, already in act-id order: parent act id, tag byte,
-node id, key values) with column operations, and is that table alone; a
-cycle built from :class:`TraceActivation` objects (transforms, synthetic
-generators, the text reader) feeds their columns to the same compile.
-The tag-byte bits (``TAG_*``) are the match engines', re-exported here.
+A cycle *is* one compiled table, :class:`CycleKeyIndex`, and
+:meth:`CycleKeyIndex.from_columns` is the one compile behind it.  The
+recorder compiles each cycle straight from the match engine's
+activation log (one row per activation, already in act-id order: parent
+act id, tag byte, node id, key values).  Every other producer — the
+paper-section generators, synthetic streams, the trace transforms, the
+text reader and the shrinker — appends the same columns to one
+:class:`TraceBuilder`.  :class:`TraceActivation` objects are only a
+read-only view of a table, built on demand for tests, reference
+oracles, the validator and the text writer.  The tag-byte bits
+(``TAG_*``) are the match engines', re-exported here.
 
 Streaming traces
 ----------------
@@ -37,11 +40,12 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from itertools import compress, count, repeat
-from operator import attrgetter, eq, is_
+from itertools import chain, compress, count, repeat
+from operator import gt, is_
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
+from ..ops5.values import Value
 from ..rete.hashing import BucketKey, stable_hash
 # The tag-byte bits are the match engines' (re-exported here for the
 # simulators and executors that read compiled cycles).
@@ -65,9 +69,10 @@ VALID_TAGS = ("+", "-")
 VALID_KINDS = (KIND_JOIN, KIND_NEGATIVE, KIND_TERMINAL)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, frozen=True)
 class TraceActivation:
-    """One node activation in the trace.
+    """One node activation in the trace: a row of a cycle's table, as
+    the cycle's read-only view shows it.
 
     Attributes
     ----------
@@ -110,16 +115,9 @@ class TraceActivation:
         return len(self.successors)
 
 
-#: ``(kind, side, tag)``, ``parent_id``, ``key``, ``successors`` and
-#: ``act_id`` of a trace activation, and a key's ``node_id`` and
-#: ``values``: the columns :meth:`CycleKeyIndex.build` reads.
-_TRIPLE = attrgetter("kind", "side", "tag")
-_PARENT = attrgetter("parent_id")
-_KEY = attrgetter("key")
-_NODE_ID = attrgetter("node_id")
-_VALUES = attrgetter("values")
-_SUCCESSORS = attrgetter("successors")
-_ACT_ID = attrgetter("act_id")
+#: The valid ``(kind, side, tag)`` triples -> tag byte, and back.
+_CODES: Dict[Tuple[str, str, str], int] = dict(TAG_CODES)
+_TRIPLES = {code: triple for triple, code in _CODES.items()}
 
 #: Tag byte -> 1 for a terminal, for a two-input activation (what the
 #: per-processor counters count), and for a left two-input activation;
@@ -163,9 +161,10 @@ class CycleKeyIndex:
     simulation compares a side or kind string per event.
 
     The table holds everything a :class:`TraceActivation` does, so a
-    recorded cycle is stored as this table alone, compiled from the
-    match engine's activation log (:meth:`from_columns`), and its
-    activation objects are a view built on demand (:meth:`view`).
+    cycle is stored as this table alone, compiled from the match
+    engine's activation log or a :class:`TraceBuilder`'s columns
+    (:meth:`from_columns`); trace rewriters read its :meth:`rows`, and
+    its activation objects are a view built on demand (:meth:`view`).
 
     Indexes are shared and never mutated once built (the class is not
     frozen only because a frozen constructor costs several times as
@@ -230,33 +229,14 @@ class CycleKeyIndex:
     key_left_counts: array
 
     @classmethod
-    def build(cls, ordered: List[TraceActivation]) -> "CycleKeyIndex":
-        """Index *ordered* activations (ascending act_id): their columns
-        through :meth:`from_columns`, with their own successor tuples."""
-        if not ordered:
-            return _EMPTY_INDEX
-        base = ordered[0].act_id
-        contiguous = all(map(eq, map(_ACT_ID, ordered), count(base)))
-        objects = list(map(_KEY, ordered))
-        nodes = list(map(_NODE_ID, objects))
-        return cls.from_columns(
-            base, bytes(map(TAG_CODES.__getitem__, map(_TRIPLE, ordered))),
-            list(map(_PARENT, ordered)), nodes,
-            list(map(_VALUES, objects)), {},
-            # the index keeps this list: sized exactly, as a map is not
-            list(tuple(map(_SUCCESSORS, ordered))),
-            None if contiguous else list(map(_ACT_ID, ordered)), objects)
-
-    @classmethod
     def from_columns(cls, base: int, tags: bytes, parents: Sequence,
                      nodes: Sequence[int], keys: Sequence[tuple],
                      memo: Dict[tuple, Tuple[BucketKey, int]],
                      successors: Optional[List[Tuple[int, ...]]] = None,
-                     act_ids: Optional[List[int]] = None,
-                     objects: Optional[List[BucketKey]] = None
+                     act_ids: Optional[List[int]] = None
                      ) -> "CycleKeyIndex":
         """Compile one cycle from its activation columns — the one
-        compile behind the recorder and :meth:`build`.
+        compile behind the recorder and :class:`TraceBuilder`.
 
         Row ``i`` is act id ``base + i``, or ``act_ids[i]`` when the
         act ids are sparse (ascending, with gaps); rows are then spread
@@ -264,33 +244,29 @@ class CycleKeyIndex:
         holds each row's tag byte, *parents* its parent's act id (None
         for a root), and *nodes* and *keys* its bucket key's node id and
         value tuple.  Without *successors* each activation's successors
-        are gathered from the parent column, in ascending act id order;
-        a recorded cycle's rows are an
-        :class:`~repro.rete.stats.ActivationLog`'s, where every parent
-        link is a successor link.
+        are gathered from the parent column, in ascending act id order,
+        so every parent link is a successor link (a recorded cycle's
+        rows are an :class:`~repro.rete.stats.ActivationLog`'s); given
+        *successors* are kept as they are, and :class:`TraceBuilder`
+        checks that they agree with the parent column.
 
         Keys are deduplicated on plain ``(node_id, values)`` tuples in
         one pass (``zip`` builds one only per distinct key, so a row
         allocates nothing), and each distinct one is looked up in
         *memo* (plain key -> its ``BucketKey`` and ``stable_hash``),
         which the cycles of one section share: a ``BucketKey`` is built
-        once per distinct key of the section, unless *objects* holds
-        each row's own key object (the activations' keys, which the
-        index then shares).  Of plain keys that compare equal (``1``
-        and ``1.0``), the first one compiled through *memo* names them
-        all.  Every other column is a table operation on the tag
-        bytes.
+        once per distinct key of the section.  Of plain keys that
+        compare equal (``1`` and ``1.0``), the first one compiled
+        through *memo* names them all.  Every other column is a table
+        operation on the tag bytes.
         """
         ids = dict.fromkeys(zip(nodes, keys))
-        if objects is not None:  # the first row's object names each key
-            ids.update(zip(zip(reversed(nodes), reversed(keys)),
-                           reversed(objects)))
         bucket_keys: List[BucketKey] = []
         hashes = array("Q")
-        for k, (plain, own) in enumerate(ids.items()):
+        for k, plain in enumerate(ids):
             entry = memo.get(plain)
             if entry is None:
-                key = BucketKey(*plain) if own is None else own
+                key = BucketKey(*plain)
                 entry = memo[plain] = (key, stable_hash(key))
             bucket_keys.append(entry[0])
             hashes.append(entry[1])
@@ -376,33 +352,32 @@ class CycleKeyIndex:
     def __len__(self) -> int:
         return len(self.counted) + len(self.terminals)
 
+    def rows(self) -> Iterator[Tuple[int, Optional[int], int, BucketKey,
+                                     Tuple[int, ...]]]:
+        """``(act_id, parent_id, tag byte, key, successors)`` of every
+        activation, in ascending act_id order: what trace rewriters
+        read instead of the view.  A parent is the activation listing
+        the row as a successor, else its orphan parent."""
+        base = self.base
+        span = len(self.tags)
+        parent_of: List[Optional[int]] = [None] * span
+        for pos, parent in self.orphans.items():
+            parent_of[pos] = parent
+        for act_id, kids in zip(count(base), self.successors):
+            for child in kids:
+                if 0 <= child - base < span:
+                    parent_of[child - base] = act_id
+        keys = self.keys
+        return ((act_id, parent, code, keys[k], kids)
+                for act_id, parent, code, k, kids in zip(
+                    count(base), parent_of, self.tags, self.key_of,
+                    self.successors) if code)
+
     def view(self) -> Dict[int, TraceActivation]:
         """The indexed activations as fresh :class:`TraceActivation`
-        objects, by act_id in ascending order.  Exact for tables built
-        from events, where every parent link is a successor link or an
-        orphan; an activation's node is its key's node."""
-        keys = self.keys
-        key_of = self.key_of
-        successors = self.successors
-        base = self.base
-        tags = self.tags
-        parent_of = dict(self.orphans)
-        for pos, code in enumerate(tags):
-            if code:
-                for child in successors[pos]:
-                    parent_of[child - base] = base + pos
-        get_parent = parent_of.get
-        acts: Dict[int, TraceActivation] = {}
-        for pos, code in enumerate(tags):
-            if code:
-                key = keys[key_of[pos]]
-                acts[base + pos] = TraceActivation(
-                    base + pos, get_parent(pos), key.node_id,
-                    KIND_NAMES[code & KIND_BITS],
-                    LEFT if code & TAG_LEFT else RIGHT,
-                    "-" if code & TAG_MINUS else "+", key,
-                    successors[pos])
-        return acts
+        objects, by act_id in ascending order; an activation's node is
+        its key's node."""
+        return {row[0]: _activation(*row) for row in self.rows()}
 
     def destinations(self, mapping) -> List[int]:
         """Every activation's processor under *mapping*, indexed like
@@ -456,44 +431,75 @@ class CycleKeyIndex:
 
 #: The index of every empty cycle (shared: indexes are never mutated).
 _EMPTY_INDEX = CycleKeyIndex((), array("Q"), 0, array("B"), b"", b"", [],
-                             [], array("l"), array("B"), array("B"),
+                             {}, array("l"), array("B"), array("B"),
                              array("B"), (), ())
 
 
+def _activation(act_id: int, parent: Optional[int], code: int,
+                key: BucketKey, successors: Tuple[int, ...]
+                ) -> TraceActivation:
+    """The view row of one table activation."""
+    return TraceActivation(act_id, parent, key.node_id, *_TRIPLES[code],
+                           key, successors)
+
+
+def _holdable(act: TraceActivation) -> bool:
+    """Whether a table row can hold *act*'s own fields: a valid kind,
+    side and tag, and a key of the activation's node."""
+    return ((act.kind, act.side, act.tag) in _CODES
+            and act.key.node_id == act.node_id)
+
+
+def _reject(index: int, acts: Dict[int, TraceActivation]):
+    """Raise the validator's problems with rows no table holds as they
+    are written."""
+    from .validate import TraceValidationError, validate_rows
+    problems = validate_rows(index, acts)
+    raise TraceValidationError(
+        f"{len(problems)} problem(s) in cycle {index}: "
+        + "; ".join(problems[:5]))
+
+
 class CycleTrace:
-    """All activations of one MRA cycle, indexed by act_id.
+    """One MRA cycle: its compiled :class:`CycleKeyIndex` table.
 
-    A cycle holds its activations in one of two forms.  Built from
-    :class:`TraceActivation` objects (the constructor, :meth:`add`, the
-    trace transforms and file readers) it compiles its
-    :class:`CycleKeyIndex` from them on first use.  Recorded from a
-    live network (:meth:`from_index`) it is the compiled table alone:
-    :attr:`activations` is then a view built from the table on first
-    access, and ``len``, :meth:`key_index` and everything the
-    simulators and executors run on never build it.
+    Producers compile cycles through :class:`TraceBuilder`, the
+    recorder straight from the activation log (:meth:`from_index`).
+    ``len``, :meth:`key_index` and everything the simulators and
+    executors run on read the table alone; :attr:`activations`,
+    iteration and :meth:`roots` are a read-only view of
+    :class:`TraceActivation` rows built from it on first access.
+    Pickles carry the table; cycles compare equal when their indices
+    and tables do.
 
-    Iteration order (ascending act_id), the roots and the compiled
-    index are computed lazily and cached — the simulators walk each
-    cycle several times per run, and re-sorting or re-hashing on every
-    walk dominated their profile.  The caches are dropped on :meth:`add`
-    and :meth:`invalidate` and left out of pickles, which carry the
-    index and the activations as before; the objects returned by
-    :meth:`ordered`, :meth:`roots` and :meth:`key_index` are shared, so
-    callers must not mutate them.  The index captures each activation's
-    key, side, kind, parent link and successor tuple: code that
-    rewrites any of them in place after the cycle may have been
-    simulated (trace transforms do) must call :meth:`invalidate`.
+    ``CycleTrace(index, activations)`` compiles a cycle written as
+    activation rows (by act_id).  A row the table cannot hold as
+    written — a bad kind, side or tag, a key of another node, or a
+    parent link that disagrees with the successor lists — raises
+    :class:`~repro.trace.validate.TraceValidationError` with the
+    validator's problems, so no malformed input compiles silently into
+    a different valid cycle.
     """
 
-    __slots__ = ("index", "_activations", "_ordered", "_roots",
-                 "_key_index")
+    __slots__ = ("index", "_table", "_activations")
 
     def __init__(self, index: int,
                  activations: Optional[Dict[int, TraceActivation]] = None
                  ) -> None:
         self.index = index
-        self._activations = {} if activations is None else activations
-        self._ordered = self._roots = self._key_index = None
+        self._table = _EMPTY_INDEX
+        self._activations: Optional[Dict[int, TraceActivation]] = None
+        if activations:
+            if not all(map(_holdable, activations.values())):
+                _reject(index, activations)
+            builder = TraceBuilder("")
+            builder.new_cycle(index)
+            for act in activations.values():
+                builder.add(act.parent_id,
+                            _CODES[act.kind, act.side, act.tag],
+                            act.node_id, act.key.values, act.act_id,
+                            act.successors)
+            self._table = builder.end_cycle()._table
 
     @classmethod
     def from_index(cls, index: int, key_index: CycleKeyIndex
@@ -501,90 +507,63 @@ class CycleTrace:
         """The cycle numbered *index* whose activations *key_index*
         holds (built by :meth:`CycleKeyIndex.from_columns`)."""
         cycle = cls(index)
-        cycle._activations = None
-        cycle._key_index = key_index
+        cycle._table = key_index
         return cycle
 
     @property
     def activations(self) -> Dict[int, TraceActivation]:
-        """The activations by act_id (a recorded cycle builds them from
-        its table on first access)."""
+        """The activations by act_id: the table's view, built on first
+        access and shared (do not mutate)."""
         acts = self._activations
         if acts is None:
-            acts = self._activations = self._key_index.view()
+            acts = self._activations = self._table.view()
         return acts
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.index == other.index
-                and self.activations == other.activations)
+        return self.index == other.index and self._table == other._table
 
-    __hash__ = None  # mutable, compared by value
+    __hash__ = None  # compared by value
 
     def __repr__(self) -> str:
         return (f"CycleTrace(index={self.index!r}, "
                 f"activations={self.activations!r})")
 
     def __getstate__(self):
-        return self.index, self.activations
+        return self.index, self._table
 
     def __setstate__(self, state) -> None:
-        self.index, self._activations = state
-        self._ordered = self._roots = self._key_index = None
-
-    def add(self, activation: TraceActivation) -> None:
-        acts = self.activations
-        if activation.act_id in acts:
-            raise ValueError(
-                f"duplicate act_id {activation.act_id} in cycle "
-                f"{self.index}")
-        acts[activation.act_id] = activation
-        self.invalidate()
-
-    def invalidate(self) -> None:
-        """Drop the cached order, roots and index; call after rewriting
-        activations in place.  A recorded cycle whose view was never
-        built has nothing to drop: its table is its only copy."""
-        if self._activations is not None:
-            self._ordered = self._roots = self._key_index = None
-
-    def ordered(self) -> List[TraceActivation]:
-        """All activations in ascending act_id order (cached)."""
-        if self._ordered is None:
-            acts = self.activations
-            self._ordered = [acts[i] for i in sorted(acts)]
-        return self._ordered
+        self.index, self._table = state
+        self._activations = None
 
     def roots(self) -> List[TraceActivation]:
-        """Root activations in act_id order (cached)."""
-        if self._roots is None:
-            self._roots = [a for a in self.ordered() if a.parent_id is None]
-        return self._roots
+        """Root activations in act_id order."""
+        acts = self.activations
+        base = self._table.base
+        return [acts[base + (pos if pos >= 0 else ~pos)]
+                for pos in self._table.roots]
 
     def key_index(self) -> CycleKeyIndex:
-        """The cycle compiled for routing and simulation (cached)."""
-        if self._key_index is None:
-            self._key_index = CycleKeyIndex.build(self.ordered())
-        return self._key_index
+        """The cycle's compiled table."""
+        return self._table
 
     def __len__(self) -> int:
-        acts = self._activations
-        return len(self._key_index) if acts is None else len(acts)
+        return len(self._table)
 
     def __iter__(self) -> Iterator[TraceActivation]:
-        return iter(self.ordered())
+        return iter(self.activations.values())
 
     def two_input_activations(self) -> List[TraceActivation]:
         """Join/negative activations (what Table 5-2 counts)."""
         return [a for a in self if a.kind != KIND_TERMINAL]
 
     def max_node_id(self) -> int:
-        return max((a.node_id for a in self.activations.values()),
-                   default=0)
+        return max((key.node_id for key in self._table.keys), default=0)
 
     def max_act_id(self) -> int:
-        return max(self.activations, default=0)
+        tags = self._table.tags
+        return self._table.base + len(tags) - 1 if tags else 0
 
 
 @dataclass(slots=True, frozen=True)
@@ -689,15 +668,14 @@ class SectionTrace:
         """Left/right/terminal activation counts across the section."""
         stats = ActivationStats()
         for cycle in self.cycles:
-            for act in cycle:
-                if act.kind == KIND_TERMINAL:
-                    stats.terminal += 1
-                elif act.side == LEFT:
-                    stats.left += 1
-                else:
-                    stats.right += 1
-                if act.kind != KIND_TERMINAL:
-                    stats.successors += act.n_successors
+            table = cycle.key_index()
+            two_input = table.tags.translate(_IS_COUNTED)
+            left = table.left.count(1)
+            stats.left += left
+            stats.right += two_input.count(1) - left
+            stats.terminal += table.tags.translate(_IS_TERMINAL).count(1)
+            stats.successors += sum(map(len, compress(table.successors,
+                                                      two_input)))
         return stats
 
     def slice(self, start: int, stop: int) -> "SectionTrace":
@@ -707,17 +685,199 @@ class SectionTrace:
 
     def bucket_keys(self) -> List[BucketKey]:
         """All distinct bucket keys appearing in the section."""
-        seen = {}
-        for cycle in self.cycles:
-            for act in cycle:
-                seen.setdefault(act.key, None)
-        return list(seen)
+        return list(dict.fromkeys(chain.from_iterable(
+            cycle.key_index().keys for cycle in self.cycles)))
 
     def node_ids(self) -> List[int]:
         """All distinct two-input node ids appearing in the section."""
         seen = {}
         for cycle in self.cycles:
-            for act in cycle:
-                if act.kind != KIND_TERMINAL:
-                    seen.setdefault(act.node_id, None)
+            table = cycle.key_index()
+            keys = table.keys
+            for k in dict.fromkeys(compress(
+                    table.key_of, table.tags.translate(_IS_COUNTED))):
+                seen.setdefault(keys[k].node_id, None)
         return list(seen)
+
+
+#: Opaque reference to an activation being built: its cycle's index
+#: and its act id.
+Handle = Tuple[int, int]
+
+
+class TraceBuilder:
+    """Builds section traces as table columns: how every producer but
+    the recorder makes its cycles.
+
+    Each activation appends one row (:meth:`add`): its parent's act id,
+    its tag byte, its node id and its key values, and — for producers
+    that carry them (trace transforms, the text reader) — its own act
+    id and its successor tuple.  Rows without act ids are numbered 1,
+    2, ... in the order they come; rows without successors get them
+    gathered from the parent links, in ascending act id order.  A
+    cycle's rows give act ids and successors all or none.  Given act
+    ids may come in any order; given successors are kept in their
+    order, and a parent link that disagrees with them raises
+    :class:`~repro.trace.validate.TraceValidationError` with the
+    validator's problems when the cycle ends.  Each cycle is compiled
+    (:meth:`CycleKeyIndex.from_columns`) when it ends, with one key
+    memo for the whole section.
+
+    :meth:`root`, :meth:`child` and :meth:`terminal` express the causal
+    structure of a cycle for the workload generators, numbering its
+    activations 1, 2, ...; they enforce the structural rules the
+    validator checks: parents precede children, generated activations
+    are left-side, terminals have no successors.
+    """
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self._cycles: List[CycleTrace] = []
+        self._memo: Dict[tuple, Tuple[BucketKey, int]] = {}
+        self._index: Optional[int] = None
+        self._last = 0  # index of the last cycle started
+        self._open_columns()
+
+    def _open_columns(self) -> None:
+        self._tags = bytearray()
+        self._parents: List[Optional[int]] = []
+        self._nodes: List[int] = []
+        self._values: List[tuple] = []
+        self._act_ids: List[int] = []
+        self._successors: List[Tuple[int, ...]] = []
+
+    # -- structure -----------------------------------------------------------
+
+    def new_cycle(self, index: Optional[int] = None) -> int:
+        """Start a new cycle (ending the open one); returns its index."""
+        if self._index is not None:
+            self._cycles.append(self.end_cycle())
+        if index is None:
+            index = self._last + 1
+        self._index = self._last = index
+        return index
+
+    def end_cycle(self) -> CycleTrace:
+        """Compile the open cycle and return it (the builder keeps no
+        copy: a stream yields its cycles one at a time)."""
+        index = self._require_cycle()
+        self._index = None
+        tags, parents, nodes, values = (self._tags, self._parents,
+                                        self._nodes, self._values)
+        act_ids, successors = self._act_ids, self._successors
+        self._open_columns()
+        n = len(tags)
+        if not n:
+            return CycleTrace(index)
+        if len(act_ids) not in (0, n) or len(successors) not in (0, n):
+            raise ValueError("a cycle's rows give act ids and successors "
+                             "all or none")
+        base = 1
+        if act_ids:
+            if any(map(gt, act_ids, act_ids[1:])):  # rows out of order
+                order = sorted(range(n), key=act_ids.__getitem__)
+                tags = bytes(map(tags.__getitem__, order))
+                parents, nodes, values, act_ids = (
+                    [column[i] for i in order]
+                    for column in (parents, nodes, values, act_ids))
+                if successors:
+                    successors = [successors[i] for i in order]
+            base = act_ids[0]
+            if act_ids == list(range(base, base + n)):
+                act_ids = []
+        if successors and not _links_agree(
+                act_ids or range(base, base + n), parents, successors):
+            _reject(index, {row[0]: _activation(*row) for row in zip(
+                act_ids or count(base), parents, tags,
+                map(BucketKey, nodes, values), successors)})
+        return CycleTrace.from_index(index, CycleKeyIndex.from_columns(
+            base, bytes(tags), parents, nodes, values, self._memo,
+            successors or None, act_ids or None))
+
+    def _require_cycle(self) -> int:
+        if self._index is None:
+            raise RuntimeError("call new_cycle() before adding activations")
+        return self._index
+
+    def add(self, parent: Optional[int], code: int, node: int,
+            values: tuple, act_id: Optional[int] = None,
+            successors: Optional[Tuple[int, ...]] = None) -> int:
+        """Append one activation row to the open cycle: *parent*'s act
+        id (None for a root), the tag byte *code* (``TAG_*`` bits), the
+        bucket key's *node* and *values*; returns the row's act id."""
+        if self._index is None:
+            self._require_cycle()
+        self._tags.append(code)
+        self._parents.append(parent)
+        self._nodes.append(node)
+        self._values.append(values)
+        if successors is not None:
+            self._successors.append(successors)
+        if act_id is None:
+            return len(self._tags)
+        self._act_ids.append(act_id)
+        return act_id
+
+    def root(self, node: int, side: str, tag: str = "+",
+             values: Sequence[Value] = (),
+             kind: str = KIND_JOIN) -> Handle:
+        """A root activation: a token generated by the constant tests."""
+        return self._index, self.add(None, _code(kind, side, tag), node,
+                                     tuple(values))
+
+    def child(self, parent: Handle, node: int, tag: Optional[str] = None,
+              values: Sequence[Value] = (),
+              kind: str = KIND_JOIN) -> Handle:
+        """A successor activation generated by *parent* (left side)."""
+        index = self._index
+        if index is None:
+            self._require_cycle()
+        cycle_index, parent_id = parent
+        if cycle_index != index:
+            raise ValueError("parent belongs to a different cycle")
+        tags = self._tags
+        code = tags[parent_id - 1]
+        if code >= TAG_TERMINAL:
+            raise ValueError("terminals cannot generate successors")
+        if tag is None:
+            tag = "-" if code & TAG_MINUS else "+"
+        tags.append(_code(kind, LEFT, tag))
+        self._parents.append(parent_id)
+        self._nodes.append(node)
+        self._values.append(tuple(values))
+        return index, len(tags)
+
+    def terminal(self, parent: Handle, node: int,
+                 tag: Optional[str] = None) -> Handle:
+        """An instantiation delivery generated by *parent*."""
+        return self.child(parent, node, tag=tag, kind=KIND_TERMINAL)
+
+    def build(self) -> SectionTrace:
+        """End the open cycle and return the trace."""
+        if self._index is not None:
+            self._cycles.append(self.end_cycle())
+        return SectionTrace(name=self.name, cycles=self._cycles)
+
+
+def _code(kind: str, side: str, tag: str) -> int:
+    """The tag byte of a valid ``(kind, side, tag)``."""
+    try:
+        return _CODES[kind, side, tag]
+    except KeyError:
+        raise ValueError(
+            f"bad kind, side or tag {(kind, side, tag)!r}") from None
+
+
+def _links_agree(act_ids: Iterable[int], parents: Sequence,
+                 successors: Sequence[Tuple[int, ...]]) -> bool:
+    """Whether each row's parent is the one its table derives: the last
+    row listing it as a successor or, listed by none, its own parent
+    when that is not a row of the cycle (an orphan)."""
+    act_ids = list(act_ids)
+    owner: Dict[int, int] = {}
+    for act_id, kids in zip(act_ids, successors):
+        for kid in kids:
+            owner[kid] = act_id
+    rows = set(act_ids)
+    return all(owner.get(act_id, None if parent in rows else parent)
+               == parent for act_id, parent in zip(act_ids, parents))

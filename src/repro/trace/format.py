@@ -26,19 +26,26 @@ Two extensions serve the large-scale path (DESIGN §4.4):
 * :class:`FileTraceStream` reads a trace file *lazily*, one cycle in
   memory at a time, and is re-iterable — the streaming counterpart of
   :func:`read_trace` for traces too large to materialize.
+
+Both readers run one parser, which appends each ``a`` line's columns to
+a :class:`~repro.trace.events.TraceBuilder` (``a`` lines may come in
+any act-id order; successor lists are kept as written).  A file whose
+parent links disagree with its successor lists raises
+:class:`~repro.trace.validate.TraceValidationError` with the
+validator's problems rather than compiling into a different cycle.
 """
 
 from __future__ import annotations
 
 import io
 import sys
-from typing import Iterable, Iterator, Optional, TextIO
+from typing import Dict, Iterable, Iterator, Optional, TextIO, Tuple
 from urllib.parse import quote, unquote
 
 from ..ops5.values import Value
-from ..rete.hashing import BucketKey
-from .events import (VALID_KINDS, VALID_SIDES, VALID_TAGS, CycleTrace,
-                     IdleRun, SectionTrace, TraceActivation, TraceEntry)
+from .events import (TAG_CODES, VALID_KINDS, VALID_SIDES, VALID_TAGS,
+                     CycleTrace, IdleRun, SectionTrace, TraceBuilder,
+                     TraceEntry, iter_cycles)
 
 #: Version of the on-disk trace format.  Bump when the serialization
 #: changes shape; the header line carries it.
@@ -134,43 +141,70 @@ def dumps_trace(trace: SectionTrace) -> str:
 
 
 def load_trace(stream: TextIO) -> SectionTrace:
-    """Parse a trace from *stream*; inverse of :func:`dump_trace`."""
-    lines = [ln.rstrip("\n") for ln in stream]
-    if not lines or lines[0].strip() != _MAGIC:
-        raise TraceFormatError(
-            f"missing magic header {_MAGIC!r}")
-    index = 1
-    if index >= len(lines) or not lines[index].startswith("section "):
+    """Parse a trace from *stream*; inverse of :func:`dump_trace`.
+    ``idle`` lines become their empty cycles."""
+    name = _read_header(stream)
+    return SectionTrace(name=name,
+                        cycles=list(iter_cycles(_entries(stream, name))))
+
+
+def _read_header(stream: TextIO) -> str:
+    """Check the magic line and return the section name."""
+    if stream.readline().strip() != _MAGIC:
+        raise TraceFormatError(f"missing magic header {_MAGIC!r}")
+    section = stream.readline().rstrip("\n")
+    if not section.startswith("section "):
         raise TraceFormatError("missing 'section <name>' line")
-    name = lines[index][len("section "):]
-    trace = SectionTrace(name=name)
-    current: CycleTrace | None = None
-    for line_no, line in enumerate(lines[index + 1:], start=index + 2):
+    return section[len("section "):]
+
+
+def _entries(stream: TextIO, name: str) -> Iterator[TraceEntry]:
+    """The cycles and idle runs of the lines after the header, each
+    cycle compiled when the next entry starts.
+
+    Each cycle gets its own builder: its key memo then spells every key
+    as that cycle's rows do (``n:1`` and ``n:1.0`` in different cycles
+    stay apart), and a stream holds one cycle's keys at a time.
+    """
+    builder: Optional[TraceBuilder] = None  # of the open cycle
+    lines: Dict[int, int] = {}  # act id -> line number, in that cycle
+    for line_no, line in enumerate(stream, start=3):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        if stripped.startswith("cycle "):
-            try:
-                cycle_index = int(stripped.split()[1])
-            except (IndexError, ValueError):
-                raise TraceFormatError(
-                    f"line {line_no}: bad cycle header {stripped!r}")
-            current = CycleTrace(index=cycle_index)
-            trace.cycles.append(current)
-            continue
         if stripped.startswith("a "):
-            if current is None:
+            if builder is None:
                 raise TraceFormatError(
                     f"line {line_no}: activation before any cycle header")
-            current.add(_parse_activation(stripped, line_no))
+            act_id, parent, node, code, values, successors = \
+                _parse_activation(stripped, line_no)
+            if act_id in lines:
+                raise TraceFormatError(
+                    f"line {line_no}: duplicate act_id {act_id} in cycle "
+                    f"{index} (first on line {lines[act_id]})")
+            lines[act_id] = line_no
+            builder.add(parent, code, node, values, act_id, successors)
+            continue
+        if builder is not None and stripped.startswith(("cycle ", "idle ")):
+            yield builder.end_cycle()
+            builder = None
+        if stripped.startswith("cycle "):
+            try:
+                index = int(stripped.split()[1])
+            except (IndexError, ValueError):
+                raise TraceFormatError(
+                    f"line {line_no}: bad cycle header {stripped!r}"
+                ) from None
+            builder = TraceBuilder(name)
+            builder.new_cycle(index)
+            lines = {}
             continue
         if stripped.startswith("idle "):
-            for cycle in _parse_idle(stripped, line_no).cycles():
-                trace.cycles.append(cycle)
-            current = None
+            yield _parse_idle(stripped, line_no)
             continue
         raise TraceFormatError(f"line {line_no}: unrecognised {stripped!r}")
-    return trace
+    if builder is not None:
+        yield builder.end_cycle()
 
 
 def _parse_idle(line: str, line_no: int) -> IdleRun:
@@ -189,7 +223,10 @@ def loads_trace(text: str) -> SectionTrace:
     return load_trace(io.StringIO(text))
 
 
-def _parse_activation(line: str, line_no: int) -> TraceActivation:
+def _parse_activation(line: str, line_no: int
+                      ) -> Tuple[int, Optional[int], int, int, tuple, tuple]:
+    """An ``a`` line's act id, parent id, node id, tag byte, key values
+    and successors."""
     fields = line.split()
     # a <id> <parent> <node> <kind> <side> <tag> k <vals...> : <succs...>
     try:
@@ -210,10 +247,8 @@ def _parse_activation(line: str, line_no: int) -> TraceActivation:
         raise TraceFormatError(f"line {line_no}: bad side {side!r}")
     if tag not in VALID_TAGS:
         raise TraceFormatError(f"line {line_no}: bad tag {tag!r}")
-    return TraceActivation(
-        act_id=act_id, parent_id=parent_id, node_id=node_id, kind=kind,
-        side=side, tag=tag, key=BucketKey(node_id, values),
-        successors=successors)
+    return (act_id, parent_id, node_id, TAG_CODES[kind, side, tag], values,
+            successors)
 
 
 def save_trace(trace: SectionTrace, path) -> None:
@@ -234,95 +269,19 @@ class FileTraceStream:
     Holds one cycle in memory at a time — a million-activation file
     streams through the simulator at O(largest cycle) memory.  Each
     ``__iter__`` call reopens the file, so the stream can feed every
-    point of a sweep.  Picklable: only the path travels.
-
-    ``idle`` lines come out as :class:`~repro.trace.events.IdleRun`
-    markers; pass ``coalesce_idle=True`` to also merge runs of adjacent
-    *explicit* empty cycles into markers (the round-compression engine
-    does that itself, so the default leaves cycles as written).
+    point of a sweep.  Picklable: only the path travels.  ``idle``
+    lines come out as :class:`~repro.trace.events.IdleRun` markers.
     """
 
-    def __init__(self, path, coalesce_idle: bool = False) -> None:
+    def __init__(self, path) -> None:
         self.path = path
-        self.coalesce_idle = coalesce_idle
-        self.name = self._read_name()
+        with open(path, "r", encoding="utf-8") as fh:
+            self.name = _read_header(fh)
         self._total: Optional[int] = None
 
-    def _read_name(self) -> str:
-        with open(self.path, "r", encoding="utf-8") as fh:
-            magic = fh.readline().rstrip("\n")
-            if magic.strip() != _MAGIC:
-                raise TraceFormatError(f"missing magic header {_MAGIC!r}")
-            section = fh.readline().rstrip("\n")
-            if not section.startswith("section "):
-                raise TraceFormatError("missing 'section <name>' line")
-            return section[len("section "):]
-
     def __iter__(self) -> Iterator[TraceEntry]:
-        pending: Optional[IdleRun] = None
-        for entry in self._parse():
-            if not self.coalesce_idle:
-                yield entry
-                continue
-            empty = isinstance(entry, IdleRun) or len(entry) == 0
-            if empty:
-                start = entry.start_index if isinstance(entry, IdleRun) \
-                    else entry.index
-                count = entry.count if isinstance(entry, IdleRun) else 1
-                if pending is not None and pending.end_index == start:
-                    pending = IdleRun(pending.start_index,
-                                      pending.count + count)
-                else:
-                    if pending is not None:
-                        yield pending
-                    pending = IdleRun(start, count)
-                continue
-            if pending is not None:
-                yield pending
-                pending = None
-            yield entry
-        if pending is not None:
-            yield pending
-
-    def _parse(self) -> Iterator[TraceEntry]:
         with open(self.path, "r", encoding="utf-8") as fh:
-            fh.readline()  # magic (validated in __init__)
-            fh.readline()  # section name
-            current: Optional[CycleTrace] = None
-            line_no = 2
-            for line in fh:
-                line_no += 1
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                if stripped.startswith("cycle "):
-                    if current is not None:
-                        yield current
-                    try:
-                        index = int(stripped.split()[1])
-                    except (IndexError, ValueError):
-                        raise TraceFormatError(
-                            f"line {line_no}: bad cycle header "
-                            f"{stripped!r}") from None
-                    current = CycleTrace(index=index)
-                    continue
-                if stripped.startswith("a "):
-                    if current is None:
-                        raise TraceFormatError(
-                            f"line {line_no}: activation before any "
-                            f"cycle header")
-                    current.add(_parse_activation(stripped, line_no))
-                    continue
-                if stripped.startswith("idle "):
-                    if current is not None:
-                        yield current
-                        current = None
-                    yield _parse_idle(stripped, line_no)
-                    continue
-                raise TraceFormatError(
-                    f"line {line_no}: unrecognised {stripped!r}")
-            if current is not None:
-                yield current
+            yield from _entries(fh, _read_header(fh))
 
     def total_activations(self) -> int:
         """Activation count (one counting pass on first call, cached)."""
@@ -334,13 +293,3 @@ class FileTraceStream:
                         total += 1
             self._total = total
         return self._total
-
-    def __getstate__(self):
-        return {"path": self.path, "coalesce_idle": self.coalesce_idle,
-                "name": self.name, "_total": self._total}
-
-    def __setstate__(self, state):
-        self.path = state["path"]
-        self.coalesce_idle = state["coalesce_idle"]
-        self.name = state["name"]
-        self._total = state["_total"]

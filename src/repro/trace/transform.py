@@ -14,67 +14,59 @@ it:
 * :func:`insert_dummy_nodes` — Section 5.2.1 option 2: a node generating
   many successors hands them to 2–4 dummy nodes which generate them in
   parallel.
+
+Each reads its input cycles' table rows
+(:meth:`~repro.trace.events.CycleKeyIndex.rows`) and writes its output
+through one :class:`~repro.trace.events.TraceBuilder`; no activation
+view is built.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..rete.hashing import BucketKey
-from .events import (KIND_JOIN, KIND_TERMINAL, CycleTrace, SectionTrace,
-                     TraceActivation)
+from .events import (TAG_JOIN, TAG_LEFT, TAG_MINUS, TAG_TERMINAL,
+                     CycleKeyIndex, SectionTrace, TraceActivation,
+                     TraceBuilder)
+
+#: One row of a cycle being rewritten, by act id: ``[parent act id,
+#: tag byte, node id, key values]``.
+Rows = Dict[int, list]
 
 
 def _max_node_id(trace: SectionTrace) -> int:
     return max((c.max_node_id() for c in trace.cycles), default=0)
 
 
-def _renumber_cycle(cycle: CycleTrace) -> CycleTrace:
-    """Reassign act ids in topological (DFS-from-roots) order.
+def _rows(table: CycleKeyIndex) -> Rows:
+    """The rows of a compiled cycle, in ascending act id order."""
+    return {act_id: [parent, code, key.node_id, key.values]
+            for act_id, parent, code, key, _ in table.rows()}
+
+
+def _renumber(builder: TraceBuilder, index: int, rows: Rows) -> None:
+    """Write *rows* as cycle *index*, act ids reassigned in topological
+    (DFS-from-roots) order.
 
     Transforms that insert activations mid-forest can leave parents with
     larger ids than children; this restores the id invariant without
-    changing the structure.
+    changing the structure.  Roots and each activation's children are
+    visited in ascending old act id order, and successors are re-derived
+    from the parent links; a row whose parent is not in *rows* is
+    unreachable and dropped.
     """
-    children: Dict[int, List[int]] = {}
-    roots: List[int] = []
-    for act in cycle:
-        if act.parent_id is None:
-            roots.append(act.act_id)
-        else:
-            children.setdefault(act.parent_id, []).append(act.act_id)
-
-    mapping: Dict[int, int] = {}
-    order: List[int] = []
-    stack = list(reversed(roots))
+    children: Dict[Optional[int], List[int]] = {}
+    for act_id in sorted(rows):
+        children.setdefault(rows[act_id][0], []).append(act_id)
+    builder.new_cycle(index)
+    new_id: Dict[int, int] = {}
+    stack = children.get(None, [])[::-1]
     while stack:
         old_id = stack.pop()
-        mapping[old_id] = len(mapping) + 1
-        order.append(old_id)
-        stack.extend(reversed(sorted(children.get(old_id, ()))))
-
-    renumbered = CycleTrace(index=cycle.index)
-    for old_id in order:
-        act = cycle.activations[old_id]
-        renumbered.add(TraceActivation(
-            act_id=mapping[old_id],
-            parent_id=(None if act.parent_id is None
-                       else mapping[act.parent_id]),
-            node_id=act.node_id, kind=act.kind, side=act.side,
-            tag=act.tag, key=act.key,
-            successors=tuple(sorted(mapping[s] for s in act.successors))))
-    return renumbered
-
-
-def _rebuild_successors(cycle: CycleTrace) -> None:
-    """Recompute successor tuples from parent links, in-place."""
-    children: Dict[int, List[int]] = {}
-    for act in cycle.activations.values():
-        if act.parent_id is not None:
-            children.setdefault(act.parent_id, []).append(act.act_id)
-    for act in cycle.activations.values():
-        act.successors = tuple(sorted(children.get(act.act_id, ())))
-    cycle.invalidate()
+        parent, code, node, values = rows[old_id]
+        new_id[old_id] = builder.add(
+            None if parent is None else new_id[parent], code, node, values)
+        stack.extend(reversed(children.get(old_id, ())))
 
 
 # ---------------------------------------------------------------------------
@@ -92,14 +84,16 @@ def unshare_trace(trace: SectionTrace,
     re-pointed so that the copy count shows up as extra generated tokens
     at the generating site — the duplicated work of the transformation.
     """
+    tables = [cycle.key_index() for cycle in trace]
     branches: Dict[int, Set[int]] = {}
-    for cycle in trace:
-        for act in cycle:
-            if act.kind == KIND_TERMINAL:
+    for table in tables:
+        keys, key_of, base = table.keys, table.key_of, table.base
+        for code, k, kids in zip(table.tags, key_of, table.successors):
+            if not code or code >= TAG_TERMINAL:
                 continue
-            for succ_id in act.successors:
-                succ = cycle.activations[succ_id]
-                branches.setdefault(act.node_id, set()).add(succ.node_id)
+            for succ_id in kids:
+                branches.setdefault(keys[k].node_id, set()).add(
+                    keys[key_of[succ_id - base]].node_id)
 
     if node_ids is None:
         targets = {n for n, b in branches.items() if len(b) > 1}
@@ -113,53 +107,34 @@ def unshare_trace(trace: SectionTrace,
             node_alloc += 1
             branch_node[(node, dest)] = node_alloc
 
-    out = SectionTrace(name=f"{trace.name}+unshare")
-    for cycle in trace:
-        new_cycle = CycleTrace(index=cycle.index)
-        next_id = 1
+    builder = TraceBuilder(f"{trace.name}+unshare")
+    for cycle, table in zip(trace, tables):
+        builder.new_cycle(cycle.index)
         # (old_act_id, branch_dest) -> new act id of the copy owning it;
         # unsplit activations map every dest to their single new id.
         copy_for_branch: Dict[Tuple[int, int], int] = {}
         single_copy: Dict[int, int] = {}
 
-        for act in cycle:  # ascending act_id: parents before children
-            if act.parent_id is None:
-                new_parent = None
-            else:
+        for act_id, parent, code, key, _ in table.rows():
+            # ascending act_id: parents before children
+            node = key.node_id
+            if parent is not None:
                 # Which copy of my parent generated me?  The one owning
                 # the branch toward my (original) node.
-                new_parent = copy_for_branch.get(
-                    (act.parent_id, act.node_id),
-                    single_copy.get(act.parent_id))
-
-            if act.node_id in targets:
+                parent = copy_for_branch.get((parent, node),
+                                             single_copy.get(parent))
+            if node in targets:
                 # One copy per output branch; each copy's successors are
-                # re-derived from the children's parent links below, so
-                # the copy for branch d automatically owns exactly the
-                # successors headed for d.
-                for dest in sorted(branches[act.node_id]):
-                    new_node = branch_node[(act.node_id, dest)]
-                    new_act = TraceActivation(
-                        act_id=next_id, parent_id=new_parent,
-                        node_id=new_node, kind=act.kind, side=act.side,
-                        tag=act.tag,
-                        key=BucketKey(new_node, act.key.values),
-                        successors=())
-                    copy_for_branch[(act.act_id, dest)] = next_id
-                    new_cycle.add(new_act)
-                    next_id += 1
+                # gathered from the children's parent links, so the copy
+                # for branch d owns exactly the successors headed for d.
+                for dest in sorted(branches[node]):
+                    copy_for_branch[(act_id, dest)] = builder.add(
+                        parent, code, branch_node[(node, dest)],
+                        key.values)
             else:
-                new_act = TraceActivation(
-                    act_id=next_id, parent_id=new_parent,
-                    node_id=act.node_id, kind=act.kind, side=act.side,
-                    tag=act.tag, key=act.key, successors=())
-                single_copy[act.act_id] = next_id
-                new_cycle.add(new_act)
-                next_id += 1
-
-        _rebuild_successors(new_cycle)
-        out.cycles.append(new_cycle)
-    return out
+                single_copy[act_id] = builder.add(parent, code, node,
+                                                  key.values)
+    return builder.build()
 
 
 # ---------------------------------------------------------------------------
@@ -186,35 +161,26 @@ def copy_and_constraint_trace(
     base = _max_node_id(trace)
     replica_ids = [base + 1 + i for i in range(k)]
 
-    out = SectionTrace(name=f"{trace.name}+cc{k}")
+    builder = TraceBuilder(f"{trace.name}+cc{k}")
     for cycle in trace:
-        new_cycle = CycleTrace(index=cycle.index)
+        builder.new_cycle(cycle.index)
+        acts = cycle.activations if assignment is not None else None
         counter = 0
-        for act in cycle:
-            if act.node_id == node_id and act.kind != KIND_TERMINAL:
-                if assignment is not None:
-                    part = assignment(act) % k
+        for act_id, parent, code, key, kids in cycle.key_index().rows():
+            node = key.node_id
+            if node == node_id and code < TAG_TERMINAL:
+                if acts is not None:
+                    part = assignment(acts[act_id]) % k
                 else:
                     part = counter % k
                     counter += 1
-                new_node = replica_ids[part]
-                new_cycle.add(TraceActivation(
-                    act_id=act.act_id, parent_id=act.parent_id,
-                    node_id=new_node, kind=act.kind, side=act.side,
-                    tag=act.tag,
-                    key=BucketKey(new_node, act.key.values),
-                    successors=act.successors))
-            else:
-                new_cycle.add(TraceActivation(
-                    act_id=act.act_id, parent_id=act.parent_id,
-                    node_id=act.node_id, kind=act.kind, side=act.side,
-                    tag=act.tag, key=act.key, successors=act.successors))
-        out.cycles.append(new_cycle)
-    return out
+                node = replica_ids[part]
+            builder.add(parent, code, node, key.values, act_id, kids)
+    return builder.build()
 
 
 # ---------------------------------------------------------------------------
-# Dummy nodes (Section 5.2.1, option 2) -- see _renumber_cycle above
+# Dummy nodes (Section 5.2.1, option 2) -- see _renumber above
 # ---------------------------------------------------------------------------
 
 def insert_dummy_nodes(trace: SectionTrace, node_id: int,
@@ -232,51 +198,28 @@ def insert_dummy_nodes(trace: SectionTrace, node_id: int,
     base = _max_node_id(trace)
     dummy_ids = [base + 1 + i for i in range(parts)]
 
-    out = SectionTrace(name=f"{trace.name}+dummy{parts}")
+    builder = TraceBuilder(f"{trace.name}+dummy{parts}")
     for cycle in trace:
-        new_cycle = CycleTrace(index=cycle.index)
+        table = cycle.key_index()
+        rows = _rows(table)
         next_extra = cycle.max_act_id() + 1
-        # Plan first, emit second: an activation can be both a split
-        # site and the child of one (chained activations at node_id),
-        # so the re-parenting map must be complete before any copy is
-        # written out.
-        reparent: Dict[int, int] = {}
-        dummies_of: Dict[int, List[TraceActivation]] = {}
-        for act in cycle:
-            if not (act.node_id == node_id and act.kind != KIND_TERMINAL
-                    and act.n_successors > 1):
+        for act_id, _, code, key, kids in table.rows():
+            if not (key.node_id == node_id and code < TAG_TERMINAL
+                    and len(kids) > 1):
                 continue
             groups: List[List[int]] = [[] for _ in range(parts)]
-            for i, succ_id in enumerate(act.successors):
-                groups[i * parts // len(act.successors)].append(succ_id)
-            dummies: List[TraceActivation] = []
+            for i, succ_id in enumerate(kids):
+                groups[i * parts // len(kids)].append(succ_id)
             for part, group in enumerate(groups):
                 if not group:
                     continue
-                dummy_node = dummy_ids[part]
-                dummy = TraceActivation(
-                    act_id=next_extra, parent_id=act.act_id,
-                    node_id=dummy_node, kind=KIND_JOIN, side="left",
-                    tag=act.tag,
-                    key=BucketKey(dummy_node, act.key.values),
-                    successors=tuple(group))
-                next_extra += 1
-                dummies.append(dummy)
+                rows[next_extra] = [act_id,
+                                    TAG_JOIN | TAG_LEFT | code & TAG_MINUS,
+                                    dummy_ids[part], key.values]
                 for succ_id in group:
-                    reparent[succ_id] = dummy.act_id
-            dummies_of[act.act_id] = dummies
-        for act in cycle:
-            dummies = dummies_of.get(act.act_id)
-            new_cycle.add(TraceActivation(
-                act_id=act.act_id,
-                parent_id=reparent.get(act.act_id, act.parent_id),
-                node_id=act.node_id, kind=act.kind, side=act.side,
-                tag=act.tag, key=act.key,
-                successors=(tuple(d.act_id for d in dummies)
-                            if dummies is not None else act.successors)))
-            for dummy in dummies or ():
-                new_cycle.add(dummy)
-        # (ids are repaired by _renumber_cycle below: the dummies were
-        # given ids larger than the successors they adopt)
-        out.cycles.append(_renumber_cycle(new_cycle))
-    return out
+                    rows[succ_id][0] = next_extra
+                next_extra += 1
+        # the dummies were given ids larger than the successors they
+        # adopt: renumbering restores the id invariant
+        _renumber(builder, cycle.index, rows)
+    return builder.build()

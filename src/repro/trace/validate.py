@@ -9,10 +9,10 @@ are cheap enough to call before long simulations.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List
 
 from .events import (KIND_TERMINAL, LEFT, VALID_KINDS, VALID_SIDES,
-                     VALID_TAGS, CycleTrace, SectionTrace)
+                     VALID_TAGS, CycleTrace, SectionTrace, TraceActivation)
 
 
 class TraceValidationError(Exception):
@@ -21,12 +21,18 @@ class TraceValidationError(Exception):
 
 def validate_cycle(cycle: CycleTrace) -> List[str]:
     """Return a list of problems in *cycle* (empty = valid)."""
-    problems: List[str] = []
-    acts = cycle.activations
+    return validate_rows(cycle.index, cycle.activations)
 
+
+def validate_rows(index: int, acts: Dict[int, TraceActivation]
+                  ) -> List[str]:
+    """The problems of cycle *index* written as activation rows *acts*
+    (by act_id): what :func:`validate_cycle` reports, and what
+    ``CycleTrace(index, acts)`` raises for rows no table can hold."""
+    problems: List[str] = []
     claimed = {}
     for act in acts.values():
-        where = f"cycle {cycle.index} act {act.act_id}"
+        where = f"cycle {index} act {act.act_id}"
         if act.kind not in VALID_KINDS:
             problems.append(f"{where}: bad kind {act.kind!r}")
         if act.side not in VALID_SIDES:

@@ -3,112 +3,35 @@
 The original Rubik/Tourney/Weaver OPS5 programs and their execution
 traces were CMU-internal and never released, so the characteristic
 sections of paper Section 5 are synthesized to match every published
-statistic (see DESIGN.md "Substitutions").  :class:`TraceBuilder` offers
-a compact way to express the causal structure of a cycle — roots,
-successor chains, terminals — and takes care of id assignment and
-successor wiring, so the generators read like descriptions of the
-workload shape.
+statistic (see DESIGN.md "Substitutions").  The generators write their
+cycles through :class:`~repro.trace.events.TraceBuilder` (re-exported
+here), whose ``root``/``child``/``terminal`` calls express the causal
+structure of a cycle — roots, successor chains, terminals — while the
+builder numbers activations and appends their table columns, so the
+generators read like descriptions of the workload shape.
 
 For workloads past what fits in memory, :class:`SyntheticStream` is the
 streaming counterpart: a picklable, re-iterable trace source that
 generates each cycle on demand from a :class:`StreamSpec` (one
-deterministic RNG per cycle, keyed by ``(seed, cycle position)``), and
-represents idle stretches as :class:`~repro.trace.events.IdleRun`
-markers — a 10⁶-activation section flows through the simulator without
-ever being materialized.
+deterministic RNG per cycle, keyed by ``(seed, cycle position)``)
+straight into the same builder's columns, and represents idle stretches
+as :class:`~repro.trace.events.IdleRun` markers — a 10⁶-activation
+section flows through the simulator without ever being materialized.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Sequence
 
-from ..ops5.values import Value
-from ..rete.hashing import BucketKey
-from ..trace.events import (KIND_JOIN, KIND_TERMINAL, CycleTrace, IdleRun,
-                            SectionTrace, TraceActivation, TraceEntry)
+from ..trace.events import (TAG_JOIN, TAG_LEFT, TAG_TERMINAL, CycleTrace,
+                            IdleRun, TraceBuilder, TraceEntry)
 
-
-@dataclass(frozen=True)
-class Handle:
-    """Opaque reference to an activation being built."""
-
-    cycle_index: int
-    act_id: int
-
-
-class TraceBuilder:
-    """Incrementally constructs a valid :class:`SectionTrace`.
-
-    The builder enforces the structural rules the validator checks:
-    parents precede children, generated activations are left-side,
-    terminals have no successors.
-    """
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._cycles: List[CycleTrace] = []
-        self._current: Optional[CycleTrace] = None
-        self._next_act = 1
-
-    # -- structure -----------------------------------------------------------
-
-    def new_cycle(self, index: Optional[int] = None) -> int:
-        """Start a new cycle; returns its index."""
-        if index is None:
-            index = (self._cycles[-1].index + 1) if self._cycles else 1
-        self._current = CycleTrace(index=index)
-        self._cycles.append(self._current)
-        self._next_act = 1
-        return index
-
-    def _require_cycle(self) -> CycleTrace:
-        if self._current is None:
-            raise RuntimeError("call new_cycle() before adding activations")
-        return self._current
-
-    def root(self, node: int, side: str, tag: str = "+",
-             values: Sequence[Value] = (),
-             kind: str = KIND_JOIN) -> Handle:
-        """A root activation: a token generated by the constant tests."""
-        cycle = self._require_cycle()
-        act = TraceActivation(
-            act_id=self._next_act, parent_id=None, node_id=node,
-            kind=kind, side=side, tag=tag,
-            key=BucketKey(node, tuple(values)), successors=())
-        cycle.add(act)
-        self._next_act += 1
-        return Handle(cycle.index, act.act_id)
-
-    def child(self, parent: Handle, node: int, tag: Optional[str] = None,
-              values: Sequence[Value] = (),
-              kind: str = KIND_JOIN) -> Handle:
-        """A successor activation generated by *parent* (left side)."""
-        cycle = self._require_cycle()
-        if parent.cycle_index != cycle.index:
-            raise ValueError("parent belongs to a different cycle")
-        parent_act = cycle.activations[parent.act_id]
-        if parent_act.kind == KIND_TERMINAL:
-            raise ValueError("terminals cannot generate successors")
-        act = TraceActivation(
-            act_id=self._next_act, parent_id=parent.act_id, node_id=node,
-            kind=kind, side="left",
-            tag=tag if tag is not None else parent_act.tag,
-            key=BucketKey(node, tuple(values)), successors=())
-        cycle.add(act)
-        parent_act.successors = parent_act.successors + (act.act_id,)
-        self._next_act += 1
-        return Handle(cycle.index, act.act_id)
-
-    def terminal(self, parent: Handle, node: int,
-                 tag: Optional[str] = None) -> Handle:
-        """An instantiation delivery generated by *parent*."""
-        return self.child(parent, node, tag=tag, kind=KIND_TERMINAL)
-
-    def build(self) -> SectionTrace:
-        """Finish and return the trace."""
-        return SectionTrace(name=self.name, cycles=self._cycles)
+#: Tag bytes of the stream's rows: every activation is an addition.
+_RIGHT_JOIN = TAG_JOIN
+_LEFT_JOIN = TAG_JOIN | TAG_LEFT
+_LEFT_TERMINAL = TAG_TERMINAL | TAG_LEFT
 
 
 @dataclass(frozen=True)
@@ -200,65 +123,60 @@ class SyntheticStream:
 
     def __iter__(self) -> Iterator[TraceEntry]:
         spec = self.spec
+        builder = TraceBuilder(spec.name)
         index = 1
         for position in range(spec.active_cycles):
-            yield self._build_cycle(index, position)
+            yield self._build_cycle(builder, index, position)
             index += 1
             if spec.idle_between:
                 yield IdleRun(start_index=index, count=spec.idle_between)
                 index += spec.idle_between
 
-    def _build_cycle(self, index: int, position: int) -> CycleTrace:
+    def _build_cycle(self, builder: TraceBuilder, index: int,
+                     position: int) -> CycleTrace:
         spec = self.spec
         rng = random.Random((spec.seed << 32) ^ position)
-        cycle = CycleTrace(index=index)
+        builder.new_cycle(index)
+        add = builder.add
+        n_non_terminal = spec.activations_per_cycle \
+            - spec.terminals_per_cycle
+        #: per act id: its bucket key's node and values, and how many
+        #: successors it has generated so far
+        keys: List[tuple] = [()]
+        fanout = [0] * (n_non_terminal + 1)
         #: generating activations with spare successor capacity
-        open_parents: List[TraceActivation] = []
+        open_parents: List[int] = []
 
         def close_parent(slot: int) -> None:
             open_parents[slot] = open_parents[-1]
             open_parents.pop()
 
-        n_non_terminal = spec.activations_per_cycle \
-            - spec.terminals_per_cycle
         for act_id in range(1, n_non_terminal + 1):
             node = rng.randrange(spec.nodes) + 1
-            key = BucketKey(node, (rng.randrange(spec.value_space),))
-            parent: Optional[TraceActivation] = None
+            values = (rng.randrange(spec.value_space),)
             if open_parents and rng.random() < spec.left_fraction:
                 slot = rng.randrange(len(open_parents))
                 parent = open_parents[slot]
-                if len(parent.successors) + 1 >= spec.fanout:
+                if fanout[parent] + 1 >= spec.fanout:
                     close_parent(slot)
-            if parent is not None:
-                act = TraceActivation(
-                    act_id=act_id, parent_id=parent.act_id,
-                    node_id=node, kind=KIND_JOIN, side="left", tag="+",
-                    key=key)
-                parent.successors = parent.successors + (act_id,)
+                fanout[parent] += 1
+                add(parent, _LEFT_JOIN, node, values)
             else:
-                act = TraceActivation(
-                    act_id=act_id, parent_id=None, node_id=node,
-                    kind=KIND_JOIN, side="right", tag="+", key=key)
-            cycle.add(act)
-            open_parents.append(act)
-        for act_id in range(n_non_terminal + 1,
-                            spec.activations_per_cycle + 1):
+                add(None, _RIGHT_JOIN, node, values)
+            keys.append((node, values))
+            open_parents.append(act_id)
+        for _ in range(spec.terminals_per_cycle):
             slot = rng.randrange(len(open_parents))
             parent = open_parents[slot]
             # Keep the last open parent available even past its fanout
             # cap — every terminal needs one, and the cap is a shape
             # knob, not a validity rule.
-            if len(parent.successors) + 1 >= spec.fanout \
+            if fanout[parent] + 1 >= spec.fanout \
                     and len(open_parents) > 1:
                 close_parent(slot)
-            act = TraceActivation(
-                act_id=act_id, parent_id=parent.act_id,
-                node_id=parent.node_id, kind=KIND_TERMINAL, side="left",
-                tag="+", key=parent.key)
-            parent.successors = parent.successors + (act_id,)
-            cycle.add(act)
-        return cycle
+            fanout[parent] += 1
+            add(parent, _LEFT_TERMINAL, *keys[parent])
+        return builder.end_cycle()
 
 
 def zipf_weights(n: int, skew: float) -> List[float]:

@@ -20,10 +20,8 @@ def act(i, node, side="left", tag="+", parent=None, succ=(), vals=()):
 
 
 def single_cycle(acts):
-    cycle = CycleTrace(index=1)
-    for a in acts:
-        cycle.add(a)
-    return SectionTrace(name="t", cycles=[cycle])
+    return SectionTrace(name="t", cycles=[
+        CycleTrace(1, {a.act_id: a for a in acts})])
 
 
 class TestSmallCycles:

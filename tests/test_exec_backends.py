@@ -272,9 +272,9 @@ class TestPlanChecksums:
         built = []
         build_cycle = SyntheticStream._build_cycle
 
-        def counting(self, index, position):
+        def counting(self, builder, index, position):
             built.append(index)
-            return build_cycle(self, index, position)
+            return build_cycle(self, builder, index, position)
 
         monkeypatch.setattr(SyntheticStream, "_build_cycle", counting)
         plans = build_plans(stream, config)

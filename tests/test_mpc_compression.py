@@ -23,7 +23,7 @@ from repro.mpc.costmodel import TABLE_5_1, ZERO_OVERHEADS
 from repro.mpc.faults import FaultModel, StallWindow
 from repro.rete.hashing import BucketKey
 from repro.trace import (CycleTrace, SectionTrace, TraceActivation,
-                         validate_trace)
+                         TraceBuilder, validate_trace)
 from repro.trace.events import IdleRun, materialize
 from repro.trace.format import FileTraceStream, save_entries
 from repro.workloads import StreamSpec, SyntheticStream
@@ -46,19 +46,15 @@ def _small_trace(idle_runs=((2, 3), (7, 2)), n_active=4):
                 trace.cycles.append(CycleTrace(index=index + j))
             index += idle.pop(index)
             continue
-        cycle = CycleTrace(index=index)
-        for act_id in (1, 2):
-            cycle.add(TraceActivation(
-                act_id=act_id, parent_id=None, node_id=act_id,
-                kind="join", side="right" if act_id == 1 else "left",
-                tag="+", key=BucketKey(act_id, (act_id,)),
-                successors=()))
-        term = TraceActivation(
+        rows = {act_id: TraceActivation(
+            act_id=act_id, parent_id=None, node_id=act_id, kind="join",
+            side="right" if act_id == 1 else "left", tag="+",
+            key=BucketKey(act_id, (act_id,)),
+            successors=(3,) if act_id == 1 else ()) for act_id in (1, 2)}
+        rows[3] = TraceActivation(
             act_id=3, parent_id=1, node_id=1, kind="terminal",
             side="left", tag="+", key=BucketKey(1, (1,)), successors=())
-        cycle.add(term)
-        cycle.activations[1].successors = (3,)
-        trace.cycles.append(cycle)
+        trace.cycles.append(CycleTrace(index, rows))
         index += 1
         made += 1
     assert validate_trace(trace) == []
@@ -163,47 +159,33 @@ def test_stall_window_untouched_without_compression():
 @st.composite
 def traces_with_idle(draw):
     """Random small forests with random idle stretches interleaved."""
-    trace = SectionTrace(name="random")
+    builder = TraceBuilder("random")
     index = 1
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
         idle = draw(st.integers(min_value=0, max_value=4))
         for j in range(idle):
-            trace.cycles.append(CycleTrace(index=index + j))
+            builder.new_cycle(index + j)
         index += idle
-        cycle = CycleTrace(index=index)
-        next_id = 1
+        builder.new_cycle(index)
         parents = []
         for _ in range(draw(st.integers(min_value=1, max_value=5))):
             node = draw(st.integers(min_value=1, max_value=6))
-            act = TraceActivation(
-                act_id=next_id, parent_id=None, node_id=node,
-                kind="join",
-                side=draw(st.sampled_from(["left", "right"])),
+            parents.append(builder.root(
+                node, side=draw(st.sampled_from(["left", "right"])),
                 tag=draw(st.sampled_from(["+", "-"])),
-                key=BucketKey(node, (draw(st.integers(0, 3)),)),
-                successors=())
-            cycle.add(act)
-            parents.append(act)
-            next_id += 1
+                values=(draw(st.integers(0, 3)),)))
         for _ in range(draw(st.integers(min_value=0, max_value=6))):
             parent = draw(st.sampled_from(parents))
             node = draw(st.integers(min_value=1, max_value=6))
             kind = draw(st.sampled_from(["join", "terminal"]))
-            act = TraceActivation(
-                act_id=next_id, parent_id=parent.act_id, node_id=node,
-                kind=kind, side="left", tag=parent.tag,
-                key=BucketKey(node, ()), successors=())
-            cycle.add(act)
-            parent.successors = parent.successors + (act.act_id,)
+            act = builder.child(parent, node, kind=kind)
             if kind != "terminal":
                 parents.append(act)
-            next_id += 1
-        trace.cycles.append(cycle)
         index += 1
     # Optional idle tail (exercises the final flush).
     for j in range(draw(st.integers(min_value=0, max_value=3))):
-        trace.cycles.append(CycleTrace(index=index + j))
-    return trace
+        builder.new_cycle(index + j)
+    return builder.build()
 
 
 @given(trace=traces_with_idle(),
@@ -419,13 +401,11 @@ def test_active_cycles_allocate_no_per_processor_state():
     one_list = 8 * n_procs  # one pointer per processor
     cycles = []
     for index in range(1, n_cycles + 1):
-        cycle = CycleTrace(index=index)
-        cycle.add(TraceActivation(
+        cycles.append(CycleTrace(index, {1: TraceActivation(
             act_id=1, parent_id=None, node_id=1 + index % 7, kind="join",
             side="right", tag="+",
             key=BucketKey(1 + index % 7, (index % 11,)),
-            successors=()))
-        cycles.append(cycle)
+            successors=())}))
     config = RunConfig(n_procs=n_procs, compress_rounds=True)
     kept = []
     cycle_peaks = []

@@ -10,11 +10,10 @@ the per-cycle results the per-simulation ``key -> processor`` dicts
 produced before the index existed, across round robin, random,
 explicit and per-cycle greedy mappings, deletion-search surcharges,
 per-cycle and section-global act_id numbering, sparse act_ids, pickling
-and cache invalidation on :meth:`CycleTrace.add` and on successors
-rewritten in place; the compressed path is also pinned at P=4096.
+and cycles rebuilt from their rows with activations added after a
+simulation; the compressed path is also pinned at P=4096.
 """
 
-import copy
 import dataclasses
 import functools
 import hashlib
@@ -37,9 +36,8 @@ from repro.mpc.faults import simulate_cycle_with_faults
 from repro.mpc.simulator import compute_search_costs
 from repro.ops5 import parse_program
 from repro.rete.hashing import BucketKey, stable_hash
-from repro.trace import (CycleTrace, SectionTrace, TraceActivation,
-                         record_program)
-from repro.trace.transform import _rebuild_successors
+from repro.trace import (CycleKeyIndex, CycleTrace, SectionTrace,
+                         TraceActivation, record_program)
 from repro.trace.validate import validate_trace
 from repro.workloads import rubik_section
 from repro.workloads.match import tourney_match_program
@@ -100,18 +98,12 @@ def _sparse(section: SectionTrace) -> SectionTrace:
     def new(act_id):
         return 10_000 + 7 * act_id + act_id % 3
 
-    cycles = []
-    for cycle in section:
-        out = CycleTrace(index=cycle.index)
-        for act in cycle:
-            out.add(TraceActivation(
-                act_id=new(act.act_id),
-                parent_id=(None if act.parent_id is None
-                           else new(act.parent_id)),
-                node_id=act.node_id, kind=act.kind, side=act.side,
-                tag=act.tag, key=act.key,
-                successors=tuple(new(s) for s in act.successors)))
-        cycles.append(out)
+    cycles = [CycleTrace(cycle.index, {new(act.act_id): TraceActivation(
+        act_id=new(act.act_id),
+        parent_id=None if act.parent_id is None else new(act.parent_id),
+        node_id=act.node_id, kind=act.kind, side=act.side, tag=act.tag,
+        key=act.key, successors=tuple(new(s) for s in act.successors))
+        for act in cycle}) for cycle in section]
     return SectionTrace(name=f"{section.name}-sparse", cycles=cycles)
 
 
@@ -422,14 +414,12 @@ class TestAgainstReference:
             act for act in acts.values()
             if act.parent_id is not None and act.kind != "terminal"
             and any(acts[s].kind == "terminal" for s in act.successors))
-        out = CycleTrace(index=cycle.index)
-        for act in acts.values():
-            if act.act_id == orphan.parent_id:
-                act = dataclasses.replace(act, successors=tuple(
-                    s for s in act.successors if s != orphan.act_id))
-            elif act.act_id == orphan.act_id:
-                act = dataclasses.replace(act, parent_id=-1)
-            out.add(act)
+        rows = dict(acts)
+        parent = rows[orphan.parent_id]
+        rows[parent.act_id] = dataclasses.replace(parent, successors=tuple(
+            s for s in parent.successors if s != orphan.act_id))
+        rows[orphan.act_id] = dataclasses.replace(orphan, parent_id=-1)
+        out = CycleTrace(cycle.index, rows)
         trace = SectionTrace(name="orphaned", cycles=[out])
         index = out.key_index()
         assert index.orphans
@@ -486,71 +476,49 @@ def _simulations(trace: SectionTrace) -> list:
 
 
 class TestCacheLifecycle:
-    def test_rebuilt_successors_after_simulation(self, traces):
-        """Re-parenting an activation and rebuilding successors in place
-        (what unsharing does) drops the compiled table."""
-        trace = copy.deepcopy(traces[1])
-        before = _simulations(trace)
-        moved = 0
-        for cycle in trace:
-            stale = cycle.key_index()
-            acts = cycle.ordered()
-            child = next((a for a in reversed(acts)
-                          if a.parent_id is not None
-                          and a.kind != "terminal"), None)
-            parent = next((a for a in acts if a.act_id < child.act_id
-                           and a.act_id != child.parent_id
-                           and a.kind != "terminal"), None) \
-                if child is not None else None
-            if parent is None:
-                continue
-            child.parent_id = parent.act_id
-            _rebuild_successors(cycle)
-            index = cycle.key_index()
-            assert index is not stale
-            assert child.act_id in index.successors[
-                parent.act_id - index.base]
-            moved += 1
-        assert moved > 5
-        validate_trace(trace)
-        after = _simulations(trace)
-        assert after == _simulations(_fresh(trace))
-        assert after != before
-
     def test_add_then_rewrite_after_simulation(self, traces):
-        """The trace builder's order — ``add()`` a child, then extend its
-        parent's successors — after the cycle was simulated."""
-        trace = copy.deepcopy(traces[0])
+        """Rows grown in the trace builder's order — a child, then its
+        parent's successors — compile into cycles that simulate like
+        their pickled copies, after the originals were simulated."""
+        trace = traces[0]
         before = _simulations(trace)
+        cycles = []
         for cycle in trace:
-            parent = next(a for a in cycle.ordered()
-                          if a.kind != "terminal")
+            rows = dict(cycle.activations)
+            parent = next(a for a in cycle if a.kind != "terminal")
             for offset, kind in ((1, "join"), (2, "terminal")):
-                act_id = max(cycle.activations) + 1
-                cycle.add(TraceActivation(
+                act_id = max(rows) + 1
+                rows[act_id] = TraceActivation(
                     act_id=act_id, parent_id=parent.act_id,
                     node_id=parent.node_id + offset, kind=kind,
                     side="left", tag="+",
-                    key=BucketKey(parent.node_id + offset, (offset,))))
-                parent.successors = parent.successors + (act_id,)
+                    key=BucketKey(parent.node_id + offset, (offset,)))
+                parent = rows[parent.act_id] = dataclasses.replace(
+                    parent, successors=parent.successors + (act_id,))
+            cycles.append(CycleTrace(cycle.index, rows))
+        trace = SectionTrace(name=trace.name, cycles=cycles)
         validate_trace(trace)
         after = _simulations(trace)
         assert after == _simulations(_fresh(trace))
         assert after != before
 
     def test_add_after_simulation_invalidates(self, traces):
-        trace = copy.deepcopy(traces[1].slice(0, 2))
+        trace = traces[1].slice(0, 2)
         config = RunConfig(n_procs=3, overheads=OV8)
         before = simulate_config(trace, config)
         cycle = trace.cycles[0]
         stale = cycle.key_index()
         new_key = BucketKey(9_999, ("fresh",))
-        cycle.add(TraceActivation(
-            act_id=max(cycle.activations) + 1, parent_id=None,
-            node_id=9_999, kind="join", side="right", tag="+",
-            key=new_key))
+        rows = dict(cycle.activations)
+        act_id = max(rows) + 1
+        rows[act_id] = TraceActivation(
+            act_id=act_id, parent_id=None, node_id=9_999, kind="join",
+            side="right", tag="+", key=new_key)
+        cycle = CycleTrace(cycle.index, rows)
         index = cycle.key_index()
         assert index is not stale and new_key in index.keys
+        trace = SectionTrace(name=trace.name,
+                             cycles=[cycle] + trace.cycles[1:])
         after = simulate_config(trace, config)
         reference = simulate_cycle_reference(
             cycle, 3, config.costs, OV8, RoundRobinMapping(3))
@@ -558,22 +526,26 @@ class TestCacheLifecycle:
         assert after.cycles[0] != before.cycles[0]
         assert after.cycles[1] == before.cycles[1]
 
-    def test_pickle_drops_caches(self, traces):
-        cycle = copy.deepcopy(traces[1].cycles[0])
+    def test_pickle_drops_caches(self, traces, monkeypatch):
+        """Pickles carry the table, not the view: a round trip gives an
+        equal table and builds no view, nor does simulating it."""
+        cycle = traces[1].cycles[0]
         bare = pickle.dumps(cycle)
-        cycle.key_index()
         cycle.roots()
-        assert cycle._key_index is not None and cycle._ordered is not None
+        assert cycle._activations is not None
         assert pickle.dumps(cycle) == bare
-        clone = pickle.loads(pickle.dumps(cycle))
+
+        def refuse(index):
+            raise AssertionError("built a TraceActivation view")
+
+        monkeypatch.setattr(CycleKeyIndex, "view", refuse)
+        clone = pickle.loads(bare)
+        assert clone.key_index() == cycle.key_index()
         assert clone == cycle
-        assert clone._ordered is None and clone._roots is None
-        assert clone._key_index is None
         config = RunConfig(n_procs=4, overheads=OV8)
-        trace = SectionTrace(name="one", cycles=[clone])
-        got = simulate_config(trace, config).cycles[0]
-        assert clone._key_index is not None
-        assert clone.key_index().keys == cycle.key_index().keys
+        got = simulate_config(SectionTrace(name="one", cycles=[clone]),
+                              config).cycles[0]
+        assert clone._activations is None
         assert got == simulate_config(
             SectionTrace(name="one", cycles=[cycle]), config).cycles[0]
 

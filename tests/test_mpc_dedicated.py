@@ -17,11 +17,14 @@ def act(i, node, side="right", parent=None, succ=(), kind="join",
                            successors=tuple(succ))
 
 
+def one_cycle(name, acts):
+    """A one-cycle section of the activation rows *acts*."""
+    return SectionTrace(name=name, cycles=[
+        CycleTrace(1, {a.act_id: a for a in acts})])
+
+
 def root_heavy_trace(n=60):
-    cycle = CycleTrace(index=1)
-    for i in range(n):
-        cycle.add(act(i + 1, node=i + 1))
-    return SectionTrace(name="roots", cycles=[cycle])
+    return one_cycle("roots", [act(i + 1, node=i + 1) for i in range(n)])
 
 
 class TestBasics:
@@ -57,11 +60,10 @@ class TestBasics:
     def test_local_successor_pays_no_receive(self):
         """Only message deliveries pay the receive overhead: a successor
         whose bucket is on its producer's processor is never sent."""
-        cycle = CycleTrace(index=1)
-        cycle.add(act(1, node=3, succ=(2,), vals=(1,)))
-        cycle.add(act(2, node=4, side="left", parent=1, vals=(1,)))
         run = simulate_dedicated_alpha(
-            SectionTrace(name="chain", cycles=[cycle]), 1,
+            one_cycle("chain", [
+                act(1, node=3, succ=(2,), vals=(1,)),
+                act(2, node=4, side="left", parent=1, vals=(1,))]), 1,
             overheads=OverheadModel(send_us=5, recv_us=3))
         # One root receive + right token + successor + left token.
         assert run.cycles[0].proc_busy_us[0] == 3 + 16 + 16 + 32

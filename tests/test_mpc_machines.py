@@ -120,11 +120,9 @@ def _deletion_trace() -> SectionTrace:
     key = BucketKey(7, (1,))
     cycles = []
     for index, tag in enumerate("+++-", start=1):
-        cycle = CycleTrace(index=index)
-        cycle.add(TraceActivation(
+        cycles.append(CycleTrace(index, {1: TraceActivation(
             act_id=1, parent_id=None, node_id=7, kind="join",
-            side="right", tag=tag, key=key))
-        cycles.append(cycle)
+            side="right", tag=tag, key=key)}))
     return SectionTrace(name="deletions", cycles=cycles)
 
 

@@ -169,7 +169,7 @@ def _bucket_work_by_walk(cycle, costs):
     """Per-bucket work by walking the activation objects, the way
     :func:`bucket_work` priced cycles before the compiled index."""
     work = {}
-    for act in cycle.ordered():
+    for act in cycle:
         if act.kind == KIND_TERMINAL:
             continue
         work[act.key] = work.get(act.key, 0.0) + (
@@ -227,12 +227,3 @@ class TestGreedyFactoryMatchesGreedyMapping:
             index = cycle.key_index()
             assert index.destinations(clone(cycle)) == \
                 index.destinations(factory(cycle))
-
-    def test_cache_reprices_a_rebuilt_index(self):
-        cycle = weaver_section().cycles[0]
-        cache = BucketWorkCache()
-        first = cache.pricing(cycle)
-        assert cache.pricing(cycle) is first
-        cycle.invalidate()
-        assert cache.pricing(cycle) is not first
-        assert cache(cycle) == bucket_work(cycle)

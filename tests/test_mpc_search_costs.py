@@ -17,13 +17,10 @@ def act(i, node, tag, side="left", vals=()):
 
 def section(*tag_lists):
     """One bucket per cycle-list; all activations at node 1."""
-    cycles = []
-    for index, tags in enumerate(tag_lists, start=1):
-        cycle = CycleTrace(index=index)
-        for i, tag in enumerate(tags, start=1):
-            cycle.add(act(i, node=1, tag=tag))
-        cycles.append(cycle)
-    return SectionTrace(name="s", cycles=cycles)
+    return SectionTrace(name="s", cycles=[
+        CycleTrace(index, {i: act(i, node=1, tag=tag)
+                           for i, tag in enumerate(tags, start=1)})
+        for index, tags in enumerate(tag_lists, start=1)])
 
 
 class TestComputeSearchCosts:
@@ -58,10 +55,9 @@ class TestComputeSearchCosts:
         assert compute_search_costs(trace, costs) == {}
 
     def test_distinct_buckets_tracked_separately(self):
-        cycle = CycleTrace(index=1)
-        cycle.add(act(1, node=1, tag="+", vals=(1,)))
-        cycle.add(act(2, node=1, tag="+", vals=(2,)))
-        cycle.add(act(3, node=1, tag="-", vals=(1,)))
+        cycle = CycleTrace(1, {1: act(1, node=1, tag="+", vals=(1,)),
+                               2: act(2, node=1, tag="+", vals=(2,)),
+                               3: act(3, node=1, tag="-", vals=(1,))})
         trace = SectionTrace(name="s", cycles=[cycle])
         extra = compute_search_costs(trace, CostModel(delete_search_us=1))
         assert extra == {1: {3: 1.0}}
@@ -81,18 +77,18 @@ class TestSimulationWithSearchCosts:
         speedup falls."""
         # Hot bucket: 20 adds then 10 deletes; plus independent filler
         # work that parallelizes perfectly.
-        cycle = CycleTrace(index=1)
+        acts = {}
         i = 1
         for _ in range(20):
-            cycle.add(act(i, node=1, tag="+"))
+            acts[i] = act(i, node=1, tag="+")
             i += 1
         for _ in range(10):
-            cycle.add(act(i, node=1, tag="-"))
+            acts[i] = act(i, node=1, tag="-")
             i += 1
         for k in range(200):
-            cycle.add(act(i, node=100 + k, tag="+", side="right"))
+            acts[i] = act(i, node=100 + k, tag="+", side="right")
             i += 1
-        trace = SectionTrace(name="s", cycles=[cycle])
+        trace = SectionTrace(name="s", cycles=[CycleTrace(1, acts)])
 
         def speedup_at(search):
             costs = CostModel(delete_search_us=search)

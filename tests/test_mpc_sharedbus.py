@@ -16,20 +16,21 @@ def act(i, node, side="right", tag="+", parent=None, succ=(),
                            successors=tuple(succ))
 
 
+def one_cycle(name, acts):
+    """A one-cycle section of the activation rows *acts*."""
+    return SectionTrace(name=name, cycles=[
+        CycleTrace(1, {a.act_id: a for a in acts})])
+
+
 def spread_trace(n=64):
     """Independent activations in distinct buckets."""
-    cycle = CycleTrace(index=1)
-    for i in range(n):
-        cycle.add(act(i + 1, node=i + 1))
-    return SectionTrace(name="spread", cycles=[cycle])
+    return one_cycle("spread", [act(i + 1, node=i + 1) for i in range(n)])
 
 
 def hot_bucket_trace(n=32):
     """All activations share one bucket."""
-    cycle = CycleTrace(index=1)
-    for i in range(n):
-        cycle.add(act(i + 1, node=7, side="left"))
-    return SectionTrace(name="hot", cycles=[cycle])
+    return one_cycle("hot", [act(i + 1, node=7, side="left")
+                             for i in range(n)])
 
 
 class TestBasics:
@@ -80,15 +81,15 @@ class TestContentionEffects:
     def test_hot_bucket_does_not_stall_other_work(self):
         """A processor whose next task's bucket is locked must take
         other work instead of spinning."""
-        cycle = CycleTrace(index=1)
+        acts = []
         i = 1
         for _ in range(16):           # hot bucket: serial 16 x 32us
-            cycle.add(act(i, node=7, side="left"))
+            acts.append(act(i, node=7, side="left"))
             i += 1
         for k in range(64):           # independent filler
-            cycle.add(act(i, node=100 + k))
+            acts.append(act(i, node=100 + k))
             i += 1
-        trace = SectionTrace(name="mix", cycles=[cycle])
+        trace = one_cycle("mix", acts)
         base = simulate_base(trace)
         run = simulate_shared_bus(trace, n_procs=8)
         # Serial hot chain = 16*32 = 512us; filler = 64*16/7 procs.
@@ -118,10 +119,9 @@ class TestContentionEffects:
         assert run.n_messages == 10  # one pop per activation
 
     def test_search_costs_apply(self):
-        cycle = CycleTrace(index=1)
-        for i, tag in enumerate(["+", "+", "+", "-"], start=1):
-            cycle.add(act(i, node=1, side="left", tag=tag))
-        trace = SectionTrace(name="s", cycles=[cycle])
+        trace = one_cycle("s", [
+            act(i, node=1, side="left", tag=tag)
+            for i, tag in enumerate(["+", "+", "+", "-"], start=1)])
         plain = simulate_shared_bus(trace, 1, queue_access_us=0.0)
         priced = simulate_shared_bus(
             trace, 1, costs=CostModel(delete_search_us=2.0),

@@ -2,6 +2,8 @@
 timings, conservation laws, overhead behaviour, and bit-identity with
 the preserved reference loop (:mod:`repro.mpc._reference`)."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -37,15 +39,20 @@ def section(*cycles):
     return SectionTrace(name="t", cycles=list(cycles))
 
 
+def cycle_of(index, *acts):
+    """Cycle *index* of the activation rows *acts*."""
+    return CycleTrace(index, {a.act_id: a for a in acts})
+
+
 def fanout_trace(n_roots=20):
     """Independent right roots, each generating one left successor."""
-    cycle = CycleTrace(index=1)
+    acts = []
     i = 1
     for n in range(n_roots):
-        cycle.add(act(i, node=n + 1, side="right", succ=(i + 1,)))
-        cycle.add(act(i + 1, node=100 + n, side="left", parent=i))
+        acts.append(act(i, node=n + 1, side="right", succ=(i + 1,)))
+        acts.append(act(i + 1, node=100 + n, side="left", parent=i))
         i += 2
-    return section(cycle)
+    return section(cycle_of(1, *acts))
 
 
 class TestExactTimings:
@@ -55,20 +62,17 @@ class TestExactTimings:
         assert base.total_us == pytest.approx(30 + 20 * 32 + 20 * 32)
 
     def test_single_root_no_successors(self):
-        cycle = CycleTrace(index=1)
-        cycle.add(act(1, node=1, side="right"))
+        cycle = cycle_of(1, act(1, node=1, side="right"))
         base = simulate_base(section(cycle))
         assert base.total_us == pytest.approx(30 + 16)
 
     def test_left_root_costs_more(self):
-        cycle = CycleTrace(index=1)
-        cycle.add(act(1, node=1, side="left"))
+        cycle = cycle_of(1, act(1, node=1, side="left"))
         base = simulate_base(section(cycle))
         assert base.total_us == pytest.approx(30 + 32)
 
     def test_deletes_cost_like_adds(self):
-        cycle = CycleTrace(index=1)
-        cycle.add(act(1, node=1, side="right", tag="-"))
+        cycle = cycle_of(1, act(1, node=1, side="right", tag="-"))
         base = simulate_base(section(cycle))
         assert base.total_us == pytest.approx(30 + 16)
 
@@ -81,23 +85,20 @@ class TestExactTimings:
         assert loaded.total_us == pytest.approx(5 + 0.5 + 3 + 30)
 
     def test_cycles_serialize(self):
-        c1 = CycleTrace(index=1)
-        c1.add(act(1, node=1, side="right"))
-        c2 = CycleTrace(index=2)
-        c2.add(act(1, node=2, side="right"))
+        c1 = cycle_of(1, act(1, node=1, side="right"))
+        c2 = cycle_of(2, act(1, node=2, side="right"))
         base = simulate_base(section(c1, c2))
         assert base.total_us == pytest.approx(2 * (30 + 16))
 
     def test_terminal_successor_costs_generation_only_at_zero_overhead(self):
-        cycle = CycleTrace(index=1)
-        cycle.add(act(1, node=1, side="right", succ=(2,)))
-        cycle.add(act(2, node=99, kind="terminal", side="left", parent=1))
+        cycle = cycle_of(
+            1, act(1, node=1, side="right", succ=(2,)),
+            act(2, node=99, kind="terminal", side="left", parent=1))
         base = simulate_base(section(cycle))
         assert base.total_us == pytest.approx(30 + 16 + 16)
 
     def test_custom_cost_model(self):
-        cycle = CycleTrace(index=1)
-        cycle.add(act(1, node=1, side="left"))
+        cycle = cycle_of(1, act(1, node=1, side="left"))
         costs = CostModel(constant_tests_us=10, left_token_us=5,
                           right_token_us=2, successor_us=1)
         base = simulate_base(section(cycle), costs=costs)
@@ -125,13 +126,11 @@ class TestParallelBehaviour:
 
     def test_serial_chain_does_not_scale(self):
         # A dependency chain: each activation generates the next.
-        cycle = CycleTrace(index=1)
         n = 20
-        for i in range(1, n + 1):
-            succ = (i + 1,) if i < n else ()
-            cycle.add(act(i, node=i, side="left",
-                          parent=i - 1 if i > 1 else None, succ=succ))
-        trace = section(cycle)
+        trace = section(cycle_of(1, *(
+            act(i, node=i, side="left", parent=i - 1 if i > 1 else None,
+                succ=(i + 1,) if i < n else ())
+            for i in range(1, n + 1))))
         base = simulate_base(trace)
         run = simulate(trace, n_procs=16)
         assert speedup(base, run) < 1.5
@@ -139,10 +138,8 @@ class TestParallelBehaviour:
     def test_hot_bucket_serializes(self):
         """All roots in one bucket: no parallelism available (the
         Tourney cross-product effect)."""
-        cycle = CycleTrace(index=1)
-        for i in range(1, 33):
-            cycle.add(act(i, node=7, side="left"))
-        trace = section(cycle)
+        trace = section(cycle_of(1, *(act(i, node=7, side="left")
+                                      for i in range(1, 33))))
         base = simulate_base(trace)
         run = simulate(trace, n_procs=16)
         assert speedup(base, run) < 1.2
@@ -159,9 +156,9 @@ class TestParallelBehaviour:
         assert busy == pytest.approx(expected)
 
     def test_explicit_mapping_controls_placement(self):
-        cycle = CycleTrace(index=1)
-        cycle.add(act(1, node=1, side="right", vals=("a",)))
-        cycle.add(act(2, node=1, side="right", vals=("b",)))
+        cycle = cycle_of(
+            1, act(1, node=1, side="right", vals=("a",)),
+            act(2, node=1, side="right", vals=("b",)))
         trace = section(cycle)
         together = ExplicitMapping(n_procs=2, assignment={
             BucketKey(1, ("a",)): 0, BucketKey(1, ("b",)): 0})
@@ -249,17 +246,17 @@ class TestPerProcessorMetrics:
 
 class TestBucketWork:
     def test_work_matches_cost_model(self):
-        cycle = CycleTrace(index=1)
-        cycle.add(act(1, node=1, side="left", succ=(2,)))
-        cycle.add(act(2, node=2, side="left", parent=1))
+        cycle = cycle_of(
+            1, act(1, node=1, side="left", succ=(2,)),
+            act(2, node=2, side="left", parent=1))
         work = bucket_work(cycle)
         assert work[BucketKey(1, ())] == pytest.approx(32 + 16)
         assert work[BucketKey(2, ())] == pytest.approx(32)
 
     def test_terminals_excluded(self):
-        cycle = CycleTrace(index=1)
-        cycle.add(act(1, node=1, side="right", succ=(2,)))
-        cycle.add(act(2, node=9, kind="terminal", side="left", parent=1))
+        cycle = cycle_of(
+            1, act(1, node=1, side="right", succ=(2,)),
+            act(2, node=9, kind="terminal", side="left", parent=1))
         work = bucket_work(cycle)
         assert BucketKey(9, ()) not in work
 
@@ -381,7 +378,6 @@ def forests(draw):
     order with two-input roots."""
     trace = SectionTrace(name="forest")
     for index in range(1, draw(st.integers(1, 3)) + 1):
-        cycle = CycleTrace(index=index)
         acts = []
         for _ in range(draw(st.integers(0, 6))):
             acts.append(act(len(acts) + 1, node=draw(st.integers(1, 9)),
@@ -392,19 +388,18 @@ def forests(draw):
                             vals=(draw(st.integers(0, 3)),)))
         open_acts = [a for a in acts if a.kind != "terminal"]
         for _ in range(draw(st.integers(0, 14)) if open_acts else 0):
-            parent = draw(st.sampled_from(open_acts))
+            parent = acts[draw(st.sampled_from(open_acts)).act_id - 1]
             kind = draw(st.sampled_from(["join", "join", "terminal"]))
             child = act(len(acts) + 1, node=draw(st.integers(1, 9)),
                         kind=kind, side="left", tag=parent.tag,
                         parent=parent.act_id,
                         vals=(draw(st.integers(0, 3)),))
-            parent.successors += (child.act_id,)
+            acts[parent.act_id - 1] = parent = dataclasses.replace(
+                parent, successors=parent.successors + (child.act_id,))
             acts.append(child)
             if kind != "terminal":
                 open_acts.append(child)
-        for a in acts:
-            cycle.add(a)
-        trace.cycles.append(cycle)
+        trace.cycles.append(cycle_of(index, *acts))
     return trace
 
 

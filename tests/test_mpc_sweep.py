@@ -10,19 +10,19 @@ from repro.trace import CycleTrace, SectionTrace, TraceActivation
 
 
 def fanout_trace(n_roots=24):
-    cycle = CycleTrace(index=1)
+    acts = {}
     i = 1
     for n in range(n_roots):
-        cycle.add(TraceActivation(
+        acts[i] = TraceActivation(
             act_id=i, parent_id=None, node_id=n + 1, kind="join",
             side="right", tag="+", key=BucketKey(n + 1, ()),
-            successors=(i + 1,)))
-        cycle.add(TraceActivation(
+            successors=(i + 1,))
+        acts[i + 1] = TraceActivation(
             act_id=i + 1, parent_id=i, node_id=100 + n, kind="join",
             side="left", tag="+", key=BucketKey(100 + n, ()),
-            successors=()))
+            successors=())
         i += 2
-    return SectionTrace(name="fan", cycles=[cycle])
+    return SectionTrace(name="fan", cycles=[CycleTrace(1, acts)])
 
 
 class TestSpeedupCurve:

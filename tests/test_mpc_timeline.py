@@ -155,15 +155,13 @@ def traces_with_idle_stretches(draw):
             index += 1
             trace.cycles.append(CycleTrace(index=index))
         index += 1
-        renumbered = CycleTrace(index=index)
-        for act in cycle.ordered():
-            renumbered.add(act)
+        rows = dict(cycle.activations)
         first = cycle.max_act_id() + 1
         for i in range(draw(st.integers(min_value=0, max_value=2))):
-            renumbered.add(TraceActivation(
+            rows[first + i] = TraceActivation(
                 first + i, None, 20 + i, KIND_TERMINAL, "left", "+",
-                BucketKey(20 + i, ()), ()))
-        trace.cycles.append(renumbered)
+                BucketKey(20 + i, ()), ())
+        trace.cycles.append(CycleTrace(index, rows))
     return trace
 
 

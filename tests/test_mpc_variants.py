@@ -22,14 +22,20 @@ def act(i, node, side="right", parent=None, succ=(), kind="join",
                            successors=tuple(succ))
 
 
+def one_cycle(name, acts):
+    """A one-cycle section of the activation rows *acts*."""
+    return SectionTrace(name=name, cycles=[
+        CycleTrace(1, {a.act_id: a for a in acts})])
+
+
 def fanout_trace(n_roots=24):
-    cycle = CycleTrace(index=1)
+    acts = []
     i = 1
     for n in range(n_roots):
-        cycle.add(act(i, node=n + 1, side="right", succ=(i + 1,)))
-        cycle.add(act(i + 1, node=100 + n, side="left", parent=i))
+        acts.append(act(i, node=n + 1, side="right", succ=(i + 1,)))
+        acts.append(act(i + 1, node=100 + n, side="left", parent=i))
         i += 2
-    return SectionTrace(name="t", cycles=[cycle])
+    return one_cycle("t", acts)
 
 
 class TestProcessorPairs:
@@ -72,13 +78,10 @@ class TestProcessorPairs:
     def test_pairs_charge_deletion_search(self):
         """Footnote 6: a '-' activation scans its bucket past the
         entries before it, on the pair's store micro-task."""
-        cycle = CycleTrace(index=1)
-        for i, tag in enumerate("++-", start=1):
-            cycle.add(TraceActivation(
-                act_id=i, parent_id=None, node_id=3, kind="join",
-                side="right", tag=tag, key=BucketKey(3, (1,)),
-                successors=()))
-        trace = SectionTrace(name="deletes", cycles=[cycle])
+        trace = one_cycle("deletes", [TraceActivation(
+            act_id=i, parent_id=None, node_id=3, kind="join",
+            side="right", tag=tag, key=BucketKey(3, (1,)), successors=())
+            for i, tag in enumerate("++-", start=1)])
         plain = simulate_pairs(trace, n_pairs=1)
         searched = simulate_pairs(trace, n_pairs=1,
                                   costs=CostModel(delete_search_us=1.5))
@@ -138,10 +141,9 @@ class TestContinuum:
             simulate_master_copy(fanout_trace(), 0)
 
     def test_replicated_handles_terminals(self):
-        cycle = CycleTrace(index=1)
-        cycle.add(act(1, node=1, side="right", succ=(2,)))
-        cycle.add(act(2, node=9, kind="terminal", side="left", parent=1))
-        trace = SectionTrace(name="t", cycles=[cycle])
+        trace = one_cycle("t", [
+            act(1, node=1, side="right", succ=(2,)),
+            act(2, node=9, kind="terminal", side="left", parent=1)])
         run = simulate_replicated(trace, 4,
                                   overheads=TABLE_5_1[1])
         assert run.total_us > 0

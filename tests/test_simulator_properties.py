@@ -15,20 +15,18 @@ from repro.mpc import (CostModel, OverheadModel, ZERO_OVERHEADS,
                        simulate_base, simulate_config,
                        simulate_master_copy, simulate_pairs,
                        simulate_replicated, speedup)
-from repro.rete.hashing import BucketKey
-from repro.trace import (CycleTrace, SectionTrace, TraceActivation,
-                         dumps_trace, loads_trace, validate_trace)
+from repro.trace import (TraceBuilder, dumps_trace, loads_trace,
+                         validate_trace)
 
 
 @st.composite
 def random_traces(draw):
     """A random valid section trace: 1-3 cycles of random forests."""
     n_cycles = draw(st.integers(min_value=1, max_value=3))
-    trace = SectionTrace(name="random")
+    builder = TraceBuilder("random")
     for cycle_index in range(1, n_cycles + 1):
-        cycle = CycleTrace(index=cycle_index)
+        builder.new_cycle(cycle_index)
         n_roots = draw(st.integers(min_value=1, max_value=8))
-        next_id = 1
         frontier = []
         for _ in range(n_roots):
             node = draw(st.integers(min_value=1, max_value=12))
@@ -36,13 +34,8 @@ def random_traces(draw):
             tag = draw(st.sampled_from(["+", "-"]))
             values = tuple(draw(st.lists(
                 st.integers(min_value=0, max_value=5), max_size=2)))
-            act = TraceActivation(
-                act_id=next_id, parent_id=None, node_id=node,
-                kind="join", side=side, tag=tag,
-                key=BucketKey(node, values), successors=())
-            cycle.add(act)
-            frontier.append(act)
-            next_id += 1
+            frontier.append(builder.root(node, side=side, tag=tag,
+                                         values=values))
         # Random expansion: attach children to random frontier members.
         n_children = draw(st.integers(min_value=0, max_value=20))
         for _ in range(n_children):
@@ -51,17 +44,10 @@ def random_traces(draw):
             kind = draw(st.sampled_from(["join", "join", "terminal"]))
             values = () if kind == "terminal" else tuple(draw(st.lists(
                 st.integers(min_value=0, max_value=5), max_size=2)))
-            act = TraceActivation(
-                act_id=next_id, parent_id=parent.act_id, node_id=node,
-                kind=kind, side="left", tag=parent.tag,
-                key=BucketKey(node, values), successors=())
-            cycle.add(act)
-            parent.successors = parent.successors + (act.act_id,)
+            act = builder.child(parent, node, values=values, kind=kind)
             if kind != "terminal":
                 frontier.append(act)
-            next_id += 1
-        trace.cycles.append(cycle)
-    return trace
+    return builder.build()
 
 
 @given(trace=random_traces(),

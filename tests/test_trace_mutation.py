@@ -3,10 +3,13 @@ corruptions of valid traces must be detected.
 
 The simulators trust validated traces; a validator hole would let a
 corrupt trace skew timing results silently.  Each mutator below breaks
-one structural rule; the property test applies random mutators to
-random valid traces and requires the validator to object.
+one structural rule in a cycle's activation rows before the cycle is
+built; the property test applies random mutators to random valid traces
+and requires an objection: either the rows entry point refuses rows no
+table holds as written, or the validator reports the built cycle.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -14,8 +17,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.rete.hashing import BucketKey
-from repro.trace import validate_trace
-from repro.trace.events import TraceActivation
+from repro.trace import (CycleTrace, SectionTrace, TraceValidationError,
+                         validate_trace)
 from repro.workloads import SectionSpec, generate_section
 
 
@@ -25,88 +28,106 @@ def small_trace(seed):
         terminals_per_cycle=2, seed=seed))
 
 
-def pick_act(trace, rng, predicate=lambda a: True):
-    candidates = [(c, a) for c in trace.cycles for a in c
+def small_rows(seed):
+    """``(index, rows by act_id)`` of each cycle of a small trace."""
+    return [(c.index, dict(c.activations)) for c in small_trace(seed)]
+
+
+def objections(cycles):
+    """What building and validating the rows of *cycles* reports."""
+    try:
+        trace = SectionTrace(name="mut", cycles=[
+            CycleTrace(index, rows) for index, rows in cycles])
+    except TraceValidationError as err:
+        return [str(err)]
+    return validate_trace(trace, raise_on_error=False)
+
+
+def pick_act(cycles, rng, predicate=lambda a: True):
+    candidates = [(rows, a) for _, rows in cycles for a in rows.values()
                   if predicate(a)]
     if not candidates:
         return None, None
     return candidates[rng.randrange(len(candidates))]
 
 
+def replace(rows, act, **changes):
+    rows[act.act_id] = dataclasses.replace(act, **changes)
+
+
 # --- mutators: each returns True if it could apply a corruption --------
 
-def mutate_dangling_parent(trace, rng):
-    cycle, act = pick_act(trace, rng, lambda a: a.parent_id is not None)
+def mutate_dangling_parent(cycles, rng):
+    rows, act = pick_act(cycles, rng, lambda a: a.parent_id is not None)
     if act is None:
         return False
-    act.parent_id = cycle.max_act_id() + 1000
+    replace(rows, act, parent_id=max(rows) + 1000)
     return True
 
 
-def mutate_orphan_successor(trace, rng):
-    cycle, act = pick_act(trace, rng, lambda a: a.successors)
+def mutate_orphan_successor(cycles, rng):
+    rows, act = pick_act(cycles, rng, lambda a: a.successors)
     if act is None:
         return False
-    act.successors = act.successors + (cycle.max_act_id() + 999,)
+    replace(rows, act, successors=act.successors + (max(rows) + 999,))
     return True
 
 
-def mutate_steal_successor(trace, rng):
-    cycle, act = pick_act(trace, rng,
-                          lambda a: a.parent_id is not None)
+def mutate_steal_successor(cycles, rng):
+    rows, act = pick_act(cycles, rng, lambda a: a.parent_id is not None)
     if act is None:
         return False
     # Re-point the child's parent without fixing the old parent's list
     # (the current parent is excluded — keeping it would be a no-op).
-    others = [a for a in cycle if a.act_id != act.act_id
+    others = [a for a in rows.values() if a.act_id != act.act_id
               and a.act_id != act.parent_id
               and a.kind != "terminal"
               and a.act_id < act.act_id]
     if not others:
         return False
-    act.parent_id = others[rng.randrange(len(others))].act_id
+    replace(rows, act, parent_id=others[rng.randrange(len(others))].act_id)
     return True
 
 
-def mutate_bad_side(trace, rng):
-    cycle, act = pick_act(trace, rng)
+def mutate_bad_side(cycles, rng):
+    rows, act = pick_act(cycles, rng)
     if act is None:
         return False
-    act.side = "sideways"
+    replace(rows, act, side="sideways")
     return True
 
 
-def mutate_bad_tag(trace, rng):
-    cycle, act = pick_act(trace, rng)
+def mutate_bad_tag(cycles, rng):
+    rows, act = pick_act(cycles, rng)
     if act is None:
         return False
-    act.tag = "?"
+    replace(rows, act, tag="?")
     return True
 
 
-def mutate_key_node_mismatch(trace, rng):
-    cycle, act = pick_act(trace, rng)
+def mutate_key_node_mismatch(cycles, rng):
+    rows, act = pick_act(cycles, rng)
     if act is None:
         return False
-    act.key = BucketKey(act.node_id + 17, act.key.values)
+    replace(rows, act, key=BucketKey(act.node_id + 17, act.key.values))
     return True
 
 
-def mutate_terminal_with_successors(trace, rng):
-    cycle, act = pick_act(trace, rng, lambda a: a.kind == "terminal")
+def mutate_terminal_with_successors(cycles, rng):
+    rows, act = pick_act(cycles, rng, lambda a: a.kind == "terminal")
     if act is None:
         return False
-    act.successors = (1,)
+    replace(rows, act, successors=(1,))
     return True
 
 
-def mutate_generated_right_side(trace, rng):
-    cycle, act = pick_act(trace, rng,
-                          lambda a: a.parent_id is not None
-                          and a.kind != "terminal")
+def mutate_generated_right_side(cycles, rng):
+    rows, act = pick_act(cycles, rng,
+                         lambda a: a.parent_id is not None
+                         and a.kind != "terminal")
     if act is None:
         return False
-    act.side = "right"
+    replace(rows, act, side="right")
     return True
 
 
@@ -120,11 +141,11 @@ MUTATORS = [mutate_dangling_parent, mutate_orphan_successor,
                          ids=lambda m: m.__name__)
 def test_each_mutator_detected(mutator):
     rng = random.Random(7)
-    trace = small_trace(seed=1)
-    assert validate_trace(trace) == []
-    applied = mutator(trace, rng)
+    cycles = small_rows(seed=1)
+    assert objections(cycles) == []
+    applied = mutator(cycles, rng)
     assert applied, "mutator found nothing to corrupt"
-    problems = validate_trace(trace, raise_on_error=False)
+    problems = objections(cycles)
     assert problems, f"{mutator.__name__} slipped past the validator"
 
 
@@ -134,11 +155,11 @@ def test_each_mutator_detected(mutator):
        rng_seed=st.integers(min_value=0, max_value=1000))
 def test_random_mutations_detected(seed, mutator_index, rng_seed):
     rng = random.Random(rng_seed)
-    trace = small_trace(seed=seed)
+    cycles = small_rows(seed=seed)
     mutator = MUTATORS[mutator_index]
-    if not mutator(trace, rng):
+    if not mutator(cycles, rng):
         return  # nothing to corrupt in this layout
-    assert validate_trace(trace, raise_on_error=False)
+    assert objections(cycles)
 
 
 def test_unmutated_traces_stay_valid():

@@ -17,13 +17,18 @@ def act(act_id, node, side="right", tag="+", parent=None, succ=(),
         successors=tuple(succ))
 
 
+def cycle_of(index, *acts):
+    """Cycle *index* of the activation rows *acts*."""
+    return CycleTrace(index, {a.act_id: a for a in acts})
+
+
 def shared_node_trace():
     """Fig 5-3 shape: node 1 (shared) feeds nodes 2 and 3."""
-    cycle = CycleTrace(index=1)
-    cycle.add(act(1, node=1, side="right", succ=(2, 3, 4)))
-    cycle.add(act(2, node=2, side="left", parent=1))
-    cycle.add(act(3, node=3, side="left", parent=1))
-    cycle.add(act(4, node=2, side="left", parent=1))
+    cycle = cycle_of(
+        1, act(1, node=1, side="right", succ=(2, 3, 4)),
+        act(2, node=2, side="left", parent=1),
+        act(3, node=3, side="left", parent=1),
+        act(4, node=2, side="left", parent=1))
     return SectionTrace(name="shared", cycles=[cycle])
 
 
@@ -57,9 +62,9 @@ class TestUnshare:
         assert after == before
 
     def test_single_branch_node_untouched(self):
-        cycle = CycleTrace(index=1)
-        cycle.add(act(1, node=1, succ=(2,)))
-        cycle.add(act(2, node=2, side="left", parent=1))
+        cycle = cycle_of(
+            1, act(1, node=1, succ=(2,)),
+            act(2, node=2, side="left", parent=1))
         trace = SectionTrace(name="mono", cycles=[cycle])
         out = unshare_trace(trace)
         assert len(out.cycles[0]) == 2
@@ -74,11 +79,11 @@ class TestUnshare:
     def test_mid_chain_parent_duplication(self):
         """When the unshared node is fed by a parent, the parent's
         successor count grows: it must generate one token per copy."""
-        cycle = CycleTrace(index=1)
-        cycle.add(act(1, node=9, succ=(2,)))
-        cycle.add(act(2, node=1, side="left", parent=1, succ=(3, 4)))
-        cycle.add(act(3, node=2, side="left", parent=2))
-        cycle.add(act(4, node=3, side="left", parent=2))
+        cycle = cycle_of(
+            1, act(1, node=9, succ=(2,)),
+            act(2, node=1, side="left", parent=1, succ=(3, 4)),
+            act(3, node=2, side="left", parent=2),
+            act(4, node=3, side="left", parent=2))
         trace = SectionTrace(name="chain", cycles=[cycle])
         out = unshare_trace(trace, node_ids=[1])
         assert validate_trace(out) == []
@@ -90,10 +95,9 @@ class TestCopyAndConstraint:
     def hot_bucket_trace(self, n=8):
         """All activations of node 5 share a single (valueless) bucket —
         the Tourney cross-product shape."""
-        cycle = CycleTrace(index=1)
-        for i in range(n):
-            cycle.add(act(i + 1, node=5, side="left",
-                          tag="+" if i % 2 == 0 else "-"))
+        cycle = cycle_of(1, *(act(i + 1, node=5, side="left",
+                                  tag="+" if i % 2 == 0 else "-")
+                              for i in range(n)))
         return SectionTrace(name="hot", cycles=[cycle])
 
     def test_validates(self):
@@ -125,9 +129,9 @@ class TestCopyAndConstraint:
         assert nodes[0] != nodes[1] and nodes[0] == nodes[2]
 
     def test_other_nodes_untouched(self):
-        cycle = CycleTrace(index=1)
-        cycle.add(act(1, node=5))
-        cycle.add(act(2, node=7, values=("x",)))
+        cycle = cycle_of(
+            1, act(1, node=5),
+            act(2, node=7, values=("x",)))
         trace = SectionTrace(name="mixed", cycles=[cycle])
         out = copy_and_constraint_trace(trace, 5, 2)
         other = [a for a in out.cycles[0] if a.key.values == ("x",)]
@@ -142,11 +146,10 @@ class TestDummyNodes:
     def bottleneck_trace(self, fanout=12):
         """One left activation generating many successors (Weaver small
         cycles, Section 5.2.1)."""
-        cycle = CycleTrace(index=1)
-        cycle.add(act(1, node=1, side="left",
-                      succ=tuple(range(2, 2 + fanout))))
-        for i in range(fanout):
-            cycle.add(act(2 + i, node=10 + (i % 3), side="left", parent=1))
+        cycle = cycle_of(
+            1, act(1, node=1, side="left", succ=tuple(range(2, 2 + fanout))),
+            *(act(2 + i, node=10 + (i % 3), side="left", parent=1)
+              for i in range(fanout)))
         return SectionTrace(name="bottleneck", cycles=[cycle])
 
     def test_validates(self):

@@ -6,6 +6,7 @@ from repro.rete.hashing import BucketKey
 from repro.trace import (CycleTrace, SectionTrace, TraceActivation,
                          TraceValidationError, validate_cycle,
                          validate_trace)
+from repro.trace.validate import validate_rows
 
 
 def act(act_id, node=1, side="left", tag="+", parent=None, succ=(),
@@ -17,10 +18,16 @@ def act(act_id, node=1, side="left", tag="+", parent=None, succ=(),
 
 
 def single(activation_list, index=1):
-    cycle = CycleTrace(index=index)
-    for a in activation_list:
-        cycle.add(a)
-    return cycle
+    return CycleTrace(index, {a.act_id: a for a in activation_list})
+
+
+def refused(activation_list, problem):
+    """Rows no table holds as written: the validator reports *problem*
+    and the rows entry point refuses them with it."""
+    rows = {a.act_id: a for a in activation_list}
+    assert any(problem in p for p in validate_rows(1, rows))
+    with pytest.raises(TraceValidationError, match=problem):
+        CycleTrace(1, rows)
 
 
 class TestValidateCycle:
@@ -58,11 +65,10 @@ class TestValidateCycle:
                    for p in problems)
 
     def test_child_not_listed_in_parent(self):
-        cycle = single([
+        refused([
             act(1),
             act(2, parent=1),
-        ])
-        assert any("not listed" in p for p in validate_cycle(cycle))
+        ], "not listed")
 
     def test_terminal_with_successors(self):
         cycle = single([
@@ -82,20 +88,14 @@ class TestValidateCycle:
         assert any("right side" in p for p in validate_cycle(cycle))
 
     def test_key_node_mismatch(self):
-        cycle = single([act(1, node=1, key_node=5)])
-        assert any("bucket key node" in p for p in validate_cycle(cycle))
+        refused([act(1, node=1, key_node=5)], "bucket key node")
 
     def test_bad_tag(self):
-        bad = act(1)
-        bad.tag = "*"
-        cycle = single([bad])
-        assert any("bad tag" in p for p in validate_cycle(cycle))
+        refused([act(1, tag="*")], "bad tag")
 
     def test_duplicate_act_id_rejected_at_add(self):
-        cycle = CycleTrace(index=1)
-        cycle.add(act(1))
         with pytest.raises(ValueError):
-            cycle.add(act(1))
+            CycleTrace(1, {1: act(1), 2: act(1)})
 
 
 class TestValidateTrace:
