@@ -87,7 +87,7 @@ def test_coarse_grain_saves_messages(benchmark, rubik, report):
         # Fine-grained alternative: every root whose bucket is not on
         # its "source" processor would travel.  With a broadcast there
         # is no source, so the expected extra is (P-1)/P per root.
-        roots = sum(len(c.roots()) for c in rubik.cycles)
+        roots = sum(len(c.key_index().roots) for c in rubik.cycles)
         hypothetical = actual + round(roots * 31 / 32)
         return actual, hypothetical
 

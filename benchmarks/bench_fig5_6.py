@@ -63,18 +63,19 @@ def test_fig5_6_bucket_discrimination(benchmark, tourney):
     buckets of roughly equal traffic."""
     cc = once(benchmark,
               lambda: copy_and_constraint_trace(tourney, CP_NODE, SPLIT))
-    cp_cycle = tourney.cycles[2]
+    cp_rows = list(tourney.cycles[2].key_index().rows())
     hot_before = {}
-    for act in cp_cycle:
-        if act.node_id == CP_NODE:
-            hot_before[act.key] = hot_before.get(act.key, 0) + 1
+    for _, _, _, key, _ in cp_rows:
+        if key.node_id == CP_NODE:
+            hot_before[key] = hot_before.get(key, 0) + 1
     assert len(hot_before) == 1
 
     replica_counts = {}
-    originals = {a.act_id for a in cp_cycle if a.node_id == CP_NODE}
-    for act in cc.cycles[2]:
-        if act.act_id in originals:
-            replica_counts[act.key] = replica_counts.get(act.key, 0) + 1
+    originals = {act_id for act_id, _, _, key, _ in cp_rows
+                 if key.node_id == CP_NODE}
+    for act_id, _, _, key, _ in cc.cycles[2].key_index().rows():
+        if act_id in originals:
+            replica_counts[key] = replica_counts.get(key, 0) + 1
     assert len(replica_counts) == SPLIT
     counts = sorted(replica_counts.values())
     assert counts[-1] - counts[0] <= 1  # round-robin balance

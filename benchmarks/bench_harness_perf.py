@@ -30,7 +30,7 @@ import resource
 import statistics
 import time
 
-from conftest import git_revision, quartiles
+from conftest import git_revision, quartiles, src_sha256
 from repro.exec import (RunResult, build_plans, match_signature, run,
                         run_section_async)
 from repro.exec.mp import run_section_process
@@ -95,7 +95,9 @@ def test_harness_perf(report):
         "generated_unix": int(time.time()),
         "machine": {"cpus": os.cpu_count(),
                     "platform": platform.platform(),
-                    "python": platform.python_version()},
+                    "python": platform.python_version(),
+                    "git_revision": git_revision(),
+                    "src_sha256": src_sha256()},
     }
 
     # --- simulator hot path: reference vs optimized ---------------------
@@ -341,6 +343,7 @@ def test_live_sessions(report):
         "cpus": os.cpu_count(),
         "python": platform.python_version(),
         "git_revision": git_revision(),
+        "src_sha256": src_sha256(),
         "asyncio_per_s": quartiles(asyncio_rates),
         "process_per_s": quartiles(process_rates),
     }
@@ -373,6 +376,7 @@ def test_plan_build(report):
         "cpus": os.cpu_count(),
         "python": platform.python_version(),
         "git_revision": git_revision(),
+        "src_sha256": src_sha256(),
         "n": PLAN_ROUNDS,
         **{f"{name}_p{n_procs}_ms": quartiles(values, digits=2)
            for (name, n_procs), values in times.items()},
@@ -427,6 +431,7 @@ def test_single_processor(report):
                 "_simulate_cycle at n_procs=1, single = the FIFO pass",
         "cpus": os.cpu_count(),
         "git_revision": git_revision(),
+        "src_sha256": src_sha256(),
         "n": SINGLE_ROUNDS,
         **{f"{name}_s": quartiles(values, digits=5)
            for name, values in times.items()},

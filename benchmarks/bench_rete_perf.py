@@ -31,7 +31,7 @@ import platform
 import statistics
 import time
 
-from conftest import git_revision, once, quartiles
+from conftest import git_revision, once, quartiles, src_sha256
 from repro.rete import ReteNetwork
 from repro.rete._reference import ReferenceReteNetwork
 from repro.trace.recorder import TraceRecorder
@@ -128,7 +128,7 @@ def _time_replays(factories, program, deltas, repeats: int = REPEATS,
 def _machine() -> dict:
     return {"cpus": os.cpu_count(), "platform": platform.platform(),
             "python": platform.python_version(),
-            "git_revision": git_revision()}
+            "git_revision": git_revision(), "src_sha256": src_sha256()}
 
 
 def test_match_throughput(benchmark, report):

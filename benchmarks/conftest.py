@@ -12,6 +12,7 @@ also measures the harness itself.
 
 from __future__ import annotations
 
+import hashlib
 import pathlib
 import statistics
 import subprocess
@@ -23,6 +24,7 @@ from repro.workloads import rubik_section, tourney_section, weaver_section
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 @pytest.fixture(scope="session")
@@ -92,3 +94,15 @@ def git_revision() -> str:
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
     return rev + ("-dirty" if dirty else "")
+
+
+def src_sha256() -> str:
+    """sha256 over every ``src/**/*.py`` file's relative path and
+    bytes, in sorted path order (the digest ``bench/run.py`` records):
+    it names the code measured even when :func:`git_revision` reads
+    ``-dirty``."""
+    digest = hashlib.sha256()
+    for path in sorted(SRC.rglob("*.py")):
+        digest.update(str(path.relative_to(SRC)).encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()

@@ -15,7 +15,8 @@ Section 5.2 identifies four phenomena by inspecting traces by hand:
 
 :func:`diagnose` runs all detectors over a section trace and returns
 :class:`Finding` records with the paper's recommended remedy, so the
-whole Section 5.2 methodology is executable::
+whole Section 5.2 methodology is executable.  The detectors read each
+cycle's :meth:`~repro.trace.events.CycleKeyIndex.two_input_rows`::
 
     for finding in diagnose(trace):
         print(finding)
@@ -23,11 +24,13 @@ whole Section 5.2 methodology is executable::
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from operator import ne
 from typing import Dict, List, Tuple
 
 from ..rete.hashing import BucketKey
-from ..trace.events import SectionTrace
+from ..trace.events import TAG_MINUS, SectionTrace
 
 #: "Small cycles are those with few (100 or less) tokens in them."
 SMALL_CYCLE_TOKENS = 100
@@ -67,7 +70,7 @@ def find_small_cycles(trace: SectionTrace,
     """Cycles with at most *threshold* two-input tokens."""
     findings = []
     for cycle in trace:
-        n = len(cycle.two_input_activations())
+        n = len(cycle.key_index().two_input_rows())
         if 0 < n <= threshold:
             findings.append(Finding(
                 kind="small-cycle", cycle_index=cycle.index, node_id=-1,
@@ -84,16 +87,15 @@ def find_bottleneck_generators(trace: SectionTrace,
     """Nodes whose few activations generate most of a cycle's tokens."""
     findings = []
     for cycle in trace:
-        total_generated = sum(a.n_successors
-                              for a in cycle.two_input_activations())
+        rows = cycle.key_index().two_input_rows()
+        total_generated = sum(len(kids) for _, _, kids in rows)
         if total_generated == 0:
             continue
         by_node: Dict[int, Tuple[int, int]] = {}
-        for act in cycle.two_input_activations():
-            count, generated = by_node.get(act.node_id, (0, 0))
-            by_node[act.node_id] = (count + 1,
-                                    generated + act.n_successors)
-        n_acts = len(cycle.two_input_activations())
+        for key, _, kids in rows:
+            count, generated = by_node.get(key.node_id, (0, 0))
+            by_node[key.node_id] = (count + 1, generated + len(kids))
+        n_acts = len(rows)
         for node_id, (count, generated) in sorted(by_node.items()):
             if generated >= share * total_generated \
                     and count <= max(3, n_acts // 10):
@@ -119,9 +121,8 @@ def find_cross_products(trace: SectionTrace,
     """
     findings = []
     for cycle in trace:
-        per_bucket: Dict[BucketKey, int] = {}
-        for act in cycle.two_input_activations():
-            per_bucket[act.key] = per_bucket.get(act.key, 0) + 1
+        per_bucket = Counter(key for key, _, _ in
+                             cycle.key_index().two_input_rows())
         for key, count in sorted(per_bucket.items(),
                                  key=lambda kv: -kv[1]):
             if count < threshold:
@@ -147,14 +148,13 @@ def find_multiple_modify(trace: SectionTrace,
     """
     findings = []
     for cycle in trace:
-        tags: Dict[BucketKey, List[str]] = {}
-        for act in cycle.two_input_activations():
-            tags.setdefault(act.key, []).append(act.tag)
-        for key, stream in sorted(tags.items()):
-            deletes = stream.count("-")
-            adds = stream.count("+")
-            flips = sum(1 for a, b in zip(stream, stream[1:])
-                        if a != b)
+        deletes_of: Dict[BucketKey, List[bool]] = {}
+        for key, code, _ in cycle.key_index().two_input_rows():
+            deletes_of.setdefault(key, []).append(code & TAG_MINUS > 0)
+        for key, stream in sorted(deletes_of.items()):
+            deletes = stream.count(True)
+            adds = len(stream) - deletes
+            flips = sum(map(ne, stream, stream[1:]))
             if deletes >= min_pairs and adds >= min_pairs \
                     and flips >= min_pairs:
                 findings.append(Finding(

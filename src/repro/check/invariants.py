@@ -52,7 +52,7 @@ from ..mpc.mapping import RandomMapping
 from ..mpc.simulator import GreedyMappingFactory
 from ..mpc.timeline import TimelineRecorder
 from ..obs import get_registry
-from ..trace.events import KIND_TERMINAL, SectionTrace
+from ..trace.events import TAG_TERMINAL, SectionTrace
 from ..trace.format import dumps_trace, loads_trace
 from ..trace.transform import (copy_and_constraint_trace,
                                insert_dummy_nodes, unshare_trace)
@@ -153,7 +153,8 @@ def attribution_partition(case: TraceCase) -> Optional[str]:
 
 
 def _terminals_per_cycle(trace: SectionTrace) -> List[int]:
-    return [sum(1 for act in cycle if act.kind == KIND_TERMINAL)
+    """Each cycle's terminal rows, orphan subtrees included."""
+    return [sum(code >= TAG_TERMINAL for code in cycle.key_index().tags)
             for cycle in trace]
 
 
@@ -163,8 +164,8 @@ def transform_instantiations(case: TraceCase) -> Optional[str]:
     # A busy non-terminal node to restructure (transforms of untouched
     # nodes are no-ops, which would make the invariant vacuous).
     counts = collections.Counter(
-        act.node_id for cycle in case.trace for act in cycle
-        if act.kind != KIND_TERMINAL)
+        key.node_id for cycle in case.trace
+        for key, _, _ in cycle.key_index().two_input_rows())
     node = counts.most_common(1)[0][0] if counts else None
     variants = [("unshare", unshare_trace(case.trace))]
     if node is not None:

@@ -145,8 +145,9 @@ def _shrink_case(case: CheckCase,
     # the repro JSON stays one self-contained reviewable file.
     return {"trace": dumps_trace(shrunk).splitlines(),
             "n_cycles": len(shrunk.cycles),
-            "n_activations": sum(len(c.activations)
-                                 for c in shrunk.cycles)}
+            "n_activations": sum(
+                len(c.key_index().tags) - c.key_index().tags.count(0)
+                for c in shrunk.cycles)}
 
 
 def _write_repro(failure: CheckFailure, out_dir: str) -> str:

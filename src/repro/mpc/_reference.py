@@ -15,6 +15,9 @@ jobs:
   the optimized hot paths against these implementations on the same
   machine, so the recorded speedup is not a cross-machine guess.
 
+Both loops read each cycle's :class:`TraceActivation` objects from one
+``cycle.key_index().view()`` call, the view's one use in ``src/``.
+
 Do not use them in experiment code; they are deliberately slow.
 """
 
@@ -54,6 +57,8 @@ def simulate_cycle_reference(cycle: CycleTrace, n_procs: int,
                              search_costs: Optional[Dict[int, float]] = None
                              ) -> CycleResult:
     """One cycle of the Section 3.2 mapping, unoptimized."""
+    acts = cycle.key_index().view()
+    roots = [act for act in acts.values() if act.parent_id is None]
     search_costs = search_costs or {}
     # --- step 1: broadcast -------------------------------------------------
     control_busy = overheads.send_us
@@ -82,7 +87,7 @@ def simulate_cycle_reference(cycle: CycleTrace, n_procs: int,
         control_busy += overheads.recv_us
         control_arrivals.append(control_ready)
 
-    for root in cycle.roots():
+    for root in roots:
         owner = mapping.processor_for(root.key)
         if root.kind == KIND_TERMINAL:
             depart = ready[owner] + overheads.send_us
@@ -111,7 +116,7 @@ def simulate_cycle_reference(cycle: CycleTrace, n_procs: int,
             left_activations[p] += 1
 
         for succ_id in act.successors:
-            succ = cycle.activations[succ_id]
+            succ = acts[succ_id]
             t += costs.successor_us
             if succ.kind == KIND_TERMINAL:
                 t += overheads.send_us
@@ -132,10 +137,10 @@ def simulate_cycle_reference(cycle: CycleTrace, n_procs: int,
         ready[p] = t
 
     token_messages = 0
-    for act in cycle:
+    for act in acts.values():
         if act.kind == KIND_TERMINAL or act.parent_id is None:
             continue
-        parent = cycle.activations[act.parent_id]
+        parent = acts[act.parent_id]
         if parent.kind == KIND_TERMINAL:
             continue
         if mapping.processor_for(parent.key) != \
@@ -188,7 +193,8 @@ def simulate_cycle_with_faults_reference(
     send_us = overheads.send_us
     recv_us = overheads.recv_us
     latency_us = overheads.latency_us
-    acts = cycle.activations
+    acts = cycle.key_index().view()
+    roots = [act for act in acts.values() if act.parent_id is None]
     get_extra = (search_costs or {}).get
     cycle_index = cycle.index
 
@@ -255,7 +261,7 @@ def simulate_cycle_with_faults_reference(
         control_arrivals.append(control_ready)
         return t
 
-    for root in cycle.roots():
+    for root in roots:
         owner = mapping.processor_for(root.key)
         if root.kind == KIND_TERMINAL:
             start = past_stalls(owner, ready[owner])

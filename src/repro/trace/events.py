@@ -15,10 +15,10 @@ activation log (one row per activation, already in act-id order: parent
 act id, tag byte, node id, key values).  Every other producer — the
 paper-section generators, synthetic streams, the trace transforms, the
 text reader and the shrinker — appends the same columns to one
-:class:`TraceBuilder`.  :class:`TraceActivation` objects are only a
-read-only view of a table, built on demand for tests, reference
-oracles, the validator and the text writer.  The tag-byte bits
-(``TAG_*``) are the match engines', re-exported here.
+:class:`TraceBuilder`, and every consumer reads the table.
+:class:`TraceActivation` objects are a view of a table built only for
+the object oracle :mod:`repro.mpc._reference` and for tests.  The
+tag-byte bits (``TAG_*``) are the match engines', re-exported here.
 
 Streaming traces
 ----------------
@@ -72,7 +72,7 @@ VALID_KINDS = (KIND_JOIN, KIND_NEGATIVE, KIND_TERMINAL)
 @dataclass(slots=True, frozen=True)
 class TraceActivation:
     """One node activation in the trace: a row of a cycle's table, as
-    the cycle's read-only view shows it.
+    :meth:`CycleKeyIndex.view` shows it to the object oracle and tests.
 
     Attributes
     ----------
@@ -105,14 +105,6 @@ class TraceActivation:
     tag: str
     key: BucketKey
     successors: Tuple[int, ...] = ()
-
-    @property
-    def is_root(self) -> bool:
-        return self.parent_id is None
-
-    @property
-    def n_successors(self) -> int:
-        return len(self.successors)
 
 
 #: The valid ``(kind, side, tag)`` triples -> tag byte, and back.
@@ -355,9 +347,9 @@ class CycleKeyIndex:
     def rows(self) -> Iterator[Tuple[int, Optional[int], int, BucketKey,
                                      Tuple[int, ...]]]:
         """``(act_id, parent_id, tag byte, key, successors)`` of every
-        activation, in ascending act_id order: what trace rewriters
-        read instead of the view.  A parent is the activation listing
-        the row as a successor, else its orphan parent."""
+        activation (orphans included), in ascending act_id order.  A
+        parent is the activation listing the row as a successor, else
+        its orphan parent."""
         base = self.base
         span = len(self.tags)
         parent_of: List[Optional[int]] = [None] * span
@@ -373,11 +365,23 @@ class CycleKeyIndex:
                     count(base), parent_of, self.tags, self.key_of,
                     self.successors) if code)
 
+    def two_input_rows(self) -> List[Tuple[BucketKey, int,
+                                           Tuple[int, ...]]]:
+        """``(key, tag byte, successors)`` of every two-input
+        activation (orphans included), in ascending act_id order: what
+        Table 5-2 and the diagnostics count."""
+        keys = self.keys
+        return [(keys[k], code, kids) for k, code, kids in compress(
+            zip(self.key_of, self.tags, self.successors),
+            self.tags.translate(_IS_COUNTED))]
+
     def view(self) -> Dict[int, TraceActivation]:
         """The indexed activations as fresh :class:`TraceActivation`
         objects, by act_id in ascending order; an activation's node is
-        its key's node."""
-        return {row[0]: _activation(*row) for row in self.rows()}
+        its key's node (for the object oracle and tests)."""
+        return {act_id: TraceActivation(act_id, parent, key.node_id,
+                                        *_TRIPLES[code], key, kids)
+                for act_id, parent, code, key, kids in self.rows()}
 
     def destinations(self, mapping) -> List[int]:
         """Every activation's processor under *mapping*, indexed like
@@ -435,14 +439,6 @@ _EMPTY_INDEX = CycleKeyIndex((), array("Q"), 0, array("B"), b"", b"", [],
                              array("B"), (), ())
 
 
-def _activation(act_id: int, parent: Optional[int], code: int,
-                key: BucketKey, successors: Tuple[int, ...]
-                ) -> TraceActivation:
-    """The view row of one table activation."""
-    return TraceActivation(act_id, parent, key.node_id, *_TRIPLES[code],
-                           key, successors)
-
-
 def _holdable(act: TraceActivation) -> bool:
     """Whether a table row can hold *act*'s own fields: a valid kind,
     side and tag, and a key of the activation's node."""
@@ -450,11 +446,10 @@ def _holdable(act: TraceActivation) -> bool:
             and act.key.node_id == act.node_id)
 
 
-def _reject(index: int, acts: Dict[int, TraceActivation]):
-    """Raise the validator's problems with rows no table holds as they
-    are written."""
-    from .validate import TraceValidationError, validate_rows
-    problems = validate_rows(index, acts)
+def _reject(index: int, problems: List[str]):
+    """Raise the validator's *problems* with rows no table holds as
+    they are written."""
+    from .validate import TraceValidationError
     raise TraceValidationError(
         f"{len(problems)} problem(s) in cycle {index}: "
         + "; ".join(problems[:5]))
@@ -465,12 +460,9 @@ class CycleTrace:
 
     Producers compile cycles through :class:`TraceBuilder`, the
     recorder straight from the activation log (:meth:`from_index`).
-    ``len``, :meth:`key_index` and everything the simulators and
-    executors run on read the table alone; :attr:`activations`,
-    iteration and :meth:`roots` are a read-only view of
-    :class:`TraceActivation` rows built from it on first access.
-    Pickles carry the table; cycles compare equal when their indices
-    and tables do.
+    Every reader of a cycle reads the table alone: its columns, or
+    :meth:`CycleKeyIndex.rows` (which ``repr`` prints).  Pickles carry
+    the table; cycles compare equal when their indices and tables do.
 
     ``CycleTrace(index, activations)`` compiles a cycle written as
     activation rows (by act_id).  A row the table cannot hold as
@@ -481,17 +473,17 @@ class CycleTrace:
     a different valid cycle.
     """
 
-    __slots__ = ("index", "_table", "_activations")
+    __slots__ = ("index", "_table")
 
     def __init__(self, index: int,
                  activations: Optional[Dict[int, TraceActivation]] = None
                  ) -> None:
         self.index = index
         self._table = _EMPTY_INDEX
-        self._activations: Optional[Dict[int, TraceActivation]] = None
         if activations:
             if not all(map(_holdable, activations.values())):
-                _reject(index, activations)
+                from .validate import validate_rows
+                _reject(index, validate_rows(index, activations))
             builder = TraceBuilder("")
             builder.new_cycle(index)
             for act in activations.values():
@@ -510,15 +502,6 @@ class CycleTrace:
         cycle._table = key_index
         return cycle
 
-    @property
-    def activations(self) -> Dict[int, TraceActivation]:
-        """The activations by act_id: the table's view, built on first
-        access and shared (do not mutate)."""
-        acts = self._activations
-        if acts is None:
-            acts = self._activations = self._table.view()
-        return acts
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -528,21 +511,13 @@ class CycleTrace:
 
     def __repr__(self) -> str:
         return (f"CycleTrace(index={self.index!r}, "
-                f"activations={self.activations!r})")
+                f"rows={list(self._table.rows())!r})")
 
     def __getstate__(self):
         return self.index, self._table
 
     def __setstate__(self, state) -> None:
         self.index, self._table = state
-        self._activations = None
-
-    def roots(self) -> List[TraceActivation]:
-        """Root activations in act_id order."""
-        acts = self.activations
-        base = self._table.base
-        return [acts[base + (pos if pos >= 0 else ~pos)]
-                for pos in self._table.roots]
 
     def key_index(self) -> CycleKeyIndex:
         """The cycle's compiled table."""
@@ -550,13 +525,6 @@ class CycleTrace:
 
     def __len__(self) -> int:
         return len(self._table)
-
-    def __iter__(self) -> Iterator[TraceActivation]:
-        return iter(self.activations.values())
-
-    def two_input_activations(self) -> List[TraceActivation]:
-        """Join/negative activations (what Table 5-2 counts)."""
-        return [a for a in self if a.kind != KIND_TERMINAL]
 
     def max_node_id(self) -> int:
         return max((key.node_id for key in self._table.keys), default=0)
@@ -690,14 +658,9 @@ class SectionTrace:
 
     def node_ids(self) -> List[int]:
         """All distinct two-input node ids appearing in the section."""
-        seen = {}
-        for cycle in self.cycles:
-            table = cycle.key_index()
-            keys = table.keys
-            for k in dict.fromkeys(compress(
-                    table.key_of, table.tags.translate(_IS_COUNTED))):
-                seen.setdefault(keys[k].node_id, None)
-        return list(seen)
+        return list(dict.fromkeys(
+            key.node_id for cycle in self.cycles
+            for key, _, _ in cycle.key_index().two_input_rows()))
 
 
 #: Opaque reference to an activation being built: its cycle's index
@@ -787,9 +750,12 @@ class TraceBuilder:
                 act_ids = []
         if successors and not _links_agree(
                 act_ids or range(base, base + n), parents, successors):
-            _reject(index, {row[0]: _activation(*row) for row in zip(
-                act_ids or count(base), parents, tags,
-                map(BucketKey, nodes, values), successors)})
+            from .validate import link_problems
+            _reject(index, link_problems(index, {
+                act_id: (parent, code >= TAG_TERMINAL, code & TAG_LEFT > 0,
+                         kids)
+                for act_id, parent, code, kids in zip(
+                    act_ids or count(base), parents, tags, successors)}))
         return CycleTrace.from_index(index, CycleKeyIndex.from_columns(
             base, bytes(tags), parents, nodes, values, self._memo,
             successors or None, act_ids or None))

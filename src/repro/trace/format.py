@@ -90,16 +90,19 @@ def _decode_value(text: str) -> Value:
     raise TraceFormatError(f"unknown value tag {tag!r}")
 
 
+#: Tag byte -> the ``kind side tag`` fields of an ``a`` line.
+_FIELDS = {code: " ".join(triple) for triple, code in TAG_CODES.items()}
+
+
 def _write_cycle(cycle: CycleTrace, stream: TextIO) -> None:
     stream.write(f"cycle {cycle.index}\n")
-    for act in cycle:
-        parent = "-" if act.parent_id is None else str(act.parent_id)
-        values = " ".join(_encode_value(v) for v in act.key.values)
-        successors = " ".join(str(s) for s in act.successors)
+    for act_id, parent, code, key, kids in cycle.key_index().rows():
+        parent = "-" if parent is None else str(parent)
+        values = " ".join(_encode_value(v) for v in key.values)
+        successors = " ".join(str(s) for s in kids)
         stream.write(
-            f"a {act.act_id} {parent} {act.node_id} {act.kind} "
-            f"{act.side} {act.tag} k {values} : {successors}".rstrip()
-            + "\n")
+            f"a {act_id} {parent} {key.node_id} {_FIELDS[code]} "
+            f"k {values} : {successors}".rstrip() + "\n")
 
 
 def dump_trace(trace: SectionTrace, stream: TextIO) -> None:

@@ -73,10 +73,9 @@ class TraceRecorder:
         into the table the simulators run on
         (:meth:`CycleKeyIndex.from_columns`); the cycles of the section
         share one key memo.  A cycle returned to later (a revisited
-        cycle index) has sparse act ids.  The cycles' :class:`TraceActivation`
-        objects are built only if something asks for them.  Cycles
-        without activations are omitted; calling this again builds an
-        equal, independent trace.
+        cycle index) has sparse act ids.  Cycles without activations
+        are omitted; calling this again builds an equal, independent
+        trace.
         """
         log = self._log
         marks = self._marks

@@ -26,8 +26,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .events import (TAG_JOIN, TAG_LEFT, TAG_MINUS, TAG_TERMINAL,
-                     CycleKeyIndex, SectionTrace, TraceActivation,
-                     TraceBuilder)
+                     CycleKeyIndex, SectionTrace, TraceBuilder)
 
 #: One row of a cycle being rewritten, by act id: ``[parent act id,
 #: tag byte, node id, key values]``.
@@ -143,7 +142,7 @@ def unshare_trace(trace: SectionTrace,
 
 def copy_and_constraint_trace(
         trace: SectionTrace, node_id: int, k: int,
-        assignment: Optional[Callable[[TraceActivation], int]] = None,
+        assignment: Optional[Callable[[tuple], int]] = None,
 ) -> SectionTrace:
     """Partition the activations of *node_id* across *k* replica nodes.
 
@@ -152,9 +151,11 @@ def copy_and_constraint_trace(
     node-ids give the hash function the discrimination it lacked, so the
     tokens spread over *k* buckets instead of one.
 
-    *assignment* maps an activation to its replica in ``range(k)``;
-    the default deals them round-robin in arrival order per cycle, the
-    best case the source transformation could achieve.
+    *assignment* maps an activation, given as its table row ``(act_id,
+    parent_id, tag byte, key, successors)``
+    (:meth:`~repro.trace.events.CycleKeyIndex.rows`), to its replica in
+    ``range(k)``; the default deals them round-robin in arrival order
+    per cycle, the best case the source transformation could achieve.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -164,13 +165,13 @@ def copy_and_constraint_trace(
     builder = TraceBuilder(f"{trace.name}+cc{k}")
     for cycle in trace:
         builder.new_cycle(cycle.index)
-        acts = cycle.activations if assignment is not None else None
         counter = 0
-        for act_id, parent, code, key, kids in cycle.key_index().rows():
+        for row in cycle.key_index().rows():
+            act_id, parent, code, key, kids = row
             node = key.node_id
             if node == node_id and code < TAG_TERMINAL:
-                if acts is not None:
-                    part = assignment(acts[act_id]) % k
+                if assignment is not None:
+                    part = assignment(row) % k
                 else:
                     part = counter % k
                     counter += 1

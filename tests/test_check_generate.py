@@ -11,6 +11,7 @@ from repro.trace import validate_trace
 from repro.trace.events import KIND_NEGATIVE, KIND_TERMINAL
 from repro.trace.format import dumps_trace
 from repro.workloads import SectionSpec, generate_section
+from tests.trace_view import acts, view
 
 
 class TestDeterminism:
@@ -89,9 +90,9 @@ class TestCoverage:
             if not isinstance(case, TraceCase):
                 continue
             for cycle in case.trace:
-                if not cycle.activations:
+                if not view(cycle):
                     seen_empty_cycle = True
-                for act in cycle:
+                for act in acts(cycle):
                     if act.kind == KIND_NEGATIVE:
                         seen_negative = True
                     if act.kind == KIND_TERMINAL:
@@ -101,7 +102,7 @@ class TestCoverage:
     def test_cross_product_concentrates_one_bucket(self):
         case = build_case(0, 1)
         assert case.family == "cross_product"
-        keys = {act.key for cycle in case.trace for act in cycle
+        keys = {act.key for cycle in case.trace for act in acts(cycle)
                 if act.side == "left" and act.parent_id is None}
         assert len(keys) == 1
 
@@ -112,7 +113,7 @@ class TestGeneratorKnobs:
                            right_activations=0, neg_fraction=0.5)
         trace = generate_section(spec)
         kinds = collections.Counter(
-            act.kind for cycle in trace for act in cycle)
+            act.kind for cycle in trace for act in acts(cycle))
         assert kinds[KIND_NEGATIVE] > 0
 
     def test_burst_pairs_alternate_tags_on_one_bucket(self):
@@ -121,7 +122,7 @@ class TestGeneratorKnobs:
                            left_roots_fraction=1.0)
         trace = generate_section(spec)
         cycle = trace.cycles[0]
-        burst = [act for act in cycle if act.node_id == 101][:6]
+        burst = [act for act in acts(cycle) if act.node_id == 101][:6]
         assert [a.tag for a in burst] == ["+", "-", "+", "-", "+", "-"]
         assert len({a.key for a in burst}) == 1
 

@@ -21,6 +21,7 @@ from repro.mpc import CycleResult, SimResult, SparseProcArray
 from repro.obs import get_registry, reset_registry
 from repro.trace import validate_trace
 from repro.trace.events import SectionTrace
+from tests.trace_view import acts, view
 
 
 def first_trace_case(seed=0):
@@ -121,23 +122,23 @@ class TestShrinkTrace:
 
         def fails(trace: SectionTrace) -> bool:
             return any(act.side == "right"
-                       for cycle in trace for act in cycle)
+                       for cycle in trace for act in acts(cycle))
 
         shrunk = shrink_trace(case.trace, fails)
         assert fails(shrunk)
         assert validate_trace(shrunk) == []
         assert len(shrunk.cycles) == 1
-        assert sum(len(c.activations) for c in shrunk.cycles) == 1
+        assert sum(len(view(c)) for c in shrunk.cycles) == 1
 
     def test_result_always_still_fails(self):
         case = first_trace_case(seed=3)
 
         def fails(trace: SectionTrace) -> bool:
-            return sum(len(c.activations) for c in trace.cycles) >= 7
+            return sum(len(view(c)) for c in trace.cycles) >= 7
 
         shrunk = shrink_trace(case.trace, fails)
         assert fails(shrunk)
-        assert sum(len(c.activations) for c in shrunk.cycles) == 7
+        assert sum(len(view(c)) for c in shrunk.cycles) == 7
 
     def test_non_failing_input_unchanged(self):
         case = first_trace_case()
@@ -163,7 +164,7 @@ class TestShrinkTrace:
 
         shrunk = shrink_trace(case.trace, fails)
         for cycle in shrunk.cycles:
-            for act in cycle:
+            for act in acts(cycle):
                 assert act.key.values == ()
 
 

@@ -41,6 +41,7 @@ from repro.trace import (CycleKeyIndex, CycleTrace, SectionTrace,
 from repro.trace.validate import validate_trace
 from repro.workloads import rubik_section
 from repro.workloads.match import tourney_match_program
+from tests.trace_view import acts, view
 
 OV8 = next(o for o in TABLE_5_1 if o.total_us == 8)
 PROCS = (1, 3, 16)
@@ -103,7 +104,7 @@ def _sparse(section: SectionTrace) -> SectionTrace:
         parent_id=None if act.parent_id is None else new(act.parent_id),
         node_id=act.node_id, kind=act.kind, side=act.side, tag=act.tag,
         key=act.key, successors=tuple(new(s) for s in act.successors))
-        for act in cycle}) for cycle in section]
+        for act in acts(cycle)}) for cycle in section]
     return SectionTrace(name=f"{section.name}-sparse", cycles=cycles)
 
 
@@ -186,7 +187,7 @@ def _walk_plans(trace, config: RunConfig) -> list:
     plans = []
     for cycle in trace:
         mapping = _cycle_mapping(config, cycle)
-        acts = cycle.activations
+        acts = view(cycle)
         roots = [[] for _ in range(n_procs)]
         root_fires = [[] for _ in range(n_procs)]
         owned = [[] for _ in range(n_procs)]
@@ -310,18 +311,18 @@ class TestIndexContents:
         for trace in traces:
             for cycle in trace:
                 index = cycle.key_index()
-                assert index.base == min(cycle.activations)
+                assert index.base == min(view(cycle))
                 assert list(index.hashes) == [stable_hash(k)
                                               for k in index.keys]
                 assert len(set(index.keys)) == len(index.keys)
-                for act in cycle:
+                for act in acts(cycle):
                     assert index.keys[index.key_of[act.act_id
                                                    - index.base]] \
                         == act.key
 
     def test_compact_for_section_global_ids(self, traces):
         recorded = traces[1]
-        assert min(recorded.cycles[-1].activations) > 100
+        assert min(view(recorded.cycles[-1])) > 100
         for cycle in recorded:
             index = cycle.key_index()
             assert len(index.key_of) == len(cycle)
@@ -346,7 +347,7 @@ class TestIndexContents:
                 cycle_mapping = _cycle_mapping(config, cycle)
                 index = cycle.key_index()
                 dest = index.destinations(cycle_mapping)
-                for act in cycle:
+                for act in acts(cycle):
                     assert dest[act.act_id - index.base] == \
                         cycle_mapping.processor_for(act.key)
 
@@ -375,19 +376,19 @@ class TestAgainstReference:
             for config in _configs(trace):
                 for cycle, plan in zip(trace, build_plans(trace, config)):
                     mapping = _cycle_mapping(config, cycle)
+                    acts = view(cycle)
                     for p, actor in enumerate(plan.per_actor):
                         for act_id in actor.roots + actor.root_fires:
                             assert mapping.processor_for(
-                                cycle.activations[act_id].key) == p
+                                acts[act_id].key) == p
                         for act_id, (_, _, succs) in _specs(
                                 actor.table, p).items():
                             assert mapping.processor_for(
-                                cycle.activations[act_id].key) == p
+                                acts[act_id].key) == p
                             for succ_id, dest, terminal in succs:
                                 assert dest == (CONTROL if terminal else
                                                 mapping.processor_for(
-                                                    cycle.activations[
-                                                        succ_id].key))
+                                                    acts[succ_id].key))
 
     def test_plans_equal_the_root_walk(self, traces):
         for trace in traces:
@@ -409,7 +410,7 @@ class TestAgainstReference:
         count, fire set and checksum, as the walk did, and the
         simulator counts the same activations the actors process."""
         cycle = max(traces[1], key=len)
-        acts = cycle.activations
+        acts = view(cycle)
         orphan = next(
             act for act in acts.values()
             if act.parent_id is not None and act.kind != "terminal"
@@ -484,8 +485,8 @@ class TestCacheLifecycle:
         before = _simulations(trace)
         cycles = []
         for cycle in trace:
-            rows = dict(cycle.activations)
-            parent = next(a for a in cycle if a.kind != "terminal")
+            rows = dict(view(cycle))
+            parent = next(a for a in acts(cycle) if a.kind != "terminal")
             for offset, kind in ((1, "join"), (2, "terminal")):
                 act_id = max(rows) + 1
                 rows[act_id] = TraceActivation(
@@ -509,7 +510,7 @@ class TestCacheLifecycle:
         cycle = trace.cycles[0]
         stale = cycle.key_index()
         new_key = BucketKey(9_999, ("fresh",))
-        rows = dict(cycle.activations)
+        rows = dict(view(cycle))
         act_id = max(rows) + 1
         rows[act_id] = TraceActivation(
             act_id=act_id, parent_id=None, node_id=9_999, kind="join",
@@ -531,8 +532,7 @@ class TestCacheLifecycle:
         equal table and builds no view, nor does simulating it."""
         cycle = traces[1].cycles[0]
         bare = pickle.dumps(cycle)
-        cycle.roots()
-        assert cycle._activations is not None
+        view(cycle)
         assert pickle.dumps(cycle) == bare
 
         def refuse(index):
@@ -545,7 +545,6 @@ class TestCacheLifecycle:
         config = RunConfig(n_procs=4, overheads=OV8)
         got = simulate_config(SectionTrace(name="one", cycles=[clone]),
                               config).cycles[0]
-        assert clone._activations is None
         assert got == simulate_config(
             SectionTrace(name="one", cycles=[cycle]), config).cycles[0]
 

@@ -13,6 +13,7 @@ from repro.mpc import (BucketWorkCache, CostModel, ExplicitMapping,
 from repro.rete.hashing import BucketKey
 from repro.trace.events import KIND_TERMINAL, LEFT
 from repro.workloads import rubik_section, tourney_section, weaver_section
+from tests.trace_view import acts
 
 
 def keys(n, node=1):
@@ -169,7 +170,7 @@ def _bucket_work_by_walk(cycle, costs):
     """Per-bucket work by walking the activation objects, the way
     :func:`bucket_work` priced cycles before the compiled index."""
     work = {}
-    for act in cycle:
+    for act in acts(cycle):
         if act.kind == KIND_TERMINAL:
             continue
         work[act.key] = work.get(act.key, 0.0) + (

@@ -25,6 +25,7 @@ from repro.workloads import rubik_section, tourney_section, weaver_section
 from repro.workloads.match import (rubik_match_program,
                                    tourney_match_program,
                                    weaver_match_program)
+from tests.trace_view import acts
 
 
 def act(i, node, side="right", tag="+", parent=None, succ=(), kind="join",
@@ -226,7 +227,7 @@ class TestPerProcessorMetrics:
         trace = fanout_trace(20)
         run = simulate(trace, n_procs=8)
         counted = sum(sum(c.proc_activations) for c in run.cycles)
-        in_trace = sum(1 for c in trace.cycles for a in c
+        in_trace = sum(1 for c in trace.cycles for a in acts(c)
                        if a.kind != "terminal")
         assert counted == in_trace
 

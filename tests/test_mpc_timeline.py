@@ -25,6 +25,7 @@ from repro.trace import (KIND_TERMINAL, CycleTrace, SectionTrace,
 from repro.workloads import weaver_section
 
 from tests.test_simulator_properties import random_traces
+from tests.trace_view import acts, view
 
 OV16 = next(o for o in TABLE_5_1 if o.total_us == 16)
 
@@ -155,7 +156,7 @@ def traces_with_idle_stretches(draw):
             index += 1
             trace.cycles.append(CycleTrace(index=index))
         index += 1
-        rows = dict(cycle.activations)
+        rows = dict(view(cycle))
         first = cycle.max_act_id() + 1
         for i in range(draw(st.integers(min_value=0, max_value=2))):
             rows[first + i] = TraceActivation(
@@ -281,7 +282,7 @@ class TestTimelineStructure:
     def test_envelopes_cover_activations(self, weaver):
         _, timeline = recorded(weaver, 4, overheads=OV16)
         for trace_cycle, cycle in zip(weaver, timeline.cycles):
-            non_terminal_roots = [a for a in trace_cycle
+            non_terminal_roots = [a for a in acts(trace_cycle)
                                   if a.kind != "terminal"
                                   or a.parent_id is None]
             assert len(cycle.envelopes) == len(non_terminal_roots)

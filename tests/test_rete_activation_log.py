@@ -18,6 +18,7 @@ from repro.workloads.match import MATCH_PROGRAMS, adversarial_cross_product
 from repro.workloads.programs import BLOCKS_WORLD, MONKEY_AND_BANANAS
 from tests.rete_memory_image import left_buckets, left_state
 from tests.trace_recorder_reference import ReferenceTraceRecorder
+from tests.trace_view import acts
 
 ENGINES = {"kernel": ReteNetwork, "reference": ReferenceReteNetwork}
 
@@ -104,7 +105,7 @@ def _assert_sections(listeners):
 def _flat(section):
     return [(c.index, [(a.act_id, a.parent_id, a.node_id, a.kind, a.side,
                         a.tag, repr(a.key), a.successors)
-                       for a in c.activations.values()])
+                       for a in acts(c)])
             for c in section]
 
 

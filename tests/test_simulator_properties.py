@@ -17,6 +17,7 @@ from repro.mpc import (CostModel, OverheadModel, ZERO_OVERHEADS,
                        simulate_replicated, speedup)
 from repro.trace import (TraceBuilder, dumps_trace, loads_trace,
                          validate_trace)
+from tests.trace_view import acts
 
 
 @st.composite
@@ -136,6 +137,6 @@ def test_variant_simulators_accept_any_valid_trace(trace, n):
 def test_activation_counts_complete(trace, n_procs):
     run = simulate(trace, n_procs=n_procs)
     counted = sum(sum(c.proc_activations) for c in run.cycles)
-    expected = sum(1 for c in trace.cycles for a in c
+    expected = sum(1 for c in trace.cycles for a in acts(c)
                    if a.kind != "terminal")
     assert counted == expected

@@ -15,6 +15,7 @@ from repro.trace import (CycleTrace, FileTraceStream, SectionTrace,
                          materialize, read_trace, record_program,
                          save_trace, validate_trace)
 from repro.trace.format import _decode_value, _encode_value
+from tests.trace_view import acts
 
 PROGRAM = """
 (startup (make stage ^n 1) (make item ^v 1) (make item ^v 2))
@@ -57,7 +58,7 @@ class TestRoundTrip:
         for c1, c2 in zip(trace, back):
             assert c1.index == c2.index
             assert len(c1) == len(c2)
-            for a1, a2 in zip(c1, c2):
+            for a1, a2 in zip(acts(c1), acts(c2)):
                 assert a1 == a2
 
     def test_roundtrip_validates(self):
@@ -132,7 +133,7 @@ class TestErrors:
             "#repro-trace 1\nsection s\n\n# a comment\ncycle 3\n"
             "a 1 - 2 join left + k n:1 :\n")
         assert trace.cycles[0].index == 3
-        [act] = list(trace.cycles[0])
+        [act] = acts(trace.cycles[0])
         assert act.key == BucketKey(2, (1,))
 
 
@@ -202,8 +203,9 @@ class TestStructuralCorruption:
                             "a 1 - 5 join right + k : 3 2\n"
                             "a 2 1 6 join left + k :\n")
         assert [(a.act_id, a.parent_id, a.successors)
-                for a in trace.cycles[0]] == [(1, None, (3, 2)),
-                                              (2, 1, ()), (3, 1, ())]
+                for a in acts(trace.cycles[0])] == [(1, None, (3, 2)),
+                                                    (2, 1, ()),
+                                                    (3, 1, ())]
         assert validate_trace(trace) == []
         assert "a 1 - 5 join right + k  : 3 2\n" in dumps_trace(trace)
 
@@ -225,6 +227,6 @@ def test_single_activation_roundtrip_property(vals, tag, side, node):
         tag=tag, key=BucketKey(node, tuple(vals)), successors=())})
     trace = SectionTrace(name="prop", cycles=[cycle])
     back = loads_trace(dumps_trace(trace))
-    [act] = list(back.cycles[0])
+    [act] = acts(back.cycles[0])
     assert act.key.values == tuple(vals)
     assert act.tag == tag and act.side == side

@@ -20,6 +20,7 @@ from repro.rete.hashing import BucketKey
 from repro.trace import (CycleTrace, SectionTrace, TraceValidationError,
                          validate_trace)
 from repro.workloads import SectionSpec, generate_section
+from tests.trace_view import view
 
 
 def small_trace(seed):
@@ -30,7 +31,7 @@ def small_trace(seed):
 
 def small_rows(seed):
     """``(index, rows by act_id)`` of each cycle of a small trace."""
-    return [(c.index, dict(c.activations)) for c in small_trace(seed)]
+    return [(c.index, dict(view(c))) for c in small_trace(seed)]
 
 
 def objections(cycles):

