@@ -11,7 +11,8 @@ both sides of every ratio run on the same machine, in the same process.
 engine on both transports, ``test_plan_build`` the per-cycle plans
 every live run builds before its first broadcast, and
 ``test_single_processor`` the FIFO pass that runs every one-processor
-simulation.
+simulation, and ``test_paper_sweep`` the Figure 5-1/5-2 grid with each
+cycle's routing cold and memoised.
 
 Results are written machine-readably to ``BENCH_harness.json`` at the
 repo root so the performance trajectory is tracked across PRs.  Run::
@@ -25,6 +26,7 @@ import asyncio
 import json
 import os
 import pathlib
+import pickle
 import platform
 import resource
 import statistics
@@ -132,12 +134,12 @@ def test_harness_perf(report):
 
     # --- greedy routing: dict-based greedy_mapping vs the factory -------
     def _route_by_dict():
-        return [cycle.key_index().destinations(
-            greedy_mapping(bucket_work(cycle), 16)) for cycle in rubik]
+        return [cycle.key_index().route(
+            greedy_mapping(bucket_work(cycle), 16)).dest for cycle in rubik]
 
     def _route_by_factory():
         factory = GreedyMappingFactory(16)
-        return [cycle.key_index().destinations(factory(cycle))
+        return [cycle.key_index().route(factory(cycle)).dest
                 for cycle in rubik]
 
     assert _route_by_factory() == _route_by_dict()
@@ -445,3 +447,53 @@ def test_single_processor(report):
     # Generous margin below the measured ratio, so background load does
     # not flake the suite.
     assert section["general_over_single"]["median"] >= 1.5
+
+
+#: Alternating cold/warm rounds of the paper-sweep timing.
+SWEEP_ROUNDS = 9
+
+
+def test_paper_sweep(report):
+    """The Figure 5-1/5-2 grid of the ``sim-paper`` bench workload:
+    ``speedup_curve`` over :data:`TABLE_5_1` x
+    :data:`DEFAULT_PROC_COUNTS` on the three seed-0 sections.  *Cold*
+    runs on fresh pickled copies, whose cycles carry no routing memo
+    (copied untimed), so every (cycle, P) is routed once per run;
+    *warm* replays the same sections, every route memoised.  Each round
+    runs both legs, in the reverse of the previous round's order; they
+    must give the same speedups."""
+    sections = [build() for build in SECTION_BUILDERS]
+
+    def grid(traces):
+        return [speedup_curve(trace, DEFAULT_PROC_COUNTS,
+                              overheads=overheads).speedups
+                for trace in traces for overheads in TABLE_5_1]
+
+    expected = grid(sections)
+    times = {"cold": [], "warm": []}
+    order = list(times)
+    for _ in range(SWEEP_ROUNDS):
+        legs = {"cold": pickle.loads(pickle.dumps(sections)),
+                "warm": sections}
+        for name in order:
+            start = time.perf_counter()
+            speedups = grid(legs[name])
+            times[name].append(time.perf_counter() - start)
+            assert speedups == expected
+        order.reverse()
+    section = {
+        "what": "s per sim-paper grid: speedup_curve over the 4 Table 5-1 "
+                "rows x DEFAULT_PROC_COUNTS on rubik/tourney/weaver seed "
+                "0; cold = fresh pickled copies (no routing memo), warm = "
+                "the same sections replayed (every route memoised)",
+        "machine": {"cpus": os.cpu_count(),
+                    "platform": platform.platform(),
+                    "python": platform.python_version(),
+                    "git_revision": git_revision(),
+                    "src_sha256": src_sha256()},
+        **{f"{name}_s": {**quartiles(values, digits=4), "n": len(values)}
+           for name, values in times.items()},
+    }
+    _merge_results({"paper_sweep": section})
+    report("paper_sweep", json.dumps(section, indent=2)
+           + f"\n[also saved to {BENCH_JSON}]")

@@ -151,21 +151,27 @@ def find_multiple_modify(trace: SectionTrace,
         deletes_of: Dict[BucketKey, List[bool]] = {}
         for key, code, _ in cycle.key_index().two_input_rows():
             deletes_of.setdefault(key, []).append(code & TAG_MINUS > 0)
-        for key, stream in sorted(deletes_of.items()):
+        storms = []
+        for key, stream in deletes_of.items():
             deletes = stream.count(True)
             adds = len(stream) - deletes
+            if deletes < min_pairs or adds < min_pairs:
+                continue
             flips = sum(map(ne, stream, stream[1:]))
-            if deletes >= min_pairs and adds >= min_pairs \
-                    and flips >= min_pairs:
-                findings.append(Finding(
-                    kind="multiple-modify", cycle_index=cycle.index,
-                    node_id=key.node_id,
-                    detail=f"{adds} adds / {deletes} deletes "
-                           f"interleaved ({flips} alternations) in one "
-                           f"bucket",
-                    remedy="a modify storm on wmes matching one "
-                           "production; consider restructuring the "
-                           "modifies (Section 5.2.2)"))
+            if flips >= min_pairs:
+                storms.append((key, adds, deletes, flips))
+        # Only the storms are sorted: ordering every key of the cycle
+        # cost most of the detector's time.
+        for key, adds, deletes, flips in sorted(storms):
+            findings.append(Finding(
+                kind="multiple-modify", cycle_index=cycle.index,
+                node_id=key.node_id,
+                detail=f"{adds} adds / {deletes} deletes "
+                       f"interleaved ({flips} alternations) in one "
+                       f"bucket",
+                remedy="a modify storm on wmes matching one "
+                       "production; consider restructuring the "
+                       "modifies (Section 5.2.2)"))
     return findings
 
 

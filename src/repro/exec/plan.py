@@ -65,7 +65,7 @@ ride on already-counted messages, ``spans`` is bookkeeping like
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..mpc.config import RunConfig
 from ..mpc.mapping import RoundRobinMapping
@@ -88,7 +88,9 @@ class CycleTable(NamedTuple):
     successors: List[Tuple[int, ...]]
     #: Each position's actor under the cycle's mapping; :data:`CONTROL`
     #: for a terminal, whose instantiation goes to the control actor.
-    dest: List[int]
+    #: The cycle's :class:`~repro.trace.events.CycleRoute` array itself
+    #: (memoised routes are shared): read only.
+    dest: Sequence[int]
     #: Footnote-6 deletion-search surcharges, ``{act_id: extra_us}``.
     extra: Dict[int, float]
 
@@ -126,8 +128,9 @@ def build_plans(trace: SectionTrace, config: RunConfig) -> List[CyclePlan]:
     """Partition *trace* into per-cycle, per-actor plans under *config*.
 
     Uses the same bucket-to-processor resolution as the simulator (the
-    cycle's cached :meth:`~repro.trace.events.CycleTrace.key_index`,
-    optional per-cycle mapping factory) and the same footnote-6
+    cycle's :meth:`~repro.trace.events.CycleKeyIndex.route`, memoised
+    for round robin and random mappings; optional per-cycle mapping
+    factory) and the same footnote-6
     deletion-search surcharges, so an actor run prices activations
     identically to a simulated one.  Surcharges are charged as the
     build reaches each cycle, so a streaming trace is built once.
@@ -143,20 +146,19 @@ def build_plans(trace: SectionTrace, config: RunConfig) -> List[CyclePlan]:
             raise ValueError("mapping_factory produced a mapping for "
                              f"{cycle_mapping.n_procs} processors")
         index = cycle.key_index()
-        procs = cycle_mapping.processors(index.keys, index.hashes)
-        dest = index.expand(procs)
+        route = index.route(cycle_mapping)
+        dest = route.dest
+        shipper = iter(route.shippers).__next__
         base = index.base
         roots = [[] for _ in range(n_procs)]
         root_fires = [[] for _ in range(n_procs)]
         for r in index.roots:
             if r < 0:
-                root_fires[dest[~r]].append(base + ~r)
+                root_fires[shipper()].append(base + ~r)
             else:
                 roots[dest[r]].append(base + r)
-        for pos in index.terminals:
-            dest[pos] = CONTROL
 
-        count, left_count = index.processor_counts(procs, n_procs)
+        count, left_count = route.per_processor()
         act_sum, act_xor = [0] * n_procs, [0] * n_procs
         for pos in index.counted:
             p = dest[pos]

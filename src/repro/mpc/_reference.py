@@ -77,6 +77,8 @@ def simulate_cycle_reference(cycle: CycleTrace, n_procs: int,
     queue: List[_Task] = []
     control_arrivals: List[float] = []
     control_ready = control_busy  # control is busy until broadcast sent
+    #: token messages sent, priced after the loop
+    token_messages = 0
 
     def send_to_control(depart: float) -> None:
         nonlocal control_busy, control_ready, network_busy, n_messages
@@ -129,6 +131,7 @@ def simulate_cycle_reference(cycle: CycleTrace, n_procs: int,
                                             act=succ, via_message=False))
             else:
                 t += overheads.send_us
+                token_messages += 1
                 heapq.heappush(queue, _Task(
                     arrival=t + overheads.latency_us, seq=seq, proc=dest,
                     act=succ, via_message=True))
@@ -136,16 +139,6 @@ def simulate_cycle_reference(cycle: CycleTrace, n_procs: int,
         busy[p] += t - start
         ready[p] = t
 
-    token_messages = 0
-    for act in acts.values():
-        if act.kind == KIND_TERMINAL or act.parent_id is None:
-            continue
-        parent = acts[act.parent_id]
-        if parent.kind == KIND_TERMINAL:
-            continue
-        if mapping.processor_for(parent.key) != \
-                mapping.processor_for(act.key):
-            token_messages += 1
     n_messages += token_messages
     network_busy += token_messages * overheads.latency_us
 

@@ -36,8 +36,10 @@ class _Cycle:
     """One cycle of one machine model: the event queue, per-processor
     clocks (``ready``/``busy``, set by the model's start phase) and
     counters, and the network and control accounting, which starts at
-    the control processor's broadcast.  ``dest[pos]`` is the processor
-    owning the position's bucket (all zeros without a mapping)."""
+    the control processor's broadcast.  Under a mapping, ``route`` is
+    the cycle's :class:`~repro.trace.events.CycleRoute`, and
+    ``dest[pos]`` the processor owning the position's bucket (``-1``
+    for a terminal); without one, ``dest`` is all zeros."""
 
     def __init__(self, cycle: CycleTrace, n_procs: int, costs: CostModel,
                  overheads: OverheadModel,
@@ -46,8 +48,11 @@ class _Cycle:
         self.table = table = cycle.key_index()
         self.base = table.base
         self.left = table.left
-        self.dest = (table.destinations(mapping) if mapping is not None
-                     else bytes(len(table.tags)))
+        if mapping is not None:
+            self.route = table.route(mapping)
+            self.dest = self.route.dest
+        else:
+            self.dest = bytes(len(table.tags))
         self.costs = costs
         self.overheads = overheads
         self.activations = [0] * n_procs
@@ -226,9 +231,10 @@ def simulate_pairs(trace: SectionTrace,
         dest = c.dest
         left = c.left
         base = c.base
+        shipper = iter(c.route.shippers).__next__
         for r in c.table.roots:
             if r < 0:
-                pair = dest[~r]
+                pair = shipper()
                 depart = ready[pair] + send_us
                 busy[pair] += send_us
                 ready[pair] = depart

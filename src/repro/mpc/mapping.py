@@ -16,6 +16,13 @@ All strategies implement :class:`BucketMapping`: the batch form
 :class:`~repro.trace.events.CycleKeyIndex`) in one call, and
 ``processor_for(key) -> int`` is the one-key wrapper around it.
 Every result is in ``range(n_procs)``.
+
+A mapping defined by value — round robin and random, whose routing is
+a function of their type and fields — names itself with a hashable
+``route_key``, under which :meth:`~repro.trace.events.CycleKeyIndex
+.route` memoises each cycle's routing; equal mappings share it.  The
+per-cycle and explicit mappings have ``route_key = None`` and are
+routed on each call.
 """
 
 from __future__ import annotations
@@ -57,6 +64,10 @@ class RoundRobinMapping:
     n_procs: int
     n_buckets: int = DEFAULT_N_BUCKETS
 
+    @property
+    def route_key(self) -> tuple:
+        return (type(self), self.n_procs, self.n_buckets)
+
     def processors(self, keys: Sequence[BucketKey],
                    hashes: Sequence[int]) -> List[int]:
         n_buckets = self.n_buckets
@@ -86,6 +97,10 @@ class RandomMapping:
         self._table = [rng.randrange(self.n_procs)
                        for _ in range(self.n_buckets)]
 
+    @property
+    def route_key(self) -> tuple:
+        return (type(self), self.n_procs, self.seed, self.n_buckets)
+
     def processors(self, keys: Sequence[BucketKey],
                    hashes: Sequence[int]) -> List[int]:
         table = self._table
@@ -107,6 +122,7 @@ class ExplicitMapping:
     n_procs: int
     assignment: Mapping[BucketKey, int] = field(default_factory=dict)
     n_buckets: int = DEFAULT_N_BUCKETS
+    route_key = None  # an assignment is routed on each call
 
     def processors(self, keys: Sequence[BucketKey],
                    hashes: Sequence[int]) -> List[int]:
@@ -190,6 +206,8 @@ class IndexedMapping:
     built on first use, falling back to round robin like
     :class:`ExplicitMapping`.
     """
+
+    route_key = None  # one cycle's mapping: routed on each call
 
     def __init__(self, n_procs: int, keys: Sequence[BucketKey],
                  procs: List[int]) -> None:

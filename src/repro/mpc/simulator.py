@@ -36,11 +36,17 @@ bucket keys and their hashes, plus, per activation *position*
 tuple, and the root, terminal and two-input positions.
 
 :func:`_simulate_cycle` is the general loop, for two or more
-processors.  Every simulation of the cycle — at any processor count,
-under any mapping — maps just the distinct keys
-(``mapping.processors``), expands them into a per-position destination
-list and marks terminal positions there with ``-1``, the control
-processor.  From then on an event is one integer:
+processors.  It reads the cycle's routing under its mapping from the
+one routing step, :meth:`~repro.trace.events.CycleKeyIndex.route`: the
+per-position destinations with terminal positions marked ``-1``, the
+control processor; the owners of the terminal roots; and the
+per-processor counts.  Round robin and random mappings are defined by
+value, so the route is memoised on the index per (mapping type,
+fields) and a sweep routes each (cycle, processor count) once, however
+many overhead rows, fault arms and machine models replay it.  When no
+terminal root moves a processor off the broadcast + constant-test
+floor, every root is queued at the floor in one step.  From then on an
+event is one integer:
 
 * the queue is a heap of distinct arrival times, each holding its
   events (positions; ``~pos`` for one that came as a message) in push
@@ -50,10 +56,11 @@ processor.  From then on an event is one integer:
 * no side or kind string is compared, an instantiation's delivery to
   the control processor is inlined, and search surcharges are looked
   up only when the cost model has them;
-* per-processor activation counts are taken once per cycle from the
-  index's per-key counts — each two-input activation is processed
-  exactly once, on the processor owning its bucket — not incremented
-  per event.
+* per-processor activation counts are read off the route (counted per
+  key once per route) — each two-input activation is processed exactly
+  once, on the processor owning its bucket — not incremented per
+  event.  The compressed form counts just the processors the cycle
+  touches, from the destinations.
 
 :func:`_simulate_single` runs one match processor, which is the
 paper's speedup base and the first point of every curve.  There the
@@ -77,11 +84,13 @@ on the same table with the general loop's event encoding: it serves
 every run that records a timeline (:mod:`repro.mpc.timeline`) or
 injects faults, at any processor count, and without a fault model it
 runs the plain exchange with the general loop's arithmetic, so
-recording never changes a result bit.  The offline greedy distribution
-routes from the table too: :class:`BucketWorkCache` prices and orders
-each cycle's keys once from the index columns, and
-:class:`GreedyMappingFactory` runs one LPT pass per processor count
-into a per-key processor list.
+recording never changes a result bit; it reads the same memoised
+route.  The offline greedy distribution routes from the table too:
+:class:`BucketWorkCache` prices and orders each cycle's keys once from
+the index columns, and :class:`GreedyMappingFactory` runs one LPT pass
+per processor count into a per-key processor list, an
+:class:`~repro.mpc.mapping.IndexedMapping` that is routed on each call
+(it belongs to one cycle) and never stored.
 
 :mod:`repro.mpc._reference` preserves the original object-based loops;
 ``tests/test_mpc_simulator.py``, ``tests/test_mpc_cycle_index.py`` and
@@ -571,8 +580,11 @@ def _simulate_cycle(cycle: CycleTrace, n_procs: int, costs: CostModel,
     right_us = costs.right_token_us + _TEST_MUTATE_RIGHT_TOKEN_US
     successor_us = costs.successor_us
     index = cycle.key_index()
-    procs = mapping.processors(index.keys, index.hashes)
-    dest = index.expand(procs)
+    route = index.route(mapping)
+    # The loop reads a list copy of the route's array: list indexing is
+    # its fastest read, and the copy is one C-level pass.
+    dest = route.dest.tolist()
+    shipper = iter(route.shippers).__next__
     base = index.base
     left = index.left
     successors = index.successors
@@ -607,38 +619,41 @@ def _simulate_cycle(cycle: CycleTrace, n_procs: int, costs: CostModel,
     #: completion times of instantiation deliveries at the control proc
     control_arrivals: List[float] = []
     control_ready = control_busy  # control is busy until broadcast sent
-    #: owners of single-CE instantiations (terminal roots)
-    shippers: List[int] = []
 
-    for r in index.roots:
-        if r < 0:
-            # A single-CE instantiation: produced by the constant tests;
-            # the bucket owner ships it to the control processor, which
-            # handles instantiation receipts FIFO as they arrive.
-            owner = dest[~r]
-            shippers.append(owner)
-            depart = ready[owner] + send_us
-            busy[owner] += send_us
-            ready[owner] = depart
-            n_messages += 1
-            network_busy += latency_us
-            arrive = depart + latency_us
-            if arrive > control_ready:
-                control_ready = arrive
-            control_ready += recv_us
-            control_busy += recv_us
-            control_arrivals.append(control_ready)
-            continue
-        at = ready[dest[r]]
-        events = pending.get(at)
-        if events is None:
-            pending[at] = [r]
-            heappush(times, at)
-        else:
-            events.append(r)
-    # Terminal successors route to the control processor.
-    for pos in index.terminals:
-        dest[pos] = -1
+    roots = index.roots
+    if not route.shippers:
+        # No single-CE instantiation moves a processor off the floor, so
+        # every root is queued at the floor, in root order.
+        if roots:
+            times.append(floor_ready)
+            pending[floor_ready] = roots.tolist()
+    else:
+        for r in roots:
+            if r < 0:
+                # A single-CE instantiation: produced by the constant
+                # tests; the bucket owner ships it to the control
+                # processor, which handles instantiation receipts FIFO
+                # as they arrive.
+                owner = shipper()
+                depart = ready[owner] + send_us
+                busy[owner] += send_us
+                ready[owner] = depart
+                n_messages += 1
+                network_busy += latency_us
+                arrive = depart + latency_us
+                if arrive > control_ready:
+                    control_ready = arrive
+                control_ready += recv_us
+                control_busy += recv_us
+                control_arrivals.append(control_ready)
+                continue
+            at = ready[dest[r]]
+            events = pending.get(at)
+            if events is None:
+                pending[at] = [r]
+                heappush(times, at)
+            else:
+                events.append(r)
 
     # --- steps 3-4: event loop ---------------------------------------------
     while times:
@@ -701,12 +716,11 @@ def _simulate_cycle(cycle: CycleTrace, n_procs: int, costs: CostModel,
     # processor owning its bucket.
     if slots is None:
         makespan = max([floor_ready] + ready + control_arrivals)
-        activations, left_activations = index.processor_counts(procs,
-                                                               n_procs)
+        activations, left_activations = route.per_processor()
     else:
         counts = Counter(map(dest.__getitem__, index.counted))
         left_counts = Counter(map(dest.__getitem__, index.counted_left))
-        touched = dict.fromkeys(shippers)
+        touched = dict.fromkeys(route.shippers)
         touched.update(counts)
         # Untouched processors all sit exactly at floor_ready, so
         # including the floor once makes this max equal the dense one.

@@ -39,12 +39,13 @@ per-cycle view.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain, compress, count, repeat
 from operator import gt, is_
-from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Dict, Hashable, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple, Union)
 
+from ..obs.spans import CONTROL
 from ..ops5.values import Value
 from ..rete.hashing import BucketKey, stable_hash
 # The tag-byte bits are the match engines' (re-exported here for the
@@ -134,9 +135,73 @@ def _positions(mask: bytes) -> array:
     return array(_typecode(len(mask)), picked)
 
 
-def _compact(values: List[int], limit: int) -> array:
-    """*values* (all in ``range(limit)``) in the narrowest unsigned array."""
-    return array(_typecode(limit), values)
+def _compact(values: Iterable[int], limit: int) -> array:
+    """*values* (all in ``range(limit)``) in the narrowest unsigned
+    array (through ``bytes`` when they fit one: the fast conversion)."""
+    code = _typecode(limit)
+    return array(code, bytes(values) if code == "B" else values)
+
+
+def _signed_typecode(n_procs: int) -> str:
+    """The narrowest signed array type holding ``range(-1, n_procs)``:
+    every processor and :data:`~repro.obs.spans.CONTROL`."""
+    return "b" if n_procs <= 0x80 else "h" if n_procs <= 0x8000 else "l"
+
+
+#: The shippers of every route of a cycle without terminal roots
+#: (shared: routes are read only).
+_NO_SHIPPERS = array("B")
+
+
+class CycleRoute:
+    """One cycle routed under one mapping (:meth:`CycleKeyIndex.route`).
+
+    Attributes
+    ----------
+    dest:
+        ``dest[pos]`` is the processor owning the bucket of the
+        activation at *pos*, or :data:`~repro.obs.spans.CONTROL`
+        (``-1``) for a reachable terminal, whose instantiation goes to
+        the control processor.
+    shippers:
+        The bucket owner of each terminal root (a single-CE
+        instantiation, shipped to control by the processor owning its
+        bucket), in root order.
+    procs:
+        ``procs[k]`` is the processor owning key id *k*.
+
+    A memoised route is shared by every simulation and live plan of
+    its cycle, so its readers never write it; it fills in its own
+    per-processor counts once, on first use.
+    """
+
+    __slots__ = ("n_procs", "dest", "shippers", "procs", "_key_counts",
+                 "_counts")
+
+    def __init__(self, n_procs: int, dest: array, shippers: array,
+                 procs: array, key_counts: Tuple[array, array]) -> None:
+        self.n_procs = n_procs
+        self.dest = dest
+        self.shippers = shippers
+        self.procs = procs
+        self._key_counts = key_counts
+        self._counts: Optional[Tuple[List[int], List[int]]] = None
+
+    def per_processor(self) -> Tuple[List[int], List[int]]:
+        """Fresh per-processor lists of the two-input activations and of
+        the left ones: each is processed exactly once, on the processor
+        owning its bucket.  They are counted per key on first use (the
+        compressed loop, which counts only the processors a cycle
+        touches, never asks, so no O(P) list is kept for it)."""
+        counts = self._counts
+        if counts is None:
+            activations = [0] * self.n_procs
+            left_activations = [0] * self.n_procs
+            for p, n, n_left in zip(self.procs, *self._key_counts):
+                activations[p] += n
+                left_activations[p] += n_left
+            counts = self._counts = (activations, left_activations)
+        return counts[0][:], counts[1][:]
 
 
 @dataclass(slots=True)
@@ -146,8 +211,8 @@ class CycleKeyIndex:
     Routing an activation means mapping its bucket key to a processor.
     A cycle touches far fewer distinct keys than it has activations, and
     a sweep replays the same cycle at many processor counts, so the keys
-    are deduplicated and hashed here once; each simulation then maps the
-    distinct keys (:meth:`destinations`) and never hashes a
+    are deduplicated and hashed here once; routing (:meth:`route`) then
+    maps just the distinct keys and never hashes a
     :class:`~repro.rete.hashing.BucketKey` again.  The same compile lays
     out the lean event table the simulator's loop runs on, so no
     simulation compares a side or kind string per event.
@@ -158,9 +223,13 @@ class CycleKeyIndex:
     (:meth:`from_columns`); trace rewriters read its :meth:`rows`, and
     its activation objects are a view built on demand (:meth:`view`).
 
-    Indexes are shared and never mutated once built (the class is not
-    frozen only because a frozen constructor costs several times as
-    much, once per recorded cycle).
+    Indexes are shared, and their table is never mutated once built
+    (the class is not frozen only because a frozen constructor costs
+    several times as much, once per recorded cycle).  The one cache is
+    the routing memo, :attr:`routes`: the route under each mapping
+    defined by value, so the four Table 5-1 rows of a sweep, its fault
+    arm and the machine models route each (cycle, processor count)
+    once.  The memo is left out of pickles, ``==`` and ``repr``.
 
     Every per-activation entry is addressed by *position*, ``act_id -
     base``.  Recorded programs number activations across a whole
@@ -202,7 +271,10 @@ class CycleKeyIndex:
         No root reaches an orphan's subtree, so none of it is here.
     key_counts / key_left_counts:
         The same activations counted per key id (0 for terminal keys),
-        so a simulation counts per distinct key, not per activation.
+        so routing counts per distinct key, not per activation.
+    routes:
+        The routing memo: ``mapping.route_key`` -> :class:`CycleRoute`
+        (see :meth:`route`).
     """
 
     keys: Tuple[BucketKey, ...]
@@ -219,6 +291,8 @@ class CycleKeyIndex:
     counted_left: array
     key_counts: array
     key_left_counts: array
+    routes: Dict[Hashable, CycleRoute] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_columns(cls, base: int, tags: bytes, parents: Sequence,
@@ -341,6 +415,14 @@ class CycleKeyIndex:
                    _compact(key_counts, max(key_counts) + 1),
                    _compact(key_left_counts, max(key_left_counts) + 1))
 
+    def __getstate__(self):
+        return tuple([getattr(self, name) for name in _TABLE_FIELDS])
+
+    def __setstate__(self, state) -> None:
+        for name, value in zip(_TABLE_FIELDS, state):
+            setattr(self, name, value)
+        self.routes = {}
+
     def __len__(self) -> int:
         return len(self.counted) + len(self.terminals)
 
@@ -383,28 +465,45 @@ class CycleKeyIndex:
                                         *_TRIPLES[code], key, kids)
                 for act_id, parent, code, key, kids in self.rows()}
 
-    def destinations(self, mapping) -> List[int]:
-        """Every activation's processor under *mapping*, indexed like
-        :attr:`key_of` (``dest[act_id - base]``)."""
-        return self.expand(mapping.processors(self.keys, self.hashes))
+    def route(self, mapping) -> CycleRoute:
+        """This cycle routed under *mapping*: the one routing step of
+        every simulator loop, machine model and live plan.
 
-    def expand(self, procs: List[int]) -> List[int]:
-        """Per-key processors *procs* expanded to every position."""
-        return [procs[k] for k in self.key_of]
+        Only the distinct keys are mapped (``mapping.processors``); the
+        route is memoised in :attr:`routes` under ``mapping.route_key``
+        when the mapping has one — a hashable key naming it by value
+        (type and fields), so equal mappings share a route.  A mapping
+        without one (the per-cycle greedy
+        :class:`~repro.mpc.mapping.IndexedMapping`, an
+        :class:`~repro.mpc.mapping.ExplicitMapping`) is routed on each
+        call and never stored.
+        """
+        key = getattr(mapping, "route_key", None)
+        if key is None:
+            return self._route(mapping)
+        route = self.routes.get(key)
+        if route is None:
+            route = self.routes[key] = self._route(mapping)
+        return route
 
-    def processor_counts(self, procs: List[int], n_procs: int
-                         ) -> Tuple[List[int], List[int]]:
-        """Per-processor counts of the two-input activations, and of
-        the left ones, when key id *k* lives on processor ``procs[k]``:
-        each is processed exactly once, on the processor owning its
-        bucket."""
-        activations = [0] * n_procs
-        left_activations = [0] * n_procs
-        for p, count, left_count in zip(procs, self.key_counts,
-                                        self.key_left_counts):
-            activations[p] += count
-            left_activations[p] += left_count
-        return activations, left_activations
+    def _route(self, mapping) -> CycleRoute:
+        key_of = self.key_of
+        n_procs = mapping.n_procs
+        procs = mapping.processors(self.keys, self.hashes)
+        code = _signed_typecode(n_procs)
+        dest = [procs[k] for k in key_of]
+        # CONTROL packs into a signed byte as 0xFF
+        control = CONTROL % 0x100 if code == "b" else CONTROL
+        for pos in self.terminals:
+            dest[pos] = control
+        roots = self.roots
+        shippers = (_compact([procs[key_of[~r]] for r in roots if r < 0],
+                             n_procs)
+                    if roots and min(roots) < 0 else _NO_SHIPPERS)
+        return CycleRoute(n_procs,
+                          array(code, bytes(dest) if code == "b" else dest),
+                          shippers, _compact(procs, n_procs),
+                          (self.key_counts, self.key_left_counts))
 
     def charge_searches(self, depth: Dict[BucketKey, int],
                         rate: float) -> Dict[int, float]:
@@ -433,10 +532,13 @@ class CycleKeyIndex:
         return charges
 
 
-#: The index of every empty cycle (shared: indexes are never mutated).
+#: What a pickled index carries: its table, not its routing memo.
+_TABLE_FIELDS = tuple(f.name for f in fields(CycleKeyIndex) if f.compare)
+
+#: The index of every empty cycle (shared: tables are never mutated).
 _EMPTY_INDEX = CycleKeyIndex((), array("Q"), 0, array("B"), b"", b"", [],
                              {}, array("l"), array("B"), array("B"),
-                             array("B"), (), ())
+                             array("B"), array("B"), array("B"))
 
 
 def _holdable(act: TraceActivation) -> bool:

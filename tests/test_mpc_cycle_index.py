@@ -2,8 +2,8 @@
 
 Every routing consumer — the event loop (dense and compressed), the
 fault/protocol and timeline-recorded loops and the live executors'
-``build_plans`` — resolves destinations through
-:meth:`CycleTrace.key_index`.  These tests hold each of them to
+``build_plans`` — resolves destinations through the cycle's
+compiled index (:meth:`CycleKeyIndex.route`).  These tests hold each of them to
 :mod:`repro.mpc._reference` (which still calls
 ``mapping.processor_for`` per activation) and to fingerprints of
 the per-cycle results the per-simulation ``key -> processor`` dicts
@@ -336,7 +336,7 @@ class TestIndexContents:
         cycle = CycleTrace(index=4)
         index = cycle.key_index()
         assert index.keys == () and len(index.key_of) == 0
-        assert index.destinations(RoundRobinMapping(3)) == []
+        assert list(index.route(RoundRobinMapping(3)).dest) == []
 
     @pytest.mark.parametrize("mapping", MAPPINGS)
     def test_destinations_match_processor_for(self, traces, mapping):
@@ -346,10 +346,13 @@ class TestIndexContents:
                     mapping, 16, trace))
                 cycle_mapping = _cycle_mapping(config, cycle)
                 index = cycle.key_index()
-                dest = index.destinations(cycle_mapping)
+                dest = index.route(cycle_mapping).dest
+                terminals = set(index.terminals)
                 for act in acts(cycle):
-                    assert dest[act.act_id - index.base] == \
-                        cycle_mapping.processor_for(act.key)
+                    pos = act.act_id - index.base
+                    assert dest[pos] == (
+                        CONTROL if pos in terminals
+                        else cycle_mapping.processor_for(act.key))
 
 
 class TestAgainstReference:

@@ -205,9 +205,9 @@ class TestGreedyFactoryMatchesGreedyMapping:
                     assert work == walked and list(work) == list(walked)
                     assert cache(cycle) == work
                     for factory in factories:
-                        want = index.destinations(
-                            greedy_mapping(work, factory.n_procs))
-                        assert index.destinations(factory(cycle)) == want
+                        want = index.route(
+                            greedy_mapping(work, factory.n_procs)).dest
+                        assert index.route(factory(cycle)).dest == want
 
     def test_processor_for_matches_explicit_mapping(self):
         cycle = rubik_section().cycles[0]
@@ -226,5 +226,5 @@ class TestGreedyFactoryMatchesGreedyMapping:
         assert clone.work_cache._cache == {}
         for cycle in section:
             index = cycle.key_index()
-            assert index.destinations(clone(cycle)) == \
-                index.destinations(factory(cycle))
+            assert index.route(clone(cycle)).dest == \
+                index.route(factory(cycle)).dest
