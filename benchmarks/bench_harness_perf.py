@@ -458,8 +458,9 @@ def test_paper_sweep(report):
     ``speedup_curve`` over :data:`TABLE_5_1` x
     :data:`DEFAULT_PROC_COUNTS` on the three seed-0 sections.  *Cold*
     runs on fresh pickled copies, whose cycles carry no routing memo
-    (copied untimed), so every (cycle, P) is routed once per run;
-    *warm* replays the same sections, every route memoised.  Each round
+    (copied untimed), so every (cycle, P) is routed twice per run (its
+    route is stored at the second Table 5-1 row); *warm* replays the
+    same sections, every route stored.  Each round
     runs both legs, in the reverse of the previous round's order; they
     must give the same speedups."""
     sections = [build() for build in SECTION_BUILDERS]
@@ -485,7 +486,7 @@ def test_paper_sweep(report):
         "what": "s per sim-paper grid: speedup_curve over the 4 Table 5-1 "
                 "rows x DEFAULT_PROC_COUNTS on rubik/tourney/weaver seed "
                 "0; cold = fresh pickled copies (no routing memo), warm = "
-                "the same sections replayed (every route memoised)",
+                "the same sections replayed (every route stored)",
         "machine": {"cpus": os.cpu_count(),
                     "platform": platform.platform(),
                     "python": platform.python_version(),

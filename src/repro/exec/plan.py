@@ -65,7 +65,7 @@ ride on already-counted messages, ``spans`` is bookkeeping like
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..mpc.config import RunConfig
 from ..mpc.mapping import RoundRobinMapping
@@ -88,9 +88,7 @@ class CycleTable(NamedTuple):
     successors: List[Tuple[int, ...]]
     #: Each position's actor under the cycle's mapping; :data:`CONTROL`
     #: for a terminal, whose instantiation goes to the control actor.
-    #: The cycle's :class:`~repro.trace.events.CycleRoute` array itself
-    #: (memoised routes are shared): read only.
-    dest: Sequence[int]
+    dest: List[int]
     #: Footnote-6 deletion-search surcharges, ``{act_id: extra_us}``.
     extra: Dict[int, float]
 
@@ -128,9 +126,8 @@ def build_plans(trace: SectionTrace, config: RunConfig) -> List[CyclePlan]:
     """Partition *trace* into per-cycle, per-actor plans under *config*.
 
     Uses the same bucket-to-processor resolution as the simulator (the
-    cycle's :meth:`~repro.trace.events.CycleKeyIndex.route`, memoised
-    for round robin and random mappings; optional per-cycle mapping
-    factory) and the same footnote-6
+    cycle's :meth:`~repro.trace.events.CycleKeyIndex.route`; optional
+    per-cycle mapping factory) and the same footnote-6
     deletion-search surcharges, so an actor run prices activations
     identically to a simulated one.  Surcharges are charged as the
     build reaches each cycle, so a streaming trace is built once.
@@ -148,13 +145,12 @@ def build_plans(trace: SectionTrace, config: RunConfig) -> List[CyclePlan]:
         index = cycle.key_index()
         route = index.route(cycle_mapping)
         dest = route.dest
-        shipper = iter(route.shippers).__next__
         base = index.base
         roots = [[] for _ in range(n_procs)]
         root_fires = [[] for _ in range(n_procs)]
         for r in index.roots:
             if r < 0:
-                root_fires[shipper()].append(base + ~r)
+                root_fires[route.procs[index.key_of[~r]]].append(base + ~r)
             else:
                 roots[dest[r]].append(base + r)
 

@@ -433,8 +433,7 @@ def simulate_cycle_with_faults(
     cycle_index = cycle.index
     index = cycle.key_index()
     route = index.route(mapping)
-    dest = route.dest.tolist()  # a list reads fastest, as in the plain loop
-    shipper = iter(route.shippers).__next__
+    dest = route.dest
     base = index.base
     left = index.left
     successors = index.successors
@@ -590,42 +589,33 @@ def simulate_cycle_with_faults(
     heappush = heapq.heappush
     heappop = heapq.heappop
 
-    roots = index.roots
-    if not route.shippers and not windows:
-        # Every processor is at the floor (no stall window moved its
-        # constant tests) and no single-CE instantiation moves one off
-        # it, so every root is queued there, in root order.
-        if roots:
-            times.append(floor_ready)
-            pending[floor_ready] = roots.tolist()
-    else:
-        for r in roots:
-            if r >= 0:
-                at = ready[dest[r]]
-                events = pending.get(at)
-                if events is None:
-                    pending[at] = [r]
-                    heappush(times, at)
-                else:
-                    events.append(r)
-                continue
-            # A single-CE instantiation, shipped by its bucket's owner.
-            owner = shipper()
-            start = ready[owner]
-            if windows:
-                stalled = past_stalls(owner, start)
-                stall_us += stalled - start
-                if record and stalled > start:
-                    add_span(Span(CAT_STALL, owner, start, stalled))
-                start = stalled
-            t = to_control(start, ~r + base, owner)
-            if record:
-                add_envelope(Envelope(~r + base, None, owner, start, t,
-                                      False))
-            # The plain exchange adds the send itself, as the hook-free
-            # loop does: (start + send) - start need not equal send.
-            busy[owner] += send_us if plain else t - start
-            ready[owner] = t
+    for r in index.roots:
+        if r >= 0:
+            at = ready[dest[r]]
+            events = pending.get(at)
+            if events is None:
+                pending[at] = [r]
+                heappush(times, at)
+            else:
+                events.append(r)
+            continue
+        # A single-CE instantiation, shipped by its bucket's owner.
+        owner = route.procs[index.key_of[~r]]
+        start = ready[owner]
+        if windows:
+            stalled = past_stalls(owner, start)
+            stall_us += stalled - start
+            if record and stalled > start:
+                add_span(Span(CAT_STALL, owner, start, stalled))
+            start = stalled
+        t = to_control(start, ~r + base, owner)
+        if record:
+            add_envelope(Envelope(~r + base, None, owner, start, t,
+                                  False))
+        # The plain exchange adds the send itself, as the hook-free
+        # loop does: (start + send) - start need not equal send.
+        busy[owner] += send_us if plain else t - start
+        ready[owner] = t
 
     # --- steps 3-4: event loop ---------------------------------------------
     while times:

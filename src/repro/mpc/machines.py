@@ -231,10 +231,9 @@ def simulate_pairs(trace: SectionTrace,
         dest = c.dest
         left = c.left
         base = c.base
-        shipper = iter(c.route.shippers).__next__
         for r in c.table.roots:
             if r < 0:
-                pair = shipper()
+                pair = c.route.procs[c.table.key_of[~r]]
                 depart = ready[pair] + send_us
                 busy[pair] += send_us
                 ready[pair] = depart

@@ -39,14 +39,13 @@ tuple, and the root, terminal and two-input positions.
 processors.  It reads the cycle's routing under its mapping from the
 one routing step, :meth:`~repro.trace.events.CycleKeyIndex.route`: the
 per-position destinations with terminal positions marked ``-1``, the
-control processor; the owners of the terminal roots; and the
-per-processor counts.  Round robin and random mappings are defined by
-value, so the route is memoised on the index per (mapping type,
-fields) and a sweep routes each (cycle, processor count) once, however
-many overhead rows, fault arms and machine models replay it.  When no
-terminal root moves a processor off the broadcast + constant-test
-floor, every root is queued at the floor in one step.  From then on an
-event is one integer:
+control processor; the per-key owners, which ship the terminal roots;
+and the per-processor counts.  Round robin and random mappings are
+defined by value, so the index stores the route per (mapping type,
+fields) once it is asked for a second time, and a sweep routes each
+(cycle, processor count) at most twice, however many overhead rows,
+fault arms and machine models replay it; a single pass over a cycle
+pays for the routing alone.  From then on an event is one integer:
 
 * the queue is a heap of distinct arrival times, each holding its
   events (positions; ``~pos`` for one that came as a message) in push
@@ -84,8 +83,8 @@ on the same table with the general loop's event encoding: it serves
 every run that records a timeline (:mod:`repro.mpc.timeline`) or
 injects faults, at any processor count, and without a fault model it
 runs the plain exchange with the general loop's arithmetic, so
-recording never changes a result bit; it reads the same memoised
-route.  The offline greedy distribution routes from the table too:
+recording never changes a result bit; it reads the same routing
+step.  The offline greedy distribution routes from the table too:
 :class:`BucketWorkCache` prices and orders each cycle's keys once from
 the index columns, and :class:`GreedyMappingFactory` runs one LPT pass
 per processor count into a per-key processor list, an
@@ -581,10 +580,7 @@ def _simulate_cycle(cycle: CycleTrace, n_procs: int, costs: CostModel,
     successor_us = costs.successor_us
     index = cycle.key_index()
     route = index.route(mapping)
-    # The loop reads a list copy of the route's array: list indexing is
-    # its fastest read, and the copy is one C-level pass.
-    dest = route.dest.tolist()
-    shipper = iter(route.shippers).__next__
+    dest = route.dest
     base = index.base
     left = index.left
     successors = index.successors
@@ -619,41 +615,35 @@ def _simulate_cycle(cycle: CycleTrace, n_procs: int, costs: CostModel,
     #: completion times of instantiation deliveries at the control proc
     control_arrivals: List[float] = []
     control_ready = control_busy  # control is busy until broadcast sent
+    #: owners of single-CE instantiations (terminal roots)
+    shippers: List[int] = []
 
-    roots = index.roots
-    if not route.shippers:
-        # No single-CE instantiation moves a processor off the floor, so
-        # every root is queued at the floor, in root order.
-        if roots:
-            times.append(floor_ready)
-            pending[floor_ready] = roots.tolist()
-    else:
-        for r in roots:
-            if r < 0:
-                # A single-CE instantiation: produced by the constant
-                # tests; the bucket owner ships it to the control
-                # processor, which handles instantiation receipts FIFO
-                # as they arrive.
-                owner = shipper()
-                depart = ready[owner] + send_us
-                busy[owner] += send_us
-                ready[owner] = depart
-                n_messages += 1
-                network_busy += latency_us
-                arrive = depart + latency_us
-                if arrive > control_ready:
-                    control_ready = arrive
-                control_ready += recv_us
-                control_busy += recv_us
-                control_arrivals.append(control_ready)
-                continue
-            at = ready[dest[r]]
-            events = pending.get(at)
-            if events is None:
-                pending[at] = [r]
-                heappush(times, at)
-            else:
-                events.append(r)
+    for r in index.roots:
+        if r < 0:
+            # A single-CE instantiation: produced by the constant tests;
+            # the bucket owner ships it to the control processor, which
+            # handles instantiation receipts FIFO as they arrive.
+            owner = route.procs[index.key_of[~r]]
+            shippers.append(owner)
+            depart = ready[owner] + send_us
+            busy[owner] += send_us
+            ready[owner] = depart
+            n_messages += 1
+            network_busy += latency_us
+            arrive = depart + latency_us
+            if arrive > control_ready:
+                control_ready = arrive
+            control_ready += recv_us
+            control_busy += recv_us
+            control_arrivals.append(control_ready)
+            continue
+        at = ready[dest[r]]
+        events = pending.get(at)
+        if events is None:
+            pending[at] = [r]
+            heappush(times, at)
+        else:
+            events.append(r)
 
     # --- steps 3-4: event loop ---------------------------------------------
     while times:
@@ -720,7 +710,7 @@ def _simulate_cycle(cycle: CycleTrace, n_procs: int, costs: CostModel,
     else:
         counts = Counter(map(dest.__getitem__, index.counted))
         left_counts = Counter(map(dest.__getitem__, index.counted_left))
-        touched = dict.fromkeys(route.shippers)
+        touched = dict.fromkeys(shippers)
         touched.update(counts)
         # Untouched processors all sit exactly at floor_ready, so
         # including the floor once makes this max equal the dense one.

@@ -148,11 +148,6 @@ def _signed_typecode(n_procs: int) -> str:
     return "b" if n_procs <= 0x80 else "h" if n_procs <= 0x8000 else "l"
 
 
-#: The shippers of every route of a cycle without terminal roots
-#: (shared: routes are read only).
-_NO_SHIPPERS = array("B")
-
-
 class CycleRoute:
     """One cycle routed under one mapping (:meth:`CycleKeyIndex.route`).
 
@@ -162,30 +157,40 @@ class CycleRoute:
         ``dest[pos]`` is the processor owning the bucket of the
         activation at *pos*, or :data:`~repro.obs.spans.CONTROL`
         (``-1``) for a reachable terminal, whose instantiation goes to
-        the control processor.
-    shippers:
-        The bucket owner of each terminal root (a single-CE
-        instantiation, shipped to control by the processor owning its
-        bucket), in root order.
+        the control processor: a list, read only (a stored route keeps
+        one compact array and hands out a list copy of it).
     procs:
-        ``procs[k]`` is the processor owning key id *k*.
+        ``procs[k]`` is the processor owning key id *k*: a terminal
+        root ``~pos`` (a single-CE instantiation) is shipped to control
+        by ``procs[key_of[pos]]``, the owner of its bucket.
 
-    A memoised route is shared by every simulation and live plan of
-    its cycle, so its readers never write it; it fills in its own
+    Readers never write a route; a route fills in its own
     per-processor counts once, on first use.
     """
 
-    __slots__ = ("n_procs", "dest", "shippers", "procs", "_key_counts",
-                 "_counts")
+    __slots__ = ("n_procs", "_dest", "procs", "_key_counts", "_counts")
 
-    def __init__(self, n_procs: int, dest: array, shippers: array,
-                 procs: array, key_counts: Tuple[array, array]) -> None:
+    def __init__(self, n_procs: int, dest: Sequence[int],
+                 procs: Sequence[int],
+                 key_counts: Tuple[array, array]) -> None:
         self.n_procs = n_procs
-        self.dest = dest
-        self.shippers = shippers
+        self._dest = dest
         self.procs = procs
         self._key_counts = key_counts
         self._counts: Optional[Tuple[List[int], List[int]]] = None
+
+    @property
+    def dest(self) -> List[int]:
+        dest = self._dest
+        return dest if dest.__class__ is list else dest.tolist()
+
+    def compact(self) -> "CycleRoute":
+        """This route with its destinations and owners in the narrowest
+        arrays: the form :attr:`CycleKeyIndex.routes` stores."""
+        n_procs = self.n_procs
+        return CycleRoute(n_procs, array(_signed_typecode(n_procs),
+                                         self._dest),
+                          _compact(self.procs, n_procs), self._key_counts)
 
     def per_processor(self) -> Tuple[List[int], List[int]]:
         """Fresh per-processor lists of the two-input activations and of
@@ -227,9 +232,10 @@ class CycleKeyIndex:
     (the class is not frozen only because a frozen constructor costs
     several times as much, once per recorded cycle).  The one cache is
     the routing memo, :attr:`routes`: the route under each mapping
-    defined by value, so the four Table 5-1 rows of a sweep, its fault
-    arm and the machine models route each (cycle, processor count)
-    once.  The memo is left out of pickles, ``==`` and ``repr``.
+    defined by value, stored once it is asked for a second time, so
+    the four Table 5-1 rows of a sweep, its fault arm and the machine
+    models route each (cycle, processor count) twice at most.  The
+    memo is left out of pickles, ``==`` and ``repr``.
 
     Every per-activation entry is addressed by *position*, ``act_id -
     base``.  Recorded programs number activations across a whole
@@ -273,7 +279,8 @@ class CycleKeyIndex:
         The same activations counted per key id (0 for terminal keys),
         so routing counts per distinct key, not per activation.
     routes:
-        The routing memo: ``mapping.route_key`` -> :class:`CycleRoute`
+        The routing memo: ``mapping.route_key`` -> the compact
+        :class:`CycleRoute`, or None after the key's first request
         (see :meth:`route`).
     """
 
@@ -291,7 +298,7 @@ class CycleKeyIndex:
     counted_left: array
     key_counts: array
     key_left_counts: array
-    routes: Dict[Hashable, CycleRoute] = field(
+    routes: Dict[Hashable, Optional[CycleRoute]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
@@ -469,11 +476,14 @@ class CycleKeyIndex:
         """This cycle routed under *mapping*: the one routing step of
         every simulator loop, machine model and live plan.
 
-        Only the distinct keys are mapped (``mapping.processors``); the
-        route is memoised in :attr:`routes` under ``mapping.route_key``
-        when the mapping has one — a hashable key naming it by value
-        (type and fields), so equal mappings share a route.  A mapping
-        without one (the per-cycle greedy
+        Only the distinct keys are mapped (``mapping.processors``).  A
+        mapping with a ``route_key`` — a hashable key naming it by
+        value (type and fields), so equal mappings share a route — has
+        its route stored in :attr:`routes` from its second request on,
+        compacted: a pass that routes each (cycle, mapping) once, as a
+        streamed trace or a one-off run does, costs what the routing
+        alone costs, and every later request reads the stored route.
+        A mapping without one (the per-cycle greedy
         :class:`~repro.mpc.mapping.IndexedMapping`, an
         :class:`~repro.mpc.mapping.ExplicitMapping`) is routed on each
         call and never stored.
@@ -481,28 +491,20 @@ class CycleKeyIndex:
         key = getattr(mapping, "route_key", None)
         if key is None:
             return self._route(mapping)
-        route = self.routes.get(key)
+        routes = self.routes
+        route = routes.get(key)
         if route is None:
-            route = self.routes[key] = self._route(mapping)
+            route = self._route(mapping)
+            # the first request leaves a None marker
+            routes[key] = route.compact() if key in routes else None
         return route
 
     def _route(self, mapping) -> CycleRoute:
-        key_of = self.key_of
-        n_procs = mapping.n_procs
         procs = mapping.processors(self.keys, self.hashes)
-        code = _signed_typecode(n_procs)
-        dest = [procs[k] for k in key_of]
-        # CONTROL packs into a signed byte as 0xFF
-        control = CONTROL % 0x100 if code == "b" else CONTROL
+        dest = [procs[k] for k in self.key_of]
         for pos in self.terminals:
-            dest[pos] = control
-        roots = self.roots
-        shippers = (_compact([procs[key_of[~r]] for r in roots if r < 0],
-                             n_procs)
-                    if roots and min(roots) < 0 else _NO_SHIPPERS)
-        return CycleRoute(n_procs,
-                          array(code, bytes(dest) if code == "b" else dest),
-                          shippers, _compact(procs, n_procs),
+            dest[pos] = CONTROL
+        return CycleRoute(mapping.n_procs, dest, procs,
                           (self.key_counts, self.key_left_counts))
 
     def charge_searches(self, depth: Dict[BucketKey, int],

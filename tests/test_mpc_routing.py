@@ -8,7 +8,8 @@ the distinct keys, expand them to every position, send terminals to
 control, count per key), including the owners of single-CE
 instantiations, which the paper sections never have; and they hold the
 memo to its rules: defined-by-value mappings share one entry per
-(cycle, mapping), per-cycle and explicit mappings store nothing, and
+(cycle, mapping), stored from its second request on, per-cycle and
+explicit mappings store nothing, readers get lists of their own, and
 nothing routed shows in a pickle, ``==``, ``repr`` or a later result.
 """
 
@@ -110,10 +111,18 @@ def _composed(index, mapping, n_procs: int):
     return procs, dest, shippers, (activations, left_activations)
 
 
-def _columns(route) -> tuple:
-    """Everything *route* holds, as plain lists."""
-    return (list(route.dest), list(route.shippers), list(route.procs),
-            route.per_processor())
+def _columns(index, route) -> tuple:
+    """Everything *route* holds, as plain lists, with the owner of each
+    terminal root."""
+    return (route.dest, [route.procs[index.key_of[~r]]
+                         for r in index.roots if r < 0],
+            list(route.procs), route.per_processor())
+
+
+def _stored(index) -> dict:
+    """The stored routes of *index*'s memo, as plain lists."""
+    return {key: _columns(index, route)
+            for key, route in index.routes.items() if route is not None}
 
 
 @pytest.fixture(scope="module")
@@ -132,30 +141,54 @@ class TestRouteEqualsTheComposition:
             for cycle in section:
                 index = cycle.key_index()
                 for mapping in _mappings(n_procs, cycle):
-                    route = index.route(mapping)
                     procs, dest, shippers, counts = _composed(
                         index, mapping, n_procs)
-                    assert _columns(route) == (dest, shippers, procs,
-                                               counts)
-                    # counted once; every call gets fresh lists
-                    assert route.per_processor() == counts
-                    assert route.per_processor() is not \
-                        route.per_processor()
+                    # fresh, fresh again (stored compact), then stored
+                    for _ in range(3):
+                        route = index.route(mapping)
+                        assert _columns(index, route) == (
+                            dest, shippers, procs, counts)
+                        # counted once; every call gets fresh lists
+                        assert route.per_processor() == counts
+                        assert route.per_processor() is not \
+                            route.per_processor()
 
     def test_single_ce_owners_are_bucket_owners(self):
         shipped = 0
         for seed in range(3):
-            for cycle in _single_ce(seed):
-                index = cycle.key_index()
-                for n_procs in (2, 5, 16):
-                    mapping = RoundRobinMapping(n_procs)
-                    route = index.route(mapping)
+            trace = _single_ce(seed)
+            for n_procs in (2, 5, 16):
+                mapping = RoundRobinMapping(n_procs)
+                plans = build_plans(trace, RunConfig(n_procs=n_procs))
+                for cycle, plan in zip(trace, plans):
+                    index = cycle.key_index()
                     owners = [mapping.processor_for(index.keys[
                         index.key_of[~r]]) for r in index.roots if r < 0]
-                    assert list(route.shippers) == owners
+                    route = index.route(mapping)
+                    assert _columns(index, route)[1] == owners
                     assert all(route.dest[~r] == CONTROL
                                for r in index.roots if r < 0)
+                    fires = {act_id: p for p, share in
+                             enumerate(plan.per_actor)
+                             for act_id in share.root_fires}
+                    assert [fires[index.base + ~r] for r in index.roots
+                            if r < 0] == owners
                     shipped += len(owners)
+                # every loop ships from the owner: the optimised loops
+                # (dense, compressed, instrumented) equal the oracle
+                want = simulate_reference(trace, n_procs, overheads=OV8)
+                assert repr(simulate(trace, n_procs, overheads=OV8)) \
+                    == repr(want)
+                compressed = simulate_config(trace, RunConfig(
+                    n_procs=n_procs, overheads=OV8,
+                    compress_rounds=True)).expanded()
+                assert [c.makespan_us for c in compressed.cycles] \
+                    == [c.makespan_us for c in want.cycles]
+                faults = FaultModel(seed=3, loss_prob=0.1)
+                assert repr(simulate_config(trace, RunConfig(
+                    n_procs=n_procs, overheads=OV8, faults=faults))) \
+                    == repr(simulate_with_faults_reference(
+                        trace, n_procs, faults, overheads=OV8))
         assert shipped > 50
         # the owners spread: a wrong owner would move a result
         assert len(set(owners)) > 1
@@ -171,20 +204,35 @@ class TestMemo:
             for curves in (again, fresh):
                 assert [repr(r) for c in curves for r in c.results] \
                     == [repr(r) for c in first for r in c.results]
-            # one entry per (cycle, P >= 2), shared by the four rows
+            # one stored entry per (cycle, P >= 2), shared by the rows
             for cycle in section:
-                assert len(cycle.key_index().routes) == sum(
-                    p >= 2 for p in SWEEP_PROCS)
+                routes = cycle.key_index().routes
+                assert len(routes) == sum(p >= 2 for p in SWEEP_PROCS)
+                assert None not in routes.values()
+
+    def test_stored_from_the_second_request(self):
+        index = _copy(tourney_section(0)).cycles[0].key_index()
+        key = RoundRobinMapping(4).route_key
+        first = index.route(RoundRobinMapping(4))
+        assert index.routes == {key: None}  # a one-pass run stores none
+        second = index.route(RoundRobinMapping(4))
+        assert second is not first and index.routes[key] is not None
+        assert index.route(RoundRobinMapping(4)).dest == first.dest
 
     def test_entries_are_keyed_by_value(self):
         index = _copy(tourney_section(0)).cycles[0].key_index()
-        a = index.route(RoundRobinMapping(4))
-        b = index.route(RoundRobinMapping(4))
-        assert a is b and len(index.routes) == 1
-        c = index.route(RandomMapping(4))
+
+        def stored(mapping):
+            for _ in range(2):
+                index.route(mapping)
+            return index.routes[mapping.route_key]
+
+        a = stored(RoundRobinMapping(4))
+        assert stored(RoundRobinMapping(4)) is a and len(index.routes) == 1
+        c = stored(RandomMapping(4))
         assert c is not a and len(index.routes) == 2
-        assert index.route(RandomMapping(4, seed=1)) is not c
-        assert index.route(RoundRobinMapping(4, n_buckets=512)) is not a
+        assert stored(RandomMapping(4, seed=1)) is not c
+        assert stored(RoundRobinMapping(4, n_buckets=512)) is not a
         assert len(index.routes) == 4
 
     def test_greedy_and_explicit_store_nothing(self):
@@ -199,11 +247,12 @@ class TestMemo:
     def test_routed_cycles_pickle_compare_and_print_as_unrouted(self):
         routed, plain = _copy(rubik_section(0)), _copy(rubik_section(0))
         for n_procs in (2, 16):
-            simulate(routed, n_procs, overheads=OV8)
-            simulate_config(routed, RunConfig(
-                n_procs=n_procs, mapping=RandomMapping(n_procs)))
+            for _ in range(2):
+                simulate(routed, n_procs, overheads=OV8)
+                simulate_config(routed, RunConfig(
+                    n_procs=n_procs, mapping=RandomMapping(n_procs)))
         for a, b in zip(routed, plain):
-            assert a.key_index().routes and not b.key_index().routes
+            assert _stored(a.key_index()) and not b.key_index().routes
             assert pickle.dumps(a) == pickle.dumps(b)
             assert a == b and a.key_index() == b.key_index()
             assert repr(a) == repr(b)
@@ -211,22 +260,23 @@ class TestMemo:
         assert not pickle.loads(pickle.dumps(routed)).cycles[0] \
             .key_index().routes
 
-    def test_live_runs_and_plans_leave_the_memo_alone(self):
+    def test_readers_cannot_write_the_memo(self):
         section = _copy(weaver_section(0))
         config = RunConfig(n_procs=4, overheads=OV8)
-        simulate_config(section, config)
-        memo = [(cycle.key_index().routes, {
-            key: _columns(route)
-            for key, route in cycle.key_index().routes.items()})
-            for cycle in section]
+        for _ in range(2):
+            simulate_config(section, config)
+        memo = [_stored(cycle.key_index()) for cycle in section]
+        assert all(memo)
         run(section, config, backend="actors")
         plans = build_plans(section, config)
         for cycle, plan in zip(section, plans):
-            route = cycle.key_index().route(RoundRobinMapping(4))
-            assert plan.per_actor[0].table.dest is route.dest
-        for routes, snapshot in memo:
-            assert {key: _columns(route)
-                    for key, route in routes.items()} == snapshot
+            index = cycle.key_index()
+            route = index.route(RoundRobinMapping(4))
+            assert plan.per_actor[0].table.dest == route.dest
+            # every reader gets its own list
+            route.dest[:] = [0] * len(route.dest)
+            plan.per_actor[0].table.dest[:] = [0] * len(route.dest)
+        assert [_stored(cycle.key_index()) for cycle in section] == memo
 
 
 class TestReferenceOnOrphans:
