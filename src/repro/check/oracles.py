@@ -73,9 +73,10 @@ paths that are documented to produce *identical* results.  The pairs:
     The flattened match kernel (:mod:`repro.rete.kernel`) against the
     preserved object-dispatch engine
     (:class:`~repro.rete._reference.ReferenceReteNetwork`): identical
-    conflict sets after every change (observed and unobserved), a
-    bit-identical activation-event stream on the traced path, and
-    equal memory totals at the end.  Together with
+    conflict sets after every change (logged and unlogged), identical
+    activation-log rows on the logged path, rows that agree with the
+    reference engine's own post-order event stream, and equal memory
+    totals at the end.  Together with
     ``rete_vs_naive`` this pins naive → reference Rete → fast Rete.
 
 Each oracle returns ``None`` on success or a one-line failure detail.
@@ -90,7 +91,9 @@ import dataclasses
 import random
 import tempfile
 import zlib
+from collections import Counter
 from dataclasses import dataclass
+from itertools import count, zip_longest
 from pathlib import Path
 from typing import Callable, List, Optional, Tuple
 
@@ -107,8 +110,10 @@ from ..mpc.timeline import TimelineRecorder
 from ..obs import get_registry
 from ..ops5 import NaiveMatcher, parse_production
 from ..ops5.wme import WME
-from ..rete import ReteNetwork
+from ..rete import BucketKey, ReteNetwork
 from ..rete._reference import ReferenceReteNetwork
+from ..rete.stats import (KIND_BITS, KIND_NAMES, TAG_LEFT, TAG_MINUS,
+                          ActivationLog)
 from ..trace.events import SectionTrace
 from ..trace.format import dumps_trace, read_trace, save_trace
 from .generate import CheckCase, ProgramCase, TraceCase
@@ -515,30 +520,58 @@ def rete_vs_naive(case: ProgramCase) -> Optional[str]:
     return None
 
 
-def _event_tuple(event):
-    return (event.act_id, event.parent_id, event.node_id,
-            event.node_label, event.node_kind, event.side, event.tag,
-            event.key, event.n_successors)
+def log_rows(log: ActivationLog, start: Optional[int] = None
+             ) -> List[tuple]:
+    """The rows of *log* from act id *start* (its first row by default)
+    as ``(act_id, parent, tag byte, node_id, key values)``."""
+    first = 0 if start is None else start - log.start
+    return list(zip(count(log.start + first), log.parents[first:],
+                    log.tags[first:], log.nodes[first:], log.keys[first:]))
+
+
+def log_events(log: ActivationLog, start: Optional[int] = None
+               ) -> List[tuple]:
+    """:func:`log_rows` each as ``(act_id, parent_id, node_id,
+    node_kind, side, tag, key, n_successors)``: an
+    :class:`~repro.rete._reference.ActivationEvent`'s fields but its
+    label, with ``n_successors`` counted from the parent column."""
+    rows = log_rows(log, start)
+    successors = Counter(row[1] for row in rows)
+    return [(act_id, parent, node_id, KIND_NAMES[code & KIND_BITS],
+             "left" if code & TAG_LEFT else "right",
+             "-" if code & TAG_MINUS else "+",
+             BucketKey(node_id, values), successors[act_id])
+            for act_id, parent, code, node_id, values in rows]
+
+
+def event_tuples(events) -> List[tuple]:
+    """Reference-engine events in act-id order, in :func:`log_events`'
+    shape."""
+    return sorted((event.act_id, event.parent_id, event.node_id,
+                   event.node_kind, event.side, event.tag, event.key,
+                   event.n_successors) for event in events)
 
 
 def rete_fast_vs_reference(case: ProgramCase) -> Optional[str]:
     """Pin the flattened kernel to the preserved object-dispatch engine.
 
     Three engines run the same churn script: the reference network and
-    the kernel with an observer attached (exercising the traced stack
-    machine, which must reproduce the reference's activation-event
-    stream *bit for bit* — ids, parents, keys, successor counts), and
-    an unobserved kernel (exercising the untraced fast walk).
-    Conflict sets are compared after every delta; memory totals and the
-    event streams are compared at the end.
+    a kernel, each keeping its activation log (the kernel's logged
+    walk), and a kernel nobody reads (the untraced fast walk).
+    Conflict sets are compared after every delta.  At the end the two
+    logs must hold the same rows, bit for bit; the kernel's rows must
+    agree with the event stream the reference engine's recursion
+    delivers to its observers (ids, parents, nodes, kinds, sides, tags,
+    keys and successor counts); and the memory totals must match.
     """
     reference = ReferenceReteNetwork()
     fast = ReteNetwork()
     plain = ReteNetwork()
     ref_events: List = []
-    fast_events: List = []
     reference.observers.append(ref_events.append)
-    fast.observers.append(fast_events.append)
+    # each network is its own log's reader: the rows live as long as it
+    ref_log = reference.keep_log(reference)
+    fast_log = fast.keep_log(fast)
     engines = (reference, fast, plain)
     for source in case.rules:
         production = parse_production(source)
@@ -563,17 +596,18 @@ def rete_fast_vs_reference(case: ProgramCase) -> Optional[str]:
             return (f"fast kernel conflict set diverged after step "
                     f"{step} ({op[0]} wme {op[1]})")
         if _conflict_signature(plain) != want:
-            return (f"unobserved kernel conflict set diverged after step "
+            return (f"unlogged kernel conflict set diverged after step "
                     f"{step} ({op[0]} wme {op[1]})")
-    if len(ref_events) != len(fast_events):
-        return (f"event stream lengths diverged: reference "
-                f"{len(ref_events)}, fast {len(fast_events)}")
-    for i, (ref_ev, fast_ev) in enumerate(zip(ref_events, fast_events)):
-        if _event_tuple(ref_ev) != _event_tuple(fast_ev):
-            return (f"activation event {i} diverged: reference "
-                    f"{_event_tuple(ref_ev)}, fast {_event_tuple(fast_ev)}")
+    for what, fast_rows, ref_rows in (
+            ("reference log", log_rows(fast_log), log_rows(ref_log)),
+            ("reference events", log_events(fast_log),
+             event_tuples(ref_events))):
+        for fast_row, ref_row in zip_longest(fast_rows, ref_rows):
+            if fast_row != ref_row:
+                return (f"fast log diverged from the {what}: row "
+                        f"{fast_row}, reference {ref_row}")
     ref_counts = reference.memories.counts()
-    for name, engine in (("fast", fast), ("unobserved", plain)):
+    for name, engine in (("fast", fast), ("unlogged", plain)):
         if engine.memories.counts() != ref_counts:
             return (f"{name} memory totals {engine.memories.counts()} "
                     f"!= reference {ref_counts}")

@@ -10,12 +10,11 @@ The central class is :class:`ReteNetwork`, a drop-in
     interp.load_program(parse_program(source))
     interp.run()
 
-While anything listens, the network writes every two-input and terminal
-activation as one row to its activation log
-(:class:`~repro.rete.stats.ActivationLog`) — that is how
-:mod:`repro.trace` records simulator input.  Attach an observer to
-``network.observers`` to receive the same activations as
-:class:`ActivationEvent` objects, in post-order after each wave.
+While a reader keeps its activation log (``network.keep_log(reader)``),
+the network writes every two-input and terminal activation as one row
+to it (:class:`~repro.rete.stats.ActivationLog`) — that is how
+:mod:`repro.trace` records simulator input, and the one way to watch a
+run's activations.
 
 :class:`NetworkBuilder` owns the network's structure (the node
 descriptors of :mod:`repro.rete.nodes`), and :class:`ReteKernel` lowers
@@ -34,7 +33,7 @@ from .memory import FlatMemories
 from .network import ReteNetwork
 from .nodes import (AlphaPattern, BetaNode, JoinNode, NegativeNode,
                     ProductionNode)
-from .stats import ActivationCounter, ActivationEvent, ActivationLog
+from .stats import ActivationLog
 from .tokens import MINUS, PLUS
 from .transform import (build_network, build_unshared_network,
                         copy_and_constraint_ranges,
@@ -48,7 +47,7 @@ __all__ = [
     "ReteNetwork",
     "AlphaPattern", "BetaNode", "JoinNode", "NegativeNode",
     "ProductionNode",
-    "ActivationCounter", "ActivationEvent", "ActivationLog",
+    "ActivationLog",
     "MINUS", "PLUS",
     "build_network", "build_unshared_network",
     "copy_and_constraint_ranges", "copy_and_constraint_values",

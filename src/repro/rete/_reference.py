@@ -17,17 +17,19 @@ reporting (:class:`_Run`), never the network itself, so no reference
 cycle keeps a dropped network alive.  Memory state lives in
 :class:`HashedMemories`, and tokens are immutable :class:`Token`
 values.  It implements the same
-:class:`~repro.ops5.matcher.Matcher` protocol, emits the same
-:class:`~repro.rete.stats.ActivationEvent` stream (from its own
-recursion, not from a replay) and, once a recorder keeps its
-:class:`~repro.rete.stats.ActivationLog`, writes the same rows where it
-numbers an activation.
+:class:`~repro.ops5.matcher.Matcher` protocol and, once a reader keeps
+its :class:`~repro.rete.stats.ActivationLog`, writes the kernel's rows
+where it numbers an activation.  Its recursion also delivers every
+activation to its ``observers`` as an :class:`ActivationEvent`, in
+post-order: an event stream the kernel has no counterpart of, so the
+oracle holds the kernel's rows to a record the log did not produce.
 
 The equivalence chain is pinned end to end by the conformance harness:
 ``rete_vs_naive`` proves the reference engine against the from-scratch
 naive matcher, and ``rete_fast_vs_reference`` proves the flattened
-kernel against this engine — identical conflict sets *and* identical
-activation-event streams after every working-memory change.
+kernel against this engine — identical conflict sets after every
+working-memory change, and identical log rows that agree with this
+engine's events.
 
 Do not "improve" this module.  Its value is that it does not change.
 """
@@ -46,8 +48,49 @@ from ..ops5.wme import WME
 from .builder import NetworkBuilder, Subscription
 from .hashing import BucketKey, intern_value
 from .nodes import BetaNode, JoinNode, NegativeNode, ProductionNode
-from .stats import TAG_CODES, ActivationEvent, ActivationLog
+from .stats import TAG_CODES, ActivationLog
 from .tokens import MINUS, PLUS
+
+# -- activation events --------------------------------------------------------
+
+
+@dataclass(slots=True)
+class ActivationEvent:
+    """One token/wme arrival at a two-input or terminal node.
+
+    Attributes
+    ----------
+    act_id:
+        Serial number within the network's lifetime; children always have
+        larger ids than their parent.
+    parent_id:
+        The activation whose matching produced this one, or None for root
+        activations generated directly by a wme change (the constant-test
+        outputs of paper Section 3.2 step 2).
+    node_kind:
+        ``"join"``, ``"negative"`` or ``"terminal"``.
+    side:
+        ``"left"`` or ``"right"`` — which memory the arriving item is
+        stored into.  Terminal arrivals are ``"left"`` by convention.
+    tag:
+        ``"+"`` or ``"-"``.
+    key:
+        The hash-bucket key (node id + equality-test values).
+    n_successors:
+        Number of successor activations this one generated (16 µs each in
+        the paper's cost model).
+    """
+
+    act_id: int
+    parent_id: Optional[int]
+    node_id: int
+    node_label: str
+    node_kind: str
+    side: str
+    tag: str
+    key: BucketKey
+    n_successors: int = 0
+
 
 # -- tokens ---------------------------------------------------------------------
 

@@ -8,7 +8,7 @@ scan over every pattern in the network.  This module lowers the same
 structure — the node descriptors a
 :class:`~repro.rete.builder.NetworkBuilder` owns — into flat parallel
 arrays and executes waves with one explicit depth-first work stack,
-observed or not:
+logged or not:
 
 * **Alpha dispatch** is hashed: within a wme class, one lookup on the
   attribute the patterns share an EQ constant on picks the patterns
@@ -25,15 +25,13 @@ observed or not:
   node's sorted variable layout), so a token carries only a value
   tuple and variable lookups are index reads.
 
-While anything listens, the walk appends one row per activation to the
-network's :class:`~repro.rete.stats.ActivationLog` at the moment it
-numbers the activation: the reference engine's pre-order, so the rows
-are already in act-id order and nothing is sorted, queued or built per
-activation.  A node whose children are all terminals numbers its
-instantiations in place, where the pops would have.  Observers get
-:class:`~repro.rete.stats.ActivationEvent` objects replayed from the
-wave's rows in the reference's post-order
-(:meth:`ActivationLog.replay`).  The executor replicates the reference
+While a reader keeps the network's
+:class:`~repro.rete.stats.ActivationLog` (``log.readers``), the walk
+appends one row per activation to it at the moment it numbers the
+activation: the reference engine's pre-order, so the rows are already
+in act-id order and nothing is sorted, queued or built per activation.
+A node whose children are all terminals numbers its instantiations in
+place, where the pops would have.  The executor replicates the reference
 engine's observable behaviour bit for bit: the same act ids, parents,
 keys and successor counts, the same conflict sets, and memory buckets
 deleted when they empty.  The ``rete_fast_vs_reference`` conformance
@@ -53,7 +51,7 @@ from .memory import BISECT_COUNTS, FlatMemories, RangeIndex
 from .nodes import JoinNode, NegativeNode, ProductionNode
 from .predicates import compile_constant_test, compile_predicate
 from .stats import (TAG_JOIN, TAG_LEFT, TAG_NEGATIVE, TAG_TERMINAL,
-                    ActivationEvent, ActivationLog)
+                    ActivationLog)
 from .tokens import MINUS, PLUS
 
 #: Compiled node kinds (values of ``ReteKernel.kind``).
@@ -181,20 +179,16 @@ class ReteKernel:
     Lowered from a :class:`~repro.rete.builder.NetworkBuilder`'s
     structure (alpha patterns, subscriptions, beta-node topology) after
     all productions are added.  The network delegates ``add_wme`` /
-    ``remove_wme`` / ``conflict_set`` here and shares its ``observers``
-    list and its activation log; structural introspection stays on the
-    builder.
+    ``remove_wme`` / ``conflict_set`` here and shares its activation
+    log; structural introspection stays on the builder.
     """
 
     #: Always False: the alpha match is pure Python.  Kept only because
     #: the end-to-end benchmark still reports it.
     numpy_engaged = False
 
-    def __init__(self, builder: NetworkBuilder,
-                 observers: List[Callable[[ActivationEvent], None]],
-                 log: ActivationLog) -> None:
-        self.observers = observers
-        #: written while anything listens; it numbers the activations
+    def __init__(self, builder: NetworkBuilder, log: ActivationLog) -> None:
+        #: written while a reader keeps it; it numbers the activations
         self.log = log
 
         # -- beta nodes: one row of parallel arrays per node ----------------
@@ -306,9 +300,6 @@ class ReteKernel:
             self.plain_plan[ci] = (terms, rbeta, False)
         self.memories = FlatMemories(
             n, [ci for ci in range(n) if self.range_count[ci]])
-        #: node id -> label, for the events replayed to observers
-        self.labels: Dict[int, str] = {
-            node.node_id: node.label for node in node_objs}
 
         # -- alpha network: hashed per-class pattern groups -----------------
         by_class: Dict[str, List[_AlphaSlot]] = {}
@@ -337,12 +328,11 @@ class ReteKernel:
         alpha = self._alpha.get(wme.cls)
         if alpha is None:
             return
-        observers = self.observers
         log = self.log
         rows = None
         next_id = 0
-        if observers or log.readers:
-            start = next_id = log.end
+        if log.readers:
+            next_id = log.end
             rows = (log.parents.append, log.tags.append, log.nodes.append,
                     log.keys.append)
         elif log.tags:
@@ -359,8 +349,6 @@ class ReteKernel:
                            tuple([get(a, NIL) for a in unit_attrs]))
                     next_id = self._walk([(ci, tok, tag, None)], rows,
                                          next_id)
-        if observers:
-            log.replay(start, self.labels, observers)
 
     @staticmethod
     def _alpha_match(slot: _AlphaSlot, wme: WME) -> bool:

@@ -16,17 +16,14 @@ tuple tokens and hashed alpha dispatch — which executes all waves
 from then on (DESIGN §4.5).  The original object-dispatch engine is
 kept as an oracle in :mod:`repro.rete._reference`; the
 ``rete_fast_vs_reference`` conformance oracle pins the two to identical
-conflict sets and activation-event streams.
+conflict sets and activation rows.
 
-While anything listens, every two-input/terminal activation is numbered
-and written as one row to the network's
-:class:`~repro.rete.stats.ActivationLog` — the raw material for the
-Figure 4-1 trace, which :class:`~repro.trace.recorder.TraceRecorder`
-compiles straight from the rows while it lives
-(:meth:`ReteNetwork.keep_log`).
-``observers`` receive the same activations as
-:class:`~repro.rete.stats.ActivationEvent` objects, replayed from the log
-in post-order after each wave.
+While a reader keeps the log (:meth:`ReteNetwork.keep_log`), every
+two-input/terminal activation is numbered and written as one row to
+the network's :class:`~repro.rete.stats.ActivationLog` — the Figure 4-1
+trace record, which :class:`~repro.trace.recorder.TraceRecorder`
+compiles straight from the rows.  Whatever listens to a run reads those
+rows; there is no other activation stream.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from .builder import NetworkBuilder, ReteError
 from .kernel import ReteKernel
 from .memory import FlatMemories
 from .nodes import BetaNode
-from .stats import ActivationEvent, ActivationLog
+from .stats import ActivationLog
 from .tokens import MINUS, PLUS
 
 __all__ = ["ReteError", "ReteNetwork"]
@@ -53,7 +50,7 @@ class ReteNetwork:
         #: the network's structure; ``share=False`` never shares
         #: two-input nodes between productions (Figure 5-3 unsharing)
         self.builder = NetworkBuilder(share)
-        self._observers: List[Callable[[ActivationEvent], None]] = []
+        self._observers: List[Callable] = []
         self._log = ActivationLog()
         self._kernel: Optional[ReteKernel] = None
 
@@ -69,11 +66,15 @@ class ReteNetwork:
 
     def add_wme(self, wme: WME) -> None:
         """Propagate a wme addition (a + token wave) through the network."""
+        if self._observers:
+            self._refuse_observers()
         self.builder.sealed = True
         (self._kernel or self._compile()).dispatch(wme, PLUS)
 
     def remove_wme(self, wme: WME) -> None:
         """Propagate a wme deletion (a - token wave) through the network."""
+        if self._observers:
+            self._refuse_observers()
         self.builder.sealed = True
         (self._kernel or self._compile()).dispatch(wme, MINUS)
 
@@ -85,19 +86,24 @@ class ReteNetwork:
 
     def _compile(self) -> ReteKernel:
         """Lower the builder's structure into the flat kernel."""
-        kernel = ReteKernel(self.builder, self._observers, self._log)
+        kernel = ReteKernel(self.builder, self._log)
         self._kernel = kernel
         return kernel
 
     @property
-    def observers(self) -> List[Callable[[ActivationEvent], None]]:
-        """Call-backs receiving every :class:`ActivationEvent`, in
-        post-order once each wave is done.
+    def observers(self) -> List[Callable]:
+        """Always empty: the network delivers no activation events.
 
-        The kernel holds this same list: append to it or remove from it
-        in place (the attribute cannot be rebound).
+        Kept only for ``bench/spans.py``'s ``TimedMatcher``, which
+        rewrites it in place; a wave raises :class:`ReteError` while it
+        holds anything.  Read activations from :meth:`keep_log`.
         """
         return self._observers
+
+    def _refuse_observers(self) -> None:
+        raise ReteError(
+            "ReteNetwork.observers receive nothing: read activations "
+            "from the rows of network.keep_log(reader)")
 
     def keep_log(self, reader: object) -> ActivationLog:
         """The network's activation log, with every row written from

@@ -19,6 +19,8 @@ from repro.check import (ProgramCase, TraceCase, build_case,
 from repro.check.oracles import _diff_results
 from repro.mpc import CycleResult, SimResult, SparseProcArray
 from repro.obs import get_registry, reset_registry
+from repro.rete import ReteKernel
+from repro.rete.stats import TAG_LEFT
 from repro.trace import validate_trace
 from repro.trace.events import SectionTrace
 from tests.trace_view import acts, view
@@ -90,6 +92,49 @@ class TestMutationSmoke:
             names = {name for name, _ in run_oracles(case)}
         assert "opt_vs_reference" in names
         assert "recorder_invisible" in names
+
+
+def _swap_two_parents(log):
+    """Swap the parents of the first two rows that differ in parent."""
+    first = log.parents[0]
+    other = next((i for i, parent in enumerate(log.parents)
+                  if parent != first), None)
+    if other is None:
+        return False
+    log.parents[0], log.parents[other] = log.parents[other], first
+    return True
+
+
+def _flip_left_bit(log):
+    """Flip the ``TAG_LEFT`` bit of the first row."""
+    log.tags[0] ^= TAG_LEFT
+    return True
+
+
+class TestReteOracleMutants:
+    """``rete_fast_vs_reference`` holds the kernel's activation-log rows
+    to the reference engine: corrupting one logged row of the kernel,
+    after the wave that wrote it, must be reported."""
+
+    @pytest.mark.parametrize("mutate", [_swap_two_parents, _flip_left_bit])
+    def test_corrupted_row_is_reported(self, monkeypatch, mutate):
+        case = next(c for c in generate_cases(0, 10)
+                    if isinstance(c, ProgramCase))
+        assert run_oracles(case, only=("rete_fast_vs_reference",)) == []
+        real = ReteKernel.dispatch
+        mutated = []
+
+        def dispatch(self, wme, tag):
+            real(self, wme, tag)
+            if self.log.readers and self.log.tags and not mutated \
+                    and mutate(self.log):
+                mutated.append(True)
+
+        monkeypatch.setattr(ReteKernel, "dispatch", dispatch)
+        failures = run_oracles(case, only=("rete_fast_vs_reference",))
+        assert mutated == [True]
+        assert [name for name, _ in failures] == ["rete_fast_vs_reference"]
+        assert "fast log diverged from the reference log" in failures[0][1]
 
 
 class TestTypeDrift:

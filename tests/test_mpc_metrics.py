@@ -3,7 +3,7 @@
 import pytest
 
 from repro.mpc import CycleResult, SimResult, speedup, speedup_series
-from repro.rete import ActivationCounter
+from repro.trace.events import ActivationStats, SectionTrace, TraceBuilder
 
 
 def cycle(makespan, busy, left=None, msgs=0, net=0.0):
@@ -96,50 +96,52 @@ class TestSpeedupHelpers:
         assert speedup_series(base, runs) == [2.0, 5.0]
 
 
-class TestActivationCounter:
-    def make_event(self, kind="join", side="left", n_succ=2):
-        from repro.rete import ActivationEvent, BucketKey
-        return ActivationEvent(act_id=1, parent_id=None, node_id=3,
-                               node_label="x", node_kind=kind,
-                               side=side, tag="+",
-                               key=BucketKey(3, ()),
-                               n_successors=n_succ)
+class TestActivationStats:
+    """The Table 5-2 counts a section reads off its tables: two-input
+    activations by side, terminal deliveries apart, and the successors
+    of the two-input ones."""
+
+    def section(self, *roots):
+        """One cycle of root activations ``(kind, side, n_terminals)``
+        at node 3, each with *n_terminals* terminal children."""
+        builder = TraceBuilder("t")
+        builder.new_cycle()
+        for kind, side, n_terminals in roots:
+            root = builder.root(3, side, kind=kind)
+            for _ in range(n_terminals):
+                builder.terminal(root, 9)
+        return builder.build()
 
     def test_counts_sides(self):
-        counter = ActivationCounter()
-        counter(self.make_event(side="left"))
-        counter(self.make_event(side="right"))
-        assert counter.left == 1 and counter.right == 1
-        assert counter.total == 2
+        stats = self.section(("join", "left", 0),
+                             ("join", "right", 0)).stats()
+        assert stats.left == 1 and stats.right == 1
+        assert stats.total == 2
 
     def test_terminal_counted_separately(self):
-        counter = ActivationCounter()
-        counter(self.make_event(kind="terminal"))
-        assert counter.total == 0
-        assert counter.terminal == 1
+        stats = self.section(("terminal", "left", 0)).stats()
+        assert stats.total == 0
+        assert stats.terminal == 1
 
     def test_successors_accumulated(self):
-        counter = ActivationCounter()
-        counter(self.make_event(n_succ=3))
-        counter(self.make_event(n_succ=4))
-        assert counter.successors == 7
+        stats = self.section(("join", "left", 3),
+                             ("negative", "right", 4)).stats()
+        assert stats.successors == 7
+        assert stats.terminal == 7 and stats.total == 2
 
-    def test_left_fraction_and_summary(self):
-        counter = ActivationCounter()
-        counter(self.make_event(side="left"))
-        counter(self.make_event(side="right"))
-        counter(self.make_event(side="right"))
-        counter(self.make_event(side="right"))
-        assert counter.left_fraction() == pytest.approx(0.25)
-        assert "25%" in counter.summary()
+    def test_left_fraction_and_row(self):
+        stats = self.section(("join", "left", 0), ("join", "right", 0),
+                             ("join", "right", 0),
+                             ("join", "right", 0)).stats()
+        assert stats.left_fraction == pytest.approx(0.25)
+        assert "25%" in stats.row("t")
 
-    def test_empty_counter(self):
-        counter = ActivationCounter()
-        assert counter.left_fraction() == 0.0
-        assert "total=0" in counter.summary()
+    def test_empty_stats(self):
+        stats = ActivationStats()
+        assert stats.left_fraction == 0.0
+        assert stats.row("t").split()[-1] == "0"
+        assert SectionTrace("t").stats() == stats
 
-    def test_by_node_tally(self):
-        counter = ActivationCounter()
-        counter(self.make_event())
-        counter(self.make_event())
-        assert counter.by_node == {3: 2}
+    def test_node_ids(self):
+        section = self.section(("join", "left", 1), ("join", "right", 0))
+        assert section.node_ids() == [3]

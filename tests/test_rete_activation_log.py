@@ -1,16 +1,18 @@
-"""The activation log the match engines write while anything listens,
-and the adapter that replays it to observers as events in post-order.
+"""The activation log the match engines write while a reader keeps it.
 
-Every case runs on the flat kernel and the reference engine and holds
-the kernel to the reference's event stream (the reference delivers its
-events from its own recursion, not from a log) or to the frozen
-object-building recorder in ``tests/trace_recorder_reference.py``.
+The log's rows are the only form the kernel's activations take.  Every
+case runs on the flat kernel and the reference engine and holds the
+kernel's rows to the reference engine's rows, to the event stream the
+reference delivers to its observers from its own recursion, or to the
+frozen object-building recorder in ``tests/trace_recorder_reference.py``
+(which reads those events, so it runs on the reference engine).
 """
 
 import pytest
 
 from repro.ops5 import Interpreter, parse_production, parse_program
 from repro.ops5.wme import WME
+from repro.check.oracles import event_tuples, log_events
 from repro.rete import ReteNetwork
 from repro.rete._reference import ReferenceReteNetwork
 from repro.trace import TraceRecorder, dumps_trace
@@ -31,11 +33,23 @@ PROGRAMS = {
 }
 
 
-def _event_tuple(event):
-    """Every field of an event, with exact key value types."""
-    return (event.act_id, event.parent_id, event.node_id,
-            event.node_label, event.node_kind, event.side, event.tag,
-            event.key, repr(event.key), event.n_successors)
+def _stream(rows):
+    """:func:`log_events` or :func:`event_tuples` rows, with exact key
+    value types."""
+    return [row + (repr(row[6]),) for row in rows]
+
+
+def _assert_pre_order(rows):
+    """Each row's parent is on the open path of the rows before it:
+    the rows are whole depth-first walks, an activation before its
+    successors."""
+    open_path = []
+    for row in rows:
+        act_id, parent = row[0], row[1]
+        while open_path and open_path[-1] != parent:
+            open_path.pop()
+        assert parent is None or open_path, row
+        open_path.append(act_id)
 
 
 def _drive(network, source, hooks, max_cycles=400):
@@ -55,26 +69,45 @@ def _drive(network, source, hooks, max_cycles=400):
 
 
 class _Listeners:
-    """Hooks that attach observers and recorders to a network mid-run,
-    and what they collected."""
+    """Hooks that attach log readers and recorders to a network mid-run,
+    and what they collected.  On the reference engine a reader also
+    observes its events, and every recorder has a frozen twin."""
 
     def __init__(self):
-        self.events = []
+        self.log = None
+        self.start = None
+        #: the reference engine's observed events (None on the kernel)
+        self.events = None
         self.recorders = []
+        self.frozen = []
 
-    def observe(self, network, interpreter):
-        network.observers.append(self.events.append)
+    def read(self, network, interpreter):
+        self.log = network.keep_log(self)
+        self.start = self.log.end
+        if isinstance(network, ReferenceReteNetwork):
+            self.events = []
+            network.observers.append(self.events.append)
 
     def record(self, network, interpreter):
-        """A recorder and a frozen recorder, started together."""
-        recorder, frozen = (TraceRecorder(network),
-                            ReferenceTraceRecorder(network))
+        """A recorder, and on the reference engine a frozen recorder
+        started with it."""
+        recorder = TraceRecorder(network)
         recorder.attach(interpreter)
-        frozen.attach(interpreter)
-        self.recorders.append((recorder, frozen))
+        self.recorders.append(recorder)
+        if isinstance(network, ReferenceReteNetwork):
+            frozen = ReferenceTraceRecorder(network)
+            frozen.attach(interpreter)
+            self.frozen.append(frozen)
 
     def stream(self):
-        return [_event_tuple(event) for event in self.events]
+        """The rows read since :meth:`read`, in event form; on the
+        reference engine they must equal its observed events."""
+        if self.log is None:
+            return []
+        rows = _stream(log_events(self.log, self.start))
+        if self.events is not None:
+            assert rows == _stream(event_tuples(self.events))
+        return rows
 
 
 def _run_both(source, plan):
@@ -91,15 +124,19 @@ def _run_both(source, plan):
     return out
 
 
-def _assert_sections(listeners):
-    """Every recorder matches the frozen recorder started with it, byte
-    for byte, with and without the setup cycle."""
-    for recorder, frozen in listeners.recorders:
-        for drop in (False, True):
-            section = recorder.section("s", drop_setup_cycle=drop)
-            expect = frozen.section("s", drop_setup_cycle=drop)
-            assert dumps_trace(section) == dumps_trace(expect)
-            assert section == expect
+def _assert_sections(runs):
+    """Every recorder on either engine matches the frozen recorder
+    started with it on the reference engine, byte for byte, with and
+    without the setup cycle."""
+    frozen = runs["reference"].frozen
+    for listeners in runs.values():
+        assert len(listeners.recorders) == len(frozen)
+        for recorder, twin in zip(listeners.recorders, frozen):
+            for drop in (False, True):
+                section = recorder.section("s", drop_setup_cycle=drop)
+                expect = twin.section("s", drop_setup_cycle=drop)
+                assert dumps_trace(section) == dumps_trace(expect)
+                assert section == expect
 
 
 def _flat(section):
@@ -111,56 +148,60 @@ def _flat(section):
 
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
 class TestObserverAdapter:
+    """What an observer of the reference engine sees, a reader of the
+    kernel's log reads: each scenario's "observer" is now a log reader
+    (``keep_log``), held on the reference engine to its observed
+    events."""
+
     def test_observer_alone(self, name):
-        runs = _run_both(PROGRAMS[name](), {0: ["observe"]})
+        runs = _run_both(PROGRAMS[name](), {0: ["read"]})
         stream = runs["kernel"].stream()
         assert stream and stream == runs["reference"].stream()
-        # post-order: every event follows all of its successors
+        _assert_pre_order(stream)
+        # the reference's events are post-order: every event follows
+        # all of its successors
         seen = set()
-        for event in runs["kernel"].events:
+        for event in runs["reference"].events:
             assert event.act_id not in seen
             if event.parent_id is not None:
                 assert event.parent_id not in seen
             seen.add(event.act_id)
 
     def test_observer_with_recorder(self, name):
-        runs = _run_both(PROGRAMS[name](), {0: ["observe", "record"]})
+        runs = _run_both(PROGRAMS[name](), {0: ["read", "record"]})
         assert runs["kernel"].stream() == runs["reference"].stream()
-        for listeners in runs.values():
-            _assert_sections(listeners)
-        kernel, reference = (runs[e].recorders[0][0].section("s")
+        _assert_sections(runs)
+        kernel, reference = (runs[e].recorders[0].section("s")
                              for e in ENGINES)
         assert _flat(kernel) == _flat(reference)
 
     def test_observer_attached_mid_run(self, name):
-        runs = _run_both(PROGRAMS[name](), {3: ["observe"]})
+        runs = _run_both(PROGRAMS[name](), {3: ["read"]})
         stream = runs["kernel"].stream()
         assert stream == runs["reference"].stream()
-        if stream:  # nothing numbered activations before the observer
-            assert min(event[0] for event in stream) == 1
+        if stream:  # nothing numbered activations before the reader
+            assert min(row[0] for row in stream) == 1
 
     def test_observer_attached_mid_run_after_a_recorder(self, name):
-        runs = _run_both(PROGRAMS[name](), {0: ["record"], 3: ["observe"]})
+        runs = _run_both(PROGRAMS[name](), {0: ["record"], 3: ["read"]})
         assert runs["kernel"].stream() == runs["reference"].stream()
-        for listeners in runs.values():
-            _assert_sections(listeners)
+        _assert_sections(runs)
 
     def test_two_recorders_started_at_different_cycles(self, name):
         runs = _run_both(PROGRAMS[name](), {0: ["record"], 4: ["record"]})
         for listeners in runs.values():
             assert len(listeners.recorders) == 2
-            _assert_sections(listeners)
+        _assert_sections(runs)
         for index in range(2):
             kernel, reference = (
-                runs[e].recorders[index][0].section("s") for e in ENGINES)
+                runs[e].recorders[index].section("s") for e in ENGINES)
             assert _flat(kernel) == _flat(reference)
 
     def test_recorder_created_after_activations_ran(self, name):
-        for plan in ({3: ["record"]}, {0: ["observe"], 3: ["record"]}):
+        for plan in ({3: ["record"]}, {0: ["read"], 3: ["record"]}):
             runs = _run_both(PROGRAMS[name](), plan)
-            for listeners in runs.values():
-                _assert_sections(listeners)
-            kernel, reference = (runs[e].recorders[0][0].section("s")
+            _assert_sections(runs)
+            kernel, reference = (runs[e].recorders[0].section("s")
                                  for e in ENGINES)
             assert _flat(kernel) == _flat(reference)
             assert runs["kernel"].stream() == runs["reference"].stream()
@@ -174,16 +215,27 @@ class TestLog:
         return network
 
     def test_log_stays_empty_while_only_observers_listen(self):
-        network = self._network()
+        """Only the reference engine has observers: they number its
+        activations and leave its log empty.  A reader of the kernel's
+        log reads the same activations."""
+        reference = ReferenceReteNetwork()
+        reference.add_production(parse_production(
+            "(p r (a ^v <x>) (b ^w <x>) --> (remove 1))"))
         events = []
-        network.observers.append(events.append)
-        log = network.kernel.log
+        reference.observers.append(events.append)
+        network = self._network()
+        rows = network.keep_log(self)
+        log = reference._run.log
         for wme in (WME(1, "a", {"v": 1}), WME(2, "b", {"w": 1}),
                     WME(3, "b", {"w": 1})):
+            reference.add_wme(wme)
             network.add_wme(wme)
             assert not (log.tags or log.parents or log.nodes or log.keys)
         assert [e.act_id for e in events] == [1, 3, 2, 5, 4]
-        assert log.end == 6 and not log.readers
+        assert not log.readers
+        assert (_stream(log_events(rows))
+                == _stream(event_tuples(events)))
+        assert rows.end == 6
 
     def test_nothing_numbered_while_nothing_listens(self):
         network = self._network()
@@ -257,40 +309,45 @@ class TestLogReaders:
 
     def test_one_reader_dropped_one_alive(self, engine):
         network, deltas = _cross(engine, 6)
+        twin, _ = _cross("reference", 6)
         events = []
-        network.observers.append(events.append)
+        twin.observers.append(events.append)
+        frozen = ReferenceTraceRecorder(twin)
         half = len(deltas) // 2
         alive, dropped = TraceRecorder(network), TraceRecorder(network)
-        frozen = ReferenceTraceRecorder(network)
         log = alive._log
         _apply(network, deltas[:half])
+        _apply(twin, deltas[:half])
         del dropped
         assert log.readers == 1
         alive.set_cycle(1)
         frozen.set_cycle(1)
         _apply(network, deltas[half:])
+        _apply(twin, deltas[half:])
         for drop in (False, True):
             assert dumps_trace(alive.section("s", drop)) == dumps_trace(
                 frozen.section("s", drop))
+        # the live reader read every activation of both passes
+        assert (_stream(log_events(log))
+                == _stream(event_tuples(events)))
+        end = log.end
         del alive
         _apply(network, deltas)
+        # with no reader left nothing is kept, and nothing is numbered
         assert not log.readers and not log.tags
-        # the observer saw every activation of all three passes
-        reference, _ = _cross("reference", 6)
-        expect = []
-        reference.observers.append(expect.append)
-        _apply(reference, deltas + deltas)
-        assert ([_event_tuple(e) for e in events]
-                == [_event_tuple(e) for e in expect])
+        assert log.end == end
 
     def test_a_new_reader_after_the_last_one_left(self, engine):
         network, deltas = _cross(engine, 4)
-        first = TraceRecorder(network)
+        twin, _ = _cross("reference", 4)
+        first, first_twin = TraceRecorder(network), TraceRecorder(twin)
         _apply(network, deltas)
-        del first
+        _apply(twin, deltas)
+        del first, first_twin
         second, frozen = (TraceRecorder(network),
-                          ReferenceTraceRecorder(network))
+                          ReferenceTraceRecorder(twin))
         _apply(network, deltas)
+        _apply(twin, deltas)
         assert dumps_trace(second.section("s")) == dumps_trace(
             frozen.section("s"))
 
@@ -337,28 +394,37 @@ class TestInPlaceNumbering:
     those of pushing them as walk entries."""
 
     def _run(self, case, engine):
+        """The network, an untraced kernel, the rows read in event form,
+        the recorder, the frozen recorder (reference engine only) and
+        the conflict-set orders after each wave."""
         rules, _ = IN_PLACE_CASES[case]
         network = ENGINES[engine]()
         for source in rules:
             network.add_production(parse_production(source))
-        events = []
-        network.observers.append(events.append)
-        recorder, frozen = (TraceRecorder(network),
-                            ReferenceTraceRecorder(network))
+        recorder = TraceRecorder(network)
+        frozen = None
+        if engine == "reference":
+            events = []
+            network.observers.append(events.append)
+            frozen = ReferenceTraceRecorder(network)
         plain = ReteNetwork()
         for source in rules:
             plain.add_production(parse_production(source))
         orders = []
         for cycle, (tag, wme) in enumerate(_SCRIPT, 1):
             recorder.set_cycle(cycle)
-            frozen.set_cycle(cycle)
+            if frozen is not None:
+                frozen.set_cycle(cycle)
             for net in (network, plain):
                 (net.add_wme if tag == "+" else net.remove_wme)(wme)
             assert _signature(network) == _signature(plain)
             orders.append([(inst.production.name,
                             tuple(w.wme_id for w in inst.wmes))
                            for inst in network.conflict_set()])
-        return network, plain, events, recorder, frozen, orders
+        stream = _stream(log_events(recorder._log))
+        if frozen is not None:
+            assert stream == _stream(event_tuples(events))
+        return network, plain, stream, recorder, frozen, orders
 
     def test_the_nodes_take_the_in_place_path(self, case):
         rules, in_place = IN_PLACE_CASES[case]
@@ -372,20 +438,20 @@ class TestInPlaceNumbering:
     def test_matches_the_reference_and_the_frozen_recorder(self, case):
         runs = {engine: self._run(case, engine) for engine in ENGINES}
         kernel, reference = runs["kernel"], runs["reference"]
-        assert kernel[2] and ([_event_tuple(e) for e in kernel[2]]
-                              == [_event_tuple(e) for e in reference[2]])
+        assert kernel[2] and kernel[2] == reference[2]
         # the traced kernel stores instantiations in the reference's
         # order, so the conflict sets list alike
         assert kernel[5] == reference[5]
-        for _, _, _, recorder, frozen, _ in runs.values():
+        frozen = reference[4]
+        for _, _, _, recorder, _, _ in runs.values():
             for drop in (False, True):
                 section = recorder.section("s", drop)
                 assert dumps_trace(section) == dumps_trace(
                     frozen.section("s", drop))
         assert (_flat(kernel[3].section("s"))
                 == _flat(reference[3].section("s")))
-        assert any(e.node_kind == "terminal" and e.tag == "-"
-                   for e in kernel[2])
+        assert any(row[3] == "terminal" and row[5] == "-"
+                   for row in kernel[2])
 
     def test_memories_match_untraced_and_reference(self, case):
         network, plain, *_ = self._run(case, "kernel")

@@ -131,21 +131,59 @@ class TestLateProductionAdd:
 
 
 class TestObservers:
-    def test_observers_list_is_shared_with_the_kernel(self):
+    """``ReteNetwork.observers`` delivers nothing: it stays only as the
+    empty list ``bench/spans.py``'s ``TimedMatcher`` rewrites in place.
+    An observer appended to it fails the next wave loudly."""
+
+    @pytest.mark.parametrize("method", ["add_wme", "remove_wme"])
+    def test_an_appended_observer_raises_rete_error(self, method):
         from repro.ops5.wme import WME
+        from repro.rete import ReteError
         net = ReteNetwork()
         net.add_production(parse_production("(p r (a) --> (halt))"))
         net.add_wme(WME(1, "a", {}))
         seen = []
         net.observers.append(seen.append)
-        net.add_wme(WME(2, "a", {}))
-        assert [e.node_kind for e in seen] == ["terminal"]
+        with pytest.raises(ReteError, match="keep_log"):
+            getattr(net, method)(WME(1 if method == "remove_wme" else 2,
+                                     "a", {}))
+        assert seen == [] and len(net.conflict_set()) == 1
+        net.observers.clear()
+        net.add_wme(WME(3, "a", {}))
+        assert len(net.conflict_set()) == 2
         with pytest.raises(AttributeError):
             net.observers = []
 
+    def test_timed_matcher_rewrite_leaves_a_recording_unchanged(self):
+        """``TimedMatcher.__init__``'s statement, on a recorded rubik
+        run: the same section text and the same firings."""
+        from repro.ops5 import Interpreter, parse_program
+        from repro.trace import TraceRecorder, dumps_trace
+        from repro.workloads.match import rubik_match_program
+
+        def wrap(observer):
+            return lambda event: observer(event)
+
+        runs = []
+        for rewrite in (False, True):
+            network = ReteNetwork()
+            if rewrite:
+                network.observers[:] = [wrap(f) for f in network.observers]
+            recorder = TraceRecorder(network)
+            interpreter = Interpreter(matcher=network)
+            recorder.attach(interpreter)
+            interpreter.load_program(parse_program(rubik_match_program(0)))
+            result = interpreter.run(max_cycles=5000)
+            firings = [(rec.instantiation.production.name,
+                        tuple(w.wme_id for w in rec.instantiation.wmes))
+                       for rec in result.firings]
+            runs.append((dumps_trace(recorder.section("rubik", True)),
+                         firings))
+        assert runs[0][1] and runs[0] == runs[1]
+
 
 class TestNoReferenceCycles:
-    """A dropped network, with the events its observers kept, is freed by
+    """A dropped network, with the rows its reader kept, is freed by
     reference counting, not at the cycle collector's next full pass."""
 
     @pytest.mark.parametrize("engine", ["kernel", "reference"])

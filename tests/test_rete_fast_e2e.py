@@ -2,7 +2,7 @@
 
 Full OPS5 programs — the classic demos and the rubik/tourney/weaver
 match workloads — run token-for-token identically on the fast kernel
-(observed and unobserved) and the preserved reference engine: same firing
+(logged and unlogged) and the preserved reference engine: same firing
 sequence, same wme ids in every instantiation, same output, same halt
 state.  The recorded match scripts also replay into every engine with
 identical final conflict sets, which is the property the rete bench
@@ -21,17 +21,18 @@ from repro.workloads.programs import (BLOCKS_WORLD, GRID_ROUTER,
 from tests.rete_memory_image import left_buckets, left_state
 
 
-def _observed_network():
-    """A kernel with an observer: every wave emits its events."""
+def _logged_network():
+    """A kernel whose activation log is kept for its life: every wave
+    writes its rows."""
     net = ReteNetwork()
-    net.observers.append(lambda event: None)
+    net.keep_log(net)
     return net
 
 
 ENGINES = {
     "reference": ReferenceReteNetwork,
-    "fast": _observed_network,
-    "fast-unobserved": ReteNetwork,
+    "fast": _logged_network,
+    "fast-unlogged": ReteNetwork,
 }
 
 PROGRAMS = {
@@ -67,7 +68,7 @@ def test_fast_kernel_runs_token_for_token(name):
             for ename, factory in ENGINES.items()}
     reference = runs["reference"]
     assert reference[0], f"{name}: reference run fired nothing"
-    for ename in ("fast", "fast-unobserved"):
+    for ename in ("fast", "fast-unlogged"):
         assert runs[ename] == reference, f"{name}: {ename} diverged"
 
 

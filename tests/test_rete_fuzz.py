@@ -2,8 +2,8 @@
 
 Three independently-written matchers — the from-scratch naive matcher,
 the preserved object-dispatch Rete (:class:`ReferenceReteNetwork`) and
-the flattened kernel (observed, emitting events from its one walk, and
-unobserved, emitting none) — are driven through random rule
+the flattened kernel (logged, writing activation rows from its one
+walk, and unlogged, writing none) — are driven through random rule
 subsets and random working-memory churn (adds, removes, negated CEs,
 multiple-modify bursts).  All four must agree on the conflict set after
 every single delta; the kernel variants must also agree on memory
@@ -150,7 +150,7 @@ def _run_differential(rules, script):
     naive = NaiveMatcher()
     reference = ReferenceReteNetwork()
     fast = ReteNetwork()
-    fast.observers.append(lambda event: None)
+    fast.keep_log(fast)  # the logged walk, for the network's life
     plain = ReteNetwork()
     engines = (naive, reference, fast, plain)
     for source in rules:
@@ -184,13 +184,12 @@ def test_const_battery_vectorized_parity(rules, script):
 
 @given(rules=rule_subsets(), script=churn_scripts())
 def test_traced_equals_untraced_final_state(rules, script):
-    """An observer must not change what the kernel computes — only
-    whether events are emitted.  The observed and the unobserved
-    kernel must land in identical final states."""
+    """A log reader must not change what the kernel computes — only
+    whether rows are written.  The logged and the unlogged kernel must
+    land in identical final states."""
     traced = ReteNetwork()
     untraced = ReteNetwork()
-    events = []
-    traced.observers.append(events.append)
+    traced.keep_log(traced)
     engines = (traced, untraced)
     for source in rules:
         production = parse_production(source)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.check.oracles import event_tuples, log_events
 from repro.ops5 import parse_production
 from repro.ops5.ast import AttrTest, Constant, Disjunction, Predicate
 from repro.ops5.wme import WME
@@ -235,17 +236,18 @@ class TestHashedAlphaDispatch:
 
 class TestEventOrder:
     def test_mixed_terminal_and_beta_children(self):
-        """A join feeding both a terminal and a deeper join delivers the
-        reference engine's events: same ids, parents, successor counts
-        and post-order."""
+        """A join feeding both a terminal and a deeper join logs the
+        rows of the reference engine's events: same ids, parents,
+        successor counts, and the post-order the rows imply."""
         sources = [
             "(p short (a ^p <x>) (b ^p <x>) --> (remove 1))",
             "(p long (a ^p <x>) (b ^p <x>) (c ^q <x>) --> (remove 1))",
         ]
         fast, reference = ReteNetwork(), ReferenceReteNetwork()
-        streams = ([], [])
-        for engine, events in zip((fast, reference), streams):
-            engine.observers.append(events.append)
+        reference_events = []
+        reference.observers.append(reference_events.append)
+        log = fast.keep_log(self)
+        for engine in (fast, reference):
             for source in sources:
                 engine.add_production(parse_production(source))
             wid = 0
@@ -254,15 +256,22 @@ class TestEventOrder:
                                ("a", {"p": 1})]:
                 wid += 1
                 engine.add_wme(_wme(wid, cls, **attrs))
-        fast_events, reference_events = streams
-        assert [(e.act_id, e.parent_id, e.node_id, e.side, e.tag,
-                 e.key, e.n_successors) for e in fast_events] == \
-            [(e.act_id, e.parent_id, e.node_id, e.side, e.tag, e.key,
-              e.n_successors) for e in reference_events]
-        last = fast_events[-1]
-        # two b matches x (terminal + join child)
-        assert last.parent_id is None and last.n_successors == 4
-        kinds = {e.node_kind for e in fast_events if e.parent_id}
+        rows = log_events(log)
+        assert rows == event_tuples(reference_events)
+        # read in post-order, the rows give the reference's event order
+        order, open_path = [], []
+        for act_id, parent, *_ in rows:
+            while open_path and open_path[-1] != parent:
+                order.append(open_path.pop())
+            open_path.append(act_id)
+        assert (order + open_path[::-1]
+                == [e.act_id for e in reference_events])
+        # the reference's post-order ends with the last root: the a
+        # wme's, whose two b matches x (terminal + join child) make 4
+        last = next(row for row in rows
+                    if row[0] == reference_events[-1].act_id)
+        assert last[1] is None and last[7] == 4
+        kinds = {row[3] for row in rows if row[1]}
         assert kinds == {"join", "terminal"}
 
 

@@ -1,11 +1,13 @@
 """Behavioural tests for the Rete network: joins, negation, deletion,
-state invariants and activation events."""
+state invariants and the activation log."""
 
 import pytest
 
 from repro.ops5 import parse_production
 from repro.ops5.wme import WME
-from repro.rete import ActivationCounter, ReteNetwork, build_network
+from repro.check.oracles import log_events
+from repro.rete import build_network
+from repro.trace import TraceRecorder
 
 
 def net_for(*sources):
@@ -189,43 +191,46 @@ class TestAlwaysFalseCE:
 
 
 class TestActivationEvents:
+    """What a reader of the activation log sees; the Table 5-2 counts
+    come from the recorded section's ``stats()``."""
+
     def test_counter_sees_left_and_right(self):
         net = net_for("(p r (a ^v <x>) (b ^w <x>) --> (remove 1))")
-        counter = ActivationCounter()
-        net.observers.append(counter)
+        recorder = TraceRecorder(net)
         net.add_wme(WME(1, "a", {"v": 7}))   # left activation (CE1)
         net.add_wme(WME(2, "b", {"w": 7}))   # right activation (CE2)
-        assert counter.left == 1
-        assert counter.right == 1
-        assert counter.terminal == 1
-        assert counter.successors == 1
+        stats = recorder.section("s").stats()
+        assert stats.left == 1
+        assert stats.right == 1
+        assert stats.terminal == 1
+        assert stats.successors == 1
 
     def test_parent_child_linkage(self):
-        events = []
         net = net_for(
             "(p r (a ^v <x>) (b ^w <x>) (c) --> (remove 1))")
-        net.observers.append(events.append)
+        log = net.keep_log(self)
         net.add_wme(WME(1, "c", {}))
         net.add_wme(WME(2, "a", {"v": 7}))
         net.add_wme(WME(3, "b", {"w": 7}))
-        by_id = {e.act_id: e for e in events}
-        roots = [e for e in events if e.parent_id is None]
-        children = [e for e in events if e.parent_id is not None]
+        rows = log_events(log)
+        ids = {row[0] for row in rows}
+        roots = [row for row in rows if row[1] is None]
+        children = [row for row in rows if row[1] is not None]
         assert len(roots) == 3
-        for child in children:
-            assert child.parent_id in by_id
-            assert by_id[child.parent_id].act_id < child.act_id
+        for act_id, parent, *_ in children:
+            assert parent in ids
+            assert parent < act_id
 
     def test_successor_count_on_cross_product(self):
         net = net_for("(p r (a) (b) --> (remove 1))")
-        counter = ActivationCounter()
         for i in range(5):
             net.add_wme(WME(i + 1, "a", {}))
-        net.observers.append(counter)
+        recorder = TraceRecorder(net)
         net.add_wme(WME(99, "b", {}))
         # One right activation meeting 5 stored left tokens.
-        assert counter.right == 1
-        assert counter.successors == 5
+        stats = recorder.section("s").stats()
+        assert stats.right == 1
+        assert stats.successors == 5
 
     def test_no_observer_no_overhead_path(self):
         net = net_for("(p r (a) --> (halt))")

@@ -6,7 +6,7 @@ bucket through a sorted range index (:class:`repro.rete.memory
 that path with a wide value alphabet — ints and floats that compare
 equal (``1``/``1.0``, ``0``/``-0.0``), NaN, infinities, ``bool`` and
 symbols, each drawn repeatedly — through four engines: the kernel
-observed and unobserved, the object-dispatch reference and the naive
+logged and unlogged, the object-dispatch reference and the naive
 matcher.  They must agree on the conflict set after every delta, the
 kernels and the reference on memory totals, and every memory must be
 empty once the churn is undone.
@@ -22,6 +22,7 @@ from typing import List
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.check.oracles import log_events
 from repro.ops5 import NaiveMatcher, parse_production
 from repro.ops5.ast import Predicate
 from repro.ops5.wme import WME
@@ -63,7 +64,7 @@ def _engines(rules):
     naive = NaiveMatcher()
     reference = ReferenceReteNetwork()
     observed = ReteNetwork()
-    observed.observers.append(lambda event: None)
+    observed.keep_log(observed)  # the logged walk, for the network's life
     plain = ReteNetwork()
     engines = (naive, reference, observed, plain)
     for source in rules:
@@ -200,12 +201,9 @@ def test_range_index_orders_only_plain_numbers():
 # Left buckets: the same wme twice keeps list semantics
 # ---------------------------------------------------------------------------
 
-def _events(engine):
-    events = []
-    engine.observers.append(
-        lambda e: events.append((e.act_id, e.parent_id, e.node_id,
-                                 e.side, e.tag, e.key, e.n_successors)))
-    return events
+def _log(engine):
+    """The engine's activation log, kept for the engine's life."""
+    return engine.keep_log(engine)
 
 
 def _in_order(engine):
@@ -223,7 +221,7 @@ def test_duplicate_wme_removes_first_stored_copy():
     kernel, reference = ReteNetwork(), ReferenceReteNetwork()
     for engine in (kernel, reference):
         engine.add_production(rule)
-    streams = [_events(kernel), _events(reference)]
+    logs = [_log(kernel), _log(reference)]
     twice = WME(1, "a", {"p": 1}, timestamp=1)
     other = WME(2, "a", {"p": 1}, timestamp=2)
     probe = WME(3, "b", {"p": 1}, timestamp=3)
@@ -243,6 +241,6 @@ def test_duplicate_wme_removes_first_stored_copy():
             getattr(engine, method)(wme)
         assert _in_order(kernel) == _in_order(reference)
         assert kernel.memories.counts() == reference.memories.counts()
-    assert streams[0] == streams[1]
+    assert log_events(logs[0]) == log_events(logs[1])
     assert kernel.memories.is_empty() and reference.memories.is_empty()
     assert not kernel.memories.copies

@@ -13,6 +13,7 @@ from repro.mpc import (FaultModel, OverheadModel, RunConfig,
 from repro.ops5 import Interpreter, parse_production, parse_program
 from repro.ops5.wme import WME
 from repro.rete import ReteNetwork
+from repro.rete._reference import ReferenceReteNetwork
 from repro.trace import (KIND_TERMINAL, CycleKeyIndex, CycleTrace,
                          TraceRecorder, dumps_trace, record_program,
                          validate_trace)
@@ -171,7 +172,6 @@ class TestRecordedKernelMatchesReference:
 
     @pytest.mark.parametrize("name", ["rubik", "tourney", "weaver"])
     def test_sections_identical(self, name):
-        from repro.rete._reference import ReferenceReteNetwork
         from repro.workloads.match import (rubik_match_program,
                                            tourney_match_program,
                                            weaver_match_program)
@@ -192,17 +192,21 @@ class TestRecordedKernelMatchesReference:
 
 
 def _recorders(program, max_cycles=5000):
-    """One run with the recorder and the frozen reference recorder
-    both attached to the same network."""
-    network = ReteNetwork()
-    recorder = TraceRecorder(network)
-    frozen = ReferenceTraceRecorder(network)
-    interpreter = Interpreter(matcher=network)
-    recorder.attach(interpreter)
-    frozen.attach(interpreter)
-    interpreter.load_program(program)
-    interpreter.run(max_cycles=max_cycles)
-    return recorder, frozen
+    """The recorder over a kernel run, and the frozen reference
+    recorder over the same program on the reference engine (the
+    frozen recorder reads the observer events that only the reference
+    engine delivers)."""
+    out = []
+    for network, recorder_type in ((ReteNetwork(), TraceRecorder),
+                                   (ReferenceReteNetwork(),
+                                    ReferenceTraceRecorder)):
+        recorder = recorder_type(network)
+        interpreter = Interpreter(matcher=network)
+        recorder.attach(interpreter)
+        interpreter.load_program(program)
+        interpreter.run(max_cycles=max_cycles)
+        out.append(recorder)
+    return tuple(out)
 
 
 def _assert_like_frozen(recorder, frozen):
@@ -231,9 +235,10 @@ RECORDED_PROGRAMS = {
 
 
 class TestRecorderMatchesFrozenCopy:
-    """The recorder compiles cycles straight from the event stream; the
-    sections it yields are the frozen object-building recorder's, byte
-    for byte through the text format."""
+    """The recorder compiles cycles straight from the kernel's log rows;
+    the sections it yields are the frozen object-building recorder's
+    over the reference engine's events, byte for byte through the text
+    format."""
 
     @pytest.mark.parametrize("name", sorted(RECORDED_PROGRAMS))
     def test_program(self, name):
@@ -241,11 +246,12 @@ class TestRecorderMatchesFrozenCopy:
 
     def test_sparse_act_ids(self):
         """Returning to an earlier cycle leaves a gap in its act ids."""
-        network = ReteNetwork()
-        network.add_production(parse_production(
-            "(p r (a ^v <x>) (b ^w <x>) --> (remove 1))"))
+        network, reference = ReteNetwork(), ReferenceReteNetwork()
+        for net in (network, reference):
+            net.add_production(parse_production(
+                "(p r (a ^v <x>) (b ^w <x>) --> (remove 1))"))
         recorder = TraceRecorder(network)
-        frozen = ReferenceTraceRecorder(network)
+        frozen = ReferenceTraceRecorder(reference)
         for cycle, wme in [(5, WME(1, "a", {"v": 1})),
                            (6, WME(2, "b", {"w": 1})),
                            (5, WME(3, "b", {"w": 1})),
@@ -253,6 +259,7 @@ class TestRecorderMatchesFrozenCopy:
             recorder.set_cycle(cycle)
             frozen.set_cycle(cycle)
             network.add_wme(wme)
+            reference.add_wme(wme)
         section = recorder.section("manual")
         first = section.cycles[0]
         index = first.key_index()
@@ -302,8 +309,9 @@ class TestRecorderMatchesFrozenCopy:
     @pytest.mark.parametrize("name", ["rubik-0", "tourney-0"])
     def test_recording_builds_no_activation_events(self, monkeypatch,
                                                     name):
-        """With no observer attached the engine writes log rows only."""
-        from repro.rete.stats import ActivationEvent
+        """The kernel writes log rows only; activation events exist
+        only in the reference engine, for its observers."""
+        from repro.rete._reference import ActivationEvent
 
         def refuse(self, *args, **kwargs):
             raise AssertionError("built an ActivationEvent")
@@ -311,7 +319,7 @@ class TestRecorderMatchesFrozenCopy:
         section = record_program(RECORDED_PROGRAMS[name](), name)
         assert section.total_activations() > 0
         with pytest.raises(AssertionError, match="ActivationEvent"):
-            network = ReteNetwork()
+            network = ReferenceReteNetwork()
             network.observers.append(lambda event: None)
             interpreter = Interpreter(matcher=network)
             interpreter.load_program(RECORDED_PROGRAMS[name]())
